@@ -87,10 +87,7 @@ class BurnsideRing:
             a, b = self.reps[ci], self.reps[cj]
             out = [Fraction(0)] * self.size
             for x in lat.double_cosets(a, b, self.top):
-                meet = tuple(
-                    sorted(set(lat.elements(a)) & set(lat.group.mul(lat.group.mul(x, l), lat.group.inv(x)) for l in lat.elements(b)))
-                )
-                out[self.class_index[lat.subgroup_id(meet)]] += 1
+                out[self.class_index[lat.meet(a, lat.conjugate(x, b))]] += 1
             self._mul_cache[key] = tuple(out)
         return self._mul_cache[key]
 
@@ -191,20 +188,12 @@ class BurnsideRing:
             raise BurnsideError("can only restrict to a subgroup")
         target = burnside_ring(lat, to)
         out = [Fraction(0)] * target.size
-        G = lat.group
         for j, c in enumerate(a.coeffs):
             if c == 0:
                 continue
             b = self.reps[j]
             for x in lat.double_cosets(to, b, self.top):
-                xinv = G.inv(x)
-                meet = tuple(
-                    sorted(
-                        set(lat.elements(to))
-                        & {G.mul(G.mul(x, l), xinv) for l in lat.elements(b)}
-                    )
-                )
-                out[target.class_index[lat.subgroup_id(meet)]] += c
+                out[target.class_index[lat.meet(to, lat.conjugate(x, b))]] += c
         return BurnsideElement(target, tuple(out))
 
     def induce(self, a: "BurnsideElement") -> "BurnsideElement":

@@ -23,8 +23,10 @@ from .groups import SubgroupLattice
 from .linalg import (
     QMatrix,
     WModule,
+    block_matrix,
     direct_sum as mat_direct_sum,
     intertwiner,
+    permutation_matrix,
     restrict_map,
     tensor,
     vstack,
@@ -114,29 +116,23 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | N
         eye = QMatrix.identity(amb)
         for pos, s in enumerate(w.group.gens):
             perm = _weyl_coset_perm(lattice, h, k, w.reps[s], X)
-            pm = QMatrix(
-                [[Fraction(1 if perm[j] == i else 0) for j in range(len(X))] for i in range(len(X))]
-            )
-            stack.append(tensor(pm, V.gen_matrices[pos]) - eye)
+            stack.append(tensor(permutation_matrix(perm), V.gen_matrices[pos]) - eye)
         bases.append(vstack(*stack).kernel() if stack else eye)
     dims = tuple(b.cols for b in bases)
 
     pos_of = [{g: i for i, g in enumerate(X)} for X in cosets]
+    eye_v = QMatrix.identity(V.dim)
 
-    def amb_ind(k_big, k_small):
-        # project fixed cosets of the smaller subgroup onto the bigger one
-        Xs, Xb = cosets[k_small], cosets[k_big]
-        out = [[Fraction(0)] * (len(Xs) * V.dim) for _ in range(len(Xb) * V.dim)]
-        for j, g in enumerate(Xs):
-            i = pos_of[k_big][lattice.coset_of(g, k_big)]
-            for d in range(V.dim):
-                out[i * V.dim + d][j * V.dim + d] = Fraction(1)
-        return QMatrix(out, rows=len(Xb) * V.dim, cols=len(Xs) * V.dim)
+    def coset_map(src, dst, image):
+        # send the fixed coset g of src to the fixed coset image(g) of dst, tensored with V
+        blocks = [(pos_of[dst][image(g)] * V.dim, j * V.dim, eye_v) for j, g in enumerate(cosets[src])]
+        return block_matrix(len(cosets[dst]) * V.dim, len(cosets[src]) * V.dim, blocks)
 
     res, ind = {}, {}
     for kb in range(n_levels):
         for ks in lattice.subgroups_of(kb):
-            a = amb_ind(kb, ks)
+            # project fixed cosets of the smaller subgroup onto the bigger one
+            a = coset_map(ks, kb, lambda g: lattice.coset_of(g, kb))
             ind[(kb, ks)] = restrict_map(a, bases[ks], bases[kb])
             # restriction sends a coset to the sum of its fixed preimages
             res[(kb, ks)] = restrict_map(a.transpose(), bases[kb], bases[ks])
@@ -145,13 +141,7 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | N
         si = G.inv(s)
         for k in range(n_levels):
             ks = lattice.conjugate(s, k)
-            Xs, Xd = cosets[k], cosets[ks]
-            out = [[Fraction(0)] * (len(Xs) * V.dim) for _ in range(len(Xd) * V.dim)]
-            for j, g in enumerate(Xs):
-                i = pos_of[ks][lattice.coset_of(G.mul(g, si), ks)]
-                for d in range(V.dim):
-                    out[i * V.dim + d][j * V.dim + d] = Fraction(1)
-            amb = QMatrix(out, rows=len(Xd) * V.dim, cols=len(Xs) * V.dim)
+            amb = coset_map(k, ks, lambda g: lattice.coset_of(G.mul(g, si), ks))
             cgen[(pos, k)] = restrict_map(amb, bases[k], bases[ks])
     functor = MackeyFunctor(
         lattice, dims, res, ind, cgen, name=name or f"F[{lattice.class_name_of(h)}]"
@@ -239,9 +229,6 @@ class SplitData:
 
     lattice: SubgroupLattice
     modules: dict  # class rep id -> WModule
-
-    def total_dims(self) -> dict:
-        return {h: m.dim for h, m in self.modules.items()}
 
 
 def split(M: MackeyFunctor) -> SplitData:
@@ -417,13 +404,6 @@ def free_functor_idempotent_rank(lattice: SubgroupLattice, a: int, b: int, c: in
     ring_b = burnside_ring(lattice, b)
     P = burnside_action(F, b, ring_b.idempotent(c))
     return P.rank()
-
-
-def free_functor_idempotent_check(lattice: SubgroupLattice, a: int, b: int, c: int, V: WModule) -> bool:
-    """Exact rank-zero check: the piece vanishes unless A and C are conjugate."""
-    if lattice.class_of[a] == lattice.class_of[c]:
-        return True
-    return free_functor_idempotent_rank(lattice, a, b, c, V) == 0
 
 
 # ---------------------------------------------------------------------------

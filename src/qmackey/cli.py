@@ -663,68 +663,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true", help="prefer human-readable tables")
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.add_argument("--format", choices=["text", "json", "dot"], default="json")
+    # the same flags after the subcommand; suppressed defaults keep the values given before it
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--cap", type=int, help="largest allowed group order")
+    flags.add_argument("--pretty", action="store_true", help="prefer human-readable tables")
+    flags.add_argument("--out", help="write output to a file instead of stdout")
+    flags.add_argument("--format", choices=["text", "json", "dot"])
     sub = p.add_subparsers(dest="command", required=True)
+
+    def leaf(subs, name, func, **kwargs):
+        sp = subs.add_parser(name, parents=[flags], **kwargs)
+        sp.set_defaults(func=func)
+        return sp
 
     g = sub.add_parser("group", help="inspect a finite group")
     gsub = g.add_subparsers(dest="subcommand", required=True)
-    gi = gsub.add_parser("info")
-    gi.add_argument("group")
-    gi.set_defaults(func=cmd_group_info)
-    gs = gsub.add_parser("subgroups")
-    gs.add_argument("group")
-    gs.set_defaults(func=cmd_group_subgroups)
+    leaf(gsub, "info", cmd_group_info).add_argument("group")
+    leaf(gsub, "subgroups", cmd_group_subgroups).add_argument("group")
 
     b = sub.add_parser("burnside", help="rational Burnside ring computations")
     bsub = b.add_subparsers(dest="subcommand", required=True)
-    bt = bsub.add_parser("table")
-    bt.add_argument("group")
-    bt.set_defaults(func=cmd_burnside_table)
-    bi = bsub.add_parser("idempotents")
-    bi.add_argument("group")
-    bi.set_defaults(func=cmd_burnside_idempotents)
-    br = bsub.add_parser("restrict")
+    leaf(bsub, "table", cmd_burnside_table).add_argument("group")
+    leaf(bsub, "idempotents", cmd_burnside_idempotents).add_argument("group")
+    br = leaf(bsub, "restrict", cmd_burnside_restrict)
     br.add_argument("group")
     br.add_argument("--to", required=True, help="target subgroup name")
     br.add_argument("--element", help="element as JSON of class coefficients")
     br.add_argument("--idempotent", help="restrict the idempotent of this class")
-    br.set_defaults(func=cmd_burnside_restrict)
 
     m = sub.add_parser("mackey", help="Mackey functor operations")
     msub = m.add_subparsers(dest="subcommand", required=True)
-    mn = msub.add_parser("new")
+    mn = leaf(msub, "new", cmd_mackey_new)
     mn.add_argument("kind", choices=["burnside", "constant", "coconstant", "zero", "fixed", "free"])
     mn.add_argument("--group", required=True)
     mn.add_argument("--dim", type=int, default=1)
     mn.add_argument("--at", help="class name for free functors")
     mn.add_argument("--module", choices=["trivial", "regular"], default="trivial")
     mn.add_argument("--save", help="store under this name in the workspace")
-    mn.set_defaults(func=cmd_mackey_new)
-    mc = msub.add_parser("check")
-    mc.add_argument("functor")
-    mc.set_defaults(func=cmd_mackey_check)
-    ms = msub.add_parser("split")
-    ms.add_argument("functor")
-    ms.set_defaults(func=cmd_mackey_split)
-    mcl = msub.add_parser("classify")
+    leaf(msub, "check", cmd_mackey_check).add_argument("functor")
+    leaf(msub, "split", cmd_mackey_split).add_argument("functor")
+    mcl = leaf(msub, "classify", cmd_mackey_classify)
     mcl.add_argument("functor")
     mcl.add_argument("--certify", action="store_true")
-    mcl.set_defaults(func=cmd_mackey_classify)
-    mb = msub.add_parser("box")
+    mb = leaf(msub, "box", cmd_mackey_box)
     mb.add_argument("a")
     mb.add_argument("b")
-    mb.set_defaults(func=cmd_mackey_box)
-    mg = msub.add_parser("green-check")
+    mg = leaf(msub, "green-check", cmd_mackey_green_check)
     mg.add_argument("functor")
     mg.add_argument("mult", help="multiplication data JSON, or 'burnside'")
-    mg.set_defaults(func=cmd_mackey_green_check)
-    ml = msub.add_parser("lewis")
+    ml = leaf(msub, "lewis", cmd_mackey_lewis)
     ml.add_argument("functor")
     ml.add_argument("--dot", action="store_true")
-    ml.set_defaults(func=cmd_mackey_lewis)
 
-    d = sub.add_parser("demo", help="regenerate the worked examples")
+    d = leaf(sub, "demo", cmd_demo, help="regenerate the worked examples")
     d.add_argument("which", choices=["c6", "s4", "cp3"])
-    d.set_defaults(func=cmd_demo)
     return p
 
 

@@ -205,27 +205,6 @@ class FiniteGroup:
         """g x g^-1"""
         return self._mul[self._mul[g][x]][self._inv[g]]
 
-    def mul_all(self, elems) -> int:
-        acc = self.identity
-        for x in elems:
-            acc = self._mul[acc][x]
-        return acc
-
-    def power(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.power(self._inv[a], -n)
-        acc = self.identity
-        for _ in range(n):
-            acc = self._mul[acc][a]
-        return acc
-
-    def element_order(self, a: int) -> int:
-        x, n = a, 1
-        while x != self.identity:
-            x = self._mul[x][a]
-            n += 1
-        return n
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -947,9 +926,6 @@ class SubgroupLattice:
             self._quot_lattice_cache[n] = QuotientLatticeView(lat, proj, tuple(to_parent_sub), tuple(reps))
         return self._quot_lattice_cache[n]
 
-    def coset_action(self, k: int) -> GSet:
-        return coset_gset(self.group, self.elements(k))
-
     def __repr__(self) -> str:
         return f"SubgroupLattice({self.group.name}: {len(self.subgroups)} subgroups, {len(self.classes)} classes)"
 
@@ -991,9 +967,3 @@ class QuotientLatticeView:
 
     def parent_sub(self, local_id: int) -> int:
         return self.to_parent_sub[local_id]
-
-    def local_sub_of_parent(self, parent_id: int) -> int | None:
-        for i, p in enumerate(self.to_parent_sub):
-            if p == parent_id:
-                return i
-        return None

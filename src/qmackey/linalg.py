@@ -275,15 +275,31 @@ def tensor(A: QMatrix, B: QMatrix) -> QMatrix:
     return QMatrix(out, rows=rows, cols=cols)
 
 
+def block_matrix(rows: int, cols: int, blocks) -> QMatrix:
+    """The rows x cols matrix that is the sum of ``(row offset, col offset, block)`` placements.
+
+    Blocks may overlap; overlapping entries add.
+    """
+    zero = Fraction(0)
+    out = [[zero] * cols for _ in range(rows)]
+    end = [0] * rows  # one past the last column written in each row
+    for ro, co, B in blocks:
+        if ro < 0 or co < 0 or ro + B.rows > rows or co + B.cols > cols:
+            raise LinAlgError("block does not fit")
+        for i, brow in enumerate(B.data, ro):
+            orow = out[i]
+            if co >= end[i]:
+                orow[co : co + B.cols] = brow
+            else:
+                for j, x in enumerate(brow, co):
+                    if x:
+                        orow[j] += x
+            end[i] = max(end[i], co + B.cols)
+    return QMatrix(out, rows=rows, cols=cols)
+
+
 def direct_sum(A: QMatrix, B: QMatrix) -> QMatrix:
-    out = [[Fraction(0)] * (A.cols + B.cols) for _ in range(A.rows + B.rows)]
-    for i in range(A.rows):
-        for j in range(A.cols):
-            out[i][j] = A.data[i][j]
-    for i in range(B.rows):
-        for j in range(B.cols):
-            out[A.rows + i][A.cols + j] = B.data[i][j]
-    return QMatrix(out, rows=A.rows + B.rows, cols=A.cols + B.cols)
+    return block_matrix(A.rows + B.rows, A.cols + B.cols, [(0, 0, A), (A.rows, A.cols, B)])
 
 
 def permutation_matrix(perm) -> QMatrix:
@@ -312,33 +328,30 @@ def quotient_space(ambient_dim: int, relations: QMatrix) -> tuple[QMatrix, QMatr
     """Quotient of Q^n by the column span of ``relations``.
 
     Returns ``(projection, section)`` with ``projection @ section`` the
-    identity of the quotient.  The section picks the standard basis vectors
-    away from the pivot coordinates of the relation span.
+    identity of the quotient.
+
+    Let ``span`` be the canonical basis of the relation span, with k columns,
+    and run one ``rref`` of ``[span | I]``.  A column is a pivot exactly when
+    it lies outside the span of the columns before it.  The columns of
+    ``span`` are independent, so they are the first k pivots; the remaining
+    pivots fall in the ``I`` block, and each picks the first standard basis
+    vector outside the span of ``span`` and of the vectors already picked.
+    Those vectors form the section.  The matrix has rank n, so its reduced
+    form has the identity in the pivot columns: the ``I`` block of the
+    reduced form E satisfies ``E [span | section] = I``, that is
+    ``E = [span | section]^-1``.  Rows k: of E are the projection, which
+    kills the span and inverts the section.
     """
     if relations.cols and relations.rows != ambient_dim:
         raise LinAlgError("relations live in the wrong ambient space")
     span = relations.image() if relations.cols else QMatrix.zeros(ambient_dim, 0)
     k = span.cols
-    # choose complement coordinates greedily so that [span | E] is invertible
-    chosen: list[int] = []
-    current = span
-    for i in range(ambient_dim):
-        if current.cols == ambient_dim:
-            break
-        e = QMatrix.from_cols([[Fraction(1 if r == i else 0) for r in range(ambient_dim)]], rows=ambient_dim)
-        candidate = hstack(current, e)
-        if candidate.rank() == current.cols + 1:
-            chosen.append(i)
-            current = candidate
-    if current.cols != ambient_dim:
-        raise LinAlgError("could not complete complement basis")
+    R, pivots = hstack(span, QMatrix.identity(ambient_dim)).rref()
     section = QMatrix.from_cols(
-        [[Fraction(1 if r == i else 0) for r in range(ambient_dim)] for i in chosen],
+        [[Fraction(1 if r == p - k else 0) for r in range(ambient_dim)] for p in pivots[k:]],
         rows=ambient_dim,
     )
-    full = hstack(span, section)
-    inv = full.inverse()
-    proj = QMatrix(inv.data[k:], rows=ambient_dim - k, cols=ambient_dim)
+    proj = QMatrix([row[k:] for row in R.data[k:]], rows=ambient_dim - k, cols=ambient_dim)
     return proj, section
 
 

@@ -20,8 +20,10 @@ from .linalg import (
     QMatrix,
     WModule,
     averaging_projector,
+    block_matrix,
     direct_sum as mat_direct_sum,
     fixed_subspace,
+    hstack,
     quotient_space,
     restrict_map,
     vstack,
@@ -49,9 +51,6 @@ class MackeyFunctor:
     def group(self):
         return self.lattice.group
 
-    def level_dim(self, h: int) -> int:
-        return self.dims[h]
-
     def restriction(self, h: int, k: int) -> QMatrix:
         return self.res[(h, k)]
 
@@ -69,9 +68,6 @@ class MackeyFunctor:
                 level = self.lattice.conjugate(self.group.gens[pos], level)
             self._conj_cache[key] = mat
         return self._conj_cache[key]
-
-    def total_dim(self) -> int:
-        return sum(self.dims)
 
     def __repr__(self) -> str:
         return f"MackeyFunctor({self.name} over {self.group.name}, dims={self.dims})"
@@ -349,6 +345,12 @@ def fp_functor(lattice: SubgroupLattice, V: WModule, name: str | None = None) ->
     return build_functor(lattice, dims, resfn, indfn, conjfn, name=name or "FP")
 
 
+def _coinvariants(V: WModule, elems) -> tuple[QMatrix, QMatrix]:
+    """``quotient_space`` of V by the span of the vectors xv - v, x in ``elems``."""
+    eye = QMatrix.identity(V.dim)
+    return quotient_space(V.dim, hstack(*[V.matrix(x) - eye for x in elems]))
+
+
 def fq_functor(lattice: SubgroupLattice, V: WModule, name: str | None = None) -> MackeyFunctor:
     """Coinvariants of a rational representation at every level (dual route).
 
@@ -357,18 +359,8 @@ def fq_functor(lattice: SubgroupLattice, V: WModule, name: str | None = None) ->
     """
     _check_module_over(lattice, V)
     G = lattice.group
-    projs, secs, dims = [], [], []
-    eye = QMatrix.identity(V.dim)
-    for h in range(len(lattice)):
-        cols = []
-        for x in lattice.elements(h):
-            diff = V.matrix(x) - eye
-            cols.extend(diff.columns())
-        rel = QMatrix.from_cols(cols, rows=V.dim) if cols else QMatrix.zeros(V.dim, 0)
-        p, s = quotient_space(V.dim, rel)
-        projs.append(p)
-        secs.append(s)
-        dims.append(p.rows)
+    projs, secs = zip(*(_coinvariants(V, lattice.elements(h)) for h in range(len(lattice))))
+    dims = [p.rows for p in projs]
 
     def resfn(h, k):
         acc = QMatrix.zeros(V.dim, V.dim)
@@ -399,12 +391,7 @@ def fp_fq_iso(lattice: SubgroupLattice, V: WModule) -> MackeyMorphism:
     maps = []
     for h in range(len(lattice)):
         basis = fixed_subspace(V, lattice.elements(h))
-        rel_cols = []
-        eye = QMatrix.identity(V.dim)
-        for x in lattice.elements(h):
-            rel_cols.extend((V.matrix(x) - eye).columns())
-        rel = QMatrix.from_cols(rel_cols, rows=V.dim) if rel_cols else QMatrix.zeros(V.dim, 0)
-        proj, sec = quotient_space(V.dim, rel)
+        proj, sec = _coinvariants(V, lattice.elements(h))
         fwd = proj.matmul(basis)
         # the averaging composite inverts the raw include-then-quotient map
         avg = averaging_projector(V, lattice.elements(h))
@@ -558,14 +545,6 @@ class MackeyMorphism:
     def inverse(self) -> "MackeyMorphism":
         return MackeyMorphism(self.target, self.source, tuple(m.inverse() for m in self.maps))
 
-    def compose(self, other: "MackeyMorphism") -> "MackeyMorphism":
-        """self after other."""
-        if other.target is not self.source:
-            raise MackeyError("composition endpoints do not match")
-        return MackeyMorphism(
-            other.source, self.target, tuple(a.matmul(b) for a, b in zip(self.maps, other.maps))
-        )
-
     def __repr__(self):
         return f"MackeyMorphism({self.source.name} -> {self.target.name})"
 
@@ -630,16 +609,12 @@ def covariant_map(M: MackeyFunctor, f: GMap, lattice: SubgroupLattice | None = N
     lat = lattice or M.lattice
     ev_x = evaluate_at_set(M, f.src, lat)
     ev_y = evaluate_at_set(M, f.dst, lat)
-    out = [[Fraction(0)] * ev_x.dim for _ in range(ev_y.dim)]
     G = f.src.group
-    for i, j, t, a, twisted in _orbit_block_data(lat, f.src, f.dst, f, ev_x, ev_y):
-        b = ev_y.stabilizers[j]
-        block = M.ind[(b, twisted)].matmul(M.conj(G.inv(t), a))
-        ro, co = ev_y.offsets[j], ev_x.offsets[i]
-        for r in range(block.rows):
-            for c in range(block.cols):
-                out[ro + r][co + c] += block.data[r][c]
-    return QMatrix(out, rows=ev_y.dim, cols=ev_x.dim), ev_x, ev_y
+    blocks = [
+        (ev_y.offsets[j], ev_x.offsets[i], M.ind[(ev_y.stabilizers[j], twisted)].matmul(M.conj(G.inv(t), a)))
+        for i, j, t, a, twisted in _orbit_block_data(lat, f.src, f.dst, f, ev_x, ev_y)
+    ]
+    return block_matrix(ev_y.dim, ev_x.dim, blocks), ev_x, ev_y
 
 
 def contravariant_map(M: MackeyFunctor, f: GMap, lattice: SubgroupLattice | None = None):
@@ -647,16 +622,11 @@ def contravariant_map(M: MackeyFunctor, f: GMap, lattice: SubgroupLattice | None
     lat = lattice or M.lattice
     ev_x = evaluate_at_set(M, f.src, lat)
     ev_y = evaluate_at_set(M, f.dst, lat)
-    out = [[Fraction(0)] * ev_y.dim for _ in range(ev_x.dim)]
-    G = f.src.group
-    for i, j, t, a, twisted in _orbit_block_data(lat, f.src, f.dst, f, ev_x, ev_y):
-        b = ev_y.stabilizers[j]
-        block = M.conj(t, twisted).matmul(M.res[(b, twisted)])
-        ro, co = ev_x.offsets[i], ev_y.offsets[j]
-        for r in range(block.rows):
-            for c in range(block.cols):
-                out[ro + r][co + c] += block.data[r][c]
-    return QMatrix(out, rows=ev_x.dim, cols=ev_y.dim), ev_x, ev_y
+    blocks = [
+        (ev_x.offsets[i], ev_y.offsets[j], M.conj(t, twisted).matmul(M.res[(ev_y.stabilizers[j], twisted)]))
+        for i, j, t, a, twisted in _orbit_block_data(lat, f.src, f.dst, f, ev_x, ev_y)
+    ]
+    return block_matrix(ev_x.dim, ev_y.dim, blocks), ev_x, ev_y
 
 
 # ---------------------------------------------------------------------------
@@ -808,10 +778,6 @@ def evaluate_bottom(M: MackeyFunctor) -> WModule:
     return WModule(w.group, M.dims[lat.bottom], mats)
 
 
-# the right adjoint to bottom-level evaluation is the fixed-point construction
-fp_adjoint = fp_functor
-
-
 def fp_unit(M: MackeyFunctor) -> MackeyMorphism:
     """The unit morphism into the fixed-point functor on the bottom level."""
     lat = M.lattice
@@ -865,16 +831,7 @@ def i_transpose_down(f_maps, M: MackeyFunctor, N: MackeyFunctor, parent: Subgrou
         # stabilizer of the identity coset is the subgroup itself: t b t^-1 = a
         if sub.conjugate(t, b) != a:
             raise MackeyError("stabilizer mismatch in transpose")
-        block_rows = N.dims[b]
-        off = ev.offsets[j]
-        proj = QMatrix(
-            [
-                [Fraction(1 if c == off + r else 0) for c in range(ev.dim)]
-                for r in range(block_rows)
-            ],
-            rows=block_rows,
-            cols=ev.dim,
-        )
+        proj = block_matrix(N.dims[b], ev.dim, [(0, ev.offsets[j], QMatrix.identity(N.dims[b]))])
         out.append(N.conj(t, b).matmul(proj).matmul(f_maps[pa]))
     return out
 

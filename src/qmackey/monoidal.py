@@ -16,7 +16,7 @@ from fractions import Fraction
 from .burnside import burnside_ring
 from .classify import u_module
 from .groups import SubgroupLattice
-from .linalg import QMatrix, quotient_space, tensor
+from .linalg import QMatrix, block_matrix, permutation_matrix, quotient_space, tensor
 from .mackey import (
     MackeyError,
     MackeyFunctor,
@@ -30,107 +30,58 @@ from .mackey import (
 @dataclass
 class _BoxLevel:
     summands: tuple  # subgroup ids K <= H in lattice order
-    offsets: dict  # id -> column offset into T(H)
+    offsets: dict  # id -> row offset of M(G/K) (x) N(G/K) in T(H)
     t_dim: int
     proj: QMatrix
     section: QMatrix
 
 
-def _tensor_column(xs, ys):
-    return [a * b for a in xs for b in ys]
+def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int) -> _BoxLevel:
+    """T(H), the sum over K <= H of M(G/K) (x) N(G/K), and its quotient by the relations.
 
+    Each relation family is one block column: a tensor block at one summand
+    minus a tensor block at another.  For L < K the Frobenius families are
+    res (x) 1 at L against 1 (x) ind at K, and 1 (x) res at L against
+    ind (x) 1 at K; for x in H the conjugation family is C_x (x) 1 at xKx^-1
+    against 1 (x) C_x^-1 at K.  The last two blocks share a summand when x
+    normalizes K.
+    """
+    lat = M.lattice
+    G = lat.group
+    summands = lat.subgroups_of(h)
+    offsets, t_dim = {}, 0
+    for k in summands:
+        offsets[k] = t_dim
+        t_dim += M.dims[k] * N.dims[k]
+    blocks, n_rel = [], 0
 
-class _BoxBuilder:
-    def __init__(self, M: MackeyFunctor, N: MackeyFunctor):
-        self.M, self.N = M, N
-        self.lat = M.lattice
-        self.G = self.lat.group
-        self.levels: list[_BoxLevel] = [self._build_level(h) for h in range(len(self.lat))]
+    def relate(k1, a, k2, b):
+        nonlocal n_rel
+        blocks.append((offsets[k1], n_rel, a))
+        blocks.append((offsets[k2], n_rel, -b))
+        n_rel += a.cols
 
-    def _pair_dim(self, k):
-        return self.M.dims[k] * self.N.dims[k]
-
-    def _build_level(self, h) -> _BoxLevel:
-        lat, M, N = self.lat, self.M, self.N
-        summands = lat.subgroups_of(h)
-        offsets, t_dim = {}, 0
+    eye = QMatrix.identity
+    for k in summands:
+        for l in lat.subgroups_of(k):
+            if l != k:
+                relate(l, tensor(M.res[(k, l)], eye(N.dims[l])), k, tensor(eye(M.dims[k]), N.ind[(k, l)]))
+                relate(l, tensor(eye(M.dims[l]), N.res[(k, l)]), k, tensor(M.ind[(k, l)], eye(N.dims[k])))
+    for x in lat.elements(h):
+        if x == G.identity:
+            continue
+        xi = G.inv(x)
         for k in summands:
-            offsets[k] = t_dim
-            t_dim += self._pair_dim(k)
-        rel_cols = []
+            kx = lat.conjugate(x, k)
+            relate(kx, tensor(M.conj(x, k), eye(N.dims[kx])), k, tensor(eye(M.dims[k]), N.conj(xi, kx)))
+    proj, section = quotient_space(t_dim, block_matrix(t_dim, n_rel, blocks))
+    return _BoxLevel(summands, offsets, t_dim, proj, section)
 
-        def emit(pairs):
-            col = [Fraction(0)] * t_dim
-            for k, vec in pairs:
-                off = offsets[k]
-                for i, v in enumerate(vec):
-                    col[off + i] += v
-            rel_cols.append(col)
 
-        for k in summands:
-            for l in lat.subgroups_of(k):
-                if l == k:
-                    continue
-                res_m = M.res[(k, l)]
-                ind_n = N.ind[(k, l)]
-                for i in range(M.dims[k]):
-                    rx = res_m.col(i)
-                    for j in range(N.dims[l]):
-                        ind_y = ind_n.col(j)
-                        ey = [Fraction(1 if t == j else 0) for t in range(N.dims[l])]
-                        ex = [Fraction(1 if t == i else 0) for t in range(M.dims[k])]
-                        emit([(l, _tensor_column(rx, ey)), (k, [-v for v in _tensor_column(ex, ind_y)])])
-                res_n = N.res[(k, l)]
-                ind_m = M.ind[(k, l)]
-                for i in range(M.dims[l]):
-                    ind_x = ind_m.col(i)
-                    ex = [Fraction(1 if t == i else 0) for t in range(M.dims[l])]
-                    for j in range(N.dims[k]):
-                        ry = res_n.col(j)
-                        ey = [Fraction(1 if t == j else 0) for t in range(N.dims[k])]
-                        emit([(l, _tensor_column(ex, ry)), (k, [-v for v in _tensor_column(ind_x, ey)])])
-        for x in lat.elements(h):
-            if x == self.G.identity:
-                continue
-            xi = self.G.inv(x)
-            for k in summands:
-                kx = lat.conjugate(x, k)
-                cm = self.M.conj(x, k)  # M(G/K) -> M(G/xKx^-1)
-                cn = self.N.conj(xi, kx)  # N(G/xKx^-1) -> N(G/K)
-                for i in range(M.dims[k]):
-                    cx = cm.col(i)
-                    ex = [Fraction(1 if t == i else 0) for t in range(M.dims[k])]
-                    for j in range(N.dims[kx]):
-                        cy = cn.col(j)
-                        ey = [Fraction(1 if t == j else 0) for t in range(N.dims[kx])]
-                        emit([(kx, _tensor_column(cx, ey)), (k, [-v for v in _tensor_column(ex, cy)])])
-        rel = (
-            QMatrix.from_cols(rel_cols, rows=t_dim) if rel_cols else QMatrix.zeros(t_dim, 0)
-        )
-        proj, section = quotient_space(t_dim, rel)
-        return _BoxLevel(summands, offsets, t_dim, proj, section)
-
-    def t_block_map(self, src_level, dst_level, block_fn) -> QMatrix:
-        """A map T(src) -> T(dst) given blockwise on summands.
-
-        ``block_fn(k)`` returns a list of (target summand, M-map, N-map) triples.
-        """
-        src, dst = self.levels[src_level], self.levels[dst_level]
-        out = [[Fraction(0)] * src.t_dim for _ in range(dst.t_dim)]
-        for k in src.summands:
-            dm, dn = self.M.dims[k], self.N.dims[k]
-            if dm * dn == 0:
-                continue
-            for tgt, mmap, nmap in block_fn(k):
-                block = tensor(mmap, nmap)
-                ro, co = dst.offsets[tgt], src.offsets[k]
-                for r in range(block.rows):
-                    row = block.data[r]
-                    orow = out[ro + r]
-                    for c in range(block.cols):
-                        if row[c]:
-                            orow[co + c] += row[c]
-        return QMatrix(out, rows=dst.t_dim, cols=src.t_dim)
+def _level_map(src: _BoxLevel, dst: _BoxLevel, blocks) -> QMatrix:
+    """The map of box levels induced by ``(dst summand, src summand, block)`` maps of summands."""
+    big = block_matrix(dst.t_dim, src.t_dim, [(dst.offsets[t], src.offsets[k], b) for t, k, b in blocks])
+    return dst.proj.matmul(big).matmul(src.section)
 
 
 def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> MackeyFunctor:
@@ -139,45 +90,35 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> MackeyFu
         raise MackeyError("box product needs a common lattice")
     lat = M.lattice
     G = lat.group
-    builder = _BoxBuilder(M, N)
-    levels = builder.levels
+    levels = [_box_level(M, N, h) for h in range(len(lat))]
     dims = tuple(level.proj.rows for level in levels)
+    # summands whose tensor space is zero contribute no blocks
+    live = [[k for k in level.summands if M.dims[k] * N.dims[k]] for level in levels]
 
     res, ind = {}, {}
     for h in range(len(lat)):
         for k in lat.subgroups_of(h):
             # induction: include the smaller sum of summands, then project
-            incl = builder.t_block_map(
-                k, h, lambda s: [(s, QMatrix.identity(M.dims[s]), QMatrix.identity(N.dims[s]))]
-            )
-            ind[(h, k)] = levels[h].proj.matmul(incl).matmul(levels[k].section)
-
-            def res_blocks(s, k=k):
-                out = []
+            incl = [(s, s, QMatrix.identity(M.dims[s] * N.dims[s])) for s in live[k]]
+            ind[(h, k)] = _level_map(levels[k], levels[h], incl)
+            down = []
+            for s in live[h]:
                 for l in lat.double_cosets(k, s, h):
                     sl = lat.conjugate(l, s)
                     meet = lat.meet(k, sl)
                     mm = M.res[(sl, meet)].matmul(M.conj(l, s))
                     nn = N.res[(sl, meet)].matmul(N.conj(l, s))
-                    out.append((meet, mm, nn))
-                return out
-
-            down = builder.t_block_map(h, k, res_blocks)
-            res[(h, k)] = levels[k].proj.matmul(down).matmul(levels[h].section)
+                    down.append((meet, s, tensor(mm, nn)))
+            res[(h, k)] = _level_map(levels[h], levels[k], down)
 
     cgen = {}
     for pos, s in enumerate(G.gens):
         for h in range(len(lat)):
-            hs = lat.conjugate(s, h)
-
-            def conj_blocks(k, pos=pos, s=s):
-                return [(lat.conjugate(s, k), M.conj(s, k), N.conj(s, k))]
-
-            mat = builder.t_block_map(h, hs, conj_blocks)
-            cgen[(pos, h)] = levels[hs].proj.matmul(mat).matmul(levels[h].section)
+            blocks = [(lat.conjugate(s, k), k, tensor(M.conj(s, k), N.conj(s, k))) for k in live[h]]
+            cgen[(pos, h)] = _level_map(levels[h], levels[lat.conjugate(s, h)], blocks)
 
     out = MackeyFunctor(lat, dims, res, ind, cgen, name=name or f"{M.name}[]{N.name}")
-    out._box_builder = builder
+    out._box_levels = levels
     return out
 
 
@@ -185,19 +126,13 @@ def box_swap_iso(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:
     """The symmetry of the box product, certified."""
     MN = box(M, N)
     NM = box(N, M)
-    lat = M.lattice
     maps = []
-    for h in range(len(lat)):
-        lvl_src = MN._box_builder.levels[h]
-        lvl_dst = NM._box_builder.levels[h]
-        out = [[Fraction(0)] * lvl_src.t_dim for _ in range(lvl_dst.t_dim)]
-        for k in lvl_src.summands:
+    for src, dst in zip(MN._box_levels, NM._box_levels):
+        flips = []
+        for k in src.summands:
             dm, dn = M.dims[k], N.dims[k]
-            for i in range(dm):
-                for j in range(dn):
-                    out[lvl_dst.offsets[k] + j * dm + i][lvl_src.offsets[k] + i * dn + j] = Fraction(1)
-        swap = QMatrix(out, rows=lvl_dst.t_dim, cols=lvl_src.t_dim)
-        maps.append(lvl_dst.proj.matmul(swap).matmul(lvl_src.section))
+            flips.append((k, k, permutation_matrix([j * dm + i for i in range(dm) for j in range(dn)])))
+        maps.append(_level_map(src, dst, flips))
     iso = MackeyMorphism(MN, NM, tuple(maps))
     iso.validate()
     if not iso.is_levelwise_iso():
@@ -207,21 +142,10 @@ def box_swap_iso(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:
 
 def box_morphism(f: MackeyMorphism, g: MackeyMorphism, src: MackeyFunctor, dst: MackeyFunctor) -> MackeyMorphism:
     """Functoriality: apply f (x) g summandwise between prebuilt box products."""
-    lat = src.lattice
     maps = []
-    for h in range(len(lat)):
-        lvl_src = src._box_builder.levels[h]
-        lvl_dst = dst._box_builder.levels[h]
-        out = [[Fraction(0)] * lvl_src.t_dim for _ in range(lvl_dst.t_dim)]
-        for k in lvl_src.summands:
-            block = tensor(f.maps[k], g.maps[k])
-            ro, co = lvl_dst.offsets[k], lvl_src.offsets[k]
-            for r in range(block.rows):
-                for c in range(block.cols):
-                    if block.data[r][c]:
-                        out[ro + r][co + c] = block.data[r][c]
-        big = QMatrix(out, rows=lvl_dst.t_dim, cols=lvl_src.t_dim)
-        maps.append(lvl_dst.proj.matmul(big).matmul(lvl_src.section))
+    for lvl_src, lvl_dst in zip(src._box_levels, dst._box_levels):
+        blocks = [(k, k, tensor(f.maps[k], g.maps[k])) for k in lvl_src.summands]
+        maps.append(_level_map(lvl_src, lvl_dst, blocks))
     return MackeyMorphism(src, dst, tuple(maps))
 
 
@@ -235,10 +159,8 @@ def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
     lat = M.lattice
     A = burnside_mackey(lat)
     B = box(A, M)
-    builder = B._box_builder
     maps = []
-    for h in range(len(lat)):
-        lvl = builder.levels[h]
+    for h, lvl in enumerate(B._box_levels):
         cols = []
         for k in lvl.summands:
             ring_k = burnside_ring(lat, k)
@@ -332,16 +254,9 @@ def u_monoidal_certificate(M: MackeyFunctor, N: MackeyFunctor, h: int, B: Mackey
         return False
     if UB.dim == 0:
         return True
-    lvl = B._box_builder.levels[h]
+    lvl = B._box_levels[h]
     pair = tensor(BM, BN)  # columns span the tensor of the two local pieces
-    off = lvl.offsets[h]
-    emb_rows = []
-    for r in range(lvl.t_dim):
-        if off <= r < off + pair.rows:
-            emb_rows.append(list(pair.data[r - off]))
-        else:
-            emb_rows.append([Fraction(0)] * pair.cols)
-    via = lvl.proj.matmul(QMatrix(emb_rows, rows=lvl.t_dim, cols=pair.cols))
+    via = lvl.proj.matmul(block_matrix(lvl.t_dim, pair.cols, [(lvl.offsets[h], 0, pair)]))
     ring_h = burnside_ring(lat, h)
     P = burnside_action(B, h, ring_h.idempotent(h))
     candidate = BB.solve(P.matmul(via))

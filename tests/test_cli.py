@@ -238,7 +238,55 @@ class TestGoldenDemos:
         golden = (GOLDEN / "lewis_c6.dot").read_text()
         assert out == golden
 
+    def test_box_s3_matches_golden(self, capsys):
+        code, out, _ = run(capsys, "mackey", "box", "burnside:s3", "burnside:s3")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "box_s3.json").read_bytes()
+
     def test_demo_deterministic_across_runs(self, capsys):
         _, first, _ = run(capsys, "demo", "c6")
         _, second, _ = run(capsys, "demo", "c6")
         assert first == second
+
+
+class TestTrailingGlobalFlags:
+    """--pretty, --out, --format and --cap also work after the subcommand."""
+
+    def test_pretty_after_subcommand(self, capsys):
+        code, trailing, err = run(capsys, "group", "subgroups", "c6", "--pretty")
+        assert code == 0, err
+        _, leading, _ = run(capsys, "--pretty", "group", "subgroups", "c6")
+        assert trailing == leading
+
+    def test_out_after_subcommand(self, capsys, tmp_path):
+        path = tmp_path / "A.json"
+        code, out, err = run(capsys, "mackey", "new", "burnside", "--group", "c6", "--out", str(path))
+        assert code == 0, err
+        code, out, _ = run(capsys, "mackey", "check", str(path))
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
+    def test_classify_certify_pretty(self, capsys):
+        code, trailing, err = run(capsys, "mackey", "classify", "burnside:c6", "--certify", "--pretty")
+        assert code == 0, err
+        _, leading, _ = run(capsys, "--pretty", "mackey", "classify", "burnside:c6", "--certify")
+        assert trailing == leading
+
+    def test_format_after_subcommand(self, capsys):
+        code, out, _ = run(capsys, "group", "info", "c6", "--format", "text")
+        assert code == 0
+        assert out.startswith("group C6")
+
+    def test_cap_after_subcommand(self, capsys):
+        code, out, err = run(capsys, "group", "info", "s4", "--cap", "4")
+        assert code == 2
+        assert "cap" in err
+
+    def test_trailing_flag_overrides_leading(self, capsys):
+        code, out, err = run(capsys, "--cap", "4", "group", "info", "s4", "--cap", "64")
+        assert code == 0, err
+
+    def test_leading_flag_survives_subcommand(self, capsys):
+        code, out, err = run(capsys, "--cap", "4", "group", "info", "s4")
+        assert code == 2
+        assert "cap" in err

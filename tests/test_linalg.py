@@ -11,6 +11,7 @@ from qmackey.linalg import (
     SingularMatrixError,
     WModule,
     averaging_projector,
+    block_matrix,
     direct_sum,
     fixed_subspace,
     hstack,
@@ -120,6 +121,33 @@ class TestProperties:
         assert M.matmul(X) == rhs
 
 
+def unit(n, i):
+    return [Fraction(1 if r == i else 0) for r in range(n)]
+
+
+def greedy_complement(relations):
+    """Reference: take e_i whenever it raises the rank of the span so far."""
+    chosen, current = [], relations
+    for i in range(relations.rows):
+        candidate = hstack(current, QMatrix.from_cols([unit(relations.rows, i)]))
+        if candidate.rank() > current.rank():
+            chosen.append(i)
+            current = candidate
+    return chosen
+
+
+def sparse_relations(max_dim=6):
+    """Small integer matrices, mostly zero, so that spans are often proper and degenerate."""
+    entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+    return st.integers(1, max_dim).flatmap(
+        lambda r: st.integers(1, max_dim).flatmap(
+            lambda c: st.lists(
+                st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
+            ).map(QMatrix)
+        )
+    )
+
+
 class TestQuotient:
     def test_no_relations_gives_identity(self):
         proj, sec = quotient_space(3, QMatrix.zeros(3, 0))
@@ -141,6 +169,45 @@ class TestQuotient:
         assert proj.rows == q
         assert proj.matmul(sec) == QMatrix.identity(q)
         assert proj.matmul(M).is_zero()
+
+    @settings(deadline=None, max_examples=60)
+    @given(sparse_relations())
+    def test_section_is_greedy_complement(self, M):
+        proj, sec = quotient_space(M.rows, M)
+        chosen = greedy_complement(M)
+        assert sec == QMatrix.from_cols([unit(M.rows, i) for i in chosen], rows=M.rows)
+        # and the projection is the bottom block of [span | section]^-1
+        k = M.rows - len(chosen)
+        inv = hstack(M.image(), sec).inverse()
+        assert proj == QMatrix(inv.data[k:], rows=len(chosen), cols=M.rows)
+
+
+class TestBlockMatrix:
+    def test_overlapping_blocks_add(self):
+        A = QMatrix([[1, 2], [3, 4]])
+        B = QMatrix([[10, 0], [0, 10]])
+        M = block_matrix(3, 3, [(0, 0, A), (1, 1, B)])
+        assert M == QMatrix([[1, 2, 0], [3, 14, 0], [0, 0, 10]])
+
+    def test_partial_overlap_then_overlap_past_it(self):
+        blocks = [(0, 0, QMatrix([[1, 1]])), (0, 1, QMatrix([[1, 1, 1]])), (0, 3, QMatrix([[5, 5]]))]
+        M = block_matrix(1, 5, blocks)
+        assert M == QMatrix([[1, 2, 1, 6, 5]])
+
+    def test_cancelling_blocks_leave_zero(self):
+        A = QMatrix([[1, -2], [3, 4]])
+        assert block_matrix(2, 3, [(0, 1, A), (0, 1, -A)]) == QMatrix.zeros(2, 3)
+
+    def test_matches_padded_sum(self):
+        A = QMatrix([[1, 2, 3]])
+        B = QMatrix([[5], [6]])
+        padded_a = QMatrix([[0, 1, 2, 3], [0, 0, 0, 0]])
+        padded_b = QMatrix([[0, 5, 0, 0], [0, 6, 0, 0]])
+        assert block_matrix(2, 4, [(0, 1, A), (0, 1, B)]) == padded_a + padded_b
+
+    def test_block_must_fit(self):
+        with pytest.raises(LinAlgError):
+            block_matrix(2, 2, [(1, 0, QMatrix.identity(2))])
 
 
 class TestWModule:

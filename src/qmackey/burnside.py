@@ -25,7 +25,12 @@ class BurnsideError(ValueError):
 
 
 def burnside_ring(lattice: SubgroupLattice, h: int | None = None) -> "BurnsideRing":
-    """The Burnside ring of the subgroup with lattice id ``h`` (default: whole group)."""
+    """The Burnside ring of the subgroup with lattice id ``h`` (default: whole group).
+
+    The lattice caches its rings by weak reference, since each ring refers
+    back to its lattice.  So this returns the same ring object as long as
+    that ring, or an element of it, is alive.
+    """
     top = lattice.top if h is None else h
     ring = lattice.burnside_cache.get(top)
     if ring is None:
@@ -49,9 +54,7 @@ class BurnsideRing:
         self.size = len(self.classes)
         self._mul_cache: dict[tuple[int, int], tuple[Fraction, ...]] = {}
         self._marks_cache: dict[int, tuple[int, ...]] = {}
-        self._idem_cache: dict[int, BurnsideElement] = {}
-        self._marks_matrix: QMatrix | None = None
-        self._marks_inverse: QMatrix | None = None
+        self._idem_cache: dict[int, tuple[Fraction, ...]] = {}
 
     # -- element constructors --------------------------------------------------
 
@@ -147,8 +150,8 @@ class BurnsideRing:
             coeffs = [Fraction(0)] * self.size
             for l in lat.subgroups_of(k0):
                 coeffs[self.class_index[l]] += Fraction(lat.order(l), denom) * lat.mobius(l, k0)
-            self._idem_cache[ci] = BurnsideElement(self, tuple(coeffs))
-        return self._idem_cache[ci]
+            self._idem_cache[ci] = tuple(coeffs)
+        return BurnsideElement(self, self._idem_cache[ci])
 
     def idempotents(self) -> list["BurnsideElement"]:
         return [self.idempotent(rep) for rep in self.reps]

@@ -15,6 +15,7 @@ member.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 
 DEFAULT_ORDER_CAP = 64
@@ -639,7 +640,8 @@ class SubgroupLattice:
         self._quot_lattice_cache: dict[int, QuotientLatticeView] = {}
         self._meet_cache: dict[tuple[int, int], int] = {}
         self._covers: list[tuple[int, int]] | None = None
-        self.burnside_cache: dict[int, object] = {}
+        # weak values: a ring refers to its lattice, so a strong cache would make a cycle
+        self.burnside_cache: weakref.WeakValueDictionary[int, object] = weakref.WeakValueDictionary()
 
     # -- enumeration ---------------------------------------------------------
 

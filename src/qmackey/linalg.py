@@ -1,8 +1,17 @@
 """Exact rational matrices and finite-dimensional rational group representations.
 
-Everything is done over ``fractions.Fraction``; no floating point anywhere.
-Kernel and image bases come out in a canonical echelon form so that
-compositions of the isomorphisms built downstream are reproducible run to run.
+Everything is exact; no floating point anywhere.  A ``QMatrix`` stores one
+``{column: value}`` dict per row, holding only the nonzero entries, and
+keeps every value in normal form: an ``int`` when it is integral, otherwise
+a ``Fraction``.  Integral work thus stays in ``int`` arithmetic, and ``==``
+and ``hash`` compare the stored rows directly.  The row dicts are private
+and never change once a matrix holds them, so matrices share rows freely.
+Every kernel touches only stored entries; ``data``, ``row``, ``col`` and
+``entry`` build ``Fraction``s on demand.
+
+Kernel and image bases come out in a canonical echelon form (the reduced row
+echelon form is unique) so that compositions of the isomorphisms built
+downstream are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -21,45 +30,157 @@ class SingularMatrixError(LinAlgError):
     pass
 
 
+_ZERO = Fraction(0)
+
+
+def _nf(x):
+    """The normal form of a rational: an ``int`` when integral, else a ``Fraction``."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _new(rows: int, cols: int, body) -> "QMatrix":
+    """A matrix from normal-form sparse rows, bypassing ``__init__``."""
+    m = object.__new__(QMatrix)
+    m.rows, m.cols, m._rows = rows, cols, tuple(body)
+    return m
+
+
+def _add_into(acc: dict, src: dict) -> None:
+    """``acc += src`` in place; ``acc`` stays sparse and in normal form."""
+    for j, x in src.items():
+        v = acc.get(j)
+        if v is None:
+            acc[j] = x
+        else:
+            v += x
+            if v:
+                acc[j] = v if type(v) is int or v.denominator != 1 else v.numerator
+            else:
+                del acc[j]
+
+
+def _sub_into(acc: dict, f, src: dict) -> None:
+    """``acc -= f * src`` in place for a nonzero ``f``; ``acc`` stays sparse and in normal form."""
+    for j, x in src.items():
+        v = acc.get(j)
+        v = -f * x if v is None else v - f * x
+        if v:
+            acc[j] = v if type(v) is int or v.denominator != 1 else v.numerator
+        else:
+            del acc[j]
+
+
+def _scaled(row: dict, c) -> dict:
+    """``c * row`` for a nonzero normal-form ``c``."""
+    if c == 1:
+        return row
+    out = {}
+    for j, x in row.items():
+        v = c * x
+        out[j] = v if type(v) is int or v.denominator != 1 else v.numerator
+    return out
+
+
+def _transposed(body, cols: int) -> list[dict]:
+    out = [{} for _ in range(cols)]
+    for i, row in enumerate(body):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _rref_rows(body) -> tuple[list[dict], list[int]]:
+    """The nonzero rows of the reduced row echelon form of ``body``, and their pivot columns.
+
+    Forward elimination: the next pivot column c is the smallest leading
+    column among the rows not yet used, and every such row leading at c is a
+    candidate.  The candidate with the fewest entries becomes the pivot row,
+    which keeps fill-in down; the others are cleared at c.  Back substitution
+    then clears each pivot column above its pivot, last pivot first.  The
+    reduced form is unique, so the choice of pivot rows does not show in it.
+    """
+    by_lead: dict[int, list[dict]] = {}
+    for row in body:
+        if row:
+            by_lead.setdefault(min(row), []).append(dict(row))
+    pivot_rows, pivots = [], []
+    while by_lead:
+        c = min(by_lead)
+        cands = by_lead.pop(c)
+        p = min(range(len(cands)), key=lambda i: len(cands[i]))
+        prow = cands[p]
+        pv = prow[c]
+        if pv != 1:
+            prow = _scaled(prow, _nf(1 / Fraction(pv)))
+        for i, row in enumerate(cands):
+            if i != p:
+                _sub_into(row, row[c], prow)
+                if row:
+                    by_lead.setdefault(min(row), []).append(row)
+        pivot_rows.append(prow)
+        pivots.append(c)
+    for t in range(len(pivots) - 1, 0, -1):
+        c, prow = pivots[t], pivot_rows[t]
+        for row in pivot_rows[:t]:
+            f = row.get(c)
+            if f is not None:
+                _sub_into(row, f, prow)
+    return pivot_rows, pivots
 
 
 class QMatrix:
-    """An immutable matrix of exact rationals."""
+    """An immutable matrix of exact rationals, stored as sparse rows."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, data, rows: int | None = None, cols: int | None = None):
         if isinstance(data, QMatrix):
-            self.rows, self.cols, self.data = data.rows, data.cols, data.data
+            self.rows, self.cols, self._rows = data.rows, data.cols, data._rows
             return
-        table = tuple(tuple(_frac(x) for x in row) for row in data)
-        self.rows = len(table) if rows is None else rows
+        table = [list(row) for row in data]
         if table:
             self.cols = len(table[0])
             if any(len(r) != self.cols for r in table):
                 raise LinAlgError("ragged rows")
+            if rows is not None and rows != len(table):
+                raise LinAlgError("row count does not match the data")
         else:
             self.cols = cols or 0
-        self.data = table
+            table = [[]] * (rows or 0)
+        self.rows = len(table)
+        self._rows = tuple({j: v for j, x in enumerate(row) if (v := _nf(x))} for row in table)
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "QMatrix":
-        return QMatrix([[Fraction(0)] * cols for _ in range(rows)], rows=rows, cols=cols)
+        return _new(rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        return _new(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def from_cols(cols_list, rows: int | None = None) -> "QMatrix":
         if not cols_list:
             return QMatrix.zeros(rows or 0, 0)
         n = len(cols_list[0])
-        return QMatrix([[col[i] for col in cols_list] for i in range(n)])
+        out = [{} for _ in range(n)]
+        for j, col in enumerate(cols_list):
+            if len(col) != n:
+                raise LinAlgError("ragged columns")
+            for i, x in enumerate(col):
+                if v := _nf(x):
+                    out[i][j] = v
+        return _new(n, len(cols_list), out)
 
     @staticmethod
     def column(entries) -> "QMatrix":
@@ -67,21 +188,32 @@ class QMatrix:
 
     @staticmethod
     def scalar(n: int, value) -> "QMatrix":
-        v = _frac(value)
-        return QMatrix([[v if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+        v = _nf(value)
+        return _new(n, n, [{i: v} if v else {} for i in range(n)])
 
     # -- plumbing ---------------------------------------------------------------
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as a tuple of row tuples of ``Fraction``s."""
+        out = []
+        for row in self._rows:
+            line = [_ZERO] * self.cols
+            for j, x in row.items():
+                line[j] = _frac(x)
+            out.append(tuple(line))
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
         if self.rows * self.cols == 0:
@@ -90,43 +222,42 @@ class QMatrix:
         return f"QMatrix[{body}]"
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
+        return _frac(self._rows[i].get(j, 0))
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
+        row = self._rows[i]
+        return tuple(_frac(row[j]) if j in row else _ZERO for j in range(self.cols))
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(_frac(row[j]) if j in row else _ZERO for row in self._rows)
 
     def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.col(j) for j in range(self.cols)]
+        return list(self.transpose().data)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self._rows)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == QMatrix.identity(self.rows)
+        return self.rows == self.cols and all(row == {i: 1} for i, row in enumerate(self._rows))
 
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinAlgError("shape mismatch in addition")
-        return QMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            rows=self.rows,
-            cols=self.cols,
-        )
+        return block_matrix(self.rows, self.cols, [(0, 0, self), (0, 0, other)])
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + (-other)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix([[-x for x in row] for row in self.data], rows=self.rows, cols=self.cols)
+        return _new(self.rows, self.cols, [{j: -x for j, x in row.items()} for row in self._rows])
 
     def scale(self, c) -> "QMatrix":
-        c = _frac(c)
-        return QMatrix([[c * x for x in row] for row in self.data], rows=self.rows, cols=self.cols)
+        c = _nf(c)
+        if not c:
+            return QMatrix.zeros(self.rows, self.cols)
+        return _new(self.rows, self.cols, [_scaled(row, c) for row in self._rows])
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
@@ -139,45 +270,33 @@ class QMatrix:
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise LinAlgError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0:
-            return QMatrix.zeros(self.rows, other.cols)
-        ot = list(zip(*other.data)) if other.data else [()] * other.cols
+        B = other._rows
         out = []
-        for row in self.data:
-            out.append([sum(a * b for a, b in zip(row, col)) for col in ot])
-        return QMatrix(out, rows=self.rows, cols=other.cols)
+        for row in self._rows:
+            if len(row) == 1:
+                ((k, a),) = row.items()
+                out.append(_scaled(B[k], a))
+                continue
+            acc = {}
+            for k, a in row.items():
+                for j, b in B[k].items():
+                    if j in acc:
+                        acc[j] += a * b
+                    else:
+                        acc[j] = a * b
+            out.append({j: v if type(v) is int or v.denominator != 1 else v.numerator for j, v in acc.items() if v})
+        return _new(self.rows, other.cols, out)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(list(zip(*self.data)) if self.data else [], rows=self.cols, cols=self.rows)
+        return _new(self.cols, self.rows, _transposed(self._rows, self.cols))
 
     # -- elimination -----------------------------------------------------------------
 
     def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        m = [list(row) for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return QMatrix(m, rows=self.rows, cols=self.cols), tuple(pivots)
+        body, pivots = _rref_rows(self._rows)
+        body += [{} for _ in range(self.rows - len(body))]
+        return _new(self.rows, self.cols, body), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -186,21 +305,18 @@ class QMatrix:
         """Columns form the canonical basis of the null space."""
         R, pivots = self.rref()
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        cols = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.data[r][fc]
-            cols.append(v)
-        return QMatrix.from_cols(cols, rows=self.cols)
+        free = {c: t for t, c in enumerate(c for c in range(self.cols) if c not in pivot_set)}
+        out = [{} for _ in range(self.cols)]
+        for c, t in free.items():
+            out[c][t] = 1
+        for pc, row in zip(pivots, R._rows):
+            out[pc] = {free[j]: -x for j, x in row.items() if j != pc}
+        return _new(self.cols, len(free), out)
 
     def image(self) -> "QMatrix":
         """Columns form the canonical (row-echelon of transpose) basis of the column space."""
         R, pivots = self.transpose().rref()
-        cols = [R.row(i) for i in range(len(pivots))]
-        return QMatrix.from_cols(cols, rows=self.rows)
+        return _new(self.rows, len(pivots), _transposed(R._rows[: len(pivots)], self.rows))
 
     def solve(self, rhs: "QMatrix") -> "QMatrix | None":
         """Solve self @ X = rhs; None when inconsistent.
@@ -210,28 +326,21 @@ class QMatrix:
         """
         if rhs.rows != self.rows:
             raise LinAlgError("shape mismatch in solve")
-        aug = QMatrix(
-            [list(r1) + list(r2) for r1, r2 in zip(self.data, rhs.data)]
-            if self.rows
-            else [],
-            rows=self.rows,
-            cols=self.cols + rhs.cols,
-        )
-        R, pivots = aug.rref()
-        for c in pivots:
-            if c >= self.cols:
-                return None
-        out = [[Fraction(0)] * rhs.cols for _ in range(self.cols)]
-        for r, pc in enumerate(pivots):
-            for j in range(rhs.cols):
-                out[pc][j] = R.data[r][self.cols + j]
-        return QMatrix(out, rows=self.cols, cols=rhs.cols)
+        n = self.cols
+        R, pivots = hstack(self, rhs).rref()
+        if pivots and pivots[-1] >= n:
+            return None
+        out = [{} for _ in range(n)]
+        for pc, row in zip(pivots, R._rows):
+            out[pc] = {j - n: x for j, x in row.items() if j >= n}
+        return _new(n, rhs.cols, out)
 
     def inverse(self) -> "QMatrix":
+        """The inverse.  ``self @ X = I`` is solvable only at full rank, and then X is unique."""
         if self.rows != self.cols:
             raise SingularMatrixError("only square matrices can be inverted")
         sol = self.solve(QMatrix.identity(self.rows))
-        if sol is None or (self.matmul(sol) != QMatrix.identity(self.rows)):
+        if sol is None:
             raise SingularMatrixError("matrix is singular")
         return sol
 
@@ -240,39 +349,44 @@ class QMatrix:
 
 
 def hstack(*mats: QMatrix) -> QMatrix:
-    mats = [m for m in mats]
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise LinAlgError("hstack needs equal row counts")
-    data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-    return QMatrix(data, rows=rows, cols=sum(m.cols for m in mats))
+    out, co = [{} for _ in range(rows)], 0
+    for m in mats:
+        for row, src in zip(out, m._rows):
+            if src:
+                row.update((j + co, x) for j, x in src.items())
+        co += m.cols
+    return _new(rows, co, out)
 
 
 def vstack(*mats: QMatrix) -> QMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise LinAlgError("vstack needs equal column counts")
-    data = [row for m in mats for row in m.data]
-    return QMatrix(data, rows=sum(m.rows for m in mats), cols=cols)
+    return _new(sum(m.rows for m in mats), cols, [row for m in mats for row in m._rows])
 
 
 def tensor(A: QMatrix, B: QMatrix) -> QMatrix:
     """Kronecker product; index (i, j) of the result is i_A * rows_B + i_B etc."""
-    rows, cols = A.rows * B.rows, A.cols * B.cols
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for ia in range(A.rows):
-        for ja in range(A.cols):
-            a = A.data[ia][ja]
-            if a == 0:
-                continue
-            for ib in range(B.rows):
-                rb = B.data[ib]
-                orow = out[ia * B.rows + ib]
-                base = ja * B.cols
-                for jb in range(B.cols):
-                    if rb[jb] != 0:
-                        orow[base + jb] = a * rb[jb]
-    return QMatrix(out, rows=rows, cols=cols)
+    bc = B.cols
+    out = []
+    for ra in A._rows:
+        for rb in B._rows:
+            row = {}
+            if rb:
+                for ja, a in ra.items():
+                    base = ja * bc
+                    if a == 1:
+                        for jb, b in rb.items():
+                            row[base + jb] = b
+                    else:
+                        for jb, b in rb.items():
+                            v = a * b
+                            row[base + jb] = v if type(v) is int or v.denominator != 1 else v.numerator
+            out.append(row)
+    return _new(A.rows * B.rows, A.cols * bc, out)
 
 
 def block_matrix(rows: int, cols: int, blocks) -> QMatrix:
@@ -280,22 +394,14 @@ def block_matrix(rows: int, cols: int, blocks) -> QMatrix:
 
     Blocks may overlap; overlapping entries add.
     """
-    zero = Fraction(0)
-    out = [[zero] * cols for _ in range(rows)]
-    end = [0] * rows  # one past the last column written in each row
+    out = [{} for _ in range(rows)]
     for ro, co, B in blocks:
         if ro < 0 or co < 0 or ro + B.rows > rows or co + B.cols > cols:
             raise LinAlgError("block does not fit")
-        for i, brow in enumerate(B.data, ro):
-            orow = out[i]
-            if co >= end[i]:
-                orow[co : co + B.cols] = brow
-            else:
-                for j, x in enumerate(brow, co):
-                    if x:
-                        orow[j] += x
-            end[i] = max(end[i], co + B.cols)
-    return QMatrix(out, rows=rows, cols=cols)
+        for i, brow in enumerate(B._rows, ro):
+            if brow:
+                _add_into(out[i], {j + co: x for j, x in brow.items()} if co else brow)
+    return _new(rows, cols, out)
 
 
 def direct_sum(A: QMatrix, B: QMatrix) -> QMatrix:
@@ -305,10 +411,10 @@ def direct_sum(A: QMatrix, B: QMatrix) -> QMatrix:
 def permutation_matrix(perm) -> QMatrix:
     """Matrix sending basis vector j to basis vector perm[j]."""
     n = len(perm)
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [{} for _ in range(n)]
     for j, i in enumerate(perm):
-        out[i][j] = Fraction(1)
-    return QMatrix(out, rows=n, cols=n)
+        out[i][j] = 1
+    return _new(n, n, out)
 
 
 def restrict_map(ambient: QMatrix, src_basis: QMatrix, dst_basis: QMatrix) -> QMatrix:
@@ -347,12 +453,12 @@ def quotient_space(ambient_dim: int, relations: QMatrix) -> tuple[QMatrix, QMatr
     span = relations.image() if relations.cols else QMatrix.zeros(ambient_dim, 0)
     k = span.cols
     R, pivots = hstack(span, QMatrix.identity(ambient_dim)).rref()
-    section = QMatrix.from_cols(
-        [[Fraction(1 if r == p - k else 0) for r in range(ambient_dim)] for p in pivots[k:]],
-        rows=ambient_dim,
-    )
-    proj = QMatrix([row[k:] for row in R.data[k:]], rows=ambient_dim - k, cols=ambient_dim)
-    return proj, section
+    q = ambient_dim - k
+    section = [{} for _ in range(ambient_dim)]
+    for t, p in enumerate(pivots[k:]):
+        section[p - k][t] = 1
+    proj = [{j - k: x for j, x in row.items() if j >= k} for row in R._rows[k:]]
+    return _new(q, ambient_dim, proj), _new(ambient_dim, q, section)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +542,7 @@ class WModule:
         return WModule(self.group, self.dim + other.dim, mats)
 
     def character(self) -> list[Fraction]:
-        return [sum(self.matrix(g).data[i][i] for i in range(self.dim)) for g in range(self.group.order)]
+        return [sum(self.matrix(g).entry(i, i) for i in range(self.dim)) for g in range(self.group.order)]
 
 
 def fixed_subspace(V: WModule, elems) -> QMatrix:
@@ -485,7 +591,7 @@ def intertwiner(V1: WModule, V2: WModule) -> QMatrix | None:
             seeds.append((i, j))
     acc = QMatrix.zeros(n, n)
     for i, j in seeds:
-        E = QMatrix([[Fraction(1 if (r, c) == (i, j) else 0) for c in range(n)] for r in range(n)])
+        E = _new(n, n, [{j: 1} if r == i else {} for r in range(n)])
         avg = QMatrix.zeros(n, n)
         for g in range(G.order):
             avg = avg + V2.matrix(g).matmul(E).matmul(V1.matrix(G.inv(g)))

@@ -28,10 +28,12 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def str_to_frac(s) -> Fraction:
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise FormatError(f"bad rational {s!r}: expected an integer or a \"p/q\" string")
     if isinstance(s, int):
         return Fraction(s)
     try:
-        return Fraction(str(s))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {s!r}") from exc
 
@@ -41,14 +43,18 @@ def matrix_to_json(M: QMatrix) -> list:
 
 
 def matrix_from_json(rows, shape: tuple[int, int]) -> QMatrix:
+    """A matrix of the given shape from a list of rows; ``[]`` stands for any empty shape."""
     r, c = shape
-    if not rows:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise FormatError("a matrix must be a list of rows, each a list of entries")
+    if not rows and r * c == 0:
         return QMatrix.zeros(r, c)
-    data = [[str_to_frac(x) for x in row] for row in rows]
-    M = QMatrix(data)
-    if (M.rows, M.cols) != (r, c):
-        raise FormatError(f"matrix has shape {M.rows}x{M.cols}, expected {r}x{c}")
-    return M
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise FormatError("matrix has rows of different lengths")
+    if (len(rows), width) != (r, c):
+        raise FormatError(f"matrix has shape {len(rows)}x{width}, expected {r}x{c}")
+    return QMatrix([[str_to_frac(x) for x in row] for row in rows])
 
 
 # -- groups ---------------------------------------------------------------------
@@ -120,11 +126,16 @@ def functor_from_json(data: dict, cap: int = 64) -> MackeyFunctor:
             raise FormatError(f"functor data is missing {field!r}")
     G = group_from_json(data["group"], cap=cap)
     lat = SubgroupLattice(G, cap=cap)
+    for field in ("levels", "restriction", "induction", "conjugation"):
+        if not isinstance(data[field], dict):
+            raise FormatError(f"{field!r} must be an object keyed by name")
     dims = [0] * len(lat)
     seen = set()
     for name, d in data["levels"].items():
+        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+            raise FormatError(f"level {name!r} has dimension {d!r}, expected a non-negative integer")
         h = lat.id_by_name(name)
-        dims[h] = int(d)
+        dims[h] = d
         seen.add(h)
     if len(seen) != len(lat):
         missing = [lat.name(h) for h in range(len(lat)) if h not in seen]

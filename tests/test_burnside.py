@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmackey.burnside import BurnsideError, burnside_ring
+from qmackey.groups import SubgroupLattice, symmetric
 
 small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -299,3 +302,26 @@ class TestRestrictInduce:
             sub.basis(ids["C3"])
         with pytest.raises(BurnsideError):
             sub.restrict(sub.unit(), ids["C3"])
+
+
+class TestRingCache:
+    def test_lattice_freed_without_the_cycle_collector(self):
+        """A lattice and its rings form no reference cycle, so reference counting frees them."""
+        gc.disable()
+        try:
+            lat = SubgroupLattice(symmetric(3))
+            ring = burnside_ring(lat)
+            ring.idempotents()
+            ring.restrict(ring.unit(), lat.bottom)
+            ref = weakref.ref(lat)
+            del lat, ring
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_same_ring_while_an_element_lives(self):
+        lat = SubgroupLattice(symmetric(3))
+        e = burnside_ring(lat).idempotent(lat.bottom)
+        gc.collect()
+        assert burnside_ring(lat) is e.ring
+        assert e.ring.idempotent(lat.bottom) == e

@@ -56,6 +56,42 @@ class TestExitCodes:
         assert "all axioms hold" in out
 
 
+def _set_level(data, value):
+    data["levels"]["C2"] = value
+
+
+def _set_map(table, key, value):
+    def mutate(data):
+        data[table][key] = value
+
+    return mutate
+
+
+MALFORMED_FUNCTORS = {
+    "fractional-level": lambda data: _set_level(data, "2.5"),
+    "levels-as-list": lambda data: data.update(levels=[]),
+    "matrix-as-string": _set_map("restriction", "C1>C1", "1"),
+    "matrix-of-strings": _set_map("restriction", "C1>C1", ["1"]),
+    "float-entry": _set_map("restriction", "C2>C1", [[1.5, "1"]]),
+    "ragged-rows": _set_map("restriction", "C2>C2", [["1", "0"], ["0"]]),
+}
+
+
+class TestMalformedFunctorJson:
+    """Each malformed functor file exits 2 with a one-line message and no traceback."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FUNCTORS))
+    def test_exits_two(self, capsys, tmp_path, case):
+        data = functor_to_json(burnside_mackey(SubgroupLattice(cyclic(2))))
+        MALFORMED_FUNCTORS[case](data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "mackey", "check", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and out == ""
+
+
 class TestGroupCommands:
     def test_info_text(self, capsys):
         code, out, _ = run(capsys, "--pretty", "group", "info", "s4")

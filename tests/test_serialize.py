@@ -51,6 +51,16 @@ class TestMatrices:
         with pytest.raises(FormatError):
             matrix_from_json([["1", "2"]], (2, 2))
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["1", ["1"], [[1.5]], [[True]], [["1", "0"], ["0"]], []],
+        ids=["string", "row-string", "float", "bool", "ragged", "empty"],
+    )
+    def test_malformed_rejected(self, rows):
+        shape = (2, 2) if rows in ([["1", "0"], ["0"]], []) else (1, 1)
+        with pytest.raises(FormatError):
+            matrix_from_json(rows, shape)
+
 
 class TestFunctorRoundTrip:
     @pytest.mark.parametrize("builder", [lambda: dihedral(8), lambda: symmetric(3)])

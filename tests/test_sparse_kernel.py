@@ -1,0 +1,169 @@
+"""The sparse ``QMatrix`` kernels against the dense ``Fraction`` reference.
+
+Every operation runs on random sparse matrices with small integer and
+rational entries, including shapes with no rows or no columns, and must
+agree with ``dense_reference``.  Each test also checks that the operands are
+unchanged afterwards, that every stored value is in normal form (nonzero,
+and an ``int`` exactly when it is integral), and that ``data`` is a tuple of
+row tuples of ``Fraction``s.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_reference as ref
+from qmackey import linalg
+from qmackey.linalg import LinAlgError, QMatrix, SingularMatrixError
+
+ENTRIES = [0, 0, 0, 0, 0, 1, -1, 2, -3, Fraction(4, 2), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+DIM = st.integers(0, 4)
+
+
+def tables(rows, cols):
+    return st.lists(st.lists(st.sampled_from(ENTRIES), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+class Pair:
+    """One matrix as a sparse ``QMatrix`` and as a dense reference, from the same table."""
+
+    def __init__(self, table, rows, cols):
+        self.q = QMatrix(table, rows=rows, cols=cols)
+        self.d = ref.DenseMatrix(table, rows=rows, cols=cols)
+        self.stored = [dict(row) for row in self.q._rows]
+
+    def unchanged(self) -> bool:
+        return [dict(row) for row in self.q._rows] == self.stored
+
+
+def pairs(rows, cols):
+    return tables(rows, cols).map(lambda t: Pair(t, rows, cols))
+
+
+def check_normal_form(M: QMatrix) -> None:
+    assert isinstance(M._rows, tuple) and len(M._rows) == M.rows
+    for row in M._rows:
+        for j, v in row.items():
+            assert 0 <= j < M.cols
+            assert v != 0
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+    data = M.data
+    assert type(data) is tuple and len(data) == M.rows
+    assert all(type(r) is tuple and len(r) == M.cols and all(type(x) is Fraction for x in r) for r in data)
+
+
+def same(q: QMatrix, d: ref.DenseMatrix) -> bool:
+    """Equal shapes and entries; the dense transpose of a matrix without rows keeps no row tuples."""
+    check_normal_form(q)
+    return (q.rows, q.cols) == (d.rows, d.cols) and (q.data == d.data or q.cols == 0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(DIM.flatmap(lambda r: DIM.flatmap(lambda k: DIM.flatmap(
+    lambda c: st.tuples(pairs(r, k), pairs(r, k), pairs(k, c), st.sampled_from(ENTRIES))))))
+def test_arithmetic(args):
+    A, A2, B, c = args
+    assert same(A.q.matmul(B.q), A.d.matmul(B.d))
+    assert same(A.q + A2.q, A.d + A2.d)
+    assert same(A.q - A2.q, A.d - A2.d)
+    assert same(-A.q, -A.d)
+    assert same(A.q.scale(c), A.d.scale(c))
+    assert same(A.q.transpose(), A.d.transpose())
+    assert same(linalg.hstack(A.q, A2.q), ref.hstack(A.d, A2.d))
+    assert same(linalg.vstack(A.q, A2.q), ref.vstack(A.d, A2.d))
+    assert (A.q == A2.q) == (A.d == A2.d)
+    copy = QMatrix(A.q.data, rows=A.q.rows, cols=A.q.cols)
+    assert copy == A.q and hash(copy) == hash(A.q)
+    assert A.q.is_zero() == A.d.is_zero() and A.q.is_identity() == A.d.is_identity()
+    for i in range(A.q.rows):
+        assert A.q.row(i) == A.d.row(i)
+        assert all(A.q.entry(i, j) == A.d.entry(i, j) for j in range(A.q.cols))
+    assert A.q.columns() == A.d.columns()
+    assert all(p.unchanged() for p in (A, A2, B))
+
+
+@settings(deadline=None, max_examples=150)
+@given(DIM.flatmap(lambda r: DIM.flatmap(lambda c: DIM.flatmap(
+    lambda m: st.tuples(pairs(r, c), pairs(r, m), pairs(r, r))))))
+def test_elimination(args):
+    A, rhs, S = args
+    R, pivots = A.q.rref()
+    R_ref, pivots_ref = A.d.rref()
+    assert same(R, R_ref) and pivots == pivots_ref
+    assert A.q.rank() == A.d.rank()
+    assert same(A.q.kernel(), A.d.kernel())
+    assert same(A.q.image(), A.d.image())
+    X, X_ref = A.q.solve(rhs.q), A.d.solve(rhs.d)
+    assert (X is None) == (X_ref is None)
+    assert X is None or same(X, X_ref)
+    try:
+        inv_ref = S.d.inverse()
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            S.q.inverse()
+    else:
+        inv = S.q.inverse()
+        assert same(inv, inv_ref)
+        assert S.q.matmul(inv).is_identity() and inv.matmul(S.q).is_identity()
+    assert S.q.is_invertible() == S.d.is_invertible()
+    proj, sec = linalg.quotient_space(A.q.rows, A.q)
+    proj_ref, sec_ref = ref.quotient_space(A.d.rows, A.d)
+    assert same(proj, proj_ref) and same(sec, sec_ref)
+    assert all(p.unchanged() for p in (A, rhs, S))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 3).flatmap(lambda r1: st.integers(0, 3).flatmap(lambda c1: st.integers(0, 3).flatmap(
+    lambda r2: st.integers(0, 3).flatmap(lambda c2: st.tuples(pairs(r1, c1), pairs(r2, c2)))))))
+def test_tensor(args):
+    A, B = args
+    assert same(linalg.tensor(A.q, B.q), ref.tensor(A.d, B.d))
+    assert same(linalg.direct_sum(A.q, B.q), ref.block_matrix(
+        A.d.rows + B.d.rows, A.d.cols + B.d.cols, [(0, 0, A.d), (A.d.rows, A.d.cols, B.d)]))
+    assert A.unchanged() and B.unchanged()
+
+
+@st.composite
+def placements(draw):
+    rows, cols = draw(DIM), draw(DIM)
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        r, c = draw(st.integers(0, rows)), draw(st.integers(0, cols))
+        ro, co = draw(st.integers(0, rows - r)), draw(st.integers(0, cols - c))
+        blocks.append((ro, co, draw(pairs(r, c))))
+    return rows, cols, blocks
+
+
+@settings(deadline=None, max_examples=150)
+@given(placements())
+def test_block_matrix(args):
+    rows, cols, blocks = args
+    M = linalg.block_matrix(rows, cols, [(ro, co, p.q) for ro, co, p in blocks])
+    assert same(M, ref.block_matrix(rows, cols, [(ro, co, p.d) for ro, co, p in blocks]))
+    assert all(p.unchanged() for _, _, p in blocks)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 5).flatmap(lambda n: st.permutations(range(n))))
+def test_constructors(perm):
+    n = len(perm)
+    assert same(linalg.permutation_matrix(perm), ref.permutation_matrix(perm))
+    assert same(QMatrix.identity(n), ref.DenseMatrix.identity(n))
+    assert same(QMatrix.zeros(n, 3), ref.DenseMatrix.zeros(n, 3))
+    for value in (0, Fraction(6, 3), Fraction(-1, 3)):
+        assert same(QMatrix.scalar(n, value), ref.DenseMatrix.scalar(n, value))
+    cols = [[Fraction(k, 2) for k in range(n)], [0] * n]
+    if n:
+        assert same(QMatrix.from_cols(cols, rows=n), ref.DenseMatrix.from_cols(cols, rows=n))
+    else:  # the dense kernel dropped empty columns and returned 0x0
+        assert QMatrix.from_cols(cols, rows=n) == QMatrix.zeros(0, 2)
+    assert same(QMatrix.column(cols[0]), ref.DenseMatrix.column(cols[0]))
+
+
+def test_ragged_input_rejected():
+    with pytest.raises(LinAlgError):
+        QMatrix([[1, 2], [3]])
+    with pytest.raises(LinAlgError):
+        QMatrix.from_cols([[1, 2], [3]])

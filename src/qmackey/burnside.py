@@ -29,7 +29,8 @@ def burnside_ring(lattice: SubgroupLattice, h: int | None = None) -> "BurnsideRi
 
     The lattice caches its rings by weak reference, since each ring refers
     back to its lattice.  So this returns the same ring object as long as
-    that ring, or an element of it, is alive.
+    that ring, or an element of it, is alive.  A rebuilt ring starts from the
+    product, marks and idempotent tables that the lattice keeps per subgroup.
     """
     top = lattice.top if h is None else h
     ring = lattice.burnside_cache.get(top)
@@ -52,9 +53,8 @@ class BurnsideRing:
             for member in cls:
                 self.class_index[member] = ci
         self.size = len(self.classes)
-        self._mul_cache: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        self._marks_cache: dict[int, tuple[int, ...]] = {}
-        self._idem_cache: dict[int, tuple[Fraction, ...]] = {}
+        # products, marks and idempotents by class index, kept on the lattice
+        self._mul_cache, self._marks_cache, self._idem_cache = lattice.burnside_tables.setdefault(top, ({}, {}, {}))
 
     # -- element constructors --------------------------------------------------
 

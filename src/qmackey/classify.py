@@ -35,6 +35,7 @@ from .mackey import (
     MackeyError,
     MackeyFunctor,
     MackeyMorphism,
+    build_functor,
     burnside_action,
     direct_sum,
     basis_change,
@@ -104,7 +105,13 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | N
         raise MackeyError("module must live over the Weyl group of H")
     G = lattice.group
     n_levels = len(lattice)
+    name = name or f"F[{lattice.class_name_of(h)}]"
     cosets = [lattice.fixed_cosets(k, h) for k in range(n_levels)]
+    if V.dim == 0:
+        # every level is Q[X] (x) 0 = 0: nothing to solve for
+        empty = QMatrix.zeros(0, 0)
+        zero = build_functor(lattice, (0,) * n_levels, lambda *_: empty, lambda *_: empty, lambda *_: empty, name=name)
+        return FreeBlock(lattice, h, V, zero, tuple(cosets), (empty,) * n_levels)
     bases = []
     for k in range(n_levels):
         X = cosets[k]
@@ -143,9 +150,7 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | N
             ks = lattice.conjugate(s, k)
             amb = coset_map(k, ks, lambda g: lattice.coset_of(G.mul(g, si), ks))
             cgen[(pos, k)] = restrict_map(amb, bases[k], bases[ks])
-    functor = MackeyFunctor(
-        lattice, dims, res, ind, cgen, name=name or f"F[{lattice.class_name_of(h)}]"
-    )
+    functor = MackeyFunctor(lattice, dims, res, ind, cgen, name=name)
     return FreeBlock(lattice, h, V, functor, tuple(cosets), tuple(bases))
 
 
@@ -161,13 +166,18 @@ def free_functor(lattice: SubgroupLattice, h: int, V: WModule, name: str | None 
 def u_module(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix]:
     """The local piece of M at H: the top-idempotent part of M(G/H) with its
     Weyl action.  Returns the module and its basis inside M(G/H)."""
+    V, basis, _ = _local_piece(M, h)
+    return V, basis
+
+
+def _local_piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:
+    """``u_module`` together with the action P of the top idempotent on M(G/H)."""
     lat = M.lattice
-    ring = burnside_ring(lat, h)
-    P = burnside_action(M, h, ring.idempotent(h))
+    P = burnside_action(M, h, burnside_ring(lat, h).idempotent(h))
     basis = P.image()
     w = lat.weyl(h)
     mats = tuple(restrict_map(M.conj(w.reps[s], h), basis, basis) for s in w.group.gens)
-    return WModule(w.group, basis.cols, mats), basis
+    return WModule(w.group, basis.cols, mats), basis, P
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +195,8 @@ def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphis
     """
     lat = M.lattice
     G = lat.group
-    V, basis = u_module(M, h)
+    V, basis, P = _local_piece(M, h)
     block = build_free_block(lat, h, V)
-    ring = burnside_ring(lat, h)
-    P = burnside_action(M, h, ring.idempotent(h))
     maps = []
     for k in range(len(lat)):
         X = block.cosets[k]

@@ -639,9 +639,13 @@ class SubgroupLattice:
         self._sub_lattice_cache: dict[int, SubLatticeView] = {}
         self._quot_lattice_cache: dict[int, QuotientLatticeView] = {}
         self._meet_cache: dict[tuple[int, int], int] = {}
+        self._coset_min: dict[int, tuple[int, ...]] = {}
         self._covers: list[tuple[int, int]] | None = None
         # weak values: a ring refers to its lattice, so a strong cache would make a cycle
         self.burnside_cache: weakref.WeakValueDictionary[int, object] = weakref.WeakValueDictionary()
+        # per subgroup, the product, marks and idempotent tables of its Burnside
+        # ring; they hold tuples only, so rebuilt rings share them without a cycle
+        self.burnside_tables: dict[int, tuple[dict, dict, dict]] = {}
 
     # -- enumeration ---------------------------------------------------------
 
@@ -834,8 +838,19 @@ class SubgroupLattice:
         return self._fc_cache[key]
 
     def coset_of(self, g: int, k: int) -> int:
-        """Smallest member of the coset gK."""
-        return min(self.group.mul(g, h) for h in self.elements(k))
+        """Smallest member of the coset gK, from a table built once per K."""
+        table = self._coset_min.get(k)
+        if table is None:
+            G = self.group
+            out = [-1] * G.order
+            for x in range(G.order):
+                if out[x] < 0:
+                    coset = [G.mul(x, y) for y in self.elements(k)]
+                    least = min(coset)
+                    for y in coset:
+                        out[y] = least
+            table = self._coset_min[k] = tuple(out)
+        return table[g]
 
     # -- local (within-H) structure --------------------------------------------
 

@@ -9,6 +9,13 @@ and never change once a matrix holds them, so matrices share rows freely.
 Every kernel touches only stored entries; ``data``, ``row``, ``col`` and
 ``entry`` build ``Fraction``s on demand.
 
+Each matrix factors itself for solving once: the first ``solve`` runs one
+``rref`` of ``[A | I]`` and keeps the pivots of A with the transform E in a
+private slot, and every ``solve`` after that is the sparse product E @ rhs.
+A matrix never changes, so the factorization cannot go stale.  ``inverse``
+and ``restrict_map`` solve through it, and so does every basis solve of the
+classification, which solves against the same few bases many times.
+
 Kernel and image bases come out in a canonical echelon form (the reduced row
 echelon form is unique) so that compositions of the isomorphisms built
 downstream are reproducible run to run.
@@ -49,7 +56,7 @@ def _frac(x) -> Fraction:
 def _new(rows: int, cols: int, body) -> "QMatrix":
     """A matrix from normal-form sparse rows, bypassing ``__init__``."""
     m = object.__new__(QMatrix)
-    m.rows, m.cols, m._rows = rows, cols, tuple(body)
+    m.rows, m.cols, m._rows, m._solver = rows, cols, tuple(body), None
     return m
 
 
@@ -139,12 +146,13 @@ def _rref_rows(body) -> tuple[list[dict], list[int]]:
 class QMatrix:
     """An immutable matrix of exact rationals, stored as sparse rows."""
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_rows", "_solver")
 
     def __init__(self, data, rows: int | None = None, cols: int | None = None):
         if isinstance(data, QMatrix):
-            self.rows, self.cols, self._rows = data.rows, data.cols, data._rows
+            self.rows, self.cols, self._rows, self._solver = data.rows, data.cols, data._rows, data._solver
             return
+        self._solver = None
         table = [list(row) for row in data]
         if table:
             self.cols = len(table[0])
@@ -233,6 +241,10 @@ class QMatrix:
 
     def columns(self) -> list[tuple[Fraction, ...]]:
         return list(self.transpose().data)
+
+    def sparse_rows(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
+        """Each row's nonzero entries as ``(column, value)`` pairs, values in normal form."""
+        return tuple(tuple(row.items()) for row in self._rows)
 
     def is_zero(self) -> bool:
         return not any(self._rows)
@@ -323,17 +335,34 @@ class QMatrix:
 
         With several solutions, free variables are set to zero, which keeps
         the output canonical.
+
+        The first call factors A = self once: the reduced form of ``[A | I]``
+        is ``[E A | E]`` with E invertible, E A the reduced form of A, and the
+        rows of E A past its rank r zero.  Every call then forms E @ rhs.
+        ``[E A | E rhs]`` is row-equivalent to ``[A | rhs]``, and A @ X = rhs
+        is consistent exactly when rows r: of E @ rhs vanish.  In that case
+        ``[E A | E rhs]`` is itself in reduced form (the pivots are those of
+        E A, and the rest of its rows are zero), so by uniqueness it *is* the
+        reduced form of ``[A | rhs]``.  Its row t, at the t-th pivot column of
+        A, gives that unknown; the others are free and set to zero, exactly as
+        eliminating ``[A | rhs]`` afresh would.
         """
         if rhs.rows != self.rows:
             raise LinAlgError("shape mismatch in solve")
-        n = self.cols
-        R, pivots = hstack(self, rhs).rref()
-        if pivots and pivots[-1] >= n:
+        if self._solver is None:
+            n = self.cols
+            R, pivots = hstack(self, QMatrix.identity(self.rows)).rref()
+            rank = sum(1 for p in pivots if p < n)
+            E = _new(self.rows, self.rows, [{j - n: x for j, x in row.items() if j >= n} for row in R._rows])
+            self._solver = (pivots[:rank], E)
+        pivots, E = self._solver
+        Y = E.matmul(rhs)._rows
+        if any(Y[len(pivots):]):
             return None
-        out = [{} for _ in range(n)]
-        for pc, row in zip(pivots, R._rows):
-            out[pc] = {j - n: x for j, x in row.items() if j >= n}
-        return _new(n, rhs.cols, out)
+        out = [{} for _ in range(self.cols)]
+        for pc, row in zip(pivots, Y):
+            out[pc] = row
+        return _new(self.cols, rhs.cols, out)
 
     def inverse(self) -> "QMatrix":
         """The inverse.  ``self @ X = I`` is solvable only at full rank, and then X is unique."""

@@ -11,7 +11,6 @@ quotient is taken exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .burnside import burnside_ring
 from .classify import u_module
@@ -307,25 +306,27 @@ def green_check(S: GreenStructure) -> GreenReport:
     violations = []
     commutative = True
 
+    products = {}  # h -> per basis pair a * d + b, the nonzero (t, value) entries of e_a e_b
+
     def prod(h, u, v):
         # bilinear product of two coordinate vectors at level h
         d = M.dims[h]
-        out = [Fraction(0)] * d
-        mult = S.mult[h]
+        if h not in products:
+            products[h] = S.mult[h].transpose().sparse_rows()
+        table = products[h]
+        out = [0] * d
         for a, ua in enumerate(u):
             if ua == 0:
                 continue
             for b, vb in enumerate(v):
                 if vb == 0:
                     continue
-                col = mult.col(a * d + b)
-                for t in range(d):
-                    if col[t]:
-                        out[t] += ua * vb * col[t]
+                for t, x in table[a * d + b]:
+                    out[t] += ua * vb * x
         return tuple(out)
 
     def basis(d, i):
-        return tuple(Fraction(1 if t == i else 0) for t in range(d))
+        return tuple(1 if t == i else 0 for t in range(d))
 
     for h in range(len(lat)):
         d = M.dims[h]

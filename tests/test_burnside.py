@@ -325,3 +325,13 @@ class TestRingCache:
         gc.collect()
         assert burnside_ring(lat) is e.ring
         assert e.ring.idempotent(lat.bottom) == e
+
+    def test_rebuilt_ring_reuses_the_idempotents(self):
+        """A ring rebuilt after the last one died starts from the lattice's tables."""
+        lat = SubgroupLattice(symmetric(3))
+        coeffs = burnside_ring(lat).idempotent(lat.bottom).coeffs
+        gc.collect()
+        assert len(lat.burnside_cache) == 0
+        ring = burnside_ring(lat)
+        assert ring._idem_cache
+        assert ring.idempotent(lat.bottom).coeffs is coeffs

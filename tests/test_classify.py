@@ -101,6 +101,19 @@ class TestFreeFunctorGeneral:
         F = free_functor(s3_lattice, s3_lattice.top, WModule.zero(W))
         assert F.dims == tuple(0 for _ in s3_lattice.subgroups)
 
+    def test_zero_module_keeps_every_map(self, corpus_lattices):
+        """The zero free functor has the name, the map keys and the 0x0 maps of the general construction."""
+        for lat in corpus_lattices.values():
+            pairs = [(b, s) for b in range(len(lat)) for s in lat.subgroups_of(b)]
+            gens = [(pos, k) for pos in range(len(lat.group.gens)) for k in range(len(lat))]
+            for h in lat.class_reps():
+                F = free_functor(lat, h, WModule.zero(lat.weyl(h).group))
+                assert F.name == f"F[{lat.class_name_of(h)}]"
+                assert F.dims == (0,) * len(lat)
+                assert list(F.res) == pairs and list(F.ind) == pairs and list(F.cgen) == gens
+                assert all(m == QMatrix.zeros(0, 0) for maps in (F.res, F.ind, F.cgen) for m in maps.values())
+                assert free_functor(lat, h, WModule.zero(lat.weyl(h).group), name="Z").name == "Z"
+
     def test_top_class_concentrates_at_top(self, s3_lattice):
         W = s3_lattice.weyl(s3_lattice.top).group
         F = free_functor(s3_lattice, s3_lattice.top, WModule.trivial(W, 3))

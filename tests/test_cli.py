@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -326,3 +329,15 @@ class TestTrailingGlobalFlags:
         code, out, err = run(capsys, "--cap", "4", "group", "info", "s4")
         assert code == 2
         assert "cap" in err
+
+
+class TestRunAsModule:
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        """``python -m qmackey`` works from a checkout and passes main's output and exit code through."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        for argv in (["group", "subgroups", "c6"], ["group", "subgroups", "nosuch"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qmackey", *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+            code, out, err = run(capsys, *argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -268,6 +268,13 @@ class TestCosets:
         K = s4_lattice.elements(k)
         assert list(reps) == oracle_double_coset_partition(G, K, K)
 
+    def test_coset_of_is_least_member(self, corpus_lattices):
+        for lat in corpus_lattices.values():
+            G = lat.group
+            for k in range(len(lat)):
+                for g in range(G.order):
+                    assert lat.coset_of(g, k) == min(G.mul(g, x) for x in lat.elements(k))
+
     def test_double_cosets_cover_group(self, corpus_lattices):
         for lat in corpus_lattices.values():
             G = lat.group

@@ -167,3 +167,54 @@ def test_ragged_input_rejected():
         QMatrix([[1, 2], [3]])
     with pytest.raises(LinAlgError):
         QMatrix.from_cols([[1, 2], [3]])
+
+
+@settings(deadline=None, max_examples=150)
+@given(DIM.flatmap(lambda r: DIM.flatmap(lambda c: DIM.flatmap(lambda m: st.tuples(
+    pairs(r, c), pairs(r, 1), pairs(1, c), st.lists(pairs(c, m), min_size=1, max_size=3),
+    st.lists(pairs(r, m), min_size=1, max_size=3), pairs(r, r))))))
+def test_repeated_solves(args):
+    """Every solve against one matrix, after the first, reuses its factorization.
+
+    The right-hand sides are consistent (A @ X), arbitrary (often
+    inconsistent), and taken against a rank-one matrix as well; each answer
+    must match a fresh dense elimination, and ``inverse`` must still be
+    right after a ``solve`` on the same matrix.
+    """
+    A, left, right, xs, rhss, S = args
+    low = Pair(left.q.matmul(right.q).data, A.q.rows, A.q.cols)
+    for M in (A, low):
+        cases = [(M.q.matmul(X.q), M.d.matmul(X.d)) for X in xs] + [(b.q, b.d) for b in rhss]
+        for t, (rhs, rhs_ref) in enumerate(cases):
+            X, X_ref = M.q.solve(rhs), M.d.solve(rhs_ref)
+            assert (X is None) == (X_ref is None)
+            assert X is None or same(X, X_ref)
+            assert t >= len(xs) or X is not None
+            if t == 0:
+                factor = M.q._solver
+            assert M.q._solver is factor
+    S.q.solve(rhss[0].q)  # factor S before inverting it
+    assert S.q._solver is not None
+    try:
+        inv_ref = S.d.inverse()
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            S.q.inverse()
+    else:
+        inv = S.q.inverse()
+        assert same(inv, inv_ref)
+        assert S.q.matmul(inv).is_identity() and inv.matmul(S.q).is_identity()
+    assert all(p.unchanged() for p in (A, left, right, low, S, *xs, *rhss))
+
+
+def test_restrict_map_rejects_a_map_leaving_the_subspace():
+    line = QMatrix.column([1, 1, 0])
+    plane = QMatrix.from_cols([[1, 0, 0], [0, 1, 0]])
+    swap = linalg.permutation_matrix([1, 0, 2])
+    assert linalg.restrict_map(swap, line, line) == QMatrix.identity(1)
+    assert linalg.restrict_map(swap, plane, plane) == linalg.permutation_matrix([1, 0])
+    shift = linalg.permutation_matrix([2, 0, 1])
+    for src, dst in ((line, line), (plane, plane), (plane, line)):
+        dst.solve(QMatrix.zeros(3, 1))  # a factorization made before must not matter
+        with pytest.raises(LinAlgError):
+            linalg.restrict_map(shift, src, dst)

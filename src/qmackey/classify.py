@@ -21,6 +21,7 @@ from fractions import Fraction
 from .burnside import burnside_ring
 from .groups import SubgroupLattice
 from .linalg import (
+    LinAlgError,
     QMatrix,
     WModule,
     block_matrix,
@@ -138,6 +139,9 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | N
     res, ind = {}, {}
     for kb in range(n_levels):
         for ks in lattice.subgroups_of(kb):
+            if ks == kb:
+                res[(kb, kb)] = ind[(kb, kb)] = QMatrix.identity(dims[kb])
+                continue
             # project fixed cosets of the smaller subgroup onto the bigger one
             a = coset_map(ks, kb, lambda g: lattice.coset_of(g, kb))
             ind[(kb, ks)] = restrict_map(a, bases[ks], bases[kb])
@@ -149,7 +153,9 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | N
         for k in range(n_levels):
             ks = lattice.conjugate(s, k)
             amb = coset_map(k, ks, lambda g: lattice.coset_of(G.mul(g, si), ks))
-            cgen[(pos, k)] = restrict_map(amb, bases[k], bases[ks])
+            # a generator that fixes every fixed coset of K acts as the identity on its level
+            trivial = ks == k and amb.is_identity()
+            cgen[(pos, k)] = QMatrix.identity(dims[k]) if trivial else restrict_map(amb, bases[k], bases[ks])
     functor = MackeyFunctor(lattice, dims, res, ind, cgen, name=name)
     return FreeBlock(lattice, h, V, functor, tuple(cosets), tuple(bases))
 
@@ -400,7 +406,7 @@ def diagonal_check(M: MackeyFunctor, k: int, h: int) -> DiagonalReport:
     fixed = lower.matmul(fixed_coords)
     try:
         mat = restrict_map(M.res[(h, k)], upper, fixed)
-    except Exception:
+    except LinAlgError:
         return DiagonalReport(upper.cols, fixed.cols, QMatrix.zeros(fixed.cols, upper.cols), False)
     ok = upper.cols == fixed.cols and (upper.cols == 0 or mat.is_invertible())
     return DiagonalReport(upper.cols, fixed.cols, mat, ok)

@@ -26,6 +26,7 @@ from .mackey import (
     coconstant,
     constant,
     fp_functor,
+    rebase,
     zero_functor,
 )
 from .monoidal import GreenStructure, box, green_check
@@ -55,6 +56,16 @@ _BUILTIN_GROUPS = {
     "d8": lambda: grp.dihedral(8),
     "d12": lambda: grp.dihedral(12),
     "q8": lambda: grp.quaternion(),
+}
+
+
+# builtin functor kinds: (lattice, dimension) -> functor
+_FUNCTOR_KINDS = {
+    "burnside": lambda lat, dim: burnside_mackey(lat),
+    "constant": constant,
+    "coconstant": coconstant,
+    "zero": lambda lat, dim: zero_functor(lat),
+    "fixed": lambda lat, dim: fp_functor(lat, WModule.regular(lat.group)),
 }
 
 
@@ -97,19 +108,10 @@ def resolve_functor(spec: str, cap: int):
     """A functor argument: ``kind:group`` for builtins, else a JSON file."""
     if ":" in spec and not os.path.exists(spec):
         kind, _, gname = spec.partition(":")
-        G = resolve_group(gname, cap)
-        lat = SubgroupLattice(G, cap=cap)
-        if kind == "burnside":
-            return burnside_mackey(lat)
-        if kind == "constant":
-            return constant(lat, 1)
-        if kind == "coconstant":
-            return coconstant(lat, 1)
-        if kind == "zero":
-            return zero_functor(lat)
-        if kind == "fixed":
-            return fp_functor(lat, WModule.regular(G))
-        raise UsageError(f"unknown builtin functor kind {kind!r}")
+        lat = SubgroupLattice(resolve_group(gname, cap), cap=cap)
+        if kind not in _FUNCTOR_KINDS:
+            raise UsageError(f"unknown builtin functor kind {kind!r}")
+        return _FUNCTOR_KINDS[kind](lat, 1)
     if os.path.exists(spec):
         return functor_from_json(_load_json(spec), cap=cap)
     ws = workspace_dir()
@@ -272,22 +274,12 @@ def cmd_burnside_restrict(args) -> int:
 
 
 def cmd_mackey_new(args) -> int:
-    G = resolve_group(args.group, args.cap)
-    lat = SubgroupLattice(G, cap=args.cap)
-    kind = args.kind
-    if kind == "burnside":
-        M = burnside_mackey(lat)
-    elif kind == "constant":
-        M = constant(lat, args.dim)
-    elif kind == "coconstant":
-        M = coconstant(lat, args.dim)
-    elif kind == "zero":
-        M = zero_functor(lat)
-    elif kind == "fixed":
-        M = fp_functor(lat, WModule.regular(G))
-    elif kind == "free":
-        if not args.at:
-            raise UsageError("free functors need --at CLASS")
+    lat = SubgroupLattice(resolve_group(args.group, args.cap), cap=args.cap)
+    if args.kind in _FUNCTOR_KINDS:
+        M = _FUNCTOR_KINDS[args.kind](lat, args.dim)
+    elif not args.at:
+        raise UsageError("free functors need --at CLASS")
+    else:
         if args.at in lat.class_names:
             h = lat.classes[lat.class_names.index(args.at)][0]
         else:
@@ -295,8 +287,6 @@ def cmd_mackey_new(args) -> int:
         W = lat.weyl(h).group
         V = WModule.regular(W) if args.module == "regular" else WModule.trivial(W, args.dim)
         M = free_functor(lat, h, V)
-    else:
-        raise UsageError(f"unknown functor kind {kind!r}")
     payload = dump(functor_to_json(M))
     if args.save:
         ws = workspace_dir()
@@ -401,10 +391,12 @@ def cmd_mackey_classify(args) -> int:
 
 
 def cmd_mackey_box(args) -> int:
-    from .mackey import rebase
-
     M = resolve_functor(args.a, args.cap)
-    N = rebase(resolve_functor(args.b, args.cap), M.lattice)
+    N = resolve_functor(args.b, args.cap)
+    try:
+        N = rebase(N, M.lattice)
+    except MackeyError:
+        raise UsageError(f"cannot box functors over different groups ({M.group.name} and {N.group.name})") from None
     B = box(M, N)
     payload = dump(functor_to_json(B))
     if args.out:
@@ -694,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mackey", help="Mackey functor operations")
     msub = m.add_subparsers(dest="subcommand", required=True)
     mn = leaf(msub, "new", cmd_mackey_new)
-    mn.add_argument("kind", choices=["burnside", "constant", "coconstant", "zero", "fixed", "free"])
+    mn.add_argument("kind", choices=[*_FUNCTOR_KINDS, "free"])
     mn.add_argument("--group", required=True)
     mn.add_argument("--dim", type=int, default=1)
     mn.add_argument("--at", help="class name for free functors")

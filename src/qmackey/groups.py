@@ -288,8 +288,10 @@ def load_group(spec: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
     Accepted forms::
 
-        {"name": str, "order": n, "table": [[...], ...]}
+        {"name": str, "order": n, "table": [[...], ...], "generators": [i, ...]}
         {"name": str, "degree": n, "generators": ["(1 2)", ...]}
+
+    With a table, ``generators`` is optional and lists element indices.
     """
     if not isinstance(spec, dict):
         raise GroupError("group spec must be an object")
@@ -298,7 +300,12 @@ def load_group(spec: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         table = spec["table"]
         if "order" in spec and len(table) != spec["order"]:
             raise GroupError("declared order does not match table size")
-        return FiniteGroup(table, name=name, cap=cap)
+        gens = spec.get("generators")
+        if gens is not None and not (
+            isinstance(gens, list) and all(type(g) is int and 0 <= g < len(table) for g in gens)
+        ):
+            raise GroupError("the generators of a table must be element indices")
+        return FiniteGroup(table, name=name, gens=gens, cap=cap)
     if "generators" in spec:
         return from_permutations(spec["generators"], spec.get("degree"), name=name, cap=cap)
     raise GroupError("group spec needs either 'table' or 'generators'")

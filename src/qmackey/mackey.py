@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .burnside import BurnsideElement, burnside_ring
 from .groups import GMap, GSet, SubgroupLattice, coset_gset, restrict_gset
@@ -121,50 +122,52 @@ class AxiomReport:
 
 
 def check_axioms(M: MackeyFunctor, fail_fast: bool = False) -> AxiomReport:
-    """Exhaustive exact verification of the four axioms plus shape consistency."""
+    """Exhaustive exact verification of the four axioms plus shape consistency.
+
+    With ``fail_fast`` the check stops at the first violation.
+    """
+    found = _axiom_violations(M)
+    out = list(islice(found, 1)) if fail_fast else list(found)
+    return AxiomReport(not out, out)
+
+
+def _axiom_violations(M: MackeyFunctor):
+    """Every violation of the axioms by M, in the order they are checked."""
     lat = M.lattice
     G = M.group
-    out: list[AxiomViolation] = []
-
-    def bad(axiom, detail):
-        out.append(AxiomViolation(axiom, detail))
-        return fail_fast
-
-    def nm(h):
-        return lat.name(h)
-
-    # shapes
-    for (h, k), mat in M.res.items():
-        if (mat.rows, mat.cols) != (M.dims[k], M.dims[h]):
-            if bad("shape", f"restriction {nm(h)}>{nm(k)} has shape {mat.rows}x{mat.cols}"):
-                return AxiomReport(False, out)
-    for (h, k), mat in M.ind.items():
-        if (mat.rows, mat.cols) != (M.dims[h], M.dims[k]):
-            if bad("shape", f"induction {nm(k)}<{nm(h)} has shape {mat.rows}x{mat.cols}"):
-                return AxiomReport(False, out)
-    for (pos, h), mat in M.cgen.items():
-        t = lat.conjugate(G.gens[pos], h)
-        if (mat.rows, mat.cols) != (M.dims[t], M.dims[h]):
-            if bad("shape", f"conjugation {G.elem_name(G.gens[pos])}@{nm(h)} has wrong shape"):
-                return AxiomReport(False, out)
-    if out:
+    nm = lat.name
+    shapes = [
+        *(
+            AxiomViolation("shape", f"restriction {nm(h)}>{nm(k)} has shape {mat.rows}x{mat.cols}")
+            for (h, k), mat in M.res.items()
+            if (mat.rows, mat.cols) != (M.dims[k], M.dims[h])
+        ),
+        *(
+            AxiomViolation("shape", f"induction {nm(k)}<{nm(h)} has shape {mat.rows}x{mat.cols}")
+            for (h, k), mat in M.ind.items()
+            if (mat.rows, mat.cols) != (M.dims[h], M.dims[k])
+        ),
+        *(
+            AxiomViolation("shape", f"conjugation {G.elem_name(G.gens[pos])}@{nm(h)} has wrong shape")
+            for (pos, h), mat in M.cgen.items()
+            if (mat.rows, mat.cols) != (M.dims[lat.conjugate(G.gens[pos], h)], M.dims[h])
+        ),
+    ]
+    if shapes:
         # nothing downstream is well-posed with mismatched shapes
-        return AxiomReport(False, out)
+        yield from shapes
+        return
 
     # axiom 1: R^H_H = I^H_H = id, C_h = id on M(G/H) for h in H
     for h in range(len(lat)):
         eye = QMatrix.identity(M.dims[h])
         if M.res[(h, h)] != eye:
-            if bad("identity-restriction", f"R at {nm(h)} is not the identity"):
-                return AxiomReport(False, out)
+            yield AxiomViolation("identity-restriction", f"R at {nm(h)} is not the identity")
         if M.ind[(h, h)] != eye:
-            if bad("identity-induction", f"I at {nm(h)} is not the identity"):
-                return AxiomReport(False, out)
-        for x in lat.elements(h):
-            if M.conj(x, h) != eye:
-                if bad("inner-conjugation", f"C_{G.elem_name(x)} is not the identity on level {nm(h)}"):
-                    return AxiomReport(False, out)
-                break
+            yield AxiomViolation("identity-induction", f"I at {nm(h)} is not the identity")
+        x = next((x for x in lat.elements(h) if M.conj(x, h) != eye), None)
+        if x is not None:
+            yield AxiomViolation("inner-conjugation", f"C_{G.elem_name(x)} is not the identity on level {nm(h)}")
 
     # axiom 2: transitivity of R and I, multiplicativity of C
     for h in range(len(lat)):
@@ -175,35 +178,28 @@ def check_axioms(M: MackeyFunctor, fail_fast: bool = False) -> AxiomReport:
                 if l == k:
                     continue
                 if M.res[(h, l)] != M.res[(k, l)].matmul(M.res[(h, k)]):
-                    if bad("restriction-transitivity", f"{nm(h)} > {nm(k)} > {nm(l)}"):
-                        return AxiomReport(False, out)
+                    yield AxiomViolation("restriction-transitivity", f"{nm(h)} > {nm(k)} > {nm(l)}")
                 if M.ind[(h, l)] != M.ind[(h, k)].matmul(M.ind[(k, l)]):
-                    if bad("induction-transitivity", f"{nm(l)} < {nm(k)} < {nm(h)}"):
-                        return AxiomReport(False, out)
+                    yield AxiomViolation("induction-transitivity", f"{nm(l)} < {nm(k)} < {nm(h)}")
     for h in range(len(lat)):
         for g in range(G.order):
             cg = M.conj(g, h)
             gh = lat.conjugate(g, h)
             for pos, s in enumerate(G.gens):
-                lhs = M.conj(G.mul(s, g), h)
-                rhs = M.cgen[(pos, gh)].matmul(cg)
-                if lhs != rhs:
-                    if bad(
+                if M.conj(G.mul(s, g), h) != M.cgen[(pos, gh)].matmul(cg):
+                    yield AxiomViolation(
                         "conjugation-multiplicativity",
                         f"C_({G.elem_name(s)}*{G.elem_name(g)}) != C_{G.elem_name(s)} C_{G.elem_name(g)} at {nm(h)}",
-                    ):
-                        return AxiomReport(False, out)
+                    )
 
     # axiom 3: equivariance of R and I (generators suffice given axiom 2)
     for pos, s in enumerate(G.gens):
         for h, k in comparable_pairs(lat):
             hs, ks = lat.conjugate(s, h), lat.conjugate(s, k)
             if M.res[(hs, ks)].matmul(M.cgen[(pos, h)]) != M.cgen[(pos, k)].matmul(M.res[(h, k)]):
-                if bad("restriction-equivariance", f"conjugating {nm(h)} > {nm(k)} by {G.elem_name(s)}"):
-                    return AxiomReport(False, out)
+                yield AxiomViolation("restriction-equivariance", f"conjugating {nm(h)} > {nm(k)} by {G.elem_name(s)}")
             if M.ind[(hs, ks)].matmul(M.cgen[(pos, k)]) != M.cgen[(pos, h)].matmul(M.ind[(h, k)]):
-                if bad("induction-equivariance", f"conjugating {nm(k)} < {nm(h)} by {G.elem_name(s)}"):
-                    return AxiomReport(False, out)
+                yield AxiomViolation("induction-equivariance", f"conjugating {nm(k)} < {nm(h)} by {G.elem_name(s)}")
 
     # axiom 4: the double-coset (Mackey) formula
     for h in range(len(lat)):
@@ -215,13 +211,9 @@ def check_axioms(M: MackeyFunctor, fail_fast: bool = False) -> AxiomReport:
                     xl = lat.conjugate(x, l)
                     upper = lat.meet(k, xl)  # K n xLx^-1
                     lower = lat.conjugate(G.inv(x), upper)  # L n x^-1Kx
-                    term = M.ind[(k, upper)].matmul(M.conj(x, lower)).matmul(M.res[(l, lower)])
-                    rhs = rhs + term
+                    rhs = rhs + M.ind[(k, upper)].matmul(M.conj(x, lower)).matmul(M.res[(l, lower)])
                 if lhs != rhs:
-                    if bad("double-coset", f"R^{nm(h)}_{nm(k)} I^{nm(h)}_{nm(l)} mismatch"):
-                        return AxiomReport(False, out)
-
-    return AxiomReport(not out, out)
+                    yield AxiomViolation("double-coset", f"R^{nm(h)}_{nm(k)} I^{nm(h)}_{nm(l)} mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +280,13 @@ def rebase(M: MackeyFunctor, lattice: SubgroupLattice) -> MackeyFunctor:
     """Move a functor onto another lattice object for the same group.
 
     Lattice construction is deterministic, so two lattices built from equal
-    multiplication tables number subgroups identically and the matrices carry
-    over unchanged.
+    multiplication tables number subgroups identically.  The conjugation maps
+    are keyed by generator position, so the generators must agree as well;
+    then every matrix carries over unchanged.
     """
     if M.lattice is lattice:
         return M
-    if M.lattice.group._mul != lattice.group._mul:
+    if (M.group._mul, M.group.gens) != (lattice.group._mul, lattice.group.gens):
         raise MackeyError("cannot rebase onto a lattice of a different group")
     return MackeyFunctor(lattice, M.dims, dict(M.res), dict(M.ind), dict(M.cgen), name=M.name)
 

@@ -11,6 +11,7 @@ quotient is taken exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .burnside import burnside_ring
 from .classify import u_module
@@ -21,6 +22,7 @@ from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
     burnside_action,
+    comparable_pairs,
     burnside_mackey,
     idempotent_part,
 )
@@ -298,15 +300,18 @@ def green_check(S: GreenStructure) -> GreenReport:
 
     All identities are checked bilinearly on basis vectors, which keeps the
     cost at a few vector operations per basis pair instead of Kronecker-sized
-    matrix products.
+    matrix products.  Each rule is reported once per level, pair of levels or
+    generator, at its first failure.  The map rules need well-shaped
+    multiplications, so they run only when no level has a shape violation.
+    ``commutative`` is False when two basis vectors fail to commute at a level,
+    among the pairs scanned before that level's first associativity failure.
     """
     M = S.base
     lat = M.lattice
     G = lat.group
-    violations = []
-    commutative = True
-
+    basis = [[tuple(int(t == i) for t in range(d)) for i in range(d)] for d in M.dims]
     products = {}  # h -> per basis pair a * d + b, the nonzero (t, value) entries of e_a e_b
+    noncommuting = []
 
     def prod(h, u, v):
         # bilinear product of two coordinate vectors at level h
@@ -325,102 +330,71 @@ def green_check(S: GreenStructure) -> GreenReport:
                     out[t] += ua * vb * x
         return tuple(out)
 
-    def basis(d, i):
-        return tuple(1 if t == i else 0 for t in range(d))
+    def apply(m, v):
+        return m.matmul(QMatrix.column(v)).col(0)
 
-    for h in range(len(lat)):
-        d = M.dims[h]
-        mult, unit = S.mult[h], S.unit[h]
-        if (mult.rows, mult.cols) != (d, d * d) or (unit.rows, unit.cols) != (d, 1):
-            violations.append(("shape", lat.name(h)))
-            continue
-        ucol = unit.col(0)
-        assoc_ok = True
-        for i in range(d):
-            ei = basis(d, i)
-            if prod(h, ucol, ei) != ei or prod(h, ei, ucol) != ei:
-                violations.append(("unit", lat.name(h)))
-                break
-        for i in range(d):
-            if not assoc_ok:
-                break
-            ei = basis(d, i)
-            for j in range(d):
-                ej = basis(d, j)
-                ij = prod(h, ei, ej)
-                if prod(h, ej, ei) != ij:
-                    commutative = False
-                for l in range(d):
-                    el = basis(d, l)
-                    if prod(h, ij, el) != prod(h, ei, prod(h, ej, el)):
-                        violations.append(("associativity", lat.name(h)))
-                        assoc_ok = False
-                        break
-                if not assoc_ok:
-                    break
-    if any(name == "shape" for name, _ in violations):
-        return GreenReport(False, commutative, violations)
-    for h in range(len(lat)):
-        dh = M.dims[h]
-        for k in lat.subgroups_of(h):
+    def associates(h, ei, ej):
+        # (e_i e_j) e_l == e_i (e_j e_l) for every l, noting on the way whether e_i and e_j commute
+        ij = prod(h, ei, ej)
+        if prod(h, ej, ei) != ij:
+            noncommuting.append(h)
+        return all(prod(h, ij, el) == prod(h, ei, prod(h, ej, el)) for el in basis[h])
+
+    def multiplicative(m, h, t, cols):
+        # m(e_i e_j) == m(e_i) m(e_j) for every pair, cols[i] being m(e_i)
+        pairs = product(enumerate(basis[h]), repeat=2)
+        return all(apply(m, prod(h, ei, ej)) == prod(t, cols[i], cols[j]) for (i, ei), (j, ej) in pairs)
+
+    def level_rules():
+        for h in range(len(lat)):
+            d, E = M.dims[h], basis[h]
+            mult, unit = S.mult[h], S.unit[h]
+            if (mult.rows, mult.cols) != (d, d * d) or (unit.rows, unit.cols) != (d, 1):
+                yield ("shape", lat.name(h))
+                continue
+            u = unit.col(0)
+            if any(prod(h, u, e) != e or prod(h, e, u) != e for e in E):
+                yield ("unit", lat.name(h))
+            if not all(associates(h, ei, ej) for ei, ej in product(E, repeat=2)):
+                yield ("associativity", lat.name(h))
+
+    def map_rules():
+        for h, k in comparable_pairs(lat):
             if k == h:
                 continue
-            dk = M.dims[k]
-            r = M.res[(h, k)]
-            ind = M.ind[(h, k)]
-            if tuple(r.matmul(S.unit[h]).col(0)) != tuple(S.unit[k].col(0)):
-                violations.append(("restriction-unit", f"{lat.name(h)} > {lat.name(k)}"))
-            res_hom = True
-            for i in range(dh):
-                ei = basis(dh, i)
-                ri = r.col(i)
-                for j in range(dh):
-                    lhs = tuple(r.matmul(QMatrix.column(prod(h, ei, basis(dh, j)))).col(0))
-                    if lhs != prod(k, ri, r.col(j)):
-                        violations.append(("restriction-homomorphism", f"{lat.name(h)} > {lat.name(k)}"))
-                        res_hom = False
-                        break
-                if not res_hom:
-                    break
-            frob_l = frob_r = True
-            for x in range(dh):
-                ex = basis(dh, x)
-                rx = r.col(x)
-                for y in range(dk):
-                    iy = ind.col(y)
-                    if frob_l:
-                        lhs = prod(h, ex, iy)
-                        rhs = tuple(ind.matmul(QMatrix.column(prod(k, rx, basis(dk, y)))).col(0))
-                        if lhs != rhs:
-                            violations.append(("frobenius-left", f"{lat.name(k)} < {lat.name(h)}"))
-                            frob_l = False
-                    if frob_r:
-                        lhs = prod(h, iy, ex)
-                        rhs = tuple(ind.matmul(QMatrix.column(prod(k, basis(dk, y), rx))).col(0))
-                        if lhs != rhs:
-                            violations.append(("frobenius-right", f"{lat.name(k)} < {lat.name(h)}"))
-                            frob_r = False
-                if not (frob_l or frob_r):
-                    break
-    for pos, s in enumerate(G.gens):
-        for h in range(len(lat)):
-            t = lat.conjugate(s, h)
-            c = M.cgen[(pos, h)]
-            d = M.dims[h]
-            if tuple(c.matmul(S.unit[h]).col(0)) != tuple(S.unit[t].col(0)):
-                violations.append(("conjugation-unit", f"{G.elem_name(s)}@{lat.name(h)}"))
-            conj_ok = True
-            for i in range(d):
-                ci = c.col(i)
-                for j in range(d):
-                    lhs = tuple(c.matmul(QMatrix.column(prod(h, basis(d, i), basis(d, j)))).col(0))
-                    if lhs != prod(t, ci, c.col(j)):
-                        violations.append(("conjugation-homomorphism", f"{G.elem_name(s)}@{lat.name(h)}"))
-                        conj_ok = False
-                        break
-                if not conj_ok:
-                    break
-    return GreenReport(not violations, commutative, violations)
+            r, ind = M.res[(h, k)], M.ind[(h, k)]
+            rc = [r.col(i) for i in range(M.dims[h])]
+            ic = [ind.col(y) for y in range(M.dims[k])]
+            if r.matmul(S.unit[h]).col(0) != S.unit[k].col(0):
+                yield ("restriction-unit", f"{lat.name(h)} > {lat.name(k)}")
+            if not multiplicative(r, h, k, rc):
+                yield ("restriction-homomorphism", f"{lat.name(h)} > {lat.name(k)}")
+            # both Frobenius rules scan the pairs (x, y) in one order and are reported by first failure
+            pairs = list(product(range(M.dims[h]), range(M.dims[k])))
+            Eh, Ek = basis[h], basis[k]
+            rules = (
+                ("frobenius-left", lambda x, y: prod(h, Eh[x], ic[y]) == apply(ind, prod(k, rc[x], Ek[y]))),
+                ("frobenius-right", lambda x, y: prod(h, ic[y], Eh[x]) == apply(ind, prod(k, Ek[y], rc[x]))),
+            )
+            first = sorted(
+                (next((n for n, p in enumerate(pairs) if not holds(*p)), len(pairs)), rule) for rule, holds in rules
+            )
+            for n, rule in first:
+                if n < len(pairs):
+                    yield (rule, f"{lat.name(k)} < {lat.name(h)}")
+        for pos, s in enumerate(G.gens):
+            for h in range(len(lat)):
+                t = lat.conjugate(s, h)
+                c = M.cgen[(pos, h)]
+                if c.matmul(S.unit[h]).col(0) != S.unit[t].col(0):
+                    yield ("conjugation-unit", f"{G.elem_name(s)}@{lat.name(h)}")
+                if not multiplicative(c, h, t, [c.col(i) for i in range(M.dims[h])]):
+                    yield ("conjugation-homomorphism", f"{G.elem_name(s)}@{lat.name(h)}")
+
+    violations = list(level_rules())
+    if all(rule != "shape" for rule, _ in violations):
+        violations += map_rules()
+    return GreenReport(not violations, not noncommuting, violations)
 
 
 def burnside_green(lattice: SubgroupLattice) -> GreenStructure:

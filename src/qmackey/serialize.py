@@ -61,11 +61,12 @@ def matrix_from_json(rows, shape: tuple[int, int]) -> QMatrix:
 
 
 def group_to_json(G: FiniteGroup) -> dict:
-    return {
-        "name": G.name,
-        "order": G.order,
-        "table": [list(row) for row in G._mul],
-    }
+    out = {"name": G.name, "order": G.order, "table": [list(row) for row in G._mul]}
+    # functor data keys conjugations by generator, so generators that differ
+    # from the ones a bare table yields must travel with the table
+    if G.gens != G._normalize_gens(None):
+        out["generators"] = list(G.gens)
+    return out
 
 
 def group_from_json(data: dict, cap: int = 64) -> FiniteGroup:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qmackey import classify
 from qmackey.burnside import burnside_ring
 from qmackey.classify import (
     SplitData,
@@ -18,7 +19,7 @@ from qmackey.classify import (
     split,
     u_module,
 )
-from qmackey.linalg import QMatrix, WModule, intertwiner
+from qmackey.linalg import LinAlgError, QMatrix, WModule, intertwiner
 from qmackey.mackey import (
     MackeyError,
     burnside_mackey,
@@ -375,6 +376,20 @@ class TestDiagonal:
         ids = ids_of(c6_lattice)
         with pytest.raises(MackeyError):
             diagonal_check(c6A, ids["C2"], ids["C3"])
+
+    @pytest.mark.parametrize("error, fails", [(LinAlgError, True), (KeyError, False)])
+    def test_only_linear_algebra_failures_mean_not_ok(self, c2_lattice, monkeypatch, error, fails):
+        # at the bottom no Weyl element acts, so the restriction is the only restrict_map call
+        def broken(*args):
+            raise error("no map")
+
+        monkeypatch.setattr(classify, "restrict_map", broken)
+        A = burnside_mackey(c2_lattice)
+        if fails:
+            assert not diagonal_check(A, c2_lattice.bottom, c2_lattice.bottom).ok
+        else:
+            with pytest.raises(error):
+                diagonal_check(A, c2_lattice.bottom, c2_lattice.bottom)
 
 
 class TestFreeFunctorIdempotent:

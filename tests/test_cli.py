@@ -8,8 +8,8 @@ import pytest
 
 from corruptions import constant_with_identity_induction
 from qmackey.cli import main
-from qmackey.groups import SubgroupLattice, cyclic
-from qmackey.mackey import burnside_mackey
+from qmackey.groups import FiniteGroup, SubgroupLattice, cyclic, symmetric
+from qmackey.mackey import MackeyError, burnside_mackey, rebase
 from qmackey.serialize import dump, functor_to_json, group_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -255,6 +255,31 @@ class TestMackeyCommands:
         assert len(nodes) == 4
         assert len(structure) == 8
         assert len(loops) == 3
+
+
+class TestFunctorsAcrossGroups:
+    def test_box_over_different_groups_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "mackey", "box", "burnside:s3", "burnside:c6")
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot box functors over different groups (S3 and C6)\n"
+
+    def test_rebase_needs_the_same_generators(self):
+        # one table, generators listed in the other order: conjugation keys would swap
+        G = symmetric(3)
+        H = FiniteGroup(G._mul, name="S3", gens=list(reversed(G.gens)))
+        with pytest.raises(MackeyError, match="different group"):
+            rebase(burnside_mackey(SubgroupLattice(G)), SubgroupLattice(H))
+
+    def test_functor_over_a_redundant_generator_loads_back(self, capsys, tmp_path):
+        group = tmp_path / "g.json"
+        group.write_text(json.dumps({"name": "D8b", "degree": 4, "generators": ["(1 2 3 4)", "(1 3)(2 4)", "(2 4)"]}))
+        functor = tmp_path / "F.json"
+        code, _, _ = run(capsys, "mackey", "new", "burnside", "--group", str(group), "--out", str(functor))
+        assert code == 0
+        code, out, err = run(capsys, "--pretty", "mackey", "check", str(functor))
+        assert (code, err) == (0, "")
+        assert out == "A: all axioms hold\n"
 
 
 class TestGoldenDemos:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmackey.groups import SubgroupLattice, dihedral, symmetric
+from qmackey.groups import GroupError, SubgroupLattice, corpus, dihedral, from_permutations, load_group, symmetric
 from qmackey.linalg import QMatrix
 from qmackey.mackey import burnside_mackey, check_axioms
 from qmackey.serialize import (
@@ -11,6 +11,7 @@ from qmackey.serialize import (
     frac_to_str,
     functor_from_json,
     functor_to_json,
+    group_to_json,
     lewis_dot,
     matrix_from_json,
     matrix_to_json,
@@ -101,6 +102,32 @@ class TestFunctorRoundTrip:
         del data["induction"][key]
         with pytest.raises(FormatError, match="comparable pair"):
             functor_from_json(data)
+
+
+class TestGroupRoundTrip:
+    def test_redundant_generator_survives(self):
+        # (1 3)(2 4) is the square of (1 2 3 4); a bare table would yield only two generators
+        G = from_permutations(["(1 2 3 4)", "(1 3)(2 4)", "(2 4)"], degree=4, name="D8b")
+        data = json.loads(json.dumps(group_to_json(G)))
+        assert data["generators"] == list(G.gens) == [1, 2, 3]
+        assert load_group(data).gens == G.gens
+        A = burnside_mackey(SubgroupLattice(G))
+        B = functor_from_json(json.loads(json.dumps(functor_to_json(A))))
+        assert B.group.gens == G.gens and B.cgen == A.cgen
+        assert check_axioms(B).ok
+
+    def test_generators_left_out_when_the_table_yields_them(self):
+        for G in corpus().values():
+            data = group_to_json(G)
+            assert "generators" not in data
+            assert load_group(data).gens == G.gens
+
+    @pytest.mark.parametrize("gens", ["1", ["(1 2)"], [True], [-1], [6], [2, 4]])
+    def test_bad_table_generators_rejected(self, gens):
+        # [2, 4] lies in a subgroup of C6 and does not generate it
+        data = {"name": "C6", "order": 6, "table": [[(i + j) % 6 for j in range(6)] for i in range(6)]}
+        with pytest.raises(GroupError):
+            load_group({**data, "generators": gens})
 
 
 def test_lewis_dot_shape():

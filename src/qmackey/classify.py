@@ -38,6 +38,7 @@ from .mackey import (
     MackeyMorphism,
     build_functor,
     burnside_action,
+    constant,
     direct_sum,
     basis_change,
     zero_functor,
@@ -254,24 +255,10 @@ def split(M: MackeyFunctor) -> SplitData:
 
 
 def assemble(S: SplitData, name: str | None = None) -> MackeyFunctor:
-    return _assemble_blocks(S, name=name)[0]
-
-
-def _assemble_blocks(S: SplitData, name: str | None = None):
     lat = S.lattice
-    total = None
-    blocks = []
-    for h in lat.class_reps():
-        V = S.modules.get(h)
-        if V is None or V.dim == 0:
-            continue
-        block = build_free_block(lat, h, V)
-        blocks.append(block)
-        total = block.functor if total is None else direct_sum(total, block.functor)
-    if total is None:
-        total = zero_functor(lat)
-    total.name = name or "assembled"
-    return total, blocks
+    name = name or "assembled"
+    pieces = [free_functor(lat, h, V) for h in lat.class_reps() if (V := S.modules.get(h)) is not None and V.dim]
+    return direct_sum(*pieces, name=name) if pieces else constant(lat, 0, name=name)
 
 
 def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
@@ -282,22 +269,14 @@ def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
     any of these is a hard error: it would contradict the splitting theorem.
     """
     lat = M.lattice
-    comparisons = []
-    target = None
-    for h in lat.class_reps():
-        block, mor = comparison_block(M, h)
-        if block.module.dim == 0:
-            continue
-        comparisons.append(mor)
-        target = block.functor if target is None else direct_sum(target, block.functor)
-    if target is None:
-        target = zero_functor(lat)
-        iso = MackeyMorphism(M, target, tuple(QMatrix.zeros(0, d) for d in M.dims))
+    pieces = [(block, mor) for block, mor in (comparison_block(M, h) for h in lat.class_reps()) if block.module.dim]
+    if pieces:
+        target = direct_sum(*(block.functor for block, _ in pieces))
+        maps = tuple(vstack(*[mor.maps[k] for _, mor in pieces]) for k in range(len(lat)))
     else:
-        maps = []
-        for k in range(len(lat)):
-            maps.append(vstack(*[mor.maps[k] for mor in comparisons]))
-        iso = MackeyMorphism(M, target, tuple(maps))
+        target = zero_functor(lat)
+        maps = tuple(QMatrix.zeros(0, d) for d in M.dims)
+    iso = MackeyMorphism(M, target, maps)
     for k in range(len(lat)):
         m = iso.maps[k]
         if m.rows != m.cols or not m.is_invertible():
@@ -336,14 +315,12 @@ def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
     maps = []
     for k in range(len(lat)):
         # block diagonal lift of the intertwiners at this level
-        lift_k = None
-        for b1, b2, phi in zip(blocks1, blocks2, lifts):
-            X = b1.cosets[k]
-            amb = tensor(QMatrix.identity(len(X)), phi)
-            r = restrict_map(amb, b1.bases[k], b2.bases[k])
-            lift_k = r if lift_k is None else mat_direct_sum(lift_k, r)
-        if lift_k is None:
-            lift_k = QMatrix.zeros(0, 0)
+        lift_k = mat_direct_sum(
+            *(
+                restrict_map(tensor(QMatrix.identity(len(b1.cosets[k])), phi), b1.bases[k], b2.bases[k])
+                for b1, b2, phi in zip(blocks1, blocks2, lifts)
+            )
+        )
         a1 = vstack(*[m.maps[k] for m in mors1]) if mors1 else QMatrix.zeros(0, M1.dims[k])
         a2 = vstack(*[m.maps[k] for m in mors2]) if mors2 else QMatrix.zeros(0, M2.dims[k])
         if a1.rows != a1.cols or not a1.is_invertible():
@@ -378,18 +355,8 @@ def diagonal_check(M: MackeyFunctor, k: int, h: int) -> DiagonalReport:
     lat = M.lattice
     if not lat.leq(k, h):
         raise MackeyError("diagonal check needs K <= H")
-    cache = getattr(M, "_diag_cache", None)
-    if cache is None:
-        cache = M._diag_cache = {}
-    ring_h = burnside_ring(lat, h)
-    P_h = burnside_action(M, h, ring_h.idempotent(k))
-    upper = P_h.image()
-    if k in cache:
-        lower = cache[k]
-    else:
-        ring_k = burnside_ring(lat, k)
-        P_k = burnside_action(M, k, ring_k.idempotent(k))
-        lower = cache[k] = P_k.image()
+    upper = burnside_action(M, h, burnside_ring(lat, h).idempotent(k)).image()
+    lower = burnside_action(M, k, burnside_ring(lat, k).idempotent(k)).image()
     # Weyl group of K inside H acting on the local piece at K
     nhk = lat.normalizer_in(k, h)
     if lower.cols:

@@ -417,14 +417,17 @@ def cmd_mackey_green_check(args) -> int:
         S = burnside_green(lat)
     else:
         data = _load_json(args.mult)
+        tables = [data.get(key, {}) if isinstance(data, dict) else None for key in ("mult", "unit")]
+        if not all(isinstance(table, dict) for table in tables):
+            raise UsageError("multiplication data must hold 'mult' and 'unit' objects keyed by level")
         mult, unit = {}, {}
         for h in range(len(lat)):
             name = lat.name(h)
-            if name not in data.get("mult", {}) or name not in data.get("unit", {}):
+            if any(name not in table for table in tables):
                 raise UsageError(f"multiplication data missing level {name}")
             d = M.dims[h]
-            mult[h] = matrix_from_json(data["mult"][name], (d, d * d))
-            unit[h] = matrix_from_json(data["unit"][name], (d, 1))
+            mult[h] = matrix_from_json(tables[0][name], (d, d * d))
+            unit[h] = matrix_from_json(tables[1][name], (d, 1))
         S = GreenStructure(M, mult, unit)
     report = green_check(S)
     if _fmt(args) == "json":

@@ -291,13 +291,19 @@ def load_group(spec: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         {"name": str, "order": n, "table": [[...], ...], "generators": [i, ...]}
         {"name": str, "degree": n, "generators": ["(1 2)", ...]}
 
-    With a table, ``generators`` is optional and lists element indices.
+    With a table, ``generators`` is optional and lists element indices.  Table
+    entries and ``order`` must be integers, not numbers that merely convert
+    to one, and permutation generators must be a list of strings.
     """
     if not isinstance(spec, dict):
         raise GroupError("group spec must be an object")
     name = spec.get("name", "G")
     if "table" in spec:
         table = spec["table"]
+        if not (isinstance(table, list) and all(isinstance(row, list) and all(type(x) is int for x in row) for row in table)):
+            raise GroupError("a group table must be a list of rows of integers")
+        if "order" in spec and type(spec["order"]) is not int:
+            raise GroupError("declared order must be an integer")
         if "order" in spec and len(table) != spec["order"]:
             raise GroupError("declared order does not match table size")
         gens = spec.get("generators")
@@ -307,7 +313,10 @@ def load_group(spec: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             raise GroupError("the generators of a table must be element indices")
         return FiniteGroup(table, name=name, gens=gens, cap=cap)
     if "generators" in spec:
-        return from_permutations(spec["generators"], spec.get("degree"), name=name, cap=cap)
+        gens = spec["generators"]
+        if not (isinstance(gens, list) and all(isinstance(g, str) for g in gens)):
+            raise GroupError("permutation generators must be a list of cycle strings")
+        return from_permutations(gens, spec.get("degree"), name=name, cap=cap)
     raise GroupError("group spec needs either 'table' or 'generators'")
 
 

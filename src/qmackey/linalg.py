@@ -433,8 +433,13 @@ def block_matrix(rows: int, cols: int, blocks) -> QMatrix:
     return _new(rows, cols, out)
 
 
-def direct_sum(A: QMatrix, B: QMatrix) -> QMatrix:
-    return block_matrix(A.rows + B.rows, A.cols + B.cols, [(0, 0, A), (A.rows, A.cols, B)])
+def direct_sum(*mats: QMatrix) -> QMatrix:
+    """The block-diagonal matrix of any number of blocks, in one pass; rows are shared."""
+    out, cols = [], 0
+    for A in mats:
+        out.extend({j + cols: x for j, x in row.items()} if cols else row for row in A._rows)
+        cols += A.cols
+    return _new(len(out), cols, out)
 
 
 def permutation_matrix(perm) -> QMatrix:
@@ -495,22 +500,23 @@ def quotient_space(ambient_dim: int, relations: QMatrix) -> tuple[QMatrix, QMatr
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class WModule:
     """A finite-dimensional rational representation of a finite group.
 
     Only the generator matrices are stored; the matrix of an arbitrary element
     is assembled from the word decomposition recorded when the group was
-    closed.
+    closed.  A module is an immutable value; ``dataclasses.replace`` builds a
+    variant, with an empty cache of element matrices.
     """
 
     group: FiniteGroup
     dim: int
     gen_matrices: tuple[QMatrix, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.gen_matrices = tuple(QMatrix(m) for m in self.gen_matrices)
+        object.__setattr__(self, "gen_matrices", tuple(QMatrix(m) for m in self.gen_matrices))
         if len(self.gen_matrices) != len(self.group.gens):
             raise LinAlgError("need one matrix per group generator")
         for m in self.gen_matrices:

@@ -11,9 +11,10 @@ axiom checker verifies transitivity instead of defining maps by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
+from types import MappingProxyType
 
 from .burnside import BurnsideElement, burnside_ring
 from .groups import GMap, GSet, SubgroupLattice, coset_gset, restrict_gset
@@ -35,18 +36,28 @@ class MackeyError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class MackeyFunctor:
-    """Levels, restrictions, inductions and generator conjugations over a lattice."""
+    """Levels, restrictions, inductions and generator conjugations over a lattice.
+
+    A functor is an immutable value: the three map tables are read-only views
+    of private copies, so the caches below cannot go stale.  Variants come
+    from ``dataclasses.replace``, which starts them with empty caches.
+    """
 
     lattice: SubgroupLattice
     dims: tuple[int, ...]
-    res: dict  # (h, k) -> QMatrix, M(G/H) -> M(G/K), for K <= H
-    ind: dict  # (h, k) -> QMatrix, M(G/K) -> M(G/H), for K <= H
-    cgen: dict  # (gen position, h) -> QMatrix, M(G/H) -> M(G/sHs^-1)
+    res: MappingProxyType  # (h, k) -> QMatrix, M(G/H) -> M(G/K), for K <= H
+    ind: MappingProxyType  # (h, k) -> QMatrix, M(G/K) -> M(G/H), for K <= H
+    cgen: MappingProxyType  # (gen position, h) -> QMatrix, M(G/H) -> M(G/sHs^-1)
     name: str = "M"
-    _conj_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _action_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _conj_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _action_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(self.dims))
+        for table in ("res", "ind", "cgen"):
+            object.__setattr__(self, table, MappingProxyType(dict(getattr(self, table))))
 
     @property
     def group(self):
@@ -266,14 +277,16 @@ def dual(M: MackeyFunctor) -> MackeyFunctor:
     return MackeyFunctor(lat, M.dims, res, ind, cgen, name=f"D({M.name})")
 
 
-def direct_sum(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> MackeyFunctor:
-    if M.lattice is not N.lattice:
+def direct_sum(*summands: MackeyFunctor, name: str | None = None) -> MackeyFunctor:
+    """The direct sum of one or more functors over one lattice, built in one pass."""
+    first = summands[0]
+    if any(M.lattice is not first.lattice for M in summands):
         raise MackeyError("direct sum needs a common lattice")
-    dims = tuple(a + b for a, b in zip(M.dims, N.dims))
-    res = {p: mat_direct_sum(M.res[p], N.res[p]) for p in M.res}
-    ind = {p: mat_direct_sum(M.ind[p], N.ind[p]) for p in M.ind}
-    cgen = {p: mat_direct_sum(M.cgen[p], N.cgen[p]) for p in M.cgen}
-    return MackeyFunctor(M.lattice, dims, res, ind, cgen, name=name or f"{M.name}+{N.name}")
+    dims = tuple(map(sum, zip(*(M.dims for M in summands))))
+    res = {p: mat_direct_sum(*(M.res[p] for M in summands)) for p in first.res}
+    ind = {p: mat_direct_sum(*(M.ind[p] for M in summands)) for p in first.ind}
+    cgen = {p: mat_direct_sum(*(M.cgen[p] for M in summands)) for p in first.cgen}
+    return MackeyFunctor(first.lattice, dims, res, ind, cgen, name=name or "+".join(M.name for M in summands))
 
 
 def rebase(M: MackeyFunctor, lattice: SubgroupLattice) -> MackeyFunctor:
@@ -288,7 +301,7 @@ def rebase(M: MackeyFunctor, lattice: SubgroupLattice) -> MackeyFunctor:
         return M
     if (M.group._mul, M.group.gens) != (lattice.group._mul, lattice.group.gens):
         raise MackeyError("cannot rebase onto a lattice of a different group")
-    return MackeyFunctor(lattice, M.dims, dict(M.res), dict(M.ind), dict(M.cgen), name=M.name)
+    return replace(M, lattice=lattice)
 
 
 def basis_change(M: MackeyFunctor, mats: list[QMatrix], name: str | None = None) -> MackeyFunctor:
@@ -627,6 +640,11 @@ def contravariant_map(M: MackeyFunctor, f: GMap, lattice: SubgroupLattice | None
 # ---------------------------------------------------------------------------
 
 
+def _coset_position(lattice: SubgroupLattice, g: int, k: int) -> int:
+    """The position of the coset gK in ``lattice.cosets(k)``; both index cosets by their least member."""
+    return lattice.cosets(k).index(lattice.coset_of(g, k))
+
+
 def i_lower(M: MackeyFunctor, h: int, name: str | None = None):
     """Forget a functor over G down to the subgroup H (evaluation along induced sets).
 
@@ -668,13 +686,7 @@ def i_upper(N: MackeyFunctor, parent: SubgroupLattice, h: int, name: str | None 
 
     def point_map_projection(k_small, k_big):
         # cosets of the smaller subgroup map onto cosets of the bigger one
-        reps_small = parent.cosets(k_small)
-        reps_big = parent.cosets(k_big)
-        big_pos = {}
-        for idx, r in enumerate(reps_big):
-            for x in parent.elements(k_big):
-                big_pos[G.mul(r, x)] = idx
-        return tuple(big_pos[r] for r in reps_small)
+        return tuple(_coset_position(parent, r, k_big) for r in parent.cosets(k_small))
 
     def resfn(h1, k1):
         f = GMap(gsets[k1], gsets[h1], point_map_projection(k1, h1))
@@ -688,14 +700,8 @@ def i_upper(N: MackeyFunctor, parent: SubgroupLattice, h: int, name: str | None 
 
     def conjfn(pos, s, k):
         ks = parent.conjugate(s, k)
-        reps_src = parent.cosets(k)
-        reps_dst = parent.cosets(ks)
-        dst_pos = {}
-        for idx, r in enumerate(reps_dst):
-            for x in parent.elements(ks):
-                dst_pos[G.mul(r, x)] = idx
         si = G.inv(s)
-        points = tuple(dst_pos[G.mul(r, si)] for r in reps_src)
+        points = tuple(_coset_position(parent, G.mul(r, si), ks) for r in parent.cosets(k))
         f = GMap(gsets[k], gsets[ks], points)
         mat, _, _ = covariant_map(N, f, view.lattice)
         return mat
@@ -808,12 +814,7 @@ def i_transpose_down(f_maps, M: MackeyFunctor, N: MackeyFunctor, parent: Subgrou
         X = restrict_gset(coset_gset(G, parent.elements(pa)), Hstar, view.to_parent_elem)
         ev = evaluate_at_set(N, X, sub)
         # the identity coset of pa sits in some orbit; project onto that block
-        reps = parent.cosets(pa)
-        pos = {}
-        for idx, r in enumerate(reps):
-            for x in parent.elements(pa):
-                pos[G.mul(r, x)] = idx
-        ident_pt = pos[G.identity]
+        ident_pt = _coset_position(parent, G.identity, pa)
         j = next(
             jj
             for jj, orb_rep in enumerate(ev.orbit_reps)

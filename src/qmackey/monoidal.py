@@ -10,7 +10,7 @@ quotient is taken exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .burnside import burnside_ring
@@ -85,13 +85,20 @@ def _level_map(src: _BoxLevel, dst: _BoxLevel, blocks) -> QMatrix:
     return dst.proj.matmul(big).matmul(src.section)
 
 
-def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> MackeyFunctor:
+@dataclass(frozen=True, repr=False, eq=False)
+class BoxProduct(MackeyFunctor):
+    """A box product with the quotient data of each level, for maps between box products."""
+
+    levels: tuple = field(kw_only=True)
+
+
+def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProduct:
     """The box product, with its induced restriction, induction and conjugation."""
     if M.lattice is not N.lattice:
         raise MackeyError("box product needs a common lattice")
     lat = M.lattice
     G = lat.group
-    levels = [_box_level(M, N, h) for h in range(len(lat))]
+    levels = tuple(_box_level(M, N, h) for h in range(len(lat)))
     dims = tuple(level.proj.rows for level in levels)
     # summands whose tensor space is zero contribute no blocks
     live = [[k for k in level.summands if M.dims[k] * N.dims[k]] for level in levels]
@@ -118,9 +125,7 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> MackeyFu
             blocks = [(lat.conjugate(s, k), k, tensor(M.conj(s, k), N.conj(s, k))) for k in live[h]]
             cgen[(pos, h)] = _level_map(levels[h], levels[lat.conjugate(s, h)], blocks)
 
-    out = MackeyFunctor(lat, dims, res, ind, cgen, name=name or f"{M.name}[]{N.name}")
-    out._box_levels = levels
-    return out
+    return BoxProduct(lat, dims, res, ind, cgen, name=name or f"{M.name}[]{N.name}", levels=levels)
 
 
 def box_swap_iso(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:
@@ -128,7 +133,7 @@ def box_swap_iso(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:
     MN = box(M, N)
     NM = box(N, M)
     maps = []
-    for src, dst in zip(MN._box_levels, NM._box_levels):
+    for src, dst in zip(MN.levels, NM.levels):
         flips = []
         for k in src.summands:
             dm, dn = M.dims[k], N.dims[k]
@@ -141,10 +146,10 @@ def box_swap_iso(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:
     return iso
 
 
-def box_morphism(f: MackeyMorphism, g: MackeyMorphism, src: MackeyFunctor, dst: MackeyFunctor) -> MackeyMorphism:
+def box_morphism(f: MackeyMorphism, g: MackeyMorphism, src: BoxProduct, dst: BoxProduct) -> MackeyMorphism:
     """Functoriality: apply f (x) g summandwise between prebuilt box products."""
     maps = []
-    for lvl_src, lvl_dst in zip(src._box_levels, dst._box_levels):
+    for lvl_src, lvl_dst in zip(src.levels, dst.levels):
         blocks = [(k, k, tensor(f.maps[k], g.maps[k])) for k in lvl_src.summands]
         maps.append(_level_map(lvl_src, lvl_dst, blocks))
     return MackeyMorphism(src, dst, tuple(maps))
@@ -161,7 +166,7 @@ def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
     A = burnside_mackey(lat)
     B = box(A, M)
     maps = []
-    for h, lvl in enumerate(B._box_levels):
+    for h, lvl in enumerate(B.levels):
         cols = []
         for k in lvl.summands:
             ring_k = burnside_ring(lat, k)
@@ -241,7 +246,7 @@ def u_monoidal_dims_ok(M: MackeyFunctor, N: MackeyFunctor) -> bool:
     return True
 
 
-def u_monoidal_certificate(M: MackeyFunctor, N: MackeyFunctor, h: int, B: MackeyFunctor | None = None) -> bool:
+def u_monoidal_certificate(M: MackeyFunctor, N: MackeyFunctor, h: int, B: BoxProduct | None = None) -> bool:
     """Full strong-monoidality check at one class: an explicit Weyl-equivariant
     isomorphism from the tensor of the local pieces onto the local piece of
     the box product."""
@@ -255,7 +260,7 @@ def u_monoidal_certificate(M: MackeyFunctor, N: MackeyFunctor, h: int, B: Mackey
         return False
     if UB.dim == 0:
         return True
-    lvl = B._box_levels[h]
+    lvl = B.levels[h]
     pair = tensor(BM, BN)  # columns span the tensor of the two local pieces
     via = lvl.proj.matmul(block_matrix(lvl.t_dim, pair.cols, [(lvl.offsets[h], 0, pair)]))
     ring_h = burnside_ring(lat, h)

@@ -1,20 +1,28 @@
-"""Deliberately broken Mackey functors; the axiom checker must reject each one."""
+"""Deliberately broken Mackey functors; the axiom checker must reject each one.
+
+Each fixture is a ``dataclasses.replace`` variant of a constant functor.
+"""
+
+from dataclasses import replace
 
 from qmackey.linalg import QMatrix
-from qmackey.mackey import MackeyFunctor, constant
+from qmackey.mackey import constant
 
 
-def _clone(M, name):
-    return MackeyFunctor(M.lattice, M.dims, dict(M.res), dict(M.ind), dict(M.cgen), name=name)
+def _corrupt(lattice, name, **tables):
+    """The constant functor of dimension 1 with some map entries overwritten.
+
+    ``tables`` maps ``res``, ``ind`` or ``cgen`` to the entries that change.
+    """
+    M = constant(lattice, 1)
+    return replace(M, name=name, **{table: {**getattr(M, table), **changed} for table, changed in tables.items()})
 
 
 def constant_with_identity_induction(lattice):
     """Induction forced to the identity; the double-coset axiom then fails
     (restriction followed by induction must multiply by the index)."""
-    M = _clone(constant(lattice, 1), "bad-induction")
-    for pair in M.ind:
-        M.ind[pair] = QMatrix.identity(1)
-    return M, "double-coset"
+    M = constant(lattice, 1)
+    return replace(M, name="bad-induction", ind=dict.fromkeys(M.ind, QMatrix.identity(1))), "double-coset"
 
 
 def scaled_restriction(lattice):
@@ -27,37 +35,26 @@ def scaled_restriction(lattice):
     mids = [h for h in lattice.subgroups_of(top) if h not in (top, lattice.bottom)]
     if not mids:
         return None
-    M = _clone(constant(lattice, 1), "bad-restriction")
-    M.res[(top, mids[0])] = M.res[(top, mids[0])].scale(2)
-    return M, "restriction-transitivity"
+    return _corrupt(lattice, "bad-restriction", res={(top, mids[0]): QMatrix.scalar(1, 2)}), "restriction-transitivity"
 
 
 def non_identity_self_restriction(lattice):
-    M = _clone(constant(lattice, 1), "bad-self-res")
-    M.res[(lattice.top, lattice.top)] = QMatrix.scalar(1, 3)
-    return M, "identity-restriction"
+    top = lattice.top
+    return _corrupt(lattice, "bad-self-res", res={(top, top): QMatrix.scalar(1, 3)}), "identity-restriction"
 
 
 def non_identity_self_induction(lattice):
-    M = _clone(constant(lattice, 1), "bad-self-ind")
-    M.ind[(lattice.bottom, lattice.bottom)] = QMatrix.scalar(1, -1)
-    return M, "identity-induction"
+    bottom = lattice.bottom
+    return _corrupt(lattice, "bad-self-ind", ind={(bottom, bottom): QMatrix.scalar(1, -1)}), "identity-induction"
 
 
 def broken_inner_conjugation(lattice):
     """A sign flip on a generator's conjugation violates C_h = id inside H."""
-    M = _clone(constant(lattice, 1), "bad-conj")
-    pos = 0
-    M.cgen = dict(M.cgen)
-    M.cgen[(pos, lattice.top)] = QMatrix.scalar(1, -1)
-    return M, "inner-conjugation"
+    return _corrupt(lattice, "bad-conj", cgen={(0, lattice.top): QMatrix.scalar(1, -1)}), "inner-conjugation"
 
 
 def wrong_shape(lattice):
-    M = _clone(constant(lattice, 1), "bad-shape")
-    top = lattice.top
-    M.res[(top, lattice.bottom)] = QMatrix.identity(2)
-    return M, "shape"
+    return _corrupt(lattice, "bad-shape", res={(lattice.top, lattice.bottom): QMatrix.identity(2)}), "shape"
 
 
 def all_corruptions(lattice):

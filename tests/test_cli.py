@@ -53,6 +53,21 @@ class TestExitCodes:
         assert code == 1
         assert "double-coset" in out
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"name": "C2", "table": [[0, 1.7], [1, 0]]},
+            {"name": "C2", "order": 2.0, "table": [[0, 1], [1, 0]]},
+            {"name": "C2", "table": [[0, True], [True, 0]]},
+        ],
+    )
+    def test_group_json_of_wrong_type_is_usage_error(self, capsys, tmp_path, spec):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "group", "info", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_check_success_is_exit_zero(self, capsys):
         code, out, err = run(capsys, "--pretty", "mackey", "check", "burnside:c6")
         assert code == 0
@@ -244,6 +259,14 @@ class TestMackeyCommands:
         code, out, _ = run(capsys, "--pretty", "mackey", "green-check", str(path), str(mpath))
         assert code == 1
         assert "FAILED" in out
+
+    @pytest.mark.parametrize("mult", [[], {"mult": "C1C2", "unit": "C1C2"}, {"mult": {"C1": [["1"]]}, "unit": ["C1"]}])
+    def test_green_check_malformed_multiplication_is_usage_error(self, capsys, tmp_path, mult):
+        mpath = tmp_path / "mult.json"
+        mpath.write_text(json.dumps(mult))
+        code, out, err = run(capsys, "mackey", "green-check", "burnside:c2", str(mpath))
+        assert (code, out) == (2, "")
+        assert err == "error: multiplication data must hold 'mult' and 'unit' objects keyed by level\n"
 
     def test_lewis_dot_counts(self, capsys):
         code, out, _ = run(capsys, "mackey", "lewis", "burnside:c6", "--dot")

@@ -141,6 +141,28 @@ class TestLoadGroup:
         with pytest.raises(GroupError):
             load_group({"name": "bad", "order": 4, "table": table})
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"table": [[0, 1.7], [1, 0]]}, "rows of integers"),
+            ({"table": [[0, 1.0], [1, 0]]}, "rows of integers"),
+            ({"table": [[0, True], [True, 0]]}, "rows of integers"),
+            ({"table": [[0, "1"], ["1", 0]]}, "rows of integers"),
+            ({"table": [[0, None], [1, 0]]}, "rows of integers"),
+            ({"table": [[0, 1], 7]}, "rows of integers"),
+            ({"table": "0110"}, "rows of integers"),
+            ({"order": 2.0, "table": [[0, 1], [1, 0]]}, "order must be an integer"),
+            ({"order": True, "table": [[0]]}, "order must be an integer"),
+            ({"order": "2", "table": [[0, 1], [1, 0]]}, "order must be an integer"),
+            ({"generators": "(1 2)"}, "list of cycle strings"),
+            ({"degree": 3, "generators": [1, 2]}, "list of cycle strings"),
+            ({"generators": [["(1 2)"]]}, "list of cycle strings"),
+        ],
+    )
+    def test_json_types_are_not_coerced(self, spec, message):
+        with pytest.raises(GroupError, match=message):
+            load_group({"name": "bad", **spec})
+
 
 class TestCycleNotation:
     def test_parse_roundtrip(self):

@@ -76,6 +76,15 @@ class TestBasics:
         S = direct_sum(A, B)
         assert S == QMatrix([[2, 0, 0], [0, 0, 1], [0, 1, 0]])
 
+    def test_direct_sum_of_any_number_of_blocks(self):
+        A = QMatrix([[2]])
+        B = QMatrix([[0, 1], [1, 0]])
+        C = QMatrix.zeros(1, 0)
+        assert direct_sum(A, B, C, A) == direct_sum(direct_sum(direct_sum(A, B), C), A)
+        assert direct_sum(A, B, C, A).rows == 5 and direct_sum(A, B, C, A).cols == 4
+        assert direct_sum(B) == B
+        assert direct_sum() == QMatrix.zeros(0, 0)
+
     def test_image_canonical(self):
         M = QMatrix([[2, 4], [1, 2]])
         assert M.image() == QMatrix([[1], [Fraction(1, 2)]])

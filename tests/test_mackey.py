@@ -427,6 +427,16 @@ class TestDirectSumAndMorphisms:
         assert M.dims == tuple(a + 1 for a in c6A.dims)
         assert check_axioms(M).ok
 
+    def test_direct_sum_of_many_summands_matches_the_pairwise_sum(self, c6_lattice, c6A):
+        C, D = constant(c6_lattice, 1), coconstant(c6_lattice, 2)
+        assert direct_sum(c6A, C, D) == direct_sum(direct_sum(c6A, C), D)
+        assert direct_sum(c6A) == c6A
+        assert direct_sum(c6A, C, name="S").name == "S"
+
+    def test_direct_sum_needs_a_common_lattice(self, c6_lattice, c2_lattice):
+        with pytest.raises(MackeyError):
+            direct_sum(constant(c6_lattice, 1), constant(c6_lattice, 1), constant(c2_lattice, 1))
+
     def test_identity_morphism_validates(self, c6A):
         identity_morphism(c6A).validate(full=True)
 

@@ -154,9 +154,7 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | N
         for k in range(n_levels):
             ks = lattice.conjugate(s, k)
             amb = coset_map(k, ks, lambda g: lattice.coset_of(G.mul(g, si), ks))
-            # a generator that fixes every fixed coset of K acts as the identity on its level
-            trivial = ks == k and amb.is_identity()
-            cgen[(pos, k)] = QMatrix.identity(dims[k]) if trivial else restrict_map(amb, bases[k], bases[ks])
+            cgen[(pos, k)] = restrict_map(amb, bases[k], bases[ks])
     functor = MackeyFunctor(lattice, dims, res, ind, cgen, name=name)
     return FreeBlock(lattice, h, V, functor, tuple(cosets), tuple(bases))
 

@@ -36,32 +36,40 @@ class CapExceeded(GroupError):
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def _cycles(text: str) -> list[list[int]]:
+    """The cycles of 1-based cycle notation like ``"(1 2)(3 4 5)"``, as lists of points."""
+    stripped = text.strip()
+    if stripped in ("", "()"):
+        return []
+    if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", stripped):
+        raise GroupError(f"bad cycle notation: {text!r}")
+    cycles = []
+    for body in _CYCLE_RE.findall(stripped):
+        pts = [p for p in re.split(r"[,\s]+", body.strip()) if p]
+        if not pts:
+            continue
+        try:
+            cyc = [int(p) for p in pts]
+        except ValueError:
+            raise GroupError(f"bad cycle notation: {text!r}") from None
+        if any(p < 1 for p in cyc) or len(set(cyc)) != len(cyc):
+            raise GroupError(f"bad cycle notation: {text!r}")
+        cycles.append(cyc)
+    return cycles
+
+
 def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     """Parse 1-based cycle notation like ``"(1 2)(3 4 5)"`` into a 0-based image tuple.
 
     Fixed points may be omitted; ``degree`` extends the permutation with fixed
     points beyond the largest moved point.
     """
-    stripped = text.strip()
-    if stripped in ("", "()"):
-        cycles: list[list[int]] = []
-    else:
-        if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", stripped):
-            raise GroupError(f"bad cycle notation: {text!r}")
-        cycles = []
-        for body in _CYCLE_RE.findall(stripped):
-            pts = [p for p in re.split(r"[,\s]+", body.strip()) if p]
-            if not pts:
-                continue
-            try:
-                cyc = [int(p) for p in pts]
-            except ValueError:
-                raise GroupError(f"bad cycle notation: {text!r}") from None
-            if any(p < 1 for p in cyc) or len(set(cyc)) != len(cyc):
-                raise GroupError(f"bad cycle notation: {text!r}")
-            cycles.append(cyc)
-    top = max((max(c) for c in cycles), default=0)
-    n = max(degree or 0, top)
+    cycles = _cycles(text)
+    return _image(cycles, max([degree or 0] + [max(c) for c in cycles]))
+
+
+def _image(cycles: list[list[int]], n: int) -> tuple[int, ...]:
+    """The 0-based image tuple on n points of a product of 1-based cycles."""
     image = list(range(n))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -69,8 +77,9 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     return tuple(image)
 
 
-def cycle_string(image: tuple[int, ...]) -> str:
-    """Render a 0-based image tuple back into 1-based cycle notation."""
+def cycle_string(image: tuple[int, ...], points=None) -> str:
+    """Render a 0-based image tuple in cycle notation, naming position i by ``points[i]``, else by i + 1."""
+    label = points or range(1, len(image) + 1)
     seen = [False] * len(image)
     parts = []
     for start in range(len(image)):
@@ -84,7 +93,7 @@ def cycle_string(image: tuple[int, ...]) -> str:
             cyc.append(nxt)
             seen[nxt] = True
             nxt = image[nxt]
-        parts.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
+        parts.append("(" + " ".join(str(label[p]) for p in cyc) + ")")
     return "".join(parts) if parts else "()"
 
 
@@ -261,12 +270,17 @@ def from_permutations(
     """Close a list of cycle-notation generators into a FiniteGroup.
 
     Elements are enumerated breadth-first starting from the identity, so the
-    numbering is reproducible for a fixed generator list.
+    numbering is reproducible for a fixed generator list.  Only the moved
+    points are composed, renumbered in increasing order: the cost does not
+    grow with ``degree`` or the point labels, and relabelling keeps the table.
     """
-    gen_imgs = [parse_cycles(g, degree) for g in generators]
-    n = max([len(img) for img in gen_imgs] + [degree or 1])
-    gen_imgs = [img + tuple(range(len(img), n)) for img in gen_imgs]
-    ident = tuple(range(n))
+    gen_cycles = [_cycles(g) for g in generators]
+    points = sorted({p for cycles in gen_cycles for cyc in cycles for p in cyc})
+    if degree is not None and degree < max(points, default=0):
+        raise GroupError(f"degree {degree} is smaller than the largest point {max(points, default=0)}")
+    rank = {p: i for i, p in enumerate(points, 1)}
+    gen_imgs = [_image([[rank[p] for p in cyc] for cyc in cycles], len(points)) for cycles in gen_cycles]
+    ident = tuple(range(len(points)))
     elems = [ident]
     index = {ident: 0}
     for p in elems:
@@ -278,7 +292,7 @@ def from_permutations(
                 index[q] = len(elems)
                 elems.append(q)
     table = [[index[_compose(p, q)] for q in elems] for p in elems]
-    names = [cycle_string(p) for p in elems]
+    names = [cycle_string(p, points) for p in elems]
     gen_ids = [index[g] for g in gen_imgs]
     return FiniteGroup(table, name=name, elem_names=names, gens=gen_ids, cap=cap)
 
@@ -316,6 +330,8 @@ def load_group(spec: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         gens = spec["generators"]
         if not (isinstance(gens, list) and all(isinstance(g, str) for g in gens)):
             raise GroupError("permutation generators must be a list of cycle strings")
+        if "degree" in spec and type(spec["degree"]) is not int:
+            raise GroupError("degree must be an integer")
         return from_permutations(gens, spec.get("degree"), name=name, cap=cap)
     raise GroupError("group spec needs either 'table' or 'generators'")
 

@@ -242,9 +242,9 @@ class QMatrix:
     def columns(self) -> list[tuple[Fraction, ...]]:
         return list(self.transpose().data)
 
-    def sparse_rows(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
-        """Each row's nonzero entries as ``(column, value)`` pairs, values in normal form."""
-        return tuple(tuple(row.items()) for row in self._rows)
+    def nonzero_cols(self) -> set[int]:
+        """The indices of the columns that hold a nonzero entry."""
+        return {j for row in self._rows for j in row}
 
     def is_zero(self) -> bool:
         return not any(self._rows)
@@ -454,9 +454,14 @@ def permutation_matrix(perm) -> QMatrix:
 def restrict_map(ambient: QMatrix, src_basis: QMatrix, dst_basis: QMatrix) -> QMatrix:
     """Express an ambient-space map in chosen bases of source/target subspaces.
 
+    Each basis must have independent columns, as a kernel or image basis
+    has; then the answer is unique, and for the identity map from a basis to
+    itself it is the identity, returned without solving.
     Raises when the ambient map does not carry the source subspace into the
     target one; the callers rely on that as a correctness check.
     """
+    if src_basis is dst_basis and ambient.is_identity() and ambient.cols == src_basis.rows:
+        return QMatrix.identity(src_basis.cols)
     mapped = ambient.matmul(src_basis)
     coeff = dst_basis.solve(mapped)
     if coeff is None or dst_basis.matmul(coeff) != mapped:

@@ -11,12 +11,11 @@ quotient is taken exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .burnside import burnside_ring
 from .classify import u_module
 from .groups import SubgroupLattice
-from .linalg import QMatrix, block_matrix, permutation_matrix, quotient_space, tensor
+from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_space, tensor
 from .mackey import (
     MackeyError,
     MackeyFunctor,
@@ -167,17 +166,12 @@ def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
     B = box(A, M)
     maps = []
     for h, lvl in enumerate(B.levels):
-        cols = []
+        # a summand's tensor basis runs over the basis of A(G/K), then that of M(G/K)
+        blocks = []
         for k in lvl.summands:
             ring_k = burnside_ring(lat, k)
-            for ci in range(ring_k.size):
-                act = burnside_action(M, k, ring_k.basis(ring_k.reps[ci]))
-                through = M.ind[(h, k)].matmul(act)
-                for j in range(M.dims[k]):
-                    cols.append(through.col(j))
-        big = (
-            QMatrix.from_cols(cols, rows=M.dims[h]) if cols else QMatrix.zeros(M.dims[h], 0)
-        )
+            blocks += [M.ind[(h, k)].matmul(burnside_action(M, k, ring_k.basis(r))) for r in ring_k.reps]
+        big = hstack(*blocks)
         # the map must kill every relation before it can descend
         kernel_probe = big.matmul(lvl.section.matmul(lvl.proj)) - big
         if not kernel_probe.is_zero():
@@ -301,66 +295,65 @@ class GreenReport:
 
 
 def green_check(S: GreenStructure) -> GreenReport:
-    """Exact verification of algebra, homomorphism and Frobenius conditions.
+    """Exact verification of the algebra, homomorphism and Frobenius rules.
 
-    All identities are checked bilinearly on basis vectors, which keeps the
-    cost at a few vector operations per basis pair instead of Kronecker-sized
-    matrix products.  Each rule is reported once per level, pair of levels or
-    generator, at its first failure.  The map rules need well-shaped
-    multiplications, so they run only when no level has a shape violation.
-    ``commutative`` is False when two basis vectors fail to commute at a level,
-    among the pairs scanned before that level's first associativity failure.
+    Each rule is one sparse matrix identity, with mu_H and u_H the
+    multiplication and unit at H, and m any R or C from level H to level T:
+
+    - unit: ``mu_H (u_H (x) 1) = 1 = mu_H (1 (x) u_H)``;
+    - associativity: ``mu_H (mu_H (x) 1) = mu_H (1 (x) mu_H)``, checked as its
+      column blocks ``mu_H (L_i (x) 1) = L_i mu_H``, one for each basis vector
+      e_i with ``L_i = mu_H (e_i (x) 1)``, so that no matrix has d^3 columns;
+    - ring maps: ``m mu_H = mu_T (m (x) m)`` and ``m u_H = u_T``;
+    - Frobenius for K < H: ``mu_H (1 (x) I) = I mu_K (R (x) 1)`` (left) and
+      ``mu_H (I (x) 1) = I mu_K (1 (x) R)`` (right).
+
+    Both sides are multilinear, and column (i, j), or column (j, l) of block
+    i, of each side is the rule on ``e_i (x) e_j``, or on ``e_i (x) e_j (x) e_l``.
+    So an identity holds exactly when the pairwise rule holds on every basis
+    tuple, and the nonzero columns of the difference are the tuples where it
+    fails, in lexicographic order.  Each rule is reported once per level, pair
+    of levels or generator.  The Frobenius rules of K < H are ordered by their
+    first failing pair (x, y), left first on a tie; the right rule's column
+    (y, x) is that pair.  The map rules need well-shaped multiplications, so
+    they run only when no level has a shape violation.  ``commutative`` is
+    False when mu_H and mu_H after the swap of factors differ at a pair no
+    later than the level's first associativity failure.
     """
     M = S.base
     lat = M.lattice
     G = lat.group
-    basis = [[tuple(int(t == i) for t in range(d)) for i in range(d)] for d in M.dims]
-    products = {}  # h -> per basis pair a * d + b, the nonzero (t, value) entries of e_a e_b
-    noncommuting = []
+    eye = QMatrix.identity
+    commutative = True
 
-    def prod(h, u, v):
-        # bilinear product of two coordinate vectors at level h
-        d = M.dims[h]
-        if h not in products:
-            products[h] = S.mult[h].transpose().sparse_rows()
-        table = products[h]
-        out = [0] * d
-        for a, ua in enumerate(u):
-            if ua == 0:
-                continue
-            for b, vb in enumerate(v):
-                if vb == 0:
-                    continue
-                for t, x in table[a * d + b]:
-                    out[t] += ua * vb * x
-        return tuple(out)
+    def differ(lhs, rhs) -> set:
+        return (lhs - rhs).nonzero_cols()
 
-    def apply(m, v):
-        return m.matmul(QMatrix.column(v)).col(0)
-
-    def associates(h, ei, ej):
-        # (e_i e_j) e_l == e_i (e_j e_l) for every l, noting on the way whether e_i and e_j commute
-        ij = prod(h, ei, ej)
-        if prod(h, ej, ei) != ij:
-            noncommuting.append(h)
-        return all(prod(h, ij, el) == prod(h, ei, prod(h, ej, el)) for el in basis[h])
-
-    def multiplicative(m, h, t, cols):
-        # m(e_i e_j) == m(e_i) m(e_j) for every pair, cols[i] being m(e_i)
-        pairs = product(enumerate(basis[h]), repeat=2)
-        return all(apply(m, prod(h, ei, ej)) == prod(t, cols[i], cols[j]) for (i, ei), (j, ej) in pairs)
+    def ring_map(m, h, t, kind, at):
+        if m.matmul(S.unit[h]) != S.unit[t]:
+            yield (f"{kind}-unit", at)
+        if m.matmul(S.mult[h]) != S.mult[t].matmul(tensor(m, m)):
+            yield (f"{kind}-homomorphism", at)
 
     def level_rules():
+        nonlocal commutative
         for h in range(len(lat)):
-            d, E = M.dims[h], basis[h]
-            mult, unit = S.mult[h], S.unit[h]
+            d, mult, unit = M.dims[h], S.mult[h], S.unit[h]
             if (mult.rows, mult.cols) != (d, d * d) or (unit.rows, unit.cols) != (d, 1):
                 yield ("shape", lat.name(h))
                 continue
-            u = unit.col(0)
-            if any(prod(h, u, e) != e or prod(h, e, u) != e for e in E):
+            if mult.matmul(tensor(unit, eye(d))) != eye(d) or mult.matmul(tensor(eye(d), unit)) != eye(d):
                 yield ("unit", lat.name(h))
-            if not all(associates(h, ei, ej) for ei, ej in product(E, repeat=2)):
+            last = d * d
+            for i in range(d):
+                left = mult.matmul(block_matrix(d * d, d, [(i * d, 0, eye(d))]))
+                if bad := differ(left.matmul(mult), mult.matmul(tensor(left, eye(d)))):
+                    last = i * d + min(bad) // d
+                    break
+            swap = permutation_matrix([b * d + a for a in range(d) for b in range(d)])
+            if any(c <= last for c in differ(mult, mult.matmul(swap))):
+                commutative = False
+            if last < d * d:
                 yield ("associativity", lat.name(h))
 
     def map_rules():
@@ -368,38 +361,23 @@ def green_check(S: GreenStructure) -> GreenReport:
             if k == h:
                 continue
             r, ind = M.res[(h, k)], M.ind[(h, k)]
-            rc = [r.col(i) for i in range(M.dims[h])]
-            ic = [ind.col(y) for y in range(M.dims[k])]
-            if r.matmul(S.unit[h]).col(0) != S.unit[k].col(0):
-                yield ("restriction-unit", f"{lat.name(h)} > {lat.name(k)}")
-            if not multiplicative(r, h, k, rc):
-                yield ("restriction-homomorphism", f"{lat.name(h)} > {lat.name(k)}")
-            # both Frobenius rules scan the pairs (x, y) in one order and are reported by first failure
-            pairs = list(product(range(M.dims[h]), range(M.dims[k])))
-            Eh, Ek = basis[h], basis[k]
-            rules = (
-                ("frobenius-left", lambda x, y: prod(h, Eh[x], ic[y]) == apply(ind, prod(k, rc[x], Ek[y]))),
-                ("frobenius-right", lambda x, y: prod(h, ic[y], Eh[x]) == apply(ind, prod(k, Ek[y], rc[x]))),
-            )
-            first = sorted(
-                (next((n for n, p in enumerate(pairs) if not holds(*p)), len(pairs)), rule) for rule, holds in rules
-            )
-            for n, rule in first:
-                if n < len(pairs):
-                    yield (rule, f"{lat.name(k)} < {lat.name(h)}")
+            dh, dk = M.dims[h], M.dims[k]
+            yield from ring_map(r, h, k, "restriction", f"{lat.name(h)} > {lat.name(k)}")
+            left = differ(S.mult[h].matmul(tensor(eye(dh), ind)), ind.matmul(S.mult[k].matmul(tensor(r, eye(dk)))))
+            right = differ(S.mult[h].matmul(tensor(ind, eye(dh))), ind.matmul(S.mult[k].matmul(tensor(eye(dk), r))))
+            first = [(min(left), "frobenius-left")] if left else []
+            first += [(min((c % dh) * dk + c // dh for c in right), "frobenius-right")] if right else []
+            for _, rule in sorted(first):
+                yield (rule, f"{lat.name(k)} < {lat.name(h)}")
         for pos, s in enumerate(G.gens):
             for h in range(len(lat)):
-                t = lat.conjugate(s, h)
-                c = M.cgen[(pos, h)]
-                if c.matmul(S.unit[h]).col(0) != S.unit[t].col(0):
-                    yield ("conjugation-unit", f"{G.elem_name(s)}@{lat.name(h)}")
-                if not multiplicative(c, h, t, [c.col(i) for i in range(M.dims[h])]):
-                    yield ("conjugation-homomorphism", f"{G.elem_name(s)}@{lat.name(h)}")
+                at = f"{G.elem_name(s)}@{lat.name(h)}"
+                yield from ring_map(M.cgen[(pos, h)], h, lat.conjugate(s, h), "conjugation", at)
 
     violations = list(level_rules())
     if all(rule != "shape" for rule, _ in violations):
         violations += map_rules()
-    return GreenReport(not violations, not noncommuting, violations)
+    return GreenReport(not violations, commutative, violations)
 
 
 def burnside_green(lattice: SubgroupLattice) -> GreenStructure:

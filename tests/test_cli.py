@@ -59,6 +59,10 @@ class TestExitCodes:
             {"name": "C2", "table": [[0, 1.7], [1, 0]]},
             {"name": "C2", "order": 2.0, "table": [[0, 1], [1, 0]]},
             {"name": "C2", "table": [[0, True], [True, 0]]},
+            {"name": "S3", "degree": "5", "generators": ["(1 2)", "(1 2 3)"]},
+            {"name": "C2", "degree": True, "generators": ["(1 2)"]},
+            {"name": "C1", "degree": -3, "generators": ["()"]},
+            {"name": "C3", "degree": 1, "generators": ["(1 2 3)"]},
         ],
     )
     def test_group_json_of_wrong_type_is_usage_error(self, capsys, tmp_path, spec):

@@ -157,11 +157,34 @@ class TestLoadGroup:
             ({"generators": "(1 2)"}, "list of cycle strings"),
             ({"degree": 3, "generators": [1, 2]}, "list of cycle strings"),
             ({"generators": [["(1 2)"]]}, "list of cycle strings"),
+            ({"degree": "5", "generators": ["(1 2)", "(1 2 3)"]}, "degree must be an integer"),
+            ({"degree": True, "generators": ["(1 2)"]}, "degree must be an integer"),
+            ({"degree": 3.0, "generators": ["(1 2)"]}, "degree must be an integer"),
+            ({"degree": None, "generators": ["(1 2)"]}, "degree must be an integer"),
         ],
     )
     def test_json_types_are_not_coerced(self, spec, message):
         with pytest.raises(GroupError, match=message):
             load_group({"name": "bad", **spec})
+
+    @pytest.mark.parametrize("degree, gens, top", [(-3, ["()"], 0), (1, ["(1 2 3)"], 3), (4, ["(1 2)", "(3 5)"], 5)])
+    def test_degree_bounds_the_points(self, degree, gens, top):
+        with pytest.raises(GroupError, match=f"smaller than the largest point {top}"):
+            load_group({"name": "bad", "degree": degree, "generators": gens})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"degree": 100000, "generators": ["(1 2)", "(1 2 3)"]},
+            {"generators": ["(1 2)", "(1 2 300000)"]},
+            {"degree": 9, "generators": ["(5 9)", "(5 9 7)"]},
+        ],
+    )
+    def test_relabelled_points_give_the_same_table(self, spec):
+        S3 = load_group({"degree": 3, "generators": ["(1 2)", "(1 2 3)"]})
+        G = load_group(spec)
+        assert (G._mul, G.gens) == (S3._mul, S3.gens)
+        assert G.elem_names[G.gens[1]] == spec["generators"][1]
 
 
 class TestCycleNotation:

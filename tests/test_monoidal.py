@@ -1,11 +1,16 @@
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import green_reference
 from qmackey.burnside import burnside_ring
 from qmackey.classify import free_functor
-from qmackey.groups import SubgroupLattice, trivial
-from qmackey.linalg import QMatrix, WModule
+from qmackey.groups import SubgroupLattice, corpus, from_permutations, trivial
+from qmackey.linalg import QMatrix, WModule, permutation_matrix, tensor
 from qmackey.mackey import (
     MackeyError,
     burnside_mackey,
@@ -14,6 +19,7 @@ from qmackey.mackey import (
     zero_functor,
 )
 from qmackey.monoidal import (
+    GreenStructure,
     box,
     box_idempotent_check,
     box_swap_iso,
@@ -202,3 +208,70 @@ class TestGreen:
     def test_green_on_trivial_group(self):
         lat = SubgroupLattice(trivial())
         assert green_check(burnside_green(lat)).ok
+
+    def test_burnside_green_past_the_corpus(self):
+        lat = SubgroupLattice(from_permutations(["(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)"], name="S3xS3"))
+        report = green_check(burnside_green(lat))
+        assert report.ok
+        assert report.commutative
+
+
+REFEREE_GROUPS = ("C2", "C3", "C6", "S3", "D8", "Q8")
+FAULTS = ("mult", "unit", "res", "ind", "cgen", "shape")
+
+
+@cache
+def referee_lattice(name):
+    return SubgroupLattice(corpus()[name])
+
+
+def bumped(m, i, j, delta):
+    """``m`` with ``delta`` added at entry (i, j)."""
+    return m + QMatrix([[delta if (r, c) == (i, j) else 0 for c in range(m.cols)] for r in range(m.rows)])
+
+
+def reversed_bases(S):
+    """The same Green structure with every level's basis listed backwards, so that e_0 is the unit [H/H]."""
+    M, G = S.base, S.base.group
+    P = [permutation_matrix(range(d - 1, -1, -1)) for d in M.dims]  # each P is its own inverse
+    res = {(h, k): P[k].matmul(m).matmul(P[h]) for (h, k), m in M.res.items()}
+    ind = {(h, k): P[h].matmul(m).matmul(P[k]) for (h, k), m in M.ind.items()}
+    cgen = {(pos, h): P[M.lattice.conjugate(G.gens[pos], h)].matmul(m).matmul(P[h]) for (pos, h), m in M.cgen.items()}
+    mult = {h: P[h].matmul(m).matmul(tensor(P[h], P[h])) for h, m in S.mult.items()}
+    unit = {h: P[h].matmul(u) for h, u in S.unit.items()}
+    return GreenStructure(replace(M, res=res, ind=ind, cgen=cgen), mult, unit)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(REFEREE_GROUPS), st.data())
+def test_green_check_matches_pairwise_reference(name, data):
+    """Random faults in mu, u, R, I and C, and a copied mu for a shape fault, get the reference's report.
+
+    Half the structures list their bases backwards, so that the first failing
+    associativity block is not always the one of e_0 = [H/1].
+    """
+    lat = referee_lattice(name)
+    S = burnside_green(lat)
+    if data.draw(st.booleans()):
+        S = reversed_bases(S)
+    maps = {"res": dict(S.base.res), "ind": dict(S.base.ind), "cgen": dict(S.base.cgen)}
+    tables = {"mult": S.mult, "unit": S.unit, **maps}
+    levels = st.integers(0, len(lat) - 1)
+    kinds = data.draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3))
+    # mu is commutative, so the Frobenius rules tie unless a bump of mu makes it one-sided
+    if data.draw(st.booleans()):
+        kinds.append("mult")
+    for kind in kinds:
+        if kind == "shape":
+            src, dst = data.draw(levels), data.draw(levels)
+            S.mult[dst] = S.mult[src]
+            continue
+        table = tables[kind]
+        key = data.draw(st.sampled_from(sorted(table)))
+        m = table[key]
+        if m.rows and m.cols:
+            i, j = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))
+            table[key] = bumped(m, i, j, data.draw(st.sampled_from((1, -1, 2, Fraction(1, 2)))))
+    S = GreenStructure(replace(S.base, **maps), S.mult, S.unit)
+    got, want = green_check(S), green_reference.green_check(S)
+    assert (got.ok, got.commutative, got.violations) == (want.ok, want.commutative, want.violations)

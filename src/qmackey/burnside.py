@@ -6,6 +6,12 @@ of subgroups of H.  The ambient lattice supplies all coset combinatorics, so
 elements over different subgroups can be restricted and induced without
 renumbering anything.
 
+Arithmetic goes through the marks.  The table of marks is read off the
+lattice, and a product is the element whose marks are the entrywise product of
+the factors' marks, found by back substitution in the triangular table.  The
+double-coset structure constants remain only as the multiplication table of
+the Burnside Green functor (``monoidal.burnside_green``).
+
 Two independent routes to the primitive idempotents are provided: the Mobius
 formula over the subgroup lattice, and inversion of the table of marks.  They
 are cross-checked in the test suite.
@@ -13,7 +19,7 @@ are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groups import SubgroupLattice
@@ -40,6 +46,20 @@ def burnside_ring(lattice: SubgroupLattice, h: int | None = None) -> "BurnsideRi
     return ring
 
 
+@dataclass
+class _Tables:
+    """The tables of one subgroup's Burnside ring, kept on the lattice.
+
+    They hold no ring, so the rings the weak cache rebuilds share them
+    without a reference cycle.
+    """
+
+    products: dict = field(default_factory=dict)  # (ci, cj) -> structure constants
+    idempotents: dict = field(default_factory=dict)  # ci -> Mobius coefficients
+    marks: tuple = ()  # marks[j][i] = |(H/B_j)^(A_i)|
+    columns: tuple = ()  # columns[i] = the (j, marks[j][i]) with j > i and a nonzero mark
+
+
 class BurnsideRing:
     """A_Q(H): rational linear combinations of the orbit classes [H/K]."""
 
@@ -53,8 +73,7 @@ class BurnsideRing:
             for member in cls:
                 self.class_index[member] = ci
         self.size = len(self.classes)
-        # products, marks and idempotents by class index, kept on the lattice
-        self._mul_cache, self._marks_cache, self._idem_cache = lattice.burnside_tables.setdefault(top, ({}, {}, {}))
+        self._tables = lattice.burnside_tables.setdefault(top, _Tables())
 
     # -- element constructors --------------------------------------------------
 
@@ -84,51 +103,84 @@ class BurnsideRing:
     # -- multiplication -----------------------------------------------------------
 
     def _mul_basis(self, ci: int, cj: int) -> tuple[Fraction, ...]:
+        """Structure constants of [H/A][H/B] from the double cosets A\\H/B.
+
+        Only ``monoidal.burnside_green`` needs them, as its multiplication table.
+        """
         key = (ci, cj)
-        if key not in self._mul_cache:
+        if key not in self._tables.products:
             lat = self.lattice
             a, b = self.reps[ci], self.reps[cj]
             out = [Fraction(0)] * self.size
             for x in lat.double_cosets(a, b, self.top):
                 out[self.class_index[lat.meet(a, lat.conjugate(x, b))]] += 1
-            self._mul_cache[key] = tuple(out)
-        return self._mul_cache[key]
+            self._tables.products[key] = tuple(out)
+        return self._tables.products[key]
 
     def mul(self, a: "BurnsideElement", b: "BurnsideElement") -> "BurnsideElement":
+        """The product through the marks: the element x with marks(x) = marks(a) * marks(b).
+
+        marks(x)_i = sum_j x_j T[j][i] for the table of marks T.  T[j][i] != 0
+        with i != j puts a conjugate of A_i properly inside B_j, so
+        |A_i| < |B_j|, and i < j because classes are sorted by order.  So
+        the equation for column i involves x_i and the x_j with j > i only,
+        and the top class down gives
+        x_i = (v_i - sum_(j > i) x_j T[j][i]) / T[i][i], where
+        T[i][i] = |N_H(A_i)| / |A_i| is never 0.  The mark homomorphism is an
+        injective ring map, so x is the product a b.
+        """
         if a.ring is not self or b.ring is not self:
             raise BurnsideError("elements live in different Burnside rings")
+        tables = self._marks_table()
+        v = [x * y for x, y in zip(self.marks(a), self.marks(b))]
         out = [Fraction(0)] * self.size
-        for i, ca in enumerate(a.coeffs):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b.coeffs):
-                if cb == 0:
-                    continue
-                prod = self._mul_basis(i, j)
-                for k in range(self.size):
-                    if prod[k]:
-                        out[k] += ca * cb * prod[k]
+        for i in range(self.size - 1, -1, -1):
+            rest = v[i] - sum(out[j] * m for j, m in tables.columns[i] if out[j])
+            if rest:
+                out[i] = rest / tables.marks[i][i]
         return BurnsideElement(self, tuple(out))
 
     # -- marks ------------------------------------------------------------------
 
+    def _marks_table(self) -> _Tables:
+        """The tables with the table of marks and its columns filled in, from the lattice.
+
+        T[j][i] = |(H/B_j)^(A_i)| counts the cosets hB_j with
+        h^-1 A_i h <= B_j.  That condition holds on whole cosets hB_j, so the
+        count is #{h in H : h^-1 A_i h <= B_j} / |B_j|.  The map
+        h -> h^-1 A_i h sends H onto the H-class of A_i, and each fibre is a
+        coset of N_H(A_i).  So
+        T[j][i] = |N_H(A_i)| * #{A' in (A_i)_H : A' <= B_j} / |B_j|.
+        """
+        tables = self._tables
+        if not tables.marks:
+            lat = self.lattice
+            norms = [lat.order(lat.normalizer_in(a, self.top)) for a in self.reps]
+            rows = []
+            for b in self.reps:
+                below = set(lat.subgroups_of(b))
+                rows.append(tuple(
+                    n * sum(m in below for m in cls) // lat.order(b) for n, cls in zip(norms, self.classes)
+                ))
+            tables.columns = tuple(
+                tuple((j, rows[j][i]) for j in range(i + 1, self.size) if rows[j][i]) for i in range(self.size)
+            )
+            tables.marks = tuple(rows)
+        return tables
+
     def marks_basis(self, cj: int) -> tuple[int, ...]:
         """Fixed-point counts |(H/B)^A| of the basis class cj at every class (A)."""
-        if cj not in self._marks_cache:
-            lat = self.lattice
-            b = self.reps[cj]
-            row = tuple(len(lat.fixed_cosets(b, a, self.top)) for a in self.reps)
-            self._marks_cache[cj] = row
-        return self._marks_cache[cj]
+        return self._marks_table().marks[cj]
 
     def marks(self, a: "BurnsideElement") -> tuple[Fraction, ...]:
+        rows = self._marks_table().marks
         out = [Fraction(0)] * self.size
         for j, c in enumerate(a.coeffs):
             if c == 0:
                 continue
-            row = self.marks_basis(j)
-            for i in range(self.size):
-                out[i] += c * row[i]
+            for i, m in enumerate(rows[j]):
+                if m:
+                    out[i] += c * m
         return tuple(out)
 
     def table_of_marks(self) -> QMatrix:
@@ -142,7 +194,7 @@ class BurnsideRing:
         ci = self.class_index.get(k)
         if ci is None:
             raise BurnsideError("idempotent index must be a subgroup of the ring's group")
-        if ci not in self._idem_cache:
+        if ci not in self._tables.idempotents:
             lat = self.lattice
             k0 = self.reps[ci]
             nk = lat.normalizer_in(k0, self.top)
@@ -150,8 +202,8 @@ class BurnsideRing:
             coeffs = [Fraction(0)] * self.size
             for l in lat.subgroups_of(k0):
                 coeffs[self.class_index[l]] += Fraction(lat.order(l), denom) * lat.mobius(l, k0)
-            self._idem_cache[ci] = tuple(coeffs)
-        return BurnsideElement(self, self._idem_cache[ci])
+            self._tables.idempotents[ci] = tuple(coeffs)
+        return BurnsideElement(self, self._tables.idempotents[ci])
 
     def idempotents(self) -> list["BurnsideElement"]:
         return [self.idempotent(rep) for rep in self.reps]

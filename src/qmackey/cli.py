@@ -255,7 +255,11 @@ def cmd_burnside_restrict(args) -> int:
     if args.element:
         from .serialize import burnside_from_json
 
-        elem = burnside_from_json(json.loads(args.element), ring)
+        try:
+            data = json.loads(args.element)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"malformed JSON in --element: {exc}") from None
+        elem = burnside_from_json(data, ring)
     elif args.idempotent:
         elem = ring.idempotent(lat.id_by_name(args.idempotent))
     else:

@@ -676,24 +676,37 @@ class SubgroupLattice:
         # weak values: a ring refers to its lattice, so a strong cache would make a cycle
         self.burnside_cache: weakref.WeakValueDictionary[int, object] = weakref.WeakValueDictionary()
         # per subgroup, the product, marks and idempotent tables of its Burnside
-        # ring; they hold tuples only, so rebuilt rings share them without a cycle
-        self.burnside_tables: dict[int, tuple[dict, dict, dict]] = {}
+        # ring; they hold no ring, so rebuilt rings share them without a cycle
+        self.burnside_tables: dict[int, object] = {}
 
     # -- enumeration ---------------------------------------------------------
 
     def _enumerate_subgroups(self) -> None:
+        """Every subgroup, each found with the generators it was reached by.
+
+        A cyclic subgroup keeps the first element that generates it, and the
+        join of S with <g> is the closure of gens(S) + (g,), skipped when g
+        lies in S.  Each round joins every new subgroup with every cyclic one,
+        so the chain C1, C1 v C2, ... of any subgroup's cyclic subgroups is
+        found link by link.
+        """
         G = self.group
-        cyclics = sorted({G.closure([g]) for g in range(G.order)})
-        found: set[tuple[int, ...]] = set(cyclics)
-        frontier = set(cyclics)
+        found: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for g in range(G.order):
+            found.setdefault(G.closure([g]), (g,))
+        cyclic_gens = [gens[0] for gens in found.values()]
+        frontier = list(found.items())
         while frontier:
-            new: set[tuple[int, ...]] = set()
-            for s in frontier:
-                for c in cyclics:
-                    j = G.closure(set(s) | set(c))
+            new = []
+            for s, gens in frontier:
+                members = set(s)
+                for g in cyclic_gens:
+                    if g in members:
+                        continue
+                    j = G.closure(gens + (g,))
                     if j not in found:
-                        found.add(j)
-                        new.add(j)
+                        found[j] = gens + (g,)
+                        new.append((j, found[j]))
             frontier = new
         ordered = sorted(found, key=lambda t: (len(t), t))
         self.subgroups = [Subgroup(t, i) for i, t in enumerate(ordered)]

@@ -87,6 +87,8 @@ def burnside_to_json(a: BurnsideElement) -> dict:
 
 
 def burnside_from_json(data: dict, ring) -> BurnsideElement:
+    if not isinstance(data, dict):
+        raise FormatError("a Burnside element must be an object of orbit class coefficients")
     coeffs = [Fraction(0)] * ring.size
     names = {ring.class_name(ci): ci for ci in range(ring.size)}
     for key, val in data.items():

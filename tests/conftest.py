@@ -31,3 +31,22 @@ def s3_lattice(corpus_lattices):
 @pytest.fixture(scope="session")
 def c2_lattice(corpus_lattices):
     return corpus_lattices["C2"]
+
+
+# Groups past the corpus, from permutation generators, with their subgroup counts.
+PAST_CORPUS = {
+    "D16": (["(1 2 3 4 5 6 7 8)", "(2 8)(3 7)(4 6)"], 19),
+    "C2^4": (["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 67),
+    "C4xC4": (["(1 2 3 4)", "(5 6 7 8)"], 15),
+    "C2xD8": (["(1 2 3 4)", "(2 4)", "(5 6)"], 35),
+    "D24": (["(1 2 3 4 5 6 7 8 9 10 11 12)", "(2 12)(3 11)(4 10)(5 9)(6 8)"], 34),
+    "S3xS3": (["(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)"], 60),
+    "C2xS4": (["(1 2)", "(1 2 3 4)", "(5 6)"], 98),
+}
+
+
+@pytest.fixture(scope="session")
+def past_corpus_lattices():
+    return {
+        name: groups.SubgroupLattice(groups.from_permutations(gens, name=name)) for name, (gens, _) in PAST_CORPUS.items()
+    }

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import burnside_reference
 from qmackey.burnside import BurnsideError, burnside_ring
 from qmackey.groups import SubgroupLattice, symmetric
 
@@ -333,5 +334,55 @@ class TestRingCache:
         gc.collect()
         assert len(lat.burnside_cache) == 0
         ring = burnside_ring(lat)
-        assert ring._idem_cache
+        assert ring._tables.idempotents
         assert ring.idempotent(lat.bottom).coeffs is coeffs
+
+
+class TestProductReferee:
+    """The product through the marks against the double-coset expansion it replaced."""
+
+    RINGS = ("C6", "S3", "D8", "Q8", "A4", "S4", "C2^4")  # every subgroup's ring; C2^4 only its top ring
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.sampled_from(RINGS), st.data())
+    def test_product_matches_double_coset_expansion(self, corpus_lattices, past_corpus_lattices, name, data):
+        if name == "C2^4":
+            ring = burnside_ring(past_corpus_lattices[name])
+        else:
+            lat = corpus_lattices[name]
+            ring = burnside_ring(lat, data.draw(st.integers(0, len(lat) - 1)))
+        coeffs = st.lists(st.one_of(st.just(0), small_coeffs), min_size=ring.size, max_size=ring.size)
+        a, b = ring.element(data.draw(coeffs)), ring.element(data.draw(coeffs))
+        got, want = a * b, burnside_reference.product(a, b)
+        assert got == want
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    @pytest.mark.parametrize("name", RINGS)
+    def test_basis_products_match_structure_constants(self, corpus_lattices, past_corpus_lattices, name):
+        lat = past_corpus_lattices[name] if name == "C2^4" else corpus_lattices[name]
+        tops = [lat.top] if name == "C2^4" else range(len(lat))
+        for h in tops:
+            ring = burnside_ring(lat, h)
+            basis = [ring.basis(r) for r in ring.reps]
+            for i, a in enumerate(basis):
+                for j, b in enumerate(basis):
+                    assert (a * b).coeffs == ring._mul_basis(i, j)
+
+
+class TestMarksReferee:
+    """Marks read off the lattice against counting the fixed cosets."""
+
+    @staticmethod
+    def check_every_ring(lat):
+        for h in range(len(lat)):
+            ring = burnside_ring(lat, h)
+            for j, b in enumerate(ring.reps):
+                assert ring.marks_basis(j) == tuple(len(lat.fixed_cosets(b, a, h)) for a in ring.reps)
+
+    @pytest.mark.parametrize("name", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4"])
+    def test_corpus(self, corpus_lattices, name):
+        self.check_every_ring(corpus_lattices[name])
+
+    @pytest.mark.parametrize("name", ["C2^4", "S3xS3", "C2xS4"])
+    def test_past_corpus(self, past_corpus_lattices, name):
+        self.check_every_ring(past_corpus_lattices[name])

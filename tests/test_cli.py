@@ -72,6 +72,12 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("element", ["{bad", "[1]", '"x"'])
+    def test_malformed_burnside_element_is_usage_error(self, capsys, element):
+        code, out, err = run(capsys, "burnside", "restrict", "c6", "--to", "C3", "--element", element)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_check_success_is_exit_zero(self, capsys):
         code, out, err = run(capsys, "--pretty", "mackey", "check", "burnside:c6")
         assert code == 0
@@ -333,6 +339,20 @@ class TestGoldenDemos:
         code, out, _ = run(capsys, "mackey", "box", "burnside:s3", "burnside:s3")
         assert code == 0
         assert out.encode() == (GOLDEN / "box_s3.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["table", "idempotents"])
+    def test_burnside_s4_matches_golden(self, capsys, command):
+        code, out, _ = run(capsys, "--format", "json", "burnside", command, "s4")
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"burnside_{command}_s4.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["table", "idempotents"])
+    def test_burnside_c2x4_matches_golden(self, capsys, tmp_path, command):
+        path = tmp_path / "c2x4.json"
+        path.write_text(json.dumps({"name": "C2^4", "degree": 8, "generators": ["(1 2)", "(3 4)", "(5 6)", "(7 8)"]}))
+        code, out, _ = run(capsys, "--format", "json", "burnside", command, str(path))
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"burnside_{command}_c2x4.json").read_bytes()
 
     def test_demo_deterministic_across_runs(self, capsys):
         _, first, _ = run(capsys, "demo", "c6")

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import PAST_CORPUS
 from qmackey.groups import (
     CapExceeded,
     GroupError,
@@ -41,6 +42,24 @@ def oracle_subgroups(G):
             found.add(G.closure([g, h]))
     for a, b in itertools.combinations(sorted(found), 2):
         assert G.closure(set(a) | set(b)) in found
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def oracle_join_enumeration(G):
+    """Every subgroup by joining each found subgroup with every cyclic one as element sets,
+    until no join is new."""
+    cyclics = sorted({G.closure([g]) for g in range(G.order)})
+    found = set(cyclics)
+    frontier = set(cyclics)
+    while frontier:
+        new = set()
+        for s in frontier:
+            for c in cyclics:
+                j = G.closure(set(s) | set(c))
+                if j not in found:
+                    found.add(j)
+                    new.add(j)
+        frontier = new
     return sorted(found, key=lambda t: (len(t), t))
 
 
@@ -229,6 +248,13 @@ class TestLattice:
     def test_corpus_enumeration_matches_oracle(self, corpus_lattices, name):
         lat = corpus_lattices[name]
         assert [s.elements for s in lat.subgroups] == oracle_subgroups(lat.group)
+
+    @pytest.mark.parametrize("name", sorted(PAST_CORPUS))
+    def test_enumeration_past_the_corpus(self, past_corpus_lattices, name):
+        """Rank-3 and rank-4 subgroups, which no 2-element subset generates, are found too."""
+        lat = past_corpus_lattices[name]
+        assert len(lat) == PAST_CORPUS[name][1]
+        assert [s.elements for s in lat.subgroups] == oracle_join_enumeration(lat.group)
 
     def test_subgroups_sorted_and_canonical(self, s4_lattice):
         orders = [s.order for s in s4_lattice.subgroups]

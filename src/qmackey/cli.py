@@ -10,6 +10,7 @@ malformed JSON, cap exceeded).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -656,7 +657,9 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     p = argparse.ArgumentParser(prog="qmackey", description=__doc__)
     p.add_argument("--cap", type=int, default=64, help="largest allowed group order")
     p.add_argument("--pretty", action="store_true", help="prefer human-readable tables")
@@ -720,9 +723,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.format == "dot" and (args.command, getattr(args, "subcommand", None)) != ("mackey", "lewis"):
+            raise UsageError("--format dot is only supported by mackey lewis")
         return args.func(args)
     except (UsageError, FormatError, GroupError, CapExceeded, BurnsideError) as exc:
         sys.stderr.write(f"error: {exc}\n")

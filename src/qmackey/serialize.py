@@ -38,6 +38,18 @@ def str_to_frac(s) -> Fraction:
         raise FormatError(f"bad rational {s!r}") from exc
 
 
+def _entry_from_json(x):
+    """A matrix entry: ``-?[0-9]+`` strings go straight to ``int``, the rest through ``str_to_frac``."""
+    if type(x) is str:
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(x)
+            except ValueError:  # past int's digit limit; str_to_frac reports it
+                pass
+    return str_to_frac(x)
+
+
 def matrix_to_json(M: QMatrix) -> list:
     return [[frac_to_str(x) for x in row] for row in M.data]
 
@@ -54,7 +66,7 @@ def matrix_from_json(rows, shape: tuple[int, int]) -> QMatrix:
         raise FormatError("matrix has rows of different lengths")
     if (len(rows), width) != (r, c):
         raise FormatError(f"matrix has shape {len(rows)}x{width}, expected {r}x{c}")
-    return QMatrix([[str_to_frac(x) for x in row] for row in rows])
+    return QMatrix([[_entry_from_json(x) for x in row] for row in rows])
 
 
 # -- groups ---------------------------------------------------------------------
@@ -127,6 +139,9 @@ def functor_from_json(data: dict, cap: int = 64) -> MackeyFunctor:
     for field in ("group", "levels", "restriction", "induction", "conjugation"):
         if field not in data:
             raise FormatError(f"functor data is missing {field!r}")
+    functor_name = data.get("name", "M")
+    if not isinstance(functor_name, str):
+        raise FormatError(f"functor name must be a string, not {functor_name!r}")
     G = group_from_json(data["group"], cap=cap)
     lat = SubgroupLattice(G, cap=cap)
     for field in ("levels", "restriction", "induction", "conjugation"):
@@ -176,7 +191,7 @@ def functor_from_json(data: dict, cap: int = 64) -> MackeyFunctor:
     expected_conj = {(pos, h) for pos in range(len(G.gens)) for h in range(len(lat))}
     if set(cgen) != expected_conj:
         raise FormatError("conjugation maps must cover every generator at every level")
-    return MackeyFunctor(lat, tuple(dims), res, ind, cgen, name=data.get("name", "M"))
+    return MackeyFunctor(lat, tuple(dims), res, ind, cgen, name=functor_name)
 
 
 def dump(data: dict) -> str:

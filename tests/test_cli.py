@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 from corruptions import constant_with_identity_induction
-from qmackey.cli import main
+from qmackey.cli import build_parser, main
 from qmackey.groups import FiniteGroup, SubgroupLattice, cyclic, symmetric
 from qmackey.mackey import MackeyError, burnside_mackey, rebase
-from qmackey.serialize import dump, functor_to_json, group_to_json
+from qmackey.linalg import QMatrix
+from qmackey.serialize import FormatError, dump, functor_to_json, group_to_json, matrix_from_json, str_to_frac
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -102,6 +103,7 @@ MALFORMED_FUNCTORS = {
     "matrix-of-strings": _set_map("restriction", "C1>C1", ["1"]),
     "float-entry": _set_map("restriction", "C2>C1", [[1.5, "1"]]),
     "ragged-rows": _set_map("restriction", "C2>C2", [["1", "0"], ["0"]]),
+    "name-not-a-string": lambda data: data.update(name=5),
 }
 
 
@@ -401,6 +403,92 @@ class TestTrailingGlobalFlags:
         code, out, err = run(capsys, "--cap", "4", "group", "info", "s4")
         assert code == 2
         assert "cap" in err
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process; no call sees another's flags."""
+
+    def outcome(self, capsys, path, argv):
+        if path.exists():
+            path.unlink()
+        code, out, err = run(capsys, *argv)
+        return code, out, err, path.read_text() if path.exists() else None
+
+    def test_calls_match_first_calls(self, capsys, tmp_path):
+        path = tmp_path / "report.txt"
+        calls = [
+            ["--format", "text", "--out", str(path), "mackey", "check", "burnside:s3"],
+            ["mackey", "check", "burnside:s3", "--format", "text", "--out", str(path)],
+            ["mackey", "check", "burnside:s3"],
+        ]
+        first = []
+        for argv in calls:
+            build_parser.cache_clear()
+            first.append(self.outcome(capsys, path, argv))
+        assert first[0] == first[1] == (0, "", "", "A: all axioms hold\n")
+        assert first[2][:2] == (0, dump({"functor": "A", "ok": True, "violations": []}) + "\n")
+        for _ in range(2):
+            assert [self.outcome(capsys, path, argv) for argv in calls] == first
+            with pytest.raises(SystemExit) as exc:
+                main(["mackey", "check", "burnside:s3", "--format", "xml"])
+            assert exc.value.code == 2
+            capsys.readouterr()
+
+
+class TestMatrixEntries:
+    """Integer entries skip ``Fraction``; every entry reads as ``str_to_frac`` reads it."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["0", "-0", "007", "-12", "+3", " 3", "1_0", "1.5", "1e3", "3/4", "\u00b2", "-", "", "9" * 5000],
+        ids=lambda entry: repr(entry) if len(entry) < 10 else f"{len(entry)}-digits",
+    )
+    def test_entry_reads_as_str_to_frac(self, capsys, tmp_path, entry):
+        try:
+            expected = QMatrix([[str_to_frac(entry)]])
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                matrix_from_json([[entry]], (1, 1))
+            assert str(got.value) == str(exc)
+            data = functor_to_json(burnside_mackey(SubgroupLattice(cyclic(2))))
+            data["restriction"]["C1>C1"] = [[entry]]
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(data))
+            code, out, err = run(capsys, "mackey", "check", str(path))
+            assert (code, out, err) == (2, "", f"error: {exc}\n")
+        else:
+            assert matrix_from_json([[entry]], (1, 1)) == expected
+
+
+DOT_REJECTED = [
+    ["group", "info", "c6"],
+    ["group", "subgroups", "c6"],
+    ["burnside", "table", "c6"],
+    ["burnside", "idempotents", "c6"],
+    ["burnside", "restrict", "c6", "--to", "C3", "--idempotent", "C3"],
+    ["mackey", "new", "burnside", "--group", "c6"],
+    ["mackey", "check", "burnside:c6"],
+    ["mackey", "split", "burnside:c6"],
+    ["mackey", "classify", "burnside:c6"],
+    ["mackey", "box", "burnside:c2", "burnside:c2"],
+    ["mackey", "green-check", "burnside:c6", "burnside"],
+    ["demo", "c6"],
+]
+
+
+class TestFormatDot:
+    """Only ``mackey lewis`` writes DOT; every other command refuses ``--format dot``."""
+
+    @pytest.mark.parametrize("argv", DOT_REJECTED, ids=lambda argv: " ".join(argv[:2]))
+    @pytest.mark.parametrize("leading", [True, False])
+    def test_rejected_outside_lewis(self, capsys, argv, leading):
+        flag = ["--format", "dot"]
+        code, out, err = run(capsys, *(flag + argv if leading else argv + flag))
+        assert (code, out, err) == (2, "", "error: --format dot is only supported by mackey lewis\n")
+
+    def test_lewis_writes_dot(self, capsys):
+        code, out, _ = run(capsys, "--format", "dot", "mackey", "lewis", "burnside:c6")
+        assert (code, out) == (0, (GOLDEN / "lewis_c6.dot").read_text())
 
 
 class TestRunAsModule:

@@ -259,6 +259,20 @@ def assemble(S: SplitData, name: str | None = None) -> MackeyFunctor:
     return direct_sum(*pieces, name=name) if pieces else constant(lat, 0, name=name)
 
 
+def _stacked_comparison(M: MackeyFunctor) -> tuple[list[FreeBlock], tuple[QMatrix, ...]]:
+    """The nonzero free blocks of M in class order, and the comparison maps
+    stacked over them level by level, certified invertible."""
+    lat = M.lattice
+    pieces = [(block, mor) for block, mor in (comparison_block(M, h) for h in lat.class_reps()) if block.module.dim]
+    maps = tuple(
+        vstack(*[mor.maps[k] for _, mor in pieces]) if pieces else QMatrix.zeros(0, M.dims[k]) for k in range(len(lat))
+    )
+    for k, m in enumerate(maps):
+        if m.rows != m.cols or not m.is_invertible():
+            raise MackeyError(f"comparison morphism fails to be invertible at level {lat.name(k)}")
+    return [block for block, _ in pieces], maps
+
+
 def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
     """The certified isomorphism from M onto the direct sum of its free pieces.
 
@@ -266,70 +280,48 @@ def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
     morphism, and certifies exact invertibility at every level.  Failure of
     any of these is a hard error: it would contradict the splitting theorem.
     """
-    lat = M.lattice
-    pieces = [(block, mor) for block, mor in (comparison_block(M, h) for h in lat.class_reps()) if block.module.dim]
-    if pieces:
-        target = direct_sum(*(block.functor for block, _ in pieces))
-        maps = tuple(vstack(*[mor.maps[k] for _, mor in pieces]) for k in range(len(lat)))
-    else:
-        target = zero_functor(lat)
-        maps = tuple(QMatrix.zeros(0, d) for d in M.dims)
-    iso = MackeyMorphism(M, target, maps)
-    for k in range(len(lat)):
-        m = iso.maps[k]
-        if m.rows != m.cols or not m.is_invertible():
-            raise MackeyError(
-                f"comparison morphism fails to be invertible at level {lat.name(k)}"
-            )
-    return iso
+    blocks, maps = _stacked_comparison(M)
+    target = direct_sum(*(block.functor for block in blocks)) if blocks else zero_functor(M.lattice)
+    return MackeyMorphism(M, target, maps)
 
 
 def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
-    """An explicit certified isomorphism between two functors, or None.
+    """A certified isomorphism M1 -> M2, or None exactly when none exists.
 
-    Splits both sides, finds Weyl-equivariant intertwiners classwise, lifts
-    them through the free construction and conjugates by the two comparison
-    isomorphisms.
+    By the classification M = (+)_(H) F_H(U_H M), so M1 and M2 are
+    isomorphic exactly when U_H M1 and U_H M2 are at every class (H).  The
+    answer is iso2^-1 . lift . iso1, where iso1 and iso2 are the certified
+    ``classify_iso`` of each side and the lift is F_H of an intertwiner
+    phi_H: U_H M1 -> U_H M2 at every class, that is id (x) phi_H restricted
+    to the Weyl-fixed bases.  It is invertible because phi_H is, and the
+    composite is validated as a morphism.  None is returned only when the
+    classes with nonzero Weyl modules differ or ``intertwiner`` finds two
+    modules with different dimensions or characters; any other failure
+    raises ``MackeyError``.
     """
     if M1.lattice is not M2.lattice:
         raise MackeyError("functors live over different lattices")
-    lat = M1.lattice
-    blocks1, blocks2, mors1, mors2, lifts = [], [], [], [], []
-    for h in lat.class_reps():
-        b1, m1 = comparison_block(M1, h)
-        b2, m2 = comparison_block(M2, h)
-        if b1.module.dim != b2.module.dim:
+    blocks1, iso1 = _stacked_comparison(M1)
+    blocks2, iso2 = _stacked_comparison(M2)
+    if [b.h for b in blocks1] != [b.h for b in blocks2]:
+        return None
+    try:
+        phis = [intertwiner(b1.module, b2.module) for b1, b2 in zip(blocks1, blocks2)]
+        if None in phis:
             return None
-        if b1.module.dim == 0:
-            continue
-        phi = intertwiner(b1.module, b2.module)
-        if phi is None:
-            return None
-        blocks1.append(b1)
-        blocks2.append(b2)
-        mors1.append(m1)
-        mors2.append(m2)
-        lifts.append(phi)
-    maps = []
-    for k in range(len(lat)):
-        # block diagonal lift of the intertwiners at this level
-        lift_k = mat_direct_sum(
-            *(
-                restrict_map(tensor(QMatrix.identity(len(b1.cosets[k])), phi), b1.bases[k], b2.bases[k])
-                for b1, b2, phi in zip(blocks1, blocks2, lifts)
+        maps = []
+        for k in range(len(M1.lattice)):
+            lift = mat_direct_sum(
+                *(
+                    restrict_map(tensor(QMatrix.identity(len(b1.cosets[k])), phi), b1.bases[k], b2.bases[k])
+                    for b1, b2, phi in zip(blocks1, blocks2, phis)
+                )
             )
-        )
-        a1 = vstack(*[m.maps[k] for m in mors1]) if mors1 else QMatrix.zeros(0, M1.dims[k])
-        a2 = vstack(*[m.maps[k] for m in mors2]) if mors2 else QMatrix.zeros(0, M2.dims[k])
-        if a1.rows != a1.cols or not a1.is_invertible():
-            return None
-        if a2.rows != a2.cols or not a2.is_invertible():
-            return None
-        maps.append(a2.inverse().matmul(lift_k).matmul(a1))
+            maps.append(iso2[k].inverse().matmul(lift).matmul(iso1[k]))
+    except LinAlgError as exc:
+        raise MackeyError(f"isomorphic Weyl modules failed to lift: {exc}") from exc
     iso = MackeyMorphism(M1, M2, tuple(maps))
     iso.validate()
-    if not iso.is_levelwise_iso():
-        return None
     return iso
 
 

@@ -124,7 +124,22 @@ def resolve_functor(spec: str, cap: int):
 
 
 def _fmt(args) -> str:
-    return "text" if args.pretty else args.format
+    return "text" if args.pretty else args.format or "json"
+
+
+_ONE_FORMAT = {("mackey", "new"): "json", ("mackey", "box"): "json", ("demo", None): "text"}
+
+
+def _check_format(args) -> None:
+    """Refuse output flags a command would ignore: ``_ONE_FORMAT`` commands write one form only."""
+    command = (args.command, getattr(args, "subcommand", None))
+    if args.format == "dot" and command != ("mackey", "lewis"):
+        raise UsageError("--format dot is only supported by mackey lewis")
+    if args.pretty and args.format not in (None, "text"):
+        raise UsageError(f"--pretty conflicts with --format {args.format}")
+    only = _ONE_FORMAT.get(command, args.format)
+    if args.format not in (None, only):
+        raise UsageError(f"{' '.join(filter(None, command))} only writes {only}, not --format {args.format}")
 
 
 def _emit(args, text: str) -> None:
@@ -664,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=64, help="largest allowed group order")
     p.add_argument("--pretty", action="store_true", help="prefer human-readable tables")
     p.add_argument("--out", help="write output to a file instead of stdout")
-    p.add_argument("--format", choices=["text", "json", "dot"], default="json")
+    p.add_argument("--format", choices=["text", "json", "dot"], help="output form (default json)")
     # the same flags after the subcommand; suppressed defaults keep the values given before it
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     flags.add_argument("--cap", type=int, help="largest allowed group order")
@@ -725,8 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.format == "dot" and (args.command, getattr(args, "subcommand", None)) != ("mackey", "lewis"):
-            raise UsageError("--format dot is only supported by mackey lewis")
+        _check_format(args)
         return args.func(args)
     except (UsageError, FormatError, GroupError, CapExceeded, BurnsideError) as exc:
         sys.stderr.write(f"error: {exc}\n")

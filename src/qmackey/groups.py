@@ -58,16 +58,6 @@ def _cycles(text: str) -> list[list[int]]:
     return cycles
 
 
-def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
-    """Parse 1-based cycle notation like ``"(1 2)(3 4 5)"`` into a 0-based image tuple.
-
-    Fixed points may be omitted; ``degree`` extends the permutation with fixed
-    points beyond the largest moved point.
-    """
-    cycles = _cycles(text)
-    return _image(cycles, max([degree or 0] + [max(c) for c in cycles]))
-
-
 def _image(cycles: list[list[int]], n: int) -> tuple[int, ...]:
     """The 0-based image tuple on n points of a product of 1-based cycles."""
     image = list(range(n))

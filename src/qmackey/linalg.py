@@ -23,6 +23,7 @@ downstream are reproducible run to run.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -610,34 +611,36 @@ def trivial_multiplicity(V: WModule) -> Fraction:
     return total / V.group.order
 
 
-def intertwiner(V1: WModule, V2: WModule) -> QMatrix | None:
-    """An invertible equivariant map V1 -> V2, if one can be found by averaging.
+_REYNOLDS_TRIES = 64
 
-    Runs over a deterministic family of seed matrices; returns None when no
-    invertible average shows up (in particular when the modules are not
-    isomorphic).
+
+def intertwiner(V1: WModule, V2: WModule) -> QMatrix | None:
+    """An invertible equivariant map V1 -> V2; None exactly when V1 and V2 are not isomorphic.
+
+    Over Q a representation is determined by its character (Serre, *Linear
+    Representations of Finite Groups*, section 12), so None is returned exactly
+    when the dimensions or characters differ.  Otherwise the answer is the
+    Reynolds average T = sum_g rho2(g) C rho1(g^-1) of an n x n integer matrix
+    C with entries in {1, ..., 2n}, drawn by a ``random.Random`` of fixed seed.
+
+    Proof.  T -> (1/|W|) sum_g rho2(g) T rho1(g)^-1 is a projection onto
+    Hom_W(V1, V2), so det of the average is a polynomial of degree <= n in
+    the entries of C.  It is nonzero exactly when V1 ~ V2, since an invertible
+    equivariant map is its own average.  By the Schwartz-Zippel lemma
+    (Schwartz, *JACM* 1980) each draw is a root with probability <= n/2n = 1/2.
+    A singular T is redrawn up to ``_REYNOLDS_TRIES`` times, then ``LinAlgError``.
     """
     if V1.group is not V2.group and V1.group.order != V2.group.order:
         raise LinAlgError("modules live over different groups")
-    if V1.dim != V2.dim:
+    if V1.dim != V2.dim or V1.character() != V2.character():
         return None
-    if V1.dim == 0:
-        return QMatrix.zeros(0, 0)
-    G = V1.group
-    n = V1.dim
-    seeds = []
-    for i in range(n):
-        for j in range(n):
-            seeds.append((i, j))
-    acc = QMatrix.zeros(n, n)
-    for i, j in seeds:
-        E = _new(n, n, [{j: 1} if r == i else {} for r in range(n)])
-        avg = QMatrix.zeros(n, n)
+    n, G = V1.dim, V1.group
+    rng = random.Random(0)
+    for _ in range(_REYNOLDS_TRIES):
+        C = _new(n, n, [{j: rng.randint(1, 2 * n) for j in range(n)} for _ in range(n)])
+        T = QMatrix.zeros(n, n)
         for g in range(G.order):
-            avg = avg + V2.matrix(g).matmul(E).matmul(V1.matrix(G.inv(g)))
-        if avg.is_invertible():
-            return avg
-        acc = acc + avg
-        if acc.is_invertible():
-            return acc
-    return None
+            T = T + V2.matrix(g).matmul(C).matmul(V1.matrix(G.inv(g)))
+        if T.is_invertible():
+            return T
+    raise LinAlgError(f"no invertible Reynolds average in {_REYNOLDS_TRIES} tries on isomorphic modules")

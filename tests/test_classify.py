@@ -324,6 +324,37 @@ class TestCertifyIso:
         assert certify_iso(c6A, direct_sum(c6A, c6A)) is None
 
 
+# A 4x4 integer matrix conjugating R + R over C2 (R the regular module) to a
+# module that the averages of single matrix units never map onto invertibly.
+WITNESS_T = [[1, 1, 1, 1], [-1, 0, -2, -3], [2, 0, 5, 7], [0, -2, 3, 6]]
+
+
+class TestRepeatedSummandWitness:
+    """V = R + R over C2 and its conjugate by WITNESS_T have equal characters, so are isomorphic."""
+
+    @pytest.fixture
+    def pair(self, c2_lattice):
+        R = WModule.regular(c2_lattice.weyl(c2_lattice.bottom).group)
+        V = R.direct_sum(R)
+        return V, V.conjugated(QMatrix(WITNESS_T))
+
+    def test_intertwiner_is_invertible_and_equivariant(self, pair):
+        V, V2 = pair
+        X = intertwiner(V, V2)
+        assert X is not None and X.is_invertible()
+        for g in range(V.group.order):
+            assert X.matmul(V.matrix(g)) == V2.matrix(g).matmul(X)
+
+    def test_certify_iso_on_free_functors(self, c2_lattice, pair):
+        V, V2 = pair
+        M = free_functor(c2_lattice, c2_lattice.bottom, V)
+        N = free_functor(c2_lattice, c2_lattice.bottom, V2)
+        iso = certify_iso(M, N)
+        assert iso is not None and (iso.source, iso.target) == (M, N)
+        iso.validate(full=True)
+        assert iso.is_levelwise_iso()
+
+
 class TestDiagonal:
     def test_s4_transposition_example(self, s4_lattice):
         G = s4_lattice.group

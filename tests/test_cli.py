@@ -491,6 +491,38 @@ class TestFormatDot:
         assert (code, out) == (0, (GOLDEN / "lewis_c6.dot").read_text())
 
 
+class TestIgnoredOutputFlags:
+    """An output flag a command cannot honour exits 2 instead of being ignored."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--pretty", "--format", "dot", "mackey", "lewis", "burnside:c2"], "--pretty conflicts with --format dot"),
+            (["--pretty", "--format", "json", "group", "info", "c2"], "--pretty conflicts with --format json"),
+            (["--format", "text", "mackey", "box", "burnside:c2", "burnside:c2"], "mackey box only writes json, not --format text"),
+            (["--format", "text", "mackey", "new", "burnside", "--group", "c2"], "mackey new only writes json, not --format text"),
+            (["--format", "json", "demo", "c6"], "demo only writes text, not --format json"),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+    )
+    def test_rejected(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flags, argv",
+        [
+            (["--format", "json"], ["mackey", "box", "burnside:c2", "burnside:c2"]),
+            (["--format", "json"], ["mackey", "new", "burnside", "--group", "c2"]),
+            (["--format", "text"], ["demo", "c6"]),
+            (["--pretty", "--format", "text"], ["group", "info", "c2"]),
+        ],
+    )
+    def test_the_format_a_command_writes_is_accepted(self, capsys, flags, argv):
+        code, out, err = run(capsys, *flags, *argv)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *(["--pretty"] if "--pretty" in flags else []), *argv)[1]
+
+
 class TestRunAsModule:
     def test_python_dash_m_runs_the_cli(self, capsys):
         """``python -m qmackey`` works from a checkout and passes main's output and exit code through."""

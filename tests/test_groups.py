@@ -4,6 +4,8 @@ import pytest
 
 from conftest import PAST_CORPUS
 from qmackey.groups import (
+    _cycles,
+    _image,
     CapExceeded,
     GroupError,
     GSet,
@@ -18,7 +20,6 @@ from qmackey.groups import (
     from_permutations,
     left_cosets,
     load_group,
-    parse_cycles,
     quaternion,
     quotient_group,
     subgroup_group,
@@ -207,19 +208,23 @@ class TestLoadGroup:
 
 
 class TestCycleNotation:
+    """1-based cycle notation read into 0-based image tuples on a given number of points."""
+
     def test_parse_roundtrip(self):
-        img = parse_cycles("(1 2)(3 4 5)", degree=6)
+        img = _image(_cycles("(1 2)(3 4 5)"), 6)
         assert img == (1, 0, 3, 4, 2, 5)
 
     def test_fixed_points_omitted(self):
-        assert parse_cycles("(2 3)", degree=4) == (0, 2, 1, 3)
+        assert _image(_cycles("(2 3)"), 4) == (0, 2, 1, 3)
 
     def test_identity(self):
-        assert parse_cycles("()", degree=3) == (0, 1, 2)
+        assert _image(_cycles("()"), 3) == (0, 1, 2)
 
     def test_rejects_repeats(self):
         with pytest.raises(GroupError):
-            parse_cycles("(1 1 2)")
+            _cycles("(1 1 2)")
+        with pytest.raises(GroupError):
+            load_group({"degree": 2, "generators": ["(1 1 2)"]})
 
 
 # ---------------------------------------------------------------------------

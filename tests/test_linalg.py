@@ -1,10 +1,13 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qmackey.groups import cyclic, symmetric
+from qmackey.classify import random_invertible
+from qmackey.groups import SubgroupLattice, coset_gset, cyclic, quaternion, symmetric
 from qmackey.linalg import (
     LinAlgError,
     QMatrix,
@@ -310,6 +313,79 @@ class TestWModule:
         triv = WModule.trivial(W, 1)
         sign = WModule(W, 1, (QMatrix([[-1]]),))
         assert intertwiner(triv, sign) is None
+
+
+WEYL_GROUPS = {"C2": cyclic(2), "C3": cyclic(3), "S3": symmetric(3), "C4": cyclic(4), "Q8": quaternion()}
+MAX_MODULE_DIM = 10
+
+
+def _sign_module(W):
+    """A one-dimensional module with a nontrivial character, or None when W has no subgroup of index 2."""
+    lat = SubgroupLattice(W)
+    for k in range(len(lat)):
+        if 2 * lat.order(k) == W.order:
+            kernel = set(lat.elements(k))
+            return WModule(W, 1, tuple(QMatrix([[1 if s in kernel else -1]]) for s in W.gens))
+    return None
+
+
+SIGN_MODULES = {name: _sign_module(W) for name, W in WEYL_GROUPS.items()}
+
+
+@st.composite
+def permutation_sums(draw):
+    """(group name, permutation-module summands, conjugation seed, index of a summand to swap)."""
+    name = draw(st.sampled_from(sorted(WEYL_GROUPS)))
+    W = WEYL_GROUPS[name]
+    seeds = draw(st.lists(st.lists(st.integers(0, W.order - 1), max_size=2), min_size=1, max_size=4))
+    summands, dim = [], 0
+    for gens in seeds:
+        P = WModule.from_gset(W, coset_gset(W, W.closure(gens)))
+        if dim + P.dim <= MAX_MODULE_DIM:
+            summands.append(P)
+            dim += P.dim
+    if not summands:
+        summands.append(WModule.trivial(W, 1))
+    return name, summands, draw(st.integers(0, 2**32)), draw(st.integers(0, len(summands) - 1))
+
+
+class TestReynoldsIntertwiner:
+    """``intertwiner`` answers None exactly on differing characters, and otherwise an isomorphism."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(permutation_sums())
+    def test_sums_of_permutation_modules(self, case):
+        name, summands, seed, swap = case
+        W = WEYL_GROUPS[name]
+        V = functools.reduce(WModule.direct_sum, summands)
+        V2 = V.conjugated(random_invertible(V.dim, random.Random(seed)))
+        state = random.getstate()
+        X = intertwiner(V, V2)
+        assert X is not None and X.is_invertible()
+        for g in range(W.order):
+            assert X.matmul(V.matrix(g)) == V2.matrix(g).matmul(X)
+        assert intertwiner(V, V2) == X
+        assert random.getstate() == state
+        # a summand of the same dimension but another character
+        d = summands[swap].dim
+        other = WModule.trivial(W, d) if d > 1 else SIGN_MODULES[name]
+        if other is not None:
+            swapped = functools.reduce(WModule.direct_sum, summands[:swap] + [other] + summands[swap + 1 :])
+            assert intertwiner(V2, swapped) is None
+
+    def test_runs_out_of_tries_with_an_error(self, monkeypatch):
+        # V is not isomorphic to V2 = sign, but the characters are faked equal
+        W = cyclic(2)
+        V, V2 = WModule.trivial(W, 1), SIGN_MODULES["C2"]
+        monkeypatch.setattr(WModule, "character", lambda self: [1, 1])
+        with pytest.raises(LinAlgError):
+            intertwiner(V, V2)
 
 
 class TestRestrictMap:

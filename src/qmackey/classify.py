@@ -15,6 +15,7 @@ level by level rather than assumed.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from .linalg import (
     QMatrix,
     WModule,
     block_matrix,
+    coordinates,
     direct_sum as mat_direct_sum,
     intertwiner,
     permutation_matrix,
@@ -217,9 +219,8 @@ def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphis
             if coords is None:
                 raise MackeyError("comparison component escapes the local piece")
             rows.append(coords)
-        ambient = vstack(*rows)
-        coords = block.bases[k].solve(ambient)
-        if coords is None or block.bases[k].matmul(coords) != ambient:
+        coords = coordinates(block.bases[k], vstack(*rows))
+        if coords is None:
             raise MackeyError("comparison component is not Weyl-fixed")
         maps.append(coords)
     mor = MackeyMorphism(M, block.functor, tuple(maps))
@@ -259,9 +260,16 @@ def assemble(S: SplitData, name: str | None = None) -> MackeyFunctor:
     return direct_sum(*pieces, name=name) if pieces else constant(lat, 0, name=name)
 
 
-def _stacked_comparison(M: MackeyFunctor) -> tuple[list[FreeBlock], tuple[QMatrix, ...]]:
+_last_comparison: list = [lambda: None, None]  # (weak reference to the last M, its comparison)
+
+
+def _stacked_comparison(M: MackeyFunctor) -> tuple[tuple[FreeBlock, ...], tuple[QMatrix, ...]]:
     """The nonzero free blocks of M in class order, and the comparison maps
-    stacked over them level by level, certified invertible."""
+    stacked over them level by level, certified invertible.  Memoized for
+    the last M only; functors are immutable, so the entry cannot go stale."""
+    ref, hit = _last_comparison  # one read, so a concurrent store cannot pair M with another comparison
+    if ref() is M:
+        return hit
     lat = M.lattice
     pieces = [(block, mor) for block, mor in (comparison_block(M, h) for h in lat.class_reps()) if block.module.dim]
     maps = tuple(
@@ -270,7 +278,8 @@ def _stacked_comparison(M: MackeyFunctor) -> tuple[list[FreeBlock], tuple[QMatri
     for k, m in enumerate(maps):
         if m.rows != m.cols or not m.is_invertible():
             raise MackeyError(f"comparison morphism fails to be invertible at level {lat.name(k)}")
-    return [block for block, _ in pieces], maps
+    _last_comparison[:] = weakref.ref(M), (tuple(block for block, _ in pieces), maps)
+    return _last_comparison[1]
 
 
 def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
@@ -279,6 +288,7 @@ def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
     Stacks the comparison morphisms classwise, validates the result as a
     morphism, and certifies exact invertibility at every level.  Failure of
     any of these is a hard error: it would contradict the splitting theorem.
+    M's comparison stays in a one-entry memo, for ``certify_iso`` to reuse.
     """
     blocks, maps = _stacked_comparison(M)
     target = direct_sum(*(block.functor for block in blocks)) if blocks else zero_functor(M.lattice)
@@ -297,7 +307,7 @@ def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
     composite is validated as a morphism.  None is returned only when the
     classes with nonzero Weyl modules differ or ``intertwiner`` finds two
     modules with different dimensions or characters; any other failure
-    raises ``MackeyError``.
+    raises ``MackeyError``.  ``classify_iso(M1)`` leaves M1's comparison in the memo.
     """
     if M1.lattice is not M2.lattice:
         raise MackeyError("functors live over different lattices")

@@ -9,16 +9,13 @@ and never change once a matrix holds them, so matrices share rows freely.
 Every kernel touches only stored entries; ``data``, ``row``, ``col`` and
 ``entry`` build ``Fraction``s on demand.
 
-Each matrix factors itself for solving once: the first ``solve`` runs one
-``rref`` of ``[A | I]`` and keeps the pivots of A with the transform E in a
-private slot, and every ``solve`` after that is the sparse product E @ rhs.
-A matrix never changes, so the factorization cannot go stale.  ``inverse``
-and ``restrict_map`` solve through it, and so does every basis solve of the
-classification, which solves against the same few bases many times.
-
 Kernel and image bases come out in a canonical echelon form (the reduced row
 echelon form is unique) so that compositions of the isomorphisms built
-downstream are reproducible run to run.
+downstream are reproducible run to run.  ``solve`` on such a basis picks
+the rows of its identity block, kept in a private slot, and checks one
+product; any other matrix is factored once, at its first ``solve``, into the
+pivots and transform kept in that slot.  A matrix never changes, so neither
+can go stale.
 """
 
 from __future__ import annotations
@@ -54,10 +51,10 @@ def _frac(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _new(rows: int, cols: int, body) -> "QMatrix":
+def _new(rows: int, cols: int, body, solver=None) -> "QMatrix":
     """A matrix from normal-form sparse rows, bypassing ``__init__``."""
     m = object.__new__(QMatrix)
-    m.rows, m.cols, m._rows, m._solver = rows, cols, tuple(body), None
+    m.rows, m.cols, m._rows, m._solver = rows, cols, tuple(body), solver
     return m
 
 
@@ -315,7 +312,7 @@ class QMatrix:
         return len(self.rref()[1])
 
     def kernel(self) -> "QMatrix":
-        """Columns form the canonical basis of the null space."""
+        """Columns form the canonical basis of the null space; ``solve`` selects its unit free rows."""
         R, pivots = self.rref()
         pivot_set = set(pivots)
         free = {c: t for t, c in enumerate(c for c in range(self.cols) if c not in pivot_set)}
@@ -324,12 +321,12 @@ class QMatrix:
             out[c][t] = 1
         for pc, row in zip(pivots, R._rows):
             out[pc] = {free[j]: -x for j, x in row.items() if j != pc}
-        return _new(self.cols, len(free), out)
+        return _new(self.cols, len(free), out, (tuple(free), None))
 
     def image(self) -> "QMatrix":
-        """Columns form the canonical (row-echelon of transpose) basis of the column space."""
+        """The canonical column-space basis (row-echelon of transpose); ``solve`` selects its unit pivot rows."""
         R, pivots = self.transpose().rref()
-        return _new(self.rows, len(pivots), _transposed(R._rows[: len(pivots)], self.rows))
+        return _new(self.rows, len(pivots), _transposed(R._rows[: len(pivots)], self.rows), (pivots, None))
 
     def solve(self, rhs: "QMatrix") -> "QMatrix | None":
         """Solve self @ X = rhs; None when inconsistent.
@@ -337,9 +334,13 @@ class QMatrix:
         With several solutions, free variables are set to zero, which keeps
         the output canonical.
 
-        The first call factors A = self once: the reduced form of ``[A | I]``
-        is ``[E A | E]`` with E invertible, E A the reduced form of A, and the
-        rows of E A past its rank r zero.  Every call then forms E @ rhs.
+        A ``kernel`` or ``image`` basis B has B[S] = I on known rows S.  A
+        solution Y has Y = B[S] Y = rhs[S] =: X, so B @ X == rhs exactly when
+        rhs lies in the span of B, and X is then the unique solution.
+
+        Any other A = self is factored at the first call: the reduced form of
+        ``[A | I]`` is ``[E A | E]`` with E invertible, E A the reduced form of
+        A, and the rows of E A past its rank r zero.  Every call forms E @ rhs.
         ``[E A | E rhs]`` is row-equivalent to ``[A | rhs]``, and A @ X = rhs
         is consistent exactly when rows r: of E @ rhs vanish.  In that case
         ``[E A | E rhs]`` is itself in reduced form (the pivots are those of
@@ -356,6 +357,9 @@ class QMatrix:
             rank = sum(1 for p in pivots if p < n)
             E = _new(self.rows, self.rows, [{j - n: x for j, x in row.items() if j >= n} for row in R._rows])
             self._solver = (pivots[:rank], E)
+        if self._solver[1] is None:
+            X = _new(self.cols, rhs.cols, [rhs._rows[i] for i in self._solver[0]])
+            return X if self.matmul(X) == rhs else None
         pivots, E = self._solver
         Y = E.matmul(rhs)._rows
         if any(Y[len(pivots):]):
@@ -459,15 +463,20 @@ def restrict_map(ambient: QMatrix, src_basis: QMatrix, dst_basis: QMatrix) -> QM
     has; then the answer is unique, and for the identity map from a basis to
     itself it is the identity, returned without solving.
     Raises when the ambient map does not carry the source subspace into the
-    target one; the callers rely on that as a correctness check.
+    target one, as the product in ``coordinates`` checks; callers rely on it.
     """
     if src_basis is dst_basis and ambient.is_identity() and ambient.cols == src_basis.rows:
         return QMatrix.identity(src_basis.cols)
-    mapped = ambient.matmul(src_basis)
-    coeff = dst_basis.solve(mapped)
-    if coeff is None or dst_basis.matmul(coeff) != mapped:
+    coeff = coordinates(dst_basis, ambient.matmul(src_basis))
+    if coeff is None:
         raise LinAlgError("map does not preserve the given subspaces")
     return coeff
+
+
+def coordinates(basis: QMatrix, rhs: QMatrix) -> QMatrix | None:
+    """X with ``basis @ X == rhs`` checked by one product (``solve``'s own on an echelon basis), or None."""
+    X = basis.solve(rhs)
+    return None if X is None or (basis._solver[1] is not None and basis.matmul(X) != rhs) else X
 
 
 def quotient_space(ambient_dim: int, relations: QMatrix) -> tuple[QMatrix, QMatrix]:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -322,6 +324,29 @@ class TestCertifyIso:
 
     def test_nonisomorphic_detected(self, c6_lattice, c6A):
         assert certify_iso(c6A, direct_sum(c6A, c6A)) is None
+
+    def test_comparison_memo(self, s3_lattice):
+        """The one-entry memo of M's comparison changes no answer and keeps no functor alive."""
+        from qmackey.classify import random_invertible
+        from qmackey.mackey import basis_change
+
+        rng = random.Random(31)
+        M = random_functor(s3_lattice, rng)
+        N = basis_change(M, [random_invertible(d, rng) for d in M.dims])
+        classify_iso(N)  # M is not the memoized functor
+        cold = certify_iso(M, N)
+        first = classify_iso(M)
+        assert classify._stacked_comparison(M) is classify._stacked_comparison(M)
+        assert classify_iso(M).maps == first.maps
+        warm = certify_iso(M, N)
+        assert cold is not None and warm.maps == cold.maps
+        assert classify._last_comparison[0]() is N
+        same = certify_iso(M, M)
+        assert same is not None and (same.source, same.target) == (M, M) and same.is_levelwise_iso()
+        ref = weakref.ref(M)
+        del M, N, cold, first, warm, same
+        gc.collect()
+        assert ref() is None
 
 
 # A 4x4 integer matrix conjugating R + R over C2 (R the regular module) to a

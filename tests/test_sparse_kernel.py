@@ -218,3 +218,51 @@ def test_restrict_map_rejects_a_map_leaving_the_subspace():
         dst.solve(QMatrix.zeros(3, 1))  # a factorization made before must not matter
         with pytest.raises(LinAlgError):
             linalg.restrict_map(shift, src, dst)
+    # the same subspaces as kernel and image bases, whose solves select rows
+    echelon = {
+        "line": (QMatrix([[1, -1, 0], [0, 0, 1]]).kernel(), QMatrix.column([2, 2, 0]).image()),
+        "plane": (QMatrix([[0, 0, 1]]).kernel(), plane.image()),
+    }
+    for line_e, plane_e in zip(echelon["line"], echelon["plane"]):
+        assert line_e._solver[1] is None and plane_e._solver[1] is None
+        assert linalg.restrict_map(swap, line_e, line_e) == QMatrix.identity(1)
+        assert linalg.restrict_map(swap, plane_e, plane_e) == linalg.permutation_matrix([1, 0])
+        assert linalg.restrict_map(swap, line, plane_e) == QMatrix.column([1, 1])
+        for src, dst in ((line_e, line_e), (plane_e, plane_e), (plane_e, line_e), (line, plane_e)):
+            with pytest.raises(LinAlgError):
+                linalg.restrict_map(shift, src, dst)
+            assert dst._solver[1] is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(DIM.flatmap(lambda r: DIM.flatmap(lambda c: st.tuples(pairs(r, c), st.integers(0, 3)))), st.data())
+def test_echelon_solves(args, data):
+    """Solves on ``kernel`` and ``image`` bases, which select rows of the right-hand side.
+
+    The right-hand sides are consistent (B @ X) and arbitrary (often
+    inconsistent).  Each answer must match a dense elimination against the
+    same basis, and the copy ``QMatrix(B)`` must answer the same way.  The
+    kernel of an identity has no columns, and neither has the image of a
+    zero matrix.
+    """
+    A, m = args
+    r, c = A.q.rows, A.q.cols
+    bases = [
+        (A.q.kernel(), A.d.kernel()),
+        (A.q.image(), A.d.image()),
+        (QMatrix.identity(c).kernel(), ref.DenseMatrix.identity(c).kernel()),
+        (QMatrix.zeros(r, c).image(), ref.DenseMatrix.zeros(r, c).image()),
+    ]
+    for B, B_ref in bases:
+        assert same(B, B_ref)
+        X, b = data.draw(pairs(B.cols, m)), data.draw(pairs(B.rows, m))
+        for consistent, rhs, rhs_ref in ((True, B.matmul(X.q), B_ref.matmul(X.d)), (False, b.q, b.d)):
+            sol_ref = B_ref.solve(rhs_ref)
+            assert not consistent or sol_ref is not None
+            for basis in (B, QMatrix(B)):
+                sol = basis.solve(rhs)
+                assert basis._solver[1] is None  # a row selection, never a factorization
+                assert (sol is None) == (sol_ref is None)
+                assert sol is None or same(sol, sol_ref)
+        assert X.unchanged() and b.unchanged()
+    assert A.unchanged()

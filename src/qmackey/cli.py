@@ -417,6 +417,9 @@ def cmd_mackey_box(args) -> int:
         N = rebase(N, M.lattice)
     except MackeyError:
         raise UsageError(f"cannot box functors over different groups ({M.group.name} and {N.group.name})") from None
+    for spec, X in ((args.a, M), (args.b, N)):
+        if not (report := check_axioms(X, fail_fast=True)).ok:
+            raise MackeyError(f"{spec} is not a Mackey functor: {report.violations[0]}")
     B = box(M, N)
     payload = dump(functor_to_json(B))
     if args.out:

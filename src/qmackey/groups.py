@@ -487,7 +487,6 @@ def quotient_group(G: FiniteGroup, N: tuple[int, ...], name: str = "Q") -> tuple
         if any(G.conj(g, x) not in nset for x in N):
             raise GroupError("subgroup is not normal; cannot form quotient")
     reps = left_cosets(G, tuple(sorted(N)))
-    rep_pos = {r: i for i, r in enumerate(reps)}
     proj = [0] * G.order
     for i, r in enumerate(reps):
         for h in N:
@@ -610,10 +609,11 @@ class GMap:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup: sorted element tuple plus its index in the lattice."""
+    """A subgroup: sorted element tuple, its index in the lattice, and generators of it."""
 
     elements: tuple[int, ...]
     index: int
+    gens: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -636,8 +636,6 @@ class SubgroupLattice:
         self._id_of: dict[tuple[int, ...], int] = {}
         self._enumerate_subgroups()
         n = len(self.subgroups)
-        self._down: list[tuple[int, ...]] = []  # ids of subgroups contained in each H
-        self._up: list[tuple[int, ...]] = []
         self._build_poset()
         # conj_table[g][h_id] = id of g H g^-1
         self.conj_table = [
@@ -699,19 +697,15 @@ class SubgroupLattice:
                         new.append((j, found[j]))
             frontier = new
         ordered = sorted(found, key=lambda t: (len(t), t))
-        self.subgroups = [Subgroup(t, i) for i, t in enumerate(ordered)]
+        self.subgroups = [Subgroup(t, i, found[t]) for i, t in enumerate(ordered)]
         self._id_of = {t: i for i, t in enumerate(ordered)}
 
     def _build_poset(self) -> None:
+        """``_down[h]``: the ids of the subgroups of H; ``_up[k]``: those of the subgroups containing K."""
         sets = [set(s.elements) for s in self.subgroups]
         n = len(sets)
-        down, up = [], []
-        for h in range(n):
-            down.append(tuple(k for k in range(n) if sets[k] <= sets[h]))
-        for k in range(n):
-            up.append(tuple(h for h in range(n) if sets[k] <= sets[h]))
-        self._down = down
-        self._up = up
+        self._down: list[tuple[int, ...]] = [tuple(k for k in range(n) if sets[k] <= sets[h]) for h in range(n)]
+        self._up: list[tuple[int, ...]] = [tuple(h for h in range(n) if sets[k] <= sets[h]) for k in range(n)]
 
     def _build_classes(self) -> None:
         n = len(self.subgroups)
@@ -763,6 +757,10 @@ class SubgroupLattice:
 
     def order(self, h: int) -> int:
         return self.subgroups[h].order
+
+    def gens(self, h: int) -> tuple[int, ...]:
+        """Generators of H, the ones its enumeration reached it by."""
+        return self.subgroups[h].gens
 
     def leq(self, k: int, h: int) -> bool:
         return h in self._up[k]
@@ -823,18 +821,12 @@ class SubgroupLattice:
     def cover_pairs(self) -> list[tuple[int, int]]:
         """All pairs (H, K) with K maximal proper in H, by lattice id."""
         if self._covers is None:
-            out = []
-            for h in range(len(self.subgroups)):
-                for k in self._down[h]:
-                    if k == h:
-                        continue
-                    between = any(
-                        l != k and l != h and self.leq(k, l)
-                        for l in self._down[h]
-                    )
-                    if not between:
-                        out.append((h, k))
-            self._covers = out
+            self._covers = [
+                (h, k)
+                for h, below in enumerate(self._down)
+                for k in below
+                if k != h and not any(l != k and l != h and self.leq(k, l) for l in below)
+            ]
         return self._covers
 
     def is_normal(self, h: int) -> bool:

@@ -237,9 +237,6 @@ class QMatrix:
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(_frac(row[j]) if j in row else _ZERO for row in self._rows)
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return list(self.transpose().data)
-
     def nonzero_cols(self) -> set[int]:
         """The indices of the columns that hold a nonzero entry."""
         return {j for row in self._rows for j in row}
@@ -480,34 +477,32 @@ def coordinates(basis: QMatrix, rhs: QMatrix) -> QMatrix | None:
 
 
 def quotient_space(ambient_dim: int, relations: QMatrix) -> tuple[QMatrix, QMatrix]:
-    """Quotient of Q^n by the column span of ``relations``.
+    """Quotient of Q^n by the column span W of ``relations``.
 
-    Returns ``(projection, section)`` with ``projection @ section`` the
-    identity of the quotient.
-
-    Let ``span`` be the canonical basis of the relation span, with k columns,
-    and run one ``rref`` of ``[span | I]``.  A column is a pivot exactly when
-    it lies outside the span of the columns before it.  The columns of
-    ``span`` are independent, so they are the first k pivots; the remaining
-    pivots fall in the ``I`` block, and each picks the first standard basis
-    vector outside the span of ``span`` and of the vectors already picked.
-    Those vectors form the section.  The matrix has rank n, so its reduced
-    form has the identity in the pivot columns: the ``I`` block of the
-    reduced form E satisfies ``E [span | section] = I``, that is
-    ``E = [span | section]^-1``.  Rows k: of E are the projection, which
-    kills the span and inverts the section.
+    Returns ``(projection, section)``: the projection kills W and inverts the
+    section, which is the greedy complement.  e_i is kept when it lies outside
+    W plus the kept vectors before it, which span W + <e_0, ..., e_{i-1}>, so
+    exactly when no vector of W has its last nonzero entry at i.  Both maps
+    depend on W alone.  One ``_rref_rows`` of the relation vectors, with the
+    coordinates reversed so that last entries lead, finds both: the kept
+    coordinates are its non-pivots, and the reduced row r_p of pivot p, a
+    vector of W with 1 at p and its other entries at kept q, sends e_p to
+    -sum_q r_p[q] e_q.
     """
     if relations.cols and relations.rows != ambient_dim:
         raise LinAlgError("relations live in the wrong ambient space")
-    span = relations.image() if relations.cols else QMatrix.zeros(ambient_dim, 0)
-    k = span.cols
-    R, pivots = hstack(span, QMatrix.identity(ambient_dim)).rref()
-    q = ambient_dim - k
-    section = [{} for _ in range(ambient_dim)]
-    for t, p in enumerate(pivots[k:]):
-        section[p - k][t] = 1
-    proj = [{j - k: x for j, x in row.items() if j >= k} for row in R._rows[k:]]
-    return _new(q, ambient_dim, proj), _new(ambient_dim, q, section)
+    last = ambient_dim - 1
+    body = [{last - i: x for i, x in col.items()} for col in _transposed(relations._rows, relations.cols)]
+    reduced, pivots = _rref_rows(body)
+    pivot_set = {last - c for c in pivots}
+    slot = {q: t for t, q in enumerate(i for i in range(ambient_dim) if i not in pivot_set)}
+    proj = [{q: 1} for q in slot]
+    for c, row in zip(pivots, reduced):
+        for j, x in row.items():
+            if j != c:
+                proj[slot[last - j]][last - c] = -x
+    section = [{slot[i]: 1} if i in slot else {} for i in range(ambient_dim)]
+    return _new(len(slot), ambient_dim, proj), _new(ambient_dim, len(slot), section)
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +592,9 @@ class WModule:
 
 def fixed_subspace(V: WModule, elems) -> QMatrix:
     """Canonical basis of the simultaneous fixed space of the listed elements."""
-    elems = [g for g in elems if g != V.group.identity]
-    if not elems or V.dim == 0:
-        return QMatrix.identity(V.dim)
     eye = QMatrix.identity(V.dim)
-    stacked = vstack(*[V.matrix(g) - eye for g in elems])
-    return stacked.kernel()
+    elems = [g for g in elems if g != V.group.identity]
+    return vstack(*[V.matrix(g) - eye for g in elems]).kernel() if elems and V.dim else eye
 
 
 def averaging_projector(V: WModule, elems) -> QMatrix:

@@ -392,8 +392,7 @@ def fp_functor(lattice: SubgroupLattice, V: WModule, name: str | None = None) ->
     vector over coset representatives.
     """
     _check_module_over(lattice, V)
-    G = lattice.group
-    bases = [fixed_subspace(V, lattice.elements(h)) for h in range(len(lattice))]
+    bases = [fixed_subspace(V, lattice.gens(h)) for h in range(len(lattice))]
     dims = [b.cols for b in bases]
 
     def resfn(h, k):
@@ -412,7 +411,11 @@ def fp_functor(lattice: SubgroupLattice, V: WModule, name: str | None = None) ->
 
 
 def _coinvariants(V: WModule, elems) -> tuple[QMatrix, QMatrix]:
-    """``quotient_space`` of V by the span of the vectors xv - v, x in ``elems``."""
+    """``quotient_space`` of V by the span of the vectors xv - v, x in ``elems``.
+
+    Generators of H give the span for all of H, as stv - v = (s(tv) - tv) + (tv - v),
+    and likewise the fixed space; both results depend on the subspace alone.
+    """
     eye = QMatrix.identity(V.dim)
     return quotient_space(V.dim, hstack(*[V.matrix(x) - eye for x in elems]))
 
@@ -425,7 +428,7 @@ def fq_functor(lattice: SubgroupLattice, V: WModule, name: str | None = None) ->
     """
     _check_module_over(lattice, V)
     G = lattice.group
-    projs, secs = zip(*(_coinvariants(V, lattice.elements(h)) for h in range(len(lattice))))
+    projs, secs = zip(*(_coinvariants(V, lattice.gens(h)) for h in range(len(lattice))))
     dims = [p.rows for p in projs]
 
     def resfn(h, k):
@@ -456,8 +459,8 @@ def fp_fq_iso(lattice: SubgroupLattice, V: WModule) -> MackeyMorphism:
     FQ = fq_functor(lattice, V)
     maps = []
     for h in range(len(lattice)):
-        basis = fixed_subspace(V, lattice.elements(h))
-        proj, sec = _coinvariants(V, lattice.elements(h))
+        basis = fixed_subspace(V, lattice.gens(h))
+        proj, sec = _coinvariants(V, lattice.gens(h))
         fwd = proj.matmul(basis)
         # the averaging composite inverts the raw include-then-quotient map
         avg = averaging_projector(V, lattice.elements(h))
@@ -844,7 +847,7 @@ def fp_unit(M: MackeyFunctor) -> MackeyMorphism:
     F = fp_functor(lat, V, name=f"FP({M.name}(G/e))")
     maps = []
     for h in range(len(lat)):
-        basis = fixed_subspace(V, lat.elements(h))
+        basis = fixed_subspace(V, lat.gens(h))
         coeff = basis.solve(M.res[(h, lat.bottom)])
         if coeff is None:
             raise MackeyError("restriction to the bottom level does not land in fixed vectors")

@@ -3,9 +3,9 @@
 The level at H of a box product is a quotient of the direct sum over K <= H
 of the levelwise tensor products: Frobenius-style relations identify
 restriction against induction in both variables, and a conjugation family
-balances C_h in one factor against its inverse in the other, generated for
-every h in H and every K <= H.  All generators are materialized and the
-quotient is taken exactly.
+balances C_x in one factor against its inverse in the other.  Only the
+relations on cover pairs L < K <= H and for x generating H are built, as they
+span the rest (``_box_level``); the quotient is exact, in one elimination.
 """
 
 from __future__ import annotations
@@ -45,6 +45,14 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int) -> _BoxLevel:
     ind (x) 1 at K; for x in H the conjugation family is C_x (x) 1 at xKx^-1
     against 1 (x) C_x^-1 at K.  The last two blocks share a summand when x
     normalizes K.
+
+    Only L maximal in K and x among the generators of H are emitted; for
+    Mackey functors the rest lie in their span.  For L < K' < K, the first
+    family has a (x) ind^K_L b = a (x) ind^K_K' ind^K'_L b ~ res^K_K' a (x)
+    ind^K'_L b ~ res^K_L a (x) b as R and I compose, the second likewise, and
+    covers chain any L < K.
+    C_yz a (x) b = C_y C_z a (x) b ~ C_z a (x) C_y^-1 b ~ a (x) C_(yz)^-1 b,
+    by y then z, as C is multiplicative; generators give all of finite H.
     """
     lat = M.lattice
     G = lat.group
@@ -62,12 +70,11 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int) -> _BoxLevel:
         n_rel += a.cols
 
     eye = QMatrix.identity
-    for k in summands:
-        for l in lat.subgroups_of(k):
-            if l != k:
-                relate(l, tensor(M.res[(k, l)], eye(N.dims[l])), k, tensor(eye(M.dims[k]), N.ind[(k, l)]))
-                relate(l, tensor(eye(M.dims[l]), N.res[(k, l)]), k, tensor(M.ind[(k, l)], eye(N.dims[k])))
-    for x in lat.elements(h):
+    for k, l in lat.cover_pairs():
+        if k in offsets:
+            relate(l, tensor(M.res[(k, l)], eye(N.dims[l])), k, tensor(eye(M.dims[k]), N.ind[(k, l)]))
+            relate(l, tensor(eye(M.dims[l]), N.res[(k, l)]), k, tensor(M.ind[(k, l)], eye(N.dims[k])))
+    for x in lat.gens(h):
         if x == G.identity:
             continue
         xi = G.inv(x)
@@ -92,7 +99,11 @@ class BoxProduct(MackeyFunctor):
 
 
 def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProduct:
-    """The box product, with its induced restriction, induction and conjugation."""
+    """The box product, with its induced restriction, induction and conjugation.
+
+    M and N must be Mackey functors: ``_box_level`` relies on R and I being
+    transitive and C multiplicative, and on other input the quotient is wrong.
+    """
     if M.lattice is not N.lattice:
         raise MackeyError("box product needs a common lattice")
     lat = M.lattice

@@ -215,7 +215,6 @@ def lewis_dot(M: MackeyFunctor) -> str:
         cname = lat.class_name_of(h)
         lines.append(f'  "{cname}" [label="{cname}: {M.dims[h]}"];')
     # covering pairs in the subconjugacy order on classes
-    order = {h: i for i, h in enumerate(reps)}
     leq = {}
     for a in reps:
         for b in reps:

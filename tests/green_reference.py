@@ -34,7 +34,7 @@ def green_check(S: GreenStructure) -> GreenReport:
         # bilinear product of two coordinate vectors at level h
         d = M.dims[h]
         if h not in products:
-            products[h] = [[(t, x) for t, x in enumerate(col) if x] for col in S.mult[h].columns()]
+            products[h] = [[(t, x) for t, x in enumerate(col) if x] for col in S.mult[h].transpose().data]
         table = products[h]
         out = [0] * d
         for a, ua in enumerate(u):

@@ -1,0 +1,65 @@
+"""The box product on cover-pair and generator relations against the exhaustive referee.
+
+``monoidal._box_level`` emits the Frobenius pairs only on cover pairs and the
+conjugation families only for generators, and takes the quotient in one
+elimination; ``box_reference`` emits every relation and eliminates twice.
+The quotient depends only on the relation span, so the level quotients and
+every induced map must be equal, not merely isomorphic.
+"""
+
+import random
+
+import pytest
+
+import box_reference
+from qmackey.classify import random_functor
+from qmackey.groups import corpus
+from qmackey.linalg import WModule
+from qmackey.mackey import burnside_mackey, coconstant, constant, fp_functor, fq_functor
+from qmackey.monoidal import box
+
+PAIRS = [
+    ("burnside", "burnside"),
+    ("constant", "coconstant"),
+    ("fixed", "coinvariants"),
+    ("coinvariants", "burnside"),
+    ("constant", "fixed"),
+]
+# on the fixed points and coinvariants of the regular module of S4 (24-dimensional at the
+# bottom) the referee alone takes longer than every other case together
+CASES = [(name, *pair) for name in corpus() for pair in PAIRS if (name, *pair) != ("S4", "fixed", "coinvariants")]
+
+KINDS = {
+    "burnside": burnside_mackey,
+    "constant": lambda lat: constant(lat, 1),
+    "coconstant": lambda lat: coconstant(lat, 1),
+    "fixed": lambda lat: fp_functor(lat, WModule.regular(lat.group)),
+    "coinvariants": lambda lat: fq_functor(lat, WModule.regular(lat.group)),
+}
+
+
+def assert_same_box(M, N):
+    B, R = box(M, N), box_reference.box(M, N)
+    assert len(B.levels) == len(R.levels)
+    for level, ref in zip(B.levels, R.levels):
+        assert level.summands == ref.summands and level.offsets == ref.offsets
+        assert level.proj == ref.proj
+        assert level.section == ref.section
+    assert B.dims == R.dims
+    assert B.res == R.res
+    assert B.ind == R.ind
+    assert B.cgen == R.cgen
+
+
+@pytest.mark.parametrize("name,left,right", CASES)
+def test_corpus_functors_match_the_referee(corpus_lattices, name, left, right):
+    lat = corpus_lattices[name]
+    assert_same_box(KINDS[left](lat), KINDS[right](lat))
+
+
+@pytest.mark.parametrize("name", list(corpus()))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_functors_match_the_referee(corpus_lattices, name, seed):
+    lat = corpus_lattices[name]
+    rng = random.Random(f"{name}-{seed}")
+    assert_same_box(random_functor(lat, rng), random_functor(lat, rng))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from corruptions import constant_with_identity_induction
+from corruptions import constant_with_identity_induction, scaled_restriction
 from qmackey.cli import build_parser, main
 from qmackey.groups import FiniteGroup, SubgroupLattice, cyclic, symmetric
 from qmackey.mackey import MackeyError, burnside_mackey, rebase
@@ -341,6 +341,19 @@ class TestGoldenDemos:
         code, out, _ = run(capsys, "mackey", "box", "burnside:s3", "burnside:s3")
         assert code == 0
         assert out.encode() == (GOLDEN / "box_s3.json").read_bytes()
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_box_refuses_a_non_mackey_input(self, capsys, tmp_path, position):
+        M, axiom = scaled_restriction(SubgroupLattice(symmetric(3)))
+        path = tmp_path / "corrupt.json"
+        path.write_text(dump(functor_to_json(M)))
+        specs = ["constant:s3", "constant:s3"]
+        specs[position] = str(path)
+        code, out, err = run(capsys, "mackey", "box", *specs)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"verification error: {path} is not a Mackey functor: [{axiom}] ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["table", "idempotents"])
     def test_burnside_s4_matches_golden(self, capsys, command):

@@ -261,6 +261,12 @@ class TestLattice:
         assert len(lat) == PAST_CORPUS[name][1]
         assert [s.elements for s in lat.subgroups] == oracle_join_enumeration(lat.group)
 
+    def test_stored_generators_generate(self, corpus_lattices, past_corpus_lattices):
+        """``gens(H)`` generates H, for every subgroup of the corpus and past it."""
+        for lat in [*corpus_lattices.values(), *past_corpus_lattices.values()]:
+            for h in range(len(lat)):
+                assert lat.group.closure(lat.gens(h)) == lat.elements(h)
+
     def test_subgroups_sorted_and_canonical(self, s4_lattice):
         orders = [s.order for s in s4_lattice.subgroups]
         assert orders == sorted(orders)

@@ -80,7 +80,7 @@ def test_arithmetic(args):
     for i in range(A.q.rows):
         assert A.q.row(i) == A.d.row(i)
         assert all(A.q.entry(i, j) == A.d.entry(i, j) for j in range(A.q.cols))
-    assert A.q.columns() == A.d.columns()
+    assert list(A.q.transpose().data) == A.d.columns()
     assert all(p.unchanged() for p in (A, A2, B))
 
 
@@ -123,6 +123,25 @@ def test_tensor(args):
     assert same(linalg.direct_sum(A.q, B.q), ref.block_matrix(
         A.d.rows + B.d.rows, A.d.cols + B.d.cols, [(0, 0, A.d), (A.d.rows, A.d.cols, B.d)]))
     assert A.unchanged() and B.unchanged()
+
+
+@pytest.mark.parametrize(
+    "table,rows,cols",
+    [
+        ([], 4, 0),
+        ([[2, 0, 1], [1, Fraction(1, 2), 0], [0, -3, 1]], 3, 3),
+        ([[1, 1, 0, 1, 0], [2, 2, 0, 2, 0], [0, 0, 0, 0, 0], [-1, -1, 1, -1, 1]], 4, 5),
+    ],
+    ids=["no-relations", "full-rank", "repeated-columns"],
+)
+def test_quotient_space_edge_cases(table, rows, cols):
+    """No relation columns, relations of full rank, and repeated columns of rank 2 in Q^4."""
+    A = Pair(table, rows, cols)
+    proj, sec = linalg.quotient_space(rows, A.q)
+    proj_ref, sec_ref = ref.quotient_space(rows, A.d)
+    assert same(proj, proj_ref) and same(sec, sec_ref)
+    assert proj.rows == rows - A.d.rank()
+    assert A.unchanged()
 
 
 @st.composite

@@ -6,11 +6,12 @@ of subgroups of H.  The ambient lattice supplies all coset combinatorics, so
 elements over different subgroups can be restricted and induced without
 renumbering anything.
 
-Arithmetic goes through the marks.  The table of marks is read off the
-lattice, and a product is the element whose marks are the entrywise product of
-the factors' marks, found by back substitution in the triangular table.  The
-double-coset structure constants remain only as the multiplication table of
-the Burnside Green functor (``monoidal.burnside_green``).
+All arithmetic goes through the integer table of marks, read off the lattice.
+A product has the entrywise product of the factors' marks, a restriction
+has the marks read at the subgroup's classes, and one exact integer back
+substitution in the triangular table turns marks back into an element.
+``mackey.burnside_mackey`` and ``monoidal.burnside_green`` build their
+restriction and multiplication tables with the same step.
 
 Two independent routes to the primitive idempotents are provided: the Mobius
 formula over the subgroup lattice, and inversion of the table of marks.  They
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .groups import SubgroupLattice
 from .linalg import QMatrix
@@ -30,13 +32,16 @@ class BurnsideError(ValueError):
     pass
 
 
+_ZERO = Fraction(0)
+
+
 def burnside_ring(lattice: SubgroupLattice, h: int | None = None) -> "BurnsideRing":
     """The Burnside ring of the subgroup with lattice id ``h`` (default: whole group).
 
     The lattice caches its rings by weak reference, since each ring refers
     back to its lattice.  So this returns the same ring object as long as
     that ring, or an element of it, is alive.  A rebuilt ring starts from the
-    product, marks and idempotent tables that the lattice keeps per subgroup.
+    marks and idempotent tables that the lattice keeps per subgroup.
     """
     top = lattice.top if h is None else h
     ring = lattice.burnside_cache.get(top)
@@ -54,10 +59,9 @@ class _Tables:
     without a reference cycle.
     """
 
-    products: dict = field(default_factory=dict)  # (ci, cj) -> structure constants
     idempotents: dict = field(default_factory=dict)  # ci -> Mobius coefficients
     marks: tuple = ()  # marks[j][i] = |(H/B_j)^(A_i)|
-    columns: tuple = ()  # columns[i] = the (j, marks[j][i]) with j > i and a nonzero mark
+    below: tuple = ()  # below[j] = the (i, marks[j][i]) with i < j and a nonzero mark
 
 
 class BurnsideRing:
@@ -102,48 +106,17 @@ class BurnsideRing:
 
     # -- multiplication -----------------------------------------------------------
 
-    def _mul_basis(self, ci: int, cj: int) -> tuple[Fraction, ...]:
-        """Structure constants of [H/A][H/B] from the double cosets A\\H/B.
-
-        Only ``monoidal.burnside_green`` needs them, as its multiplication table.
-        """
-        key = (ci, cj)
-        if key not in self._tables.products:
-            lat = self.lattice
-            a, b = self.reps[ci], self.reps[cj]
-            out = [Fraction(0)] * self.size
-            for x in lat.double_cosets(a, b, self.top):
-                out[self.class_index[lat.meet(a, lat.conjugate(x, b))]] += 1
-            self._tables.products[key] = tuple(out)
-        return self._tables.products[key]
-
     def mul(self, a: "BurnsideElement", b: "BurnsideElement") -> "BurnsideElement":
-        """The product through the marks: the element x with marks(x) = marks(a) * marks(b).
-
-        marks(x)_i = sum_j x_j T[j][i] for the table of marks T.  T[j][i] != 0
-        with i != j puts a conjugate of A_i properly inside B_j, so
-        |A_i| < |B_j|, and i < j because classes are sorted by order.  So
-        the equation for column i involves x_i and the x_j with j > i only,
-        and the top class down gives
-        x_i = (v_i - sum_(j > i) x_j T[j][i]) / T[i][i], where
-        T[i][i] = |N_H(A_i)| / |A_i| is never 0.  The mark homomorphism is an
-        injective ring map, so x is the product a b.
-        """
+        """The product: the element whose marks are the entrywise product of the factors' marks."""
         if a.ring is not self or b.ring is not self:
             raise BurnsideError("elements live in different Burnside rings")
-        tables = self._marks_table()
-        v = [x * y for x, y in zip(self.marks(a), self.marks(b))]
-        out = [Fraction(0)] * self.size
-        for i in range(self.size - 1, -1, -1):
-            rest = v[i] - sum(out[j] * m for j, m in tables.columns[i] if out[j])
-            if rest:
-                out[i] = rest / tables.marks[i][i]
-        return BurnsideElement(self, tuple(out))
+        (v, d), (w, e) = self._integer_marks(a), self._integer_marks(b)
+        return self._from_marks([x * y for x, y in zip(v, w)], d * e)
 
     # -- marks ------------------------------------------------------------------
 
     def _marks_table(self) -> _Tables:
-        """The tables with the table of marks and its columns filled in, from the lattice.
+        """The tables with the table of marks and its sparse rows filled in, from the lattice.
 
         T[j][i] = |(H/B_j)^(A_i)| counts the cosets hB_j with
         h^-1 A_i h <= B_j.  That condition holds on whole cosets hB_j, so the
@@ -162,26 +135,61 @@ class BurnsideRing:
                 rows.append(tuple(
                     n * sum(m in below for m in cls) // lat.order(b) for n, cls in zip(norms, self.classes)
                 ))
-            tables.columns = tuple(
-                tuple((j, rows[j][i]) for j in range(i + 1, self.size) if rows[j][i]) for i in range(self.size)
-            )
+            tables.below = tuple(tuple((i, m) for i, m in enumerate(row[:j]) if m) for j, row in enumerate(rows))
             tables.marks = tuple(rows)
         return tables
+
+    def _integer_marks(self, a: "BurnsideElement") -> tuple[list[int], int]:
+        """Integer marks v over a common denominator d > 0: marks(a) = v / d."""
+        tables = self._marks_table()
+        terms = [(j, c) for j, c in enumerate(a.coeffs) if c]
+        d = lcm(*(c.denominator for _, c in terms))
+        v = [0] * self.size
+        for j, c in terms:
+            c = c.numerator * (d // c.denominator)
+            v[j] += c * tables.marks[j][j]
+            for i, m in tables.below[j]:
+                v[i] += c * m
+        return v, d
+
+    def _from_marks(self, v: list[int], d: int) -> "BurnsideElement":
+        """The element x with marks(x) = v / d, for integer marks v and an integer d > 0.
+
+        marks(x)_i = sum_j x_j T[j][i] for the table of marks T.  T[j][i] != 0
+        with i != j puts a conjugate of A_i properly inside B_j, so
+        |A_i| < |B_j|, and i < j because classes are sorted by order: T is
+        triangular, with T[i][i] = |N_H(A_i)| / |A_i| never 0.  The primitive
+        idempotent e_(A_i) has marks delta_i, so x = sum_i (v_i / d) e_(A_i),
+        and by Gluck's formula
+        e_(A_i) = (1/|N_H(A_i)|) sum_(B <= A_i) |B| mu(B, A_i) [H/B]
+        the coefficients of e_(A_i) have denominators dividing |N_H(A_i)|,
+        hence |H|.  So z = d |H| x is integral and solves z T = |H| v.  Back
+        substitution from the top class down,
+        z_i = (|H| v_i - sum_(j > i) z_j T[j][i]) / T[i][i],
+        meets only integers z_i, so each ``//`` is exact; x = z / (d |H|) is
+        the one division.  The mark homomorphism is injective, so x is unique.
+        Each z_i, once found, is subtracted from the rest at once, so only the
+        sparse rows of the nonzero z_i are read.
+        """
+        tables = self._marks_table()
+        n = self.lattice.order(self.top)
+        dn = d * n
+        rest = [n * x for x in v]
+        z = [0] * self.size
+        for i in range(self.size - 1, -1, -1):
+            if rest[i]:
+                z[i] = q = rest[i] // tables.marks[i][i]
+                for k, m in tables.below[i]:
+                    rest[k] -= q * m
+        return BurnsideElement(self, tuple(Fraction(x, dn) if x else _ZERO for x in z))
 
     def marks_basis(self, cj: int) -> tuple[int, ...]:
         """Fixed-point counts |(H/B)^A| of the basis class cj at every class (A)."""
         return self._marks_table().marks[cj]
 
     def marks(self, a: "BurnsideElement") -> tuple[Fraction, ...]:
-        rows = self._marks_table().marks
-        out = [Fraction(0)] * self.size
-        for j, c in enumerate(a.coeffs):
-            if c == 0:
-                continue
-            for i, m in enumerate(rows[j]):
-                if m:
-                    out[i] += c * m
-        return tuple(out)
+        v, d = self._integer_marks(a)
+        return tuple(Fraction(x, d) for x in v)
 
     def table_of_marks(self) -> QMatrix:
         """Rows indexed by basis classes [H/B], columns by fixing classes (A)."""
@@ -219,37 +227,26 @@ class BurnsideRing:
         return out
 
     def express_in_idempotents(self, k: int) -> tuple[Fraction, ...]:
-        """Coefficients of [H/K] in the idempotent basis: |N_H L|/|K| per class (L)."""
-        ci = self.class_index.get(k)
-        if ci is None:
-            raise BurnsideError("not a subgroup of the ring's group")
-        lat = self.lattice
-        k0 = self.reps[ci]
-        out = [Fraction(0)] * self.size
-        for l in lat.subgroups_of(k0):
-            out[self.class_index[l]] += Fraction(
-                lat.order(lat.normalizer_in(l, self.top)), lat.order(k0)
-            )
-        return tuple(out)
+        """Coefficients of [H/K] in the idempotent basis: its marks, as e_(A_i) has marks delta_i."""
+        return self.basis(k).marks()
 
     # -- restriction / induction ------------------------------------------------------
 
     def restrict(self, a: "BurnsideElement", to: int) -> "BurnsideElement":
-        """Orbit-decompose each H-set as a set over the subgroup ``to``."""
+        """The H-set a as a set over the subgroup ``to``.
+
+        The mark |X^A| of an H-set X at A <= K is the same whether X is taken
+        over H or over K, so res(a) has a's marks read at K's class
+        representatives.
+        """
         if a.ring is not self:
             raise BurnsideError("element belongs to another ring")
         lat = self.lattice
         if not lat.leq(to, self.top):
             raise BurnsideError("can only restrict to a subgroup")
         target = burnside_ring(lat, to)
-        out = [Fraction(0)] * target.size
-        for j, c in enumerate(a.coeffs):
-            if c == 0:
-                continue
-            b = self.reps[j]
-            for x in lat.double_cosets(to, b, self.top):
-                out[target.class_index[lat.meet(to, lat.conjugate(x, b))]] += c
-        return BurnsideElement(target, tuple(out))
+        v, d = self._integer_marks(a)
+        return target._from_marks([v[self.class_index[r]] for r in target.reps], d)
 
     def induce(self, a: "BurnsideElement") -> "BurnsideElement":
         """Additive induction [A/K] -> [H/K] from a ring over a subgroup A <= H."""

@@ -294,6 +294,8 @@ def cmd_burnside_restrict(args) -> int:
 
 
 def cmd_mackey_new(args) -> int:
+    if args.dim < 0:
+        raise UsageError(f"--dim must be at least 0, not {args.dim}")
     lat = SubgroupLattice(resolve_group(args.group, args.cap), cap=args.cap)
     if args.kind in _FUNCTOR_KINDS:
         M = _FUNCTOR_KINDS[args.kind](lat, args.dim)
@@ -437,7 +439,8 @@ def cmd_mackey_green_check(args) -> int:
     if args.mult == "burnside":
         from .monoidal import burnside_green
 
-        S = burnside_green(lat)
+        B = burnside_green(lat)
+        mult, unit = B.mult, B.unit  # checked on M as the base, which need not be the Burnside functor
     else:
         data = _load_json(args.mult)
         tables = [data.get(key, {}) if isinstance(data, dict) else None for key in ("mult", "unit")]
@@ -451,8 +454,7 @@ def cmd_mackey_green_check(args) -> int:
             d = M.dims[h]
             mult[h] = matrix_from_json(tables[0][name], (d, d * d))
             unit[h] = matrix_from_json(tables[1][name], (d, 1))
-        S = GreenStructure(M, mult, unit)
-    report = green_check(S)
+    report = green_check(GreenStructure(M, mult, unit))
     if _fmt(args) == "json":
         _emit(
             args,

@@ -663,7 +663,7 @@ class SubgroupLattice:
         self._covers: list[tuple[int, int]] | None = None
         # weak values: a ring refers to its lattice, so a strong cache would make a cycle
         self.burnside_cache: weakref.WeakValueDictionary[int, object] = weakref.WeakValueDictionary()
-        # per subgroup, the product, marks and idempotent tables of its Burnside
+        # per subgroup, the marks and idempotent tables of its Burnside
         # ring; they hold no ring, so rebuilt rings share them without a cycle
         self.burnside_tables: dict[int, object] = {}
 

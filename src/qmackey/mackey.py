@@ -63,12 +63,6 @@ class MackeyFunctor:
     def group(self):
         return self.lattice.group
 
-    def restriction(self, h: int, k: int) -> QMatrix:
-        return self.res[(h, k)]
-
-    def induction(self, h: int, k: int) -> QMatrix:
-        return self.ind[(h, k)]
-
     def conj(self, g: int, h: int) -> QMatrix:
         """Conjugation by an arbitrary group element, assembled from generators."""
         key = (g, h)
@@ -483,7 +477,10 @@ def burnside_mackey(lattice: SubgroupLattice, name: str = "A") -> MackeyFunctor:
     dims = [r.size for r in rings]
 
     def resfn(h, k):
-        cols = [rings[h].restrict(rings[h].basis(rep), k).coeffs for rep in rings[h].reps]
+        # a mark does not depend on the acting group: H's rows read at K's classes
+        at = [rings[h].class_index[rep] for rep in rings[k].reps]
+        rows = map(rings[h].marks_basis, range(dims[h]))
+        cols = [rings[k]._from_marks([row[i] for i in at], 1).coeffs for row in rows]
         return QMatrix.from_cols(cols, rows=dims[k])
 
     def indfn(h, k):

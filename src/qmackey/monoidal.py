@@ -398,10 +398,12 @@ def burnside_green(lattice: SubgroupLattice) -> GreenStructure:
     for h in range(len(lattice)):
         ring = burnside_ring(lattice, h)
         n = ring.size
-        cols = []
+        rows = [ring.marks_basis(i) for i in range(n)]
+        cols = [None] * (n * n)
         for i in range(n):
-            for j in range(n):
-                cols.append(ring._mul_basis(i, j))
+            for j in range(i, n):  # the product is commutative
+                product = ring._from_marks([x * y for x, y in zip(rows[i], rows[j])], 1)
+                cols[i * n + j] = cols[j * n + i] = product.coeffs
         mult[h] = QMatrix.from_cols(cols, rows=n)
         unit[h] = QMatrix.from_cols([ring.unit().coeffs], rows=n)
     return GreenStructure(M, mult, unit)

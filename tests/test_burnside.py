@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 import burnside_reference
 from qmackey.burnside import BurnsideError, burnside_ring
 from qmackey.groups import SubgroupLattice, symmetric
+from qmackey.linalg import QMatrix
+from qmackey.mackey import burnside_mackey
+from qmackey.monoidal import burnside_green
 
 small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -338,6 +341,10 @@ class TestRingCache:
         assert ring.idempotent(lat.bottom).coeffs is coeffs
 
 
+def _lattice(corpus_lattices, past_corpus_lattices, name):
+    return past_corpus_lattices[name] if name in past_corpus_lattices else corpus_lattices[name]
+
+
 class TestProductReferee:
     """The product through the marks against the double-coset expansion it replaced."""
 
@@ -359,14 +366,49 @@ class TestProductReferee:
 
     @pytest.mark.parametrize("name", RINGS)
     def test_basis_products_match_structure_constants(self, corpus_lattices, past_corpus_lattices, name):
-        lat = past_corpus_lattices[name] if name == "C2^4" else corpus_lattices[name]
+        lat = _lattice(corpus_lattices, past_corpus_lattices, name)
         tops = [lat.top] if name == "C2^4" else range(len(lat))
         for h in tops:
             ring = burnside_ring(lat, h)
             basis = [ring.basis(r) for r in ring.reps]
             for i, a in enumerate(basis):
                 for j, b in enumerate(basis):
-                    assert (a * b).coeffs == ring._mul_basis(i, j)
+                    assert (a * b).coeffs == burnside_reference.structure_constants(ring, i, j)
+
+
+class TestRestrictReferee:
+    """Restriction through the marks against the double-coset orbit decomposition it replaced."""
+
+    CORPUS = ("C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4")
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.sampled_from(CORPUS + ("C2^4",)), st.data())
+    def test_restrict_matches_double_coset_decomposition(self, corpus_lattices, past_corpus_lattices, name, data):
+        lat = _lattice(corpus_lattices, past_corpus_lattices, name)
+        top = lat.top if name == "C2^4" else data.draw(st.integers(0, len(lat) - 1))
+        ring = burnside_ring(lat, top)
+        to = data.draw(st.sampled_from(lat.subgroups_of(top)))
+        coeffs = st.lists(st.one_of(st.just(0), small_coeffs), min_size=ring.size, max_size=ring.size)
+        a = ring.element(data.draw(coeffs))
+        got, want = ring.restrict(a, to), burnside_reference.restrict(a, to)
+        assert got == want
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    @pytest.mark.parametrize("name", CORPUS + ("S3xS3", "C2^4"))
+    def test_burnside_functor_and_green_tables(self, corpus_lattices, past_corpus_lattices, name):
+        """Every res^H_K of the Burnside functor and every multiplication table of its Green structure."""
+        lat = _lattice(corpus_lattices, past_corpus_lattices, name)
+        M = burnside_mackey(lat)
+        for h, k in M.res:
+            ring = burnside_ring(lat, h)
+            cols = [burnside_reference.restrict(ring.basis(rep), k).coeffs for rep in ring.reps]
+            assert M.res[(h, k)] == QMatrix.from_cols(cols, rows=M.dims[k]), (lat.name(h), lat.name(k))
+        S = burnside_green(lat)
+        for h in range(len(lat)):
+            ring = burnside_ring(lat, h)
+            n = ring.size
+            cols = [burnside_reference.structure_constants(ring, i, j) for i in range(n) for j in range(n)]
+            assert S.mult[h] == QMatrix.from_cols(cols, rows=n), lat.name(h)
 
 
 class TestMarksReferee:

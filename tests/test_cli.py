@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,26 @@ class TestMackeyCommands:
         code, out, _ = run(capsys, "mackey", "check", str(out_file))
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constant", "--group", "c2", "--dim", "-1"],
+            ["coconstant", "--group", "c2", "--dim", "-3"],
+            ["free", "--group", "c2", "--at", "C1", "--dim", "-2"],
+            ["burnside", "--group", "c2", "--dim", "-1"],
+        ],
+    )
+    def test_new_with_negative_dim_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "mackey", "new", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --dim must be at least 0, not {argv[-1]}\n"
+
+    @pytest.mark.parametrize("argv", [["constant", "--group", "c2"], ["free", "--group", "c2", "--at", "C1"]])
+    def test_new_with_dim_zero_is_the_zero_functor(self, capsys, argv):
+        code, out, _ = run(capsys, "mackey", "new", *argv, "--dim", "0")
+        assert code == 0
+        assert json.loads(out)["levels"] == {"C1": 0, "C2": 0}
+
     def test_workspace_save_and_load(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MACKEY_WORKSPACE", str(tmp_path))
         code, out, _ = run(
@@ -253,6 +274,30 @@ class TestMackeyCommands:
         code, out, _ = run(capsys, "--pretty", "mackey", "green-check", "burnside:s3", "burnside")
         assert code == 0
         assert "verified" in out
+
+    def test_green_check_burnside_tables_on_another_functor(self, capsys):
+        """The Burnside tables are checked on the functor given, not on the Burnside functor."""
+        code, out, _ = run(capsys, "--pretty", "mackey", "green-check", "constant:c6", "burnside")
+        assert code == 1
+        assert out == "green check FAILED for const(1):\n  [shape] at C2\n  [shape] at C3\n  [shape] at C6\n"
+
+    @pytest.mark.parametrize("corrupt", ["scaled-constant", "scaled-burnside"])
+    def test_green_check_burnside_tables_on_a_non_mackey_functor(self, capsys, tmp_path, corrupt):
+        lat = SubgroupLattice(symmetric(3))
+        if corrupt == "scaled-constant":
+            M, _ = scaled_restriction(lat)
+            rule = "shape"
+        else:
+            A = burnside_mackey(lat)
+            key = (lat.top, lat.bottom)
+            M = replace(A, res={**A.res, key: A.res[key].scale(2)})
+            rule = "restriction-unit"
+        path = tmp_path / "corrupt.json"
+        path.write_text(dump(functor_to_json(M)))
+        assert run(capsys, "mackey", "check", str(path))[0] == 1
+        code, out, _ = run(capsys, "mackey", "green-check", str(path), "burnside")
+        assert code == 1
+        assert rule in {v["rule"] for v in json.loads(out)["violations"]}
 
     def test_green_check_failure(self, capsys, tmp_path):
         lat = SubgroupLattice(cyclic(2))

@@ -4,7 +4,9 @@ Every run must end in an exit code, never in an escaped exception: 0 or 1
 for input that parses, 2 with a one-line ``error:`` message for input that
 does not.  Mutations that make the input malformed (a removed key, a value
 of the wrong JSON type, a ragged or misshapen matrix, a non-integer table
-entry) must exit 2 on every command.  Both tests are derandomized and
+entry) must exit 2 on every command.  ``mackey new`` with a drawn kind,
+group and ``--dim`` in [-3, 3] must exit 0, or 2 when the dimension is
+negative or a free functor has no ``--at``.  The tests are derandomized and
 bounded to a few seconds.
 """
 
@@ -201,3 +203,21 @@ def test_malformed_json_exits_two(workdir, case):
     results = _run_all(path)
     _check_messages(results)
     assert all(code == 2 for _, code, _ in results), (kind, [(argv[1], code, err) for argv, code, err in results])
+
+
+@FUZZ
+@given(
+    kind=st.sampled_from([*cli._FUNCTOR_KINDS, "free"]),
+    group=st.sampled_from(["c2", "c6", "s3"]),
+    dim=st.integers(-3, 3),
+    at=st.sampled_from([None, "C1", "C2"]),
+    module=st.sampled_from(["trivial", "regular"]),
+)
+def test_mackey_new_exits_zero_or_two(kind, group, dim, at, module):
+    argv = ["mackey", "new", kind, "--group", group, "--dim", str(dim), "--module", module]
+    argv += ["--at", at] if at else []
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    _check_messages([(argv, code, err.getvalue())])
+    assert code == (2 if dim < 0 or (kind == "free" and not at) else 0), (argv, err.getvalue())

@@ -263,6 +263,15 @@ def cmd_burnside_idempotents(args) -> int:
     return 0 if agree else 1
 
 
+def _class_rep_named(lat: SubgroupLattice, name: str) -> int:
+    """The representative of the class called ``name``, or of the class of the subgroup called ``name``."""
+    if name in lat.class_names:
+        return lat.classes[lat.class_names.index(name)][0]
+    if name in lat.subgroup_names:
+        return lat.class_rep(lat.subgroup_names.index(name))
+    raise UsageError(f"no class or subgroup named {name!r}")
+
+
 def cmd_burnside_restrict(args) -> int:
     G = resolve_group(args.group, args.cap)
     lat = SubgroupLattice(G, cap=args.cap)
@@ -277,7 +286,7 @@ def cmd_burnside_restrict(args) -> int:
             raise UsageError(f"malformed JSON in --element: {exc}") from None
         elem = burnside_from_json(data, ring)
     elif args.idempotent:
-        elem = ring.idempotent(lat.id_by_name(args.idempotent))
+        elem = ring.idempotent(_class_rep_named(lat, args.idempotent))
     else:
         raise UsageError("need --element JSON or --idempotent CLASS")
     down = ring.restrict(elem, target)
@@ -302,10 +311,7 @@ def cmd_mackey_new(args) -> int:
     elif not args.at:
         raise UsageError("free functors need --at CLASS")
     else:
-        if args.at in lat.class_names:
-            h = lat.classes[lat.class_names.index(args.at)][0]
-        else:
-            h = lat.class_rep(lat.id_by_name(args.at))
+        h = _class_rep_named(lat, args.at)
         W = lat.weyl(h).group
         V = WModule.regular(W) if args.module == "regular" else WModule.trivial(W, args.dim)
         M = free_functor(lat, h, V)
@@ -711,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     br.add_argument("group")
     br.add_argument("--to", required=True, help="target subgroup name")
     br.add_argument("--element", help="element as JSON of class coefficients")
-    br.add_argument("--idempotent", help="restrict the idempotent of this class")
+    br.add_argument("--idempotent", help="restrict the idempotent of this class: a class name (C2) or a subgroup name (C2.0)")
 
     m = sub.add_parser("mackey", help="Mackey functor operations")
     msub = m.add_subparsers(dest="subcommand", required=True)
@@ -719,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     mn.add_argument("kind", choices=[*_FUNCTOR_KINDS, "free"])
     mn.add_argument("--group", required=True)
     mn.add_argument("--dim", type=int, default=1)
-    mn.add_argument("--at", help="class name for free functors")
+    mn.add_argument("--at", help="class of a free functor: a class name (C2) or a subgroup name (C2.0)")
     mn.add_argument("--module", choices=["trivial", "regular"], default="trivial")
     mn.add_argument("--save", help="store under this name in the workspace")
     leaf(msub, "check", cmd_mackey_check).add_argument("functor")

@@ -7,9 +7,9 @@ subgroup together with the inclusion poset, conjugacy classes, normalizers,
 Weyl quotients and the Mobius function of the lattice.
 
 All outputs are deterministic: subgroups are kept as sorted element tuples,
-coset and double-coset representatives are the smallest element of their
-coset, and conjugacy-class representatives are the lexicographically smallest
-member.
+a coset (left, double, or a Weyl element) is named by its least member, and
+conjugacy-class representatives are the lexicographically smallest member.
+One table, ``_least_members``, computes every coset's least member.
 """
 
 from __future__ import annotations
@@ -205,23 +205,12 @@ class FiniteGroup:
         """g x g^-1"""
         return self._mul[self._mul[g][x]][self._inv[g]]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def elem_name(self, a: int) -> str:
         return self.elem_names[a]
 
     @property
     def is_abelian(self) -> bool:
-        cached = getattr(self, "_abelian", None)
-        if cached is None:
-            cached = all(
-                self._mul[a][b] == self._mul[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
-            self._abelian = cached
-        return cached
+        return all(self._mul[a][b] == self._mul[b][a] for a in range(self.order) for b in range(a))
 
     def closure(self, seed) -> tuple[int, ...]:
         """Subgroup generated by ``seed``, as a sorted element tuple."""
@@ -403,62 +392,19 @@ def corpus() -> dict[str, FiniteGroup]:
 
 
 # ---------------------------------------------------------------------------
-# cosets and related combinatorics (raw element-set level)
+# cosets, named by their least member
 # ---------------------------------------------------------------------------
 
 
-def left_cosets(G: FiniteGroup, sub: tuple[int, ...], ambient: tuple[int, ...] | None = None) -> list[int]:
-    """Representatives (smallest member) of the left cosets g*sub inside ambient."""
-    amb = ambient if ambient is not None else tuple(range(G.order))
-    seen: set[int] = set()
-    reps = []
-    for g in amb:
-        if g in seen:
-            continue
-        coset = {G.mul(g, h) for h in sub}
-        reps.append(min(coset))
-        seen |= coset
-    return sorted(reps)
-
-
-def double_coset_reps(
-    G: FiniteGroup,
-    K: tuple[int, ...],
-    L: tuple[int, ...],
-    ambient: tuple[int, ...] | None = None,
-) -> list[int]:
-    """Representatives (smallest member) of the double cosets K\\ambient/L."""
-    amb = ambient if ambient is not None else tuple(range(G.order))
-    seen: set[int] = set()
-    reps = []
-    for g in amb:
-        if g in seen:
-            continue
-        dc = {G.mul(G.mul(k, g), l) for k in K for l in L}
-        reps.append(min(dc))
-        seen |= dc
-    return sorted(reps)
-
-
-def fixed_coset_reps(
-    G: FiniteGroup,
-    K: tuple[int, ...],
-    H: tuple[int, ...],
-    ambient: tuple[int, ...] | None = None,
-) -> list[int]:
-    """Cosets gK of ambient/K fixed by left multiplication by H.
-
-    A coset gK is H-fixed exactly when g^-1 H g is contained in K.  Returns the
-    smallest member of each fixed coset, sorted.
-    """
-    amb = ambient if ambient is not None else tuple(range(G.order))
-    kset = set(K)
-    out = []
-    for g in left_cosets(G, K, amb):
-        gi = G.inv(g)
-        if all(G.mul(G.mul(gi, h), g) in kset for h in H):
-            out.append(g)
-    return out
+def _least_members(G: FiniteGroup, sub: tuple[int, ...]) -> tuple[int, ...]:
+    """The table g -> least member of the coset g*sub, over every g in G."""
+    out = [-1] * G.order
+    for x in range(G.order):
+        if out[x] < 0:
+            # every element below x lies in a coset already named, so x is the least of x*sub
+            for y in sub:
+                out[G.mul(x, y)] = x
+    return tuple(out)
 
 
 def subgroup_group(G: FiniteGroup, elems: tuple[int, ...], name: str = "H") -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -486,15 +432,14 @@ def quotient_group(G: FiniteGroup, N: tuple[int, ...], name: str = "Q") -> tuple
     for g in range(G.order):
         if any(G.conj(g, x) not in nset for x in N):
             raise GroupError("subgroup is not normal; cannot form quotient")
-    reps = left_cosets(G, tuple(sorted(N)))
-    proj = [0] * G.order
-    for i, r in enumerate(reps):
-        for h in N:
-            proj[G.mul(r, h)] = i
+    least = _least_members(G, N)
+    reps = sorted(set(least))
+    pos = {r: i for i, r in enumerate(reps)}
+    proj = tuple(pos[r] for r in least)
     table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
     names = [G.elem_name(r) + "N" for r in reps]
     Q = FiniteGroup(table, name=name, elem_names=names, validate=False)
-    return Q, tuple(proj)
+    return Q, proj
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +496,12 @@ class GSet:
         return None
 
 
-def coset_gset(G: FiniteGroup, sub: tuple[int, ...], ambient: tuple[int, ...] | None = None) -> GSet:
-    """The left-multiplication action of G on ambient/sub (ambient defaults to G)."""
-    amb = ambient if ambient is not None else tuple(range(G.order))
-    reps = left_cosets(G, sub, amb)
-    pos = {}
-    for i, r in enumerate(reps):
-        for h in sub:
-            pos[G.mul(r, h)] = i
-    act = tuple(tuple(pos[G.mul(g, r)] for r in reps) for g in range(G.order))
+def coset_gset(G: FiniteGroup, sub: tuple[int, ...]) -> GSet:
+    """The left-multiplication action of G on G/sub, cosets numbered in order of their least member."""
+    least = _least_members(G, sub)
+    reps = sorted(set(least))
+    pos = {r: i for i, r in enumerate(reps)}
+    act = tuple(tuple(pos[least[G.mul(g, r)]] for r in reps) for g in range(G.order))
     return GSet(G, act)
 
 
@@ -835,48 +777,60 @@ class SubgroupLattice:
     # -- cosets, cached -------------------------------------------------------
 
     def cosets(self, k: int, ambient: int | None = None) -> tuple[int, ...]:
+        """The cosets aK, a in ambient, as their least members in increasing order; needs K <= ambient."""
         amb = self.top if ambient is None else ambient
-        if not self.leq(k, amb):
-            raise GroupError("cosets require K <= ambient")
         key = (k, amb)
-        if key not in self._cosets_cache:
-            self._cosets_cache[key] = tuple(
-                left_cosets(self.group, self.elements(k), self.elements(amb))
-            )
-        return self._cosets_cache[key]
+        cached = self._cosets_cache.get(key)
+        if cached is None:
+            if not self.leq(k, amb):
+                raise GroupError("cosets require K <= ambient")
+            cached = self._cosets_cache[key] = tuple(sorted({self.coset_of(a, k) for a in self.elements(amb)}))
+        return cached
 
     def double_cosets(self, k: int, l: int, ambient: int | None = None) -> tuple[int, ...]:
+        """The double cosets KxL, x in ambient, as their least members in increasing order; needs K, L <= ambient.
+
+        KxL is the union of the cosets axL, a in K, so its least element is the
+        least of their least members: the minimum of one K-orbit on ``cosets(l, ambient)``.
+        """
         amb = self.top if ambient is None else ambient
         key = (k, l, amb)
-        if key not in self._dc_cache:
-            self._dc_cache[key] = tuple(
-                double_coset_reps(self.group, self.elements(k), self.elements(l), self.elements(amb))
-            )
-        return self._dc_cache[key]
+        cached = self._dc_cache.get(key)
+        if cached is None:
+            if not (self.leq(k, amb) and self.leq(l, amb)):
+                raise GroupError("double cosets require K, L <= ambient")
+            G = self.group
+            seen: set[int] = set()
+            reps = []
+            for r in self.cosets(l, amb):
+                if r not in seen:
+                    orbit = {self.coset_of(G.mul(a, r), l) for a in self.elements(k)}
+                    reps.append(min(orbit))
+                    seen |= orbit
+            cached = self._dc_cache[key] = tuple(reps)
+        return cached
 
     def fixed_cosets(self, k: int, h: int, ambient: int | None = None) -> tuple[int, ...]:
-        """(ambient/K)^H as a tuple of coset representatives."""
+        """(ambient/K)^H: the r in ``cosets(k, ambient)`` with HrK = rK; needs K <= ambient.
+
+        The stabilizer of a coset is a subgroup, so it contains H exactly when
+        it contains the generators ``gens(h)``.
+        """
         amb = self.top if ambient is None else ambient
         key = (k, h, amb)
-        if key not in self._fc_cache:
-            self._fc_cache[key] = tuple(
-                fixed_coset_reps(self.group, self.elements(k), self.elements(h), self.elements(amb))
+        cached = self._fc_cache.get(key)
+        if cached is None:
+            G = self.group
+            cached = self._fc_cache[key] = tuple(
+                r for r in self.cosets(k, amb) if all(self.coset_of(G.mul(x, r), k) == r for x in self.gens(h))
             )
-        return self._fc_cache[key]
+        return cached
 
     def coset_of(self, g: int, k: int) -> int:
-        """Smallest member of the coset gK, from a table built once per K."""
+        """The least member of the coset gK, from the table ``_least_members`` builds once per K."""
         table = self._coset_min.get(k)
         if table is None:
-            G = self.group
-            out = [-1] * G.order
-            for x in range(G.order):
-                if out[x] < 0:
-                    coset = [G.mul(x, y) for y in self.elements(k)]
-                    least = min(coset)
-                    for y in coset:
-                        out[y] = least
-            table = self._coset_min[k] = tuple(out)
+            table = self._coset_min[k] = _least_members(self.group, self.elements(k))
         return table[g]
 
     # -- local (within-H) structure --------------------------------------------
@@ -926,20 +880,17 @@ class SubgroupLattice:
     # -- Weyl groups ------------------------------------------------------------
 
     def weyl(self, h: int) -> "WeylData":
+        """W_G(H) = N_G(H)/H on ``cosets(h, N_G(H))``, each coset named by its least member r as ``r + "N"``."""
         if h not in self._weyl_cache:
-            nid = self.normalizers[h]
-            n_elems = self.elements(nid)
             G = self.group
-            Nstar, to_parent = subgroup_group(G, n_elems, name=f"N({self.name(h)})")
-            h_in_n = tuple(sorted(to_parent.index(x) for x in self.elements(h)))
-            W, proj_n = quotient_group(Nstar, h_in_n, name=f"W({self.name(h)})")
-            proj = {to_parent[i]: proj_n[i] for i in range(Nstar.order)}
-            reps = [G.order] * W.order
-            for g in n_elems:
-                w = proj[g]
-                if g < reps[w]:
-                    reps[w] = g
-            self._weyl_cache[h] = WeylData(W, proj, tuple(reps))
+            nid = self.normalizers[h]
+            reps = self.cosets(h, nid)
+            pos = {r: i for i, r in enumerate(reps)}
+            table = [[pos[self.coset_of(G.mul(a, b), h)] for b in reps] for a in reps]
+            names = [G.elem_name(r) + "N" for r in reps]
+            W = FiniteGroup(table, name=f"W({self.name(h)})", elem_names=names, validate=False)
+            proj = {g: pos[self.coset_of(g, h)] for g in self.elements(nid)}
+            self._weyl_cache[h] = WeylData(W, proj, reps)
         return self._weyl_cache[h]
 
     # -- derived lattices ---------------------------------------------------------
@@ -951,23 +902,17 @@ class SubgroupLattice:
             to_parent_sub = tuple(
                 self._id_of[tuple(sorted(to_parent[x] for x in s.elements))] for s in lat.subgroups
             )
-            from_parent_elem = {to_parent[i]: i for i in range(H.order)}
-            self._sub_lattice_cache[h] = SubLatticeView(lat, to_parent, from_parent_elem, to_parent_sub)
+            self._sub_lattice_cache[h] = SubLatticeView(lat, to_parent, to_parent_sub)
         return self._sub_lattice_cache[h]
 
     def quotient_lattice(self, n: int) -> "QuotientLatticeView":
         if n not in self._quot_lattice_cache:
             Q, proj = quotient_group(self.group, self.elements(n), name=f"{self.group.name}/{self.name(n)}")
             lat = SubgroupLattice(Q)
-            to_parent_sub = []
-            for s in lat.subgroups:
-                pre = tuple(sorted(g for g in range(self.group.order) if proj[g] in set(s.elements)))
-                to_parent_sub.append(self._id_of[pre])
-            reps = [self.group.order] * Q.order
-            for g in range(self.group.order):
-                if g < reps[proj[g]]:
-                    reps[proj[g]] = g
-            self._quot_lattice_cache[n] = QuotientLatticeView(lat, proj, tuple(to_parent_sub), tuple(reps))
+            to_parent_sub = tuple(
+                self._id_of[tuple(g for g, w in enumerate(proj) if w in s.elements)] for s in lat.subgroups
+            )
+            self._quot_lattice_cache[n] = QuotientLatticeView(lat, proj, to_parent_sub, self.cosets(n))
         return self._quot_lattice_cache[n]
 
     def __repr__(self) -> str:
@@ -979,7 +924,7 @@ class WeylData:
     """The Weyl quotient N_G(H)/H materialized as a group.
 
     ``proj`` maps normalizer elements of the parent group onto Weyl elements;
-    ``reps`` picks the smallest parent representative of each Weyl element.
+    ``reps`` names each Weyl element by the least member of its coset.
     """
 
     group: FiniteGroup
@@ -993,7 +938,6 @@ class SubLatticeView:
 
     lattice: SubgroupLattice
     to_parent_elem: tuple[int, ...]
-    from_parent_elem: dict
     to_parent_sub: tuple[int, ...]
 
     def parent_sub(self, local_id: int) -> int:

@@ -705,28 +705,33 @@ def _coset_position(lattice: SubgroupLattice, g: int, k: int) -> int:
     return lattice.cosets(k).index(lattice.coset_of(g, k))
 
 
-def i_lower(M: MackeyFunctor, h: int, name: str | None = None):
-    """Forget a functor over G down to the subgroup H (evaluation along induced sets).
+def _pull_back(M: MackeyFunctor, view, lift, name: str):
+    """M read along a lattice view: level a is M at ``view.parent_sub(a)``, and the
+    view group's element s acts by M's conjugation by ``lift[s]``.
 
-    Returns ``(functor over H, lattice view)``.
+    Returns ``(functor over the view's lattice, view)``.
     """
-    lat = M.lattice
-    view = lat.sub_lattice(h)
     sub = view.lattice
     dims = [M.dims[view.parent_sub(a)] for a in range(len(sub))]
-    res = {}
-    ind = {}
+    res, ind = {}, {}
     for a, b in comparable_pairs(sub):
         pa, pb = view.parent_sub(a), view.parent_sub(b)
         res[(a, b)] = M.res[(pa, pb)]
         ind[(a, b)] = M.ind[(pa, pb)]
     cgen = {}
     for pos, s in enumerate(sub.group.gens):
-        g = view.to_parent_elem[s]
         for a in range(len(sub)):
-            cgen[(pos, a)] = M.conj(g, view.parent_sub(a))
-    N = MackeyFunctor(sub, tuple(dims), res, ind, cgen, name=name or f"i_({M.name})")
-    return N, view
+            cgen[(pos, a)] = M.conj(lift[s], view.parent_sub(a))
+    return MackeyFunctor(sub, tuple(dims), res, ind, cgen, name=name), view
+
+
+def i_lower(M: MackeyFunctor, h: int, name: str | None = None):
+    """Forget a functor over G down to the subgroup H (evaluation along induced sets).
+
+    Returns ``(functor over H, lattice view)``.
+    """
+    view = M.lattice.sub_lattice(h)
+    return _pull_back(M, view, view.to_parent_elem, name or f"i_({M.name})")
 
 
 def i_upper(N: MackeyFunctor, parent: SubgroupLattice, h: int, name: str | None = None) -> MackeyFunctor:
@@ -810,20 +815,7 @@ def eps_upper(M: MackeyFunctor, n: int, name: str | None = None):
                 f"functor is not trivial off supergroups of {lat.name(n)}: level {lat.name(k)} has dimension {M.dims[k]}"
             )
     view = lat.quotient_lattice(n)
-    sub = view.lattice
-    dims = [M.dims[view.parent_sub(a)] for a in range(len(sub))]
-    res, ind = {}, {}
-    for a, b in comparable_pairs(sub):
-        pa, pb = view.parent_sub(a), view.parent_sub(b)
-        res[(a, b)] = M.res[(pa, pb)]
-        ind[(a, b)] = M.ind[(pa, pb)]
-    cgen = {}
-    for pos, w in enumerate(sub.group.gens):
-        g = view.reps[w]
-        for a in range(len(sub)):
-            cgen[(pos, a)] = M.conj(g, view.parent_sub(a))
-    Mq = MackeyFunctor(sub, tuple(dims), res, ind, cgen, name=name or f"eps^({M.name})")
-    return Mq, view
+    return _pull_back(M, view, view.reps, name or f"eps^({M.name})")
 
 
 # -- evaluation at the bottom level and its adjoint -----------------------------

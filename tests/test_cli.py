@@ -169,6 +169,16 @@ class TestBurnsideCommands:
         assert code == 0
         assert "[C3/C3] - 1/3*[C3/C1]" in out
 
+    @pytest.mark.parametrize("group, to, cls, member", [("s3", "C3", "C2", "C2.0"), ("s4", "G8.0", "C4", "C4.1")])
+    def test_restrict_idempotent_by_class_or_subgroup_name(self, capsys, group, to, cls, member):
+        by_class = run(capsys, "burnside", "restrict", group, "--to", to, "--idempotent", cls)
+        assert by_class[0] == 0
+        assert by_class == run(capsys, "burnside", "restrict", group, "--to", to, "--idempotent", member)
+
+    def test_restrict_unknown_idempotent_name(self, capsys):
+        code, out, err = run(capsys, "burnside", "restrict", "s3", "--to", "C3", "--idempotent", "C5")
+        assert (code, out, err) == (2, "", "error: no class or subgroup named 'C5'\n")
+
     def test_restrict_element_json(self, capsys):
         code, out, _ = run(
             capsys,

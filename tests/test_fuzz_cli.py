@@ -51,7 +51,11 @@ NOT_A_RATIONAL = st.sampled_from([1.5, 0.0, True, False, None, [], {}, "x", "1/0
 
 def _commands(path):
     if "group" not in json.loads(path.read_text()):
-        return [["group", "info", str(path)]]
+        return [
+            ["group", "info", str(path)],
+            ["group", "subgroups", str(path)],
+            ["burnside", "restrict", str(path), "--to", "C1", "--idempotent", "C1"],
+        ]
     return [
         ["mackey", "check", str(path)],
         ["mackey", "classify", str(path), "--certify"],

@@ -15,10 +15,7 @@ from qmackey.groups import (
     coset_gset,
     cyclic,
     dihedral,
-    double_coset_reps,
-    fixed_coset_reps,
     from_permutations,
-    left_cosets,
     load_group,
     quaternion,
     quotient_group,
@@ -402,6 +399,39 @@ class TestCosets:
                 for h in range(len(lat)):
                     nonempty = len(lat.fixed_cosets(k, h)) > 0
                     assert nonempty == lat.is_subconjugate(h, k)
+
+    @pytest.mark.parametrize("name", [*corpus(), "C2^4", "S3xS3"])
+    def test_cosets_below_every_ambient(self, corpus_lattices, past_corpus_lattices, name):
+        """Within every ambient H and for all K, L <= H: ``cosets``, ``double_cosets`` and
+        ``fixed_cosets`` against the least members of element sets multiplied out, and
+        ``weyl(h)`` against a standalone normalizer divided by H."""
+        lat = {**corpus_lattices, **past_corpus_lattices}[name]
+        G = lat.group
+        for h in range(len(lat)):
+            H = lat.elements(h)
+            below = lat.subgroups_of(h)
+            for k in below:
+                K = lat.elements(k)
+                left = {min(G.mul(a, x) for x in K) for a in H}
+                assert lat.cosets(k, h) == tuple(sorted(left))
+                for l in below:
+                    L = lat.elements(l)
+                    seen, reps = set(), set()
+                    for x in H:
+                        if x not in seen:
+                            block = {G.mul(G.mul(a, x), b) for a in K for b in L}
+                            reps.add(min(block))
+                            seen |= block
+                    assert lat.double_cosets(k, l, h) == tuple(sorted(reps))
+                    kset = set(K)
+                    fixed = [r for r in sorted(left) if all(G.mul(G.mul(G.inv(r), x), r) in kset for x in L)]
+                    assert lat.fixed_cosets(k, l, h) == tuple(fixed)
+            N, to_parent = subgroup_group(G, lat.elements(lat.normalizers[h]))
+            W, proj = quotient_group(N, tuple(to_parent.index(x) for x in H))
+            w = lat.weyl(h)
+            assert (w.group._mul, w.group.elem_names, w.group.gens) == (W._mul, W.elem_names, W.gens)
+            assert w.proj == {to_parent[i]: proj[i] for i in range(N.order)}
+            assert w.reps == tuple(min(g for g in to_parent if w.proj[g] == i) for i in range(W.order))
 
     def test_index(self, c6_lattice):
         ids = {c6_lattice.name(h): h for h in range(4)}

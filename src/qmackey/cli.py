@@ -341,6 +341,7 @@ def cmd_mackey_check(args) -> int:
                     "functor": M.name,
                     "ok": report.ok,
                     "violations": [{"axiom": v.axiom, "detail": v.detail} for v in report.violations],
+                    "checked": report.checked,
                 }
             ),
         )

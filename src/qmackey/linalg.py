@@ -189,10 +189,6 @@ class QMatrix:
         return _new(n, len(cols_list), out)
 
     @staticmethod
-    def column(entries) -> "QMatrix":
-        return QMatrix([[x] for x in entries])
-
-    @staticmethod
     def scalar(n: int, value) -> "QMatrix":
         v = _nf(value)
         return _new(n, n, [{i: v} if v else {} for i in range(n)])

@@ -11,9 +11,10 @@ axiom checker verifies transitivity instead of defining maps by it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from types import MappingProxyType
 
 from .burnside import BurnsideElement, burnside_ring
@@ -64,16 +65,25 @@ class MackeyFunctor:
         return self.lattice.group
 
     def conj(self, g: int, h: int) -> QMatrix:
-        """Conjugation by an arbitrary group element, assembled from generators."""
+        """Conjugation by an arbitrary group element, assembled from generators.
+
+        With s the last letter of the word of g and p = gs^-1 (whose word is
+        the rest), C_g = C_p C_s: one product from the cached C_p.
+        """
         key = (g, h)
-        if key not in self._conj_cache:
-            level = h
-            mat = QMatrix.identity(self.dims[h])
-            for pos in reversed(self.group.word(g)):
-                mat = self.cgen[(pos, level)].matmul(mat)
-                level = self.lattice.conjugate(self.group.gens[pos], level)
+        mat = self._conj_cache.get(key)
+        if mat is None:
+            G = self.group
+            word = G.word(g)
+            if not word:
+                mat = QMatrix.identity(self.dims[h])
+            else:
+                s = G.gens[word[-1]]
+                mat = self.cgen[(word[-1], h)]
+                if len(word) > 1:
+                    mat = self.conj(G.mul(g, G.inv(s)), self.lattice.conjugate(s, h)).matmul(mat)
             self._conj_cache[key] = mat
-        return self._conj_cache[key]
+        return mat
 
     def __repr__(self) -> str:
         return f"MackeyFunctor({self.name} over {self.group.name}, dims={self.dims})"
@@ -114,8 +124,12 @@ class AxiomViolation:
 
 @dataclass
 class AxiomReport:
+    """The verdict, the violations found, and per rule the number of identities
+    evaluated on the path that decided the verdict (not compared)."""
+
     ok: bool
     violations: list
+    checked: dict = field(default_factory=dict, compare=False)
 
     def axioms_violated(self) -> set:
         return {v.axiom for v in self.violations}
@@ -129,42 +143,89 @@ class AxiomReport:
 def check_axioms(M: MackeyFunctor, fail_fast: bool = False, exhaustive: bool = False) -> AxiomReport:
     """Exact verification of the four axioms plus shape consistency.
 
-    Shapes and axioms 1-3 are checked at every level, pair and element.  When
-    they all hold, the Mackey formula (axiom 4) is checked only on triples
-    (H, K, L) with H a class representative of the lattice and K, L
-    representatives of the H-conjugacy classes of subgroups of H.  When that
-    reduced set finds a mismatch, or axioms 1-3 do not hold, the formula is
-    checked at every triple and the report is what that full check reports;
-    ``exhaustive`` checks every triple regardless.
+    Shapes are checked for every map.  Then a reduced pass checks
 
-    Why the reduced set suffices once axioms 1-3 hold.  They give three facts:
+    (a) R^H_H = I^H_H = id, and C_x = id on M(G/H) for x in ``lat.gens(H)``;
+    (b) R^H_L = R^K_L R^H_K and I^H_L = I^H_K I^K_L for K maximal in H (a
+        cover pair) and L < K;
+    (c) C_{gs} = C_g C_s at every level, for g in G and s a generator such
+        that the word of gs is not the word of g followed by s;
+    (d) R^{sH}_{sK} C_s = C_s R^H_K and I^{sH}_{sK} C_s = C_s I^H_K for s a
+        generator and K maximal in H;
+    (e) the Mackey formula at (H, K, L) with H a class representative and K,
+        L representatives of the H-classes of maximal subgroups of H.
 
-    - C_h = id on M(G/H) for h in H;
-    - R^H_{hKh^-1} = C_h R^H_K for h in H, where this C_h is the map
-      M(G/K) -> M(G/hKh^-1); likewise I^H_{hKh^-1} C_h = I^H_K, and in
-      general C_g R^H_K = R^{gH}_{gK} C_g and C_g I^H_K = I^{gH}_{gK} C_g
-      (equivariance for generators, extended by multiplicativity);
-    - each double-coset term I^K_{K n xL} C_x R^L_{L n K^x} does not depend
-      on the representative x of KxL (C_{kxl} = C_k C_x C_l, and C_k, C_l
-      are absorbed by the second fact).
+    When all of these hold, so does every identity of the full check, as
+    shown below.  When any of them fails, or with ``exhaustive``, the full
+    check runs: axioms 1-3 at every level, chain, element and comparable
+    pair, then the formula at every triple; the report is what it reports.
+    With ``fail_fast`` the check stops at the first violation.  ``checked``
+    counts, per rule, the identities evaluated on the path that decided the
+    verdict.
 
-    So the identity at (H, hKh^-1, L) is C_h applied to the identity at
-    (H, K, L), because x -> hx is a bijection K\\H/L -> hKh^-1\\H/L.  The
-    same holds for L on the right, with C_h^-1 and x -> xh^-1, and for
-    (gHg^-1, gKg^-1, gLg^-1) with C_g on both sides.  Every C is invertible
-    (C_g C_{g^-1} = C_1 = id), so each of these identities holds exactly
-    when the one at the representative triple does, and every triple is
-    reached from a representative one in this way.
+    Why (a)-(e) suffice.  ``conj`` builds C_g from the word of g that the
+    group's breadth-first search found, as C_p C_s with ps = g and the word
+    of p a prefix of the word of g.  So C_{gs} = C_g C_s holds by
+    construction on the edges of that word tree, and (c) checks it on every
+    other edge.
 
-    With ``fail_fast`` the check stops at the first violation.
+    - C_{ab} = C_a C_b for all a, b, by induction on the word length of b:
+      C_1 = id, and for b = b's with the word of b' a prefix,
+      C_{ab} = C_{ab'} C_s = C_a C_{b'} C_s = C_a C_b.  The full check's
+      C_{sg} = C_s C_g is the case a = s.
+    - C_x = id on M(G/H) for every x in H: the set of such x contains
+      ``gens(H)`` by (a), and C_{xy} = C_x C_y on M(G/H) for x, y in H, so it
+      is closed under products and is all of H.
+    - Transitivity for every chain L < K' < H, by induction on |H|: take K
+      maximal in H with K' <= K.  If K' = K this is (b).  Otherwise
+      R^{K'}_L R^H_{K'} = R^{K'}_L R^K_{K'} R^H_K = R^K_L R^H_K = R^H_L,
+      by (b) twice and the induction hypothesis at K; likewise for I.
+    - Equivariance for every K < H, by induction on the length of a longest
+      chain from K up to H: if K is maximal this is (d); otherwise take K'
+      maximal in H with K < K', and
+      R^{sH}_{sK} C_s = R^{sK'}_{sK} R^{sH}_{sK'} C_s = R^{sK'}_{sK} C_s R^H_{K'}
+      = C_s R^{K'}_K R^H_{K'} = C_s R^H_K, as conjugation preserves the
+      chain.  K = H is axiom 1, and likewise for I.
+
+    With axioms 1-3 in hand, the Mackey formula at (H, K, L),
+
+        R^H_K I^H_L = sum over x in K\\H/L of I^K_{K n xLx^-1} C_x R^L_{L n x^-1Kx},
+
+    has three properties.  Each term does not depend on the representative
+    x: C_{kxl} = C_k C_x C_l, and C_k, C_l are absorbed by equivariance and
+    C_h = id on M(G/H) for h in H.  The identity at (gH, gK, gL), and at
+    (H, hKh^-1, L) or (H, K, hLh^-1) for h in H, is the one at (H, K, L)
+    composed with invertible C's, since x -> hx and x -> xh^-1 are
+    bijections of the double cosets.  And it holds at (H, H, L) and
+    (H, K, H): there is one double coset, its representative x lies in H,
+    and the right side is I^H_{xLx^-1} C_x = C_x I^H_L = I^H_L, or its
+    mirror.
+
+    Now the formula holds at every triple, by induction on |H|.  By the
+    second property it suffices that it holds at class representatives H,
+    and there (e) and the second and third properties give it for K and L
+    each maximal in H or equal to H.  For K < K' with K' maximal in H,
+
+        R^H_K I^H_L = R^{K'}_K R^H_{K'} I^H_L
+                    = sum over y in K'\\H/L of R^{K'}_K I^{K'}_{K' n yLy^-1} C_y R^L_{L n y^-1K'y},
+
+    and the formula at the smaller level (K', K, K' n yLy^-1) expands each
+    R^{K'}_K I^{K'}_{K' n yLy^-1} as a sum over z in K\\K'/(K' n yLy^-1).
+    Equivariance, transitivity and C_z C_y = C_{zy} turn the term at (y, z)
+    into the term at x = zy of the formula at (H, K, L), and (y, z) -> zy
+    is a bijection onto K\\H/L, since the K-orbits on K'yL/L are
+    K\\K'/(K' n yLy^-1).  So the formula holds for every K, with L maximal
+    in H or equal to H.  The same argument on the right, through L < L'
+    maximal and the formula at (L', L' n y^-1Ky, L), gives every L.
     """
-    found = _axiom_violations(M, exhaustive)
+    checked = Counter()
+    found = _axiom_violations(M, exhaustive, checked)
     out = list(islice(found, 1)) if fail_fast else list(found)
-    return AxiomReport(not out, out)
+    return AxiomReport(not out, out, dict(checked))
 
 
-def _axiom_violations(M: MackeyFunctor, exhaustive: bool):
-    """Every violation of the axioms by M, in the order they are checked."""
+def _axiom_violations(M: MackeyFunctor, exhaustive: bool, checked: Counter):
+    """Every violation of the axioms by M, in the order the full check finds them."""
     lat = M.lattice
     G = M.group
     nm = lat.name
@@ -185,34 +246,78 @@ def _axiom_violations(M: MackeyFunctor, exhaustive: bool):
             if (mat.rows, mat.cols) != (M.dims[lat.conjugate(G.gens[pos], h)], M.dims[h])
         ),
     ]
+    checked["shape"] = len(M.res) + len(M.ind) + len(M.cgen)
     if shapes:
         # nothing downstream is well-posed with mismatched shapes
         yield from shapes
         return
-    broken = False
-    for violation in _structure_violations(M):
-        broken = True
-        yield violation
-    if exhaustive or broken or next(_mackey_formula_violations(M, _representative_triples(lat)), None) is not None:
-        yield from _mackey_formula_violations(M, _all_triples(lat))
+    if not exhaustive:
+        reduced = Counter()
+        for rule, holds in _reduced_identities(M):
+            reduced[rule] += 1
+            if not holds:
+                break
+        else:
+            checked.update(reduced)
+            return
+    for rule, holds, detail in chain(_structure_identities(M), _formula_identities(M, _all_triples(lat))):
+        checked[rule] += 1
+        if not holds:
+            yield AxiomViolation(rule, detail)
 
 
-def _structure_violations(M: MackeyFunctor):
-    """Violations of axioms 1-3 by a functor whose maps have the right shapes."""
+def _reduced_identities(M: MackeyFunctor):
+    """``(rule, holds)`` for each identity (a)-(e) of ``check_axioms``."""
+    lat = M.lattice
+    G = M.group
+    for h in range(len(lat)):
+        eye = QMatrix.identity(M.dims[h])
+        yield "identity-restriction", M.res[(h, h)] == eye
+        yield "identity-induction", M.ind[(h, h)] == eye
+        for x in lat.gens(h):
+            yield "inner-conjugation", M.conj(x, h) == eye
+    for h, k in lat.cover_pairs():
+        for l in lat.subgroups_of(k):
+            if l != k:
+                yield "restriction-transitivity", M.res[(h, l)] == M.res[(k, l)].matmul(M.res[(h, k)])
+                yield "induction-transitivity", M.ind[(h, l)] == M.ind[(h, k)].matmul(M.ind[(k, l)])
+    # on the edges of the word tree C_{gs} = C_g C_s holds by the construction in ``conj``
+    off_tree = [
+        (g, pos, s, gs)
+        for g in range(G.order)
+        for pos, s in enumerate(G.gens)
+        if G.word(gs := G.mul(g, s)) != G.word(g) + (pos,)
+    ]
+    for h in range(len(lat)):
+        for g, pos, s, gs in off_tree:
+            cs = M.cgen[(pos, h)]
+            yield "conjugation-multiplicativity", M.conj(gs, h) == M.conj(g, lat.conjugate(s, h)).matmul(cs)
+    for pos, s in enumerate(G.gens):
+        for h, k in lat.cover_pairs():
+            hs, ks = lat.conjugate(s, h), lat.conjugate(s, k)
+            ch, ck = M.cgen[(pos, h)], M.cgen[(pos, k)]
+            yield "restriction-equivariance", M.res[(hs, ks)].matmul(ch) == ck.matmul(M.res[(h, k)])
+            yield "induction-equivariance", M.ind[(hs, ks)].matmul(ck) == ch.matmul(M.ind[(h, k)])
+    for rule, holds, _ in _formula_identities(M, _maximal_triples(lat)):
+        yield rule, holds
+
+
+def _structure_identities(M: MackeyFunctor):
+    """``(rule, holds, detail)`` for axioms 1-3 at every level, chain, element and pair."""
     lat = M.lattice
     G = M.group
     nm = lat.name
 
-    # axiom 1: R^H_H = I^H_H = id, C_h = id on M(G/H) for h in H
+    # axiom 1: R^H_H = I^H_H = id, C_h = id on M(G/H) for h in H (up to the first h that fails)
     for h in range(len(lat)):
         eye = QMatrix.identity(M.dims[h])
-        if M.res[(h, h)] != eye:
-            yield AxiomViolation("identity-restriction", f"R at {nm(h)} is not the identity")
-        if M.ind[(h, h)] != eye:
-            yield AxiomViolation("identity-induction", f"I at {nm(h)} is not the identity")
-        x = next((x for x in lat.elements(h) if M.conj(x, h) != eye), None)
-        if x is not None:
-            yield AxiomViolation("inner-conjugation", f"C_{G.elem_name(x)} is not the identity on level {nm(h)}")
+        yield "identity-restriction", M.res[(h, h)] == eye, f"R at {nm(h)} is not the identity"
+        yield "identity-induction", M.ind[(h, h)] == eye, f"I at {nm(h)} is not the identity"
+        for x in lat.elements(h):
+            holds = M.conj(x, h) == eye
+            yield "inner-conjugation", holds, f"C_{G.elem_name(x)} is not the identity on level {nm(h)}"
+            if not holds:
+                break
 
     # axiom 2: transitivity of R and I, multiplicativity of C
     for h in range(len(lat)):
@@ -222,29 +327,41 @@ def _structure_violations(M: MackeyFunctor):
             for l in lat.subgroups_of(k):
                 if l == k:
                     continue
-                if M.res[(h, l)] != M.res[(k, l)].matmul(M.res[(h, k)]):
-                    yield AxiomViolation("restriction-transitivity", f"{nm(h)} > {nm(k)} > {nm(l)}")
-                if M.ind[(h, l)] != M.ind[(h, k)].matmul(M.ind[(k, l)]):
-                    yield AxiomViolation("induction-transitivity", f"{nm(l)} < {nm(k)} < {nm(h)}")
+                yield (
+                    "restriction-transitivity",
+                    M.res[(h, l)] == M.res[(k, l)].matmul(M.res[(h, k)]),
+                    f"{nm(h)} > {nm(k)} > {nm(l)}",
+                )
+                yield (
+                    "induction-transitivity",
+                    M.ind[(h, l)] == M.ind[(h, k)].matmul(M.ind[(k, l)]),
+                    f"{nm(l)} < {nm(k)} < {nm(h)}",
+                )
     for h in range(len(lat)):
         for g in range(G.order):
             cg = M.conj(g, h)
             gh = lat.conjugate(g, h)
             for pos, s in enumerate(G.gens):
-                if M.conj(G.mul(s, g), h) != M.cgen[(pos, gh)].matmul(cg):
-                    yield AxiomViolation(
-                        "conjugation-multiplicativity",
-                        f"C_({G.elem_name(s)}*{G.elem_name(g)}) != C_{G.elem_name(s)} C_{G.elem_name(g)} at {nm(h)}",
-                    )
+                yield (
+                    "conjugation-multiplicativity",
+                    M.conj(G.mul(s, g), h) == M.cgen[(pos, gh)].matmul(cg),
+                    f"C_({G.elem_name(s)}*{G.elem_name(g)}) != C_{G.elem_name(s)} C_{G.elem_name(g)} at {nm(h)}",
+                )
 
     # axiom 3: equivariance of R and I (generators suffice given axiom 2)
     for pos, s in enumerate(G.gens):
         for h, k in comparable_pairs(lat):
             hs, ks = lat.conjugate(s, h), lat.conjugate(s, k)
-            if M.res[(hs, ks)].matmul(M.cgen[(pos, h)]) != M.cgen[(pos, k)].matmul(M.res[(h, k)]):
-                yield AxiomViolation("restriction-equivariance", f"conjugating {nm(h)} > {nm(k)} by {G.elem_name(s)}")
-            if M.ind[(hs, ks)].matmul(M.cgen[(pos, k)]) != M.cgen[(pos, h)].matmul(M.ind[(h, k)]):
-                yield AxiomViolation("induction-equivariance", f"conjugating {nm(k)} < {nm(h)} by {G.elem_name(s)}")
+            yield (
+                "restriction-equivariance",
+                M.res[(hs, ks)].matmul(M.cgen[(pos, h)]) == M.cgen[(pos, k)].matmul(M.res[(h, k)]),
+                f"conjugating {nm(h)} > {nm(k)} by {G.elem_name(s)}",
+            )
+            yield (
+                "induction-equivariance",
+                M.ind[(hs, ks)].matmul(M.cgen[(pos, k)]) == M.cgen[(pos, h)].matmul(M.ind[(h, k)]),
+                f"conjugating {nm(k)} < {nm(h)} by {G.elem_name(s)}",
+            )
 
 
 def _all_triples(lat: SubgroupLattice):
@@ -255,17 +372,18 @@ def _all_triples(lat: SubgroupLattice):
                 yield h, k, l
 
 
-def _representative_triples(lat: SubgroupLattice):
-    """(H, K, L) with H a class representative and K, L representatives of H-classes in H."""
+def _maximal_triples(lat: SubgroupLattice):
+    """(H, K, L) with H a class representative and K, L representatives of the H-classes of maximal subgroups of H."""
+    covers = set(lat.cover_pairs())
     for h in lat.class_reps():
-        reps = [cls[0] for cls in lat.local_classes(h)]
+        reps = [cls[0] for cls in lat.local_classes(h) if (h, cls[0]) in covers]
         for k in reps:
             for l in reps:
                 yield h, k, l
 
 
-def _mackey_formula_violations(M: MackeyFunctor, triples):
-    """Axiom 4, the double-coset formula, at each of ``triples``."""
+def _formula_identities(M: MackeyFunctor, triples):
+    """``(rule, holds, detail)`` for axiom 4, the double-coset formula, at each of ``triples``."""
     lat = M.lattice
     G = M.group
     nm = lat.name
@@ -277,8 +395,7 @@ def _mackey_formula_violations(M: MackeyFunctor, triples):
             upper = lat.meet(k, xl)  # K n xLx^-1
             lower = lat.conjugate(G.inv(x), upper)  # L n x^-1Kx
             rhs = rhs + M.ind[(k, upper)].matmul(M.conj(x, lower)).matmul(M.res[(l, lower)])
-        if lhs != rhs:
-            yield AxiomViolation("double-coset", f"R^{nm(h)}_{nm(k)} I^{nm(h)}_{nm(l)} mismatch")
+        yield "double-coset", lhs == rhs, f"R^{nm(h)}_{nm(k)} I^{nm(h)}_{nm(l)} mismatch"
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +502,11 @@ def fp_functor(lattice: SubgroupLattice, V: WModule, name: str | None = None) ->
     Restriction includes a fixed subspace into a larger one; induction sums a
     vector over coset representatives.
     """
+    return _fp_with_bases(lattice, V, name)[0]
+
+
+def _fp_with_bases(lattice: SubgroupLattice, V: WModule, name: str | None):
+    """``fp_functor`` together with the basis of fixed vectors of each level."""
     _check_module_over(lattice, V)
     bases = [fixed_subspace(V, lattice.gens(h)) for h in range(len(lattice))]
     dims = [b.cols for b in bases]
@@ -401,7 +523,7 @@ def fp_functor(lattice: SubgroupLattice, V: WModule, name: str | None = None) ->
     def conjfn(pos, s, h):
         return restrict_map(V.matrix(s), bases[h], bases[lattice.conjugate(s, h)])
 
-    return build_functor(lattice, dims, resfn, indfn, conjfn, name=name or "FP")
+    return build_functor(lattice, dims, resfn, indfn, conjfn, name=name or "FP"), bases
 
 
 def _coinvariants(V: WModule, elems) -> tuple[QMatrix, QMatrix]:
@@ -420,6 +542,11 @@ def fq_functor(lattice: SubgroupLattice, V: WModule, name: str | None = None) ->
     Restriction sums the inverses of a left transversal; only then is the sum
     independent of the representatives on both sides of the quotients.
     """
+    return _fq_with_quotients(lattice, V, name)[0]
+
+
+def _fq_with_quotients(lattice: SubgroupLattice, V: WModule, name: str | None):
+    """``fq_functor`` together with the projections and sections of the levels' quotients."""
     _check_module_over(lattice, V)
     G = lattice.group
     projs, secs = zip(*(_coinvariants(V, lattice.gens(h)) for h in range(len(lattice))))
@@ -437,7 +564,7 @@ def fq_functor(lattice: SubgroupLattice, V: WModule, name: str | None = None) ->
     def conjfn(pos, s, h):
         return projs[lattice.conjugate(s, h)].matmul(V.matrix(s)).matmul(secs[h])
 
-    return build_functor(lattice, dims, resfn, indfn, conjfn, name=name or "FQ")
+    return build_functor(lattice, dims, resfn, indfn, conjfn, name=name or "FQ"), projs, secs
 
 
 def fp_fq_iso(lattice: SubgroupLattice, V: WModule) -> MackeyMorphism:
@@ -449,12 +576,10 @@ def fp_fq_iso(lattice: SubgroupLattice, V: WModule) -> MackeyMorphism:
     and induction, so the returned morphism carries the 1/|H| normalization
     that makes the collection commute with all structure maps.
     """
-    FP = fp_functor(lattice, V)
-    FQ = fq_functor(lattice, V)
+    FP, bases = _fp_with_bases(lattice, V, None)
+    FQ, projs, secs = _fq_with_quotients(lattice, V, None)
     maps = []
-    for h in range(len(lattice)):
-        basis = fixed_subspace(V, lattice.gens(h))
-        proj, sec = _coinvariants(V, lattice.gens(h))
+    for h, basis, proj, sec in zip(range(len(lattice)), bases, projs, secs):
         fwd = proj.matmul(basis)
         # the averaging composite inverts the raw include-then-quotient map
         avg = averaging_projector(V, lattice.elements(h))
@@ -833,10 +958,9 @@ def fp_unit(M: MackeyFunctor) -> MackeyMorphism:
     """The unit morphism into the fixed-point functor on the bottom level."""
     lat = M.lattice
     V = evaluate_bottom(M)
-    F = fp_functor(lat, V, name=f"FP({M.name}(G/e))")
+    F, bases = _fp_with_bases(lat, V, f"FP({M.name}(G/e))")
     maps = []
-    for h in range(len(lat)):
-        basis = fixed_subspace(V, lat.gens(h))
+    for h, basis in enumerate(bases):
         coeff = basis.solve(M.res[(h, lat.bottom)])
         if coeff is None:
             raise MackeyError("restriction to the bottom level does not land in fixed vectors")

@@ -48,7 +48,7 @@ def green_check(S: GreenStructure) -> GreenReport:
         return tuple(out)
 
     def apply(m, v):
-        return m.matmul(QMatrix.column(v)).col(0)
+        return m.matmul(QMatrix([[x] for x in v])).col(0)
 
     def associates(h, ei, ej):
         # (e_i e_j) e_l == e_i (e_j e_l) for every l, noting on the way whether e_i and e_j commute

@@ -1,12 +1,18 @@
-"""The Mackey formula on class representatives against the full triple set.
+"""The reduced axiom pass against the full check.
 
-``check_axioms`` checks the double-coset formula only on representative
-triples once axioms 1-3 hold, and falls back to every triple on any failure.
-These tests hold it to the exhaustive path: equal reports on the corruption
-fixtures, on a broken equivariance the reduced set cannot see, and on the
-functors the ``verify`` benchmark builds, and equal
-verdicts of the formula alone on twisted constant functors, which satisfy
-axioms 1-3 by construction and break the formula in many ways.
+``check_axioms`` checks axiom 1 on generators, transitivity and equivariance
+on cover pairs, multiplicativity of C on the edges off the word tree, and the
+double-coset formula on maximal triples at class representatives; any
+failure reruns the full check.  These tests hold it to the exhaustive path:
+equal reports on the corruption fixtures, on a broken equivariance the
+reduced triples cannot see, on the functors the ``verify`` benchmark builds,
+on single planted faults off the cover pairs, generators and word tree
+that the reduced pass runs over, on a gauge twist that breaks equivariance
+alone and on a sign that breaks C_x = id alone; equal verdicts of the
+formula alone on twisted constant functors, which satisfy axioms 1-3 by
+construction and break the formula in many ways; and a derivation of every
+triple from the maximal ones along the induction of the proof.  A count of
+matrix products keeps the reduction from eroding.
 """
 
 from dataclasses import replace
@@ -22,9 +28,9 @@ from qmackey.groups import corpus
 from qmackey.linalg import QMatrix, WModule
 from qmackey.mackey import (
     _all_triples,
-    _mackey_formula_violations,
-    _representative_triples,
-    _structure_violations,
+    _formula_identities,
+    _maximal_triples,
+    _structure_identities,
     build_functor,
     burnside_mackey,
     check_axioms,
@@ -73,7 +79,7 @@ def test_broken_equivariance_reports_every_triple(corpus_lattices, group):
     k = next(cls[1] for cls in lat.classes if len(cls) > 1)
     M = constant(lat, 1)
     M = replace(M, res={**M.res, (lat.top, k): QMatrix.scalar(1, 2)})
-    assert formula_holds(M, _representative_triples(lat)) and not formula_holds(M, _all_triples(lat))
+    assert formula_holds(M, _maximal_triples(lat)) and not formula_holds(M, _all_triples(lat))
     assert_same_reports(M)
     assert "double-coset" in check_axioms(M).axioms_violated()
 
@@ -84,19 +90,63 @@ def test_verify_functors_report_as_exhaustive(corpus_lattices, group):
         assert_same_reports(M)
 
 
-@pytest.mark.parametrize("group", TWIST_GROUPS)
-def test_representative_triples_reach_every_triple(corpus_lattices, group):
-    """Conjugating K and L within H, then the whole triple by G, covers every triple."""
-    lat = corpus_lattices[group]
+def derived_triples(lat):
+    """The triples at which the proof in ``check_axioms`` gets the formula from the maximal triples.
+
+    A triple is derived when it is a conjugate of a derived one (by G, or
+    within H on K or L), when K or L is H, or when it is (H, K, L) with K
+    below a maximal K' and the formula is derived at (H, K', L) and at
+    (K', K, K' n yLy^-1) for every y in K'\\H/L; or the mirror of that on L.
+    """
     G = lat.group
-    reached = set()
-    for h, k, l in _representative_triples(lat):
+    covers = set(lat.cover_pairs())
+    maximal = {h: [k for k in lat.subgroups_of(h) if (h, k) in covers] for h in range(len(lat))}
+    found = set()
+
+    def add(h, k, l):
         ks = {lat.conjugate(x, k) for x in lat.elements(h)}
         ls = {lat.conjugate(x, l) for x in lat.elements(h)}
         for g in range(G.order):
-            gh = lat.conjugate(g, h)
-            reached |= {(gh, lat.conjugate(g, k2), lat.conjugate(g, l2)) for k2 in ks for l2 in ls}
-    assert reached == set(_all_triples(lat))
+            found.update((lat.conjugate(g, h), lat.conjugate(g, k2), lat.conjugate(g, l2)) for k2 in ks for l2 in ls)
+
+    def through_k(h, k, l):
+        return any(
+            lat.leq(k, k2)
+            and (h, k2, l) in found
+            and all((k2, k, lat.meet(k2, lat.conjugate(y, l))) in found for y in lat.double_cosets(k2, l, h))
+            for k2 in maximal[h]
+        )
+
+    def through_l(h, k, l):
+        return any(
+            lat.leq(l, l2)
+            and (h, k, l2) in found
+            and all((l2, lat.meet(l2, lat.conjugate(G.inv(y), k)), l) in found for y in lat.double_cosets(k, l2, h))
+            for l2 in maximal[h]
+        )
+
+    for triple in _maximal_triples(lat):
+        add(*triple)
+    for h, k, l in _all_triples(lat):
+        if h in (k, l):
+            add(h, k, l)
+    grown = True
+    while grown:
+        grown = False
+        for h, k, l in _all_triples(lat):
+            if (h, k, l) not in found and (through_k(h, k, l) or through_l(h, k, l)):
+                add(h, k, l)
+                grown = True
+    return found
+
+
+@pytest.mark.parametrize("group", TWIST_GROUPS)
+def test_representative_triples_reach_every_triple(corpus_lattices, group):
+    """Conjugation and the induction on |H| over maximal subgroups reach every triple
+    from the maximal triples at class representatives, which are far fewer."""
+    lat = corpus_lattices[group]
+    assert derived_triples(lat) == set(_all_triples(lat))
+    assert len(list(_maximal_triples(lat))) < len(set(_all_triples(lat))) / 4
 
 
 # -- twisted constant functors ----------------------------------------------------
@@ -121,13 +171,13 @@ def orders(lat):
 
 
 def formula_holds(M, triples):
-    return next(_mackey_formula_violations(M, triples), None) is None
+    return all(holds for _, holds, _ in _formula_identities(M, triples))
 
 
 def assert_reduction_agrees(M):
     lat = M.lattice
-    assert next(_structure_violations(M), None) is None
-    assert formula_holds(M, _representative_triples(lat)) == formula_holds(M, _all_triples(lat))
+    assert all(holds for _, holds, _ in _structure_identities(M))
+    assert formula_holds(M, _maximal_triples(lat)) == formula_holds(M, _all_triples(lat))
     assert_same_reports(M)
 
 
@@ -142,7 +192,7 @@ def test_doubling_one_class_of_s4_breaks_the_formula(s4_lattice, cls):
     f = orders(s4_lattice)
     f[cls] *= 2
     M = twisted_constant(s4_lattice, f)
-    assert not formula_holds(M, _representative_triples(s4_lattice))
+    assert not formula_holds(M, _maximal_triples(s4_lattice))
     assert_reduction_agrees(M)
 
 
@@ -154,3 +204,146 @@ def test_doubling_one_class_of_s4_breaks_the_formula(s4_lattice, cls):
 def test_random_twists_agree(corpus_lattices, group, factors):
     lat = corpus_lattices[group]
     assert_reduction_agrees(twisted_constant(lat, [n * c for n, c in zip(orders(lat), factors)]))
+
+
+# -- single planted faults ------------------------------------------------------------
+
+
+def _bump(mat, i, j, delta):
+    """``mat`` with ``delta`` added at entry (i, j), taken modulo the shape."""
+    i, j = i % mat.rows, j % mat.cols
+    return mat + QMatrix([[delta if (r, c) == (i, j) else 0 for c in range(mat.cols)] for r in range(mat.rows)])
+
+
+def _non_cover_map(lat, A, table, pick, i, j, delta):
+    """R^H_L or I^H_L perturbed at one entry, for L < K < H (so L is not maximal in H)."""
+    covers = set(lat.cover_pairs())
+    pairs = [(h, l) for h in range(len(lat)) for l in lat.subgroups_of(h) if l != h and (h, l) not in covers]
+    key = pairs[pick % len(pairs)]
+    return replace(A, **{table: {**getattr(A, table), key: _bump(getattr(A, table)[key], i, j, delta)}})
+
+
+def _off_generator_cgen(lat, A, pick, i, j, delta):
+    """C_s at a level H whose own generators ``lat.gens(H)`` do not include s, perturbed at one entry."""
+    G = lat.group
+    keys = [(pos, h) for pos, s in enumerate(G.gens) for h in range(len(lat)) if s not in lat.gens(h)]
+    key = keys[pick % len(keys)]
+    return replace(A, cgen={**A.cgen, key: _bump(A.cgen[key], i, j, delta)})
+
+
+def _off_tree_conj(lat, A, pick, i, j, delta):
+    """C_{gs} at one level perturbed, for (g, s) an edge off the word tree.
+
+    ``conj`` reads C_{gs} from the functor's conjugation cache, so the fault
+    goes there, after every C_x of every level is in it; the other C's keep
+    their values, and (c) at that edge compares the two sides directly.
+    """
+    G = lat.group
+    M = replace(A)
+    for g in range(G.order):
+        for h in range(len(lat)):
+            M.conj(g, h)
+    edges = [
+        (G.mul(g, s), h)
+        for g in range(G.order)
+        for pos, s in enumerate(G.gens)
+        if G.word(G.mul(g, s)) != G.word(g) + (pos,)
+        for h in range(len(lat))
+    ]
+    key = edges[pick % len(edges)]
+    M._conj_cache[key] = _bump(M._conj_cache[key], i, j, delta)
+    return M
+
+
+@pytest.fixture(scope="module")
+def burnside_functors(corpus_lattices):
+    return {group: burnside_mackey(corpus_lattices[group]) for group in TWIST_GROUPS}
+
+
+@settings(derandomize=True, deadline=None, max_examples=48, database=None)
+@given(
+    group=st.sampled_from(TWIST_GROUPS),
+    fault=st.sampled_from(["res", "ind", "cgen", "conj"]),
+    pick=st.integers(0, 10**6),
+    i=st.integers(0, 50),
+    j=st.integers(0, 50),
+    delta=st.sampled_from([1, -1, Fraction(1, 2), 3]),
+)
+def test_planted_faults_report_as_exhaustive(corpus_lattices, burnside_functors, group, fault, pick, i, j, delta):
+    """One entry of the Burnside functor changed: in R or I on a non-cover pair, in C_s at a
+    level whose generators lack s, or in C_{gs} on an edge off the word tree."""
+    lat, A = corpus_lattices[group], burnside_functors[group]
+    if fault in ("res", "ind"):
+        M = _non_cover_map(lat, A, fault, pick, i, j, delta)
+    elif fault == "cgen":
+        M = _off_generator_cgen(lat, A, pick, i, j, delta)
+    else:
+        M = _off_tree_conj(lat, A, pick, i, j, delta)
+    assert not check_axioms(M, exhaustive=True).ok
+    assert_same_reports(M)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(group=st.sampled_from(TWIST_GROUPS), pick=st.integers(0, 10**6), factor=st.sampled_from([2, -1, Fraction(1, 3)]))
+def test_gauge_twists_report_as_exhaustive(corpus_lattices, group, pick, factor):
+    """The constant functor with R^H_K = f(K)/f(H), I^H_K = |H:K| f(H)/f(K) and C = id,
+    for f = 1 except at one subgroup.  Axioms 1 and 2 hold by construction;
+    equivariance fails unless that subgroup is normal, and the formula may
+    hold at every maximal triple, so only (d) sees the fault."""
+    lat = corpus_lattices[group]
+    f = [1] * len(lat)
+    f[pick % len(lat)] = factor
+    one = QMatrix.identity(1)
+    M = build_functor(
+        lat,
+        [1] * len(lat),
+        lambda h, k: QMatrix.scalar(1, Fraction(f[k]) / f[h]),
+        lambda h, k: QMatrix.scalar(1, lat.index(k, h) * Fraction(f[h]) / f[k]),
+        lambda pos, s, h: one,
+    )
+    assert check_axioms(M, exhaustive=True).ok == lat.is_normal(pick % len(lat))
+    assert_same_reports(M)
+
+
+@pytest.mark.parametrize("group", TWIST_GROUPS)
+def test_top_level_signs_report_as_exhaustive(corpus_lattices, group):
+    """Q at G and 0 below, with C_g the sign of g modulo an index-2 subgroup N.
+
+    Every identity but C_x = id on M(G/G) holds, so the report names
+    inner-conjugation alone, which (a) finds only if it reads every generator
+    of G."""
+    lat = corpus_lattices[group]
+    G = lat.group
+    dims = [int(h == lat.top) for h in range(len(lat))]
+    for n in (h for h in range(len(lat)) if 2 * lat.order(h) == G.order):
+        sign = [1 if g in lat.elements(n) else -1 for g in range(G.order)]
+        M = build_functor(
+            lat,
+            dims,
+            lambda h, k: QMatrix.identity(dims[h]) if h == k else QMatrix.zeros(dims[k], dims[h]),
+            lambda h, k: QMatrix.identity(dims[h]) if h == k else QMatrix.zeros(dims[h], dims[k]),
+            lambda pos, s, h: QMatrix.scalar(dims[h], sign[s]),
+        )
+        assert check_axioms(M, exhaustive=True).axioms_violated() == {"inner-conjugation"}
+        assert_same_reports(M)
+
+
+def test_reduced_pass_makes_at_most_half_the_products(past_corpus_lattices, monkeypatch):
+    """A machine-independent guard: matrix products of a passing check on C2^4."""
+    A = burnside_mackey(past_corpus_lattices["C2^4"])
+    calls = 0
+    matmul = QMatrix.matmul
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(QMatrix, "matmul", counted)
+    products = []
+    for exhaustive in (False, True):
+        calls = 0
+        assert check_axioms(replace(A), exhaustive=exhaustive).ok
+        products.append(calls)
+    reduced, full = products
+    assert 0 < reduced <= full / 2

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from corruptions import constant_with_identity_induction, scaled_restriction
-from qmackey.cli import build_parser, main
-from qmackey.groups import FiniteGroup, SubgroupLattice, cyclic, symmetric
-from qmackey.mackey import MackeyError, burnside_mackey, rebase
+from qmackey.cli import build_parser, main, resolve_functor
+from qmackey.groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupLattice, cyclic, symmetric
+from qmackey.mackey import MackeyError, burnside_mackey, check_axioms, rebase
 from qmackey.linalg import QMatrix
 from qmackey.serialize import FormatError, dump, functor_to_json, group_to_json, matrix_from_json, str_to_frac
 
@@ -494,7 +494,9 @@ class TestParserReuse:
             build_parser.cache_clear()
             first.append(self.outcome(capsys, path, argv))
         assert first[0] == first[1] == (0, "", "", "A: all axioms hold\n")
-        assert first[2][:2] == (0, dump({"functor": "A", "ok": True, "violations": []}) + "\n")
+        checked = check_axioms(resolve_functor("burnside:s3", DEFAULT_ORDER_CAP)).checked
+        assert checked["double-coset"] > 0
+        assert first[2][:2] == (0, dump({"functor": "A", "ok": True, "violations": [], "checked": checked}) + "\n")
         for _ in range(2):
             assert [self.outcome(capsys, path, argv) for argv in calls] == first
             with pytest.raises(SystemExit) as exc:

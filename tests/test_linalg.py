@@ -60,7 +60,7 @@ class TestBasics:
 
     def test_solve_none_when_inconsistent(self):
         M = QMatrix([[1, 0], [1, 0]])
-        rhs = QMatrix.column([1, 2])
+        rhs = QMatrix([[1], [2]])
         assert M.solve(rhs) is None
 
     def test_shape_mismatch(self):
@@ -167,11 +167,11 @@ class TestQuotient:
         assert sec == QMatrix.identity(3)
 
     def test_diagonal_line(self):
-        proj, sec = quotient_space(2, QMatrix.column([1, 1]))
+        proj, sec = quotient_space(2, QMatrix([[1], [1]]))
         assert proj.rows == 1
         assert proj.matmul(sec) == QMatrix.identity(1)
         # the relation itself dies
-        assert proj.matmul(QMatrix.column([1, 1])).is_zero()
+        assert proj.matmul(QMatrix([[1], [1]])).is_zero()
 
     @settings(deadline=None, max_examples=40)
     @given(matrices())
@@ -391,13 +391,13 @@ class TestReynoldsIntertwiner:
 class TestRestrictMap:
     def test_restrict_onto_subspace(self):
         amb = QMatrix([[0, 1], [1, 0]])
-        basis = QMatrix.column([1, 1])
+        basis = QMatrix([[1], [1]])
         assert restrict_map(amb, basis, basis) == QMatrix([[1]])
 
     def test_restrict_rejects_escaping_map(self):
         amb = QMatrix([[1, 1], [0, 1]])
-        basis = QMatrix.column([1, 0])
-        other = QMatrix.column([0, 1])
+        basis = QMatrix([[1], [0]])
+        other = QMatrix([[0], [1]])
         with pytest.raises(LinAlgError):
             restrict_map(amb, other, other)
 

@@ -178,7 +178,7 @@ def test_constructors(perm):
         assert same(QMatrix.from_cols(cols, rows=n), ref.DenseMatrix.from_cols(cols, rows=n))
     else:  # the dense kernel dropped empty columns and returned 0x0
         assert QMatrix.from_cols(cols, rows=n) == QMatrix.zeros(0, 2)
-    assert same(QMatrix.column(cols[0]), ref.DenseMatrix.column(cols[0]))
+    assert same(QMatrix([[x] for x in cols[0]]), ref.DenseMatrix.column(cols[0]))
 
 
 def test_ragged_input_rejected():
@@ -227,7 +227,7 @@ def test_repeated_solves(args):
 
 
 def test_restrict_map_rejects_a_map_leaving_the_subspace():
-    line = QMatrix.column([1, 1, 0])
+    line = QMatrix([[1], [1], [0]])
     plane = QMatrix.from_cols([[1, 0, 0], [0, 1, 0]])
     swap = linalg.permutation_matrix([1, 0, 2])
     assert linalg.restrict_map(swap, line, line) == QMatrix.identity(1)
@@ -239,14 +239,14 @@ def test_restrict_map_rejects_a_map_leaving_the_subspace():
             linalg.restrict_map(shift, src, dst)
     # the same subspaces as kernel and image bases, whose solves select rows
     echelon = {
-        "line": (QMatrix([[1, -1, 0], [0, 0, 1]]).kernel(), QMatrix.column([2, 2, 0]).image()),
+        "line": (QMatrix([[1, -1, 0], [0, 0, 1]]).kernel(), QMatrix([[2], [2], [0]]).image()),
         "plane": (QMatrix([[0, 0, 1]]).kernel(), plane.image()),
     }
     for line_e, plane_e in zip(echelon["line"], echelon["plane"]):
         assert line_e._solver[1] is None and plane_e._solver[1] is None
         assert linalg.restrict_map(swap, line_e, line_e) == QMatrix.identity(1)
         assert linalg.restrict_map(swap, plane_e, plane_e) == linalg.permutation_matrix([1, 0])
-        assert linalg.restrict_map(swap, line, plane_e) == QMatrix.column([1, 1])
+        assert linalg.restrict_map(swap, line, plane_e) == QMatrix([[1], [1]])
         for src, dst in ((line_e, line_e), (plane_e, plane_e), (plane_e, line_e), (line, plane_e)):
             with pytest.raises(LinAlgError):
                 linalg.restrict_map(shift, src, dst)

@@ -14,13 +14,14 @@ level by level rather than assumed.
 
 from __future__ import annotations
 
+import functools
 import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .burnside import burnside_ring
-from .groups import SubgroupLattice
+from .groups import SubgroupLattice, coset_gset
 from .linalg import (
     LinAlgError,
     QMatrix,
@@ -28,9 +29,10 @@ from .linalg import (
     block_matrix,
     coordinates,
     direct_sum as mat_direct_sum,
+    fixed_subspace,
     intertwiner,
-    permutation_matrix,
     restrict_map,
+    span_basis,
     tensor,
     vstack,
 )
@@ -38,7 +40,6 @@ from .mackey import (
     MackeyError,
     MackeyFunctor,
     MackeyMorphism,
-    build_functor,
     burnside_action,
     constant,
     direct_sum,
@@ -68,8 +69,9 @@ class FreeBlock:
     bases: tuple
 
 
-def _weyl_coset_perm(lattice: SubgroupLattice, h: int, k: int, n: int, X) -> list[int]:
-    """Left multiplication by a normalizer representative on the fixed cosets."""
+def _weyl_coset_perm(lattice: SubgroupLattice, h: int, k: int, n: int) -> list[int]:
+    """Left multiplication by a normalizer representative on the fixed cosets X = (G/K)^H."""
+    X = lattice.fixed_cosets(k, h)
     pos = {g: i for i, g in enumerate(X)}
     G = lattice.group
     return [pos[lattice.coset_of(G.mul(n, g), k)] for g in X]
@@ -86,20 +88,46 @@ def free_level_dims(lattice: SubgroupLattice, h: int, V: WModule) -> tuple[int, 
     chars = V.character()
     out = []
     for k in range(len(lattice)):
-        X = lattice.fixed_cosets(k, h)
-        if not X or V.dim == 0:
-            out.append(0)
-            continue
-        total = Fraction(0)
-        for widx in range(w.group.order):
-            perm = _weyl_coset_perm(lattice, h, k, w.reps[widx], X)
-            fixed = sum(1 for i, p in enumerate(perm) if i == p)
-            total += fixed * chars[widx]
-        dim = total / w.group.order
+        fixed = [sum(i == p for i, p in enumerate(_weyl_coset_perm(lattice, h, k, n))) for n in w.reps]
+        dim = sum((f * c for f, c in zip(fixed, chars)), Fraction(0)) / w.group.order
         if dim.denominator != 1:
             raise MackeyError("character count is not integral")
         out.append(int(dim))
     return tuple(out)
+
+
+def _weyl_fixed_basis(lattice: SubgroupLattice, h: int, k: int, V: WModule) -> QMatrix:
+    """The canonical basis of (Q[X] (x) V)^W, X = (G/K)^H and W = W_G(H), orbit by orbit.
+
+    Proof.  Q[X] (x) V is the sum of the W-stable Q[O] (x) V over the orbits O = W.x.
+    sum_{y in O} e_y (x) v_y is W-fixed exactly when v_{w.y} = rho(w) v_y for all w, y,
+    that is when v_x is in V^{W_x} and v_{t.x} = rho(t) v_x; so v -> sum_{t in W/W_x}
+    e_{t.x} (x) rho(t) v is an isomorphism from V^{W_x} onto (Q[O] (x) V)^W.  A search
+    over the generators s of W reaches each y in O by some t_y, and the t_{s.y}^-1 s t_y
+    generate W_x (Schreier's lemma).  The fixed space is the null space of the stacked
+    P_s (x) rho(s) - I, so ``span_basis`` gives the basis its ``kernel`` gives.
+    """
+    w = lattice.weyl(h)
+    W, d, X = w.group, V.dim, lattice.fixed_cosets(k, h)
+    perms = [_weyl_coset_perm(lattice, h, k, w.reps[s]) for s in W.gens]
+    via = [None] * len(X)  # via[y] = t_y, with t_y.x = y for x the first coset of the orbit of y
+    blocks, cols = [], 0
+    for x in range(len(X)):
+        if via[x] is not None:
+            continue
+        via[x], orbit, stabilizer = W.identity, [x], set()
+        for y in orbit:
+            for pos, s in enumerate(W.gens):
+                z, t = perms[pos][y], W.mul(s, via[y])
+                if via[z] is None:
+                    via[z] = t
+                    orbit.append(z)
+                else:
+                    stabilizer.add(W.mul(W.inv(via[z]), t))
+        fixed = fixed_subspace(V, stabilizer)
+        blocks += [(y * d, cols, V.matrix(via[y]).matmul(fixed)) for y in orbit]
+        cols += fixed.cols
+    return span_basis(block_matrix(len(X) * d, cols, blocks))
 
 
 def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | None = None) -> FreeBlock:
@@ -111,24 +139,7 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | N
     n_levels = len(lattice)
     name = name or f"F[{lattice.class_name_of(h)}]"
     cosets = [lattice.fixed_cosets(k, h) for k in range(n_levels)]
-    if V.dim == 0:
-        # every level is Q[X] (x) 0 = 0: nothing to solve for
-        empty = QMatrix.zeros(0, 0)
-        zero = build_functor(lattice, (0,) * n_levels, lambda *_: empty, lambda *_: empty, lambda *_: empty, name=name)
-        return FreeBlock(lattice, h, V, zero, tuple(cosets), (empty,) * n_levels)
-    bases = []
-    for k in range(n_levels):
-        X = cosets[k]
-        amb = len(X) * V.dim
-        if amb == 0:
-            bases.append(QMatrix.zeros(len(X) * V.dim, 0))
-            continue
-        stack = []
-        eye = QMatrix.identity(amb)
-        for pos, s in enumerate(w.group.gens):
-            perm = _weyl_coset_perm(lattice, h, k, w.reps[s], X)
-            stack.append(tensor(permutation_matrix(perm), V.gen_matrices[pos]) - eye)
-        bases.append(vstack(*stack).kernel() if stack else eye)
+    bases = [_weyl_fixed_basis(lattice, h, k, V) if X and V.dim else QMatrix.zeros(0, 0) for k, X in enumerate(cosets)]
     dims = tuple(b.cols for b in bases)
 
     pos_of = [{g: i for i, g in enumerate(X)} for X in cosets]
@@ -139,24 +150,29 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | N
         blocks = [(pos_of[dst][image(g)] * V.dim, j * V.dim, eye_v) for j, g in enumerate(cosets[src])]
         return block_matrix(len(cosets[dst]) * V.dim, len(cosets[src]) * V.dim, blocks)
 
+    zeros = functools.cache(QMatrix.zeros)  # a level is 0 unless H <=_G K; maps into or out of 0 are 0
     res, ind = {}, {}
     for kb in range(n_levels):
         for ks in lattice.subgroups_of(kb):
             if ks == kb:
                 res[(kb, kb)] = ind[(kb, kb)] = QMatrix.identity(dims[kb])
-                continue
-            # project fixed cosets of the smaller subgroup onto the bigger one
-            a = coset_map(ks, kb, lambda g: lattice.coset_of(g, kb))
-            ind[(kb, ks)] = restrict_map(a, bases[ks], bases[kb])
-            # restriction sends a coset to the sum of its fixed preimages
-            res[(kb, ks)] = restrict_map(a.transpose(), bases[kb], bases[ks])
+            elif not (dims[kb] and dims[ks]):
+                res[(kb, ks)], ind[(kb, ks)] = zeros(dims[ks], dims[kb]), zeros(dims[kb], dims[ks])
+            else:
+                # project fixed cosets of the smaller subgroup onto the bigger one
+                a = coset_map(ks, kb, lambda g: lattice.coset_of(g, kb))
+                ind[(kb, ks)] = restrict_map(a, bases[ks], bases[kb])
+                # restriction sends a coset to the sum of its fixed preimages
+                res[(kb, ks)] = restrict_map(a.transpose(), bases[kb], bases[ks])
     cgen = {}
     for pos, s in enumerate(G.gens):
         si = G.inv(s)
         for k in range(n_levels):
             ks = lattice.conjugate(s, k)
-            amb = coset_map(k, ks, lambda g: lattice.coset_of(G.mul(g, si), ks))
-            cgen[(pos, k)] = restrict_map(amb, bases[k], bases[ks])
+            cgen[(pos, k)] = (
+                restrict_map(coset_map(k, ks, lambda g: lattice.coset_of(G.mul(g, si), ks)), bases[k], bases[ks])
+                if dims[k] else zeros(0, 0)
+            )
     functor = MackeyFunctor(lattice, dims, res, ind, cgen, name=name)
     return FreeBlock(lattice, h, V, functor, tuple(cosets), tuple(bases))
 
@@ -198,7 +214,7 @@ def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphis
     The component at a fixed coset gK restricts to the conjugate of H inside
     K, conjugates back to H, and projects onto the local piece.  Membership
     in the Weyl-fixed subspace and the morphism property are verified, not
-    assumed.
+    assumed, except into zero levels and for U_H M = 0: a map into 0 is unique.
     """
     lat = M.lattice
     G = lat.group
@@ -206,12 +222,11 @@ def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphis
     block = build_free_block(lat, h, V)
     maps = []
     for k in range(len(lat)):
-        X = block.cosets[k]
-        if not X or V.dim == 0:
-            maps.append(QMatrix.zeros(block.functor.dims[k], M.dims[k]))
+        if not block.functor.dims[k]:
+            maps.append(QMatrix.zeros(0, M.dims[k]))
             continue
         rows = []
-        for g in X:
+        for g in block.cosets[k]:
             gi = G.inv(g)
             hg = lat.conjugate(gi, h)  # g^-1 H g <= K
             comp = P.matmul(M.conj(g, hg)).matmul(M.res[(k, hg)])
@@ -224,7 +239,8 @@ def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphis
             raise MackeyError("comparison component is not Weyl-fixed")
         maps.append(coords)
     mor = MackeyMorphism(M, block.functor, tuple(maps))
-    mor.validate()
+    if V.dim:
+        mor.validate()
     return block, mor
 
 
@@ -295,6 +311,17 @@ def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
     return MackeyMorphism(M, target, maps)
 
 
+def _free_lift(b1: FreeBlock, b2: FreeBlock, phi: QMatrix) -> MackeyMorphism:
+    """F_H(phi) between free blocks at one class, id (x) phi in the Weyl-fixed bases, validated."""
+    maps = tuple(
+        restrict_map(tensor(QMatrix.identity(len(X)), phi), src, dst) if src.cols else QMatrix.zeros(dst.cols, 0)
+        for X, src, dst in zip(b1.cosets, b1.bases, b2.bases)
+    )
+    lift = MackeyMorphism(b1.functor, b2.functor, maps)
+    lift.validate()
+    return lift
+
+
 def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
     """A certified isomorphism M1 -> M2, or None exactly when none exists.
 
@@ -303,8 +330,9 @@ def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
     answer is iso2^-1 . lift . iso1, where iso1 and iso2 are the certified
     ``classify_iso`` of each side and the lift is F_H of an intertwiner
     phi_H: U_H M1 -> U_H M2 at every class, that is id (x) phi_H restricted
-    to the Weyl-fixed bases.  It is invertible because phi_H is, and the
-    composite is validated as a morphism.  None is returned only when the
+    to the Weyl-fixed bases.  It is invertible because phi_H is, and natural:
+    each lift is validated, iso1 and iso2 are, and inverses and composites of
+    natural maps are natural.  None is returned only when the
     classes with nonzero Weyl modules differ or ``intertwiner`` finds two
     modules with different dimensions or characters; any other failure
     raises ``MackeyError``.  ``classify_iso(M1)`` leaves M1's comparison in the memo.
@@ -319,20 +347,14 @@ def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
         phis = [intertwiner(b1.module, b2.module) for b1, b2 in zip(blocks1, blocks2)]
         if None in phis:
             return None
-        maps = []
-        for k in range(len(M1.lattice)):
-            lift = mat_direct_sum(
-                *(
-                    restrict_map(tensor(QMatrix.identity(len(b1.cosets[k])), phi), b1.bases[k], b2.bases[k])
-                    for b1, b2, phi in zip(blocks1, blocks2, phis)
-                )
-            )
-            maps.append(iso2[k].inverse().matmul(lift).matmul(iso1[k]))
+        lifts = [_free_lift(b1, b2, phi) for b1, b2, phi in zip(blocks1, blocks2, phis)]
+        maps = tuple(
+            iso2[k].inverse().matmul(mat_direct_sum(*(lift.maps[k] for lift in lifts))).matmul(iso1[k])
+            for k in range(len(M1.lattice))
+        )
     except LinAlgError as exc:
         raise MackeyError(f"isomorphic Weyl modules failed to lift: {exc}") from exc
-    iso = MackeyMorphism(M1, M2, tuple(maps))
-    iso.validate()
-    return iso
+    return MackeyMorphism(M1, M2, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +373,11 @@ class DiagonalReport:
 
 
 def diagonal_check(M: MackeyFunctor, k: int, h: int) -> DiagonalReport:
-    """Verify e_K^H M(G/H) ~ (e_K^K M(G/K))^{W_H K} via the restriction map."""
+    """Verify e_K^H M(G/H) ~ (e_K^K M(G/K))^{W_H K} via the restriction map.
+
+    The generators of N_H(K) cut out the fixed part: C_{gs} = C_g C_s, so they
+    fix what every element fixes, and the kernel basis depends on that space alone.
+    """
     lat = M.lattice
     if not lat.leq(k, h):
         raise MackeyError("diagonal check needs K <= H")
@@ -359,17 +385,9 @@ def diagonal_check(M: MackeyFunctor, k: int, h: int) -> DiagonalReport:
     lower = burnside_action(M, k, burnside_ring(lat, k).idempotent(k)).image()
     # Weyl group of K inside H acting on the local piece at K
     nhk = lat.normalizer_in(k, h)
-    if lower.cols:
-        constraints = []
-        eye = QMatrix.identity(lower.cols)
-        for n in lat.elements(nhk):
-            if n == lat.group.identity:
-                continue
-            act = restrict_map(M.conj(n, k), lower, lower)
-            constraints.append(act - eye)
-        fixed_coords = vstack(*constraints).kernel() if constraints else eye
-    else:
-        fixed_coords = QMatrix.zeros(0, 0)
+    gens = [n for n in lat.gens(nhk) if n != lat.group.identity] if lower.cols else []
+    eye = QMatrix.identity(lower.cols)
+    fixed_coords = vstack(*[restrict_map(M.conj(n, k), lower, lower) - eye for n in gens]).kernel() if gens else eye
     fixed = lower.matmul(fixed_coords)
     try:
         mat = restrict_map(M.res[(h, k)], upper, fixed)
@@ -394,8 +412,6 @@ def free_functor_idempotent_rank(lattice: SubgroupLattice, a: int, b: int, c: in
 
 def random_wmodule(W, rng: random.Random) -> WModule:
     """A small exact W-module: trivial, regular, or a coset permutation module."""
-    from .groups import coset_gset
-
     roll = rng.random()
     if roll < 0.35:
         return WModule.trivial(W, 1)

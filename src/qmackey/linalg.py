@@ -478,27 +478,31 @@ def quotient_space(ambient_dim: int, relations: QMatrix) -> tuple[QMatrix, QMatr
     Returns ``(projection, section)``: the projection kills W and inverts the
     section, which is the greedy complement.  e_i is kept when it lies outside
     W plus the kept vectors before it, which span W + <e_0, ..., e_{i-1}>, so
-    exactly when no vector of W has its last nonzero entry at i.  Both maps
-    depend on W alone.  One ``_rref_rows`` of the relation vectors, with the
-    coordinates reversed so that last entries lead, finds both: the kept
-    coordinates are its non-pivots, and the reduced row r_p of pivot p, a
-    vector of W with 1 at p and its other entries at kept q, sends e_p to
-    -sum_q r_p[q] e_q.
+    exactly when no vector of W ends at i: when i is not a free position of
+    ``span_basis(W)``.  Both maps depend on W alone.  Its vector b_p, 1 at free
+    p and 0 at the other free positions, sends e_p to -sum_q b_p[q] e_q, q kept.
     """
     if relations.cols and relations.rows != ambient_dim:
         raise LinAlgError("relations live in the wrong ambient space")
-    last = ambient_dim - 1
-    body = [{last - i: x for i, x in col.items()} for col in _transposed(relations._rows, relations.cols)]
-    reduced, pivots = _rref_rows(body)
-    pivot_set = {last - c for c in pivots}
-    slot = {q: t for t, q in enumerate(i for i in range(ambient_dim) if i not in pivot_set)}
-    proj = [{q: 1} for q in slot]
-    for c, row in zip(pivots, reduced):
-        for j, x in row.items():
-            if j != c:
-                proj[slot[last - j]][last - c] = -x
+    W = span_basis(relations if relations.cols else QMatrix.zeros(ambient_dim, 0))
+    free = W._solver[0]
+    slot = {q: t for t, q in enumerate(sorted(set(range(ambient_dim)).difference(free)))}
+    proj = [{q: 1, **{free[t]: -x for t, x in W._rows[q].items()}} for q in slot]
     section = [{slot[i]: 1} if i in slot else {} for i in range(ambient_dim)]
     return _new(len(slot), ambient_dim, proj), _new(ambient_dim, len(slot), section)
+
+
+def span_basis(spanning: QMatrix) -> QMatrix:
+    """The basis ``kernel`` gives for a null space equal to the column span.
+
+    It is the span's reduced echelon form with last entries leading (column t
+    ends at the t-th free position, with 0 at the others), so it is unique, and
+    one ``_rref_rows`` with the coordinates reversed finds it."""
+    last = spanning.rows - 1
+    cols = _transposed(spanning._rows, spanning.cols)
+    reduced, pivots = _rref_rows([{last - i: x for i, x in col.items()} for col in cols])
+    out = _transposed([{last - j: x for j, x in row.items()} for row in reversed(reduced)], spanning.rows)
+    return _new(spanning.rows, len(pivots), out, (tuple(last - c for c in reversed(pivots)), None))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,72 @@
+"""Free functors and the diagonal check as built before they used their support, the referees.
+
+``stacked_kernel_basis`` is the Weyl-fixed basis of Q[X] (x) V as the null
+space of P_s (x) rho(s) - I stacked over the generators s of W = W_G(H).
+``free_maps`` solves for every restriction, induction and conjugation map
+with ``restrict_map``, on pairs and levels of dimension 0 too, so every
+containment check runs.  ``diagonal_check`` cuts the fixed part out with
+every element of N_H(K) rather than its generators.
+"""
+
+from qmackey import classify
+from qmackey.burnside import burnside_ring
+from qmackey.linalg import LinAlgError, QMatrix, block_matrix, permutation_matrix, restrict_map, tensor, vstack
+from qmackey.mackey import burnside_action
+
+
+def stacked_kernel_basis(lattice, h, k, V):
+    w = lattice.weyl(h)
+    X = lattice.fixed_cosets(k, h)
+    amb = len(X) * V.dim
+    if amb == 0:
+        return QMatrix.zeros(0, 0)
+    eye = QMatrix.identity(amb)
+    stack = [
+        tensor(permutation_matrix(classify._weyl_coset_perm(lattice, h, k, w.reps[s])), V.gen_matrices[pos]) - eye
+        for pos, s in enumerate(w.group.gens)
+    ]
+    return vstack(*stack).kernel() if stack else eye
+
+
+def free_maps(lattice, h, V):
+    """``(bases, res, ind, cgen)`` of the free functor, every map solved for."""
+    G = lattice.group
+    cosets = [lattice.fixed_cosets(k, h) for k in range(len(lattice))]
+    bases = [stacked_kernel_basis(lattice, h, k, V) for k in range(len(lattice))]
+    eye_v = QMatrix.identity(V.dim)
+
+    def coset_map(src, dst, image):
+        pos = {g: i for i, g in enumerate(cosets[dst])}
+        blocks = [(pos[image(g)] * V.dim, j * V.dim, eye_v) for j, g in enumerate(cosets[src])]
+        return block_matrix(len(cosets[dst]) * V.dim, len(cosets[src]) * V.dim, blocks)
+
+    res, ind, cgen = {}, {}, {}
+    for kb in range(len(lattice)):
+        for ks in lattice.subgroups_of(kb):
+            a = coset_map(ks, kb, lambda g: lattice.coset_of(g, kb))
+            ind[(kb, ks)] = restrict_map(a, bases[ks], bases[kb])
+            res[(kb, ks)] = restrict_map(a.transpose(), bases[kb], bases[ks])
+    for pos, s in enumerate(G.gens):
+        si = G.inv(s)
+        for k in range(len(lattice)):
+            ks = lattice.conjugate(s, k)
+            amb = coset_map(k, ks, lambda g: lattice.coset_of(G.mul(g, si), ks))
+            cgen[(pos, k)] = restrict_map(amb, bases[k], bases[ks])
+    return bases, res, ind, cgen
+
+
+def diagonal_check(M, k, h):
+    """``classify.diagonal_check`` with the constraints of every element of N_H(K)."""
+    lat = M.lattice
+    upper = burnside_action(M, h, burnside_ring(lat, h).idempotent(k)).image()
+    lower = burnside_action(M, k, burnside_ring(lat, k).idempotent(k)).image()
+    eye = QMatrix.identity(lower.cols)
+    elems = [n for n in lat.elements(lat.normalizer_in(k, h)) if n != lat.group.identity] if lower.cols else []
+    fixed_coords = vstack(*[restrict_map(M.conj(n, k), lower, lower) - eye for n in elems]).kernel() if elems else eye
+    fixed = lower.matmul(fixed_coords)
+    try:
+        mat = restrict_map(M.res[(h, k)], upper, fixed)
+    except LinAlgError:
+        return classify.DiagonalReport(upper.cols, fixed.cols, QMatrix.zeros(fixed.cols, upper.cols), False)
+    ok = upper.cols == fixed.cols and (upper.cols == 0 or mat.is_invertible())
+    return classify.DiagonalReport(upper.cols, fixed.cols, mat, ok)

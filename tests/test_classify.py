@@ -1,9 +1,13 @@
 import gc
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import free_reference
 from qmackey import classify
 from qmackey.burnside import burnside_ring
 from qmackey.classify import (
@@ -17,10 +21,12 @@ from qmackey.classify import (
     free_functor_idempotent_rank,
     free_level_dims,
     random_functor,
+    random_invertible,
     random_split_data,
     split,
     u_module,
 )
+from qmackey.groups import coset_gset
 from qmackey.linalg import LinAlgError, QMatrix, WModule, intertwiner
 from qmackey.mackey import (
     MackeyError,
@@ -473,3 +479,97 @@ class TestFreeFunctorIdempotent:
                     rank = free_functor_idempotent_rank(s3_lattice, a, b, c, V)
                     if s3_lattice.class_of[c] != s3_lattice.class_of[a]:
                         assert rank == 0
+
+
+# -- free functors on their support, against the stacked-kernel, every-pair referee ------------------
+
+MODULE_KINDS = ("trivial", "regular", "conjugated", "coset", "zero")
+
+
+def _module(W, kind, seed):
+    rng = random.Random(seed)
+    if kind == "trivial":
+        return WModule.trivial(W, 1)
+    if kind == "zero":
+        return WModule.zero(W)
+    if kind == "coset":
+        return WModule.from_gset(W, coset_gset(W, W.closure([rng.randrange(W.order) for _ in range(2)])))
+    R = WModule.regular(W)
+    return R if kind == "regular" else R.conjugated(random_invertible(R.dim, rng))
+
+
+@pytest.fixture(scope="module")
+def free_groups(corpus_lattices, past_corpus_lattices):
+    return {**corpus_lattices, **{name: past_corpus_lattices[name] for name in ("C2^4", "S3xS3")}}
+
+
+@pytest.mark.parametrize("group", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4", "C2^4", "S3xS3"])
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(
+    pick=st.integers(0, 10**6),
+    kind=st.sampled_from(MODULE_KINDS),
+    seed=st.integers(0, 10**6),
+)
+def test_free_block_matches_every_pair_reference(free_groups, group, pick, kind, seed):
+    """Bases equal the stacked kernel's, maps equal every-pair ``restrict_map``, and the axioms hold."""
+    lat = free_groups[group]
+    h = lat.class_reps()[pick % len(lat.class_reps())]
+    V = _module(lat.weyl(h).group, kind, seed)
+    assume(V.dim <= 8)
+    block = classify.build_free_block(lat, h, V)
+    bases, res, ind, cgen = free_reference.free_maps(lat, h, V)
+    assert block.bases == tuple(bases)
+    F = block.functor
+    assert (dict(F.res), dict(F.ind), dict(F.cgen)) == (res, ind, cgen)
+    assert (list(F.res), list(F.ind), list(F.cgen)) == (list(res), list(ind), list(cgen))
+    assert check_axioms(F).ok
+
+
+def test_classify_iso_product_guard(past_corpus_lattices, monkeypatch):
+    """A machine-independent guard: matrix products of ``classify_iso`` on the C2^4 Burnside functor."""
+    A = replace(burnside_mackey(past_corpus_lattices["C2^4"]))
+    calls = 0
+    matmul = QMatrix.matmul
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(QMatrix, "matmul", counted)
+    classify_iso(A)
+    assert 0 < calls <= 150_000
+
+
+def test_certify_iso_rejects_a_non_equivariant_intertwiner(c2_lattice, monkeypatch):
+    """The lift of phi is checked: a matrix that does not commute with the Weyl action raises."""
+    R = WModule.regular(c2_lattice.weyl(c2_lattice.bottom).group)
+    V = R.direct_sum(R)
+    M = free_functor(c2_lattice, c2_lattice.bottom, V)
+    N = free_functor(c2_lattice, c2_lattice.bottom, V.conjugated(QMatrix(WITNESS_T)))
+    skew = QMatrix([[1 if i <= j else 0 for j in range(4)] for i in range(4)])
+    swap = V.gen_matrices[0]
+    assert skew.is_invertible() and skew.matmul(swap) != swap.matmul(skew)
+    monkeypatch.setattr(classify, "intertwiner", lambda V1, V2: skew)
+    with pytest.raises(MackeyError):
+        certify_iso(M, N)
+
+
+def test_certify_iso_validates_each_lift(c2_lattice, monkeypatch):
+    """A lift that is not natural, id (x) phi doubled on the one-coset levels only, raises."""
+    A = burnside_mackey(c2_lattice)
+    tensor = classify.tensor
+    monkeypatch.setattr(classify, "tensor", lambda I, phi: tensor(I, phi).scale(2 if I.rows == 1 else 1))
+    with pytest.raises(MackeyError, match="does not commute"):
+        certify_iso(A, replace(A))
+
+
+def test_diagonal_check_on_generators_matches_all_elements(corpus_lattices):
+    """The generators of N_H(K) give the report that all its elements give."""
+    for lat in corpus_lattices.values():
+        functors = [burnside_mackey(lat)]
+        functors += [free_functor(lat, h, WModule.regular(lat.weyl(h).group)) for h in lat.class_reps()[1:3]]
+        for M in functors:
+            for h in range(len(lat)):
+                for k in lat.subgroups_of(h):
+                    assert diagonal_check(M, k, h) == free_reference.diagonal_check(M, k, h)

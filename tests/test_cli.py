@@ -424,6 +424,15 @@ class TestGoldenDemos:
         assert code == 0
         assert out.encode() == (GOLDEN / f"burnside_{command}_c2x4.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [(("mackey", "classify", "burnside:s4", "--certify"), "classify_s4.json"), (("mackey", "split", "burnside:s4"), "split_s4.json")],
+    )
+    def test_classification_s4_matches_golden(self, capsys, argv, golden):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
+
     def test_demo_deterministic_across_runs(self, capsys):
         _, first, _ = run(capsys, "demo", "c6")
         _, second, _ = run(capsys, "demo", "c6")

@@ -262,7 +262,8 @@ def test_echelon_solves(args, data):
     inconsistent).  Each answer must match a dense elimination against the
     same basis, and the copy ``QMatrix(B)`` must answer the same way.  The
     kernel of an identity has no columns, and neither has the image of a
-    zero matrix.
+    zero matrix.  ``span_basis`` of A must be the kernel basis of a matrix
+    whose null space is the column span of A.
     """
     A, m = args
     r, c = A.q.rows, A.q.cols
@@ -271,6 +272,7 @@ def test_echelon_solves(args, data):
         (A.q.image(), A.d.image()),
         (QMatrix.identity(c).kernel(), ref.DenseMatrix.identity(c).kernel()),
         (QMatrix.zeros(r, c).image(), ref.DenseMatrix.zeros(r, c).image()),
+        (linalg.span_basis(A.q), A.d.transpose().kernel().transpose().kernel()),  # null space = column span of A
     ]
     for B, B_ref in bases:
         assert same(B, B_ref)

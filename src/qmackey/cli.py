@@ -470,6 +470,7 @@ def cmd_mackey_green_check(args) -> int:
                     "ok": report.ok,
                     "commutative": report.commutative,
                     "violations": [{"rule": n, "at": d} for n, d in report.violations],
+                    "checked": report.checked,
                 }
             ),
         )

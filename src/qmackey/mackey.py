@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain, islice
 from types import MappingProxyType
 
 from .burnside import BurnsideElement, burnside_ring
@@ -158,10 +157,9 @@ def check_axioms(M: MackeyFunctor, fail_fast: bool = False, exhaustive: bool = F
     When all of these hold, so does every identity of the full check, as
     shown below.  When any of them fails, or with ``exhaustive``, the full
     check runs: axioms 1-3 at every level, chain, element and comparable
-    pair, then the formula at every triple; the report is what it reports.
-    With ``fail_fast`` the check stops at the first violation.  ``checked``
-    counts, per rule, the identities evaluated on the path that decided the
-    verdict.
+    pair, then the formula at every triple.  Its violations, up to the first
+    with ``fail_fast``, are the report, and ``checked`` counts the identities
+    per rule on the path that decided the verdict (``_check_identities``).
 
     Why (a)-(e) suffice.  ``conj`` builds C_g from the word of g that the
     group's breadth-first search found, as C_p C_s with ps = g and the word
@@ -218,158 +216,115 @@ def check_axioms(M: MackeyFunctor, fail_fast: bool = False, exhaustive: bool = F
     in H or equal to H.  The same argument on the right, through L < L'
     maximal and the formula at (L', L' n y^-1Ky, L), gives every L.
     """
-    checked = Counter()
-    found = _axiom_violations(M, exhaustive, checked)
-    out = list(islice(found, 1)) if fail_fast else list(found)
-    return AxiomReport(not out, out, dict(checked))
+    reduced = None if exhaustive else _axiom_identities(M, True)
+    found, checked = _check_identities(reduced, _axiom_identities(M, False), fail_fast)
+    return AxiomReport(not found, [AxiomViolation(*v) for v in found], checked)
 
 
-def _axiom_violations(M: MackeyFunctor, exhaustive: bool, checked: Counter):
-    """Every violation of the axioms by M, in the order the full check finds them."""
-    lat = M.lattice
-    G = M.group
-    nm = lat.name
-    shapes = [
-        *(
-            AxiomViolation("shape", f"restriction {nm(h)}>{nm(k)} has shape {mat.rows}x{mat.cols}")
-            for (h, k), mat in M.res.items()
-            if (mat.rows, mat.cols) != (M.dims[k], M.dims[h])
-        ),
-        *(
-            AxiomViolation("shape", f"induction {nm(k)}<{nm(h)} has shape {mat.rows}x{mat.cols}")
-            for (h, k), mat in M.ind.items()
-            if (mat.rows, mat.cols) != (M.dims[h], M.dims[k])
-        ),
-        *(
-            AxiomViolation("shape", f"conjugation {G.elem_name(G.gens[pos])}@{nm(h)} has wrong shape")
-            for (pos, h), mat in M.cgen.items()
-            if (mat.rows, mat.cols) != (M.dims[lat.conjugate(G.gens[pos], h)], M.dims[h])
-        ),
-    ]
-    checked["shape"] = len(M.res) + len(M.ind) + len(M.cgen)
-    if shapes:
-        # nothing downstream is well-posed with mismatched shapes
-        yield from shapes
-        return
-    if not exhaustive:
-        reduced = Counter()
-        for rule, holds in _reduced_identities(M):
-            reduced[rule] += 1
+def _check_identities(reduced, exhaustive, fail_fast: bool = False):
+    """The one loop of every checker, over generators of ``(rule, holds, detail)``.
+
+    ``reduced`` yields identities that imply all of ``exhaustive``, or is None
+    to request the exhaustive path.  If every reduced identity holds, nothing
+    is violated.  Otherwise, or on request, the exhaustive failures are the
+    report, up to the first with ``fail_fast``, as ``(rule, detail())`` pairs:
+    ``detail`` formats the message, only there and before the generator
+    resumes, so it may read the loop variables.  Also returns per rule the
+    number of identities evaluated on the path that decided the verdict.
+    """
+    if reduced is not None:
+        checked = Counter()
+        for rule, holds, _ in reduced:
+            checked[rule] += 1
             if not holds:
                 break
         else:
-            checked.update(reduced)
-            return
-    for rule, holds, detail in chain(_structure_identities(M), _formula_identities(M, _all_triples(lat))):
+            return [], dict(checked)
+    checked, found = Counter(), []
+    for rule, holds, detail in exhaustive:
         checked[rule] += 1
         if not holds:
-            yield AxiomViolation(rule, detail)
+            found.append((rule, detail()))
+            if fail_fast:
+                break
+    return found, dict(checked)
 
 
-def _reduced_identities(M: MackeyFunctor):
-    """``(rule, holds)`` for each identity (a)-(e) of ``check_axioms``."""
-    lat = M.lattice
-    G = M.group
-    for h in range(len(lat)):
-        eye = QMatrix.identity(M.dims[h])
-        yield "identity-restriction", M.res[(h, h)] == eye
-        yield "identity-induction", M.ind[(h, h)] == eye
-        for x in lat.gens(h):
-            yield "inner-conjugation", M.conj(x, h) == eye
-    for h, k in lat.cover_pairs():
-        for l in lat.subgroups_of(k):
-            if l != k:
-                yield "restriction-transitivity", M.res[(h, l)] == M.res[(k, l)].matmul(M.res[(h, k)])
-                yield "induction-transitivity", M.ind[(h, l)] == M.ind[(h, k)].matmul(M.ind[(k, l)])
-    # on the edges of the word tree C_{gs} = C_g C_s holds by the construction in ``conj``
-    off_tree = [
-        (g, pos, s, gs)
-        for g in range(G.order)
-        for pos, s in enumerate(G.gens)
-        if G.word(gs := G.mul(g, s)) != G.word(g) + (pos,)
-    ]
-    for h in range(len(lat)):
-        for g, pos, s, gs in off_tree:
-            cs = M.cgen[(pos, h)]
-            yield "conjugation-multiplicativity", M.conj(gs, h) == M.conj(g, lat.conjugate(s, h)).matmul(cs)
-    for pos, s in enumerate(G.gens):
-        for h, k in lat.cover_pairs():
-            hs, ks = lat.conjugate(s, h), lat.conjugate(s, k)
-            ch, ck = M.cgen[(pos, h)], M.cgen[(pos, k)]
-            yield "restriction-equivariance", M.res[(hs, ks)].matmul(ch) == ck.matmul(M.res[(h, k)])
-            yield "induction-equivariance", M.ind[(hs, ks)].matmul(ck) == ch.matmul(M.ind[(h, k)])
-    for rule, holds, _ in _formula_identities(M, _maximal_triples(lat)):
-        yield rule, holds
-
-
-def _structure_identities(M: MackeyFunctor):
-    """``(rule, holds, detail)`` for axioms 1-3 at every level, chain, element and pair."""
+def _axiom_identities(M: MackeyFunctor, reduced: bool):
+    """``(rule, holds, detail)`` for the shape of every map, then, if all are
+    well-shaped, for axioms 1-4 on the reduced or the full scope."""
     lat = M.lattice
     G = M.group
     nm = lat.name
+    shaped = True
+    for (h, k), m in M.res.items():
+        shaped &= (fits := (m.rows, m.cols) == (M.dims[k], M.dims[h]))
+        yield "shape", fits, lambda: f"restriction {nm(h)}>{nm(k)} has shape {m.rows}x{m.cols}"
+    for (h, k), m in M.ind.items():
+        shaped &= (fits := (m.rows, m.cols) == (M.dims[h], M.dims[k]))
+        yield "shape", fits, lambda: f"induction {nm(k)}<{nm(h)} has shape {m.rows}x{m.cols}"
+    for (pos, h), m in M.cgen.items():
+        shaped &= (fits := (m.rows, m.cols) == (M.dims[lat.conjugate(G.gens[pos], h)], M.dims[h]))
+        yield "shape", fits, lambda: f"conjugation {G.elem_name(G.gens[pos])}@{nm(h)} has wrong shape"
+    # nothing downstream is well-posed with mismatched shapes
+    if shaped:
+        yield from _structure_identities(M, reduced)
+        yield from _formula_identities(M, _maximal_triples(lat) if reduced else _all_triples(lat))
 
-    # axiom 1: R^H_H = I^H_H = id, C_h = id on M(G/H) for h in H (up to the first h that fails)
+
+def _structure_identities(M: MackeyFunctor, reduced: bool = False):
+    """Axioms 1-3 as ``(rule, holds, detail)``: (a)-(d) of ``check_axioms``, or the full check's."""
+    lat = M.lattice
+    G = M.group
+    nm, en = lat.name, G.elem_name
+    R, I, C = M.res, M.ind, M.cgen
+
+    # axiom 1: R^H_H = I^H_H = id, C_x = id on M(G/H) for x in H (up to the first x that fails)
     for h in range(len(lat)):
         eye = QMatrix.identity(M.dims[h])
-        yield "identity-restriction", M.res[(h, h)] == eye, f"R at {nm(h)} is not the identity"
-        yield "identity-induction", M.ind[(h, h)] == eye, f"I at {nm(h)} is not the identity"
-        for x in lat.elements(h):
+        yield "identity-restriction", R[(h, h)] == eye, lambda: f"R at {nm(h)} is not the identity"
+        yield "identity-induction", I[(h, h)] == eye, lambda: f"I at {nm(h)} is not the identity"
+        for x in lat.gens(h) if reduced else lat.elements(h):
             holds = M.conj(x, h) == eye
-            yield "inner-conjugation", holds, f"C_{G.elem_name(x)} is not the identity on level {nm(h)}"
+            yield "inner-conjugation", holds, lambda: f"C_{en(x)} is not the identity on level {nm(h)}"
             if not holds:
                 break
 
-    # axiom 2: transitivity of R and I, multiplicativity of C
+    # axiom 2: transitivity of R and I along L < K < H, K maximal in H on the reduced scope
+    for h, k in lat.cover_pairs() if reduced else comparable_pairs(lat):
+        for l in lat.subgroups_of(k):
+            if l != k != h:
+                holds = R[(h, l)] == R[(k, l)].matmul(R[(h, k)])
+                yield "restriction-transitivity", holds, lambda: f"{nm(h)} > {nm(k)} > {nm(l)}"
+                holds = I[(h, l)] == I[(h, k)].matmul(I[(k, l)])
+                yield "induction-transitivity", holds, lambda: f"{nm(l)} < {nm(k)} < {nm(h)}"
+    # and multiplicativity of C: C_{ab} = C_a C_b for (a, b) = (s, g), s a generator, on the full
+    # scope; on the reduced one for the edges (g, s) off the word tree, as ``conj`` builds it on the tree
+    edges = [(g, pos, s) for g in range(G.order) for pos, s in enumerate(G.gens)]
+    if reduced:
+        edges = [(g, pos, s) for g, pos, s in edges if G.word(G.mul(g, s)) != G.word(g) + (pos,)]
     for h in range(len(lat)):
-        for k in lat.subgroups_of(h):
-            if k == h:
-                continue
-            for l in lat.subgroups_of(k):
-                if l == k:
-                    continue
-                yield (
-                    "restriction-transitivity",
-                    M.res[(h, l)] == M.res[(k, l)].matmul(M.res[(h, k)]),
-                    f"{nm(h)} > {nm(k)} > {nm(l)}",
-                )
-                yield (
-                    "induction-transitivity",
-                    M.ind[(h, l)] == M.ind[(h, k)].matmul(M.ind[(k, l)]),
-                    f"{nm(l)} < {nm(k)} < {nm(h)}",
-                )
-    for h in range(len(lat)):
-        for g in range(G.order):
-            cg = M.conj(g, h)
-            gh = lat.conjugate(g, h)
-            for pos, s in enumerate(G.gens):
-                yield (
-                    "conjugation-multiplicativity",
-                    M.conj(G.mul(s, g), h) == M.cgen[(pos, gh)].matmul(cg),
-                    f"C_({G.elem_name(s)}*{G.elem_name(g)}) != C_{G.elem_name(s)} C_{G.elem_name(g)} at {nm(h)}",
-                )
+        for g, pos, s in edges:
+            if reduced:
+                a, b, rhs = g, s, M.conj(g, lat.conjugate(s, h)).matmul(C[(pos, h)])
+            else:
+                a, b, rhs = s, g, C[(pos, lat.conjugate(g, h))].matmul(M.conj(g, h))
+            holds = M.conj(G.mul(a, b), h) == rhs
+            yield "conjugation-multiplicativity", holds, lambda: f"C_({en(a)}*{en(b)}) != C_{en(a)} C_{en(b)} at {nm(h)}"
 
     # axiom 3: equivariance of R and I (generators suffice given axiom 2)
     for pos, s in enumerate(G.gens):
-        for h, k in comparable_pairs(lat):
+        for h, k in lat.cover_pairs() if reduced else comparable_pairs(lat):
             hs, ks = lat.conjugate(s, h), lat.conjugate(s, k)
-            yield (
-                "restriction-equivariance",
-                M.res[(hs, ks)].matmul(M.cgen[(pos, h)]) == M.cgen[(pos, k)].matmul(M.res[(h, k)]),
-                f"conjugating {nm(h)} > {nm(k)} by {G.elem_name(s)}",
-            )
-            yield (
-                "induction-equivariance",
-                M.ind[(hs, ks)].matmul(M.cgen[(pos, k)]) == M.cgen[(pos, h)].matmul(M.ind[(h, k)]),
-                f"conjugating {nm(k)} < {nm(h)} by {G.elem_name(s)}",
-            )
+            holds = R[(hs, ks)].matmul(C[(pos, h)]) == C[(pos, k)].matmul(R[(h, k)])
+            yield "restriction-equivariance", holds, lambda: f"conjugating {nm(h)} > {nm(k)} by {en(s)}"
+            holds = I[(hs, ks)].matmul(C[(pos, k)]) == C[(pos, h)].matmul(I[(h, k)])
+            yield "induction-equivariance", holds, lambda: f"conjugating {nm(k)} < {nm(h)} by {en(s)}"
 
 
 def _all_triples(lat: SubgroupLattice):
     """Every (H, K, L) with K, L <= H."""
-    for h in range(len(lat)):
-        for k in lat.subgroups_of(h):
-            for l in lat.subgroups_of(h):
-                yield h, k, l
+    return ((h, k, l) for h in range(len(lat)) for k in lat.subgroups_of(h) for l in lat.subgroups_of(h))
 
 
 def _maximal_triples(lat: SubgroupLattice):
@@ -377,9 +332,7 @@ def _maximal_triples(lat: SubgroupLattice):
     covers = set(lat.cover_pairs())
     for h in lat.class_reps():
         reps = [cls[0] for cls in lat.local_classes(h) if (h, cls[0]) in covers]
-        for k in reps:
-            for l in reps:
-                yield h, k, l
+        yield from ((h, k, l) for k in reps for l in reps)
 
 
 def _formula_identities(M: MackeyFunctor, triples):
@@ -395,7 +348,7 @@ def _formula_identities(M: MackeyFunctor, triples):
             upper = lat.meet(k, xl)  # K n xLx^-1
             lower = lat.conjugate(G.inv(x), upper)  # L n x^-1Kx
             rhs = rhs + M.ind[(k, upper)].matmul(M.conj(x, lower)).matmul(M.res[(l, lower)])
-        yield "double-coset", lhs == rhs, f"R^{nm(h)}_{nm(k)} I^{nm(h)}_{nm(l)} mismatch"
+        yield "double-coset", lhs == rhs, lambda: f"R^{nm(h)}_{nm(k)} I^{nm(h)}_{nm(l)} mismatch"
 
 
 # ---------------------------------------------------------------------------
@@ -708,27 +661,34 @@ class MackeyMorphism:
                 raise MackeyError(f"component at {lat.name(h)} has the wrong shape")
 
     def validate(self, full: bool = False) -> None:
-        """Check commutation with R, I and C.
+        """Check commutation with R, I and C, raising ``MackeyError`` at a square that fails.
 
-        The default checks covering pairs and generators, which suffices when
-        both endpoints satisfy the axioms; ``full`` checks every pair and
-        every group element.
+        The reduced pass checks covering pairs and generators, which suffices
+        when both endpoints satisfy the axioms, and passes a square whose
+        composite has 0 rows or 0 columns, as both sides are then empty.  On a
+        failure, or with ``full``, every pair and every group element is
+        checked, and the message names the first square that fails there.
         """
-        M, N = self.source, self.target
+        M, N, f = self.source, self.target, self.maps
         lat = M.lattice
         G = M.group
-        pairs = list(comparable_pairs(lat)) if full else lat.cover_pairs()
-        for h, k in pairs:
-            if self.maps[k].matmul(M.res[(h, k)]) != N.res[(h, k)].matmul(self.maps[h]):
-                raise MackeyError(f"does not commute with restriction {lat.name(h)} > {lat.name(k)}")
-            if self.maps[h].matmul(M.ind[(h, k)]) != N.ind[(h, k)].matmul(self.maps[k]):
-                raise MackeyError(f"does not commute with induction {lat.name(k)} < {lat.name(h)}")
-        gens = range(G.order) if full else list(G.gens)
-        for h in range(len(lat)):
-            for s in gens:
-                t = lat.conjugate(s, h)
-                if self.maps[t].matmul(M.conj(s, h)) != N.conj(s, h).matmul(self.maps[h]):
-                    raise MackeyError(f"does not commute with conjugation by {G.elem_name(s)} at {lat.name(h)}")
+        nm = lat.name
+
+        def squares(every):
+            def commutes(t, m, n, s):  # f_t m = n f_s for maps m, n from level s to level t of M, N
+                return not (every or (f[t].rows and m.cols)) or f[t].matmul(m) == n.matmul(f[s])
+
+            for h, k in comparable_pairs(lat) if every else lat.cover_pairs():
+                yield "restriction", commutes(k, M.res[(h, k)], N.res[(h, k)], h), lambda: f"restriction {nm(h)} > {nm(k)}"
+                yield "induction", commutes(h, M.ind[(h, k)], N.ind[(h, k)], k), lambda: f"induction {nm(k)} < {nm(h)}"
+            for h in range(len(lat)):
+                for s in range(G.order) if every else G.gens:
+                    holds = commutes(lat.conjugate(s, h), M.conj(s, h), N.conj(s, h), h)
+                    yield "conjugation", holds, lambda: f"conjugation by {G.elem_name(s)} at {nm(h)}"
+
+        found, _ = _check_identities(None if full else squares(False), squares(True), fail_fast=True)
+        if found:
+            raise MackeyError(f"does not commute with {found[0][1]}")
 
     def is_levelwise_iso(self) -> bool:
         return all(m.is_invertible() for m in self.maps)

@@ -11,18 +11,21 @@ span the rest (``_box_level``); the quotient is exact, in one elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .burnside import burnside_ring
 from .classify import u_module
 from .groups import SubgroupLattice
 from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_space, tensor
 from .mackey import (
+    _check_identities,
     MackeyError,
     MackeyFunctor,
     MackeyMorphism,
     burnside_action,
     comparable_pairs,
     burnside_mackey,
+    check_axioms,
     idempotent_part,
 )
 
@@ -297,9 +300,12 @@ class GreenStructure:
 
 @dataclass
 class GreenReport:
+    """Like ``AxiomReport``, with ``commutative``; ``checked`` is not compared."""
+
     ok: bool
     commutative: bool
     violations: list
+    checked: dict = field(default_factory=dict, compare=False)
 
     def rules_violated(self) -> set:
         return {name for name, _ in self.violations}
@@ -330,6 +336,23 @@ def green_check(S: GreenStructure) -> GreenReport:
     they run only when no level has a shape violation.  ``commutative`` is
     False when mu_H and mu_H after the swap of factors differ at a pair no
     later than the level's first associativity failure.
+
+    When the base passes ``check_axioms``, a reduced pass checks the level
+    rules, the R and Frobenius rules on cover pairs K < H only, and C on the
+    generators.  When all of these hold, so does every rule at every K < H,
+    by induction on the length of a longest chain from K up to H: take K'
+    maximal in H with K < K'.  R and I compose, so R^H_K = R^{K'}_K R^H_{K'}
+    is a composite of unital ring maps, hence one, and with I^H_K =
+    I^H_{K'} I^{K'}_K the left rule at K' < H, then at K < K' by induction,
+    gives
+
+        mu_H (a (x) I^H_K b) = I^H_{K'} mu_{K'} (R^H_{K'} a (x) I^{K'}_K b)
+                             = I^H_K mu_K (R^H_K a (x) b),
+
+    and the right rule likewise.  On any failure, or when the base fails the
+    axioms, every comparable pair is checked and the report is what that
+    exhaustive pass finds.  ``checked`` counts the identities per rule on the
+    pass that decided the verdict.
     """
     M = S.base
     lat = M.lattice
@@ -341,20 +364,20 @@ def green_check(S: GreenStructure) -> GreenReport:
         return (lhs - rhs).nonzero_cols()
 
     def ring_map(m, h, t, kind, at):
-        if m.matmul(S.unit[h]) != S.unit[t]:
-            yield (f"{kind}-unit", at)
-        if m.matmul(S.mult[h]) != S.mult[t].matmul(tensor(m, m)):
-            yield (f"{kind}-homomorphism", at)
+        yield f"{kind}-unit", m.matmul(S.unit[h]) == S.unit[t], at
+        yield f"{kind}-homomorphism", m.matmul(S.mult[h]) == S.mult[t].matmul(tensor(m, m)), at
 
-    def level_rules():
+    def identities(pairs):
         nonlocal commutative
+        shaped = True
         for h in range(len(lat)):
-            d, mult, unit = M.dims[h], S.mult[h], S.unit[h]
-            if (mult.rows, mult.cols) != (d, d * d) or (unit.rows, unit.cols) != (d, 1):
-                yield ("shape", lat.name(h))
+            d, mult, unit, at = M.dims[h], S.mult[h], S.unit[h], partial(lat.name, h)
+            fits = (mult.rows, mult.cols, unit.rows, unit.cols) == (d, d * d, d, 1)
+            shaped &= fits
+            yield "shape", fits, at
+            if not fits:
                 continue
-            if mult.matmul(tensor(unit, eye(d))) != eye(d) or mult.matmul(tensor(eye(d), unit)) != eye(d):
-                yield ("unit", lat.name(h))
+            yield "unit", mult.matmul(tensor(unit, eye(d))) == eye(d) == mult.matmul(tensor(eye(d), unit)), at
             last = d * d
             for i in range(d):
                 left = mult.matmul(block_matrix(d * d, d, [(i * d, 0, eye(d))]))
@@ -364,31 +387,27 @@ def green_check(S: GreenStructure) -> GreenReport:
             swap = permutation_matrix([b * d + a for a in range(d) for b in range(d)])
             if any(c <= last for c in differ(mult, mult.matmul(swap))):
                 commutative = False
-            if last < d * d:
-                yield ("associativity", lat.name(h))
-
-    def map_rules():
-        for h, k in comparable_pairs(lat):
-            if k == h:
-                continue
+            yield "associativity", last == d * d, at
+        if not shaped:
+            return
+        for h, k in pairs:
             r, ind = M.res[(h, k)], M.ind[(h, k)]
             dh, dk = M.dims[h], M.dims[k]
-            yield from ring_map(r, h, k, "restriction", f"{lat.name(h)} > {lat.name(k)}")
+            yield from ring_map(r, h, k, "restriction", partial("{} > {}".format, lat.name(h), lat.name(k)))
             left = differ(S.mult[h].matmul(tensor(eye(dh), ind)), ind.matmul(S.mult[k].matmul(tensor(r, eye(dk)))))
             right = differ(S.mult[h].matmul(tensor(ind, eye(dh))), ind.matmul(S.mult[k].matmul(tensor(eye(dk), r))))
-            first = [(min(left), "frobenius-left")] if left else []
-            first += [(min((c % dh) * dk + c // dh for c in right), "frobenius-right")] if right else []
-            for _, rule in sorted(first):
-                yield (rule, f"{lat.name(k)} < {lat.name(h)}")
+            right = {(c % dh) * dk + c // dh for c in right}
+            first = {"frobenius-left": min(left, default=dh * dk), "frobenius-right": min(right, default=dh * dk)}
+            for rule in sorted(first, key=first.get):
+                yield rule, first[rule] == dh * dk, partial("{} < {}".format, lat.name(k), lat.name(h))
         for pos, s in enumerate(G.gens):
             for h in range(len(lat)):
-                at = f"{G.elem_name(s)}@{lat.name(h)}"
+                at = partial("{}@{}".format, G.elem_name(s), lat.name(h))
                 yield from ring_map(M.cgen[(pos, h)], h, lat.conjugate(s, h), "conjugation", at)
 
-    violations = list(level_rules())
-    if all(rule != "shape" for rule, _ in violations):
-        violations += map_rules()
-    return GreenReport(not violations, commutative, violations)
+    reduced = identities(lat.cover_pairs()) if check_axioms(M).ok else None
+    violations, checked = _check_identities(reduced, identities((h, k) for h, k in comparable_pairs(lat) if k != h))
+    return GreenReport(not violations, commutative, violations, checked)
 
 
 def burnside_green(lattice: SubgroupLattice) -> GreenStructure:

@@ -538,7 +538,7 @@ def test_classify_iso_product_guard(past_corpus_lattices, monkeypatch):
 
     monkeypatch.setattr(QMatrix, "matmul", counted)
     classify_iso(A)
-    assert 0 < calls <= 150_000
+    assert 0 < calls <= 40_000
 
 
 def test_certify_iso_rejects_a_non_equivariant_intertwiner(c2_lattice, monkeypatch):

@@ -12,6 +12,7 @@ from qmackey.cli import build_parser, main, resolve_functor
 from qmackey.groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupLattice, cyclic, symmetric
 from qmackey.mackey import MackeyError, burnside_mackey, check_axioms, rebase
 from qmackey.linalg import QMatrix
+from qmackey.monoidal import burnside_green, green_check
 from qmackey.serialize import FormatError, dump, functor_to_json, group_to_json, matrix_from_json, str_to_frac
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -284,6 +285,13 @@ class TestMackeyCommands:
         code, out, _ = run(capsys, "--pretty", "mackey", "green-check", "burnside:s3", "burnside")
         assert code == 0
         assert "verified" in out
+
+    def test_green_check_json_carries_checked(self, capsys):
+        code, out, _ = run(capsys, "mackey", "green-check", "burnside:s3", "burnside")
+        report = green_check(burnside_green(resolve_functor("burnside:s3", DEFAULT_ORDER_CAP).lattice))
+        assert code == 0
+        assert json.loads(out) == {"ok": True, "commutative": True, "violations": [], "checked": report.checked}
+        assert report.checked["frobenius-left"] == 8  # the cover pairs of S3
 
     def test_green_check_burnside_tables_on_another_functor(self, capsys):
         """The Burnside tables are checked on the functor given, not on the Burnside functor."""

@@ -450,6 +450,25 @@ class TestDirectSumAndMorphisms:
         with pytest.raises(MackeyError):
             bad.validate()
 
+    def test_reduced_failure_names_the_exhaustive_square(self, s3_lattice):
+        """A failure of the reduced pass raises with the message of the full check.
+
+        One changed entry at the top level of the identity of the S3 Burnside
+        functor breaks commutation with G6 > C2.0, a cover pair, and first,
+        in the full check's order, with G6 > C1.
+        """
+        A = burnside_mackey(s3_lattice)
+        maps = list(identity_morphism(A).maps)
+        top, d = s3_lattice.top, A.dims[s3_lattice.top]
+        maps[top] = maps[top] + QMatrix([[int((i, j) == (0, 0)) for j in range(d)] for i in range(d)])
+        bad = MackeyMorphism(A, A, tuple(maps))
+        messages = []
+        for full in (False, True):
+            with pytest.raises(MackeyError) as err:
+                bad.validate(full=full)
+            messages.append(str(err.value))
+        assert messages == ["does not commute with restriction G6 > C1"] * 2
+
 
 class TestMackeyAxiomConsequenceC6:
     def test_relation_on_standard_functors(self, c6_lattice, c6A):

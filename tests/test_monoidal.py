@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import green_reference
+from qmackey import monoidal
 from qmackey.burnside import burnside_ring
 from qmackey.classify import free_functor
 from qmackey.groups import SubgroupLattice, corpus, from_permutations, trivial
@@ -215,9 +216,37 @@ class TestGreen:
         assert report.ok
         assert report.commutative
 
+    def test_passing_check_runs_the_map_rules_on_cover_pairs(self, s4_lattice):
+        report = green_check(burnside_green(s4_lattice))
+        assert report.ok
+        assert report.checked["restriction-homomorphism"] == len(s4_lattice.cover_pairs())
+        assert report.checked["conjugation-homomorphism"] == len(s4_lattice.group.gens) * len(s4_lattice)
+
+    def test_failing_check_counts_the_exhaustive_pass(self, c6_lattice):
+        S = burnside_green(c6_lattice)
+        S.unit[c6_lattice.top] = S.unit[c6_lattice.top].scale(3)
+        report = green_check(S)
+        strict = sum(len(c6_lattice.subgroups_of(h)) - 1 for h in range(len(c6_lattice)))
+        assert not report.ok
+        assert report.checked["frobenius-left"] == strict > len(c6_lattice.cover_pairs())
+
+    def test_tensor_guard(self, past_corpus_lattices, monkeypatch):
+        """A machine-independent guard: ``tensor`` calls of a passing ``green_check`` on C2^4."""
+        S = burnside_green(past_corpus_lattices["C2^4"])
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return tensor(a, b)
+
+        monkeypatch.setattr(monoidal, "tensor", counted)
+        assert green_check(S).ok
+        assert 0 < calls <= 2_500
+
 
 REFEREE_GROUPS = ("C2", "C3", "C6", "S3", "D8", "Q8")
-FAULTS = ("mult", "unit", "res", "ind", "cgen", "shape")
+FAULTS = ("mult", "unit", "res", "ind", "cgen", "shape", "res off cover", "ind off cover", "mult below")
 
 
 @cache
@@ -247,10 +276,15 @@ def reversed_bases(S):
 def test_green_check_matches_pairwise_reference(name, data):
     """Random faults in mu, u, R, I and C, and a copied mu for a shape fault, get the reference's report.
 
-    Half the structures list their bases backwards, so that the first failing
-    associativity block is not always the one of e_0 = [H/1].
+    Some faults go to R or I on a pair K < H that is not a cover pair, or to
+    mu at such a K, beyond what the reduced pass checks directly; C2 and C3
+    have no such pair and take any pair or level.  Half the structures list
+    their bases backwards, so that the first failing associativity block is
+    not always the one of e_0 = [H/1].
     """
     lat = referee_lattice(name)
+    covers = set(lat.cover_pairs())
+    off_cover = [(h, k) for h in range(len(lat)) for k in lat.subgroups_of(h) if k != h and (h, k) not in covers]
     S = burnside_green(lat)
     if data.draw(st.booleans()):
         S = reversed_bases(S)
@@ -266,8 +300,13 @@ def test_green_check_matches_pairwise_reference(name, data):
             src, dst = data.draw(levels), data.draw(levels)
             S.mult[dst] = S.mult[src]
             continue
-        table = tables[kind]
-        key = data.draw(st.sampled_from(sorted(table)))
+        table = tables[kind.split()[0]]
+        if kind.endswith("cover") and off_cover:
+            key = data.draw(st.sampled_from(off_cover))
+        elif kind == "mult below" and off_cover:
+            key = data.draw(st.sampled_from(off_cover))[1]
+        else:
+            key = data.draw(st.sampled_from(sorted(table)))
         m = table[key]
         if m.rows and m.cols:
             i, j = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))

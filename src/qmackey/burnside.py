@@ -10,8 +10,9 @@ All arithmetic goes through the integer table of marks, read off the lattice.
 A product has the entrywise product of the factors' marks, a restriction
 has the marks read at the subgroup's classes, and one exact integer back
 substitution in the triangular table turns marks back into an element.
-``mackey.burnside_mackey`` and ``monoidal.burnside_green`` build their
-restriction and multiplication tables with the same step.
+The ring's table builders ``restriction_table`` and ``multiplication_table``
+run that step alone on integer marks, for ``mackey.burnside_mackey`` and
+``monoidal.burnside_green``.
 
 Two independent routes to the primitive idempotents are provided: the Mobius
 formula over the subgroup lattice, and inversion of the table of marks.  They
@@ -155,33 +156,53 @@ class BurnsideRing:
     def _from_marks(self, v: list[int], d: int) -> "BurnsideElement":
         """The element x with marks(x) = v / d, for integer marks v and an integer d > 0.
 
-        marks(x)_i = sum_j x_j T[j][i] for the table of marks T.  T[j][i] != 0
-        with i != j puts a conjugate of A_i properly inside B_j, so
-        |A_i| < |B_j|, and i < j because classes are sorted by order: T is
-        triangular, with T[i][i] = |N_H(A_i)| / |A_i| never 0.  The primitive
+        marks(x)_i = sum_j x_j T[j][i] for the table of marks T.  The primitive
         idempotent e_(A_i) has marks delta_i, so x = sum_i (v_i / d) e_(A_i),
         and by Gluck's formula
         e_(A_i) = (1/|N_H(A_i)|) sum_(B <= A_i) |B| mu(B, A_i) [H/B]
         the coefficients of e_(A_i) have denominators dividing |N_H(A_i)|,
-        hence |H|.  So z = d |H| x is integral and solves z T = |H| v.  Back
+        hence |H|.  So z = d |H| x is integral and solves z T = |H| v, which
+        ``_back_substitute`` finds; x = z / (d |H|) is the one division.
+        """
+        n = self.lattice.order(self.top)
+        z = self._back_substitute([n * x for x in v])
+        return BurnsideElement(self, tuple(Fraction(x, d * n) if x else _ZERO for x in z))
+
+    def _back_substitute(self, rest: list[int]) -> list[int]:
+        """The z with z T = rest, for the table of marks T and a z known to be integral; ``rest`` is used up.
+
+        T[j][i] != 0 with i != j puts a conjugate of A_i properly inside B_j,
+        so i < j, as classes are sorted by order: T is triangular, with
+        T[i][i] = |N_H(A_i)| / |A_i| never 0, so z is unique.  Back
         substitution from the top class down,
-        z_i = (|H| v_i - sum_(j > i) z_j T[j][i]) / T[i][i],
-        meets only integers z_i, so each ``//`` is exact; x = z / (d |H|) is
-        the one division.  The mark homomorphism is injective, so x is unique.
-        Each z_i, once found, is subtracted from the rest at once, so only the
-        sparse rows of the nonzero z_i are read.
+        z_i = (rest_i - sum_(j > i) z_j T[j][i]) / T[i][i], meets only
+        integers, so each ``//`` is exact.  Each z_i, once found, is subtracted
+        from the rest at once, so only the sparse rows of the nonzero z_i are read.
         """
         tables = self._marks_table()
-        n = self.lattice.order(self.top)
-        dn = d * n
-        rest = [n * x for x in v]
         z = [0] * self.size
         for i in range(self.size - 1, -1, -1):
             if rest[i]:
                 z[i] = q = rest[i] // tables.marks[i][i]
                 for k, m in tables.below[i]:
                     rest[k] -= q * m
-        return BurnsideElement(self, tuple(Fraction(x, dn) if x else _ZERO for x in z))
+        return z
+
+    def restriction_table(self, k: int) -> QMatrix:
+        """res^H_K as an integer matrix: column j is the K-set [H/B_j] in the basis of K's ring.
+
+        A mark does not depend on the acting group, so that K-set has row j of
+        the table of marks read at K's classes; back substitution finds its
+        integer coefficients.
+        """
+        target = burnside_ring(self.lattice, k)
+        at = [self.class_index[rep] for rep in target.reps]
+        return QMatrix([target._back_substitute([row[i] for i in at]) for row in self._marks_table().marks]).transpose()
+
+    def multiplication_table(self) -> QMatrix:
+        """The product as an integer matrix: column i n + j is [H/B_i] [H/B_j], whose marks are the entrywise product."""
+        marks = self._marks_table().marks
+        return QMatrix([self._back_substitute([x * y for x, y in zip(a, b)]) for a in marks for b in marks]).transpose()
 
     def marks_basis(self, cj: int) -> tuple[int, ...]:
         """Fixed-point counts |(H/B)^A| of the basis class cj at every class (A)."""

@@ -127,19 +127,19 @@ def _fmt(args) -> str:
     return "text" if args.pretty else args.format or "json"
 
 
-_ONE_FORMAT = {("mackey", "new"): "json", ("mackey", "box"): "json", ("demo", None): "text"}
+_FORMATS = {"mackey new": ("json",), "mackey box": ("json",), "mackey lewis": ("text", "dot"), "demo": ("text",)}
 
 
 def _check_format(args) -> None:
-    """Refuse output flags a command would ignore: ``_ONE_FORMAT`` commands write one form only."""
-    command = (args.command, getattr(args, "subcommand", None))
-    if args.format == "dot" and command != ("mackey", "lewis"):
+    """Refuse output flags a command would ignore: ``_FORMATS`` commands write only the forms listed."""
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    if args.format == "dot" and command != "mackey lewis":
         raise UsageError("--format dot is only supported by mackey lewis")
     if args.pretty and args.format not in (None, "text"):
         raise UsageError(f"--pretty conflicts with --format {args.format}")
-    only = _ONE_FORMAT.get(command, args.format)
-    if args.format not in (None, only):
-        raise UsageError(f"{' '.join(filter(None, command))} only writes {only}, not --format {args.format}")
+    only = _FORMATS.get(command, (args.format,))
+    if args.format not in (None, *only):
+        raise UsageError(f"{command} only writes {' or '.join(only)}, not --format {args.format}")
 
 
 def _emit(args, text: str) -> None:
@@ -486,7 +486,7 @@ def cmd_mackey_green_check(args) -> int:
 
 def cmd_mackey_lewis(args) -> int:
     M = resolve_functor(args.functor, args.cap)
-    if args.dot or _fmt(args) == "dot":
+    if _fmt(args) == "dot":
         _emit(args, lewis_dot(M))
         return 0
     lat = M.lattice
@@ -743,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     mg.add_argument("mult", help="multiplication data JSON, or 'burnside'")
     ml = leaf(msub, "lewis", cmd_mackey_lewis)
     ml.add_argument("functor")
-    ml.add_argument("--dot", action="store_true")
+    ml.add_argument("--dot", dest="format", action="store_const", const="dot", default=argparse.SUPPRESS, help="--format dot")
 
     d = leaf(sub, "demo", cmd_demo, help="regenerate the worked examples")
     d.add_argument("which", choices=["c6", "s4", "cp3"])

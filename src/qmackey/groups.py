@@ -14,6 +14,7 @@ One table, ``_least_members``, computes every coset's least member.
 
 from __future__ import annotations
 
+import functools
 import re
 import weakref
 from dataclasses import dataclass
@@ -562,6 +563,20 @@ class Subgroup:
         return len(self.elements)
 
 
+def _memo(query):
+    """A ``SubgroupLattice`` query, kept in the lattice's ``_memo``: a lattice never changes, nor does an answer."""
+    name = query.__name__
+
+    @functools.wraps(query)
+    def memoized(self, *args, **kwargs):
+        key = (name, args, *kwargs.items())
+        if (value := self._memo.get(key)) is None:
+            value = self._memo[key] = query(self, *args, **kwargs)
+        return value
+
+    return memoized
+
+
 class SubgroupLattice:
     """All subgroups of a finite group with the structure the rest of the library uses.
 
@@ -591,18 +606,8 @@ class SubgroupLattice:
         self.class_names: list[str] = []
         self.subgroup_names: list[str] = []
         self._build_names()
-        self._mobius: dict[tuple[int, int], int] = {}
-        self._weyl_cache: dict[int, WeylData] = {}
-        self._dc_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._fc_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._cosets_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._local_class_cache: dict[int, list[tuple[int, ...]]] = {}
-        self._local_norm_cache: dict[tuple[int, int], int] = {}
-        self._sub_lattice_cache: dict[int, SubLatticeView] = {}
-        self._quot_lattice_cache: dict[int, QuotientLatticeView] = {}
-        self._meet_cache: dict[tuple[int, int], int] = {}
+        self._memo: dict[tuple[str, tuple], object] = {}  # see ``_memo``
         self._coset_min: dict[int, tuple[int, ...]] = {}
-        self._covers: list[tuple[int, int]] | None = None
         # weak values: a ring refers to its lattice, so a strong cache would make a cycle
         self.burnside_cache: weakref.WeakValueDictionary[int, object] = weakref.WeakValueDictionary()
         # per subgroup, the marks and idempotent tables of its Burnside
@@ -751,42 +756,34 @@ class SubgroupLattice:
         """True when some G-conjugate of K is contained in H."""
         return any(member in self._down[h] for member in self.classes[self.class_of[k]])
 
+    @_memo
     def meet(self, a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        cached = self._meet_cache.get(key)
-        if cached is None:
-            elems = tuple(sorted(set(self.elements(a)) & set(self.elements(b))))
-            cached = self._id_of[elems]
-            self._meet_cache[key] = cached
-        return cached
+        return self._id_of[tuple(sorted(set(self.elements(a)) & set(self.elements(b))))]
 
+    @_memo
     def cover_pairs(self) -> list[tuple[int, int]]:
         """All pairs (H, K) with K maximal proper in H, by lattice id."""
-        if self._covers is None:
-            self._covers = [
-                (h, k)
-                for h, below in enumerate(self._down)
-                for k in below
-                if k != h and not any(l != k and l != h and self.leq(k, l) for l in below)
-            ]
-        return self._covers
+        return [
+            (h, k)
+            for h, below in enumerate(self._down)
+            for k in below
+            if k != h and not any(l != k and l != h and self.leq(k, l) for l in below)
+        ]
 
     def is_normal(self, h: int) -> bool:
         return self.normalizers[h] == self.top
 
     # -- cosets, cached -------------------------------------------------------
 
+    @_memo
     def cosets(self, k: int, ambient: int | None = None) -> tuple[int, ...]:
         """The cosets aK, a in ambient, as their least members in increasing order; needs K <= ambient."""
         amb = self.top if ambient is None else ambient
-        key = (k, amb)
-        cached = self._cosets_cache.get(key)
-        if cached is None:
-            if not self.leq(k, amb):
-                raise GroupError("cosets require K <= ambient")
-            cached = self._cosets_cache[key] = tuple(sorted({self.coset_of(a, k) for a in self.elements(amb)}))
-        return cached
+        if not self.leq(k, amb):
+            raise GroupError("cosets require K <= ambient")
+        return tuple(sorted({self.coset_of(a, k) for a in self.elements(amb)}))
 
+    @_memo
     def double_cosets(self, k: int, l: int, ambient: int | None = None) -> tuple[int, ...]:
         """The double cosets KxL, x in ambient, as their least members in increasing order; needs K, L <= ambient.
 
@@ -794,37 +791,29 @@ class SubgroupLattice:
         least of their least members: the minimum of one K-orbit on ``cosets(l, ambient)``.
         """
         amb = self.top if ambient is None else ambient
-        key = (k, l, amb)
-        cached = self._dc_cache.get(key)
-        if cached is None:
-            if not (self.leq(k, amb) and self.leq(l, amb)):
-                raise GroupError("double cosets require K, L <= ambient")
-            G = self.group
-            seen: set[int] = set()
-            reps = []
-            for r in self.cosets(l, amb):
-                if r not in seen:
-                    orbit = {self.coset_of(G.mul(a, r), l) for a in self.elements(k)}
-                    reps.append(min(orbit))
-                    seen |= orbit
-            cached = self._dc_cache[key] = tuple(reps)
-        return cached
+        if not (self.leq(k, amb) and self.leq(l, amb)):
+            raise GroupError("double cosets require K, L <= ambient")
+        G = self.group
+        seen: set[int] = set()
+        reps = []
+        for r in self.cosets(l, amb):
+            if r not in seen:
+                orbit = {self.coset_of(G.mul(a, r), l) for a in self.elements(k)}
+                reps.append(min(orbit))
+                seen |= orbit
+        return tuple(reps)
 
+    @_memo
     def fixed_cosets(self, k: int, h: int, ambient: int | None = None) -> tuple[int, ...]:
         """(ambient/K)^H: the r in ``cosets(k, ambient)`` with HrK = rK; needs K <= ambient.
 
         The stabilizer of a coset is a subgroup, so it contains H exactly when
         it contains the generators ``gens(h)``.
         """
-        amb = self.top if ambient is None else ambient
-        key = (k, h, amb)
-        cached = self._fc_cache.get(key)
-        if cached is None:
-            G = self.group
-            cached = self._fc_cache[key] = tuple(
-                r for r in self.cosets(k, amb) if all(self.coset_of(G.mul(x, r), k) == r for x in self.gens(h))
-            )
-        return cached
+        G = self.group
+        return tuple(
+            r for r in self.cosets(k, ambient) if all(self.coset_of(G.mul(x, r), k) == r for x in self.gens(h))
+        )
 
     def coset_of(self, g: int, k: int) -> int:
         """The least member of the coset gK, from the table ``_least_members`` builds once per K."""
@@ -835,85 +824,71 @@ class SubgroupLattice:
 
     # -- local (within-H) structure --------------------------------------------
 
+    @_memo
     def local_classes(self, h: int) -> list[tuple[int, ...]]:
         """H-conjugacy classes of subgroups of H, ordered by (order, rep elements)."""
-        if h not in self._local_class_cache:
-            helems = self.elements(h)
-            seen: set[int] = set()
-            classes = []
-            for k in self._down[h]:
-                if k in seen:
-                    continue
-                orbit = sorted({self.conj_table[g][k] for g in helems})
-                classes.append(tuple(orbit))
-                seen |= set(orbit)
-            classes.sort(key=lambda cls: (self.order(cls[0]), self.elements(cls[0])))
-            self._local_class_cache[h] = classes
-        return self._local_class_cache[h]
+        helems = self.elements(h)
+        seen: set[int] = set()
+        classes = []
+        for k in self._down[h]:
+            if k in seen:
+                continue
+            orbit = sorted({self.conj_table[g][k] for g in helems})
+            classes.append(tuple(orbit))
+            seen |= set(orbit)
+        classes.sort(key=lambda cls: (self.order(cls[0]), self.elements(cls[0])))
+        return classes
 
+    @_memo
     def normalizer_in(self, k: int, h: int) -> int:
         """N_H(K) as a lattice id, for K <= H."""
-        key = (k, h)
-        if key not in self._local_norm_cache:
-            elems = tuple(sorted(g for g in self.elements(h) if self.conj_table[g][k] == k))
-            self._local_norm_cache[key] = self._id_of[elems]
-        return self._local_norm_cache[key]
+        return self._id_of[tuple(sorted(g for g in self.elements(h) if self.conj_table[g][k] == k))]
 
     # -- Mobius ---------------------------------------------------------------
 
+    @_memo
     def mobius(self, k: int, h: int) -> int:
         """Mobius value of the interval [K, H] in the subgroup lattice."""
         if not self.leq(k, h):
             raise GroupError("mobius requires K <= H")
-        key = (k, h)
-        if key not in self._mobius:
-            if k == h:
-                self._mobius[key] = 1
-            else:
-                total = 0
-                for l in self._down[h]:
-                    if l != k and self.leq(k, l):
-                        total += self.mobius(l, h)
-                self._mobius[key] = -total
-        return self._mobius[key]
+        if k == h:
+            return 1
+        return -sum(self.mobius(l, h) for l in self._down[h] if l != k and self.leq(k, l))
 
     # -- Weyl groups ------------------------------------------------------------
 
+    @_memo
     def weyl(self, h: int) -> "WeylData":
         """W_G(H) = N_G(H)/H on ``cosets(h, N_G(H))``, each coset named by its least member r as ``r + "N"``."""
-        if h not in self._weyl_cache:
-            G = self.group
-            nid = self.normalizers[h]
-            reps = self.cosets(h, nid)
-            pos = {r: i for i, r in enumerate(reps)}
-            table = [[pos[self.coset_of(G.mul(a, b), h)] for b in reps] for a in reps]
-            names = [G.elem_name(r) + "N" for r in reps]
-            W = FiniteGroup(table, name=f"W({self.name(h)})", elem_names=names, validate=False)
-            proj = {g: pos[self.coset_of(g, h)] for g in self.elements(nid)}
-            self._weyl_cache[h] = WeylData(W, proj, reps)
-        return self._weyl_cache[h]
+        G = self.group
+        nid = self.normalizers[h]
+        reps = self.cosets(h, nid)
+        pos = {r: i for i, r in enumerate(reps)}
+        table = [[pos[self.coset_of(G.mul(a, b), h)] for b in reps] for a in reps]
+        names = [G.elem_name(r) + "N" for r in reps]
+        W = FiniteGroup(table, name=f"W({self.name(h)})", elem_names=names, validate=False)
+        proj = {g: pos[self.coset_of(g, h)] for g in self.elements(nid)}
+        return WeylData(W, proj, reps)
 
     # -- derived lattices ---------------------------------------------------------
 
+    @_memo
     def sub_lattice(self, h: int) -> "SubLatticeView":
-        if h not in self._sub_lattice_cache:
-            H, to_parent = subgroup_group(self.group, self.elements(h), name=self.name(h))
-            lat = SubgroupLattice(H)
-            to_parent_sub = tuple(
-                self._id_of[tuple(sorted(to_parent[x] for x in s.elements))] for s in lat.subgroups
-            )
-            self._sub_lattice_cache[h] = SubLatticeView(lat, to_parent, to_parent_sub)
-        return self._sub_lattice_cache[h]
+        H, to_parent = subgroup_group(self.group, self.elements(h), name=self.name(h))
+        lat = SubgroupLattice(H)
+        to_parent_sub = tuple(
+            self._id_of[tuple(sorted(to_parent[x] for x in s.elements))] for s in lat.subgroups
+        )
+        return SubLatticeView(lat, to_parent, to_parent_sub)
 
+    @_memo
     def quotient_lattice(self, n: int) -> "QuotientLatticeView":
-        if n not in self._quot_lattice_cache:
-            Q, proj = quotient_group(self.group, self.elements(n), name=f"{self.group.name}/{self.name(n)}")
-            lat = SubgroupLattice(Q)
-            to_parent_sub = tuple(
-                self._id_of[tuple(g for g, w in enumerate(proj) if w in s.elements)] for s in lat.subgroups
-            )
-            self._quot_lattice_cache[n] = QuotientLatticeView(lat, proj, to_parent_sub, self.cosets(n))
-        return self._quot_lattice_cache[n]
+        Q, proj = quotient_group(self.group, self.elements(n), name=f"{self.group.name}/{self.name(n)}")
+        lat = SubgroupLattice(Q)
+        to_parent_sub = tuple(
+            self._id_of[tuple(g for g, w in enumerate(proj) if w in s.elements)] for s in lat.subgroups
+        )
+        return QuotientLatticeView(lat, proj, to_parent_sub, self.cosets(n))
 
     def __repr__(self) -> str:
         return f"SubgroupLattice({self.group.name}: {len(self.subgroups)} subgroups, {len(self.classes)} classes)"

@@ -175,20 +175,6 @@ class QMatrix:
         return _new(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
-    def from_cols(cols_list, rows: int | None = None) -> "QMatrix":
-        if not cols_list:
-            return QMatrix.zeros(rows or 0, 0)
-        n = len(cols_list[0])
-        out = [{} for _ in range(n)]
-        for j, col in enumerate(cols_list):
-            if len(col) != n:
-                raise LinAlgError("ragged columns")
-            for i, x in enumerate(col):
-                if v := _nf(x):
-                    out[i][j] = v
-        return _new(n, len(cols_list), out)
-
-    @staticmethod
     def scalar(n: int, value) -> "QMatrix":
         v = _nf(value)
         return _new(n, n, [{i: v} if v else {} for i in range(n)])
@@ -440,13 +426,17 @@ def direct_sum(*mats: QMatrix) -> QMatrix:
     return _new(len(out), cols, out)
 
 
+def selection_matrix(rows: int, targets) -> QMatrix:
+    """The 0/1 matrix with ``rows`` rows sending basis vector j to basis vector targets[j]."""
+    out = [{} for _ in range(rows)]
+    for j, i in enumerate(targets):
+        out[i][j] = 1
+    return _new(rows, len(targets), out)
+
+
 def permutation_matrix(perm) -> QMatrix:
     """Matrix sending basis vector j to basis vector perm[j]."""
-    n = len(perm)
-    out = [{} for _ in range(n)]
-    for j, i in enumerate(perm):
-        out[i][j] = 1
-    return _new(n, n, out)
+    return selection_matrix(len(perm), perm)
 
 
 def restrict_map(ambient: QMatrix, src_basis: QMatrix, dst_basis: QMatrix) -> QMatrix:

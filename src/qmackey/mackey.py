@@ -28,6 +28,7 @@ from .linalg import (
     hstack,
     quotient_space,
     restrict_map,
+    selection_matrix,
     vstack,
 )
 
@@ -549,32 +550,21 @@ def fp_fq_iso(lattice: SubgroupLattice, V: WModule) -> MackeyMorphism:
 
 
 def burnside_mackey(lattice: SubgroupLattice, name: str = "A") -> MackeyFunctor:
-    """Level H is the rational Burnside ring of H; maps are restriction and
-    induction of sets, conjugation is transport of structure."""
+    """Level H is the rational Burnside ring of H; maps are restriction of sets,
+    induction [K/L] -> [H/L] and conjugation [H/L] -> [sHs^-1/sLs^-1]."""
     rings = [burnside_ring(lattice, h) for h in range(len(lattice))]
-    dims = [r.size for r in rings]
 
     def resfn(h, k):
-        # a mark does not depend on the acting group: H's rows read at K's classes
-        at = [rings[h].class_index[rep] for rep in rings[k].reps]
-        rows = map(rings[h].marks_basis, range(dims[h]))
-        cols = [rings[k]._from_marks([row[i] for i in at], 1).coeffs for row in rows]
-        return QMatrix.from_cols(cols, rows=dims[k])
+        return rings[h].restriction_table(k)
 
     def indfn(h, k):
-        cols = [rings[h].induce(rings[k].basis(rep)).coeffs for rep in rings[k].reps]
-        return QMatrix.from_cols(cols, rows=dims[h])
+        return selection_matrix(rings[h].size, [rings[h].class_index[rep] for rep in rings[k].reps])
 
     def conjfn(pos, s, h):
         target = rings[lattice.conjugate(s, h)]
-        cols = []
-        for rep in rings[h].reps:
-            vec = [Fraction(0)] * target.size
-            vec[target.class_index[lattice.conjugate(s, rep)]] = Fraction(1)
-            cols.append(vec)
-        return QMatrix.from_cols(cols, rows=target.size)
+        return selection_matrix(target.size, [target.class_index[lattice.conjugate(s, rep)] for rep in rings[h].reps])
 
-    return build_functor(lattice, dims, resfn, indfn, conjfn, name=name)
+    return build_functor(lattice, [r.size for r in rings], resfn, indfn, conjfn, name=name)
 
 
 # -- the Burnside action ------------------------------------------------------------

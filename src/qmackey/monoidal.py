@@ -16,7 +16,7 @@ from functools import partial
 from .burnside import burnside_ring
 from .classify import u_module
 from .groups import SubgroupLattice
-from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_space, tensor
+from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_space, selection_matrix, tensor
 from .mackey import (
     _check_identities,
     MackeyError,
@@ -411,21 +411,11 @@ def green_check(S: GreenStructure) -> GreenReport:
 
 
 def burnside_green(lattice: SubgroupLattice) -> GreenStructure:
-    """The Burnside functor with its ring multiplications levelwise."""
-    M = burnside_mackey(lattice)
-    mult, unit = {}, {}
-    for h in range(len(lattice)):
-        ring = burnside_ring(lattice, h)
-        n = ring.size
-        rows = [ring.marks_basis(i) for i in range(n)]
-        cols = [None] * (n * n)
-        for i in range(n):
-            for j in range(i, n):  # the product is commutative
-                product = ring._from_marks([x * y for x, y in zip(rows[i], rows[j])], 1)
-                cols[i * n + j] = cols[j * n + i] = product.coeffs
-        mult[h] = QMatrix.from_cols(cols, rows=n)
-        unit[h] = QMatrix.from_cols([ring.unit().coeffs], rows=n)
-    return GreenStructure(M, mult, unit)
+    """The Burnside functor with its ring multiplications levelwise; the unit is the class of the level itself."""
+    rings = [burnside_ring(lattice, h) for h in range(len(lattice))]
+    mult = {h: ring.multiplication_table() for h, ring in enumerate(rings)}
+    unit = {h: selection_matrix(ring.size, [ring.class_index[h]]) for h, ring in enumerate(rings)}
+    return GreenStructure(burnside_mackey(lattice), mult, unit)
 
 
 def constant_green(lattice: SubgroupLattice) -> GreenStructure:

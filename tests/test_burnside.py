@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import burnside_reference
-from qmackey.burnside import BurnsideError, burnside_ring
+from qmackey.burnside import BurnsideElement, BurnsideError, burnside_ring
 from qmackey.groups import SubgroupLattice, symmetric
 from qmackey.linalg import QMatrix
 from qmackey.mackey import burnside_mackey
@@ -396,19 +396,38 @@ class TestRestrictReferee:
 
     @pytest.mark.parametrize("name", CORPUS + ("S3xS3", "C2^4"))
     def test_burnside_functor_and_green_tables(self, corpus_lattices, past_corpus_lattices, name):
-        """Every res^H_K of the Burnside functor and every multiplication table of its Green structure."""
+        """Every res, ind and cgen of the Burnside functor, and every multiplication table and unit of its Green structure."""
         lat = _lattice(corpus_lattices, past_corpus_lattices, name)
         M = burnside_mackey(lat)
         for h, k in M.res:
-            ring = burnside_ring(lat, h)
+            ring, sub = burnside_ring(lat, h), burnside_ring(lat, k)
             cols = [burnside_reference.restrict(ring.basis(rep), k).coeffs for rep in ring.reps]
-            assert M.res[(h, k)] == QMatrix.from_cols(cols, rows=M.dims[k]), (lat.name(h), lat.name(k))
+            assert M.res[(h, k)] == QMatrix(cols).transpose(), (lat.name(h), lat.name(k))
+            cols = [ring.induce(sub.basis(rep)).coeffs for rep in sub.reps]
+            assert M.ind[(h, k)] == QMatrix(cols).transpose(), (lat.name(h), lat.name(k))
+        for (pos, h), conj in M.cgen.items():
+            s = lat.group.gens[pos]
+            target = burnside_ring(lat, lat.conjugate(s, h))
+            cols = [target.basis(lat.conjugate(s, rep)).coeffs for rep in burnside_ring(lat, h).reps]
+            assert conj == QMatrix(cols).transpose(), (lat.group.elem_name(s), lat.name(h))
         S = burnside_green(lat)
         for h in range(len(lat)):
             ring = burnside_ring(lat, h)
             n = ring.size
             cols = [burnside_reference.structure_constants(ring, i, j) for i in range(n) for j in range(n)]
-            assert S.mult[h] == QMatrix.from_cols(cols, rows=n), lat.name(h)
+            assert S.mult[h] == QMatrix(cols).transpose(), lat.name(h)
+            assert S.unit[h] == QMatrix([ring.unit().coeffs]).transpose(), lat.name(h)
+
+    def test_tables_build_no_element(self, past_corpus_lattices, monkeypatch):
+        """The functor and Green tables are integer tables: building them makes no ``BurnsideElement``."""
+        made = []
+        init = BurnsideElement.__init__
+        monkeypatch.setattr(BurnsideElement, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+        lat = past_corpus_lattices["C2^4"]
+        burnside_mackey(lat)
+        assert len(made) == 0
+        burnside_green(lat)
+        assert len(made) == 0
 
 
 class TestMarksReferee:

@@ -589,6 +589,10 @@ class TestIgnoredOutputFlags:
             (["--format", "text", "mackey", "box", "burnside:c2", "burnside:c2"], "mackey box only writes json, not --format text"),
             (["--format", "text", "mackey", "new", "burnside", "--group", "c2"], "mackey new only writes json, not --format text"),
             (["--format", "json", "demo", "c6"], "demo only writes text, not --format json"),
+            (["--format", "json", "mackey", "lewis", "burnside:c6"], "mackey lewis only writes text or dot, not --format json"),
+            (["mackey", "lewis", "burnside:c6", "--format", "json"], "mackey lewis only writes text or dot, not --format json"),
+            (["mackey", "lewis", "burnside:c6", "--pretty", "--dot"], "--pretty conflicts with --format dot"),
+            (["--pretty", "mackey", "lewis", "burnside:c6", "--dot"], "--pretty conflicts with --format dot"),
         ],
         ids=lambda x: " ".join(x) if isinstance(x, list) else None,
     )

@@ -347,6 +347,15 @@ class TestCosets:
         K = s4_lattice.elements(k)
         assert list(reps) == oracle_double_coset_partition(G, K, K)
 
+    def test_ambient_by_position_or_keyword(self, s4_lattice):
+        """Memoized queries answer the same however the optional ambient is passed."""
+        lat = s4_lattice
+        k = lat.bottom
+        amb = lat.normalizers[1]
+        assert lat.cosets(k, ambient=amb) == lat.cosets(k, amb) != lat.cosets(k)
+        assert lat.double_cosets(k, 1, ambient=lat.top) == lat.double_cosets(k, 1) == lat.double_cosets(k, 1, None)
+        assert lat.fixed_cosets(k, 1, ambient=amb) == lat.fixed_cosets(k, 1, amb)
+
     def test_coset_of_is_least_member(self, corpus_lattices):
         for lat in corpus_lattices.values():
             G = lat.group

@@ -141,7 +141,7 @@ def greedy_complement(relations):
     """Reference: take e_i whenever it raises the rank of the span so far."""
     chosen, current = [], relations
     for i in range(relations.rows):
-        candidate = hstack(current, QMatrix.from_cols([unit(relations.rows, i)]))
+        candidate = hstack(current, QMatrix([unit(relations.rows, i)]).transpose())
         if candidate.rank() > current.rank():
             chosen.append(i)
             current = candidate
@@ -187,7 +187,7 @@ class TestQuotient:
     def test_section_is_greedy_complement(self, M):
         proj, sec = quotient_space(M.rows, M)
         chosen = greedy_complement(M)
-        assert sec == QMatrix.from_cols([unit(M.rows, i) for i in chosen], rows=M.rows)
+        assert sec == QMatrix([unit(M.rows, i) for i in chosen], cols=M.rows).transpose()
         # and the projection is the bottom block of [span | section]^-1
         k = M.rows - len(chosen)
         inv = hstack(M.image(), sec).inverse()

@@ -162,7 +162,7 @@ class TestBurnsideMackey:
         ids = ids_of(c6_lattice)
         ring6 = burnside_ring(c6_lattice)
         ring3 = burnside_ring(c6_lattice, ids["C3"])
-        vec = QMatrix.from_cols([ring6.basis(ids["C3"]).coeffs], rows=4)
+        vec = QMatrix([ring6.basis(ids["C3"]).coeffs]).transpose()
         down = c6A.res[(ids["C6"], ids["C3"])].matmul(vec)
         assert tuple(down.col(0)) == ring3.unit().scale(2).coeffs
 

@@ -49,7 +49,7 @@ def oracle_box_dim_c2():
     # t (x) R(y) - I(t) (x) y for y in {u, v}
     rows.append([2, -1, 0, 0, 0])
     rows.append([1, 0, -1, 0, 0])
-    span = QMatrix.from_cols([list(map(Fraction, r)) for r in rows], rows=5)
+    span = QMatrix([list(map(Fraction, r)) for r in rows]).transpose()
     return 5 - span.rank()
 
 

@@ -27,7 +27,6 @@ from .linalg import (
     QMatrix,
     WModule,
     block_matrix,
-    coordinates,
     direct_sum as mat_direct_sum,
     fixed_subspace,
     intertwiner,
@@ -234,7 +233,7 @@ def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphis
             if coords is None:
                 raise MackeyError("comparison component escapes the local piece")
             rows.append(coords)
-        coords = coordinates(block.bases[k], vstack(*rows))
+        coords = block.bases[k].solve(vstack(*rows))
         if coords is None:
             raise MackeyError("comparison component is not Weyl-fixed")
         maps.append(coords)

@@ -11,11 +11,10 @@ Every kernel touches only stored entries; ``data``, ``row``, ``col`` and
 
 Kernel and image bases come out in a canonical echelon form (the reduced row
 echelon form is unique) so that compositions of the isomorphisms built
-downstream are reproducible run to run.  ``solve`` on such a basis picks
-the rows of its identity block, kept in a private slot, and checks one
-product; any other matrix is factored once, at its first ``solve``, into the
-pivots and transform kept in that slot.  A matrix never changes, so neither
-can go stale.
+downstream are reproducible run to run.  Such a basis, like an identity,
+keeps the unit rows of its identity block in a private slot, and ``solve``
+on it selects those rows and checks one product; any other matrix is
+eliminated together with the right-hand side.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ def _frac(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _new(rows: int, cols: int, body, solver=None) -> "QMatrix":
+def _new(rows: int, cols: int, body, unit_rows=None) -> "QMatrix":
     """A matrix from normal-form sparse rows, bypassing ``__init__``."""
     m = object.__new__(QMatrix)
-    m.rows, m.cols, m._rows, m._solver = rows, cols, tuple(body), solver
+    m.rows, m.cols, m._rows, m._unit_rows = rows, cols, tuple(body), unit_rows
     return m
 
 
@@ -144,13 +143,13 @@ def _rref_rows(body) -> tuple[list[dict], list[int]]:
 class QMatrix:
     """An immutable matrix of exact rationals, stored as sparse rows."""
 
-    __slots__ = ("rows", "cols", "_rows", "_solver")
+    __slots__ = ("rows", "cols", "_rows", "_unit_rows")
 
     def __init__(self, data, rows: int | None = None, cols: int | None = None):
         if isinstance(data, QMatrix):
-            self.rows, self.cols, self._rows, self._solver = data.rows, data.cols, data._rows, data._solver
+            self.rows, self.cols, self._rows, self._unit_rows = data.rows, data.cols, data._rows, data._unit_rows
             return
-        self._solver = None
+        self._unit_rows = None
         table = [list(row) for row in data]
         if table:
             self.cols = len(table[0])
@@ -162,7 +161,7 @@ class QMatrix:
             self.cols = cols or 0
             table = [[]] * (rows or 0)
         self.rows = len(table)
-        self._rows = tuple({j: v for j, x in enumerate(row) if (v := _nf(x))} for row in table)
+        self._rows = tuple({j: v for j, x in enumerate(row) if (v := x if type(x) is int else _nf(x))} for row in table)
 
     # -- constructors ---------------------------------------------------------
 
@@ -172,7 +171,7 @@ class QMatrix:
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return _new(n, n, [{i: 1} for i in range(n)])
+        return _new(n, n, [{i: 1} for i in range(n)], tuple(range(n)))
 
     @staticmethod
     def scalar(n: int, value) -> "QMatrix":
@@ -300,12 +299,12 @@ class QMatrix:
             out[c][t] = 1
         for pc, row in zip(pivots, R._rows):
             out[pc] = {free[j]: -x for j, x in row.items() if j != pc}
-        return _new(self.cols, len(free), out, (tuple(free), None))
+        return _new(self.cols, len(free), out, tuple(free))
 
     def image(self) -> "QMatrix":
         """The canonical column-space basis (row-echelon of transpose); ``solve`` selects its unit pivot rows."""
         R, pivots = self.transpose().rref()
-        return _new(self.rows, len(pivots), _transposed(R._rows[: len(pivots)], self.rows), (pivots, None))
+        return _new(self.rows, len(pivots), _transposed(R._rows[: len(pivots)], self.rows), pivots)
 
     def solve(self, rhs: "QMatrix") -> "QMatrix | None":
         """Solve self @ X = rhs; None when inconsistent.
@@ -313,40 +312,29 @@ class QMatrix:
         With several solutions, free variables are set to zero, which keeps
         the output canonical.
 
-        A ``kernel`` or ``image`` basis B has B[S] = I on known rows S.  A
-        solution Y has Y = B[S] Y = rhs[S] =: X, so B @ X == rhs exactly when
-        rhs lies in the span of B, and X is then the unique solution.
+        A ``kernel``, ``image``, ``span_basis`` or ``identity`` basis B has
+        B[S] = I on its unit rows S.  A solution Y has Y = B[S] Y = rhs[S] =: X,
+        so B @ X == rhs exactly when rhs is in B's span, and X is then unique.
 
-        Any other A = self is factored at the first call: the reduced form of
-        ``[A | I]`` is ``[E A | E]`` with E invertible, E A the reduced form of
-        A, and the rows of E A past its rank r zero.  Every call forms E @ rhs.
-        ``[E A | E rhs]`` is row-equivalent to ``[A | rhs]``, and A @ X = rhs
-        is consistent exactly when rows r: of E @ rhs vanish.  In that case
-        ``[E A | E rhs]`` is itself in reduced form (the pivots are those of
-        E A, and the rest of its rows are zero), so by uniqueness it *is* the
-        reduced form of ``[A | rhs]``.  Its row t, at the t-th pivot column of
-        A, gives that unknown; the others are free and set to zero, exactly as
-        eliminating ``[A | rhs]`` afresh would.
+        Any other A = self is eliminated once together with rhs.  A row of the
+        reduced form of ``[A | rhs]`` that pivots past A's columns reads
+        0 = nonzero, so the system is inconsistent exactly when the last pivot
+        does.  Otherwise the row at the t-th pivot column gives that unknown,
+        plus free unknowns, as its rhs part; the free unknowns are set to 0.
         """
         if rhs.rows != self.rows:
             raise LinAlgError("shape mismatch in solve")
-        if self._solver is None:
-            n = self.cols
-            R, pivots = hstack(self, QMatrix.identity(self.rows)).rref()
-            rank = sum(1 for p in pivots if p < n)
-            E = _new(self.rows, self.rows, [{j - n: x for j, x in row.items() if j >= n} for row in R._rows])
-            self._solver = (pivots[:rank], E)
-        if self._solver[1] is None:
-            X = _new(self.cols, rhs.cols, [rhs._rows[i] for i in self._solver[0]])
+        if self._unit_rows is not None:
+            X = _new(self.cols, rhs.cols, [rhs._rows[i] for i in self._unit_rows])
             return X if self.matmul(X) == rhs else None
-        pivots, E = self._solver
-        Y = E.matmul(rhs)._rows
-        if any(Y[len(pivots):]):
+        n = self.cols
+        R, pivots = hstack(self, rhs).rref()
+        if pivots and pivots[-1] >= n:
             return None
-        out = [{} for _ in range(self.cols)]
-        for pc, row in zip(pivots, Y):
-            out[pc] = row
-        return _new(self.cols, rhs.cols, out)
+        out = [{} for _ in range(n)]
+        for pc, row in zip(pivots, R._rows):
+            out[pc] = {j - n: x for j, x in row.items() if j >= n}
+        return _new(n, rhs.cols, out)
 
     def inverse(self) -> "QMatrix":
         """The inverse.  ``self @ X = I`` is solvable only at full rank, and then X is unique."""
@@ -446,20 +434,14 @@ def restrict_map(ambient: QMatrix, src_basis: QMatrix, dst_basis: QMatrix) -> QM
     has; then the answer is unique, and for the identity map from a basis to
     itself it is the identity, returned without solving.
     Raises when the ambient map does not carry the source subspace into the
-    target one, as the product in ``coordinates`` checks; callers rely on it.
+    target one, which ``solve`` reports as None; callers rely on it.
     """
     if src_basis is dst_basis and ambient.is_identity() and ambient.cols == src_basis.rows:
         return QMatrix.identity(src_basis.cols)
-    coeff = coordinates(dst_basis, ambient.matmul(src_basis))
+    coeff = dst_basis.solve(ambient.matmul(src_basis))
     if coeff is None:
         raise LinAlgError("map does not preserve the given subspaces")
     return coeff
-
-
-def coordinates(basis: QMatrix, rhs: QMatrix) -> QMatrix | None:
-    """X with ``basis @ X == rhs`` checked by one product (``solve``'s own on an echelon basis), or None."""
-    X = basis.solve(rhs)
-    return None if X is None or (basis._solver[1] is not None and basis.matmul(X) != rhs) else X
 
 
 def quotient_space(ambient_dim: int, relations: QMatrix) -> tuple[QMatrix, QMatrix]:
@@ -475,7 +457,7 @@ def quotient_space(ambient_dim: int, relations: QMatrix) -> tuple[QMatrix, QMatr
     if relations.cols and relations.rows != ambient_dim:
         raise LinAlgError("relations live in the wrong ambient space")
     W = span_basis(relations if relations.cols else QMatrix.zeros(ambient_dim, 0))
-    free = W._solver[0]
+    free = W._unit_rows
     slot = {q: t for t, q in enumerate(sorted(set(range(ambient_dim)).difference(free)))}
     proj = [{q: 1, **{free[t]: -x for t, x in W._rows[q].items()}} for q in slot]
     section = [{slot[i]: 1} if i in slot else {} for i in range(ambient_dim)]
@@ -492,7 +474,7 @@ def span_basis(spanning: QMatrix) -> QMatrix:
     cols = _transposed(spanning._rows, spanning.cols)
     reduced, pivots = _rref_rows([{last - i: x for i, x in col.items()} for col in cols])
     out = _transposed([{last - j: x for j, x in row.items()} for row in reversed(reduced)], spanning.rows)
-    return _new(spanning.rows, len(pivots), out, (tuple(last - c for c in reversed(pivots)), None))
+    return _new(spanning.rows, len(pivots), out, tuple(last - c for c in reversed(pivots)))
 
 
 # ---------------------------------------------------------------------------

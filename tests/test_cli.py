@@ -447,6 +447,46 @@ class TestGoldenDemos:
         assert first == second
 
 
+class TestTextGoldens:
+    """Text forms, ``--out`` and workspace lookups, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [(("burnside", "table", "s4", "--pretty"), "burnside_table_s4.txt"), (("mackey", "split", "burnside:s4", "--pretty"), "split_s4.txt")],
+    )
+    def test_pretty_matches_golden(self, capsys, argv, golden):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / golden).read_bytes()
+
+    def test_check_pretty_lists_violations(self, capsys, tmp_path):
+        M, _ = scaled_restriction(SubgroupLattice(symmetric(3)))
+        path = tmp_path / "corrupt.json"
+        path.write_text(dump(functor_to_json(M)))
+        code, out, err = run(capsys, "mackey", "check", str(path), "--pretty")
+        assert (code, err) == (1, "")
+        assert out.encode() == (GOLDEN / "check_scaled_restriction_s3.txt").read_bytes()
+
+    def test_box_out_writes_what_stdout_would_show(self, capsys, tmp_path):
+        code, out, err = run(capsys, "mackey", "box", "burnside:c2", "burnside:c2")
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / "box_c2.json").read_bytes()
+        path = tmp_path / "F.json"
+        code, note, err = run(capsys, "mackey", "box", "burnside:c2", "burnside:c2", "--out", str(path))
+        assert (code, note, err) == (0, f"box product written to {path}\n", "")
+        assert path.read_bytes() == out.encode()
+
+    def test_group_found_in_workspace(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("MACKEY_WORKSPACE", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "groups").mkdir()
+        spec = {"name": "C2^4", "degree": 8, "generators": ["(1 2)", "(3 4)", "(5 6)", "(7 8)"]}
+        (tmp_path / "groups" / "c2x4.json").write_text(json.dumps(spec))
+        code, out, err = run(capsys, "--format", "json", "burnside", "table", "c2x4")
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / "burnside_table_c2x4.json").read_bytes()
+
+
 class TestTrailingGlobalFlags:
     """--pretty, --out, --format and --cap also work after the subcommand."""
 

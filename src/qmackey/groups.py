@@ -6,6 +6,13 @@ permutations in cycle notation.  :class:`SubgroupLattice` enumerates every
 subgroup together with the inclusion poset, conjugacy classes, normalizers,
 Weyl quotients and the Mobius function of the lattice.
 
+Both are built per generator, not per element.  A permutation group composes
+only its generator columns.  Associativity is checked on generators only
+(Light's test): the elements that associate with everything are closed under
+products, so the generators decide.  The lattice joins each subgroup S with
+one cyclic subgroup per S-conjugacy orbit, since conjugating by s in S fixes
+S and so the join, and conjugates subgroups along the words of ``gens``.
+
 All outputs are deterministic: subgroups are kept as sorted element tuples,
 a coset (left, double, or a Weyl element) is named by its least member, and
 conjugacy-class representatives are the lexicographically smallest member.
@@ -111,7 +118,7 @@ class FiniteGroup:
         cap: int = DEFAULT_ORDER_CAP,
     ):
         self.name = name
-        self._mul = tuple(tuple(int(x) for x in row) for row in table)
+        self._mul = tuple(tuple(map(int, row)) for row in table)
         self.order = len(self._mul)
         if self.order == 0:
             raise GroupError("empty multiplication table")
@@ -119,16 +126,15 @@ class FiniteGroup:
             raise CapExceeded(f"group order {self.order} exceeds cap {cap}")
         if any(len(row) != self.order for row in self._mul):
             raise GroupError("multiplication table is not square")
-        rng = range(self.order)
-        if any(x < 0 or x >= self.order for row in self._mul for x in row):
+        if any(min(row) < 0 or max(row) >= self.order for row in self._mul):
             raise GroupError("table entry out of range")
         self.identity = self._find_identity()
         self._inv = self._find_inverses()
-        if validate:
-            self._check_associativity()
-        self.elem_names = list(elem_names) if elem_names else [str(i) for i in rng]
+        self.elem_names = list(elem_names) if elem_names else [str(i) for i in range(self.order)]
         self.gens = self._normalize_gens(gens)
         self.words = self._compute_words()
+        if validate:
+            self._check_associativity()
 
     # -- construction helpers ------------------------------------------------
 
@@ -151,16 +157,22 @@ class FiniteGroup:
         return tuple(inv)
 
     def _check_associativity(self) -> None:
+        """Light's test: (a s) c = a (s c) for every generator s and all a, c.
+
+        The elements b with (x b) y = x (b y) for all x, y include the identity
+        and are closed under products: for two such a and b,
+        (x (ab)) y = ((xa) b) y = (xa)(by) = x (a (by)) = x ((ab) y).
+        ``words`` reaches every element as ((e s1) s2)..., so when every
+        generator passes, the whole group does.  The test makes |gens| |G|^2
+        lookups where the loop over all triples makes |G|^3.
+        """
         mul = self._mul
-        for a in range(self.order):
-            row_a = mul[a]
-            for b in range(self.order):
-                ab = row_a[b]
-                row_b = mul[b]
-                row_ab = mul[ab]
-                for c in range(self.order):
-                    if row_ab[c] != row_a[row_b[c]]:
-                        raise GroupError(f"table is not associative at ({a},{b},{c})")
+        for a, row_a in enumerate(mul):
+            for s in self.gens:
+                row_as, row_s = mul[row_a[s]], mul[s]
+                if row_as != tuple(map(row_a.__getitem__, row_s)):
+                    c = next(c for c in range(self.order) if row_as[c] != row_a[row_s[c]])
+                    raise GroupError(f"table is not associative at ({a},{s},{c})")
 
     def _normalize_gens(self, gens: list[int] | None) -> tuple[int, ...]:
         if gens is not None:
@@ -253,6 +265,9 @@ def from_permutations(
     numbering is reproducible for a fixed generator list.  Only the moved
     points are composed, renumbered in increasing order: the cost does not
     grow with ``degree`` or the point labels, and relabelling keeps the table.
+    Only the generator columns a -> a*s are composed, |G| |gens| products;
+    the search reaches every other y as x*s for an earlier x, and its column
+    is read off them, a*y = (a*x)*s.
     """
     gen_cycles = [_cycles(g) for g in generators]
     points = sorted({p for cycles in gen_cycles for cyc in cycles for p in cyc})
@@ -263,15 +278,23 @@ def from_permutations(
     ident = tuple(range(len(points)))
     elems = [ident]
     index = {ident: 0}
-    for p in elems:
-        for g in gen_imgs:
+    gen_cols: list[list[int]] = [[] for _ in gen_imgs]  # gen_cols[k][a] = a * generator k
+    reached_by = [(0, 0)]  # reached_by[y] = (x, k) with y = x * generator k
+    for x, p in enumerate(elems):
+        for k, g in enumerate(gen_imgs):
             q = _compose(p, g)
-            if q not in index:
+            y = index.get(q)
+            if y is None:
                 if len(elems) >= cap:
                     raise CapExceeded(f"generated order exceeds cap {cap}")
-                index[q] = len(elems)
+                y = index[q] = len(elems)
                 elems.append(q)
-    table = [[index[_compose(p, q)] for q in elems] for p in elems]
+                reached_by.append((x, k))
+            gen_cols[k].append(y)
+    cols = [tuple(range(len(elems)))]
+    for x, k in reached_by[1:]:
+        cols.append(tuple(map(gen_cols[k].__getitem__, cols[x])))
+    table = list(zip(*cols))
     names = [cycle_string(p, points) for p in elems]
     gen_ids = [index[g] for g in gen_imgs]
     return FiniteGroup(table, name=name, elem_names=names, gens=gen_ids, cap=cap)
@@ -580,9 +603,18 @@ def _memo(query):
 class SubgroupLattice:
     """All subgroups of a finite group with the structure the rest of the library uses.
 
-    Enumeration seeds with cyclic subgroups and repeatedly joins known
-    subgroups with cyclic ones until stable; every subgroup is the join of its
-    cyclic subgroups, so the result is complete.
+    Enumeration seeds with the cyclic subgroups and joins each new subgroup
+    S with cyclic ones until nothing new turns up; every subgroup is the join
+    of its cyclic subgroups, so the result is complete.  Each step costs per
+    generator, not per element:
+
+    - S is joined with one cyclic subgroup of each S-conjugacy orbit, the
+      first in seed order: for s in S, S v <scs^-1> = s(S v <c>)s^-1 = S v <c>;
+    - a join is a union of left cosets of S, closed under the generators
+      (Dimino);
+    - conjugation by x*s is conjugation by s, then by x, so only the
+      generators conjugate element sets;
+    - inclusion is one set lookup.
     """
 
     def __init__(self, G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP):
@@ -595,10 +627,7 @@ class SubgroupLattice:
         n = len(self.subgroups)
         self._build_poset()
         # conj_table[g][h_id] = id of g H g^-1
-        self.conj_table = [
-            [self._id_of[G.conjugate_elements(g, s.elements)] for s in self.subgroups]
-            for g in range(G.order)
-        ]
+        self.conj_table = self._build_conj_table()
         self.classes: list[tuple[int, ...]] = []
         self.class_of: list[int] = [0] * n
         self._build_classes()
@@ -619,40 +648,91 @@ class SubgroupLattice:
     def _enumerate_subgroups(self) -> None:
         """Every subgroup, each found with the generators it was reached by.
 
-        A cyclic subgroup keeps the first element that generates it, and the
-        join of S with <g> is the closure of gens(S) + (g,), skipped when g
-        lies in S.  Each round joins every new subgroup with every cyclic one,
-        so the chain C1, C1 v C2, ... of any subgroup's cyclic subgroups is
-        found link by link.
+        A cyclic subgroup keeps its least generator, and the join of S with
+        <c> is found with gens(S) + (c,), skipped when c lies in S.  Each round
+        joins every new subgroup with every cyclic one, so the chain C1,
+        C1 v C2, ... of any subgroup's cyclic subgroups is found link by link.
+        Of the cyclic subgroups in one S-conjugacy orbit only the first is
+        joined: the others give the same join, already found, so skipping them
+        changes neither the subgroups nor their generators.  The orbits are
+        taken over gens(S), through the table x -> (position of x<c>x^-1).
         """
         G = self.group
-        found: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for g in range(G.order):
-            found.setdefault(G.closure([g]), (g,))
-        cyclic_gens = [gens[0] for gens in found.values()]
+        seeds: dict[frozenset[int], int] = {}
+        cyclic_of = [seeds.setdefault(frozenset(G.closure([g])), len(seeds)) for g in range(G.order)]
+        cyclic_gens = [cyclic_of.index(i) for i in range(len(seeds))]  # the least generator of each
+        found = {c: (g,) for c, g in zip(seeds, cyclic_gens)}
+        moves = {x: tuple(cyclic_of[G.conj(x, c)] for c in cyclic_gens) for x in cyclic_gens}
         frontier = list(found.items())
         while frontier:
             new = []
             for s, gens in frontier:
-                members = set(s)
-                for g in cyclic_gens:
-                    if g in members:
+                perms = [moves[x] for x in gens]
+                seen = [False] * len(cyclic_gens)
+                for i, c in enumerate(cyclic_gens):
+                    if seen[i] or c in s:
                         continue
-                    j = G.closure(gens + (g,))
+                    orbit = [i]
+                    seen[i] = True
+                    for p in orbit:
+                        for perm in perms:
+                            if not seen[perm[p]]:
+                                seen[perm[p]] = True
+                                orbit.append(perm[p])
+                    j = self._join(s, gens + (c,))
                     if j not in found:
-                        found[j] = gens + (g,)
+                        found[j] = gens + (c,)
                         new.append((j, found[j]))
             frontier = new
-        ordered = sorted(found, key=lambda t: (len(t), t))
-        self.subgroups = [Subgroup(t, i, found[t]) for i, t in enumerate(ordered)]
-        self._id_of = {t: i for i, t in enumerate(ordered)}
+        ordered = sorted((len(j), tuple(sorted(j)), gens) for j, gens in found.items())
+        self.subgroups = [Subgroup(t, i, gens) for i, (_, t, gens) in enumerate(ordered)]
+        self._id_of = {s.elements: s.index for s in self.subgroups}
+
+    def _join(self, s: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
+        """The subgroup generated by ``gens`` (generators of S and more) as a union of left cosets rS.
+
+        t(rS) = (tr)S, so the cosets reached from S by left multiplication with
+        the generators are closed under them and make up the whole subgroup.
+        """
+        mul = self.group._mul
+        elems = set(s)
+        reps = [self.group.identity]
+        for r in reps:
+            for t in gens:
+                y = mul[t][r]
+                if y not in elems:
+                    elems.update(map(mul[y].__getitem__, s))
+                    reps.append(y)
+        return frozenset(elems)
 
     def _build_poset(self) -> None:
-        """``_down[h]``: the ids of the subgroups of H; ``_up[k]``: those of the subgroups containing K."""
-        sets = [set(s.elements) for s in self.subgroups]
-        n = len(sets)
-        self._down: list[tuple[int, ...]] = [tuple(k for k in range(n) if sets[k] <= sets[h]) for h in range(n)]
-        self._up: list[tuple[int, ...]] = [tuple(h for h in range(n) if sets[k] <= sets[h]) for k in range(n)]
+        """``_down[h]``: the ids of the subgroups of H; ``_up[k]``: those of the subgroups containing K.
+
+        Ids follow (order, elements), so K <= H only if k <= h; one bitmask of
+        elements per subgroup decides the rest.
+        """
+        masks = [sum(1 << x for x in s.elements) for s in self.subgroups]
+        self._down: list[tuple[int, ...]] = [
+            tuple(k for k in range(h + 1) if masks[k] & mh == masks[k]) for h, mh in enumerate(masks)
+        ]
+        up: list[list[int]] = [[] for _ in masks]
+        for h, below in enumerate(self._down):
+            for k in below:
+                up[k].append(h)
+        self._up: list[tuple[int, ...]] = [tuple(u) for u in up]
+        self._above = [frozenset(u) for u in up]  # for ``leq``
+
+    def _build_conj_table(self) -> list[list[int]]:
+        """Row g: the ids of the conjugates gHg^-1, composed along ``words`` from the generator rows."""
+        G = self.group
+        by_gen = {s: [self._id_of[G.conjugate_elements(s, t.elements)] for t in self.subgroups] for s in G.gens}
+        table: list[list[int]] = [[]] * G.order
+        table[G.identity] = list(range(len(self.subgroups)))
+        for y in sorted(range(G.order), key=lambda g: len(G.words[g])):
+            if y != G.identity:
+                s = G.gens[G.words[y][-1]]
+                table[y] = list(map(table[G.mul(y, G.inv(s))].__getitem__, by_gen[s]))
+        return table
 
     def _build_classes(self) -> None:
         n = len(self.subgroups)
@@ -675,8 +755,7 @@ class SubgroupLattice:
         counts: dict[str, int] = {}
         for cls in self.classes:
             rep = self.subgroups[cls[0]]
-            cyc = any(self.group.closure([g]) == rep.elements for g in rep.elements)
-            base = f"C{rep.order}" if cyc else f"G{rep.order}"
+            base = f"C{rep.order}" if len(rep.gens) == 1 else f"G{rep.order}"  # the seeds are the cyclic subgroups
             ticks = counts.get(base, 0)
             counts[base] = ticks + 1
             self.class_names.append(base + "'" * ticks)
@@ -710,7 +789,7 @@ class SubgroupLattice:
         return self.subgroups[h].gens
 
     def leq(self, k: int, h: int) -> bool:
-        return h in self._up[k]
+        return h in self._above[k]
 
     def subgroups_of(self, h: int) -> tuple[int, ...]:
         return self._down[h]
@@ -754,7 +833,7 @@ class SubgroupLattice:
 
     def is_subconjugate(self, k: int, h: int) -> bool:
         """True when some G-conjugate of K is contained in H."""
-        return any(member in self._down[h] for member in self.classes[self.class_of[k]])
+        return any(h in self._above[member] for member in self.classes[self.class_of[k]])
 
     @_memo
     def meet(self, a: int, b: int) -> int:

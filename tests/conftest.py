@@ -33,6 +33,10 @@ def c2_lattice(corpus_lattices):
     return corpus_lattices["C2"]
 
 
+# A loop of order 5: identity 0 and two-sided inverses, so of the group axioms only associativity fails.
+NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
 # Groups past the corpus, from permutation generators, with their subgroup counts.
 PAST_CORPUS = {
     "D16": (["(1 2 3 4 5 6 7 8)", "(2 8)(3 7)(4 6)"], 19),

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import NON_ASSOCIATIVE_LOOP
 from corruptions import constant_with_identity_induction, scaled_restriction
 from qmackey.cli import build_parser, main, resolve_functor
 from qmackey.groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupLattice, cyclic, symmetric
@@ -74,6 +75,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "group", "info", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_associative_table_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"name": "loop", "table": NON_ASSOCIATIVE_LOOP}))
+        code, out, err = run(capsys, "group", "info", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not associative" in err
 
     @pytest.mark.parametrize("element", ["{bad", "[1]", '"x"'])
     def test_malformed_burnside_element_is_usage_error(self, capsys, element):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import PAST_CORPUS
+from conftest import NON_ASSOCIATIVE_LOOP, PAST_CORPUS
 from qmackey.groups import (
     _cycles,
     _image,
@@ -133,10 +133,8 @@ class TestLoadGroup:
         assert G.elem_names[0] == "()"
 
     def test_non_associative_table_rejected(self):
-        # a quasigroup table that is not associative
-        table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
-        with pytest.raises(GroupError):
-            load_group({"name": "bad", "table": table})
+        with pytest.raises(GroupError, match="not associative"):
+            load_group({"name": "bad", "table": NON_ASSOCIATIVE_LOOP})
 
     def test_non_invertible_table_rejected(self):
         table = [[0, 1], [1, 1]]

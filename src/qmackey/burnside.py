@@ -14,19 +14,22 @@ The ring's table builders ``restriction_table`` and ``multiplication_table``
 run that step alone on integer marks, for ``mackey.burnside_mackey`` and
 ``monoidal.burnside_green``.
 
-Two independent routes to the primitive idempotents are provided: the Mobius
-formula over the subgroup lattice, and inversion of the table of marks.  They
-are cross-checked in the test suite.
+Two independent routes to the primitive idempotents are provided, both in
+integer arithmetic.  Gluck's Mobius formula sums |L| mu(L, K) over one sweep of
+the interval below K.  The marks route is the triangular integer back
+substitution on the unit mark vectors: e_(A_i) has marks delta_i, and it never
+reads the Mobius function.  They are cross-checked in the test suite.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .groups import SubgroupLattice
-from .linalg import QMatrix
+from .linalg import QMatrix, _new
 
 
 class BurnsideError(ValueError):
@@ -125,19 +128,21 @@ class BurnsideRing:
         h -> h^-1 A_i h sends H onto the H-class of A_i, and each fibre is a
         coset of N_H(A_i).  So
         T[j][i] = |N_H(A_i)| * #{A' in (A_i)_H : A' <= B_j} / |B_j|.
+        Row j takes one pass over the subgroups of B_j, counted by class.
         """
         tables = self._tables
         if not tables.marks:
             lat = self.lattice
             norms = [lat.order(lat.normalizer_in(a, self.top)) for a in self.reps]
-            rows = []
-            for b in self.reps:
-                below = set(lat.subgroups_of(b))
-                rows.append(tuple(
-                    n * sum(m in below for m in cls) // lat.order(b) for n, cls in zip(norms, self.classes)
-                ))
-            tables.below = tuple(tuple((i, m) for i, m in enumerate(row[:j]) if m) for j, row in enumerate(rows))
-            tables.marks = tuple(rows)
+            marks, below = [], []
+            for j, b in enumerate(self.reps):
+                count = Counter(map(self.class_index.__getitem__, lat.subgroups_of(b)))  # i: #{A' in (A_i)_H : A' <= B_j}
+                row, order = [0] * self.size, lat.order(b)
+                for i, c in count.items():
+                    row[i] = norms[i] * c // order
+                marks.append(tuple(row))
+                below.append(tuple(sorted((i, row[i]) for i in count if i < j)))
+            tables.marks, tables.below = tuple(marks), tuple(below)
         return tables
 
     def _integer_marks(self, a: "BurnsideElement") -> tuple[list[int], int]:
@@ -165,11 +170,13 @@ class BurnsideRing:
         ``_back_substitute`` finds; x = z / (d |H|) is the one division.
         """
         n = self.lattice.order(self.top)
-        z = self._back_substitute([n * x for x in v])
-        return BurnsideElement(self, tuple(Fraction(x, d * n) if x else _ZERO for x in z))
+        coeffs = [_ZERO] * self.size
+        for i, x in self._back_substitute([n * x for x in v]).items():
+            coeffs[i] = Fraction(x, d * n)
+        return BurnsideElement(self, tuple(coeffs))
 
-    def _back_substitute(self, rest: list[int]) -> list[int]:
-        """The z with z T = rest, for the table of marks T and a z known to be integral; ``rest`` is used up.
+    def _back_substitute(self, rest: list[int]) -> dict[int, int]:
+        """The z with z T = rest as {i: z_i != 0}, for the table of marks T and an integral z; ``rest`` is used up.
 
         T[j][i] != 0 with i != j puts a conjugate of A_i properly inside B_j,
         so i < j, as classes are sorted by order: T is triangular, with
@@ -180,7 +187,7 @@ class BurnsideRing:
         from the rest at once, so only the sparse rows of the nonzero z_i are read.
         """
         tables = self._marks_table()
-        z = [0] * self.size
+        z = {}
         for i in range(self.size - 1, -1, -1):
             if rest[i]:
                 z[i] = q = rest[i] // tables.marks[i][i]
@@ -197,12 +204,20 @@ class BurnsideRing:
         """
         target = burnside_ring(self.lattice, k)
         at = [self.class_index[rep] for rep in target.reps]
-        return QMatrix([target._back_substitute([row[i] for i in at]) for row in self._marks_table().marks]).transpose()
+        return target._table(self.size, ([row[i] for i in at] for row in self._marks_table().marks))
 
     def multiplication_table(self) -> QMatrix:
         """The product as an integer matrix: column i n + j is [H/B_i] [H/B_j], whose marks are the entrywise product."""
         marks = self._marks_table().marks
-        return QMatrix([self._back_substitute([x * y for x, y in zip(a, b)]) for a in marks for b in marks]).transpose()
+        return self._table(self.size**2, ([x * y for x, y in zip(a, b)] for a in marks for b in marks))
+
+    def _table(self, cols: int, columns) -> QMatrix:
+        """The integer matrix whose column c is the z with z T = the c-th of ``columns``, each z_i != 0 put in row i."""
+        body = [{} for _ in range(self.size)]
+        for c, rest in enumerate(columns):
+            for i, x in self._back_substitute(rest).items():
+                body[i][c] = x
+        return _new(self.size, cols, body)
 
     def marks_basis(self, cj: int) -> tuple[int, ...]:
         """Fixed-point counts |(H/B)^A| of the basis class cj at every class (A)."""
@@ -226,11 +241,15 @@ class BurnsideRing:
         if ci not in self._tables.idempotents:
             lat = self.lattice
             k0 = self.reps[ci]
-            nk = lat.normalizer_in(k0, self.top)
-            denom = lat.order(nk)
-            coeffs = [Fraction(0)] * self.size
-            for l in lat.subgroups_of(k0):
-                coeffs[self.class_index[l]] += Fraction(lat.order(l), denom) * lat.mobius(l, k0)
+            sums: dict[int, int] = {}  # per class, the integer sum of |L| mu(L, K)
+            for l, mu in lat.mobius_to(k0).items():
+                i = self.class_index[l]
+                sums[i] = sums.get(i, 0) + lat.order(l) * mu
+            denom = lat.order(lat.normalizer_in(k0, self.top))
+            coeffs = [_ZERO] * self.size
+            for i, c in sums.items():
+                if c:
+                    coeffs[i] = Fraction(c, denom)
             self._tables.idempotents[ci] = tuple(coeffs)
         return BurnsideElement(self, self._tables.idempotents[ci])
 
@@ -238,14 +257,13 @@ class BurnsideRing:
         return [self.idempotent(rep) for rep in self.reps]
 
     def idempotents_via_marks(self) -> list["BurnsideElement"]:
-        """Independent route: invert the table of marks on characteristic vectors."""
-        T = self.table_of_marks().transpose()
-        inv = T.inverse()
-        out = []
-        for ci in range(self.size):
-            col = inv.col(ci)
-            out.append(BurnsideElement(self, tuple(col)))
-        return out
+        """Independent route: e_(A_i) is the element with the unit marks delta_i.
+
+        ``_from_marks`` finds it by the triangular integer back substitution
+        in the table of marks, one per unit mark vector; the Mobius function
+        is never read.
+        """
+        return [self._from_marks([int(i == j) for j in range(self.size)], 1) for i in range(self.size)]
 
     def express_in_idempotents(self, k: int) -> tuple[Fraction, ...]:
         """Coefficients of [H/K] in the idempotent basis: its marks, as e_(A_i) has marks delta_i."""

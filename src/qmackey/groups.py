@@ -925,14 +925,33 @@ class SubgroupLattice:
 
     # -- Mobius ---------------------------------------------------------------
 
-    @_memo
     def mobius(self, k: int, h: int) -> int:
         """Mobius value of the interval [K, H] in the subgroup lattice."""
         if not self.leq(k, h):
             raise GroupError("mobius requires K <= H")
-        if k == h:
-            return 1
-        return -sum(self.mobius(l, h) for l in self._down[h] if l != k and self.leq(k, l))
+        return self.mobius_to(h)[k]
+
+    @_memo
+    def mobius_to(self, h: int) -> dict[int, int]:
+        """mu(L, H) for every L <= H, keyed by L's id, in one sweep down the interval [1, H].
+
+        mu(H, H) = 1 and mu(L, H) = -sum_(L < M <= H) mu(M, H).  Ids follow
+        (order, elements), so L < M gives l < m, and ``reversed(_down[h])`` is
+        a linear extension of the interval that meets every M above L before L.
+        Each M, once its value is known, adds it to acc[L] for every L in
+        ``_down[m]`` (acc[M] too, which is no longer read), so acc[L] holds the
+        whole sum when L is reached.  An M with mu(M, H) = 0 adds 0 everywhere,
+        so skipping it is exact; by Hall's crosscut theorem mu(M, H) = 0 unless
+        M is an intersection of maximal subgroups of H.
+        """
+        acc = dict.fromkeys(self._down[h], 0)
+        mu = {}
+        for m in reversed(self._down[h]):
+            mu[m] = v = 1 if m == h else -acc[m]
+            if v:
+                for l in self._down[m]:
+                    acc[l] += v
+        return mu
 
     # -- Weyl groups ------------------------------------------------------------
 

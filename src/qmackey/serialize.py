@@ -10,6 +10,7 @@ lattice names, group elements by index.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .burnside import BurnsideElement
@@ -27,11 +28,13 @@ def frac_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def str_to_frac(s) -> Fraction:
-    if isinstance(s, bool) or not isinstance(s, (int, str)):
+    """An integer, or an ASCII ``-?[0-9]+(/[0-9]+)?`` string: not ``Fraction``'s wider syntax, where ``"1e100000000000"`` hangs."""
+    if type(s) is not int and not (type(s) is str and _RATIONAL.fullmatch(s)):
         raise FormatError(f"bad rational {s!r}: expected an integer or a \"p/q\" string")
-    if isinstance(s, int):
-        return Fraction(s)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

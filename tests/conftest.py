@@ -49,6 +49,18 @@ PAST_CORPUS = {
 }
 
 
+# Groups near the order-64 cap: every subgroup of C2^5 is its own class; D8xD8 has 389 subgroups in 214 classes.
+LARGE_GROUPS = {
+    "C2^5": ["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"],
+    "D8xD8": ["(1 2 3 4)", "(2 4)", "(5 6 7 8)", "(6 8)"],
+}
+
+
+@pytest.fixture(scope="session")
+def large_lattices():
+    return {name: groups.SubgroupLattice(groups.from_permutations(gens, name=name)) for name, gens in LARGE_GROUPS.items()}
+
+
 @pytest.fixture(scope="session")
 def past_corpus_lattices():
     return {

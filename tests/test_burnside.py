@@ -178,11 +178,19 @@ class TestRingLaws:
 
 class TestIdempotentRoutes:
     @pytest.mark.parametrize(
-        "name", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4"]
+        "name", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4", "C2^5", "D8xD8"]
     )
-    def test_gluck_matches_marks_inversion(self, corpus_lattices, name):
-        ring = burnside_ring(corpus_lattices[name])
+    def test_gluck_matches_marks_inversion(self, corpus_lattices, large_lattices, name):
+        ring = burnside_ring({**corpus_lattices, **large_lattices}[name])
         assert ring.idempotents() == ring.idempotents_via_marks()
+
+    @pytest.mark.parametrize("name", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4", "C2^5", "D8xD8"])
+    def test_marks_route_has_unit_marks(self, corpus_lattices, large_lattices, name):
+        """Each e_i times the table of marks is delta_i, by an exact product that no back substitution enters."""
+        ring = burnside_ring({**corpus_lattices, **large_lattices}[name])
+        T = ring.table_of_marks()
+        for i, e in enumerate(ring.idempotents_via_marks()):
+            assert QMatrix([e.coeffs]).matmul(T) == QMatrix([[int(i == j) for j in range(ring.size)]])
 
     @pytest.mark.parametrize("name", ["S3", "Q8", "A4", "S4"])
     def test_orthogonal_sum_is_unit(self, corpus_lattices, name):

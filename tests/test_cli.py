@@ -84,7 +84,10 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not associative" in err
 
-    @pytest.mark.parametrize("element", ["{bad", "[1]", '"x"'])
+    @pytest.mark.parametrize(
+        "element",
+        ["{bad", "[1]", '"x"', '{"C6/C1": "1e10000000"}', '{"C6/C1": "1e100000000000"}', '{"C6/C1": "0.5"}'],
+    )
     def test_malformed_burnside_element_is_usage_error(self, capsys, element):
         code, out, err = run(capsys, "burnside", "restrict", "c6", "--to", "C3", "--element", element)
         assert (code, out) == (2, "")

@@ -12,15 +12,11 @@ import random
 
 import pytest
 
-from conftest import PAST_CORPUS
+from conftest import LARGE_GROUPS, PAST_CORPUS
 from lattice_reference import ReferenceLattice, associativity_violation, permutation_table
 from qmackey.groups import FiniteGroup, GroupError, SubgroupLattice, corpus, from_permutations
 
-PERMUTATION_GROUPS = {name: gens for name, (gens, _) in PAST_CORPUS.items()} | {
-    "A5": ["(1 2 3)", "(1 2 3 4 5)"],
-    "C2^5": ["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"],
-    "D8xD8": ["(1 2 3 4)", "(2 4)", "(5 6 7 8)", "(6 8)"],
-}
+PERMUTATION_GROUPS = {name: gens for name, (gens, _) in PAST_CORPUS.items()} | {"A5": ["(1 2 3)", "(1 2 3 4 5)"]} | LARGE_GROUPS
 
 
 def relabel_points(gens: list[str], rng: random.Random) -> list[str]:
@@ -59,6 +55,16 @@ def assert_lattice_matches(G: FiniteGroup) -> None:
     assert lat.cover_pairs() == ref.cover_pairs()
     mu = ref.mobius_to(lat.top)
     assert [lat.mobius(k, lat.top) for k in lat.subgroups_of(lat.top)] == [mu[k] for k in lat.subgroups_of(lat.top)]
+
+
+@pytest.mark.parametrize("name", [*corpus(), "C2^4", "S3xS3", "C2xS4", "C2^5", "D8xD8"])
+def test_mobius_sweep_matches_referee_at_every_subgroup(name):
+    """``mobius_to(h)``, one sweep with zero values skipped, against the recursion over each whole interval."""
+    G = corpus()[name] if name in corpus() else from_permutations(PERMUTATION_GROUPS[name], name=name)
+    lat, ref = SubgroupLattice(G), ReferenceLattice(G)
+    for h in range(len(lat)):
+        mu = ref.mobius_to(h)
+        assert lat.mobius_to(h) == {k: mu[k] for k in lat.subgroups_of(h)}
 
 
 @pytest.mark.parametrize("relabel", [False, True])

@@ -38,6 +38,11 @@ class TestFractions:
         with pytest.raises(FormatError):
             str_to_frac("1/0")
 
+    @pytest.mark.parametrize("s", ["0.5", " 1/2 ", "1_000", "1e3", "+3", "1/-2", "-1/+2", "1/", "\u0661", "1\n", 1.5, True, None])
+    def test_only_integers_and_p_over_q(self, s):
+        with pytest.raises(FormatError, match="expected an integer or a \"p/q\" string"):
+            str_to_frac(s)
+
 
 class TestMatrices:
     def test_round_trip(self):

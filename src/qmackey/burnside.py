@@ -357,7 +357,10 @@ class BurnsideElement:
                 continue
             sym = f"[{self.ring.class_name(ci)}]"
             mag = abs(c)
-            body = sym if mag == 1 else f"{mag}*{sym}"
+            try:
+                body = sym if mag == 1 else f"{mag}*{sym}"
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise BurnsideError(f"the coefficient of {sym} has too many digits to print") from None
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:

@@ -219,20 +219,16 @@ def cmd_burnside_table(args) -> int:
     G = resolve_group(args.group, args.cap)
     lat = SubgroupLattice(G, cap=args.cap)
     ring = burnside_ring(lat)
-    T = ring.table_of_marks()
+    marks = [list(ring.marks_basis(j)) for j in range(ring.size)]
     names = [lat.class_name_of(rep) for rep in ring.reps]
     if _fmt(args) == "json":
-        _emit(
-            args,
-            dump({"group": G.name, "classes": names, "marks": [[int(x) for x in row] for row in T.data]}),
-        )
+        _emit(args, dump({"group": G.name, "classes": names, "marks": marks}))
         return 0
     width = max(len(n) for n in names) + 1
     head = " " * (width + 2) + " ".join(f"{n:>{width}}" for n in names)
     lines = [f"table of marks for {G.name} (rows: orbit classes, columns: fixing classes)", head]
-    for i, n in enumerate(names):
-        row = " ".join(f"{int(x):>{width}}" for x in T.data[i])
-        lines.append(f"  {n:<{width}}{row}")
+    for n, row in zip(names, marks):
+        lines.append(f"  {n:<{width}}" + " ".join(f"{x:>{width}}" for x in row))
     _emit(args, "\n".join(lines))
     return 0
 

@@ -445,27 +445,6 @@ def subgroup_group(G: FiniteGroup, elems: tuple[int, ...], name: str = "H") -> t
     return H, to_parent
 
 
-def quotient_group(G: FiniteGroup, N: tuple[int, ...], name: str = "Q") -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient by a normal subgroup.
-
-    Returns ``(Q, proj)`` where ``proj[g]`` is the Q-element of the coset gN.
-    Cosets are numbered by their smallest member.  Raises GroupError if N is
-    not normal.
-    """
-    nset = set(N)
-    for g in range(G.order):
-        if any(G.conj(g, x) not in nset for x in N):
-            raise GroupError("subgroup is not normal; cannot form quotient")
-    least = _least_members(G, N)
-    reps = sorted(set(least))
-    pos = {r: i for i, r in enumerate(reps)}
-    proj = tuple(pos[r] for r in least)
-    table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
-    names = [G.elem_name(r) + "N" for r in reps]
-    Q = FiniteGroup(table, name=name, elem_names=names, validate=False)
-    return Q, proj
-
-
 # ---------------------------------------------------------------------------
 # explicit finite G-sets
 # ---------------------------------------------------------------------------
@@ -479,19 +458,24 @@ class GSet:
     act: tuple[tuple[int, ...], ...]  # act[g][p]
 
     def __post_init__(self):
-        G = self.group
-        if len(self.act) != G.order:
+        """The action law act(g s) = act(g) act(s), checked for every g and generator s only.
+
+        The b with act(g b) = act(g) act(b) for all g include the identity and
+        are closed under products: act(g ab) = act(g a) act(b) = act(g) act(a) act(b)
+        = act(g) act(ab).  ``words`` reaches every element from the generators,
+        so the check makes |gens| |G| row comparisons where all pairs make |G|^2.
+        """
+        G, act = self.group, self.act
+        if len(act) != G.order:
             raise GroupError("action table must have one row per group element")
         n = self.size
-        if any(len(row) != n or sorted(row) != list(range(n)) for row in self.act):
+        if any(len(row) != n or sorted(row) != list(range(n)) for row in act):
             raise GroupError("each element must act by a permutation")
-        if self.act[G.identity] != tuple(range(n)):
+        if act[G.identity] != tuple(range(n)):
             raise GroupError("identity must act trivially")
-        for g in range(G.order):
-            for h in range(G.order):
-                gh = G.mul(g, h)
-                if any(self.act[gh][p] != self.act[g][self.act[h][p]] for p in range(n)):
-                    raise GroupError("not a group action")
+        for g, row in enumerate(act):
+            if any(act[G.mul(g, s)] != tuple(map(row.__getitem__, act[s])) for s in G.gens):
+                raise GroupError("not a group action")
 
     @property
     def size(self) -> int:
@@ -511,13 +495,6 @@ class GSet:
 
     def stabilizer(self, p: int) -> tuple[int, ...]:
         return tuple(g for g in range(self.group.order) if self.act[g][p] == p)
-
-    def transporter(self, p: int, q: int) -> int | None:
-        """Smallest g with g.p == q, if any."""
-        for g in range(self.group.order):
-            if self.act[g][p] == q:
-                return g
-        return None
 
 
 def coset_gset(G: FiniteGroup, sub: tuple[int, ...]) -> GSet:
@@ -981,12 +958,17 @@ class SubgroupLattice:
 
     @_memo
     def quotient_lattice(self, n: int) -> "QuotientLatticeView":
-        Q, proj = quotient_group(self.group, self.elements(n), name=f"{self.group.name}/{self.name(n)}")
-        lat = SubgroupLattice(Q)
+        """G/N for a normal N: it is W_G(N), with the same representatives, names and product."""
+        if not self.is_normal(n):
+            raise GroupError("subgroup is not normal; cannot form quotient")
+        w = self.weyl(n)
+        name = f"{self.group.name}/{self.name(n)}"
+        lat = SubgroupLattice(FiniteGroup(w.group._mul, name=name, elem_names=w.group.elem_names, validate=False))
+        proj = tuple(w.proj[g] for g in range(self.group.order))
         to_parent_sub = tuple(
-            self._id_of[tuple(g for g, w in enumerate(proj) if w in s.elements)] for s in lat.subgroups
+            self._id_of[tuple(g for g, q in enumerate(proj) if q in s.elements)] for s in lat.subgroups
         )
-        return QuotientLatticeView(lat, proj, to_parent_sub, self.cosets(n))
+        return QuotientLatticeView(lat, proj, to_parent_sub, w.reps)
 
     def __repr__(self) -> str:
         return f"SubgroupLattice({self.group.name}: {len(self.subgroups)} subgroups, {len(self.classes)} classes)"

@@ -704,7 +704,8 @@ class EvaluatedSet:
     """A Mackey functor value on an explicit G-set via chosen orbit data.
 
     Each orbit is identified with cosets of the stabilizer of its smallest
-    point; the block order follows the orbit order.
+    point p; the block order follows the orbit order.  Point q lies in orbit
+    ``orbit_of[q]``, and ``transporter[q]`` is the least t with t.p = q.
     """
 
     gset: GSet
@@ -712,62 +713,54 @@ class EvaluatedSet:
     stabilizers: tuple  # lattice ids
     offsets: tuple
     dim: int
+    orbit_of: tuple
+    transporter: tuple
 
 
-def evaluate_at_set(M: MackeyFunctor, X: GSet, lattice: SubgroupLattice | None = None) -> EvaluatedSet:
-    lat = lattice or M.lattice
-    reps, stabs, offsets = [], [], []
-    total = 0
-    for orbit in X.orbits():
-        p = orbit[0]
-        sid = lat.subgroup_id(X.stabilizer(p))
-        reps.append(p)
-        stabs.append(sid)
-        offsets.append(total)
-        total += M.dims[sid]
-    return EvaluatedSet(X, tuple(reps), tuple(stabs), tuple(offsets), total)
+def evaluate_at_set(M: MackeyFunctor, X: GSet) -> EvaluatedSet:
+    """M on X, reading each orbit and every point's transporter in one ascending pass over the group."""
+    orbit_of, transporter = [None] * X.size, [None] * X.size
+    reps, stabs, offsets = [], [], [0]
+    for p in range(X.size):
+        if orbit_of[p] is None:
+            for g, row in enumerate(X.act):  # g ascends, so the first g with g.p = q is the least
+                if orbit_of[row[p]] is None:
+                    orbit_of[row[p]], transporter[row[p]] = len(reps), g
+            reps.append(p)
+            stabs.append(M.lattice.subgroup_id(tuple(g for g, row in enumerate(X.act) if row[p] == p)))
+            offsets.append(offsets[-1] + M.dims[stabs[-1]])
+    return EvaluatedSet(
+        X, tuple(reps), tuple(stabs), tuple(offsets[:-1]), offsets[-1], tuple(orbit_of), tuple(transporter)
+    )
 
 
-def _orbit_block_data(lat, X: GSet, Y: GSet, f: GMap, ev_x: EvaluatedSet, ev_y: EvaluatedSet):
-    """For each source orbit: target orbit index, transporter t and twisted subgroup."""
-    G = X.group
-    out = []
-    for i, p in enumerate(ev_x.orbit_reps):
-        q = f.points[p]
-        j = next(jj for jj, orb_rep in enumerate(ev_y.orbit_reps) if q in {Y.act[g][orb_rep] for g in range(G.order)})
-        t = Y.transporter(ev_y.orbit_reps[j], q)
-        a = ev_x.stabilizers[i]
-        twisted = lat.conjugate(G.inv(t), a)  # t^-1 A t
-        out.append((i, j, t, a, twisted))
-    return out
+def _map_matrix(M: MackeyFunctor, points, ev_x: EvaluatedSet, ev_y: EvaluatedSet, covariant: bool) -> QMatrix:
+    """M applied to the equivariant map ``p -> points[p]`` from X to Y, one block per orbit of X.
 
-
-def covariant_map(M: MackeyFunctor, f: GMap, lattice: SubgroupLattice | None = None):
-    """M applied in the induction direction to a map of G-sets.
-
-    Returns ``(matrix, src_eval, dst_eval)``.
+    The orbit of p (stabilizer A) maps into the orbit of q = points[p], where
+    q = t.r for the orbit's smallest point r (stabilizer B), so t^-1 A t <= B.
     """
-    lat = lattice or M.lattice
-    ev_x = evaluate_at_set(M, f.src, lat)
-    ev_y = evaluate_at_set(M, f.dst, lat)
-    G = f.src.group
-    blocks = [
-        (ev_y.offsets[j], ev_x.offsets[i], M.ind[(ev_y.stabilizers[j], twisted)].matmul(M.conj(G.inv(t), a)))
-        for i, j, t, a, twisted in _orbit_block_data(lat, f.src, f.dst, f, ev_x, ev_y)
-    ]
-    return block_matrix(ev_y.dim, ev_x.dim, blocks), ev_x, ev_y
+    lat, inv = M.lattice, M.lattice.group.inv
+    blocks = []
+    for i, p in enumerate(ev_x.orbit_reps):
+        q = points[p]
+        j, t, a = ev_y.orbit_of[q], ev_y.transporter[q], ev_x.stabilizers[i]
+        b, twisted = ev_y.stabilizers[j], lat.conjugate(inv(t), a)
+        if covariant:
+            blocks.append((ev_y.offsets[j], ev_x.offsets[i], M.ind[(b, twisted)].matmul(M.conj(inv(t), a))))
+        else:
+            blocks.append((ev_x.offsets[i], ev_y.offsets[j], M.conj(t, twisted).matmul(M.res[(b, twisted)])))
+    return block_matrix(ev_y.dim, ev_x.dim, blocks) if covariant else block_matrix(ev_x.dim, ev_y.dim, blocks)
 
 
-def contravariant_map(M: MackeyFunctor, f: GMap, lattice: SubgroupLattice | None = None):
+def covariant_map(M: MackeyFunctor, f: GMap) -> QMatrix:
+    """M applied in the induction direction to a map of G-sets."""
+    return _map_matrix(M, f.points, evaluate_at_set(M, f.src), evaluate_at_set(M, f.dst), covariant=True)
+
+
+def contravariant_map(M: MackeyFunctor, f: GMap) -> QMatrix:
     """M applied in the restriction direction to a map of G-sets."""
-    lat = lattice or M.lattice
-    ev_x = evaluate_at_set(M, f.src, lat)
-    ev_y = evaluate_at_set(M, f.dst, lat)
-    blocks = [
-        (ev_x.offsets[i], ev_y.offsets[j], M.conj(t, twisted).matmul(M.res[(ev_y.stabilizers[j], twisted)]))
-        for i, j, t, a, twisted in _orbit_block_data(lat, f.src, f.dst, f, ev_x, ev_y)
-    ]
-    return block_matrix(ev_x.dim, ev_y.dim, blocks), ev_x, ev_y
+    return _map_matrix(M, f.points, evaluate_at_set(M, f.src), evaluate_at_set(M, f.dst), covariant=False)
 
 
 # ---------------------------------------------------------------------------
@@ -809,44 +802,39 @@ def i_lower(M: MackeyFunctor, h: int, name: str | None = None):
     return _pull_back(M, view, view.to_parent_elem, name or f"i_({M.name})")
 
 
-def i_upper(N: MackeyFunctor, parent: SubgroupLattice, h: int, name: str | None = None) -> MackeyFunctor:
-    """Extend a functor over H <= G up to G by evaluating on restricted cosets."""
+def _restricted_cosets(N: MackeyFunctor, parent: SubgroupLattice, h: int):
+    """``(view of H, [N on G/K restricted to H for every K <= G])`` for N over the view of H <= G."""
     view = parent.sub_lattice(h)
     if N.lattice is not view.lattice:
         raise MackeyError("functor must live over the sub-lattice view of H")
-    G = parent.group
-    Hstar = view.lattice.group
-    gsets = []
-    evals = []
-    for k in range(len(parent)):
-        X = restrict_gset(coset_gset(G, parent.elements(k)), Hstar, view.to_parent_elem)
-        gsets.append(X)
-        evals.append(evaluate_at_set(N, X, view.lattice))
-    dims = [ev.dim for ev in evals]
+    G, Hstar = parent.group, view.lattice.group
+    evals = [
+        evaluate_at_set(N, restrict_gset(coset_gset(G, parent.elements(k)), Hstar, view.to_parent_elem))
+        for k in range(len(parent))
+    ]
+    return view, evals
 
-    def point_map_projection(k_small, k_big):
-        # cosets of the smaller subgroup map onto cosets of the bigger one
-        return tuple(_coset_position(parent, r, k_big) for r in parent.cosets(k_small))
+
+def i_upper(N: MackeyFunctor, parent: SubgroupLattice, h: int, name: str | None = None) -> MackeyFunctor:
+    """Extend a functor over H <= G up to G by evaluating on restricted cosets."""
+    _, evals = _restricted_cosets(N, parent, h)
+    G = parent.group
+
+    def along(g, k, l, covariant):
+        # N on the map G/K -> G/L, rK -> r g^-1 L, of restricted coset spaces
+        points = tuple(_coset_position(parent, G.mul(r, G.inv(g)), l) for r in parent.cosets(k))
+        return _map_matrix(N, points, evals[k], evals[l], covariant)
 
     def resfn(h1, k1):
-        f = GMap(gsets[k1], gsets[h1], point_map_projection(k1, h1))
-        mat, _, _ = contravariant_map(N, f, view.lattice)
-        return mat
+        return along(G.identity, k1, h1, covariant=False)
 
     def indfn(h1, k1):
-        f = GMap(gsets[k1], gsets[h1], point_map_projection(k1, h1))
-        mat, _, _ = covariant_map(N, f, view.lattice)
-        return mat
+        return along(G.identity, k1, h1, covariant=True)
 
     def conjfn(pos, s, k):
-        ks = parent.conjugate(s, k)
-        si = G.inv(s)
-        points = tuple(_coset_position(parent, G.mul(r, si), ks) for r in parent.cosets(k))
-        f = GMap(gsets[k], gsets[ks], points)
-        mat, _, _ = covariant_map(N, f, view.lattice)
-        return mat
+        return along(s, k, parent.conjugate(s, k), covariant=True)
 
-    return build_functor(parent, dims, resfn, indfn, conjfn, name=name or f"i^({N.name})")
+    return build_functor(parent, [ev.dim for ev in evals], resfn, indfn, conjfn, name=name or f"i^({N.name})")
 
 
 def eps_lower(Mq: MackeyFunctor, parent: SubgroupLattice, n: int, name: str | None = None) -> MackeyFunctor:
@@ -930,23 +918,15 @@ def i_transpose_down(f_maps, M: MackeyFunctor, N: MackeyFunctor, parent: Subgrou
     value decomposed by the canonical orbit data.  The result has one
     component per subgroup of H.
     """
-    view = parent.sub_lattice(h)
+    view, evals = _restricted_cosets(N, parent, h)
     sub = view.lattice
-    G = parent.group
-    Hstar = sub.group
     out = []
     for a in range(len(sub)):
         pa = view.parent_sub(a)
-        X = restrict_gset(coset_gset(G, parent.elements(pa)), Hstar, view.to_parent_elem)
-        ev = evaluate_at_set(N, X, sub)
+        ev = evals[pa]
         # the identity coset of pa sits in some orbit; project onto that block
-        ident_pt = _coset_position(parent, G.identity, pa)
-        j = next(
-            jj
-            for jj, orb_rep in enumerate(ev.orbit_reps)
-            if ident_pt in {X.act[g][orb_rep] for g in range(Hstar.order)}
-        )
-        t = X.transporter(ev.orbit_reps[j], ident_pt)
+        ident_pt = _coset_position(parent, parent.group.identity, pa)
+        j, t = ev.orbit_of[ident_pt], ev.transporter[ident_pt]
         b = ev.stabilizers[j]
         # stabilizer of the identity coset is the subgroup itself: t b t^-1 = a
         if sub.conjugate(t, b) != a:
@@ -958,25 +938,16 @@ def i_transpose_down(f_maps, M: MackeyFunctor, N: MackeyFunctor, parent: Subgrou
 
 def i_transpose_up(g_maps, M: MackeyFunctor, N: MackeyFunctor, parent: SubgroupLattice, h: int):
     """Turn levelwise maps i_lower(M) -> N into maps M -> i^upper(N)."""
-    view = parent.sub_lattice(h)
-    sub = view.lattice
+    view, evals = _restricted_cosets(N, parent, h)
     G = parent.group
-    Hstar = sub.group
     out = []
-    for k in range(len(parent)):
-        X = restrict_gset(coset_gset(G, parent.elements(k)), Hstar, view.to_parent_elem)
-        ev = evaluate_at_set(N, X, sub)
+    for k, ev in enumerate(evals):
         reps = parent.cosets(k)
         blocks = []
         for j, orb_rep in enumerate(ev.orbit_reps):
             g_rep = reps[orb_rep]
             s_local = ev.stabilizers[j]
-            s_parent = view.parent_sub(s_local)
-            twisted = parent.conjugate(G.inv(g_rep), s_parent)  # g^-1 S g <= K
-            comp = M.conj(g_rep, twisted)
-            blocks.append(g_maps[s_local].matmul(comp).matmul(M.res[(k, twisted)]))
-        if blocks:
-            out.append(vstack(*blocks))
-        else:
-            out.append(QMatrix.zeros(0, M.dims[k]))
+            twisted = parent.conjugate(G.inv(g_rep), view.parent_sub(s_local))  # g^-1 S g <= K
+            blocks.append(g_maps[s_local].matmul(M.conj(g_rep, twisted)).matmul(M.res[(k, twisted)]))
+        out.append(vstack(*blocks))  # G/K is not empty, so neither is its orbit list
     return out

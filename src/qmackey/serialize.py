@@ -25,7 +25,10 @@ class FormatError(ValueError):
 
 def frac_to_str(x: Fraction) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise FormatError("a rational in the result has too many digits to print") from None
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

@@ -10,14 +10,18 @@ kept as referees for it:
 - ``associativity_violation(table)``: the exhaustive loop over all triples;
 - ``ReferenceLattice(G)``: every join by ``closure``, conjugation of every
   subgroup by every element, inclusion by scanning tuples, and the classes,
-  normalizers, names, cover pairs and Mobius values read off those.
+  normalizers, names, cover pairs and Mobius values read off those;
+- ``action_violation(G, act)``: the G-set action law on all pairs of
+  elements, where ``GSet`` checks it on generators only;
+- ``quotient_group(G, N)``: G/N from the cosets of N, where
+  ``SubgroupLattice.quotient_lattice`` reads W_G(N) = G/N.
 
 Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
-from qmackey.groups import _compose, _cycles, _image, cycle_string
+from qmackey.groups import FiniteGroup, GroupError, _compose, _cycles, _image, _least_members, cycle_string
 
 
 def permutation_table(generators: list[str]) -> tuple[list[list[int]], list[str], list[int]]:
@@ -48,6 +52,33 @@ def associativity_violation(table) -> tuple[int, int, int] | None:
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     return (a, b, c)
     return None
+
+
+def action_violation(G, act) -> tuple[int, int] | None:
+    """The first pair (g, h) with act(gh) != act(g) act(h), in lexicographic order, or None."""
+    for g in range(G.order):
+        for h in range(G.order):
+            if act[G.mul(g, h)] != tuple(act[g][p] for p in act[h]):
+                return (g, h)
+    return None
+
+
+def quotient_group(G: FiniteGroup, N: tuple[int, ...], name: str = "Q") -> tuple[FiniteGroup, tuple[int, ...]]:
+    """(G/N, proj) with ``proj[g]`` the element of the coset gN, cosets numbered by their least member.
+
+    Raises GroupError if N is not normal.
+    """
+    nset = set(N)
+    for g in range(G.order):
+        if any(G.conj(g, x) not in nset for x in N):
+            raise GroupError("subgroup is not normal; cannot form quotient")
+    least = _least_members(G, N)
+    reps = sorted(set(least))
+    pos = {r: i for i, r in enumerate(reps)}
+    proj = tuple(pos[r] for r in least)
+    table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
+    names = [G.elem_name(r) + "N" for r in reps]
+    return FiniteGroup(table, name=name, elem_names=names, validate=False), proj
 
 
 class ReferenceLattice:

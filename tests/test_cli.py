@@ -93,6 +93,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("pretty", [(), ("--pretty",)])
+    def test_answer_too_long_to_print_is_usage_error(self, capsys, pretty):
+        # 4300 digits parse; restricting to C3 doubles the coefficient to 4301, past Python's int-to-str limit
+        element = json.dumps({"C6/C1": "9" * 4300})
+        code, out, err = run(capsys, *pretty, "burnside", "restrict", "c6", "--to", "C3", "--element", element)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_check_success_is_exit_zero(self, capsys):
         code, out, err = run(capsys, "--pretty", "mackey", "check", "burnside:c6")
         assert code == 0

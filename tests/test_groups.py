@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from conftest import NON_ASSOCIATIVE_LOOP, PAST_CORPUS
+from lattice_reference import quotient_group
 from qmackey.groups import (
     _cycles,
     _image,
@@ -18,7 +19,6 @@ from qmackey.groups import (
     from_permutations,
     load_group,
     quaternion,
-    quotient_group,
     subgroup_group,
     symmetric,
     trivial,
@@ -514,6 +514,22 @@ class TestQuotients:
         Q, proj = quotient_group(G, v4)
         assert Q.order == 6
         assert not Q.is_abelian
+
+    def test_quotient_lattice_is_quotient_group(self, corpus_lattices):
+        for lat in corpus_lattices.values():
+            G = lat.group
+            for n in range(len(lat)):
+                if not lat.is_normal(n):
+                    with pytest.raises(GroupError, match="not normal"):
+                        lat.quotient_lattice(n)
+                    continue
+                Q, proj = quotient_group(G, lat.elements(n), name=f"{G.name}/{lat.name(n)}")
+                view = lat.quotient_lattice(n)
+                W = view.lattice.group
+                assert (W.name, W._mul, W.elem_names, W.gens) == (Q.name, Q._mul, Q.elem_names, Q.gens)
+                assert (view.proj, view.reps) == (proj, lat.cosets(n))
+                for local_id, s in enumerate(view.lattice.subgroups):
+                    assert lat.elements(view.parent_sub(local_id)) == tuple(g for g in range(G.order) if proj[g] in s.elements)
 
     def test_sub_lattice_view(self, s4_lattice):
         G = s4_lattice.group

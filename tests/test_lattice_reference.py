@@ -5,7 +5,8 @@
 ``SubgroupLattice`` joins one cyclic subgroup per conjugacy orbit, by cosets,
 conjugates along words and answers inclusion from sets.  Every field must be
 equal to what ``lattice_reference`` computes directly, element by element,
-and the associativity verdict must be the exhaustive loop's.
+and the associativity verdict must be the exhaustive loop's, as must
+``GSet``'s verdict on the action law.
 """
 
 import random
@@ -13,8 +14,8 @@ import random
 import pytest
 
 from conftest import LARGE_GROUPS, PAST_CORPUS
-from lattice_reference import ReferenceLattice, associativity_violation, permutation_table
-from qmackey.groups import FiniteGroup, GroupError, SubgroupLattice, corpus, from_permutations
+from lattice_reference import ReferenceLattice, action_violation, associativity_violation, permutation_table
+from qmackey.groups import FiniteGroup, GroupError, GSet, SubgroupLattice, corpus, coset_gset, from_permutations
 
 PERMUTATION_GROUPS = {name: gens for name, (gens, _) in PAST_CORPUS.items()} | {"A5": ["(1 2 3)", "(1 2 3 4 5)"]} | LARGE_GROUPS
 
@@ -185,3 +186,46 @@ def test_reported_triple_names_a_generator():
     assert associativity_violation(table) == (1, 2, 3)
     with pytest.raises(GroupError, match=r"^table is not associative at \(1,3,1\)$"):
         FiniteGroup(table)
+
+
+def corrupted_actions(G: FiniteGroup, act, rng: random.Random):
+    """Two rows of non-generators swapped, and one row composed with a wrong permutation, twice each."""
+    others = [g for g in range(G.order) if g != G.identity and g not in G.gens]
+    pairs = [(a, b) for a in others for b in others if a < b and act[a] != act[b]]
+    for a, b in rng.sample(pairs, min(2, len(pairs))):
+        rows = list(act)
+        rows[a], rows[b] = rows[b], rows[a]
+        yield tuple(rows)
+    if len(act[0]) > 1:
+        for _ in range(2):
+            g = rng.choice([g for g in range(G.order) if g != G.identity])
+            wrong = list(range(len(act[0])))
+            while wrong == sorted(wrong):
+                rng.shuffle(wrong)
+            rows = list(act)
+            rows[g] = tuple(act[g][p] for p in wrong)
+            yield tuple(rows)
+
+
+def gset_accepts(G: FiniteGroup, act) -> bool:
+    try:
+        GSet(G, act)
+    except GroupError as exc:
+        assert str(exc) == "not a group action"
+        return False
+    return True
+
+
+def test_generator_action_check_agrees_with_all_pairs():
+    rng = random.Random(22)
+    verdicts = {True: 0, False: 0}
+    for G in corpus().values():
+        lat = SubgroupLattice(G)
+        for k in range(len(lat)):
+            act = coset_gset(G, lat.elements(k)).act
+            assert action_violation(G, act) is None
+            for bad in corrupted_actions(G, act, rng):
+                accepted = gset_accepts(G, bad)
+                assert accepted == (action_violation(G, bad) is None)
+                verdicts[accepted] += 1
+    assert verdicts[False] >= 200

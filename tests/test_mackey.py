@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from corruptions import all_corruptions, constant_with_identity_induction
 from qmackey.burnside import burnside_ring
-from qmackey.groups import SubgroupLattice, coset_gset, disjoint_union_gset, GMap, GSet, trivial
+from qmackey.groups import SubgroupLattice, coset_gset, disjoint_union_gset, GMap, GSet, restrict_gset, trivial
 from qmackey.linalg import QMatrix, WModule
 from qmackey.mackey import (
     MackeyError,
@@ -32,6 +34,15 @@ from qmackey.mackey import (
     identity_morphism,
     zero_functor,
 )
+from qmackey.serialize import dump, functor_to_json
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# the Burnside functor and the fixed points of the regular module, over any lattice
+FAMILIES = {
+    "burnside": burnside_mackey,
+    "fixed": lambda lat: fp_functor(lat, WModule.regular(lat.group)),
+}
 
 
 def ids_of(lat):
@@ -261,6 +272,21 @@ class TestEvaluateAtSet:
         empty = GSet(c6_lattice.group, tuple(() for _ in range(6)))
         assert evaluate_at_set(c6A, empty).dim == 0
 
+    def test_orbit_data_of_restricted_cosets(self, s4_lattice):
+        lat, G = s4_lattice, s4_lattice.group
+        for h in lat.class_reps():
+            view = lat.sub_lattice(h)
+            N = burnside_mackey(view.lattice)
+            for k in range(len(lat)):
+                X = restrict_gset(coset_gset(G, lat.elements(k)), view.lattice.group, view.to_parent_elem)
+                ev, orbits = evaluate_at_set(N, X), X.orbits()
+                assert ev.orbit_reps == tuple(orbit[0] for orbit in orbits)
+                assert ev.stabilizers == tuple(view.lattice.subgroup_id(X.stabilizer(orbit[0])) for orbit in orbits)
+                for i, orbit in enumerate(orbits):
+                    for q in orbit:
+                        assert ev.orbit_of[q] == i
+                        assert ev.transporter[q] == min(g for g, row in enumerate(X.act) if row[orbit[0]] == q)
+
     def test_covariant_respects_composition(self, s3_lattice):
         lat = s3_lattice
         M = burnside_mackey(lat)
@@ -279,13 +305,13 @@ class TestEvaluateAtSet:
         f01 = GMap(xs[0], xs[1], proj_points(chain[0], chain[1]))
         f12 = GMap(xs[1], xs[2], proj_points(chain[1], chain[2]))
         f02 = GMap(xs[0], xs[2], proj_points(chain[0], chain[2]))
-        m01, _, _ = covariant_map(M, f01)
-        m12, _, _ = covariant_map(M, f12)
-        m02, _, _ = covariant_map(M, f02)
+        m01 = covariant_map(M, f01)
+        m12 = covariant_map(M, f12)
+        m02 = covariant_map(M, f02)
         assert m12.matmul(m01) == m02
-        r01, _, _ = contravariant_map(M, f01)
-        r12, _, _ = contravariant_map(M, f12)
-        r02, _, _ = contravariant_map(M, f02)
+        r01 = contravariant_map(M, f01)
+        r12 = contravariant_map(M, f12)
+        r02 = contravariant_map(M, f02)
         assert r01.matmul(r12) == r02
 
 
@@ -317,6 +343,35 @@ class TestChangeOfGroup:
         N = burnside_mackey(view.lattice)
         up = i_upper(N, s3_lattice, c2)
         assert check_axioms(up).ok
+
+    @pytest.mark.parametrize("group", ["S3", "D8"])
+    def test_i_upper_from_non_normal_c2_matches_golden(self, corpus_lattices, group):
+        lat = corpus_lattices[group]
+        h = lat.id_by_name("C2.0")
+        assert not lat.is_normal(h)
+        up = i_upper(burnside_mackey(lat.sub_lattice(h).lattice), lat, h)
+        assert dump(functor_to_json(up)) == (GOLDEN / f"i_upper_{group.lower()}_c2.json").read_text()
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("group", ["S3", "D8", "Q8", "A4"])
+    def test_adjunction_round_trips_at_every_subgroup(self, corpus_lattices, group, family):
+        lat = corpus_lattices[group]
+        M = FAMILIES[family](lat)
+        for h in range(len(lat)):
+            N, _ = i_lower(M, h)
+            up = i_upper(N, lat, h)
+            assert check_axioms(up).ok
+            g_id = [QMatrix.identity(d) for d in N.dims]
+            f = i_transpose_up(g_id, M, N, lat, h)
+            MackeyMorphism(M, up, tuple(f)).validate(full=True)
+            assert i_transpose_down(f, M, N, lat, h) == g_id
+
+    def test_transposes_need_a_functor_over_the_view(self, c6_lattice, c6A):
+        h = ids_of(c6_lattice)["C3"]
+        N, _ = i_lower(c6A, h)
+        for transpose in (i_transpose_up, i_transpose_down):
+            with pytest.raises(MackeyError, match="sub-lattice view"):
+                transpose([QMatrix.identity(d) for d in c6A.dims], c6A, c6A, c6_lattice, h)
 
     def test_adjunction_round_trips(self, c6_lattice, c6A):
         ids = ids_of(c6_lattice)

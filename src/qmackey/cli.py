@@ -80,12 +80,20 @@ def workspace_dir() -> str | None:
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
         raise UsageError(f"malformed JSON in {path}: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def resolve_group(name: str, cap: int) -> grp.FiniteGroup:
@@ -143,11 +151,11 @@ def _check_format(args) -> None:
 
 
 def _emit(args, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        _write(args.out, text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +326,7 @@ def cmd_mackey_new(args) -> int:
             raise UsageError("--save needs MACKEY_WORKSPACE to be set")
         os.makedirs(os.path.join(ws, "functors"), exist_ok=True)
         path = os.path.join(ws, "functors", f"{args.save}.json")
-        with open(path, "w") as fh:
-            fh.write(payload + "\n")
+        _write(path, payload + "\n")
         _emit(args, f"saved functor as {path}")
     else:
         _emit(args, payload)
@@ -373,7 +380,7 @@ def cmd_mackey_split(args) -> int:
         lines.append(f"  class {lat.class_name_of(h)}: dim {V.dim} over a Weyl group of order {V.group.order}")
         for pos, s in enumerate(V.group.gens):
             if V.dim:
-                rows = "; ".join(" ".join(frac_to_str(x) for x in row) for row in V.gen_matrices[pos].data)
+                rows = "; ".join(" ".join(row) for row in matrix_to_json(V.gen_matrices[pos]))
                 lines.append(f"    action of generator {V.group.elem_name(s)}: [{rows}]")
     _emit(args, "\n".join(lines))
     return 0
@@ -428,8 +435,7 @@ def cmd_mackey_box(args) -> int:
     B = box(M, N)
     payload = dump(functor_to_json(B))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        _write(args.out, payload + "\n")
         sys.stdout.write(f"box product written to {args.out}\n")
     else:
         sys.stdout.write(payload + "\n")

@@ -45,7 +45,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def _cycles(text: str) -> list[list[int]]:
-    """The cycles of 1-based cycle notation like ``"(1 2)(3 4 5)"``, as lists of points."""
+    """The disjoint cycles of 1-based cycle notation like ``"(1 2)(3 4 5)"``, as lists of points."""
     stripped = text.strip()
     if stripped in ("", "()"):
         return []
@@ -57,12 +57,12 @@ def _cycles(text: str) -> list[list[int]]:
         if not pts:
             continue
         try:
-            cyc = [int(p) for p in pts]
+            cycles.append([int(p) for p in pts])
         except ValueError:
             raise GroupError(f"bad cycle notation: {text!r}") from None
-        if any(p < 1 for p in cyc) or len(set(cyc)) != len(cyc):
-            raise GroupError(f"bad cycle notation: {text!r}")
-        cycles.append(cyc)
+    points = [p for cyc in cycles for p in cyc]
+    if min(points, default=1) < 1 or len(set(points)) != len(points):  # a point in two cycles is no permutation
+        raise GroupError(f"bad cycle notation: {text!r}")
     return cycles
 
 
@@ -114,7 +114,6 @@ class FiniteGroup:
         name: str = "G",
         elem_names: list[str] | None = None,
         gens: list[int] | None = None,
-        validate: bool = True,
         cap: int = DEFAULT_ORDER_CAP,
     ):
         self.name = name
@@ -133,8 +132,7 @@ class FiniteGroup:
         self.elem_names = list(elem_names) if elem_names else [str(i) for i in range(self.order)]
         self.gens = self._normalize_gens(gens)
         self.words = self._compute_words()
-        if validate:
-            self._check_associativity()
+        self._check_associativity()
 
     # -- construction helpers ------------------------------------------------
 
@@ -441,7 +439,7 @@ def subgroup_group(G: FiniteGroup, elems: tuple[int, ...], name: str = "H") -> t
     pos = {g: i for i, g in enumerate(to_parent)}
     table = [[pos[G.mul(a, b)] for b in to_parent] for a in to_parent]
     names = [G.elem_name(g) for g in to_parent]
-    H = FiniteGroup(table, name=name, elem_names=names, validate=False)
+    H = FiniteGroup(table, name=name, elem_names=names)
     return H, to_parent
 
 
@@ -941,7 +939,7 @@ class SubgroupLattice:
         pos = {r: i for i, r in enumerate(reps)}
         table = [[pos[self.coset_of(G.mul(a, b), h)] for b in reps] for a in reps]
         names = [G.elem_name(r) + "N" for r in reps]
-        W = FiniteGroup(table, name=f"W({self.name(h)})", elem_names=names, validate=False)
+        W = FiniteGroup(table, name=f"W({self.name(h)})", elem_names=names)
         proj = {g: pos[self.coset_of(g, h)] for g in self.elements(nid)}
         return WeylData(W, proj, reps)
 
@@ -963,7 +961,7 @@ class SubgroupLattice:
             raise GroupError("subgroup is not normal; cannot form quotient")
         w = self.weyl(n)
         name = f"{self.group.name}/{self.name(n)}"
-        lat = SubgroupLattice(FiniteGroup(w.group._mul, name=name, elem_names=w.group.elem_names, validate=False))
+        lat = SubgroupLattice(FiniteGroup(w.group._mul, name=name, elem_names=w.group.elem_names))
         proj = tuple(w.proj[g] for g in range(self.group.order))
         to_parent_sub = tuple(
             self._id_of[tuple(g for g, q in enumerate(proj) if q in s.elements)] for s in lat.subgroups

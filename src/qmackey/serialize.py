@@ -2,9 +2,10 @@
 plus the Lewis-diagram DOT emitter.
 
 Rationals travel as ``"p/q"`` strings with the denominator omitted when 1.
-Matrices are row-major nested arrays of such strings; shapes are recovered
-from the level dimensions.  Subgroups are addressed by their deterministic
-lattice names, group elements by index.
+Matrices are row-major nested arrays of such strings, written from and read
+into the sparse stored rows; shapes are recovered from the level dimensions.
+Subgroups are addressed by their deterministic lattice names, group elements
+by index, and the map keys of a functor come from one table, ``_map_keys``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .burnside import BurnsideElement
 from .groups import FiniteGroup, GroupError, SubgroupLattice, load_group
-from .linalg import QMatrix
+from .linalg import QMatrix, _new, _nf
 from .mackey import MackeyFunctor
 
 
@@ -23,8 +24,8 @@ class FormatError(ValueError):
     pass
 
 
-def frac_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+def frac_to_str(x) -> str:
+    """An ``int`` or ``Fraction`` as ``"p/q"``, or as ``"p"`` when integral."""
     try:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     except ValueError:  # past sys.get_int_max_str_digits()
@@ -45,7 +46,7 @@ def str_to_frac(s) -> Fraction:
 
 
 def _entry_from_json(x):
-    """A matrix entry: ``-?[0-9]+`` strings go straight to ``int``, the rest through ``str_to_frac``."""
+    """A matrix entry in normal form: ``-?[0-9]+`` strings go straight to ``int``, the rest through ``str_to_frac``."""
     if type(x) is str:
         digits = x[1:] if x[:1] == "-" else x
         if digits.isascii() and digits.isdigit():
@@ -53,11 +54,18 @@ def _entry_from_json(x):
                 return int(x)
             except ValueError:  # past int's digit limit; str_to_frac reports it
                 pass
-    return str_to_frac(x)
+    return _nf(str_to_frac(x))
 
 
 def matrix_to_json(M: QMatrix) -> list:
-    return [[frac_to_str(x) for x in row] for row in M.data]
+    """The rows of ``M`` as lists of strings; only the stored nonzero entries are formatted."""
+    out = []
+    for stored in M._rows:
+        row = ["0"] * M.cols
+        for j, x in stored.items():
+            row[j] = frac_to_str(x)
+        out.append(row)
+    return out
 
 
 def matrix_from_json(rows, shape: tuple[int, int]) -> QMatrix:
@@ -72,7 +80,7 @@ def matrix_from_json(rows, shape: tuple[int, int]) -> QMatrix:
         raise FormatError("matrix has rows of different lengths")
     if (len(rows), width) != (r, c):
         raise FormatError(f"matrix has shape {len(rows)}x{width}, expected {r}x{c}")
-    return QMatrix([[_entry_from_json(x) for x in row] for row in rows])
+    return _new(r, c, [{j: v for j, x in enumerate(row) if x != "0" and (v := _entry_from_json(x))} for row in rows])
 
 
 # -- groups ---------------------------------------------------------------------
@@ -119,23 +127,35 @@ def burnside_from_json(data: dict, ring) -> BurnsideElement:
 # -- Mackey functors --------------------------------------------------------------
 
 
+def _map_keys(lat: SubgroupLattice, dims) -> dict[str, dict[str, tuple]]:
+    """For each map table, every JSON key of a functor over ``lat`` with its table slot and the map's shape.
+
+    The restriction from H to K <= H is keyed ``"H>K"``, the induction back
+    ``"K<H"``, and the conjugation by the generator s at level H ``"s@H"``.
+    The writer emits exactly these keys and the reader accepts no others.
+    """
+    name, gens = lat.name, lat.group.gens
+    pairs = [(h, k) for h in range(len(lat)) for k in lat.subgroups_of(h)]
+    return {
+        "restriction": {f"{name(h)}>{name(k)}": ((h, k), (dims[k], dims[h])) for h, k in pairs},
+        "induction": {f"{name(k)}<{name(h)}": ((h, k), (dims[h], dims[k])) for h, k in pairs},
+        "conjugation": {
+            f"{s}@{name(h)}": ((pos, h), (dims[lat.conjugate(s, h)], dims[h]))
+            for pos, s in enumerate(gens)
+            for h in range(len(lat))
+        },
+    }
+
+
 def functor_to_json(M: MackeyFunctor) -> dict:
     lat = M.lattice
-    G = lat.group
     out = {
-        "group": group_to_json(G),
+        "group": group_to_json(lat.group),
         "name": M.name,
         "levels": {lat.name(h): M.dims[h] for h in range(len(lat))},
-        "restriction": {},
-        "induction": {},
-        "conjugation": {},
     }
-    for (h, k), mat in sorted(M.res.items()):
-        out["restriction"][f"{lat.name(h)}>{lat.name(k)}"] = matrix_to_json(mat)
-    for (h, k), mat in sorted(M.ind.items()):
-        out["induction"][f"{lat.name(k)}<{lat.name(h)}"] = matrix_to_json(mat)
-    for (pos, h), mat in sorted(M.cgen.items()):
-        out["conjugation"][f"{G.gens[pos]}@{lat.name(h)}"] = matrix_to_json(mat)
+    for (field, keys), table in zip(_map_keys(lat, M.dims).items(), (M.res, M.ind, M.cgen)):
+        out[field] = {key: matrix_to_json(table[slot]) for key, (slot, _) in keys.items()}
     return out
 
 
@@ -153,51 +173,27 @@ def functor_from_json(data: dict, cap: int = 64) -> MackeyFunctor:
     for field in ("levels", "restriction", "induction", "conjugation"):
         if not isinstance(data[field], dict):
             raise FormatError(f"{field!r} must be an object keyed by name")
-    dims = [0] * len(lat)
-    seen = set()
+    levels = {}
     for name, d in data["levels"].items():
         if isinstance(d, bool) or not isinstance(d, int) or d < 0:
             raise FormatError(f"level {name!r} has dimension {d!r}, expected a non-negative integer")
-        h = lat.id_by_name(name)
-        dims[h] = d
-        seen.add(h)
-    if len(seen) != len(lat):
-        missing = [lat.name(h) for h in range(len(lat)) if h not in seen]
+        levels[lat.id_by_name(name)] = d
+    if len(levels) != len(lat):
+        missing = [lat.name(h) for h in range(len(lat)) if h not in levels]
         raise FormatError(f"levels missing for subgroups: {', '.join(missing)}")
-    res, ind, cgen = {}, {}, {}
-    for key, rows in data["restriction"].items():
-        try:
-            hn, kn = key.split(">")
-        except ValueError:
-            raise FormatError(f"bad restriction key {key!r}") from None
-        h, k = lat.id_by_name(hn), lat.id_by_name(kn)
-        res[(h, k)] = matrix_from_json(rows, (dims[k], dims[h]))
-    for key, rows in data["induction"].items():
-        try:
-            kn, hn = key.split("<")
-        except ValueError:
-            raise FormatError(f"bad induction key {key!r}") from None
-        h, k = lat.id_by_name(hn), lat.id_by_name(kn)
-        ind[(h, k)] = matrix_from_json(rows, (dims[h], dims[k]))
-    gen_pos = {s: pos for pos, s in enumerate(G.gens)}
-    for key, rows in data["conjugation"].items():
-        try:
-            elem_s, hn = key.split("@")
-            s = int(elem_s)
-        except ValueError:
-            raise FormatError(f"bad conjugation key {key!r}") from None
-        if s not in gen_pos:
-            raise FormatError(f"element {s} is not a group generator")
-        h = lat.id_by_name(hn)
-        t = lat.conjugate(s, h)
-        cgen[(gen_pos[s], h)] = matrix_from_json(rows, (dims[t], dims[h]))
-    expected_pairs = {(h, k) for h in range(len(lat)) for k in lat.subgroups_of(h)}
-    if set(res) != expected_pairs or set(ind) != expected_pairs:
-        raise FormatError("restriction/induction maps must cover every comparable pair")
-    expected_conj = {(pos, h) for pos in range(len(G.gens)) for h in range(len(lat))}
-    if set(cgen) != expected_conj:
-        raise FormatError("conjugation maps must cover every generator at every level")
-    return MackeyFunctor(lat, tuple(dims), res, ind, cgen, name=functor_name)
+    dims = tuple(levels[h] for h in range(len(lat)))
+    tables = {}
+    for field, keys in _map_keys(lat, dims).items():
+        table = tables[field] = {}
+        for key, rows in data[field].items():
+            if key not in keys:
+                raise FormatError(f"unknown {field} key {key!r}")
+            slot, shape = keys[key]
+            table[slot] = matrix_from_json(rows, shape)
+        if len(table) != len(keys):
+            every = "generator at every level" if field == "conjugation" else "comparable pair"
+            raise FormatError(f"{field} maps must cover every {every}")
+    return MackeyFunctor(lat, dims, *tables.values(), name=functor_name)
 
 
 def dump(data: dict) -> str:
@@ -221,10 +217,7 @@ def lewis_dot(M: MackeyFunctor) -> str:
         cname = lat.class_name_of(h)
         lines.append(f'  "{cname}" [label="{cname}: {M.dims[h]}"];')
     # covering pairs in the subconjugacy order on classes
-    leq = {}
-    for a in reps:
-        for b in reps:
-            leq[(a, b)] = lat.is_subconjugate(a, b)
+    leq = {(a, b): lat.is_subconjugate(a, b) for a in reps for b in reps}
     for b in reps:
         for a in reps:
             if a == b or not leq[(a, b)]:

@@ -2,7 +2,8 @@
 
 Every entry is a ``Fraction`` in a tuple of row tuples, and every kernel
 visits every entry, zero or not.  The tests use this as the reference
-implementation for the sparse kernels; nothing in the package imports it.
+implementation for the sparse kernels, and ``dense_matrix_to_json`` as the
+reference for the sparse matrix writer; nothing in the package imports it.
 """
 
 from __future__ import annotations
@@ -10,6 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qmackey.linalg import LinAlgError, SingularMatrixError
+from qmackey.serialize import frac_to_str
+
+
+def dense_matrix_to_json(M) -> list:
+    """The JSON rows of a ``QMatrix`` as the writer made them from its dense ``data``: every entry formatted, zeros too."""
+    return [[frac_to_str(Fraction(x)) for x in row] for row in M.data]
 
 
 def _frac(x) -> Fraction:

@@ -78,7 +78,7 @@ def quotient_group(G: FiniteGroup, N: tuple[int, ...], name: str = "Q") -> tuple
     proj = tuple(pos[r] for r in least)
     table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
     names = [G.elem_name(r) + "N" for r in reps]
-    return FiniteGroup(table, name=name, elem_names=names, validate=False), proj
+    return FiniteGroup(table, name=name, elem_names=names), proj
 
 
 class ReferenceLattice:

@@ -101,6 +101,36 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["group", "info", "FILE"],
+            ["mackey", "check", "FILE"],
+            ["mackey", "green-check", "FILE", "burnside"],
+            ["mackey", "green-check", "burnside:c2", "FILE"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    @pytest.mark.parametrize("kind", ["directory", "latin-1", "huge-integer"])
+    def test_unreadable_input_is_usage_error(self, capsys, tmp_path, argv, kind):
+        path = tmp_path
+        if kind != "directory":
+            path = tmp_path / "input.json"
+            path.write_bytes('{"name": "\u00e9"}'.encode("latin-1") if kind == "latin-1" else b"[" + b"9" * 5000 + b"]")
+        code, out, err = run(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["group", "info", "c2"], ["mackey", "box", "burnside:c2", "burnside:c2"], ["mackey", "new", "burnside", "--group", "c2"]],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_out_into_a_missing_directory_is_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, "--out", str(target), *argv)
+        assert (code, out, err) == (2, "", f"error: cannot write {target}: No such file or directory\n")
+
     def test_check_success_is_exit_zero(self, capsys):
         code, out, err = run(capsys, "--pretty", "mackey", "check", "burnside:c6")
         assert code == 0
@@ -126,6 +156,10 @@ MALFORMED_FUNCTORS = {
     "float-entry": _set_map("restriction", "C2>C1", [[1.5, "1"]]),
     "ragged-rows": _set_map("restriction", "C2>C2", [["1", "0"], ["0"]]),
     "name-not-a-string": lambda data: data.update(name=5),
+    "alias-key-01": _set_map("conjugation", "01@C2", [["1", "0"], ["0", "1"]]),
+    "alias-key-plus": _set_map("conjugation", "+1@C2", [["1", "0"], ["0", "1"]]),
+    "alias-key-space": _set_map("conjugation", " 1@C2", [["1", "0"], ["0", "1"]]),
+    "alias-key-trailing-space": _set_map("conjugation", "1@C2 ", [["1", "0"], ["0", "1"]]),
 }
 
 
@@ -684,3 +718,14 @@ class TestRunAsModule:
             )
             code, out, err = run(capsys, *argv)
             assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("gen", ["(1 2)(2 3)", "(1 2)(1 3)"])
+    def test_cycles_sharing_a_point_exit_two(self, tmp_path, gen):
+        """Such a generator is no permutation; rendering it once looped forever, hence the subprocess timeout."""
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"generators": [gen]}))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmackey", "group", "info", str(path)], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: bad cycle notation: {gen!r}\n")

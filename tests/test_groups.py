@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -150,6 +151,11 @@ class TestLoadGroup:
             load_group({"name": "nothing"})
         with pytest.raises(GroupError):
             load_group({"name": "bad", "generators": ["(1 2"]})
+
+    @pytest.mark.parametrize("gen", ["(1 2)(2 3)", "(1 2)(1 3)", "(1 2 3)(3 4)", "(1)(1)"])
+    def test_cycles_sharing_a_point_rejected(self, gen):
+        with pytest.raises(GroupError, match=re.escape(f"bad cycle notation: {gen!r}")):
+            load_group({"name": "bad", "generators": [gen]})
 
     def test_declared_order_must_match_table(self):
         table = [[(i + j) % 3 for j in range(3)] for i in range(3)]

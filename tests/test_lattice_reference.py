@@ -132,6 +132,13 @@ def one_entry_corruptions(rng: random.Random, per_group: int):
             yield table
 
 
+def unchecked_group(table) -> FiniteGroup:
+    """``FiniteGroup(table)`` with Light's test switched off, so that a loop that fails it still shows its generators."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FiniteGroup, "_check_associativity", lambda self: None)
+        return FiniteGroup(table)
+
+
 def light_verdict(table) -> tuple[int, int, int] | None:
     """None when ``FiniteGroup`` accepts the table, else the triple it reports; identity and inverses must exist."""
     try:
@@ -150,7 +157,7 @@ def test_light_test_agrees_with_exhaustive_loop():
     verdicts = {True: 0, False: 0}
     for table in tables:
         try:
-            gens = FiniteGroup(table, validate=False).gens
+            gens = unchecked_group(table).gens
         except GroupError:
             continue  # no identity or no two-sided inverse: rejected before either test
         violation = light_verdict(table)
@@ -182,7 +189,7 @@ def test_reported_triple_names_a_generator():
         [5, 4, 6, 0, 3, 2, 1],
         [6, 3, 5, 1, 0, 4, 2],
     ]
-    assert FiniteGroup(table, validate=False).gens == (1, 3)
+    assert unchecked_group(table).gens == (1, 3)
     assert associativity_violation(table) == (1, 2, 3)
     with pytest.raises(GroupError, match=r"^table is not associative at \(1,3,1\)$"):
         FiniteGroup(table)

@@ -1,13 +1,18 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from dense_reference import dense_matrix_to_json
+from qmackey.classify import random_functor
+from qmackey.cli import main
 from qmackey.groups import GroupError, SubgroupLattice, corpus, dihedral, from_permutations, load_group, symmetric
 from qmackey.linalg import QMatrix
-from qmackey.mackey import burnside_mackey, check_axioms
+from qmackey.mackey import basis_change, burnside_mackey, check_axioms
 from qmackey.serialize import (
     FormatError,
+    dump,
     frac_to_str,
     functor_from_json,
     functor_to_json,
@@ -68,6 +73,67 @@ class TestMatrices:
             matrix_from_json(rows, shape)
 
 
+def random_sparse_matrix(rng: random.Random, rows: int, cols: int) -> QMatrix:
+    """About a third of the entries nonzero: integers and fractions of either sign."""
+    def entry():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 6)) if rng.random() < 0.35 else 0
+
+    return QMatrix([[entry() for _ in range(cols)] for _ in range(rows)], rows=rows, cols=cols)
+
+
+class TestSparseCodec:
+    """The writer formats only the stored entries and the reader stores only the nonzero ones."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_writer_matches_the_dense_writer(self, seed):
+        rng = random.Random(seed)
+        for r, c in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 6), (9, 2), (rng.randint(1, 12), rng.randint(1, 12))]:
+            M = random_sparse_matrix(rng, r, c)
+            rows = matrix_to_json(M)
+            assert rows == dense_matrix_to_json(M)
+            assert matrix_from_json(json.loads(json.dumps(rows)), (r, c)) == M
+
+    def test_reader_stores_nonzero_entries_in_normal_form(self):
+        M = matrix_from_json([["6/3", "0/5", "-0", "-1/2", 0, 7, "0"]], (1, 7))
+        assert M._rows == ({0: 2, 3: Fraction(-1, 2), 5: 7},)
+        assert [type(x) for x in M._rows[0].values()] == [int, Fraction, int]
+
+    @pytest.mark.parametrize("x", [10**4300, -(10**4300), Fraction(1, 10**4300)], ids=["big", "negative", "denominator"])
+    def test_too_many_digits_is_a_format_error(self, x):
+        M = QMatrix([[0, x], [1, 0]])
+        for writer in (matrix_to_json, dense_matrix_to_json):
+            with pytest.raises(FormatError, match="too many digits"):
+                writer(M)
+
+
+def test_random_functors_round_trip_map_by_map():
+    """A random functor and a fractional basis change of it, on every corpus group, come back with equal maps."""
+    signs = set()
+    for G in corpus().values():
+        R = random_functor(SubgroupLattice(G), random.Random(G.order))
+        scale = [QMatrix([[i + 1 if i == j else 0 for j in range(d)] for i in range(d)]) for d in R.dims]
+        for M in (R, basis_change(R, scale)):
+            text = dump(functor_to_json(M))
+            signs |= {mark for mark in ('"-', "/") if mark in text}
+            B = functor_from_json(json.loads(text))
+            assert (B.name, B.dims) == (M.name, M.dims)
+            assert B.res == M.res and B.ind == M.ind and B.cgen == M.cgen
+    assert signs == {'"-', "/"}
+
+
+def test_writers_never_build_dense_data(monkeypatch, capsys):
+    """``functor_to_json``, ``mackey new`` and ``mackey split --pretty`` format the stored rows only."""
+
+    def refuse(self):
+        raise AssertionError("QMatrix.data was read")
+
+    monkeypatch.setattr(QMatrix, "data", property(refuse))
+    functor_to_json(random_functor(SubgroupLattice(symmetric(3)), random.Random(1)))
+    assert main(["mackey", "new", "fixed", "--group", "s3"]) == 0
+    assert main(["--pretty", "mackey", "split", "burnside:s4"]) == 0
+    capsys.readouterr()
+
+
 class TestFunctorRoundTrip:
     @pytest.mark.parametrize("builder", [lambda: dihedral(8), lambda: symmetric(3)])
     def test_burnside_round_trip(self, builder):
@@ -97,7 +163,7 @@ class TestFunctorRoundTrip:
         lat = SubgroupLattice(symmetric(3))
         data = functor_to_json(burnside_mackey(lat))
         data["restriction"]["nonsense"] = [["1"]]
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="^unknown restriction key 'nonsense'$"):
             functor_from_json(data)
 
     def test_incomplete_maps_rejected(self):

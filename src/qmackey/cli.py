@@ -17,7 +17,7 @@ import sys
 
 from . import groups as grp
 from .burnside import BurnsideError, burnside_ring
-from .classify import classify_iso, diagonal_check, free_functor, split
+from .classify import SplitData, assemble, classify_iso, diagonal_check, free_functor, split
 from .groups import CapExceeded, GroupError, SubgroupLattice
 from .linalg import LinAlgError, WModule
 from .mackey import (
@@ -30,9 +30,10 @@ from .mackey import (
     rebase,
     zero_functor,
 )
-from .monoidal import GreenStructure, box, green_check
+from .monoidal import GreenStructure, box, burnside_green, green_check
 from .serialize import (
     FormatError,
+    burnside_from_json,
     burnside_to_json,
     dump,
     frac_to_str,
@@ -78,22 +79,36 @@ def workspace_dir() -> str | None:
     return os.environ.get("MACKEY_WORKSPACE")
 
 
-def _load_json(path: str):
+def _load_json(path: str, text: str | None = None):
+    """The JSON in the file at ``path``, or in ``text`` when given; ``path`` names the input in messages."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        if text is None:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer past the digit limit, or nested too deeply
         raise UsageError(f"malformed JSON in {path}: {exc}") from None
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, makedirs: bool = False) -> None:
     try:
+        if makedirs:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _find(name: str, folder: str) -> str | None:
+    """The path ``name`` as given, else ``<workspace>/<folder>/<name>.json``, whichever exists."""
+    ws = workspace_dir()
+    for path in (name, ws and os.path.join(ws, folder, f"{name}.json")):
+        if path and os.path.exists(path):
+            return path
+    return None
 
 
 def resolve_group(name: str, cap: int) -> grp.FiniteGroup:
@@ -103,14 +118,9 @@ def resolve_group(name: str, cap: int) -> grp.FiniteGroup:
         if G.order > cap:
             raise CapExceeded(f"group order {G.order} exceeds cap {cap}")
         return G
-    if os.path.exists(name):
-        return group_from_json(_load_json(name), cap=cap)
-    ws = workspace_dir()
-    if ws:
-        candidate = os.path.join(ws, "groups", f"{name}.json")
-        if os.path.exists(candidate):
-            return group_from_json(_load_json(candidate), cap=cap)
-    raise UsageError(f"unknown group {name!r} (not builtin, not a file, not in workspace)")
+    if (path := _find(name, "groups")) is None:
+        raise UsageError(f"unknown group {name!r} (not builtin, not a file, not in workspace)")
+    return group_from_json(_load_json(path), cap=cap)
 
 
 def resolve_functor(spec: str, cap: int):
@@ -121,14 +131,13 @@ def resolve_functor(spec: str, cap: int):
         if kind not in _FUNCTOR_KINDS:
             raise UsageError(f"unknown builtin functor kind {kind!r}")
         return _FUNCTOR_KINDS[kind](lat, 1)
-    if os.path.exists(spec):
-        return functor_from_json(_load_json(spec), cap=cap)
-    ws = workspace_dir()
-    if ws:
-        candidate = os.path.join(ws, "functors", f"{spec}.json")
-        if os.path.exists(candidate):
-            return functor_from_json(_load_json(candidate), cap=cap)
-    raise UsageError(f"unknown functor {spec!r}")
+    if (path := _find(spec, "functors")) is None:
+        raise UsageError(f"unknown functor {spec!r}")
+    return functor_from_json(_load_json(path), cap=cap)
+
+
+def _lattice(args) -> SubgroupLattice:
+    return SubgroupLattice(resolve_group(args.group, args.cap), cap=args.cap)
 
 
 def _fmt(args) -> str:
@@ -158,39 +167,40 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _report(args, data, lines: list[str], code: int = 0) -> int:
+    """Write a command's answer, ``data`` as JSON or ``lines`` as text, and return its exit code."""
+    _emit(args, dump(data) if _fmt(args) == "json" else "\n".join(lines))
+    return code
+
+
 # ---------------------------------------------------------------------------
 # group commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_group_info(args) -> int:
-    G = resolve_group(args.group, args.cap)
-    lat = SubgroupLattice(G, cap=args.cap)
-    if _fmt(args) == "json":
-        data = {
-            "name": G.name,
-            "order": G.order,
-            "abelian": G.is_abelian,
-            "generators": [G.elem_name(s) for s in G.gens],
-            "subgroups": len(lat),
-            "conjugacy_classes": len(lat.classes),
-        }
-        _emit(args, dump(data))
-        return 0
+    lat = _lattice(args)
+    G = lat.group
+    data = {
+        "name": G.name,
+        "order": G.order,
+        "abelian": G.is_abelian,
+        "generators": [G.elem_name(s) for s in G.gens],
+        "subgroups": len(lat),
+        "conjugacy_classes": len(lat.classes),
+    }
     lines = [
         f"group {G.name}",
         f"  order: {G.order}",
         f"  abelian: {'yes' if G.is_abelian else 'no'}",
-        f"  generators: {', '.join(G.elem_name(s) for s in G.gens) or '(none)'}",
+        f"  generators: {', '.join(data['generators']) or '(none)'}",
         f"  subgroups: {len(lat)} in {len(lat.classes)} conjugacy classes",
     ]
-    _emit(args, "\n".join(lines))
-    return 0
+    return _report(args, data, lines)
 
 
 def cmd_group_subgroups(args) -> int:
-    G = resolve_group(args.group, args.cap)
-    lat = SubgroupLattice(G, cap=args.cap)
+    lat = _lattice(args)
     rows = []
     for h in range(len(lat)):
         rows.append(
@@ -204,18 +214,14 @@ def cmd_group_subgroups(args) -> int:
                 "normal": lat.is_normal(h),
             }
         )
-    if _fmt(args) == "json":
-        _emit(args, dump({"group": G.name, "subgroups": rows}))
-        return 0
-    lines = [f"subgroups of {G.name}:"]
+    lines = [f"subgroups of {lat.group.name}:"]
     for r in rows:
         flag = " normal" if r["normal"] else ""
         lines.append(
             f"  {r['name']:<8} order {r['order']:<3} class {r['class']:<5} "
             f"N={r['normalizer']:<8} |W|={r['weyl_order']}{flag}"
         )
-    _emit(args, "\n".join(lines))
-    return 0
+    return _report(args, {"group": lat.group.name, "subgroups": rows}, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -224,47 +230,37 @@ def cmd_group_subgroups(args) -> int:
 
 
 def cmd_burnside_table(args) -> int:
-    G = resolve_group(args.group, args.cap)
-    lat = SubgroupLattice(G, cap=args.cap)
+    lat = _lattice(args)
     ring = burnside_ring(lat)
     marks = [list(ring.marks_basis(j)) for j in range(ring.size)]
     names = [lat.class_name_of(rep) for rep in ring.reps]
-    if _fmt(args) == "json":
-        _emit(args, dump({"group": G.name, "classes": names, "marks": marks}))
-        return 0
     width = max(len(n) for n in names) + 1
     head = " " * (width + 2) + " ".join(f"{n:>{width}}" for n in names)
-    lines = [f"table of marks for {G.name} (rows: orbit classes, columns: fixing classes)", head]
+    lines = [f"table of marks for {lat.group.name} (rows: orbit classes, columns: fixing classes)", head]
     for n, row in zip(names, marks):
         lines.append(f"  {n:<{width}}" + " ".join(f"{x:>{width}}" for x in row))
-    _emit(args, "\n".join(lines))
-    return 0
+    return _report(args, {"group": lat.group.name, "classes": names, "marks": marks}, lines)
 
 
 def cmd_burnside_idempotents(args) -> int:
-    G = resolve_group(args.group, args.cap)
-    lat = SubgroupLattice(G, cap=args.cap)
+    lat = _lattice(args)
     ring = burnside_ring(lat)
     via_mobius = ring.idempotents()
     via_marks = ring.idempotents_via_marks()
     agree = via_mobius == via_marks
-    if _fmt(args) == "json":
-        data = {
-            "group": G.name,
-            "idempotents": {
-                f"e[{lat.class_name_of(rep)}]": burnside_to_json(e)
-                for rep, e in zip(ring.reps, via_mobius)
-            },
-            "routes_agree": agree,
-        }
-        _emit(args, dump(data))
-    else:
-        lines = [f"primitive idempotents of the rational Burnside ring of {G.name}:"]
-        for rep, e in zip(ring.reps, via_mobius):
-            lines.append(f"  e[{lat.class_name_of(rep)}] = {e.render()}")
-        lines.append(f"mobius and marks routes agree: {'yes' if agree else 'NO'}")
-        _emit(args, "\n".join(lines))
-    return 0 if agree else 1
+    data = {
+        "group": lat.group.name,
+        "idempotents": {
+            f"e[{lat.class_name_of(rep)}]": burnside_to_json(e)
+            for rep, e in zip(ring.reps, via_mobius)
+        },
+        "routes_agree": agree,
+    }
+    lines = [f"primitive idempotents of the rational Burnside ring of {lat.group.name}:"]
+    for rep, e in zip(ring.reps, via_mobius):
+        lines.append(f"  e[{lat.class_name_of(rep)}] = {e.render()}")
+    lines.append(f"mobius and marks routes agree: {'yes' if agree else 'NO'}")
+    return _report(args, data, lines, 0 if agree else 1)
 
 
 def _class_rep_named(lat: SubgroupLattice, name: str) -> int:
@@ -277,28 +273,17 @@ def _class_rep_named(lat: SubgroupLattice, name: str) -> int:
 
 
 def cmd_burnside_restrict(args) -> int:
-    G = resolve_group(args.group, args.cap)
-    lat = SubgroupLattice(G, cap=args.cap)
+    lat = _lattice(args)
     ring = burnside_ring(lat)
     target = lat.id_by_name(args.to)
     if args.element:
-        from .serialize import burnside_from_json
-
-        try:
-            data = json.loads(args.element)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"malformed JSON in --element: {exc}") from None
-        elem = burnside_from_json(data, ring)
+        elem = burnside_from_json(_load_json("--element", args.element), ring)
     elif args.idempotent:
         elem = ring.idempotent(_class_rep_named(lat, args.idempotent))
     else:
         raise UsageError("need --element JSON or --idempotent CLASS")
     down = ring.restrict(elem, target)
-    if _fmt(args) == "json":
-        _emit(args, dump(burnside_to_json(down)))
-    else:
-        _emit(args, f"restriction to {args.to}: {down.render()}")
-    return 0
+    return _report(args, burnside_to_json(down), [f"restriction to {args.to}: {down.render()}"])
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +294,7 @@ def cmd_burnside_restrict(args) -> int:
 def cmd_mackey_new(args) -> int:
     if args.dim < 0:
         raise UsageError(f"--dim must be at least 0, not {args.dim}")
-    lat = SubgroupLattice(resolve_group(args.group, args.cap), cap=args.cap)
+    lat = _lattice(args)
     if args.kind in _FUNCTOR_KINDS:
         M = _FUNCTOR_KINDS[args.kind](lat, args.dim)
     elif not args.at:
@@ -324,9 +309,8 @@ def cmd_mackey_new(args) -> int:
         ws = workspace_dir()
         if not ws:
             raise UsageError("--save needs MACKEY_WORKSPACE to be set")
-        os.makedirs(os.path.join(ws, "functors"), exist_ok=True)
         path = os.path.join(ws, "functors", f"{args.save}.json")
-        _write(path, payload + "\n")
+        _write(path, payload + "\n", makedirs=True)
         _emit(args, f"saved functor as {path}")
     else:
         _emit(args, payload)
@@ -336,54 +320,41 @@ def cmd_mackey_new(args) -> int:
 def cmd_mackey_check(args) -> int:
     M = resolve_functor(args.functor, args.cap)
     report = check_axioms(M)
-    if _fmt(args) == "json":
-        _emit(
-            args,
-            dump(
-                {
-                    "functor": M.name,
-                    "ok": report.ok,
-                    "violations": [{"axiom": v.axiom, "detail": v.detail} for v in report.violations],
-                    "checked": report.checked,
-                }
-            ),
-        )
+    data = {
+        "functor": M.name,
+        "ok": report.ok,
+        "violations": [{"axiom": v.axiom, "detail": v.detail} for v in report.violations],
+        "checked": report.checked,
+    }
+    if report.ok:
+        lines = [f"{M.name}: all axioms hold"]
     else:
-        if report.ok:
-            _emit(args, f"{M.name}: all axioms hold")
-        else:
-            lines = [f"{M.name}: {len(report.violations)} violation(s)"]
-            lines += [f"  {v}" for v in report.violations]
-            _emit(args, "\n".join(lines))
-    return 0 if report.ok else 1
+        lines = [f"{M.name}: {len(report.violations)} violation(s)"]
+        lines += [f"  {v}" for v in report.violations]
+    return _report(args, data, lines, 0 if report.ok else 1)
 
 
 def cmd_mackey_split(args) -> int:
     M = resolve_functor(args.functor, args.cap)
-    S = split(M)
     lat = M.lattice
-    if _fmt(args) == "json":
-        data = {}
-        for h, V in S.modules.items():
-            data[lat.class_name_of(h)] = {
-                "dim": V.dim,
-                "weyl_order": V.group.order,
-                "action": {
-                    str(s): matrix_to_json(V.gen_matrices[pos])
-                    for pos, s in enumerate(V.group.gens)
-                },
-            }
-        _emit(args, dump({"functor": M.name, "pieces": data}))
-        return 0
+    pieces = {}
     lines = [f"splitting of {M.name} into Weyl-group modules:"]
-    for h, V in S.modules.items():
+    for h, V in split(M).modules.items():
+        actions = [matrix_to_json(m) for m in V.gen_matrices]
+        pieces[lat.class_name_of(h)] = {
+            "dim": V.dim,
+            "weyl_order": V.group.order,
+            "action": {
+                str(s): rows
+                for s, rows in zip(V.group.gens, actions)
+            },
+        }
         lines.append(f"  class {lat.class_name_of(h)}: dim {V.dim} over a Weyl group of order {V.group.order}")
-        for pos, s in enumerate(V.group.gens):
+        for s, rows in zip(V.group.gens, actions):
             if V.dim:
-                rows = "; ".join(" ".join(row) for row in matrix_to_json(V.gen_matrices[pos]))
-                lines.append(f"    action of generator {V.group.elem_name(s)}: [{rows}]")
-    _emit(args, "\n".join(lines))
-    return 0
+                text = "; ".join(" ".join(row) for row in rows)
+                lines.append(f"    action of generator {V.group.elem_name(s)}: [{text}]")
+    return _report(args, {"functor": M.name, "pieces": pieces}, lines)
 
 
 def cmd_mackey_classify(args) -> int:
@@ -394,32 +365,28 @@ def cmd_mackey_classify(args) -> int:
     except MackeyError as exc:
         _emit(args, f"classification FAILED: {exc}")
         return 1
-    if _fmt(args) == "json":
-        data = {
-            "functor": M.name,
-            "levels": {lat.name(h): M.dims[h] for h in range(len(lat))},
-            "pieces": {
-                lat.class_name_of(h): V.dim for h, V in split(M).modules.items()
-            },
-            "certified": True,
-        }
-        if args.certify:
-            data["certificates"] = {
-                lat.name(h): f"rank {iso.maps[h].rank()} of {M.dims[h]}" for h in range(len(lat))
-            }
-        _emit(args, dump(data))
-        return 0
+    modules = split(M).modules
+    data = {
+        "functor": M.name,
+        "levels": {lat.name(h): M.dims[h] for h in range(len(lat))},
+        "pieces": {
+            lat.class_name_of(h): V.dim for h, V in modules.items()
+        },
+        "certified": True,
+    }
     lines = [f"{M.name} splits as a sum of free pieces:"]
-    for h, V in split(M).modules.items():
+    for h, V in modules.items():
         if V.dim:
             lines.append(f"  class {lat.class_name_of(h)}: module of dimension {V.dim}")
     lines.append("comparison morphism is invertible at every level")
     if args.certify:
+        ranks = [iso.maps[h].rank() for h in range(len(lat))]
+        data["certificates"] = {
+            lat.name(h): f"rank {ranks[h]} of {M.dims[h]}" for h in range(len(lat))
+        }
         for h in range(len(lat)):
-            m = iso.maps[h]
-            lines.append(f"  level {lat.name(h)}: square of size {m.rows}, rank {m.rank()}")
-    _emit(args, "\n".join(lines))
-    return 0
+            lines.append(f"  level {lat.name(h)}: square of size {iso.maps[h].rows}, rank {ranks[h]}")
+    return _report(args, data, lines)
 
 
 def cmd_mackey_box(args) -> int:
@@ -446,13 +413,11 @@ def cmd_mackey_green_check(args) -> int:
     M = resolve_functor(args.functor, args.cap)
     lat = M.lattice
     if args.mult == "burnside":
-        from .monoidal import burnside_green
-
         B = burnside_green(lat)
         mult, unit = B.mult, B.unit  # checked on M as the base, which need not be the Burnside functor
     else:
-        data = _load_json(args.mult)
-        tables = [data.get(key, {}) if isinstance(data, dict) else None for key in ("mult", "unit")]
+        doc = _load_json(args.mult)
+        tables = [doc.get(key, {}) if isinstance(doc, dict) else None for key in ("mult", "unit")]
         if not all(isinstance(table, dict) for table in tables):
             raise UsageError("multiplication data must hold 'mult' and 'unit' objects keyed by level")
         mult, unit = {}, {}
@@ -464,26 +429,18 @@ def cmd_mackey_green_check(args) -> int:
             mult[h] = matrix_from_json(tables[0][name], (d, d * d))
             unit[h] = matrix_from_json(tables[1][name], (d, 1))
     report = green_check(GreenStructure(M, mult, unit))
-    if _fmt(args) == "json":
-        _emit(
-            args,
-            dump(
-                {
-                    "ok": report.ok,
-                    "commutative": report.commutative,
-                    "violations": [{"rule": n, "at": d} for n, d in report.violations],
-                    "checked": report.checked,
-                }
-            ),
-        )
+    data = {
+        "ok": report.ok,
+        "commutative": report.commutative,
+        "violations": [{"rule": n, "at": d} for n, d in report.violations],
+        "checked": report.checked,
+    }
+    if report.ok:
+        lines = [f"green structure on {M.name} verified (commutative: {'yes' if report.commutative else 'no'})"]
     else:
-        if report.ok:
-            _emit(args, f"green structure on {M.name} verified (commutative: {'yes' if report.commutative else 'no'})")
-        else:
-            lines = [f"green check FAILED for {M.name}:"]
-            lines += [f"  [{n}] at {d}" for n, d in report.violations]
-            _emit(args, "\n".join(lines))
-    return 0 if report.ok else 1
+        lines = [f"green check FAILED for {M.name}:"]
+        lines += [f"  [{n}] at {d}" for n, d in report.violations]
+    return _report(args, data, lines, 0 if report.ok else 1)
 
 
 def cmd_mackey_lewis(args) -> int:
@@ -641,8 +598,6 @@ def _demo_cp3(out) -> int:
     w("")
     names = [lat.name(h) for h in range(len(lat))]
     w(f"subgroup tower: {' < '.join(names)}")
-    from .classify import SplitData, assemble
-
     modules = {}
     for h in lat.class_reps():
         W = lat.weyl(h).group
@@ -668,16 +623,12 @@ def _demo_cp3(out) -> int:
     return 0 if ok else 1
 
 
+_DEMOS = {"c6": _demo_c6, "s4": _demo_s4, "cp3": _demo_cp3}
+
+
 def cmd_demo(args) -> int:
     out: list[str] = []
-    if args.which == "c6":
-        code = _demo_c6(out)
-    elif args.which == "s4":
-        code = _demo_s4(out)
-    elif args.which == "cp3":
-        code = _demo_cp3(out)
-    else:
-        raise UsageError(f"unknown demo {args.which!r}")
+    code = _DEMOS[args.which](out)
     _emit(args, "\n".join(out))
     return code
 
@@ -748,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     ml.add_argument("--dot", dest="format", action="store_const", const="dot", default=argparse.SUPPRESS, help="--format dot")
 
     d = leaf(sub, "demo", cmd_demo, help="regenerate the worked examples")
-    d.add_argument("which", choices=["c6", "s4", "cp3"])
+    d.add_argument("which", choices=_DEMOS)
     return p
 
 

@@ -42,6 +42,7 @@ class CapExceeded(GroupError):
 # ---------------------------------------------------------------------------
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_NOTATION_RE = re.compile(r"(?:\([^()]*\)\s*)+")  # no two adjacent \s*, so a failing match cannot backtrack exponentially
 
 
 def _cycles(text: str) -> list[list[int]]:
@@ -49,7 +50,7 @@ def _cycles(text: str) -> list[list[int]]:
     stripped = text.strip()
     if stripped in ("", "()"):
         return []
-    if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", stripped):
+    if not _NOTATION_RE.fullmatch(stripped):
         raise GroupError(f"bad cycle notation: {text!r}")
     cycles = []
     for body in _CYCLE_RE.findall(stripped):

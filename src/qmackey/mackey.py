@@ -708,7 +708,6 @@ class EvaluatedSet:
     ``orbit_of[q]``, and ``transporter[q]`` is the least t with t.p = q.
     """
 
-    gset: GSet
     orbit_reps: tuple
     stabilizers: tuple  # lattice ids
     offsets: tuple
@@ -730,7 +729,7 @@ def evaluate_at_set(M: MackeyFunctor, X: GSet) -> EvaluatedSet:
             stabs.append(M.lattice.subgroup_id(tuple(g for g, row in enumerate(X.act) if row[p] == p)))
             offsets.append(offsets[-1] + M.dims[stabs[-1]])
     return EvaluatedSet(
-        X, tuple(reps), tuple(stabs), tuple(offsets[:-1]), offsets[-1], tuple(orbit_of), tuple(transporter)
+        tuple(reps), tuple(stabs), tuple(offsets[:-1]), offsets[-1], tuple(orbit_of), tuple(transporter)
     )
 
 

@@ -17,6 +17,7 @@ from qmackey.monoidal import burnside_green, green_check
 from qmackey.serialize import FormatError, dump, functor_to_json, group_to_json, matrix_from_json, str_to_frac
 
 GOLDEN = Path(__file__).parent / "golden"
+README_GOLDEN = json.loads((GOLDEN / "cli_readme.json").read_text())
 
 
 def run(capsys, *argv):
@@ -86,7 +87,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "element",
-        ["{bad", "[1]", '"x"', '{"C6/C1": "1e10000000"}', '{"C6/C1": "1e100000000000"}', '{"C6/C1": "0.5"}'],
+        [
+            "{bad",
+            "[1]",
+            '"x"',
+            '{"C6/C1": "1e10000000"}',
+            '{"C6/C1": "1e100000000000"}',
+            '{"C6/C1": "0.5"}',
+            '{"C6/C1": 1' + "0" * 5000 + "}",
+            "[" * 100000,
+        ],
+        ids=lambda element: element if len(element) < 40 else f"{element[:12]}...({len(element)} chars)",
     )
     def test_malformed_burnside_element_is_usage_error(self, capsys, element):
         code, out, err = run(capsys, "burnside", "restrict", "c6", "--to", "C3", "--element", element)
@@ -111,12 +122,17 @@ class TestExitCodes:
         ],
         ids=lambda argv: " ".join(argv),
     )
-    @pytest.mark.parametrize("kind", ["directory", "latin-1", "huge-integer"])
+    @pytest.mark.parametrize("kind", ["directory", "latin-1", "huge-integer", "deep-nesting"])
     def test_unreadable_input_is_usage_error(self, capsys, tmp_path, argv, kind):
+        contents = {
+            "latin-1": '{"name": "\u00e9"}'.encode("latin-1"),
+            "huge-integer": b"[" + b"9" * 5000 + b"]",
+            "deep-nesting": b"[" * 100000,
+        }
         path = tmp_path
         if kind != "directory":
             path = tmp_path / "input.json"
-            path.write_bytes('{"name": "\u00e9"}'.encode("latin-1") if kind == "latin-1" else b"[" + b"9" * 5000 + b"]")
+            path.write_bytes(contents[kind])
         code, out, err = run(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -130,6 +146,14 @@ class TestExitCodes:
         target = tmp_path / "missing" / "out.json"
         code, out, err = run(capsys, "--out", str(target), *argv)
         assert (code, out, err) == (2, "", f"error: cannot write {target}: No such file or directory\n")
+
+    def test_save_into_a_workspace_that_is_a_file_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        workspace = tmp_path / "workspace"
+        workspace.write_text("")
+        monkeypatch.setenv("MACKEY_WORKSPACE", str(workspace))
+        code, out, err = run(capsys, "mackey", "new", "burnside", "--group", "c2", "--save", "A")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {workspace}") and err.count("\n") == 1
 
     def test_check_success_is_exit_zero(self, capsys):
         code, out, err = run(capsys, "--pretty", "mackey", "check", "burnside:c6")
@@ -512,6 +536,15 @@ class TestTextGoldens:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out.encode() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("line", sorted(README_GOLDEN))
+    def test_readme_command_matches_golden(self, capsys, tmp_path, monkeypatch, line):
+        """The README's commands, JSON and ``--pretty``; ``A.json`` is written by ``mackey new`` first."""
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "mackey", "new", "burnside", "--group", "c6", "--out", "A.json")[0] == 0
+        expected = README_GOLDEN[line]
+        code, out, err = run(capsys, *line.split())
+        assert (code, out, err) == (expected["exit"], expected["stdout"], "")
 
     def test_check_pretty_lists_violations(self, capsys, tmp_path):
         M, _ = scaled_restriction(SubgroupLattice(symmetric(3)))

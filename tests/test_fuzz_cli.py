@@ -2,7 +2,8 @@
 
 Every run must end in an exit code, never in an escaped exception: 0 or 1
 for input that parses, 2 with a one-line ``error:`` message for input that
-does not.  Mutations that make the input malformed (a removed key, a value
+does not.  A drawn JSON value passed as ``burnside restrict --element`` must
+exit 0 or 2.  Mutations that make the input malformed (a removed key, a value
 of the wrong JSON type, a ragged or misshapen matrix, a non-integer table
 entry) must exit 2 on every command.  ``mackey new`` with a drawn kind,
 group and ``--dim`` in [-3, 3] must exit 0, or 2 when the dimension is
@@ -207,6 +208,17 @@ def test_malformed_json_exits_two(workdir, case):
     results = _run_all(path)
     _check_messages(results)
     assert all(code == 2 for _, code, _ in results), (kind, [(argv[1], code, err) for argv, code, err in results])
+
+
+@FUZZ
+@given(element=JSON)
+def test_burnside_element_exits_zero_or_two(element):
+    argv = ["burnside", "restrict", "c6", "--to", "C3", "--element", json.dumps(element)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    _check_messages([(argv, code, err.getvalue())])
+    assert code in (0, 2), (argv, err.getvalue())
 
 
 @FUZZ

@@ -1,11 +1,17 @@
 import itertools
+import os
+import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import NON_ASSOCIATIVE_LOOP, PAST_CORPUS
 from lattice_reference import quotient_group
 from qmackey.groups import (
+    _NOTATION_RE,
     _cycles,
     _image,
     CapExceeded,
@@ -226,6 +232,22 @@ class TestCycleNotation:
             _cycles("(1 1 2)")
         with pytest.raises(GroupError):
             load_group({"degree": 2, "generators": ["(1 1 2)"]})
+
+    def test_long_bad_string_fails_in_linear_time(self):
+        """A pattern with two adjacent ``\\s*`` once backtracked exponentially here, hence the subprocess timeout."""
+        code = "from qmackey.groups import GroupError, _cycles\n"
+        code += "try:\n    _cycles('(1 2)  ' * 5000 + ')')\nexcept GroupError:\n    print('rejected')\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rejected\n", "")
+
+    def test_pattern_agrees_with_the_backtracking_one(self):
+        """The validating pattern accepts exactly what the old ``(\\s*\\([^()]*\\)\\s*)+`` accepted."""
+        old = re.compile(r"(\s*\([^()]*\)\s*)+")
+        rng = random.Random(5)
+        for _ in range(20000):
+            text = "".join(rng.choice("() 12,\tx") for _ in range(rng.randint(0, 12))).strip()
+            assert bool(_NOTATION_RE.fullmatch(text)) == bool(old.fullmatch(text)), text
 
 
 # ---------------------------------------------------------------------------

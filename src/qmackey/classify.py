@@ -9,7 +9,8 @@ Weyl-fixed part of the coset space Q[(G/K)^H] tensored with the module.
 ``split``/``assemble``/``classify_iso`` package these into a certified
 equivalence: every functor is isomorphic to the direct sum of its rebuilt
 pieces, and the comparison morphism is validated and certified invertible
-level by level rather than assumed.
+level by level rather than assumed.  ``certify_iso`` compares a second
+functor straight into the first one's free pieces, one intertwiner per class.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .linalg import (
     QMatrix,
     WModule,
     block_matrix,
-    direct_sum as mat_direct_sum,
     fixed_subspace,
     intertwiner,
     restrict_map,
@@ -207,40 +207,44 @@ def _local_piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphism]:
-    """The natural map from M into the free functor rebuilt from its piece at H.
+def _compare(M: MackeyFunctor, block: FreeBlock, basis: QMatrix, P: QMatrix, psi: QMatrix | None = None) -> MackeyMorphism:
+    """The natural map from M into a free block at H, through psi: U_H M -> ``block.module`` if given.
 
-    The component at a fixed coset gK restricts to the conjugate of H inside
-    K, conjugates back to H, and projects onto the local piece.  Membership
-    in the Weyl-fixed subspace and the morphism property are verified, not
-    assumed, except into zero levels and for U_H M = 0: a map into 0 is unique.
+    ``basis`` and P are M's local piece at H.  The component at a fixed coset gK
+    restricts to the conjugate of H inside K, conjugates back to H, projects onto
+    the local piece, and is mapped by psi.  Membership in the local piece and in
+    the Weyl-fixed subspace and the morphism property are verified, not assumed,
+    except into zero levels and for a zero module: a map into 0 is unique.
     """
-    lat = M.lattice
-    G = lat.group
-    V, basis, P = _local_piece(M, h)
-    block = build_free_block(lat, h, V)
+    lat, G = M.lattice, M.lattice.group
     maps = []
-    for k in range(len(lat)):
+    for k, X in enumerate(block.cosets):
         if not block.functor.dims[k]:
             maps.append(QMatrix.zeros(0, M.dims[k]))
             continue
         rows = []
-        for g in block.cosets[k]:
-            gi = G.inv(g)
-            hg = lat.conjugate(gi, h)  # g^-1 H g <= K
-            comp = P.matmul(M.conj(g, hg)).matmul(M.res[(k, hg)])
-            coords = basis.solve(comp)
+        for g in X:
+            hg = lat.conjugate(G.inv(g), block.h)  # g^-1 H g <= K
+            coords = basis.solve(P.matmul(M.conj(g, hg)).matmul(M.res[(k, hg)]))
             if coords is None:
                 raise MackeyError("comparison component escapes the local piece")
             rows.append(coords)
-        coords = block.bases[k].solve(vstack(*rows))
+        ambient = vstack(*rows) if psi is None else tensor(QMatrix.identity(len(X)), psi).matmul(vstack(*rows))
+        coords = block.bases[k].solve(ambient)
         if coords is None:
             raise MackeyError("comparison component is not Weyl-fixed")
         maps.append(coords)
     mor = MackeyMorphism(M, block.functor, tuple(maps))
-    if V.dim:
+    if block.module.dim:
         mor.validate()
-    return block, mor
+    return mor
+
+
+def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphism]:
+    """The natural map from M into the free functor rebuilt from its piece at H, validated."""
+    V, basis, P = _local_piece(M, h)
+    block = build_free_block(M.lattice, h, V)
+    return block, _compare(M, block, basis, P)
 
 
 def comparison_map(M: MackeyFunctor, h: int) -> MackeyMorphism:
@@ -261,11 +265,7 @@ class SplitData:
 
 
 def split(M: MackeyFunctor) -> SplitData:
-    lat = M.lattice
-    modules = {}
-    for h in lat.class_reps():
-        modules[h], _ = u_module(M, h)
-    return SplitData(lat, modules)
+    return SplitData(M.lattice, {h: u_module(M, h)[0] for h in M.lattice.class_reps()})
 
 
 def assemble(S: SplitData, name: str | None = None) -> MackeyFunctor:
@@ -278,22 +278,31 @@ def assemble(S: SplitData, name: str | None = None) -> MackeyFunctor:
 _last_comparison: list = [lambda: None, None]  # (weak reference to the last M, its comparison)
 
 
+def _stacked(mors: list[MackeyMorphism], M: MackeyFunctor) -> tuple[QMatrix, ...]:
+    """The components of morphisms out of M stacked level by level."""
+    return tuple(vstack(QMatrix.zeros(0, d), *(mor.maps[k] for mor in mors)) for k, d in enumerate(M.dims))
+
+
 def _stacked_comparison(M: MackeyFunctor) -> tuple[tuple[FreeBlock, ...], tuple[QMatrix, ...]]:
     """The nonzero free blocks of M in class order, and the comparison maps
-    stacked over them level by level, certified invertible.  Memoized for
+    stacked over them level by level, certified invertible.  Each local piece
+    is computed once, and a class with U_H M = 0 gets no block.  Memoized for
     the last M only; functors are immutable, so the entry cannot go stale."""
     ref, hit = _last_comparison  # one read, so a concurrent store cannot pair M with another comparison
     if ref() is M:
         return hit
     lat = M.lattice
-    pieces = [(block, mor) for block, mor in (comparison_block(M, h) for h in lat.class_reps()) if block.module.dim]
-    maps = tuple(
-        vstack(*[mor.maps[k] for _, mor in pieces]) if pieces else QMatrix.zeros(0, M.dims[k]) for k in range(len(lat))
-    )
+    blocks, mors = [], []
+    for h in lat.class_reps():
+        V, basis, P = _local_piece(M, h)
+        if V.dim:
+            blocks.append(build_free_block(lat, h, V))
+            mors.append(_compare(M, blocks[-1], basis, P))
+    maps = _stacked(mors, M)
     for k, m in enumerate(maps):
         if m.rows != m.cols or not m.is_invertible():
             raise MackeyError(f"comparison morphism fails to be invertible at level {lat.name(k)}")
-    _last_comparison[:] = weakref.ref(M), (tuple(block for block, _ in pieces), maps)
+    _last_comparison[:] = weakref.ref(M), (tuple(blocks), maps)
     return _last_comparison[1]
 
 
@@ -310,49 +319,40 @@ def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
     return MackeyMorphism(M, target, maps)
 
 
-def _free_lift(b1: FreeBlock, b2: FreeBlock, phi: QMatrix) -> MackeyMorphism:
-    """F_H(phi) between free blocks at one class, id (x) phi in the Weyl-fixed bases, validated."""
-    maps = tuple(
-        restrict_map(tensor(QMatrix.identity(len(X)), phi), src, dst) if src.cols else QMatrix.zeros(dst.cols, 0)
-        for X, src, dst in zip(b1.cosets, b1.bases, b2.bases)
-    )
-    lift = MackeyMorphism(b1.functor, b2.functor, maps)
-    lift.validate()
-    return lift
-
-
 def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
     """A certified isomorphism M1 -> M2, or None exactly when none exists.
 
     By the classification M = (+)_(H) F_H(U_H M), so M1 and M2 are
-    isomorphic exactly when U_H M1 and U_H M2 are at every class (H).  The
-    answer is iso2^-1 . lift . iso1, where iso1 and iso2 are the certified
-    ``classify_iso`` of each side and the lift is F_H of an intertwiner
-    phi_H: U_H M1 -> U_H M2 at every class, that is id (x) phi_H restricted
-    to the Weyl-fixed bases.  It is invertible because phi_H is, and natural:
-    each lift is validated, iso1 and iso2 are, and inverses and composites of
-    natural maps are natural.  None is returned only when the
-    classes with nonzero Weyl modules differ or ``intertwiner`` finds two
-    modules with different dimensions or characters; any other failure
-    raises ``MackeyError``.  ``classify_iso(M1)`` leaves M1's comparison in the memo.
+    isomorphic exactly when U_H M1 and U_H M2 are at every class (H).  None
+    is returned only when the classes with nonzero Weyl modules differ or
+    ``intertwiner`` finds two modules with different dimensions or characters.
+
+    Otherwise M2 is compared straight into M1's free blocks: level K of the
+    block at H is M2's comparison followed by id (x) psi_H, psi_H =
+    ``intertwiner(U_H M2, U_H M1)``, solved in the Weyl-fixed basis of
+    F_H(U_H M1).  Stacked over the classes this is iso2': M2 -> (+)_(H)
+    F_H(U_H M1), the target of M1's certified comparison iso1, and the answer
+    is iso2'^-1 . iso1.  Proof: each block of iso2' is validated natural, so
+    iso2' is; it is invertible at every level or ``MackeyError`` is raised,
+    and the inverse of a natural levelwise isomorphism is natural; iso1 is
+    certified.  So the composite is a natural isomorphism, whatever psi_H is.
     """
     if M1.lattice is not M2.lattice:
         raise MackeyError("functors live over different lattices")
-    blocks1, iso1 = _stacked_comparison(M1)
-    blocks2, iso2 = _stacked_comparison(M2)
-    if [b.h for b in blocks1] != [b.h for b in blocks2]:
+    blocks, iso1 = _stacked_comparison(M1)
+    pieces = {h: _local_piece(M2, h) for h in M1.lattice.class_reps()}
+    if [h for h, (V2, _, _) in pieces.items() if V2.dim] != [block.h for block in blocks]:
         return None
+    mors = []
     try:
-        phis = [intertwiner(b1.module, b2.module) for b1, b2 in zip(blocks1, blocks2)]
-        if None in phis:
-            return None
-        lifts = [_free_lift(b1, b2, phi) for b1, b2, phi in zip(blocks1, blocks2, phis)]
-        maps = tuple(
-            iso2[k].inverse().matmul(mat_direct_sum(*(lift.maps[k] for lift in lifts))).matmul(iso1[k])
-            for k in range(len(M1.lattice))
-        )
+        for block in blocks:
+            V2, basis, P = pieces[block.h]
+            if (psi := intertwiner(V2, block.module)) is None:
+                return None
+            mors.append(_compare(M2, block, basis, P, psi))
+        maps = tuple(m.inverse().matmul(a) for m, a in zip(_stacked(mors, M2), iso1))
     except LinAlgError as exc:
-        raise MackeyError(f"isomorphic Weyl modules failed to lift: {exc}") from exc
+        raise MackeyError(f"M2 does not compare invertibly into the free blocks of M1: {exc}") from exc
     return MackeyMorphism(M1, M2, maps)
 
 

@@ -363,8 +363,7 @@ def cmd_mackey_classify(args) -> int:
     try:
         iso = classify_iso(M)
     except MackeyError as exc:
-        _emit(args, f"classification FAILED: {exc}")
-        return 1
+        return _report(args, {"functor": M.name, "certified": False, "error": str(exc)}, [f"classification FAILED: {exc}"], 1)
     modules = split(M).modules
     data = {
         "functor": M.name,

@@ -1,17 +1,28 @@
-"""Free functors and the diagonal check as built before they used their support, the referees.
+"""Free functors, the diagonal check and ``certify_iso`` as built before, the referees.
 
 ``stacked_kernel_basis`` is the Weyl-fixed basis of Q[X] (x) V as the null
 space of P_s (x) rho(s) - I stacked over the generators s of W = W_G(H).
 ``free_maps`` solves for every restriction, induction and conjugation map
 with ``restrict_map``, on pairs and levels of dimension 0 too, so every
 containment check runs.  ``diagonal_check`` cuts the fixed part out with
-every element of N_H(K) rather than its generators.
+every element of N_H(K) rather than its generators.  ``certify_iso`` builds
+the free blocks of both functors and lifts an intertwiner between them.
 """
 
 from qmackey import classify
 from qmackey.burnside import burnside_ring
-from qmackey.linalg import LinAlgError, QMatrix, block_matrix, permutation_matrix, restrict_map, tensor, vstack
-from qmackey.mackey import burnside_action
+from qmackey.linalg import (
+    LinAlgError,
+    QMatrix,
+    block_matrix,
+    direct_sum,
+    intertwiner,
+    permutation_matrix,
+    restrict_map,
+    tensor,
+    vstack,
+)
+from qmackey.mackey import MackeyError, MackeyMorphism, burnside_action
 
 
 def stacked_kernel_basis(lattice, h, k, V):
@@ -70,3 +81,45 @@ def diagonal_check(M, k, h):
         return classify.DiagonalReport(upper.cols, fixed.cols, QMatrix.zeros(fixed.cols, upper.cols), False)
     ok = upper.cols == fixed.cols and (upper.cols == 0 or mat.is_invertible())
     return classify.DiagonalReport(upper.cols, fixed.cols, mat, ok)
+
+
+def stacked_comparison(M):
+    """The nonzero free blocks of M and the comparison maps stacked over them, certified invertible."""
+    pieces = [piece for piece in (classify.comparison_block(M, h) for h in M.lattice.class_reps()) if piece[0].module.dim]
+    maps = [vstack(QMatrix.zeros(0, d), *(mor.maps[k] for _, mor in pieces)) for k, d in enumerate(M.dims)]
+    if not all(m.is_invertible() for m in maps):
+        raise MackeyError("comparison morphism fails to be invertible")
+    return [block for block, _ in pieces], maps
+
+
+def free_lift(b1, b2, phi):
+    """F_H(phi) between free blocks at one class, id (x) phi in the Weyl-fixed bases, validated."""
+    maps = tuple(
+        restrict_map(tensor(QMatrix.identity(len(X)), phi), src, dst) if src.cols else QMatrix.zeros(dst.cols, 0)
+        for X, src, dst in zip(b1.cosets, b1.bases, b2.bases)
+    )
+    lift = MackeyMorphism(b1.functor, b2.functor, maps)
+    lift.validate()
+    return lift
+
+
+def certify_iso(M1, M2):
+    """iso2^-1 . lift . iso1, the lift F_H of phi_H = intertwiner(U_H M1, U_H M2) at every class."""
+    if M1.lattice is not M2.lattice:
+        raise MackeyError("functors live over different lattices")
+    blocks1, iso1 = stacked_comparison(M1)
+    blocks2, iso2 = stacked_comparison(M2)
+    if [b.h for b in blocks1] != [b.h for b in blocks2]:
+        return None
+    try:
+        phis = [intertwiner(b1.module, b2.module) for b1, b2 in zip(blocks1, blocks2)]
+        if None in phis:
+            return None
+        lifts = [free_lift(b1, b2, phi) for b1, b2, phi in zip(blocks1, blocks2, phis)]
+        maps = tuple(
+            iso2[k].inverse().matmul(direct_sum(*(lift.maps[k] for lift in lifts))).matmul(iso1[k])
+            for k in range(len(M1.lattice))
+        )
+    except LinAlgError as exc:
+        raise MackeyError(f"isomorphic Weyl modules failed to lift: {exc}") from exc
+    return MackeyMorphism(M1, M2, maps)

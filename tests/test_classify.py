@@ -30,8 +30,11 @@ from qmackey.groups import coset_gset
 from qmackey.linalg import LinAlgError, QMatrix, WModule, intertwiner
 from qmackey.mackey import (
     MackeyError,
+    basis_change,
     burnside_mackey,
     check_axioms,
+    coconstant,
+    constant,
     direct_sum,
     fp_functor,
     idempotent_part,
@@ -319,9 +322,6 @@ class TestClassifyRoundTrip:
 
 class TestCertifyIso:
     def test_functor_isomorphic_to_scramble(self, c6_lattice, c6A):
-        from qmackey.classify import random_invertible
-        from qmackey.mackey import basis_change
-
         rng = random.Random(9)
         mats = [random_invertible(d, rng) for d in c6A.dims]
         M2 = basis_change(c6A, mats)
@@ -333,9 +333,6 @@ class TestCertifyIso:
 
     def test_comparison_memo(self, s3_lattice):
         """The one-entry memo of M's comparison changes no answer and keeps no functor alive."""
-        from qmackey.classify import random_invertible
-        from qmackey.mackey import basis_change
-
         rng = random.Random(31)
         M = random_functor(s3_lattice, rng)
         N = basis_change(M, [random_invertible(d, rng) for d in M.dims])
@@ -346,7 +343,7 @@ class TestCertifyIso:
         assert classify_iso(M).maps == first.maps
         warm = certify_iso(M, N)
         assert cold is not None and warm.maps == cold.maps
-        assert classify._last_comparison[0]() is N
+        assert classify._last_comparison[0]() is M  # certify_iso builds no comparison of N
         same = certify_iso(M, M)
         assert same is not None and (same.source, same.target) == (M, M) and same.is_levelwise_iso()
         ref = weakref.ref(M)
@@ -562,6 +559,75 @@ def test_certify_iso_validates_each_lift(c2_lattice, monkeypatch):
     monkeypatch.setattr(classify, "tensor", lambda I, phi: tensor(I, phi).scale(2 if I.rows == 1 else 1))
     with pytest.raises(MackeyError, match="does not commute"):
         certify_iso(A, replace(A))
+
+
+def _scrambled(M, seed):
+    rng = random.Random(seed)
+    return basis_change(M, [random_invertible(d, rng) for d in M.dims])
+
+
+def _agrees_with_referee(M, N):
+    """``certify_iso`` and the free-lift referee give the same verdict, and every answer is a natural iso."""
+    got, want = certify_iso(M, N), free_reference.certify_iso(M, N)
+    assert (got is None) == (want is None), (M.name, N.name)
+    for iso in filter(None, (got, want)):
+        assert (iso.source, iso.target) == (M, N)
+        iso.validate(full=True)
+        assert iso.is_levelwise_iso()
+    return got
+
+
+@pytest.mark.parametrize("group", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4"])
+def test_certify_iso_matches_free_lift_referee(corpus_lattices, group):
+    """Scrambled copies of the standard functors and random pairs, isomorphic or not, get the referee's verdict."""
+    lat = corpus_lattices[group]
+    rng = random.Random(group)
+    A, const, coconst, R = burnside_mackey(lat), constant(lat, 1), coconstant(lat, 1), random_functor(lat, rng)
+    FP = fp_functor(lat, WModule.regular(lat.group))
+    for seed, M in enumerate((A, const, coconst, FP, R)):
+        assert _agrees_with_referee(M, _scrambled(M, seed)) is not None
+    assert _agrees_with_referee(const, coconst) is not None  # the norm map is an isomorphism over Q
+    assert _agrees_with_referee(A, direct_sum(A, A)) is None
+    assert _agrees_with_referee(A, direct_sum(const, coconst)) is None
+    for _ in range(3):
+        _agrees_with_referee(R, random_functor(lat, rng))
+
+
+@pytest.mark.parametrize("group, copies, witness", [("C2", 2, True), ("C2", 2, False), ("C3", 2, False), ("S3", 1, False)])
+def test_certify_iso_matches_referee_on_repeated_summands(corpus_lattices, group, copies, witness):
+    """The ROADMAP 4a pairs: the free functor on copies of the regular module against a conjugate of it."""
+    lat = corpus_lattices[group]
+    R = WModule.regular(lat.group)
+    V = R.direct_sum(R) if copies == 2 else R
+    T = QMatrix(WITNESS_T) if witness else random_invertible(V.dim, random.Random(group))
+    M = free_functor(lat, lat.bottom, V)
+    assert _agrees_with_referee(M, free_functor(lat, lat.bottom, V.conjugated(T))) is not None
+
+
+def test_certify_iso_raises_on_a_singular_intertwiner(corpus_lattices, monkeypatch):
+    """The zero matrix is equivariant but singular: the comparison of M2 fails to invert, never None."""
+    monkeypatch.setattr(classify, "intertwiner", lambda V2, V1: QMatrix.zeros(V1.dim, V2.dim))
+    for M in (burnside_mackey(corpus_lattices["S3"]), random_functor(corpus_lattices["D8"], random.Random(4))):
+        with pytest.raises(MackeyError):
+            certify_iso(M, _scrambled(M, 5))
+
+
+def test_certify_iso_product_guard(past_corpus_lattices, monkeypatch):
+    """A machine-independent guard: matrix products of ``certify_iso`` on the C2^4 Burnside functor, M1 memoized."""
+    A = replace(burnside_mackey(past_corpus_lattices["C2^4"]))
+    N = _scrambled(A, 5)
+    classify_iso(A)
+    calls = 0
+    matmul = QMatrix.matmul
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(QMatrix, "matmul", counted)
+    assert certify_iso(A, N) is not None
+    assert 0 < calls <= 25_000
 
 
 def test_diagonal_check_on_generators_matches_all_elements(corpus_lattices):

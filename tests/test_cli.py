@@ -395,6 +395,17 @@ class TestMackeyCommands:
         assert code == 1
         assert rule in {v["rule"] for v in json.loads(out)["violations"]}
 
+    def test_classify_failure_is_a_json_report(self, capsys, tmp_path):
+        """A functor whose comparison is not natural gets a JSON verdict, or the FAILED line with --pretty."""
+        M, _ = scaled_restriction(SubgroupLattice(symmetric(3)))
+        path = tmp_path / "F.json"
+        path.write_text(dump(functor_to_json(M)))
+        code, out, err = run(capsys, "mackey", "classify", str(path))
+        message = "does not commute with restriction G6 > C2.0"
+        assert (code, err, json.loads(out)) == (1, "", {"functor": M.name, "certified": False, "error": message})
+        code, out, _ = run(capsys, "--pretty", "mackey", "classify", str(path))
+        assert (code, out) == (1, f"classification FAILED: {message}\n")
+
     def test_green_check_failure(self, capsys, tmp_path):
         lat = SubgroupLattice(cyclic(2))
         M = burnside_mackey(lat)

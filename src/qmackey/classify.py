@@ -332,10 +332,11 @@ def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
     ``intertwiner(U_H M2, U_H M1)``, solved in the Weyl-fixed basis of
     F_H(U_H M1).  Stacked over the classes this is iso2': M2 -> (+)_(H)
     F_H(U_H M1), the target of M1's certified comparison iso1, and the answer
-    is iso2'^-1 . iso1.  Proof: each block of iso2' is validated natural, so
-    iso2' is; it is invertible at every level or ``MackeyError`` is raised,
-    and the inverse of a natural levelwise isomorphism is natural; iso1 is
-    certified.  So the composite is a natural isomorphism, whatever psi_H is.
+    is X with iso2' X = iso1.  Proof: iso2' is square and iso1 invertible, so
+    a solution forces iso2' to full rank and X = iso2'^-1 iso1 is unique, or
+    ``MackeyError`` is raised.  Each block of iso2' is validated natural, so
+    iso2' is, and so is the inverse of a natural levelwise isomorphism; iso1
+    is certified.  So X is a natural isomorphism, whatever psi_H is.
     """
     if M1.lattice is not M2.lattice:
         raise MackeyError("functors live over different lattices")
@@ -350,7 +351,9 @@ def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
             if (psi := intertwiner(V2, block.module)) is None:
                 return None
             mors.append(_compare(M2, block, basis, P, psi))
-        maps = tuple(m.inverse().matmul(a) for m, a in zip(_stacked(mors, M2), iso1))
+        maps = tuple(m.solve(a) if m.rows == m.cols else None for m, a in zip(_stacked(mors, M2), iso1))
+        if None in maps:
+            raise LinAlgError("matrix is singular")
     except LinAlgError as exc:
         raise MackeyError(f"M2 does not compare invertibly into the free blocks of M1: {exc}") from exc
     return MackeyMorphism(M1, M2, maps)
@@ -394,14 +397,6 @@ def diagonal_check(M: MackeyFunctor, k: int, h: int) -> DiagonalReport:
         return DiagonalReport(upper.cols, fixed.cols, QMatrix.zeros(fixed.cols, upper.cols), False)
     ok = upper.cols == fixed.cols and (upper.cols == 0 or mat.is_invertible())
     return DiagonalReport(upper.cols, fixed.cols, mat, ok)
-
-
-def free_functor_idempotent_rank(lattice: SubgroupLattice, a: int, b: int, c: int, V: WModule) -> int:
-    """The rank of the class-C idempotent of A_Q(B) acting on F_A(V)(G/B)."""
-    F = free_functor(lattice, a, V)
-    ring_b = burnside_ring(lattice, b)
-    P = burnside_action(F, b, ring_b.idempotent(c))
-    return P.rank()
 
 
 # ---------------------------------------------------------------------------

@@ -511,21 +511,6 @@ def restrict_gset(X: GSet, H: FiniteGroup, to_parent: tuple[int, ...]) -> GSet:
     return GSet(H, act)
 
 
-def disjoint_union_gset(parts: list[GSet]) -> GSet:
-    if not parts:
-        raise GroupError("need at least one part")
-    G = parts[0].group
-    act_rows = []
-    for g in range(G.order):
-        row: list[int] = []
-        offset = 0
-        for part in parts:
-            row.extend(offset + q for q in part.act[g])
-            offset += part.size
-        act_rows.append(tuple(row))
-    return GSet(G, tuple(act_rows))
-
-
 @dataclass(frozen=True)
 class GMap:
     """An equivariant map of finite G-sets."""

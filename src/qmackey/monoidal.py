@@ -106,6 +106,14 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
 
     M and N must be Mackey functors: ``_box_level`` relies on R and I being
     transitive and C multiplicative, and on other input the quotient is wrong.
+
+    Only R and I on cover pairs, and C_s for a generator s outside H, are
+    induced: each is the unique f with f proj = proj F for its summand map F.
+    B is a Mackey functor as M and N are, so the rest follow by uniqueness:
+    R^H_H = I^H_H = id, C_s = id on B(H) for s in H (C_s (x) C_s is the
+    identity modulo the conjugation relation of s), and for L < H not a cover,
+    K the first cover of H above L, R^H_L = R^K_L R^H_K and I^H_L = I^H_K
+    I^K_L, where K's maps exist as ids follow subgroup order.
     """
     if M.lattice is not N.lattice:
         raise MackeyError("box product needs a common lattice")
@@ -115,13 +123,17 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
     dims = tuple(level.proj.rows for level in levels)
     # summands whose tensor space is zero contribute no blocks
     live = [[k for k in level.summands if M.dims[k] * N.dims[k]] for level in levels]
+    covers = [[] for _ in levels]
+    for h, k in lat.cover_pairs():
+        covers[h].append(k)
 
     res, ind = {}, {}
     for h in range(len(lat)):
-        for k in lat.subgroups_of(h):
+        r, i = {}, {}  # the maps between level h and each lower level
+        for k in covers[h]:
             # induction: include the smaller sum of summands, then project
             incl = [(s, s, QMatrix.identity(M.dims[s] * N.dims[s])) for s in live[k]]
-            ind[(h, k)] = _level_map(levels[k], levels[h], incl)
+            i[k] = _level_map(levels[k], levels[h], incl)
             down = []
             for s in live[h]:
                 for l in lat.double_cosets(k, s, h):
@@ -130,11 +142,21 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
                     mm = M.res[(sl, meet)].matmul(M.conj(l, s))
                     nn = N.res[(sl, meet)].matmul(N.conj(l, s))
                     down.append((meet, s, tensor(mm, nn)))
-            res[(h, k)] = _level_map(levels[h], levels[k], down)
+            r[k] = _level_map(levels[h], levels[k], down)
+        for l in lat.subgroups_of(h):
+            if l == h:
+                r[l] = i[l] = QMatrix.identity(dims[h])
+            elif l not in r:
+                k = next(k for k in covers[h] if lat.leq(l, k))
+                r[l], i[l] = res[(k, l)].matmul(r[k]), i[k].matmul(ind[(k, l)])
+            res[(h, l)], ind[(h, l)] = r[l], i[l]
 
     cgen = {}
     for pos, s in enumerate(G.gens):
         for h in range(len(lat)):
+            if s in lat.elements(h):
+                cgen[(pos, h)] = QMatrix.identity(dims[h])
+                continue
             blocks = [(lat.conjugate(s, k), k, tensor(M.conj(s, k), N.conj(s, k))) for k in live[h]]
             cgen[(pos, h)] = _level_map(levels[h], levels[lat.conjugate(s, h)], blocks)
 
@@ -178,19 +200,19 @@ def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
     lat = M.lattice
     A = burnside_mackey(lat)
     B = box(A, M)
+    # a summand's tensor basis runs over the basis of A(G/K), then that of M(G/K)
+    acts = []
+    for k in range(len(lat)):
+        ring_k = burnside_ring(lat, k)
+        acts.append(hstack(*(burnside_action(M, k, ring_k.basis(r)) for r in ring_k.reps)))
     maps = []
     for h, lvl in enumerate(B.levels):
-        # a summand's tensor basis runs over the basis of A(G/K), then that of M(G/K)
-        blocks = []
-        for k in lvl.summands:
-            ring_k = burnside_ring(lat, k)
-            blocks += [M.ind[(h, k)].matmul(burnside_action(M, k, ring_k.basis(r))) for r in ring_k.reps]
-        big = hstack(*blocks)
+        big = hstack(*(M.ind[(h, k)].matmul(acts[k]) for k in lvl.summands))
+        down = big.matmul(lvl.section)
         # the map must kill every relation before it can descend
-        kernel_probe = big.matmul(lvl.section.matmul(lvl.proj)) - big
-        if not kernel_probe.is_zero():
+        if down.matmul(lvl.proj) != big:
             raise MackeyError("unit map does not descend to the box quotient")
-        maps.append(big.matmul(lvl.section))
+        maps.append(down)
     iso = MackeyMorphism(B, M, tuple(maps))
     iso.validate()
     if not iso.is_levelwise_iso():
@@ -307,9 +329,6 @@ class GreenReport:
     violations: list
     checked: dict = field(default_factory=dict, compare=False)
 
-    def rules_violated(self) -> set:
-        return {name for name, _ in self.violations}
-
 
 def green_check(S: GreenStructure) -> GreenReport:
     """Exact verification of the algebra, homomorphism and Frobenius rules.
@@ -417,12 +436,3 @@ def burnside_green(lattice: SubgroupLattice) -> GreenStructure:
     unit = {h: selection_matrix(ring.size, [ring.class_index[h]]) for h, ring in enumerate(rings)}
     return GreenStructure(burnside_mackey(lattice), mult, unit)
 
-
-def constant_green(lattice: SubgroupLattice) -> GreenStructure:
-    """The constant functor on the rationals with plain multiplication."""
-    from .mackey import constant
-
-    M = constant(lattice, 1)
-    mult = {h: QMatrix.identity(1) for h in range(len(lattice))}
-    unit = {h: QMatrix.identity(1) for h in range(len(lattice))}
-    return GreenStructure(M, mult, unit)

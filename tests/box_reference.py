@@ -1,14 +1,15 @@
-"""The box product over every relation, the referee for the reduced relations.
+"""The box product over every relation, with every map induced, the referee for ``qmackey.monoidal.box``.
 
 ``box_level`` materializes the Frobenius pair at every comparable L < K <= H
 and the conjugation family at every x in H, and takes the quotient in two
 eliminations: the canonical basis of the relation span, then the reduced
 form of ``[span | I]``.  That is the construction ``qmackey.monoidal`` made
 before it emitted relations only on cover pairs and generators and took the
-quotient in one elimination.  ``box`` is ``monoidal.box`` on these levels.
+quotient in one elimination.  ``box_maps`` induces R and I on every
+comparable pair and C_s for every generator at every level through the
+quotient, where ``monoidal.box`` induces only the cover pairs and the
+generators outside each level and composes the rest.
 """
-
-from unittest import mock
 
 from qmackey import monoidal
 from qmackey.linalg import QMatrix, _new, block_matrix, hstack, tensor
@@ -60,7 +61,37 @@ def box_level(M, N, h):
     return monoidal._BoxLevel(summands, offsets, t_dim, proj, section)
 
 
-def box(M, N):
-    """``monoidal.box`` with every level built by ``box_level``."""
-    with mock.patch.object(monoidal, "_box_level", box_level):
-        return monoidal.box(M, N)
+def box_maps(M, N, levels):
+    """``(res, ind, cgen)`` on ``levels``, each map induced from its summand maps by ``monoidal._level_map``."""
+    lat = M.lattice
+    G = lat.group
+    # summands whose tensor space is zero contribute no blocks
+    live = [[k for k in level.summands if M.dims[k] * N.dims[k]] for level in levels]
+    res, ind = {}, {}
+    for h in range(len(lat)):
+        for k in lat.subgroups_of(h):
+            # induction: include the smaller sum of summands, then project
+            incl = [(s, s, QMatrix.identity(M.dims[s] * N.dims[s])) for s in live[k]]
+            ind[(h, k)] = monoidal._level_map(levels[k], levels[h], incl)
+            down = []
+            for s in live[h]:
+                for l in lat.double_cosets(k, s, h):
+                    sl = lat.conjugate(l, s)
+                    meet = lat.meet(k, sl)
+                    mm = M.res[(sl, meet)].matmul(M.conj(l, s))
+                    nn = N.res[(sl, meet)].matmul(N.conj(l, s))
+                    down.append((meet, s, tensor(mm, nn)))
+            res[(h, k)] = monoidal._level_map(levels[h], levels[k], down)
+    cgen = {}
+    for pos, s in enumerate(G.gens):
+        for h in range(len(lat)):
+            blocks = [(lat.conjugate(s, k), k, tensor(M.conj(s, k), N.conj(s, k))) for k in live[h]]
+            cgen[(pos, h)] = monoidal._level_map(levels[h], levels[lat.conjugate(s, h)], blocks)
+    return res, ind, cgen
+
+
+def box(M, N, level=box_level):
+    """The box product on the quotients ``level`` builds, with every map from ``box_maps``."""
+    levels = tuple(level(M, N, h) for h in range(len(M.lattice)))
+    dims = tuple(lvl.proj.rows for lvl in levels)
+    return monoidal.BoxProduct(M.lattice, dims, *box_maps(M, N, levels), name=f"{M.name}[]{N.name}", levels=levels)

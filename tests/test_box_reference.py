@@ -4,7 +4,10 @@
 conjugation families only for generators, and takes the quotient in one
 elimination; ``box_reference`` emits every relation and eliminates twice.
 The quotient depends only on the relation span, so the level quotients and
-every induced map must be equal, not merely isomorphic.
+every induced map must be equal, not merely isomorphic.  ``monoidal.box``
+induces R and I only on cover pairs and C_s only for s outside the level,
+and composes or takes the identity elsewhere; the referee induces every map,
+so each composite and identity is compared with a directly induced map.
 """
 
 import random
@@ -16,7 +19,7 @@ from qmackey.classify import random_functor
 from qmackey.groups import corpus
 from qmackey.linalg import WModule
 from qmackey.mackey import burnside_mackey, coconstant, constant, fp_functor, fq_functor
-from qmackey.monoidal import box
+from qmackey.monoidal import _box_level, box
 
 PAIRS = [
     ("burnside", "burnside"),
@@ -38,8 +41,8 @@ KINDS = {
 }
 
 
-def assert_same_box(M, N):
-    B, R = box(M, N), box_reference.box(M, N)
+def assert_same_box(M, N, build=box_reference.box_level):
+    B, R = box(M, N), box_reference.box(M, N, build)
     assert len(B.levels) == len(R.levels)
     for level, ref in zip(B.levels, R.levels):
         assert level.summands == ref.summands and level.offsets == ref.offsets
@@ -63,3 +66,9 @@ def test_random_functors_match_the_referee(corpus_lattices, name, seed):
     lat = corpus_lattices[name]
     rng = random.Random(f"{name}-{seed}")
     assert_same_box(random_functor(lat, rng), random_functor(lat, rng))
+
+
+def test_burnside_square_on_s3xs3_matches_directly_induced_maps(past_corpus_lattices):
+    """A (x) A on S3xS3, with many non-cover pairs: production levels, every map induced by the referee."""
+    A = burnside_mackey(past_corpus_lattices["S3xS3"])
+    assert_same_box(A, A, build=_box_level)

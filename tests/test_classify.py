@@ -18,7 +18,6 @@ from qmackey.classify import (
     comparison_map,
     diagonal_check,
     free_functor,
-    free_functor_idempotent_rank,
     free_level_dims,
     random_functor,
     random_invertible,
@@ -31,6 +30,7 @@ from qmackey.linalg import LinAlgError, QMatrix, WModule, intertwiner
 from qmackey.mackey import (
     MackeyError,
     basis_change,
+    burnside_action,
     burnside_mackey,
     check_axioms,
     coconstant,
@@ -44,6 +44,11 @@ from qmackey.mackey import (
 
 def ids_of(lat):
     return {lat.name(h): h for h in range(len(lat))}
+
+
+def free_functor_idempotent_rank(lattice, a, b, c, V):
+    """The rank of the class-C idempotent of A_Q(B) acting on F_A(V)(G/B)."""
+    return burnside_action(free_functor(lattice, a, V), b, burnside_ring(lattice, b).idempotent(c)).rank()
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import pytest
 
 from corruptions import all_corruptions, constant_with_identity_induction
 from qmackey.burnside import burnside_ring
-from qmackey.groups import SubgroupLattice, coset_gset, disjoint_union_gset, GMap, GSet, restrict_gset, trivial
+from qmackey.groups import SubgroupLattice, coset_gset, GMap, GSet, restrict_gset, trivial
 from qmackey.linalg import QMatrix, WModule
 from qmackey.mackey import (
     MackeyError,
@@ -37,6 +37,14 @@ from qmackey.mackey import (
 from qmackey.serialize import dump, functor_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def disjoint_union_gset(parts):
+    """The disjoint union of G-sets, each part's points numbered after those of the parts before it."""
+    offsets = [sum(part.size for part in parts[:i]) for i in range(len(parts))]
+    act = (tuple(o + q for o, part in zip(offsets, parts) for q in part.act[g]) for g in range(parts[0].group.order))
+    return GSet(parts[0].group, tuple(act))
+
 
 # the Burnside functor and the fixed points of the regular module, over any lattice
 FAMILIES = {

@@ -26,7 +26,6 @@ from qmackey.monoidal import (
     box_swap_iso,
     box_unit_iso,
     burnside_green,
-    constant_green,
     green_check,
     u_monoidal_dims_ok,
 )
@@ -34,6 +33,17 @@ from qmackey.monoidal import (
 
 def ids_of(lat):
     return {lat.name(h): h for h in range(len(lat))}
+
+
+def constant_green(lattice):
+    """The constant functor on the rationals with plain multiplication."""
+    mult = {h: QMatrix.identity(1) for h in range(len(lattice))}
+    unit = {h: QMatrix.identity(1) for h in range(len(lattice))}
+    return GreenStructure(constant(lattice, 1), mult, unit)
+
+
+def rules_violated(report):
+    return {name for name, _ in report.violations}
 
 
 def oracle_box_dim_c2():
@@ -107,6 +117,19 @@ class TestBoxUnitLaw:
     def test_unit_law_on_burnside_itself(self, c6_lattice):
         iso = box_unit_iso(burnside_mackey(c6_lattice))
         assert iso.is_levelwise_iso()
+
+    def test_unit_map_that_keeps_a_relation_raises(self, c2_lattice, monkeypatch):
+        """The action doubled at the bottom breaks Frobenius reciprocity, so the map does not descend."""
+        action = monoidal.burnside_action
+        monkeypatch.setattr(monoidal, "burnside_action", lambda M, k, a: action(M, k, a).scale(2 if k == c2_lattice.bottom else 1))
+        with pytest.raises(MackeyError, match="unit map does not descend to the box quotient"):
+            box_unit_iso(burnside_mackey(c2_lattice))
+
+    def test_singular_unit_map_raises(self, c2_lattice, monkeypatch):
+        """The zero action kills every relation, so it descends, but it cannot invert."""
+        monkeypatch.setattr(monoidal, "burnside_action", lambda M, k, a: QMatrix.zeros(M.dims[k], M.dims[k]))
+        with pytest.raises(MackeyError, match="box unit map failed to invert"):
+            box_unit_iso(burnside_mackey(c2_lattice))
 
 
 class TestBoxSymmetry:
@@ -197,14 +220,14 @@ class TestGreen:
         S.mult[ids["C2"]] = S.mult[ids["C2"]].scale(2)
         report = green_check(S)
         assert not report.ok
-        assert "restriction-homomorphism" in report.rules_violated()
+        assert "restriction-homomorphism" in rules_violated(report)
 
     def test_wrong_unit_caught(self, c2_lattice):
         S = burnside_green(c2_lattice)
         S.unit[0] = S.unit[0].scale(3)
         report = green_check(S)
         assert not report.ok
-        assert "unit" in report.rules_violated() or "restriction-unit" in report.rules_violated()
+        assert "unit" in rules_violated(report) or "restriction-unit" in rules_violated(report)
 
     def test_green_on_trivial_group(self):
         lat = SubgroupLattice(trivial())

@@ -11,6 +11,11 @@ equivalence: every functor is isomorphic to the direct sum of its rebuilt
 pieces, and the comparison morphism is validated and certified invertible
 level by level rather than assumed.  ``certify_iso`` compares a second
 functor straight into the first one's free pieces, one intertwiner per class.
+
+One memo holds the local pieces, the free block on each piece's module and
+the comparison of the last functor asked for, so these four build each once
+on one functor.  It is matched by identity through a weak reference, and
+functors and modules are immutable, so it cannot go stale.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import functools
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .burnside import burnside_ring
@@ -76,6 +81,14 @@ def _weyl_coset_perm(lattice: SubgroupLattice, h: int, k: int, n: int) -> list[i
     return [pos[lattice.coset_of(G.mul(n, g), k)] for g in X]
 
 
+def _weyl_of(lattice: SubgroupLattice, h: int, V: WModule):
+    """The Weyl group data of H, once V is checked to be a module over that group."""
+    w = lattice.weyl(h)
+    if V.group is not w.group and V.group._mul != w.group._mul:
+        raise MackeyError("module must live over the Weyl group of H")
+    return w
+
+
 def free_level_dims(lattice: SubgroupLattice, h: int, V: WModule) -> tuple[int, ...]:
     """Level dimensions of the free functor, by the fixed-point character count.
 
@@ -83,7 +96,7 @@ def free_level_dims(lattice: SubgroupLattice, h: int, V: WModule) -> tuple[int, 
     product of the permutation fixed counts with the module's character; this
     is independent of the kernel computation used to build the functor.
     """
-    w = lattice.weyl(h)
+    w = _weyl_of(lattice, h, V)
     chars = V.character()
     out = []
     for k in range(len(lattice)):
@@ -130,10 +143,16 @@ def _weyl_fixed_basis(lattice: SubgroupLattice, h: int, k: int, V: WModule) -> Q
 
 
 def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | None = None) -> FreeBlock:
-    """Construct the free functor on a Weyl-group module at the class of H."""
-    w = lattice.weyl(h)
-    if V.group is not w.group and V.group._mul != w.group._mul:
-        raise MackeyError("module must live over the Weyl group of H")
+    """Construct the free functor on a Weyl-group module at the class of H.
+
+    The block on the very module object of the memoized local piece at H, on
+    its lattice and with the default name, is built once and kept in the memo.
+    """
+    memo = _last_comparison[1]
+    kept = name is None and lattice is memo.lattice and h in memo.pieces and memo.pieces[h][0] is V
+    if kept and h in memo.blocks:
+        return memo.blocks[h]
+    _weyl_of(lattice, h, V)
     G = lattice.group
     n_levels = len(lattice)
     name = name or f"F[{lattice.class_name_of(h)}]"
@@ -173,7 +192,8 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | N
                 if dims[k] else zeros(0, 0)
             )
     functor = MackeyFunctor(lattice, dims, res, ind, cgen, name=name)
-    return FreeBlock(lattice, h, V, functor, tuple(cosets), tuple(bases))
+    block = FreeBlock(lattice, h, V, functor, tuple(cosets), tuple(bases))
+    return memo.blocks.setdefault(h, block) if kept else block
 
 
 def free_functor(lattice: SubgroupLattice, h: int, V: WModule, name: str | None = None) -> MackeyFunctor:
@@ -185,11 +205,37 @@ def free_functor(lattice: SubgroupLattice, h: int, V: WModule, name: str | None 
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class _Memo:
+    """What has been computed of one functor M, filled as it is asked for."""
+
+    lattice: SubgroupLattice | None
+    pieces: dict = field(default_factory=dict)  # h -> M's ``_local_piece`` triple at H
+    blocks: dict = field(default_factory=dict)  # h -> the FreeBlock on the module object of pieces[h]
+    comparison: tuple | None = None  # M's ``_stacked_comparison``
+
+
+_last_comparison: list = [lambda: None, _Memo(None)]  # (weak reference to the last M, its memo)
+
+
+def _memo(M: MackeyFunctor) -> _Memo:
+    ref, memo = _last_comparison  # one read, so a concurrent store cannot pair M with another memo
+    if ref() is not M:
+        memo = _Memo(M.lattice)
+        _last_comparison[:] = weakref.ref(M), memo
+    return memo
+
+
+def _piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:
+    """``_local_piece(M, h)`` through the memo; the first piece stored is the one kept."""
+    pieces = _memo(M).pieces
+    return pieces[h] if h in pieces else pieces.setdefault(h, _local_piece(M, h))
+
+
 def u_module(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix]:
     """The local piece of M at H: the top-idempotent part of M(G/H) with its
     Weyl action.  Returns the module and its basis inside M(G/H)."""
-    V, basis, _ = _local_piece(M, h)
-    return V, basis
+    return _piece(M, h)[:2]
 
 
 def _local_piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:
@@ -242,7 +288,7 @@ def _compare(M: MackeyFunctor, block: FreeBlock, basis: QMatrix, P: QMatrix, psi
 
 def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphism]:
     """The natural map from M into the free functor rebuilt from its piece at H, validated."""
-    V, basis, P = _local_piece(M, h)
+    V, basis, P = _piece(M, h)
     block = build_free_block(M.lattice, h, V)
     return block, _compare(M, block, basis, P)
 
@@ -269,13 +315,12 @@ def split(M: MackeyFunctor) -> SplitData:
 
 
 def assemble(S: SplitData, name: str | None = None) -> MackeyFunctor:
-    lat = S.lattice
+    lat, reps = S.lattice, S.lattice.class_reps()
     name = name or "assembled"
-    pieces = [free_functor(lat, h, V) for h in lat.class_reps() if (V := S.modules.get(h)) is not None and V.dim]
+    if stray := [h for h in S.modules if h not in reps]:
+        raise MackeyError(f"split data key {stray[0]!r} is not a class representative")
+    pieces = [free_functor(lat, h, V) for h in reps if (V := S.modules.get(h)) is not None and V.dim]
     return direct_sum(*pieces, name=name) if pieces else constant(lat, 0, name=name)
-
-
-_last_comparison: list = [lambda: None, None]  # (weak reference to the last M, its comparison)
 
 
 def _stacked(mors: list[MackeyMorphism], M: MackeyFunctor) -> tuple[QMatrix, ...]:
@@ -286,24 +331,23 @@ def _stacked(mors: list[MackeyMorphism], M: MackeyFunctor) -> tuple[QMatrix, ...
 def _stacked_comparison(M: MackeyFunctor) -> tuple[tuple[FreeBlock, ...], tuple[QMatrix, ...]]:
     """The nonzero free blocks of M in class order, and the comparison maps
     stacked over them level by level, certified invertible.  Each local piece
-    is computed once, and a class with U_H M = 0 gets no block.  Memoized for
-    the last M only; functors are immutable, so the entry cannot go stale."""
-    ref, hit = _last_comparison  # one read, so a concurrent store cannot pair M with another comparison
-    if ref() is M:
-        return hit
-    lat = M.lattice
-    blocks, mors = [], []
-    for h in lat.class_reps():
-        V, basis, P = _local_piece(M, h)
-        if V.dim:
-            blocks.append(build_free_block(lat, h, V))
-            mors.append(_compare(M, blocks[-1], basis, P))
-    maps = _stacked(mors, M)
-    for k, m in enumerate(maps):
-        if m.rows != m.cols or not m.is_invertible():
-            raise MackeyError(f"comparison morphism fails to be invertible at level {lat.name(k)}")
-    _last_comparison[:] = weakref.ref(M), (tuple(blocks), maps)
-    return _last_comparison[1]
+    is computed once, and a class with U_H M = 0 gets no block.  Pieces,
+    blocks and the result are kept in M's memo."""
+    memo = _memo(M)
+    if memo.comparison is None:
+        lat = M.lattice
+        blocks, mors = [], []
+        for h in lat.class_reps():
+            V, basis, P = _piece(M, h)
+            if V.dim:
+                blocks.append(build_free_block(lat, h, V))
+                mors.append(_compare(M, blocks[-1], basis, P))
+        maps = _stacked(mors, M)
+        for k, m in enumerate(maps):
+            if m.rows != m.cols or not m.is_invertible():
+                raise MackeyError(f"comparison morphism fails to be invertible at level {lat.name(k)}")
+        memo.comparison = tuple(blocks), maps
+    return memo.comparison
 
 
 def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
@@ -312,7 +356,8 @@ def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
     Stacks the comparison morphisms classwise, validates the result as a
     morphism, and certifies exact invertibility at every level.  Failure of
     any of these is a hard error: it would contradict the splitting theorem.
-    M's comparison stays in a one-entry memo, for ``certify_iso`` to reuse.
+    M's pieces, blocks and comparison stay in the one-entry memo, for
+    ``split``, ``assemble`` and ``certify_iso`` to reuse.
     """
     blocks, maps = _stacked_comparison(M)
     target = direct_sum(*(block.functor for block in blocks)) if blocks else zero_functor(M.lattice)
@@ -341,7 +386,7 @@ def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
     if M1.lattice is not M2.lattice:
         raise MackeyError("functors live over different lattices")
     blocks, iso1 = _stacked_comparison(M1)
-    pieces = {h: _local_piece(M2, h) for h in M1.lattice.class_reps()}
+    pieces = {h: _local_piece(M2, h) for h in M1.lattice.class_reps()}  # past the memo, which keeps M1
     if [h for h, (V2, _, _) in pieces.items() if V2.dim] != [block.h for block in blocks]:
         return None
     mors = []

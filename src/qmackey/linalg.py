@@ -108,8 +108,10 @@ def _rref_rows(body) -> tuple[list[dict], list[int]]:
     column among the rows not yet used, and every such row leading at c is a
     candidate.  The candidate with the fewest entries becomes the pivot row,
     which keeps fill-in down; the others are cleared at c.  Back substitution
-    then clears each pivot column above its pivot, last pivot first.  The
-    reduced form is unique, so the choice of pivot rows does not show in it.
+    then reduces the pivot rows last first: each later row is reduced already,
+    so it holds no pivot column but its own, and a row is cleared by exactly
+    the later rows whose pivot columns it holds, last first.  The reduced form
+    is unique, so the choice of pivot rows does not show in it.
     """
     by_lead: dict[int, list[dict]] = {}
     for row in body:
@@ -131,12 +133,11 @@ def _rref_rows(body) -> tuple[list[dict], list[int]]:
                     by_lead.setdefault(min(row), []).append(row)
         pivot_rows.append(prow)
         pivots.append(c)
-    for t in range(len(pivots) - 1, 0, -1):
-        c, prow = pivots[t], pivot_rows[t]
-        for row in pivot_rows[:t]:
-            f = row.get(c)
-            if f is not None:
-                _sub_into(row, f, prow)
+    row_of = dict(zip(pivots, pivot_rows))
+    for c, row in zip(reversed(pivots), reversed(pivot_rows)):
+        for d in sorted(row.keys() & row_of.keys(), reverse=True):
+            if d != c:
+                _sub_into(row, row[d], row_of[d])
     return pivot_rows, pivots
 
 

@@ -11,6 +11,7 @@ import free_reference
 from qmackey import classify
 from qmackey.burnside import burnside_ring
 from qmackey.classify import (
+    FreeBlock,
     SplitData,
     assemble,
     certify_iso,
@@ -25,7 +26,7 @@ from qmackey.classify import (
     split,
     u_module,
 )
-from qmackey.groups import coset_gset
+from qmackey.groups import SubgroupLattice, corpus, coset_gset
 from qmackey.linalg import LinAlgError, QMatrix, WModule, intertwiner
 from qmackey.mackey import (
     MackeyError,
@@ -152,6 +153,13 @@ class TestFreeFunctorGeneral:
             V = WModule.regular(W)
             F = free_functor(s3_lattice, h, V)
             assert F.dims == free_level_dims(s3_lattice, h, V)
+
+    def test_module_over_another_group_is_rejected(self, s3_lattice):
+        """The order-6 Weyl group of C1 in S3 is not C6: the count and the construction refuse alike."""
+        V = WModule.regular(corpus()["C6"])
+        for build in (free_level_dims, free_functor):
+            with pytest.raises(MackeyError, match="Weyl group of H"):
+                build(s3_lattice, s3_lattice.bottom, V)
 
     def test_axioms_nonabelian(self, s4_lattice):
         k = next(h for h in s4_lattice.class_reps() if s4_lattice.order(h) == 2)
@@ -297,6 +305,13 @@ class TestSplitAssemble:
         Z = assemble(SplitData(c6_lattice, {}))
         assert all(d == 0 for d in Z.dims)
 
+    def test_assemble_rejects_keys_off_the_class_representatives(self, s3_lattice):
+        stray = next(h for h in range(len(s3_lattice)) if s3_lattice.class_rep(h) != h)
+        V = WModule.trivial(s3_lattice.weyl(stray).group, 1)
+        for key in (stray, 999):
+            with pytest.raises(MackeyError, match=f"key {key} is not a class representative"):
+                assemble(SplitData(s3_lattice, {key: V}))
+
 
 class TestClassifyRoundTrip:
     @pytest.mark.parametrize("name", ["C6", "S3", "D8"])
@@ -353,6 +368,66 @@ class TestCertifyIso:
         assert same is not None and (same.source, same.target) == (M, M) and same.is_levelwise_iso()
         ref = weakref.ref(M)
         del M, N, cold, first, warm, same
+        gc.collect()
+        assert ref() is None
+
+
+class TestClassificationMemo:
+    """``split``, ``assemble``, ``classify_iso`` and ``certify_iso`` share the pieces and blocks of the last functor."""
+
+    @pytest.fixture
+    def pair(self, corpus_lattices):
+        rng = random.Random(17)
+        M = random_functor(corpus_lattices["D8"], rng)
+        return M, basis_change(M, [random_invertible(d, rng) for d in M.dims])
+
+    @staticmethod
+    def counted_builds(monkeypatch):
+        built = []
+        monkeypatch.setattr(classify, "FreeBlock", lambda *args: built.append(args[1]) or FreeBlock(*args))
+        return built
+
+    @staticmethod
+    def results(M, N):
+        S = split(M)
+        F = assemble(S)
+        iso, cert = classify_iso(M), certify_iso(M, N)
+        return (
+            {h: (V.dim, V.gen_matrices) for h, V in S.modules.items()},
+            (F.dims, dict(F.res), dict(F.ind), dict(F.cgen)),
+            (iso.target.dims, iso.maps),
+            cert.maps,
+        )
+
+    def test_each_block_is_built_once(self, pair, monkeypatch):
+        M, N = pair
+        built = self.counted_builds(monkeypatch)
+        self.results(M, N)
+        assert sorted(built) == [h for h, V in split(M).modules.items() if V.dim]
+
+    def test_results_equal_those_on_a_copy(self, pair):
+        M, N = pair
+        warm = self.results(M, N)
+        copy = replace(M)
+        classify_iso(N)  # the copy's answers start from an entry of another functor
+        assert self.results(copy, N) == warm
+
+    def test_other_arguments_build_a_new_block(self, pair, monkeypatch):
+        M, _ = pair
+        lat = M.lattice
+        h, V = next((h, V) for h, V in split(M).modules.items() if V.dim)
+        built = self.counted_builds(monkeypatch)
+        assert free_functor(lat, h, V) is free_functor(lat, h, V)
+        assert len(built) == 1
+        other = SubgroupLattice(lat.group)
+        for F in (free_functor(lat, h, V, name="F"), free_functor(other, h, V), free_functor(lat, h, replace(V))):
+            assert F.dims == free_functor(lat, h, V).dims
+        assert len(built) == 4
+
+    def test_no_block_of_an_earlier_functor_stays(self, pair):
+        M, N = pair
+        ref = weakref.ref(classify._stacked_comparison(M)[0][0])
+        classify_iso(N)
         gc.collect()
         assert ref() is None
 

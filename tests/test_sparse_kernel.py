@@ -8,6 +8,7 @@ and an ``int`` exactly when it is integral), and that ``data`` is a tuple of
 row tuples of ``Fraction``s.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,22 @@ def test_elimination(args):
     proj_ref, sec_ref = ref.quotient_space(A.d.rows, A.d)
     assert same(proj, proj_ref) and same(sec, sec_ref)
     assert all(p.unchanged() for p in (A, rhs, S))
+
+
+def test_elimination_past_rank_100():
+    """A seeded sparse 120 x 140 matrix of rank 110: back substitution crosses many pivot rows."""
+    rng = random.Random(5)
+    table = [[0] * 140 for _ in range(110)]
+    for row in table:
+        for j in rng.sample(range(140), 3):
+            row[j] = rng.choice(ENTRIES[5:])
+    table += [[a - 2 * b for a, b in zip(*rng.sample(table, 2))] for _ in range(10)]
+    rng.shuffle(table)
+    A = Pair(table, 120, 140)
+    R, pivots = A.q.rref()
+    R_ref, pivots_ref = A.d.rref()
+    assert same(R, R_ref) and pivots == pivots_ref and len(pivots) == 110
+    assert A.unchanged()
 
 
 @settings(deadline=None, max_examples=100)

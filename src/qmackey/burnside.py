@@ -227,10 +227,6 @@ class BurnsideRing:
         v, d = self._integer_marks(a)
         return tuple(Fraction(x, d) for x in v)
 
-    def table_of_marks(self) -> QMatrix:
-        """Rows indexed by basis classes [H/B], columns by fixing classes (A)."""
-        return QMatrix([list(self.marks_basis(j)) for j in range(self.size)])
-
     # -- idempotents ----------------------------------------------------------------
 
     def idempotent(self, k: int) -> "BurnsideElement":
@@ -264,10 +260,6 @@ class BurnsideRing:
         is never read.
         """
         return [self._from_marks([int(i == j) for j in range(self.size)], 1) for i in range(self.size)]
-
-    def express_in_idempotents(self, k: int) -> tuple[Fraction, ...]:
-        """Coefficients of [H/K] in the idempotent basis: its marks, as e_(A_i) has marks delta_i."""
-        return self.basis(k).marks()
 
     # -- restriction / induction ------------------------------------------------------
 

@@ -273,12 +273,14 @@ def _class_rep_named(lat: SubgroupLattice, name: str) -> int:
 
 
 def cmd_burnside_restrict(args) -> int:
+    if args.element is not None and args.idempotent is not None:
+        raise UsageError("--element and --idempotent cannot be combined")
     lat = _lattice(args)
     ring = burnside_ring(lat)
     target = lat.id_by_name(args.to)
-    if args.element:
+    if args.element is not None:
         elem = burnside_from_json(_load_json("--element", args.element), ring)
-    elif args.idempotent:
+    elif args.idempotent is not None:
         elem = ring.idempotent(_class_rep_named(lat, args.idempotent))
     else:
         raise UsageError("need --element JSON or --idempotent CLASS")

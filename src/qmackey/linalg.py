@@ -15,6 +15,13 @@ downstream are reproducible run to run.  Such a basis, like an identity,
 keeps the unit rows of its identity block in a private slot, and ``solve``
 on it selects those rows and checks one product; any other matrix is
 eliminated together with the right-hand side.
+
+A square n x n matrix that keeps unit rows S is the identity, so ``matmul``
+returns the other factor: row S[t] is e_t, and every producer (``identity``,
+``kernel``, ``image``, ``span_basis``) lists S in increasing order, so n
+increasing entries of range(n) give S[t] = t.  Each other constructor that
+can return an identity (``scalar(n, 1)``, ``direct_sum`` and ``transpose`` of
+identities, ``serialize.matrix_from_json``) keeps S = 0..n-1 when it does.
 """
 
 from __future__ import annotations
@@ -177,7 +184,7 @@ class QMatrix:
     @staticmethod
     def scalar(n: int, value) -> "QMatrix":
         v = _nf(value)
-        return _new(n, n, [{i: v} if v else {} for i in range(n)])
+        return _new(n, n, [{i: v} if v else {} for i in range(n)], tuple(range(n)) if v == 1 else None)
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -226,8 +233,12 @@ class QMatrix:
     def is_zero(self) -> bool:
         return not any(self._rows)
 
+    def _is_eye(self) -> bool:
+        """Square with unit rows kept, hence the identity (module docstring)."""
+        return self._unit_rows is not None and self.rows == self.cols
+
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(row == {i: 1} for i, row in enumerate(self._rows))
+        return self._is_eye() or self.rows == self.cols and all(row == {i: 1} for i, row in enumerate(self._rows))
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -259,6 +270,8 @@ class QMatrix:
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise LinAlgError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if self._is_eye() or other._is_eye():
+            return other if self._is_eye() else self
         B = other._rows
         out = []
         for row in self._rows:
@@ -277,7 +290,7 @@ class QMatrix:
         return _new(self.rows, other.cols, out)
 
     def transpose(self) -> "QMatrix":
-        return _new(self.cols, self.rows, _transposed(self._rows, self.cols))
+        return self if self._is_eye() else _new(self.cols, self.rows, _transposed(self._rows, self.cols))
 
     # -- elimination -----------------------------------------------------------------
 
@@ -412,7 +425,7 @@ def direct_sum(*mats: QMatrix) -> QMatrix:
     for A in mats:
         out.extend({j + cols: x for j, x in row.items()} if cols else row for row in A._rows)
         cols += A.cols
-    return _new(len(out), cols, out)
+    return _new(len(out), cols, out, tuple(range(cols)) if all(A._is_eye() for A in mats) else None)
 
 
 def selection_matrix(rows: int, targets) -> QMatrix:
@@ -573,16 +586,7 @@ def fixed_subspace(V: WModule, elems) -> QMatrix:
 def averaging_projector(V: WModule, elems) -> QMatrix:
     """The idempotent (1/|S|) sum of the action of a subgroup S."""
     elems = list(elems)
-    acc = QMatrix.zeros(V.dim, V.dim)
-    for g in elems:
-        acc = acc + V.matrix(g)
-    return acc.scale(Fraction(1, len(elems)))
-
-
-def trivial_multiplicity(V: WModule) -> Fraction:
-    """Multiplicity of the trivial representation, by the character inner product."""
-    total = sum(V.character(), Fraction(0))
-    return total / V.group.order
+    return block_matrix(V.dim, V.dim, [(0, 0, V.matrix(g)) for g in elems]).scale(Fraction(1, len(elems)))
 
 
 _REYNOLDS_TRIES = 64

@@ -131,9 +131,6 @@ class AxiomReport:
     violations: list
     checked: dict = field(default_factory=dict, compare=False)
 
-    def axioms_violated(self) -> set:
-        return {v.axiom for v in self.violations}
-
     def __str__(self):
         if self.ok:
             return "all axioms hold"
@@ -337,18 +334,28 @@ def _maximal_triples(lat: SubgroupLattice):
 
 
 def _formula_identities(M: MackeyFunctor, triples):
-    """``(rule, holds, detail)`` for axiom 4, the double-coset formula, at each of ``triples``."""
+    """``(rule, holds, detail)`` for axiom 4, the double-coset formula, at each of ``triples``.
+
+    The term I^K_{K n xLx^-1} C_x R^L_{L n x^-1Kx} is read from one table keyed
+    by (K, L, x), so it is built once per check.  It does not depend on H: x is
+    the least member of KxL (``double_cosets``), and KxL is the same set of G
+    in every H containing K and L.
+    """
     lat = M.lattice
     G = M.group
     nm = lat.name
+    terms = {}
     for h, k, l in triples:
         lhs = M.res[(h, k)].matmul(M.ind[(h, l)])
-        rhs = QMatrix.zeros(M.dims[k], M.dims[l])
+        blocks = []
         for x in lat.double_cosets(k, l, h):
-            xl = lat.conjugate(x, l)
-            upper = lat.meet(k, xl)  # K n xLx^-1
-            lower = lat.conjugate(G.inv(x), upper)  # L n x^-1Kx
-            rhs = rhs + M.ind[(k, upper)].matmul(M.conj(x, lower)).matmul(M.res[(l, lower)])
+            term = terms.get((k, l, x))
+            if term is None:
+                upper = lat.meet(k, lat.conjugate(x, l))  # K n xLx^-1
+                lower = lat.conjugate(G.inv(x), upper)  # L n x^-1Kx
+                term = terms[(k, l, x)] = M.ind[(k, upper)].matmul(M.conj(x, lower)).matmul(M.res[(l, lower)])
+            blocks.append((0, 0, term))
+        rhs = block_matrix(M.dims[k], M.dims[l], blocks)
         yield "double-coset", lhs == rhs, lambda: f"R^{nm(h)}_{nm(k)} I^{nm(h)}_{nm(l)} mismatch"
 
 
@@ -469,9 +476,7 @@ def _fp_with_bases(lattice: SubgroupLattice, V: WModule, name: str | None):
         return restrict_map(QMatrix.identity(V.dim), bases[h], bases[k])
 
     def indfn(h, k):
-        acc = QMatrix.zeros(V.dim, V.dim)
-        for r in lattice.cosets(k, h):
-            acc = acc + V.matrix(r)
+        acc = block_matrix(V.dim, V.dim, [(0, 0, V.matrix(r)) for r in lattice.cosets(k, h)])
         return restrict_map(acc, bases[k], bases[h])
 
     def conjfn(pos, s, h):
@@ -507,9 +512,7 @@ def _fq_with_quotients(lattice: SubgroupLattice, V: WModule, name: str | None):
     dims = [p.rows for p in projs]
 
     def resfn(h, k):
-        acc = QMatrix.zeros(V.dim, V.dim)
-        for r in lattice.cosets(k, h):
-            acc = acc + V.matrix(G.inv(r))
+        acc = block_matrix(V.dim, V.dim, [(0, 0, V.matrix(G.inv(r))) for r in lattice.cosets(k, h)])
         return projs[k].matmul(acc).matmul(secs[h])
 
     def indfn(h, k):
@@ -688,10 +691,6 @@ class MackeyMorphism:
 
     def __repr__(self):
         return f"MackeyMorphism({self.source.name} -> {self.target.name})"
-
-
-def identity_morphism(M: MackeyFunctor) -> MackeyMorphism:
-    return MackeyMorphism(M, M, tuple(QMatrix.identity(d) for d in M.dims))
 
 
 # ---------------------------------------------------------------------------

@@ -74,13 +74,15 @@ def matrix_from_json(rows, shape: tuple[int, int]) -> QMatrix:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise FormatError("a matrix must be a list of rows, each a list of entries")
     if not rows and r * c == 0:
-        return QMatrix.zeros(r, c)
+        return QMatrix.zeros(r, c) if r or c else QMatrix.identity(0)
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise FormatError("matrix has rows of different lengths")
     if (len(rows), width) != (r, c):
         raise FormatError(f"matrix has shape {len(rows)}x{width}, expected {r}x{c}")
-    return _new(r, c, [{j: v for j, x in enumerate(row) if x != "0" and (v := _entry_from_json(x))} for row in rows])
+    body = [{j: v for j, x in enumerate(row) if x != "0" and (v := _entry_from_json(x))} for row in rows]
+    eye = r == c and all(row == {i: 1} for i, row in enumerate(body))  # keeps the identity's unit rows
+    return _new(r, c, body, tuple(range(r)) if eye else None)
 
 
 # -- groups ---------------------------------------------------------------------

@@ -57,6 +57,11 @@ def wrong_shape(lattice):
     return _corrupt(lattice, "bad-shape", res={(lattice.top, lattice.bottom): QMatrix.identity(2)}), "shape"
 
 
+def axioms_violated(report):
+    """The rules named by a report's violations."""
+    return {v.axiom for v in report.violations}
+
+
 def all_corruptions(lattice):
     builders = [
         constant_with_identity_induction,

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from corruptions import all_corruptions
+from corruptions import all_corruptions, axioms_violated
 from qmackey.burnside import burnside_ring
 from qmackey.classify import (
     classify_iso,
@@ -245,7 +245,7 @@ def test_criterion_8_axiom_checker_soundness(corpus_lattices):
         for M, expected in fixtures:
             report_ = check_axioms(M)
             assert not report_.ok, (lat_name, M.name)
-            assert expected in report_.axioms_violated(), (lat_name, M.name)
+            assert expected in axioms_violated(report_), (lat_name, M.name)
             caught += 1
     assert caught >= 5
     elapsed = time.monotonic() - t0

@@ -11,8 +11,11 @@ that the reduced pass runs over, on a gauge twist that breaks equivariance
 alone and on a sign that breaks C_x = id alone; equal verdicts of the
 formula alone on twisted constant functors, which satisfy axioms 1-3 by
 construction and break the formula in many ways; and a derivation of every
-triple from the maximal ones along the induction of the proof.  A count of
-matrix products keeps the reduction from eroding.
+triple from the maximal ones along the induction of the proof.  The formula,
+which reads each double-coset term from one table per check, gives the
+verdict of ``formula_reference`` (every term built afresh) at every triple.
+Counts of matrix products and of built terms keep the reduction and the
+table from eroding.
 """
 
 from dataclasses import replace
@@ -22,10 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corruptions import all_corruptions
+from corruptions import all_corruptions, axioms_violated
+from formula_reference import formula_holds_at
 from qmackey.burnside import burnside_ring
-from qmackey.groups import corpus
-from qmackey.linalg import QMatrix, WModule
+from qmackey.groups import SubgroupLattice, corpus
+from qmackey.linalg import LinAlgError, QMatrix, WModule
 from qmackey.mackey import (
     _all_triples,
     _formula_identities,
@@ -81,7 +85,7 @@ def test_broken_equivariance_reports_every_triple(corpus_lattices, group):
     M = replace(M, res={**M.res, (lat.top, k): QMatrix.scalar(1, 2)})
     assert formula_holds(M, _maximal_triples(lat)) and not formula_holds(M, _all_triples(lat))
     assert_same_reports(M)
-    assert "double-coset" in check_axioms(M).axioms_violated()
+    assert "double-coset" in axioms_violated(check_axioms(M))
 
 
 @pytest.mark.parametrize("group", CORPUS)
@@ -324,8 +328,106 @@ def test_top_level_signs_report_as_exhaustive(corpus_lattices, group):
             lambda h, k: QMatrix.identity(dims[h]) if h == k else QMatrix.zeros(dims[h], dims[k]),
             lambda pos, s, h: QMatrix.scalar(dims[h], sign[s]),
         )
-        assert check_axioms(M, exhaustive=True).axioms_violated() == {"inner-conjugation"}
+        assert axioms_violated(check_axioms(M, exhaustive=True)) == {"inner-conjugation"}
         assert_same_reports(M)
+
+
+# -- the term table against the referee ----------------------------------------------
+
+
+def verdicts(results):
+    """The verdicts in order, then ``"raises"`` if a product of mismatched shapes stopped them."""
+    out = []
+    try:
+        for holds in results:
+            out.append(holds)
+    except LinAlgError:
+        out.append("raises")
+    return out
+
+
+def assert_formula_matches_referee(M):
+    """At every triple of both scopes the term table gives the verdict of building each term afresh."""
+    for triples in (list(_all_triples(M.lattice)), list(_maximal_triples(M.lattice))):
+        table = verdicts(holds for _, holds, _ in _formula_identities(M, triples))
+        assert table == verdicts(formula_holds_at(M, *t) for t in triples)
+
+
+@pytest.mark.parametrize("group", CORPUS)
+def test_term_table_matches_referee_on_corruptions_and_verify_family(corpus_lattices, group):
+    lat = corpus_lattices[group]
+    for M in [M for M, _ in all_corruptions(lat)] + _verify_family(lat, group in SMALL):
+        assert_formula_matches_referee(M)
+
+
+def shared_terms(lat, fault):
+    """(K, L, x, levels, K n xLx^-1, L n x^-1Kx) for each term with a lower ``fault`` map
+    (C_x with x != 1, R^L_{L n x^-1Kx} or I^K_{K n xLx^-1} off the diagonal) that enters
+    the formula at two or more levels H whose left side R^H_K I^H_L does not read that map."""
+    G = lat.group
+    levels = {}
+    for h, k, l in _all_triples(lat):
+        for x in lat.double_cosets(k, l, h):
+            levels.setdefault((k, l, x), []).append(h)
+    out = []
+    for (k, l, x), hs in levels.items():
+        upper = lat.meet(k, lat.conjugate(x, l))
+        lower = lat.conjugate(G.inv(x), upper)
+        if fault == "res":
+            lowered, hs = lower != l, [h for h in hs if (h, k) != (l, lower)]
+        elif fault == "ind":
+            lowered, hs = upper != k, [h for h in hs if (h, l) != (k, upper)]
+        else:
+            lowered = x != G.identity
+        if lowered and len(hs) > 1:
+            out.append((k, l, x, hs, upper, lower))
+    return out
+
+
+@pytest.mark.parametrize("fault", ["conj", "res", "ind"])
+@pytest.mark.parametrize("group", ("D8", "Q8", "A4", "S4"))  # S3 shares no term with a lower R or I
+def test_fault_in_a_shared_term_fails_at_every_level(corpus_lattices, group, fault):
+    """One map of the constant functor doubled, C_x, R^L_{L n x^-1Kx} or I^K_{K n xLx^-1},
+    in a term that two levels H share: the formula fails at every such level
+    whose left side does not read that map, as the referee says at every triple."""
+    lat = corpus_lattices[group]
+    G = lat.group
+    C = constant(lat, 1)
+    candidates = shared_terms(lat, fault)
+    k, l, x, hs, upper, lower = candidates[len(candidates) // 2]
+    if fault == "conj":
+        M = replace(C)
+        for g in range(G.order):
+            for h in range(len(lat)):
+                M.conj(g, h)
+        M._conj_cache[(x, lower)] = QMatrix.scalar(1, 2)
+    elif fault == "res":
+        M = replace(C, res={**C.res, (l, lower): QMatrix.scalar(1, 2)})
+    else:
+        M = replace(C, ind={**C.ind, (k, upper): C.ind[(k, upper)].scale(2)})
+    assert not any(formula_holds_at(M, h, k, l) for h in hs)
+    assert not any(holds for _, holds, _ in _formula_identities(M, [(h, k, l) for h in hs]))
+    assert_formula_matches_referee(M)
+
+
+@pytest.mark.parametrize("group, terms", [("D8", 195), ("Q8", 67)])
+def test_exhaustive_check_builds_each_term_once(corpus_lattices, monkeypatch, group, terms):
+    """A machine-independent guard: one K n xLx^-1, so one term, per distinct (K, L, x) of every triple."""
+    lat = corpus_lattices[group]
+    A = burnside_mackey(lat)
+    keys = [(k, l, x) for h, k, l in _all_triples(lat) for x in lat.double_cosets(k, l, h)]
+    assert len(set(keys)) == terms < len(keys)
+    meets = 0
+    meet = SubgroupLattice.meet
+
+    def counted(self, a, b):
+        nonlocal meets
+        meets += 1
+        return meet(self, a, b)
+
+    monkeypatch.setattr(SubgroupLattice, "meet", counted)
+    assert check_axioms(A, exhaustive=True).ok
+    assert meets == terms
 
 
 def test_reduced_pass_makes_at_most_half_the_products(past_corpus_lattices, monkeypatch):

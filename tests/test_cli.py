@@ -258,6 +258,19 @@ class TestBurnsideCommands:
         code, out, err = run(capsys, "burnside", "restrict", "s3", "--to", "C3", "--idempotent", "C5")
         assert (code, out, err) == (2, "", "error: no class or subgroup named 'C5'\n")
 
+    @pytest.mark.parametrize("element", ["{}", '{"C2/C1": 1}'])
+    def test_restrict_refuses_element_with_idempotent(self, capsys, element):
+        argv = ["burnside", "restrict", "s4", "--to", "C2.0", "--element", element, "--idempotent", "C2"]
+        assert run(capsys, *argv) == (2, "", "error: --element and --idempotent cannot be combined\n")
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--element", "malformed JSON in --element: Expecting value: line 1 column 1 (char 0)"), ("--idempotent", "no class or subgroup named ''")],
+    )
+    def test_restrict_reads_an_empty_value(self, capsys, flag, message):
+        """An empty value is read and refused, not taken for a missing flag."""
+        assert run(capsys, "burnside", "restrict", "s3", "--to", "C3", flag, "") == (2, "", f"error: {message}\n")
+
     def test_restrict_element_json(self, capsys):
         code, out, _ = run(
             capsys,

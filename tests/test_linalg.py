@@ -23,9 +23,14 @@ from qmackey.linalg import (
     quotient_space,
     restrict_map,
     tensor,
-    trivial_multiplicity,
     vstack,
 )
+
+
+def trivial_multiplicity(V):
+    """Multiplicity of the trivial representation, by the character inner product."""
+    return sum(V.character(), Fraction(0)) / V.group.order
+
 
 fractions_st = st.fractions(
     min_value=-4, max_value=4, max_denominator=3

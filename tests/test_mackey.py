@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from corruptions import all_corruptions, constant_with_identity_induction
+from corruptions import all_corruptions, axioms_violated, constant_with_identity_induction
 from qmackey.burnside import burnside_ring
 from qmackey.groups import SubgroupLattice, coset_gset, GMap, GSet, restrict_gset, trivial
 from qmackey.linalg import QMatrix, WModule
@@ -31,12 +31,15 @@ from qmackey.mackey import (
     i_transpose_up,
     i_upper,
     idempotent_part,
-    identity_morphism,
     zero_functor,
 )
 from qmackey.serialize import dump, functor_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def identity_morphism(M):
+    return MackeyMorphism(M, M, tuple(QMatrix.identity(d) for d in M.dims))
 
 
 def disjoint_union_gset(parts):
@@ -73,19 +76,19 @@ class TestAxiomChecker:
         M, expected = constant_with_identity_induction(c2_lattice)
         report = check_axioms(M)
         assert not report.ok
-        assert expected in report.axioms_violated()
+        assert expected in axioms_violated(report)
 
     def test_every_corruption_is_caught(self, c6_lattice):
         for M, expected in all_corruptions(c6_lattice):
             report = check_axioms(M)
             assert not report.ok, M.name
-            assert expected in report.axioms_violated(), (M.name, report.axioms_violated())
+            assert expected in axioms_violated(report), (M.name, axioms_violated(report))
 
     def test_corruptions_on_nonabelian_group(self, s3_lattice):
         for M, expected in all_corruptions(s3_lattice):
             report = check_axioms(M)
             assert not report.ok, M.name
-            assert expected in report.axioms_violated()
+            assert expected in axioms_violated(report)
 
     def test_fail_fast_stops_early(self, c6_lattice):
         M, _ = all_corruptions(c6_lattice)[0]

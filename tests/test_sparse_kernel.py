@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import dense_reference as ref
 from qmackey import linalg
 from qmackey.linalg import LinAlgError, QMatrix, SingularMatrixError
+from qmackey.serialize import matrix_from_json
 
 ENTRIES = [0, 0, 0, 0, 0, 1, -1, 2, -3, Fraction(4, 2), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
 DIM = st.integers(0, 4)
@@ -297,3 +298,100 @@ def test_echelon_solves(args, data):
                 assert sol is None or same(sol, sol_ref)
         assert X.unchanged() and b.unchanged()
     assert A.unchanged()
+
+
+# -- the identity flag: a square matrix that keeps unit rows is the identity -------------------
+
+
+def seeded(rng, rows, cols, density=0.4):
+    table = [[rng.choice(ENTRIES[5:]) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    return QMatrix(table, rows=rows, cols=cols)
+
+
+def flagged_identities(n):
+    """Every constructor that can return an n x n identity, asked for one."""
+    eye = QMatrix.identity(n)
+    return {
+        "identity": eye,
+        "scalar": QMatrix.scalar(n, Fraction(3, 3)),
+        "direct_sum": linalg.direct_sum(*(QMatrix.identity(1) for _ in range(n))),
+        "direct_sum-none": linalg.direct_sum(eye, QMatrix.identity(0)),
+        "transpose": eye.transpose(),
+        "json": matrix_from_json([["1" if i == j else "0" for j in range(n)] for i in range(n)], (n, n)),
+        "kernel": QMatrix.zeros(2, n).kernel(),
+        "image": QMatrix.scalar(n, 2).image(),
+        "span_basis": linalg.span_basis(linalg.hstack(QMatrix.scalar(n, -1), QMatrix.zeros(n, 1))),
+    }
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_flagged_constructors_are_the_identity(n):
+    for name, M in flagged_identities(n).items():
+        assert M._unit_rows is not None, name
+        assert same(M, ref.DenseMatrix.identity(n)) and M == QMatrix.identity(n), name
+
+
+def near_misses():
+    """Square matrices one entry away from the identity, and a non-square basis with unit rows."""
+    off = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    return {
+        "scalar-2": QMatrix.scalar(3, 2),
+        "json-2": matrix_from_json([["2" if i == j else "0" for j in range(3)] for i in range(3)], (3, 3)),
+        "json-off-diagonal": matrix_from_json(off, (3, 3)),
+        "direct_sum-off-diagonal": linalg.direct_sum(QMatrix.identity(1), QMatrix([[1, 1], [0, 1]])),
+        "direct_sum-2": linalg.direct_sum(QMatrix.identity(2), QMatrix.scalar(1, 2)),
+        "transpose-off-diagonal": QMatrix([[1, 0, 0], [0, 1, 0], [0, 1, 1]]).transpose(),
+        "kernel": QMatrix([[1, -1, 0]]).kernel(),
+    }
+
+
+@pytest.mark.parametrize("name", list(near_misses()))
+def test_near_misses_are_multiplied(name):
+    M = near_misses()[name]
+    assert not (M.rows == M.cols and M._unit_rows is not None)
+    rng = random.Random(7)
+    A, B = seeded(rng, 2, M.rows, 0.8), seeded(rng, M.cols, 2, 0.8)
+    dense = ref.DenseMatrix(M.data, rows=M.rows, cols=M.cols)
+    for product, expected in ((A.matmul(M), ref.DenseMatrix(A.data, 2, M.rows).matmul(dense)), (M.matmul(B), dense.matmul(ref.DenseMatrix(B.data, M.cols, 2)))):
+        assert same(product, expected)
+    assert A.matmul(M) is not A and M.matmul(B) is not B
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_identity_factor_returns_the_other(n):
+    rng = random.Random(n)
+    for name, eye in flagged_identities(n).items():
+        for m in range(4):
+            A, B = seeded(rng, m, n), seeded(rng, n, m)
+            assert A.matmul(eye) is A and eye.matmul(B) is B, name
+        assert eye.matmul(eye) is eye
+
+
+def test_identity_factor_keeps_the_shape_check():
+    for eye in flagged_identities(2).values():
+        for other in (QMatrix.zeros(3, 1), QMatrix.identity(3), QMatrix.zeros(0, 0)):
+            with pytest.raises(LinAlgError):
+                eye.matmul(other)
+            with pytest.raises(LinAlgError):
+                other.transpose().matmul(eye)
+    with pytest.raises(LinAlgError):
+        QMatrix.identity(0).matmul(QMatrix.identity(1))
+
+
+def test_square_echelon_bases_are_the_identity():
+    """Over seeded matrices, every ``kernel``, ``image`` and ``span_basis`` lists its unit rows in
+    increasing order with row S[t] = e_t, so a square one is the identity: the invariant the
+    ``matmul`` shortcut relies on."""
+    rng = random.Random(11)
+    square = 0
+    for _ in range(300):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        A = seeded(rng, r, c, rng.choice([0.0, 0.3, 0.7]))
+        for B in (A.kernel(), A.image(), linalg.span_basis(A)):
+            S = B._unit_rows
+            assert list(S) == sorted(set(S)) and len(S) == B.cols
+            assert [B._rows[s] for s in S] == [{t: 1} for t in range(B.cols)]
+            if B.rows == B.cols:
+                square += 1
+                assert same(B, ref.DenseMatrix.identity(B.rows))
+    assert square > 100

@@ -19,9 +19,8 @@ eliminated together with the right-hand side.
 A square n x n matrix that keeps unit rows S is the identity, so ``matmul``
 returns the other factor: row S[t] is e_t, and every producer (``identity``,
 ``kernel``, ``image``, ``span_basis``) lists S in increasing order, so n
-increasing entries of range(n) give S[t] = t.  Each other constructor that
-can return an identity (``scalar(n, 1)``, ``direct_sum`` and ``transpose`` of
-identities, ``serialize.matrix_from_json``) keeps S = 0..n-1 when it does.
+increasing entries of range(n) give S[t] = t.  ``serialize.matrix_from_json``
+returns ``identity(n)`` for a square body whose row i is e_i.
 """
 
 from __future__ import annotations
@@ -184,7 +183,7 @@ class QMatrix:
     @staticmethod
     def scalar(n: int, value) -> "QMatrix":
         v = _nf(value)
-        return _new(n, n, [{i: v} if v else {} for i in range(n)], tuple(range(n)) if v == 1 else None)
+        return _new(n, n, [{i: v} if v else {} for i in range(n)])
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -290,7 +289,7 @@ class QMatrix:
         return _new(self.rows, other.cols, out)
 
     def transpose(self) -> "QMatrix":
-        return self if self._is_eye() else _new(self.cols, self.rows, _transposed(self._rows, self.cols))
+        return _new(self.cols, self.rows, _transposed(self._rows, self.cols))
 
     # -- elimination -----------------------------------------------------------------
 
@@ -425,7 +424,7 @@ def direct_sum(*mats: QMatrix) -> QMatrix:
     for A in mats:
         out.extend({j + cols: x for j, x in row.items()} if cols else row for row in A._rows)
         cols += A.cols
-    return _new(len(out), cols, out, tuple(range(cols)) if all(A._is_eye() for A in mats) else None)
+    return _new(len(out), cols, out)
 
 
 def selection_matrix(rows: int, targets) -> QMatrix:

@@ -336,10 +336,11 @@ def _maximal_triples(lat: SubgroupLattice):
 def _formula_identities(M: MackeyFunctor, triples):
     """``(rule, holds, detail)`` for axiom 4, the double-coset formula, at each of ``triples``.
 
-    The term I^K_{K n xLx^-1} C_x R^L_{L n x^-1Kx} is read from one table keyed
-    by (K, L, x), so it is built once per check.  It does not depend on H: x is
-    the least member of KxL (``double_cosets``), and KxL is the same set of G
-    in every H containing K and L.
+    The term I^K_{K n xLx^-1} C_x R^L_{L n x^-1Kx} depends only on (K, L, x), so
+    one table keyed by (K, L, x) per check is exact.  Because x is the least
+    member of KxL (``double_cosets``), and KxL is the same set of G in every H
+    containing K and L, levels that share a double coset share the key, and
+    the term is built once.
     """
     lat = M.lattice
     G = M.group

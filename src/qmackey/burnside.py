@@ -337,9 +337,6 @@ class BurnsideElement:
     def marks(self) -> tuple[Fraction, ...]:
         return self.ring.marks(self)
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[self.ring.class_index[k]]
-
     def render(self) -> str:
         """Human form like ``1/2*[C6/C3] - 1/6*[C6/C1]``."""
         parts = []

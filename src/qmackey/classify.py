@@ -37,7 +37,6 @@ from .linalg import (
     intertwiner,
     restrict_map,
     span_basis,
-    tensor,
     vstack,
 )
 from .mackey import (
@@ -84,7 +83,7 @@ def _weyl_coset_perm(lattice: SubgroupLattice, h: int, k: int, n: int) -> list[i
 def _weyl_of(lattice: SubgroupLattice, h: int, V: WModule):
     """The Weyl group data of H, once V is checked to be a module over that group."""
     w = lattice.weyl(h)
-    if V.group is not w.group and V.group._mul != w.group._mul:
+    if not w.group.same_table(V.group):
         raise MackeyError("module must live over the Weyl group of H")
     return w
 
@@ -210,7 +209,7 @@ class _Memo:
     """What has been computed of one functor M, filled as it is asked for."""
 
     lattice: SubgroupLattice | None
-    pieces: dict = field(default_factory=dict)  # h -> M's ``_local_piece`` triple at H
+    pieces: dict = field(default_factory=dict)  # h -> M's ``_local_piece`` triple (V, basis, Q) at H
     blocks: dict = field(default_factory=dict)  # h -> the FreeBlock on the module object of pieces[h]
     comparison: tuple | None = None  # M's ``_stacked_comparison``
 
@@ -239,13 +238,14 @@ def u_module(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix]:
 
 
 def _local_piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:
-    """``u_module`` together with the action P of the top idempotent on M(G/H)."""
+    """``u_module`` together with Q, the action P of the top idempotent on M(G/H)
+    in the coordinates of ``basis`` = P.image(): P's columns lie in its image, so P = basis Q."""
     lat = M.lattice
     P = burnside_action(M, h, burnside_ring(lat, h).idempotent(h))
     basis = P.image()
     w = lat.weyl(h)
     mats = tuple(restrict_map(M.conj(w.reps[s], h), basis, basis) for s in w.group.gens)
-    return WModule(w.group, basis.cols, mats), basis, P
+    return WModule(w.group, basis.cols, mats), basis, basis.solve(P)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +253,15 @@ def _local_piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def _compare(M: MackeyFunctor, block: FreeBlock, basis: QMatrix, P: QMatrix, psi: QMatrix | None = None) -> MackeyMorphism:
-    """The natural map from M into a free block at H, through psi: U_H M -> ``block.module`` if given.
+def _compare(M: MackeyFunctor, block: FreeBlock, Q: QMatrix) -> MackeyMorphism:
+    """The natural map from M into a free block at H, through Q: M(G/H) -> ``block.module``.
 
-    ``basis`` and P are M's local piece at H.  The component at a fixed coset gK
-    restricts to the conjugate of H inside K, conjugates back to H, projects onto
-    the local piece, and is mapped by psi.  Membership in the local piece and in
-    the Weyl-fixed subspace and the morphism property are verified, not assumed,
-    except into zero levels and for a zero module: a map into 0 is unique.
+    Q is M's top idempotent action P at H in its local piece's coordinates, or that
+    followed by psi: U_H M -> ``block.module``.  The component at a fixed coset gK
+    restricts to the conjugate of H inside K, conjugates back to H and applies Q.  It
+    lies in the local piece by construction, as Q x are the coordinates of P x in im P.
+    Membership in the Weyl-fixed subspace and the morphism property are verified, not
+    assumed, except into zero levels and for a zero module: a map into 0 is unique.
     """
     lat, G = M.lattice, M.lattice.group
     maps = []
@@ -268,18 +269,12 @@ def _compare(M: MackeyFunctor, block: FreeBlock, basis: QMatrix, P: QMatrix, psi
         if not block.functor.dims[k]:
             maps.append(QMatrix.zeros(0, M.dims[k]))
             continue
-        rows = []
-        for g in X:
-            hg = lat.conjugate(G.inv(g), block.h)  # g^-1 H g <= K
-            coords = basis.solve(P.matmul(M.conj(g, hg)).matmul(M.res[(k, hg)]))
-            if coords is None:
-                raise MackeyError("comparison component escapes the local piece")
-            rows.append(coords)
-        ambient = vstack(*rows) if psi is None else tensor(QMatrix.identity(len(X)), psi).matmul(vstack(*rows))
-        coords = block.bases[k].solve(ambient)
-        if coords is None:
+        conjugates = [lat.conjugate(G.inv(g), block.h) for g in X]  # g^-1 H g <= K
+        rows = [Q.matmul(M.conj(g, hg)).matmul(M.res[(k, hg)]) for g, hg in zip(X, conjugates)]
+        component = block.bases[k].solve(vstack(*rows))
+        if component is None:
             raise MackeyError("comparison component is not Weyl-fixed")
-        maps.append(coords)
+        maps.append(component)
     mor = MackeyMorphism(M, block.functor, tuple(maps))
     if block.module.dim:
         mor.validate()
@@ -288,9 +283,9 @@ def _compare(M: MackeyFunctor, block: FreeBlock, basis: QMatrix, P: QMatrix, psi
 
 def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphism]:
     """The natural map from M into the free functor rebuilt from its piece at H, validated."""
-    V, basis, P = _piece(M, h)
+    V, _, Q = _piece(M, h)
     block = build_free_block(M.lattice, h, V)
-    return block, _compare(M, block, basis, P)
+    return block, _compare(M, block, Q)
 
 
 def comparison_map(M: MackeyFunctor, h: int) -> MackeyMorphism:
@@ -338,10 +333,10 @@ def _stacked_comparison(M: MackeyFunctor) -> tuple[tuple[FreeBlock, ...], tuple[
         lat = M.lattice
         blocks, mors = [], []
         for h in lat.class_reps():
-            V, basis, P = _piece(M, h)
+            V, _, Q = _piece(M, h)
             if V.dim:
                 blocks.append(build_free_block(lat, h, V))
-                mors.append(_compare(M, blocks[-1], basis, P))
+                mors.append(_compare(M, blocks[-1], Q))
         maps = _stacked(mors, M)
         for k, m in enumerate(maps):
             if m.rows != m.cols or not m.is_invertible():
@@ -372,16 +367,17 @@ def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
     is returned only when the classes with nonzero Weyl modules differ or
     ``intertwiner`` finds two modules with different dimensions or characters.
 
-    Otherwise M2 is compared straight into M1's free blocks: level K of the
-    block at H is M2's comparison followed by id (x) psi_H, psi_H =
-    ``intertwiner(U_H M2, U_H M1)``, solved in the Weyl-fixed basis of
-    F_H(U_H M1).  Stacked over the classes this is iso2': M2 -> (+)_(H)
-    F_H(U_H M1), the target of M1's certified comparison iso1, and the answer
-    is X with iso2' X = iso1.  Proof: iso2' is square and iso1 invertible, so
-    a solution forces iso2' to full rank and X = iso2'^-1 iso1 is unique, or
-    ``MackeyError`` is raised.  Each block of iso2' is validated natural, so
-    iso2' is, and so is the inverse of a natural levelwise isomorphism; iso1
-    is certified.  So X is a natural isomorphism, whatever psi_H is.
+    Otherwise M2 is compared straight into M1's free blocks by ``_compare``
+    through psi_H Q_H, with Q_H from M2's ``_local_piece`` at H and psi_H =
+    ``intertwiner(U_H M2, U_H M1)``, each level K solved in the Weyl-fixed
+    basis of F_H(U_H M1).  Stacked over the classes this is iso2': M2 ->
+    (+)_(H) F_H(U_H M1), the target of M1's certified comparison iso1, and the
+    answer is X with iso2' X = iso1.  Proof: iso2' is square and iso1
+    invertible, so a solution forces iso2' to full rank and X = iso2'^-1 iso1
+    is unique, or ``MackeyError`` is raised.  Each block of iso2' is validated
+    natural, so iso2' is, and so is the inverse of a natural levelwise
+    isomorphism; iso1 is certified.  So X is a natural isomorphism, whatever
+    psi_H is.
     """
     if M1.lattice is not M2.lattice:
         raise MackeyError("functors live over different lattices")
@@ -392,10 +388,10 @@ def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
     mors = []
     try:
         for block in blocks:
-            V2, basis, P = pieces[block.h]
+            V2, _, Q = pieces[block.h]
             if (psi := intertwiner(V2, block.module)) is None:
                 return None
-            mors.append(_compare(M2, block, basis, P, psi))
+            mors.append(_compare(M2, block, psi.matmul(Q)))
         maps = tuple(m.solve(a) if m.rows == m.cols else None for m, a in zip(_stacked(mors, M2), iso1))
         if None in maps:
             raise LinAlgError("matrix is singular")

@@ -243,6 +243,10 @@ class FiniteGroup:
     def word(self, g: int) -> tuple[int, ...]:
         return self.words[g]
 
+    def same_table(self, other: "FiniteGroup") -> bool:
+        """Whether ``other`` multiplies as this group does, so that a module over one is a module over the other."""
+        return other is self or other._mul == self._mul
+
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 

@@ -18,9 +18,10 @@ eliminated together with the right-hand side.
 
 A square n x n matrix that keeps unit rows S is the identity, so ``matmul``
 returns the other factor: row S[t] is e_t, and every producer (``identity``,
-``kernel``, ``image``, ``span_basis``) lists S in increasing order, so n
-increasing entries of range(n) give S[t] = t.  ``serialize.matrix_from_json``
-returns ``identity(n)`` for a square body whose row i is e_i.
+``kernel``, ``image``, ``span_basis``, ``selection_matrix`` on increasing
+targets) lists S in increasing order, so n increasing entries of range(n)
+give S[t] = t.  ``serialize.matrix_from_json`` returns ``identity(n)`` for
+a square body whose row i is e_i.
 """
 
 from __future__ import annotations
@@ -325,9 +326,10 @@ class QMatrix:
         With several solutions, free variables are set to zero, which keeps
         the output canonical.
 
-        A ``kernel``, ``image``, ``span_basis`` or ``identity`` basis B has
-        B[S] = I on its unit rows S.  A solution Y has Y = B[S] Y = rhs[S] =: X,
-        so B @ X == rhs exactly when rhs is in B's span, and X is then unique.
+        A ``kernel``, ``image``, ``span_basis``, ``identity`` or increasing
+        ``selection_matrix`` basis B has B[S] = I on its unit rows S.  A
+        solution Y has Y = B[S] Y = rhs[S] =: X, so B @ X == rhs exactly when
+        rhs is in B's span, and X is then unique.
 
         Any other A = self is eliminated once together with rhs.  A row of the
         reduced form of ``[A | rhs]`` that pivots past A's columns reads
@@ -428,11 +430,13 @@ def direct_sum(*mats: QMatrix) -> QMatrix:
 
 
 def selection_matrix(rows: int, targets) -> QMatrix:
-    """The 0/1 matrix with ``rows`` rows sending basis vector j to basis vector targets[j]."""
+    """The 0/1 matrix with ``rows`` rows sending basis vector j to basis vector targets[j].
+    Row targets[j] is e_j, so strictly increasing targets are kept as its unit rows."""
     out = [{} for _ in range(rows)]
     for j, i in enumerate(targets):
         out[i][j] = 1
-    return _new(rows, len(targets), out)
+    increasing = all(a < b for a, b in zip([-1, *targets], targets))
+    return _new(rows, len(targets), out, tuple(targets) if increasing else None)
 
 
 def permutation_matrix(perm) -> QMatrix:
@@ -606,8 +610,9 @@ def intertwiner(V1: WModule, V2: WModule) -> QMatrix | None:
     equivariant map is its own average.  By the Schwartz-Zippel lemma
     (Schwartz, *JACM* 1980) each draw is a root with probability <= n/2n = 1/2.
     A singular T is redrawn up to ``_REYNOLDS_TRIES`` times, then ``LinAlgError``.
+    Modules over groups with different multiplication tables raise ``LinAlgError``.
     """
-    if V1.group is not V2.group and V1.group.order != V2.group.order:
+    if not V1.group.same_table(V2.group):
         raise LinAlgError("modules live over different groups")
     if V1.dim != V2.dim or V1.character() != V2.character():
         return None

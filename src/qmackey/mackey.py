@@ -398,16 +398,14 @@ def coconstant(lattice: SubgroupLattice, dim: int = 1, name: str | None = None) 
 def dual(M: MackeyFunctor) -> MackeyFunctor:
     """Swap restriction and induction through transposes; C_g dualizes C_{g inverse}."""
     lat = M.lattice
-    G = M.group
-    res = {pair: M.ind[pair].transpose() for pair in M.ind}
-    ind = {pair: M.res[pair].transpose() for pair in M.res}
-    cgen = {}
-    for pos, s in enumerate(G.gens):
-        si = G.inv(s)
-        for h in range(len(lat)):
-            hs = lat.conjugate(s, h)
-            cgen[(pos, h)] = M.conj(si, hs).transpose()
-    return MackeyFunctor(lat, M.dims, res, ind, cgen, name=f"D({M.name})")
+    return build_functor(
+        lat,
+        M.dims,
+        lambda h, k: M.ind[(h, k)].transpose(),
+        lambda h, k: M.res[(h, k)].transpose(),
+        lambda pos, s, h: M.conj(M.group.inv(s), lat.conjugate(s, h)).transpose(),
+        name=f"D({M.name})",
+    )
 
 
 def direct_sum(*summands: MackeyFunctor, name: str | None = None) -> MackeyFunctor:
@@ -441,20 +439,21 @@ def basis_change(M: MackeyFunctor, mats: list[QMatrix], name: str | None = None)
     """Rewrite every level in a new basis; ``mats[h]`` sends old coordinates to new."""
     lat = M.lattice
     inv = [m.inverse() for m in mats]
-    res = {(h, k): mats[k].matmul(M.res[(h, k)]).matmul(inv[h]) for (h, k) in M.res}
-    ind = {(h, k): mats[h].matmul(M.ind[(h, k)]).matmul(inv[k]) for (h, k) in M.ind}
-    cgen = {}
-    for (pos, h), mat in M.cgen.items():
-        t = lat.conjugate(M.group.gens[pos], h)
-        cgen[(pos, h)] = mats[t].matmul(mat).matmul(inv[h])
-    return MackeyFunctor(lat, M.dims, res, ind, cgen, name=name or M.name)
+    return build_functor(
+        lat,
+        M.dims,
+        lambda h, k: mats[k].matmul(M.res[(h, k)]).matmul(inv[h]),
+        lambda h, k: mats[h].matmul(M.ind[(h, k)]).matmul(inv[k]),
+        lambda pos, s, h: mats[lat.conjugate(s, h)].matmul(M.cgen[(pos, h)]).matmul(inv[h]),
+        name=name or M.name,
+    )
 
 
 # -- fixed points and quotients ----------------------------------------------
 
 
 def _check_module_over(lattice: SubgroupLattice, V: WModule) -> None:
-    if V.group is not lattice.group and V.group._mul != lattice.group._mul:
+    if not lattice.group.same_table(V.group):
         raise MackeyError("module must be a representation of the lattice's group")
 
 
@@ -591,44 +590,36 @@ def burnside_action(M: MackeyFunctor, h: int, a: BurnsideElement) -> QMatrix:
     return out
 
 
-def idempotent_part(
-    M: MackeyFunctor,
-    e: BurnsideElement,
-    name: str | None = None,
-    with_inclusion: bool = False,
-):
+def idempotent_part(M: MackeyFunctor, e: BurnsideElement, name: str | None = None) -> MackeyFunctor:
     """The summand eM cut out by an idempotent of the top-level Burnside ring.
 
     Level H is the image of the action of the restricted idempotent; structure
     maps are restricted to those images (restriction, induction and
     conjugation all commute with the idempotent action).
     """
+    return _idempotent_cut(M, e, name)[0]
+
+
+def _idempotent_cut(M: MackeyFunctor, e: BurnsideElement, name: str | None = None):
+    """``(eM, bases, coords)``: ``idempotent_part`` with, per level H, the image basis
+    of e's action P_H there, which includes eM into M, and P_H = bases[H] coords[H]."""
     lat = M.lattice
     ring = burnside_ring(lat)
     if e.ring is not ring:
         raise MackeyError("idempotent must live in the top-level Burnside ring")
     if not e.is_idempotent():
         raise MackeyError("element is not idempotent")
-    bases = []
-    for h in range(len(lat)):
-        P = burnside_action(M, h, ring.restrict(e, h))
-        bases.append(P.image())
-    dims = [b.cols for b in bases]
-    res = {
-        (h, k): restrict_map(M.res[(h, k)], bases[h], bases[k]) for (h, k) in M.res
-    }
-    ind = {
-        (h, k): restrict_map(M.ind[(h, k)], bases[k], bases[h]) for (h, k) in M.ind
-    }
-    cgen = {}
-    for (pos, h), mat in M.cgen.items():
-        t = lat.conjugate(M.group.gens[pos], h)
-        cgen[(pos, h)] = restrict_map(mat, bases[h], bases[t])
-    eM = MackeyFunctor(lat, tuple(dims), res, ind, cgen, name=name or f"e*{M.name}")
-    if with_inclusion:
-        incl = MackeyMorphism(eM, M, tuple(bases))
-        return eM, incl
-    return eM
+    actions = [burnside_action(M, h, ring.restrict(e, h)) for h in range(len(lat))]
+    bases = [P.image() for P in actions]
+    eM = build_functor(
+        lat,
+        [b.cols for b in bases],
+        lambda h, k: restrict_map(M.res[(h, k)], bases[h], bases[k]),
+        lambda h, k: restrict_map(M.ind[(h, k)], bases[k], bases[h]),
+        lambda pos, s, h: restrict_map(M.cgen[(pos, h)], bases[h], bases[lat.conjugate(s, h)]),
+        name=name or f"e*{M.name}",
+    )
+    return eM, bases, [b.solve(P) for b, P in zip(bases, actions)]
 
 
 # ---------------------------------------------------------------------------
@@ -778,18 +769,15 @@ def _pull_back(M: MackeyFunctor, view, lift, name: str):
 
     Returns ``(functor over the view's lattice, view)``.
     """
-    sub = view.lattice
-    dims = [M.dims[view.parent_sub(a)] for a in range(len(sub))]
-    res, ind = {}, {}
-    for a, b in comparable_pairs(sub):
-        pa, pb = view.parent_sub(a), view.parent_sub(b)
-        res[(a, b)] = M.res[(pa, pb)]
-        ind[(a, b)] = M.ind[(pa, pb)]
-    cgen = {}
-    for pos, s in enumerate(sub.group.gens):
-        for a in range(len(sub)):
-            cgen[(pos, a)] = M.conj(lift[s], view.parent_sub(a))
-    return MackeyFunctor(sub, tuple(dims), res, ind, cgen, name=name), view
+    sub, up = view.lattice, view.parent_sub
+    return build_functor(
+        sub,
+        [M.dims[up(a)] for a in range(len(sub))],
+        lambda a, b: M.res[(up(a), up(b))],
+        lambda a, b: M.ind[(up(a), up(b))],
+        lambda pos, s, a: M.conj(lift[s], up(a)),
+        name=name,
+    ), view
 
 
 def i_lower(M: MackeyFunctor, h: int, name: str | None = None):

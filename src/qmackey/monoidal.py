@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .burnside import burnside_ring
-from .classify import u_module
+from .classify import _piece, u_module
 from .groups import SubgroupLattice
 from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_space, selection_matrix, tensor
 from .mackey import (
@@ -26,7 +26,7 @@ from .mackey import (
     comparable_pairs,
     burnside_mackey,
     check_axioms,
-    idempotent_part,
+    _idempotent_cut,
 )
 
 
@@ -235,31 +235,20 @@ def box_idempotent_check(M: MackeyFunctor, N: MackeyFunctor, h: int) -> BoxIdemp
     Checks levelwise dimensions, certifies the induced map, and confirms the
     value at G/H is the plain tensor product of the two local values.
     """
-    lat = M.lattice
-    ring = burnside_ring(lat)
-    e = ring.idempotent(h)
+    e = burnside_ring(M.lattice).idempotent(h)
     B = box(M, N)
-    eB, incl_b = idempotent_part(B, e, with_inclusion=True)
-    eM, incl_m = idempotent_part(M, e, with_inclusion=True)
-    eN, incl_n = idempotent_part(N, e, with_inclusion=True)
+    eB, _, coords = _idempotent_cut(B, e)
+    eM, incl_m, _ = _idempotent_cut(M, e)
+    eN, incl_n, _ = _idempotent_cut(N, e)
     B2 = box(eM, eN)
     tensor_dim = eM.dims[h] * eN.dims[h]
     ok = eB.dims == B2.dims and B2.dims[h] == tensor_dim
     if ok:
-        into_box = box_morphism(incl_m, incl_n, B2, B)
-        # project onto the idempotent part of the big box
-        maps = []
-        for k in range(len(lat)):
-            P = burnside_action(B, k, ring.restrict(e, k))
-            coords = incl_b.maps[k].solve(P.matmul(into_box.maps[k]))
-            if coords is None:
-                ok = False
-                break
-            maps.append(coords)
-        if ok:
-            psi = MackeyMorphism(B2, eB, tuple(maps))
-            psi.validate()
-            ok = psi.is_levelwise_iso()
+        into_box = box_morphism(MackeyMorphism(eM, M, incl_m), MackeyMorphism(eN, N, incl_n), B2, B)
+        # project onto the idempotent part of the big box, in its coordinates
+        psi = MackeyMorphism(B2, eB, tuple(q.matmul(m) for q, m in zip(coords, into_box.maps)))
+        psi.validate()
+        ok = psi.is_levelwise_iso()
     return BoxIdempotentReport(tuple(eB.dims), tuple(B2.dims), tensor_dim, B2.dims[h], ok)
 
 
@@ -280,12 +269,11 @@ def u_monoidal_certificate(M: MackeyFunctor, N: MackeyFunctor, h: int, B: BoxPro
     """Full strong-monoidality check at one class: an explicit Weyl-equivariant
     isomorphism from the tensor of the local pieces onto the local piece of
     the box product."""
-    lat = M.lattice
     if B is None:
         B = box(M, N)
     UM, BM = u_module(M, h)
     UN, BN = u_module(N, h)
-    UB, BB = u_module(B, h)
+    UB, _, Q = _piece(B, h)
     if UB.dim != UM.dim * UN.dim:
         return False
     if UB.dim == 0:
@@ -293,15 +281,11 @@ def u_monoidal_certificate(M: MackeyFunctor, N: MackeyFunctor, h: int, B: BoxPro
     lvl = B.levels[h]
     pair = tensor(BM, BN)  # columns span the tensor of the two local pieces
     via = lvl.proj.matmul(block_matrix(lvl.t_dim, pair.cols, [(lvl.offsets[h], 0, pair)]))
-    ring_h = burnside_ring(lat, h)
-    P = burnside_action(B, h, ring_h.idempotent(h))
-    candidate = BB.solve(P.matmul(via))
-    if candidate is None or not candidate.is_invertible():
+    candidate = Q.matmul(via)  # the local piece's coordinates of the top idempotent's image of via
+    if not candidate.is_invertible():
         return False
-    w = lat.weyl(h)
-    for pos, s in enumerate(w.group.gens):
-        lhs = candidate.matmul(tensor(UM.gen_matrices[pos], UN.gen_matrices[pos]))
-        if lhs != UB.gen_matrices[pos].matmul(candidate):
+    for gm, gn, gb in zip(UM.gen_matrices, UN.gen_matrices, UB.gen_matrices):  # the Weyl group's generators
+        if candidate.matmul(tensor(gm, gn)) != gb.matmul(candidate):
             return False
     return True
 

@@ -9,10 +9,18 @@ quotient in one elimination.  ``box_maps`` induces R and I on every
 comparable pair and C_s for every generator at every level through the
 quotient, where ``monoidal.box`` induces only the cover pairs and the
 generators outside each level and composes the rest.
+
+``box_idempotent_check`` and ``u_monoidal_certificate`` recompute every
+idempotent action from the Burnside ring and solve for its image in the
+local basis, where ``qmackey.monoidal`` reads the coordinates of the action
+that the idempotent cut already holds.
 """
 
 from qmackey import monoidal
+from qmackey.burnside import burnside_ring
+from qmackey.classify import u_module
 from qmackey.linalg import QMatrix, _new, block_matrix, hstack, tensor
+from qmackey.mackey import MackeyMorphism, burnside_action, idempotent_part
 
 
 def quotient_space(ambient_dim, relations):
@@ -95,3 +103,61 @@ def box(M, N, level=box_level):
     levels = tuple(level(M, N, h) for h in range(len(M.lattice)))
     dims = tuple(lvl.proj.rows for lvl in levels)
     return monoidal.BoxProduct(M.lattice, dims, *box_maps(M, N, levels), name=f"{M.name}[]{N.name}", levels=levels)
+
+
+def _with_inclusion(M, e):
+    """eM and its inclusion into M, levelwise the image of e's action."""
+    eM = idempotent_part(M, e)
+    bases = [burnside_action(M, k, e.ring.restrict(e, k)).image() for k in range(len(M.lattice))]
+    return eM, MackeyMorphism(eM, M, tuple(bases))
+
+
+def box_idempotent_check(M, N, h):
+    """``monoidal.box_idempotent_check`` with the projection onto eB solved at every level."""
+    lat = M.lattice
+    ring = burnside_ring(lat)
+    e = ring.idempotent(h)
+    B = monoidal.box(M, N)
+    (eB, incl_b), (eM, incl_m), (eN, incl_n) = (_with_inclusion(F, e) for F in (B, M, N))
+    B2 = monoidal.box(eM, eN)
+    tensor_dim = eM.dims[h] * eN.dims[h]
+    ok = eB.dims == B2.dims and B2.dims[h] == tensor_dim
+    if ok:
+        into_box = monoidal.box_morphism(incl_m, incl_n, B2, B)
+        maps = []
+        for k in range(len(lat)):
+            P = burnside_action(B, k, ring.restrict(e, k))
+            coords = incl_b.maps[k].solve(P.matmul(into_box.maps[k]))
+            if coords is None:
+                ok = False
+                break
+            maps.append(coords)
+        if ok:
+            psi = MackeyMorphism(B2, eB, tuple(maps))
+            psi.validate()
+            ok = psi.is_levelwise_iso()
+    return monoidal.BoxIdempotentReport(tuple(eB.dims), tuple(B2.dims), tensor_dim, B2.dims[h], ok)
+
+
+def u_monoidal_certificate(M, N, h, B):
+    """``monoidal.u_monoidal_certificate`` with the top idempotent's action on B(G/H) rebuilt and solved."""
+    lat = M.lattice
+    UM, BM = u_module(M, h)
+    UN, BN = u_module(N, h)
+    UB, BB = u_module(B, h)
+    if UB.dim != UM.dim * UN.dim:
+        return False
+    if UB.dim == 0:
+        return True
+    lvl = B.levels[h]
+    pair = tensor(BM, BN)
+    via = lvl.proj.matmul(block_matrix(lvl.t_dim, pair.cols, [(lvl.offsets[h], 0, pair)]))
+    P = burnside_action(B, h, burnside_ring(lat, h).idempotent(h))
+    candidate = BB.solve(P.matmul(via))
+    if candidate is None or not candidate.is_invertible():
+        return False
+    for pos in range(len(lat.weyl(h).group.gens)):
+        lhs = candidate.matmul(tensor(UM.gen_matrices[pos], UN.gen_matrices[pos]))
+        if lhs != UB.gen_matrices[pos].matmul(candidate):
+            return False
+    return True

@@ -7,6 +7,8 @@ with ``restrict_map``, on pairs and levels of dimension 0 too, so every
 containment check runs.  ``diagonal_check`` cuts the fixed part out with
 every element of N_H(K) rather than its generators.  ``certify_iso`` builds
 the free blocks of both functors and lifts an intertwiner between them.
+``compare`` solves for the local-piece coordinates at every fixed coset,
+where ``classify._compare`` applies the piece's coordinates Q of P once solved.
 """
 
 from qmackey import classify
@@ -81,6 +83,32 @@ def diagonal_check(M, k, h):
         return classify.DiagonalReport(upper.cols, fixed.cols, QMatrix.zeros(fixed.cols, upper.cols), False)
     ok = upper.cols == fixed.cols and (upper.cols == 0 or mat.is_invertible())
     return classify.DiagonalReport(upper.cols, fixed.cols, mat, ok)
+
+
+def compare(M, block, basis, P, psi=None):
+    """The natural map from M into a free block at H, each coset's component solved in ``basis``, then mapped by psi."""
+    lat, G = M.lattice, M.lattice.group
+    maps = []
+    for k, X in enumerate(block.cosets):
+        if not block.functor.dims[k]:
+            maps.append(QMatrix.zeros(0, M.dims[k]))
+            continue
+        rows = []
+        for g in X:
+            hg = lat.conjugate(G.inv(g), block.h)  # g^-1 H g <= K
+            coords = basis.solve(P.matmul(M.conj(g, hg)).matmul(M.res[(k, hg)]))
+            if coords is None:
+                raise MackeyError("comparison component escapes the local piece")
+            rows.append(coords)
+        ambient = vstack(*rows) if psi is None else tensor(QMatrix.identity(len(X)), psi).matmul(vstack(*rows))
+        coords = block.bases[k].solve(ambient)
+        if coords is None:
+            raise MackeyError("comparison component is not Weyl-fixed")
+        maps.append(coords)
+    mor = MackeyMorphism(M, block.functor, tuple(maps))
+    if block.module.dim:
+        mor.validate()
+    return mor
 
 
 def stacked_comparison(M):

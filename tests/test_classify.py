@@ -633,10 +633,11 @@ def test_certify_iso_rejects_a_non_equivariant_intertwiner(c2_lattice, monkeypat
 
 
 def test_certify_iso_validates_each_lift(c2_lattice, monkeypatch):
-    """A lift that is not natural, id (x) phi doubled on the one-coset levels only, raises."""
+    """A lift that is not natural, psi_H Q_H doubled on the one-coset levels only, raises."""
     A = burnside_mackey(c2_lattice)
-    tensor = classify.tensor
-    monkeypatch.setattr(classify, "tensor", lambda I, phi: tensor(I, phi).scale(2 if I.rows == 1 else 1))
+    classify_iso(A)  # M1's own comparison is built before the fault, and kept in the memo
+    vstack = classify.vstack
+    monkeypatch.setattr(classify, "vstack", lambda *rows: vstack(*rows).scale(2 if len(rows) == 1 else 1))
     with pytest.raises(MackeyError, match="does not commute"):
         certify_iso(A, replace(A))
 
@@ -655,6 +656,42 @@ def _agrees_with_referee(M, N):
         iso.validate(full=True)
         assert iso.is_levelwise_iso()
     return got
+
+
+def _corpus_panel(lat, rng):
+    """The Burnside, constant, co-constant and regular fixed-point functors, and two random functors."""
+    FP = fp_functor(lat, WModule.regular(lat.group))
+    return [burnside_mackey(lat), constant(lat, 1), coconstant(lat, 1), FP, random_functor(lat, rng), random_functor(lat, rng)]
+
+
+@pytest.mark.parametrize("group", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4"])
+def test_local_piece_keeps_the_idempotent_action_exactly(corpus_lattices, group):
+    """basis Q is the top idempotent's action P on M(G/H), at every class of every panel functor."""
+    lat = corpus_lattices[group]
+    for M in _corpus_panel(lat, random.Random(group)):
+        for h in lat.class_reps():
+            V, basis, Q = classify._local_piece(M, h)
+            assert (basis.cols, Q.rows, Q.cols) == (V.dim, V.dim, M.dims[h])
+            assert basis.matmul(Q) == burnside_action(M, h, burnside_ring(lat, h).idempotent(h))
+
+
+@pytest.mark.parametrize("group", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4"])
+def test_compare_matches_the_per_coset_solve_referee(corpus_lattices, group):
+    """``_compare`` through Q, and through psi Q into the block of a scrambled copy's piece,
+    gives the maps of the referee that solves for the local-piece coordinates at every coset."""
+    lat = corpus_lattices[group]
+    for seed, M in enumerate(_corpus_panel(lat, random.Random(group))):
+        N = _scrambled(M, seed)
+        for h in lat.class_reps():
+            (V, basis, Q), (V2, basis2, Q2) = classify._local_piece(M, h), classify._local_piece(N, h)
+            if not V.dim:
+                continue
+            block = classify.build_free_block(lat, h, V)
+            e = burnside_ring(lat, h).idempotent(h)
+            assert classify._compare(M, block, Q).maps == free_reference.compare(M, block, basis, burnside_action(M, h, e)).maps
+            psi = intertwiner(V2, V)
+            want = free_reference.compare(N, block, basis2, burnside_action(N, h, e), psi)
+            assert classify._compare(N, block, psi.matmul(Q2)).maps == want.maps
 
 
 @pytest.mark.parametrize("group", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4"])

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qmackey.classify import random_invertible
-from qmackey.groups import SubgroupLattice, coset_gset, cyclic, quaternion, symmetric
+from qmackey.groups import SubgroupLattice, coset_gset, cyclic, from_permutations, quaternion, symmetric
 from qmackey.linalg import (
     LinAlgError,
     QMatrix,
@@ -312,6 +312,18 @@ class TestWModule:
         assert X is not None
         for g in range(G.order):
             assert X.matmul(V.matrix(g)) == V2.matrix(g).matmul(X)
+
+    def test_intertwiner_refuses_groups_of_one_order_with_different_tables(self):
+        """C4 and V4 have the same order: their trivial and their regular modules have equal
+        dimensions and characters, but modules over different groups do not compare."""
+        C4, V4 = cyclic(4), from_permutations(["(1 2)", "(3 4)"], name="V4")
+        for make in (WModule.trivial, WModule.regular):
+            with pytest.raises(LinAlgError, match="different groups"):
+                intertwiner(make(C4), make(V4))
+        twin = cyclic(4)
+        assert twin is not C4 and twin.same_table(C4)
+        for make in (WModule.trivial, WModule.regular):
+            assert intertwiner(make(C4), make(twin)).is_invertible()
 
     def test_intertwiner_none_for_nonisomorphic(self):
         W = cyclic(2)

@@ -9,6 +9,7 @@ from qmackey.linalg import QMatrix, WModule
 from qmackey.mackey import (
     MackeyError,
     MackeyMorphism,
+    _idempotent_cut,
     burnside_action,
     burnside_mackey,
     check_axioms,
@@ -266,8 +267,8 @@ class TestIdempotentParts:
     def test_inclusion_is_morphism(self, c6_lattice, c6A):
         ids = ids_of(c6_lattice)
         ring = burnside_ring(c6_lattice)
-        eM, incl = idempotent_part(c6A, ring.idempotent(ids["C3"]), with_inclusion=True)
-        incl.validate(full=True)
+        eM, bases, _ = _idempotent_cut(c6A, ring.idempotent(ids["C3"]))
+        MackeyMorphism(eM, c6A, bases).validate(full=True)
 
 
 class TestEvaluateAtSet:

@@ -316,6 +316,7 @@ def flagged_identities(n):
         "kernel": QMatrix.zeros(2, n).kernel(),
         "image": QMatrix.scalar(n, 2).image(),
         "span_basis": linalg.span_basis(linalg.hstack(QMatrix.scalar(n, -1), QMatrix.zeros(n, 1))),
+        "selection": linalg.selection_matrix(n, range(n)),
     }
 
 
@@ -327,12 +328,15 @@ def test_flagged_constructors_are_the_identity(n):
 
 
 def near_misses():
-    """Square matrices one entry away from the identity, and a non-square basis with unit rows."""
+    """Square matrices one entry away from the identity, a non-identity permutation, a selection
+    with a repeated target, and a non-square basis with unit rows."""
     off = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     return {
         "json-2": matrix_from_json([["2" if i == j else "0" for j in range(3)] for i in range(3)], (3, 3)),
         "json-off-diagonal": matrix_from_json(off, (3, 3)),
         "kernel": QMatrix([[1, -1, 0]]).kernel(),
+        "permutation": linalg.permutation_matrix([1, 0, 2]),
+        "selection-repeated": linalg.selection_matrix(3, [0, 0, 2]),
     }
 
 
@@ -367,6 +371,22 @@ def test_identity_factor_keeps_the_shape_check():
                 other.transpose().matmul(eye)
     with pytest.raises(LinAlgError):
         QMatrix.identity(0).matmul(QMatrix.identity(1))
+
+
+def test_increasing_selection_solves_as_elimination():
+    """A non-square selection with strictly increasing targets keeps them as its unit rows, and
+    its ``solve`` answers what elimination of the same entries answers, None included."""
+    rng = random.Random(5)
+    for rows, targets in ((5, (0, 2, 3)), (4, (1, 3)), (3, ()), (4, (0, 1, 2)), (2, (1,))):
+        S = linalg.selection_matrix(rows, targets)
+        assert S._unit_rows == targets
+        plain = QMatrix(S.data, rows=rows, cols=len(targets))
+        assert plain._unit_rows is None and plain == S
+        for trial in range(20):
+            rhs = S.matmul(seeded(rng, len(targets), 2)) if trial % 2 else seeded(rng, rows, 2, 0.7)
+            assert S.solve(rhs) == plain.solve(rhs)
+    assert linalg.selection_matrix(3, (1, 0))._unit_rows is None
+    assert linalg.selection_matrix(3, (0, 0))._unit_rows is None
 
 
 def test_square_echelon_bases_are_the_identity():

@@ -40,12 +40,22 @@ from .mackey import (
     check_axioms,
     coconstant,
     constant,
+    contravariant_map,
+    covariant_map,
     dual,
+    eps_lower,
+    eps_upper,
+    fp_fq_iso,
     fp_functor,
+    fp_unit,
     fq_functor,
+    i_lower,
+    i_transpose_down,
+    i_transpose_up,
+    i_upper,
     idempotent_part,
 )
-from .monoidal import GreenStructure, box, box_unit_iso, burnside_green, green_check
+from .monoidal import GreenStructure, box, box_morphism, box_swap_iso, box_unit_iso, burnside_green, green_check
 
 __version__ = "0.1.0"
 
@@ -63,6 +73,8 @@ __all__ = [
     "assemble",
     "averaging_projector",
     "box",
+    "box_morphism",
+    "box_swap_iso",
     "box_unit_iso",
     "burnside_action",
     "burnside_green",
@@ -74,14 +86,24 @@ __all__ = [
     "coconstant",
     "comparison_map",
     "constant",
+    "contravariant_map",
     "corpus",
+    "covariant_map",
     "diagonal_check",
     "dual",
+    "eps_lower",
+    "eps_upper",
     "fixed_subspace",
+    "fp_fq_iso",
     "fp_functor",
+    "fp_unit",
     "fq_functor",
     "free_functor",
     "green_check",
+    "i_lower",
+    "i_transpose_down",
+    "i_transpose_up",
+    "i_upper",
     "idempotent_part",
     "load_group",
     "quotient_space",

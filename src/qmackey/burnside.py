@@ -261,7 +261,7 @@ class BurnsideRing:
         """
         return [self._from_marks([int(i == j) for j in range(self.size)], 1) for i in range(self.size)]
 
-    # -- restriction / induction ------------------------------------------------------
+    # -- restriction ------------------------------------------------------------------
 
     def restrict(self, a: "BurnsideElement", to: int) -> "BurnsideElement":
         """The H-set a as a set over the subgroup ``to``.
@@ -278,19 +278,6 @@ class BurnsideRing:
         target = burnside_ring(lat, to)
         v, d = self._integer_marks(a)
         return target._from_marks([v[self.class_index[r]] for r in target.reps], d)
-
-    def induce(self, a: "BurnsideElement") -> "BurnsideElement":
-        """Additive induction [A/K] -> [H/K] from a ring over a subgroup A <= H."""
-        src = a.ring
-        lat = self.lattice
-        if src.lattice is not lat or not lat.leq(src.top, self.top):
-            raise BurnsideError("can only induce from a subgroup's ring")
-        out = [Fraction(0)] * self.size
-        for j, c in enumerate(a.coeffs):
-            if c == 0:
-                continue
-            out[self.class_index[src.reps[j]]] += c
-        return BurnsideElement(self, tuple(out))
 
     def __repr__(self) -> str:
         return f"BurnsideRing({self.lattice.group.name} at {self.lattice.name(self.top)}, {self.size} classes)"

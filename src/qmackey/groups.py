@@ -484,21 +484,6 @@ class GSet:
     def size(self) -> int:
         return len(self.act[0]) if self.act else 0
 
-    def orbits(self) -> list[tuple[int, ...]]:
-        """Orbits as sorted point tuples, ordered by smallest point."""
-        seen: set[int] = set()
-        out = []
-        for p in range(self.size):
-            if p in seen:
-                continue
-            orb = sorted({self.act[g][p] for g in range(self.group.order)})
-            out.append(tuple(orb))
-            seen |= set(orb)
-        return out
-
-    def stabilizer(self, p: int) -> tuple[int, ...]:
-        return tuple(g for g in range(self.group.order) if self.act[g][p] == p)
-
 
 def coset_gset(G: FiniteGroup, sub: tuple[int, ...]) -> GSet:
     """The left-multiplication action of G on G/sub, cosets numbered in order of their least member."""
@@ -524,9 +509,11 @@ class GMap:
     points: tuple[int, ...]
 
     def __post_init__(self):
+        G = self.src.group
+        if not G.same_table(self.dst.group):
+            raise GroupError(f"map's source is a {G.name}-set and its target a {self.dst.group.name}-set")
         if len(self.points) != self.src.size:
             raise GroupError("point map has wrong size")
-        G = self.src.group
         for g in range(G.order):
             for p in range(self.src.size):
                 if self.points[self.src.act[g][p]] != self.dst.act[g][self.points[p]]:
@@ -671,7 +658,7 @@ class SubgroupLattice:
         return frozenset(elems)
 
     def _build_poset(self) -> None:
-        """``_down[h]``: the ids of the subgroups of H; ``_up[k]``: those of the subgroups containing K.
+        """``_down[h]``: the ids of the subgroups of H; ``_above[k]``: those of the subgroups containing K.
 
         Ids follow (order, elements), so K <= H only if k <= h; one bitmask of
         elements per subgroup decides the rest.
@@ -684,7 +671,6 @@ class SubgroupLattice:
         for h, below in enumerate(self._down):
             for k in below:
                 up[k].append(h)
-        self._up: list[tuple[int, ...]] = [tuple(u) for u in up]
         self._above = [frozenset(u) for u in up]  # for ``leq``
 
     def _build_conj_table(self) -> list[list[int]]:
@@ -758,9 +744,6 @@ class SubgroupLattice:
 
     def subgroups_of(self, h: int) -> tuple[int, ...]:
         return self._down[h]
-
-    def supergroups_of(self, k: int) -> tuple[int, ...]:
-        return self._up[k]
 
     def index(self, k: int, h: int) -> int:
         if not self.leq(k, h):
@@ -889,12 +872,6 @@ class SubgroupLattice:
         return self._id_of[tuple(sorted(g for g in self.elements(h) if self.conj_table[g][k] == k))]
 
     # -- Mobius ---------------------------------------------------------------
-
-    def mobius(self, k: int, h: int) -> int:
-        """Mobius value of the interval [K, H] in the subgroup lattice."""
-        if not self.leq(k, h):
-            raise GroupError("mobius requires K <= H")
-        return self.mobius_to(h)[k]
 
     @_memo
     def mobius_to(self, h: int) -> dict[int, int]:

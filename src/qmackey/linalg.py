@@ -570,9 +570,9 @@ class WModule:
         return WModule(self.group, self.dim, tuple(T.matmul(m).matmul(Ti) for m in self.gen_matrices))
 
     def direct_sum(self, other: "WModule") -> "WModule":
-        if other.group is not self.group:
+        if not self.group.same_table(other.group):
             raise LinAlgError("direct sum needs a common group")
-        mats = tuple(direct_sum(a, b) for a, b in zip(self.gen_matrices, other.gen_matrices))
+        mats = tuple(direct_sum(a, other.matrix(s)) for a, s in zip(self.gen_matrices, self.group.gens))
         return WModule(self.group, self.dim + other.dim, mats)
 
     def character(self) -> list[Fraction]:

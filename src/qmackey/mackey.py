@@ -597,21 +597,14 @@ def idempotent_part(M: MackeyFunctor, e: BurnsideElement, name: str | None = Non
     maps are restricted to those images (restriction, induction and
     conjugation all commute with the idempotent action).
     """
-    return _idempotent_cut(M, e, name)[0]
-
-
-def _idempotent_cut(M: MackeyFunctor, e: BurnsideElement, name: str | None = None):
-    """``(eM, bases, coords)``: ``idempotent_part`` with, per level H, the image basis
-    of e's action P_H there, which includes eM into M, and P_H = bases[H] coords[H]."""
     lat = M.lattice
     ring = burnside_ring(lat)
     if e.ring is not ring:
         raise MackeyError("idempotent must live in the top-level Burnside ring")
     if not e.is_idempotent():
         raise MackeyError("element is not idempotent")
-    actions = [burnside_action(M, h, ring.restrict(e, h)) for h in range(len(lat))]
-    bases = [P.image() for P in actions]
-    eM = build_functor(
+    bases = [burnside_action(M, h, ring.restrict(e, h)).image() for h in range(len(lat))]
+    return build_functor(
         lat,
         [b.cols for b in bases],
         lambda h, k: restrict_map(M.res[(h, k)], bases[h], bases[k]),
@@ -619,7 +612,6 @@ def _idempotent_cut(M: MackeyFunctor, e: BurnsideElement, name: str | None = Non
         lambda pos, s, h: restrict_map(M.cgen[(pos, h)], bases[h], bases[lat.conjugate(s, h)]),
         name=name or f"e*{M.name}",
     )
-    return eM, bases, [b.solve(P) for b, P in zip(bases, actions)]
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +670,6 @@ class MackeyMorphism:
     def is_levelwise_iso(self) -> bool:
         return all(m.is_invertible() for m in self.maps)
 
-    def inverse(self) -> "MackeyMorphism":
-        return MackeyMorphism(self.target, self.source, tuple(m.inverse() for m in self.maps))
-
     def __repr__(self):
         return f"MackeyMorphism({self.source.name} -> {self.target.name})"
 
@@ -709,6 +698,8 @@ class EvaluatedSet:
 
 def evaluate_at_set(M: MackeyFunctor, X: GSet) -> EvaluatedSet:
     """M on X, reading each orbit and every point's transporter in one ascending pass over the group."""
+    if not M.group.same_table(X.group):
+        raise MackeyError(f"G-set is over {X.group.name}, not over the functor's group {M.group.name}")
     orbit_of, transporter = [None] * X.size, [None] * X.size
     reps, stabs, offsets = [], [], [0]
     for p in range(X.size):
@@ -898,7 +889,7 @@ def fp_unit(M: MackeyFunctor) -> MackeyMorphism:
 # -- adjunction transposes for the subgroup change -------------------------------
 
 
-def i_transpose_down(f_maps, M: MackeyFunctor, N: MackeyFunctor, parent: SubgroupLattice, h: int):
+def i_transpose_down(f_maps, N: MackeyFunctor, parent: SubgroupLattice, h: int):
     """Turn levelwise maps M -> i^upper(N) into maps i_lower(M) -> N.
 
     ``f_maps[k]`` is the component at the parent subgroup k, with the i^upper

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .burnside import burnside_ring
-from .classify import _piece, u_module
 from .groups import SubgroupLattice
 from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_space, selection_matrix, tensor
 from .mackey import (
@@ -26,7 +25,6 @@ from .mackey import (
     comparable_pairs,
     burnside_mackey,
     check_axioms,
-    _idempotent_cut,
 )
 
 
@@ -218,76 +216,6 @@ def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
     if not iso.is_levelwise_iso():
         raise MackeyError("box unit map failed to invert")
     return iso
-
-
-@dataclass
-class BoxIdempotentReport:
-    dims_local_box: tuple
-    dims_box_local: tuple
-    tensor_dim_at_h: int
-    value_dim_at_h: int
-    ok: bool
-
-
-def box_idempotent_check(M: MackeyFunctor, N: MackeyFunctor, h: int) -> BoxIdempotentReport:
-    """Compare the local piece of a box product with the box of local pieces.
-
-    Checks levelwise dimensions, certifies the induced map, and confirms the
-    value at G/H is the plain tensor product of the two local values.
-    """
-    e = burnside_ring(M.lattice).idempotent(h)
-    B = box(M, N)
-    eB, _, coords = _idempotent_cut(B, e)
-    eM, incl_m, _ = _idempotent_cut(M, e)
-    eN, incl_n, _ = _idempotent_cut(N, e)
-    B2 = box(eM, eN)
-    tensor_dim = eM.dims[h] * eN.dims[h]
-    ok = eB.dims == B2.dims and B2.dims[h] == tensor_dim
-    if ok:
-        into_box = box_morphism(MackeyMorphism(eM, M, incl_m), MackeyMorphism(eN, N, incl_n), B2, B)
-        # project onto the idempotent part of the big box, in its coordinates
-        psi = MackeyMorphism(B2, eB, tuple(q.matmul(m) for q, m in zip(coords, into_box.maps)))
-        psi.validate()
-        ok = psi.is_levelwise_iso()
-    return BoxIdempotentReport(tuple(eB.dims), tuple(B2.dims), tensor_dim, B2.dims[h], ok)
-
-
-def u_monoidal_dims_ok(M: MackeyFunctor, N: MackeyFunctor) -> bool:
-    """Dimension part of strong monoidality of the class evaluations."""
-    B = box(M, N)
-    lat = M.lattice
-    for h in lat.class_reps():
-        um, _ = u_module(M, h)
-        un, _ = u_module(N, h)
-        ub, _ = u_module(B, h)
-        if ub.dim != um.dim * un.dim:
-            return False
-    return True
-
-
-def u_monoidal_certificate(M: MackeyFunctor, N: MackeyFunctor, h: int, B: BoxProduct | None = None) -> bool:
-    """Full strong-monoidality check at one class: an explicit Weyl-equivariant
-    isomorphism from the tensor of the local pieces onto the local piece of
-    the box product."""
-    if B is None:
-        B = box(M, N)
-    UM, BM = u_module(M, h)
-    UN, BN = u_module(N, h)
-    UB, _, Q = _piece(B, h)
-    if UB.dim != UM.dim * UN.dim:
-        return False
-    if UB.dim == 0:
-        return True
-    lvl = B.levels[h]
-    pair = tensor(BM, BN)  # columns span the tensor of the two local pieces
-    via = lvl.proj.matmul(block_matrix(lvl.t_dim, pair.cols, [(lvl.offsets[h], 0, pair)]))
-    candidate = Q.matmul(via)  # the local piece's coordinates of the top idempotent's image of via
-    if not candidate.is_invertible():
-        return False
-    for gm, gn, gb in zip(UM.gen_matrices, UN.gen_matrices, UB.gen_matrices):  # the Weyl group's generators
-        if candidate.matmul(tensor(gm, gn)) != gb.matmul(candidate):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,16 @@ comparable pair and C_s for every generator at every level through the
 quotient, where ``monoidal.box`` induces only the cover pairs and the
 generators outside each level and composes the rest.
 
-``box_idempotent_check`` and ``u_monoidal_certificate`` recompute every
+``box_idempotent_check`` (the idempotent part of a box product is the box
+of the idempotent parts) and ``u_monoidal_certificate`` (the local piece
+U_H of a box product is the tensor of the local pieces, Weyl-equivariantly)
+are criterion 9's checks of idempotent locality and strong monoidality, and
+``test_monoidal``'s; the package has no copy of them.  Both rebuild every
 idempotent action from the Burnside ring and solve for its image in the
-local basis, where ``qmackey.monoidal`` reads the coordinates of the action
-that the idempotent cut already holds.
+local basis.
 """
+
+from dataclasses import dataclass
 
 from qmackey import monoidal
 from qmackey.burnside import burnside_ring
@@ -112,8 +117,23 @@ def _with_inclusion(M, e):
     return eM, MackeyMorphism(eM, M, tuple(bases))
 
 
+@dataclass
+class BoxIdempotentReport:
+    dims_local_box: tuple
+    dims_box_local: tuple
+    tensor_dim_at_h: int
+    value_dim_at_h: int
+    ok: bool
+
+
 def box_idempotent_check(M, N, h):
-    """``monoidal.box_idempotent_check`` with the projection onto eB solved at every level."""
+    """Compare eB with the box of eM and eN, for B the box of M and N and e the primitive idempotent of A(G) at (H).
+
+    Checks levelwise dimensions, that the value at G/H is the tensor of the
+    two local values, and that the box of the inclusions of eM and eN,
+    followed by the projection onto eB solved at every level, is an
+    isomorphism of Mackey functors.
+    """
     lat = M.lattice
     ring = burnside_ring(lat)
     e = ring.idempotent(h)
@@ -136,11 +156,12 @@ def box_idempotent_check(M, N, h):
             psi = MackeyMorphism(B2, eB, tuple(maps))
             psi.validate()
             ok = psi.is_levelwise_iso()
-    return monoidal.BoxIdempotentReport(tuple(eB.dims), tuple(B2.dims), tensor_dim, B2.dims[h], ok)
+    return BoxIdempotentReport(tuple(eB.dims), tuple(B2.dims), tensor_dim, B2.dims[h], ok)
 
 
 def u_monoidal_certificate(M, N, h, B):
-    """``monoidal.u_monoidal_certificate`` with the top idempotent's action on B(G/H) rebuilt and solved."""
+    """Strong monoidality at the class of H, for B the box of M and N: an explicit Weyl-equivariant
+    isomorphism from U_H M (x) U_H N onto U_H B, with the top idempotent's action on B(G/H) rebuilt and solved."""
     lat = M.lattice
     UM, BM = u_module(M, h)
     UN, BN = u_module(N, h)

@@ -8,7 +8,9 @@ These are the direct orbit decompositions, kept as referees for it:
   A meet xBx^-1;
 - ``product(a, b)``: the bilinear expansion over those constants;
 - ``restrict(a, to)``: [H/B] over K <= H splits into one K-orbit per double
-  coset K x B, with stabilizer K meet xBx^-1.
+  coset K x B, with stabilizer K meet xBx^-1;
+- ``induce(ring, a)``: [A/K] -> [H/K] from the ring of a subgroup A <= H,
+  the referee for the inductions of ``mackey.burnside_mackey``.
 
 Nothing in the package imports this module.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qmackey.burnside import BurnsideElement, burnside_ring
+from qmackey.burnside import BurnsideElement, BurnsideError, burnside_ring
 
 
 def structure_constants(ring, i: int, j: int) -> tuple[Fraction, ...]:
@@ -58,3 +60,17 @@ def restrict(a: BurnsideElement, to: int) -> BurnsideElement:
         for x in lat.double_cosets(to, b, ring.top):
             out[target.class_index[lat.meet(to, lat.conjugate(x, b))]] += c
     return BurnsideElement(target, tuple(out))
+
+
+def induce(ring, a: BurnsideElement) -> BurnsideElement:
+    """Additive induction [A/K] -> [H/K] into ``ring``, the ring of H, from the ring of a subgroup A <= H."""
+    src = a.ring
+    lat = ring.lattice
+    if src.lattice is not lat or not lat.leq(src.top, ring.top):
+        raise BurnsideError("can only induce from a subgroup's ring")
+    out = [Fraction(0)] * ring.size
+    for j, c in enumerate(a.coeffs):
+        if c == 0:
+            continue
+        out[ring.class_index[src.reps[j]]] += c
+    return BurnsideElement(ring, tuple(out))

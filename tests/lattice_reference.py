@@ -13,6 +13,10 @@ kept as referees for it:
   normalizers, names, cover pairs and Mobius values read off those;
 - ``action_violation(G, act)``: the G-set action law on all pairs of
   elements, where ``GSet`` checks it on generators only;
+- ``orbits(X)`` and ``stabilizer(X, p)``: a G-set's orbits and point
+  stabilizers, each read off the whole action table, where
+  ``mackey.evaluate_at_set`` reads every orbit, stabilizer and transporter
+  in one pass;
 - ``quotient_group(G, N)``: G/N from the cosets of N, where
   ``SubgroupLattice.quotient_lattice`` reads W_G(N) = G/N.
 
@@ -61,6 +65,23 @@ def action_violation(G, act) -> tuple[int, int] | None:
             if act[G.mul(g, h)] != tuple(act[g][p] for p in act[h]):
                 return (g, h)
     return None
+
+
+def orbits(X) -> list[tuple[int, ...]]:
+    """Orbits as sorted point tuples, ordered by smallest point."""
+    seen: set[int] = set()
+    out = []
+    for p in range(X.size):
+        if p in seen:
+            continue
+        orb = sorted({X.act[g][p] for g in range(X.group.order)})
+        out.append(tuple(orb))
+        seen |= set(orb)
+    return out
+
+
+def stabilizer(X, p: int) -> tuple[int, ...]:
+    return tuple(g for g in range(X.group.order) if X.act[g][p] == p)
 
 
 def quotient_group(G: FiniteGroup, N: tuple[int, ...], name: str = "Q") -> tuple[FiniteGroup, tuple[int, ...]]:

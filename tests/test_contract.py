@@ -1,12 +1,18 @@
 """The package has no runtime dependencies: pyproject declares none, and the
 source imports nothing outside the standard library and itself.  It also
 draws randomness only from ``random.Random`` instances, never from the
-module-level generator, so its outputs do not depend on global state."""
+module-level generator, so its outputs do not depend on global state.
+
+It has one public surface: every top-level function and class is read by
+name somewhere in the package outside its own body, or is listed in
+``qmackey.__all__``, and every name listed there resolves."""
 
 import ast
 import re
 import sys
 from pathlib import Path
+
+import qmackey
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qmackey"
@@ -65,3 +71,44 @@ def test_module_random_use_is_detected():
 def test_source_draws_only_from_random_instances():
     used = {(path.name, name) for path in sorted(PACKAGE.glob("*.py")) for name in _module_random_uses(path.read_text())}
     assert not used
+
+
+def _unread(sources, exported):
+    """``(module, name)`` of each top-level function or class that no module reads outside its own
+    body and that ``exported`` does not list.  A read is a loaded name or an attribute; an import is not."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+
+    def reads(tree, skip):
+        for node in ast.walk(tree):
+            if node in skip:
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    for module, tree in trees.items():
+        for d in tree.body:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name not in exported:
+                own = set(ast.walk(d))
+                if not any(d.name in reads(t, own) for t in trees.values()):
+                    yield module, d.name
+
+
+def test_unread_definition_is_detected():
+    sources = {
+        "a": "def f():\n    return f()\n\ndef g():\n    pass\n\nclass K:\n    pass\n",
+        "b": "from a import f, g\nimport a\nx = a.K\n\ndef h():\n    return g()\n",
+    }
+    assert sorted(_unread(sources, {"h"})) == [("a", "f")]
+    assert sorted(_unread(sources, set())) == [("a", "f"), ("b", "h")]
+
+
+def test_every_top_level_name_is_read_in_the_package_or_exported():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    unread = list(_unread(sources, set(qmackey.__all__)))
+    assert unread == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in qmackey.__all__ if not hasattr(qmackey, name)] == []

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qmackey.classify import random_invertible
-from qmackey.groups import SubgroupLattice, coset_gset, cyclic, from_permutations, quaternion, symmetric
+from qmackey.groups import FiniteGroup, SubgroupLattice, coset_gset, cyclic, from_permutations, quaternion, symmetric
 from qmackey.linalg import (
     LinAlgError,
     QMatrix,
@@ -324,6 +324,22 @@ class TestWModule:
         assert twin is not C4 and twin.same_table(C4)
         for make in (WModule.trivial, WModule.regular):
             assert intertwiner(make(C4), make(twin)).is_invertible()
+
+    def test_direct_sum_over_a_group_with_the_same_table(self):
+        """Like ``intertwiner``, the sum takes a module over another copy of the group, here one
+        generated by the inverse of C4's generator, and refuses one over V4."""
+        C4 = cyclic(4)
+        twin = FiniteGroup([list(row) for row in C4._mul], gens=[C4.inv(C4.gens[0])])
+        assert twin.gens != C4.gens and twin.same_table(C4)
+        V, W = WModule.regular(C4), WModule.regular(twin)
+        S = V.direct_sum(W)
+        S.validate()
+        assert S.group is C4
+        for g in range(C4.order):
+            assert S.matrix(g) == direct_sum(V.matrix(g), W.matrix(g))
+        assert V.direct_sum(WModule.trivial(cyclic(4))).dim == 5
+        with pytest.raises(LinAlgError, match="common group"):
+            V.direct_sum(WModule.trivial(from_permutations(["(1 2)", "(3 4)"])))
 
     def test_intertwiner_none_for_nonisomorphic(self):
         W = cyclic(2)

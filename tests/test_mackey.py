@@ -3,13 +3,13 @@ from pathlib import Path
 import pytest
 
 from corruptions import all_corruptions, axioms_violated, constant_with_identity_induction
+from lattice_reference import orbits, stabilizer
 from qmackey.burnside import burnside_ring
-from qmackey.groups import SubgroupLattice, coset_gset, GMap, GSet, restrict_gset, trivial
+from qmackey.groups import GroupError, SubgroupLattice, coset_gset, cyclic, from_permutations, GMap, GSet, restrict_gset, trivial
 from qmackey.linalg import QMatrix, WModule
 from qmackey.mackey import (
     MackeyError,
     MackeyMorphism,
-    _idempotent_cut,
     burnside_action,
     burnside_mackey,
     check_axioms,
@@ -267,8 +267,9 @@ class TestIdempotentParts:
     def test_inclusion_is_morphism(self, c6_lattice, c6A):
         ids = ids_of(c6_lattice)
         ring = burnside_ring(c6_lattice)
-        eM, bases, _ = _idempotent_cut(c6A, ring.idempotent(ids["C3"]))
-        MackeyMorphism(eM, c6A, bases).validate(full=True)
+        e = ring.idempotent(ids["C3"])
+        bases = [burnside_action(c6A, k, ring.restrict(e, k)).image() for k in range(len(c6_lattice))]
+        MackeyMorphism(idempotent_part(c6A, e), c6A, bases).validate(full=True)
 
 
 class TestEvaluateAtSet:
@@ -291,13 +292,24 @@ class TestEvaluateAtSet:
             N = burnside_mackey(view.lattice)
             for k in range(len(lat)):
                 X = restrict_gset(coset_gset(G, lat.elements(k)), view.lattice.group, view.to_parent_elem)
-                ev, orbits = evaluate_at_set(N, X), X.orbits()
-                assert ev.orbit_reps == tuple(orbit[0] for orbit in orbits)
-                assert ev.stabilizers == tuple(view.lattice.subgroup_id(X.stabilizer(orbit[0])) for orbit in orbits)
-                for i, orbit in enumerate(orbits):
+                ev, found = evaluate_at_set(N, X), orbits(X)
+                assert ev.orbit_reps == tuple(orbit[0] for orbit in found)
+                assert ev.stabilizers == tuple(view.lattice.subgroup_id(stabilizer(X, orbit[0])) for orbit in found)
+                for i, orbit in enumerate(found):
                     for q in orbit:
                         assert ev.orbit_of[q] == i
                         assert ev.transporter[q] == min(g for g, row in enumerate(X.act) if row[orbit[0]] == q)
+
+    def test_a_set_over_another_group_is_refused(self):
+        """C4 and V4 have the same order; a V4-set is neither read as a C4-set nor mapped to one."""
+        A = burnside_mackey(SubgroupLattice(cyclic(4)))
+        V4 = from_permutations(["(1 2)(3 4)", "(1 3)(2 4)"])
+        for X in (coset_gset(V4, V4.closure([V4.gens[0]])), coset_gset(V4, (V4.identity,))):
+            with pytest.raises(MackeyError, match="not over the functor's group"):
+                evaluate_at_set(A, X)
+        points = [coset_gset(G, tuple(range(G.order))) for G in (V4, A.group)]
+        with pytest.raises(GroupError, match="source is a .*-set and its target"):
+            GMap(*points, (0,))
 
     def test_covariant_respects_composition(self, s3_lattice):
         lat = s3_lattice
@@ -376,14 +388,16 @@ class TestChangeOfGroup:
             g_id = [QMatrix.identity(d) for d in N.dims]
             f = i_transpose_up(g_id, M, N, lat, h)
             MackeyMorphism(M, up, tuple(f)).validate(full=True)
-            assert i_transpose_down(f, M, N, lat, h) == g_id
+            assert i_transpose_down(f, N, lat, h) == g_id
 
     def test_transposes_need_a_functor_over_the_view(self, c6_lattice, c6A):
         h = ids_of(c6_lattice)["C3"]
         N, _ = i_lower(c6A, h)
-        for transpose in (i_transpose_up, i_transpose_down):
-            with pytest.raises(MackeyError, match="sub-lattice view"):
-                transpose([QMatrix.identity(d) for d in c6A.dims], c6A, c6A, c6_lattice, h)
+        maps = [QMatrix.identity(d) for d in c6A.dims]
+        with pytest.raises(MackeyError, match="sub-lattice view"):
+            i_transpose_up(maps, c6A, c6A, c6_lattice, h)
+        with pytest.raises(MackeyError, match="sub-lattice view"):
+            i_transpose_down(maps, c6A, c6_lattice, h)
 
     def test_adjunction_round_trips(self, c6_lattice, c6A):
         ids = ids_of(c6_lattice)
@@ -393,7 +407,7 @@ class TestChangeOfGroup:
         g_id = [QMatrix.identity(d) for d in N.dims]
         f = i_transpose_up(g_id, c6A, N, c6_lattice, h)
         MackeyMorphism(c6A, up, tuple(f)).validate(full=True)
-        g_back = i_transpose_down(f, c6A, N, c6_lattice, h)
+        g_back = i_transpose_down(f, N, c6_lattice, h)
         assert [m for m in g_back] == g_id
 
     def test_adjunction_round_trips_nonabelian(self, s3_lattice):
@@ -404,7 +418,7 @@ class TestChangeOfGroup:
         g_id = [QMatrix.identity(d) for d in N.dims]
         f = i_transpose_up(g_id, M, N, s3_lattice, c2)
         MackeyMorphism(M, up, tuple(f)).validate()
-        g_back = i_transpose_down(f, M, N, s3_lattice, c2)
+        g_back = i_transpose_down(f, N, s3_lattice, c2)
         assert [m for m in g_back] == g_id
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import box_reference
 import green_reference
 from qmackey import monoidal
 from qmackey.burnside import burnside_ring
@@ -22,12 +23,10 @@ from qmackey.mackey import (
 from qmackey.monoidal import (
     GreenStructure,
     box,
-    box_idempotent_check,
     box_swap_iso,
     box_unit_iso,
     burnside_green,
     green_check,
-    u_monoidal_dims_ok,
 )
 
 
@@ -152,14 +151,14 @@ class TestBoxIdempotents:
         A = burnside_mackey(c6_lattice)
         ring = burnside_ring(c6_lattice)
         for h in c6_lattice.class_reps():
-            rep = box_idempotent_check(A, A, h)
+            rep = box_reference.box_idempotent_check(A, A, h)
             assert rep.ok
             assert rep.dims_local_box == rep.dims_box_local
 
     def test_value_at_c2_is_one_dimensional(self, c6_lattice):
         ids = ids_of(c6_lattice)
         A = burnside_mackey(c6_lattice)
-        rep = box_idempotent_check(A, A, ids["C2"])
+        rep = box_reference.box_idempotent_check(A, A, ids["C2"])
         assert rep.value_dim_at_h == rep.tensor_dim_at_h == 1
 
     def test_vanishing_class_gives_zero(self, c6_lattice):
@@ -167,7 +166,7 @@ class TestBoxIdempotents:
         A = burnside_mackey(c6_lattice)
         W = c6_lattice.weyl(ids["C3"]).group
         F = free_functor(c6_lattice, ids["C3"], WModule.trivial(W, 1))
-        rep = box_idempotent_check(A, F, ids["C2"])
+        rep = box_reference.box_idempotent_check(A, F, ids["C2"])
         assert rep.ok
         assert all(d == 0 for d in rep.dims_box_local)
 
@@ -176,27 +175,25 @@ class TestBoxIdempotents:
         A = burnside_mackey(c6_lattice)
         W = c6_lattice.weyl(ids["C2"]).group
         F = free_functor(c6_lattice, ids["C2"], WModule.trivial(W, 1))
-        assert u_monoidal_dims_ok(A, A)
-        assert u_monoidal_dims_ok(A, F)
+        for M, N in [(A, A), (A, F), (F, A)]:
+            B = box(M, N)
+            for h in c6_lattice.class_reps():
+                assert box_reference.u_monoidal_certificate(M, N, h, B), (M.name, N.name, c6_lattice.name(h))
 
     def test_u_monoidal_certificates(self, c6_lattice, s3_lattice):
-        from qmackey.monoidal import u_monoidal_certificate
-
         for lat in (c6_lattice, s3_lattice):
             A = burnside_mackey(lat)
             B = box(A, A)
             for h in lat.class_reps():
-                assert u_monoidal_certificate(A, A, h, B), lat.name(h)
+                assert box_reference.u_monoidal_certificate(A, A, h, B), lat.name(h)
 
     def test_u_monoidal_certificate_nontrivial_weyl_module(self, c6_lattice):
-        from qmackey.monoidal import u_monoidal_certificate
-
         ids = ids_of(c6_lattice)
         W = c6_lattice.weyl(ids["C3"]).group
         F = free_functor(c6_lattice, ids["C3"], WModule.regular(W))
         B = box(F, F)
         for h in c6_lattice.class_reps():
-            assert u_monoidal_certificate(F, F, h, B)
+            assert box_reference.u_monoidal_certificate(F, F, h, B)
 
 
 class TestGreen:

@@ -76,10 +76,7 @@ class BurnsideRing:
         self.top = top
         self.classes = lattice.local_classes(top)
         self.reps = [cls[0] for cls in self.classes]
-        self.class_index = {}
-        for ci, cls in enumerate(self.classes):
-            for member in cls:
-                self.class_index[member] = ci
+        self.class_index = {member: ci for ci, cls in enumerate(self.classes) for member in cls}
         self.size = len(self.classes)
         self._tables = lattice.burnside_tables.setdefault(top, _Tables())
 

@@ -3,8 +3,9 @@
 For each conjugacy class of subgroups (H) there is a pair of inverse
 constructions: ``u_module`` extracts the local piece of a functor at H (the
 image of the top idempotent of A_Q(H), carrying an action of the Weyl group),
-and ``free_functor`` rebuilds a functor from such a module, with level K the
-Weyl-fixed part of the coset space Q[(G/K)^H] tensored with the module.
+read off R and I alone as the Brauer quotient, and ``free_functor`` rebuilds a
+functor from such a module, with level K the Weyl-fixed part of the coset
+space Q[(G/K)^H] tensored with the module.
 
 ``split``/``assemble``/``classify_iso`` package these into a certified
 equivalence: every functor is isomorphic to the direct sum of its rebuilt
@@ -26,7 +27,6 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .burnside import burnside_ring
 from .groups import SubgroupLattice, coset_gset
 from .linalg import (
     LinAlgError,
@@ -43,7 +43,6 @@ from .mackey import (
     MackeyError,
     MackeyFunctor,
     MackeyMorphism,
-    burnside_action,
     constant,
     direct_sum,
     basis_change,
@@ -237,15 +236,41 @@ def u_module(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix]:
     return _piece(M, h)[:2]
 
 
+def _common_kernel(mats, n: int) -> QMatrix:
+    """A basis of what every matrix of ``mats`` kills in Q^n, cut down one matrix at a time:
+    unlike the kernel of the stacked matrices, this eliminates no row that depends on others."""
+    B = QMatrix.identity(n)
+    for A in mats:
+        if A.rows and B.cols:  # else A kills all that is left
+            B = B.matmul(A.matmul(B).kernel())
+    return B
+
+
+def _brauer_basis(M: MackeyFunctor, h: int) -> QMatrix:
+    """The canonical basis of U_H M, the intersection of ker R^H_K over K maximal in H (``_local_piece``)."""
+    return _common_kernel([M.res[(h, k)] for k in M.lattice.maximal(h)], M.dims[h]).image()
+
+
 def _local_piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:
-    """``u_module`` together with Q, the action P of the top idempotent on M(G/H)
-    in the coordinates of ``basis`` = P.image(): P's columns lie in its image, so P = basis Q."""
+    """``u_module`` and Q, with P = basis Q the action of the top idempotent e of A_Q(H) on M(G/H).
+
+    Proof (the Brauer quotient; Thevenaz and Webb, *Trans. AMS* 347, 1995).  For K < H,
+    res_K e = 0, so e I^H_K = I^H_K res_K(e) = 0 by Frobenius and R^H_K e = res_K(e) R^H_K = 0,
+    and 1 - e is a combination of [H/L] = I^H_L R^H_L with L < H.  So im e is the intersection
+    of ker R^H_K, on which x = e x, and ker e is the sum W of im I^H_K; K maximal in H suffice,
+    as R and I are transitive.  The rows of Y span the functionals that vanish on W, so Q is
+    the solution of (Y basis) Q = Y.  Y basis is square and invertible exactly when M(G/H) =
+    im e (+) W; otherwise M is no Mackey functor.
+    """
     lat = M.lattice
-    P = burnside_action(M, h, burnside_ring(lat, h).idempotent(h))
-    basis = P.image()
+    basis = _brauer_basis(M, h)
+    Y = _common_kernel([M.ind[(h, k)].transpose() for k in lat.maximal(h)], M.dims[h]).transpose()
+    Q = Y.matmul(basis).solve(Y) if Y.rows == basis.cols else None
+    if Q is None:
+        raise MackeyError(f"level {lat.name(h)} is not its local piece plus the images of induction: not a Mackey functor")
     w = lat.weyl(h)
     mats = tuple(restrict_map(M.conj(w.reps[s], h), basis, basis) for s in w.group.gens)
-    return WModule(w.group, basis.cols, mats), basis, basis.solve(P)
+    return WModule(w.group, basis.cols, mats), basis, Q
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +443,19 @@ class DiagonalReport:
 def diagonal_check(M: MackeyFunctor, k: int, h: int) -> DiagonalReport:
     """Verify e_K^H M(G/H) ~ (e_K^K M(G/K))^{W_H K} via the restriction map.
 
-    The generators of N_H(K) cut out the fixed part: C_{gs} = C_g C_s, so they
-    fix what every element fixes, and the kernel basis depends on that space alone.
+    e_K^K M(G/K) = U_K M (``_brauer_basis``), and e_K^H M(G/H) = I^H_K U_K M: e_K^H is a
+    combination of [H/L] = I^H_K I^K_L R^H_L, L <= K, so e_K^H M(G/H) = e_K^H I^H_K M(G/K) =
+    I^H_K e_K^K M(G/K) by Frobenius, as res^H_K e_K^H = e_K^K.  The generators of N_H(K) fix
+    what every element fixes, as C_{gs} = C_g C_s, and the kernel basis depends on that space alone.
     """
     lat = M.lattice
     if not lat.leq(k, h):
         raise MackeyError("diagonal check needs K <= H")
-    upper = burnside_action(M, h, burnside_ring(lat, h).idempotent(k)).image()
-    lower = burnside_action(M, k, burnside_ring(lat, k).idempotent(k)).image()
+    lower = _brauer_basis(M, k)
+    upper = M.ind[(h, k)].matmul(lower).image()
     # Weyl group of K inside H acting on the local piece at K
-    nhk = lat.normalizer_in(k, h)
-    gens = [n for n in lat.gens(nhk) if n != lat.group.identity] if lower.cols else []
-    eye = QMatrix.identity(lower.cols)
-    fixed_coords = vstack(*[restrict_map(M.conj(n, k), lower, lower) - eye for n in gens]).kernel() if gens else eye
-    fixed = lower.matmul(fixed_coords)
+    gens = [n for n in lat.gens(lat.normalizer_in(k, h)) if n != lat.group.identity] if lower.cols else []
+    fixed = lower.matmul(vstack(*[M.conj(n, k).matmul(lower) - lower for n in gens]).kernel()) if gens else lower
     try:
         mat = restrict_map(M.res[(h, k)], upper, fixed)
     except LinAlgError:
@@ -453,8 +477,7 @@ def random_wmodule(W, rng: random.Random) -> WModule:
     if roll < 0.55 and W.order <= 6:
         return WModule.regular(W)
     seeds = [rng.randrange(W.order) for _ in range(rng.randint(1, 2))]
-    sub = W.closure(seeds)
-    return WModule.from_gset(W, coset_gset(W, sub))
+    return WModule.from_gset(W, coset_gset(W, W.closure(seeds)))
 
 
 def random_split_data(lattice: SubgroupLattice, rng: random.Random, max_level_dim: int = 4) -> SplitData:
@@ -463,21 +486,16 @@ def random_split_data(lattice: SubgroupLattice, rng: random.Random, max_level_di
     for _ in range(200):
         count = rng.randint(1, min(3, len(reps)))
         chosen = rng.sample(reps, count)
-        modules = {}
-        level_dims = [0] * len(lattice)
-        ok = True
+        modules, level_dims = {}, [0] * len(lattice)
         for h in chosen:
-            W = lattice.weyl(h).group
-            V = random_wmodule(W, rng)
-            dims = free_level_dims(lattice, h, V)
-            for k, d in enumerate(dims):
-                level_dims[k] += d
+            V = random_wmodule(lattice.weyl(h).group, rng)
+            level_dims = [a + b for a, b in zip(level_dims, free_level_dims(lattice, h, V))]
             if max(level_dims) > max_level_dim:
-                ok = False
                 break
             modules[h] = V
-        if ok and any(v.dim for v in modules.values()):
-            return SplitData(lattice, modules)
+        else:
+            if any(v.dim for v in modules.values()):
+                return SplitData(lattice, modules)
     raise MackeyError("could not sample a functor within the level cap")
 
 

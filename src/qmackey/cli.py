@@ -201,19 +201,18 @@ def cmd_group_info(args) -> int:
 
 def cmd_group_subgroups(args) -> int:
     lat = _lattice(args)
-    rows = []
-    for h in range(len(lat)):
-        rows.append(
-            {
-                "name": lat.name(h),
-                "order": lat.order(h),
-                "class": lat.class_name_of(h),
-                "elements": list(lat.elements(h)),
-                "normalizer": lat.name(lat.normalizers[h]),
-                "weyl_order": lat.weyl(h).group.order,
-                "normal": lat.is_normal(h),
-            }
-        )
+    rows = [
+        {
+            "name": lat.name(h),
+            "order": lat.order(h),
+            "class": lat.class_name_of(h),
+            "elements": list(lat.elements(h)),
+            "normalizer": lat.name(lat.normalizers[h]),
+            "weyl_order": lat.weyl(h).group.order,
+            "normal": lat.is_normal(h),
+        }
+        for h in range(len(lat))
+    ]
     lines = [f"subgroups of {lat.group.name}:"]
     for r in rows:
         flag = " normal" if r["normal"] else ""

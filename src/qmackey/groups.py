@@ -509,15 +509,16 @@ class GMap:
     points: tuple[int, ...]
 
     def __post_init__(self):
-        G = self.src.group
+        """Equivariance f(g p) = g f(p), checked for generators g only: the g where it holds
+        for every p include the identity and are closed under products, f(gh p) = g f(h p)
+        = gh f(p), so the generators decide, by the closure argument of ``GSet.__post_init__``."""
+        G, f = self.src.group, self.points
         if not G.same_table(self.dst.group):
             raise GroupError(f"map's source is a {G.name}-set and its target a {self.dst.group.name}-set")
-        if len(self.points) != self.src.size:
+        if len(f) != self.src.size:
             raise GroupError("point map has wrong size")
-        for g in range(G.order):
-            for p in range(self.src.size):
-                if self.points[self.src.act[g][p]] != self.dst.act[g][self.points[p]]:
-                    raise GroupError("map is not equivariant")
+        if any(f[self.src.act[s][p]] != self.dst.act[s][f[p]] for s in G.gens for p in range(len(f))):
+            raise GroupError("map is not equivariant")
 
 
 # ---------------------------------------------------------------------------
@@ -788,14 +789,15 @@ class SubgroupLattice:
         return self._id_of[tuple(sorted(set(self.elements(a)) & set(self.elements(b))))]
 
     @_memo
+    def maximal(self, h: int) -> tuple[int, ...]:
+        """The maximal proper subgroups of H, in ``subgroups_of`` order."""
+        below = self._down[h]
+        return tuple(k for k in below if k != h and not any(l != k and l != h and self.leq(k, l) for l in below))
+
+    @_memo
     def cover_pairs(self) -> list[tuple[int, int]]:
         """All pairs (H, K) with K maximal proper in H, by lattice id."""
-        return [
-            (h, k)
-            for h, below in enumerate(self._down)
-            for k in below
-            if k != h and not any(l != k and l != h and self.leq(k, l) for l in below)
-        ]
+        return [(h, k) for h in range(len(self)) for k in self.maximal(h)]
 
     def is_normal(self, h: int) -> bool:
         return self.normalizers[h] == self.top

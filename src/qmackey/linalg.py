@@ -556,9 +556,10 @@ class WModule:
 
     @staticmethod
     def from_gset(group: FiniteGroup, gset: GSet) -> "WModule":
-        """Permutation module on an explicit finite G-set."""
-        mats = tuple(permutation_matrix(gset.act[s]) for s in group.gens)
-        return WModule(group, gset.size, mats)
+        """Permutation module on an explicit finite G-set over ``group``."""
+        if not group.same_table(gset.group):
+            raise LinAlgError(f"G-set is over {gset.group.name}, not over {group.name}")
+        return WModule(group, gset.size, tuple(permutation_matrix(gset.act[s]) for s in group.gens))
 
     @staticmethod
     def regular(group: FiniteGroup) -> "WModule":

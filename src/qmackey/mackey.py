@@ -42,8 +42,8 @@ class MackeyFunctor:
     """Levels, restrictions, inductions and generator conjugations over a lattice.
 
     A functor is an immutable value: the three map tables are read-only views
-    of private copies, so the caches below cannot go stale.  Variants come
-    from ``dataclasses.replace``, which starts them with empty caches.
+    of private copies, so the cache below cannot go stale.  Variants come
+    from ``dataclasses.replace``, which starts them with an empty cache.
     """
 
     lattice: SubgroupLattice
@@ -53,7 +53,6 @@ class MackeyFunctor:
     cgen: MappingProxyType  # (gen position, h) -> QMatrix, M(G/H) -> M(G/sHs^-1)
     name: str = "M"
     _conj_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    _action_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
@@ -327,9 +326,8 @@ def _all_triples(lat: SubgroupLattice):
 
 def _maximal_triples(lat: SubgroupLattice):
     """(H, K, L) with H a class representative and K, L representatives of the H-classes of maximal subgroups of H."""
-    covers = set(lat.cover_pairs())
     for h in lat.class_reps():
-        reps = [cls[0] for cls in lat.local_classes(h) if (h, cls[0]) in covers]
+        reps = [cls[0] for cls in lat.local_classes(h) if cls[0] in lat.maximal(h)]
         yield from ((h, k, l) for k in reps for l in reps)
 
 
@@ -578,16 +576,8 @@ def burnside_action(M: MackeyFunctor, h: int, a: BurnsideElement) -> QMatrix:
     ring = a.ring
     if ring.lattice is not M.lattice or ring.top != h:
         raise MackeyError("element must live in the Burnside ring of the level")
-    out = QMatrix.zeros(M.dims[h], M.dims[h])
-    for ci, c in enumerate(a.coeffs):
-        if c == 0:
-            continue
-        key = (h, ci)
-        if key not in M._action_cache:
-            rep = ring.reps[ci]
-            M._action_cache[key] = M.ind[(h, rep)].matmul(M.res[(h, rep)])
-        out = out + M._action_cache[key].scale(c)
-    return out
+    terms = [(0, 0, M.ind[(h, rep)].matmul(M.res[(h, rep)]).scale(c)) for rep, c in zip(ring.reps, a.coeffs) if c]
+    return block_matrix(M.dims[h], M.dims[h], terms)
 
 
 def idempotent_part(M: MackeyFunctor, e: BurnsideElement, name: str | None = None) -> MackeyFunctor:
@@ -834,10 +824,9 @@ def eps_lower(Mq: MackeyFunctor, parent: SubgroupLattice, n: int, name: str | No
         return QMatrix.zeros(dims[h], dims[k])
 
     def conjfn(pos, s, h):
-        t = parent.conjugate(s, h)
         if h in local_of:
             return Mq.conj(view.proj[s], local_of[h])
-        return QMatrix.zeros(dims[t], dims[h])
+        return QMatrix.zeros(dims[parent.conjugate(s, h)], dims[h])
 
     return build_functor(parent, dims, resfn, indfn, conjfn, name=name or f"eps_({Mq.name})")
 
@@ -875,13 +864,10 @@ def fp_unit(M: MackeyFunctor) -> MackeyMorphism:
     lat = M.lattice
     V = evaluate_bottom(M)
     F, bases = _fp_with_bases(lat, V, f"FP({M.name}(G/e))")
-    maps = []
-    for h, basis in enumerate(bases):
-        coeff = basis.solve(M.res[(h, lat.bottom)])
-        if coeff is None:
-            raise MackeyError("restriction to the bottom level does not land in fixed vectors")
-        maps.append(coeff)
-    unit = MackeyMorphism(M, F, tuple(maps))
+    maps = tuple(basis.solve(M.res[(h, lat.bottom)]) for h, basis in enumerate(bases))
+    if None in maps:
+        raise MackeyError("restriction to the bottom level does not land in fixed vectors")
+    unit = MackeyMorphism(M, F, maps)
     unit.validate()
     return unit
 

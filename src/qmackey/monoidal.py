@@ -121,14 +121,11 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
     dims = tuple(level.proj.rows for level in levels)
     # summands whose tensor space is zero contribute no blocks
     live = [[k for k in level.summands if M.dims[k] * N.dims[k]] for level in levels]
-    covers = [[] for _ in levels]
-    for h, k in lat.cover_pairs():
-        covers[h].append(k)
 
     res, ind = {}, {}
     for h in range(len(lat)):
         r, i = {}, {}  # the maps between level h and each lower level
-        for k in covers[h]:
+        for k in lat.maximal(h):
             # induction: include the smaller sum of summands, then project
             incl = [(s, s, QMatrix.identity(M.dims[s] * N.dims[s])) for s in live[k]]
             i[k] = _level_map(levels[k], levels[h], incl)
@@ -145,7 +142,7 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
             if l == h:
                 r[l] = i[l] = QMatrix.identity(dims[h])
             elif l not in r:
-                k = next(k for k in covers[h] if lat.leq(l, k))
+                k = next(k for k in lat.maximal(h) if lat.leq(l, k))
                 r[l], i[l] = res[(k, l)].matmul(r[k]), i[k].matmul(ind[(k, l)])
             res[(h, l)], ind[(h, l)] = r[l], i[l]
 

@@ -664,11 +664,17 @@ def _corpus_panel(lat, rng):
     return [burnside_mackey(lat), constant(lat, 1), coconstant(lat, 1), FP, random_functor(lat, rng), random_functor(lat, rng)]
 
 
-@pytest.mark.parametrize("group", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4"])
-def test_local_piece_keeps_the_idempotent_action_exactly(corpus_lattices, group):
-    """basis Q is the top idempotent's action P on M(G/H), at every class of every panel functor."""
-    lat = corpus_lattices[group]
-    for M in _corpus_panel(lat, random.Random(group)):
+@pytest.mark.parametrize("group", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4", "C2^4", "C2xS4"])
+def test_local_piece_keeps_the_idempotent_action_exactly(corpus_lattices, past_corpus_lattices, group):
+    """basis Q is the top idempotent's action P on M(G/H), at every class of every panel functor;
+    past the corpus, of the Burnside functor and one random functor."""
+    if group in corpus_lattices:
+        lat = corpus_lattices[group]
+        panel = _corpus_panel(lat, random.Random(group))
+    else:
+        lat = past_corpus_lattices[group]
+        panel = [burnside_mackey(lat), random_functor(lat, random.Random(group))]
+    for M in panel:
         for h in lat.class_reps():
             V, basis, Q = classify._local_piece(M, h)
             assert (basis.cols, Q.rows, Q.cols) == (V.dim, V.dim, M.dims[h])

@@ -11,7 +11,7 @@ from conftest import NON_ASSOCIATIVE_LOOP
 from corruptions import constant_with_identity_induction, scaled_restriction
 from qmackey.cli import build_parser, main, resolve_functor
 from qmackey.groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupLattice, cyclic, symmetric
-from qmackey.mackey import MackeyError, burnside_mackey, check_axioms, rebase
+from qmackey.mackey import MackeyError, burnside_mackey, check_axioms, constant, rebase
 from qmackey.linalg import QMatrix
 from qmackey.monoidal import burnside_green, green_check
 from qmackey.serialize import FormatError, dump, functor_to_json, group_to_json, matrix_from_json, str_to_frac
@@ -418,6 +418,22 @@ class TestMackeyCommands:
         assert (code, err, json.loads(out)) == (1, "", {"functor": M.name, "certified": False, "error": message})
         code, out, _ = run(capsys, "--pretty", "mackey", "classify", str(path))
         assert (code, out) == (1, f"classification FAILED: {message}\n")
+
+    def test_split_and_classify_refuse_a_level_that_induction_misses(self, capsys, tmp_path):
+        """The constant functor over C2 with I^C2_C1 = 0 is no Mackey functor: M(C2) is neither
+        its local piece nor the image of induction.  Both commands exit 1, with one line of text."""
+        data = json.loads(dump(functor_to_json(constant(SubgroupLattice(cyclic(2)), 1))))
+        data["induction"]["C1<C2"] = [["0"]]
+        path = tmp_path / "zero-induction.json"
+        path.write_text(dump(data))
+        for pretty in ((), ("--pretty",)):
+            code, out, err = run(capsys, *pretty, "mackey", "split", str(path))
+            message = "level C2 is not its local piece plus the images of induction: not a Mackey functor"
+            assert (code, out, err) == (1, "", f"verification error: {message}\n")
+        code, out, err = run(capsys, "--pretty", "mackey", "classify", str(path))
+        assert (code, out, err) == (1, "classification FAILED: does not commute with induction C1 < C2\n", "")
+        code, out, _ = run(capsys, "mackey", "classify", str(path))
+        assert (code, json.loads(out)["certified"]) == (1, False)
 
     def test_green_check_failure(self, capsys, tmp_path):
         lat = SubgroupLattice(cyclic(2))

@@ -5,7 +5,10 @@ module-level generator, so its outputs do not depend on global state.
 
 It has one public surface: every top-level function and class is read by
 name somewhere in the package outside its own body, or is listed in
-``qmackey.__all__``, and every name listed there resolves."""
+``qmackey.__all__``, and every name listed there resolves.
+
+The classification computes its local pieces from restriction and induction
+alone, so ``classify`` reads nothing of the Burnside ring."""
 
 import ast
 import re
@@ -73,25 +76,26 @@ def test_source_draws_only_from_random_instances():
     assert not used
 
 
+def _reads(tree, skip=()):
+    """Every loaded name and every attribute in ``tree`` outside the nodes in ``skip``; an import is neither."""
+    for node in ast.walk(tree):
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
 def _unread(sources, exported):
-    """``(module, name)`` of each top-level function or class that no module reads outside its own
-    body and that ``exported`` does not list.  A read is a loaded name or an attribute; an import is not."""
+    """``(module, name)`` of each top-level function or class that no module reads (``_reads``)
+    outside its own body and that ``exported`` does not list."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-
-    def reads(tree, skip):
-        for node in ast.walk(tree):
-            if node in skip:
-                continue
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
-
     for module, tree in trees.items():
         for d in tree.body:
             if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name not in exported:
                 own = set(ast.walk(d))
-                if not any(d.name in reads(t, own) for t in trees.values()):
+                if not any(d.name in _reads(t, own) for t in trees.values()):
                     yield module, d.name
 
 
@@ -112,3 +116,14 @@ def test_every_top_level_name_is_read_in_the_package_or_exported():
 
 def test_every_exported_name_resolves():
     assert [name for name in qmackey.__all__ if not hasattr(qmackey, name)] == []
+
+
+def test_classify_reads_nothing_of_the_burnside_ring():
+    """No import from ``burnside``, no name that ``burnside`` defines, and no ``burnside_action``."""
+    classify = ast.parse((PACKAGE / "classify.py").read_text())
+    burnside = ast.parse((PACKAGE / "burnside.py").read_text())
+    imports = [node for node in ast.walk(classify) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = [getattr(node, "module", None) or "" for node in imports] + [a.name for node in imports for a in node.names]
+    assert [m for m in modules if m.rpartition(".")[2] == "burnside"] == []
+    defined = {d.name for d in burnside.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
+    assert defined and set(_reads(classify)) & (defined | {"burnside_action"}) == set()

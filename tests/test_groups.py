@@ -16,6 +16,7 @@ from qmackey.groups import (
     _image,
     CapExceeded,
     GroupError,
+    GMap,
     GSet,
     SubgroupLattice,
     alternating,
@@ -515,6 +516,21 @@ class TestGSets:
         G = cyclic(2)
         with pytest.raises(GroupError):
             GSet(G, ((0, 1), (0, 1, 2)))
+
+    def test_map_equivariance_on_generators_decides_every_element(self):
+        """Of the 3^6 maps S3 -> S3/C2, ``GMap`` accepts exactly those equivariant under every
+        element, the 3 maps g -> g y, and refuses each other one as not equivariant."""
+        G = symmetric(3)
+        X, Y = coset_gset(G, (G.identity,)), coset_gset(G, G.closure([G.elem_names.index("(1 2)")]))
+        accepted = []
+        for points in itertools.product(range(Y.size), repeat=X.size):
+            every = all(points[X.act[g][p]] == Y.act[g][points[p]] for g in range(G.order) for p in range(X.size))
+            if every:
+                accepted.append(GMap(X, Y, points).points)
+            else:
+                with pytest.raises(GroupError, match="map is not equivariant"):
+                    GMap(X, Y, points)
+        assert accepted == sorted(tuple(Y.act[g][y] for g in range(G.order)) for y in range(Y.size))
 
 
 # ---------------------------------------------------------------------------

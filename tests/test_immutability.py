@@ -86,5 +86,5 @@ class TestReplace:
         assert check_axioms(M).ok
         N = replace(M)
         assert N == M and M._conj_cache
-        assert N._conj_cache == N._action_cache == {}
+        assert N._conj_cache == {}
         assert replace(M, name="B") != M

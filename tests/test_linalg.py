@@ -325,6 +325,14 @@ class TestWModule:
         for make in (WModule.trivial, WModule.regular):
             assert intertwiner(make(C4), make(twin)).is_invertible()
 
+    def test_from_gset_refuses_a_set_over_another_group(self):
+        """A V4-set is not read as a C4-module, though the orders agree; a set over a twin of C4 is."""
+        C4, V4 = cyclic(4), from_permutations(["(1 2)", "(3 4)"], name="V4")
+        with pytest.raises(LinAlgError, match="G-set is over V4, not over C4"):
+            WModule.from_gset(C4, coset_gset(V4, (V4.identity,)))
+        twin = cyclic(4)
+        assert WModule.from_gset(C4, coset_gset(twin, (twin.identity,))) == WModule.regular(C4)
+
     def test_direct_sum_over_a_group_with_the_same_table(self):
         """Like ``intertwiner``, the sum takes a module over another copy of the group, here one
         generated by the inverse of C4's generator, and refuses one over V4."""

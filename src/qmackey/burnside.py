@@ -6,10 +6,13 @@ of subgroups of H.  The ambient lattice supplies all coset combinatorics, so
 elements over different subgroups can be restricted and induced without
 renumbering anything.
 
-All arithmetic goes through the integer table of marks, read off the lattice.
-A product has the entrywise product of the factors' marks, a restriction
-has the marks read at the subgroup's classes, and one exact integer back
-substitution in the triangular table turns marks back into an element.
+All arithmetic goes through the integer table of marks, which the lattice
+keeps (``SubgroupLattice.marks``).  A ring holds nothing else, so it is a
+plain value: rings over the same lattice object and subgroup are equal, and
+``burnside_ring`` builds a new one on every call.  A product has the
+entrywise product of the factors' marks, a restriction has the marks read at
+the subgroup's classes, and one exact integer back substitution in the
+triangular table turns marks back into an element.
 The ring's table builders ``restriction_table`` and ``multiplication_table``
 run that step alone on integer marks, for ``mackey.burnside_mackey`` and
 ``monoidal.burnside_green``.
@@ -23,8 +26,7 @@ reads the Mobius function.  They are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -40,45 +42,31 @@ _ZERO = Fraction(0)
 
 
 def burnside_ring(lattice: SubgroupLattice, h: int | None = None) -> "BurnsideRing":
-    """The Burnside ring of the subgroup with lattice id ``h`` (default: whole group).
-
-    The lattice caches its rings by weak reference, since each ring refers
-    back to its lattice.  So this returns the same ring object as long as
-    that ring, or an element of it, is alive.  A rebuilt ring starts from the
-    marks and idempotent tables that the lattice keeps per subgroup.
-    """
-    top = lattice.top if h is None else h
-    ring = lattice.burnside_cache.get(top)
-    if ring is None:
-        ring = BurnsideRing(lattice, top)
-        lattice.burnside_cache[top] = ring
-    return ring
-
-
-@dataclass
-class _Tables:
-    """The tables of one subgroup's Burnside ring, kept on the lattice.
-
-    They hold no ring, so the rings the weak cache rebuilds share them
-    without a reference cycle.
-    """
-
-    idempotents: dict = field(default_factory=dict)  # ci -> Mobius coefficients
-    marks: tuple = ()  # marks[j][i] = |(H/B_j)^(A_i)|
-    below: tuple = ()  # below[j] = the (i, marks[j][i]) with i < j and a nonzero mark
+    """The Burnside ring of the subgroup with lattice id ``h`` (default: whole group)."""
+    return BurnsideRing(lattice, lattice.top if h is None else h)
 
 
 class BurnsideRing:
-    """A_Q(H): rational linear combinations of the orbit classes [H/K]."""
+    """A_Q(H): rational linear combinations of the orbit classes [H/K].
+
+    A ring is a value: two rings over the same lattice object and the same
+    subgroup are equal, and their elements mix.  Its tables are the lattice's
+    ``marks(top)``, read once here.
+    """
 
     def __init__(self, lattice: SubgroupLattice, top: int):
         self.lattice = lattice
         self.top = top
         self.classes = lattice.local_classes(top)
         self.reps = [cls[0] for cls in self.classes]
-        self.class_index = {member: ci for ci, cls in enumerate(self.classes) for member in cls}
         self.size = len(self.classes)
-        self._tables = lattice.burnside_tables.setdefault(top, _Tables())
+        self.class_index, self._marks, self._below = lattice.marks(top)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BurnsideRing) and self.lattice is other.lattice and self.top == other.top
+
+    def __hash__(self) -> int:
+        return hash((id(self.lattice), self.top))
 
     # -- element constructors --------------------------------------------------
 
@@ -109,49 +97,22 @@ class BurnsideRing:
 
     def mul(self, a: "BurnsideElement", b: "BurnsideElement") -> "BurnsideElement":
         """The product: the element whose marks are the entrywise product of the factors' marks."""
-        if a.ring is not self or b.ring is not self:
+        if a.ring != self or b.ring != self:
             raise BurnsideError("elements live in different Burnside rings")
         (v, d), (w, e) = self._integer_marks(a), self._integer_marks(b)
         return self._from_marks([x * y for x, y in zip(v, w)], d * e)
 
     # -- marks ------------------------------------------------------------------
 
-    def _marks_table(self) -> _Tables:
-        """The tables with the table of marks and its sparse rows filled in, from the lattice.
-
-        T[j][i] = |(H/B_j)^(A_i)| counts the cosets hB_j with
-        h^-1 A_i h <= B_j.  That condition holds on whole cosets hB_j, so the
-        count is #{h in H : h^-1 A_i h <= B_j} / |B_j|.  The map
-        h -> h^-1 A_i h sends H onto the H-class of A_i, and each fibre is a
-        coset of N_H(A_i).  So
-        T[j][i] = |N_H(A_i)| * #{A' in (A_i)_H : A' <= B_j} / |B_j|.
-        Row j takes one pass over the subgroups of B_j, counted by class.
-        """
-        tables = self._tables
-        if not tables.marks:
-            lat = self.lattice
-            norms = [lat.order(lat.normalizer_in(a, self.top)) for a in self.reps]
-            marks, below = [], []
-            for j, b in enumerate(self.reps):
-                count = Counter(map(self.class_index.__getitem__, lat.subgroups_of(b)))  # i: #{A' in (A_i)_H : A' <= B_j}
-                row, order = [0] * self.size, lat.order(b)
-                for i, c in count.items():
-                    row[i] = norms[i] * c // order
-                marks.append(tuple(row))
-                below.append(tuple(sorted((i, row[i]) for i in count if i < j)))
-            tables.marks, tables.below = tuple(marks), tuple(below)
-        return tables
-
     def _integer_marks(self, a: "BurnsideElement") -> tuple[list[int], int]:
         """Integer marks v over a common denominator d > 0: marks(a) = v / d."""
-        tables = self._marks_table()
         terms = [(j, c) for j, c in enumerate(a.coeffs) if c]
         d = lcm(*(c.denominator for _, c in terms))
         v = [0] * self.size
         for j, c in terms:
             c = c.numerator * (d // c.denominator)
-            v[j] += c * tables.marks[j][j]
-            for i, m in tables.below[j]:
+            v[j] += c * self._marks[j][j]
+            for i, m in self._below[j]:
                 v[i] += c * m
         return v, d
 
@@ -183,12 +144,11 @@ class BurnsideRing:
         integers, so each ``//`` is exact.  Each z_i, once found, is subtracted
         from the rest at once, so only the sparse rows of the nonzero z_i are read.
         """
-        tables = self._marks_table()
         z = {}
         for i in range(self.size - 1, -1, -1):
             if rest[i]:
-                z[i] = q = rest[i] // tables.marks[i][i]
-                for k, m in tables.below[i]:
+                z[i] = q = rest[i] // self._marks[i][i]
+                for k, m in self._below[i]:
                     rest[k] -= q * m
         return z
 
@@ -201,12 +161,11 @@ class BurnsideRing:
         """
         target = burnside_ring(self.lattice, k)
         at = [self.class_index[rep] for rep in target.reps]
-        return target._table(self.size, ([row[i] for i in at] for row in self._marks_table().marks))
+        return target._table(self.size, ([row[i] for i in at] for row in self._marks))
 
     def multiplication_table(self) -> QMatrix:
         """The product as an integer matrix: column i n + j is [H/B_i] [H/B_j], whose marks are the entrywise product."""
-        marks = self._marks_table().marks
-        return self._table(self.size**2, ([x * y for x, y in zip(a, b)] for a in marks for b in marks))
+        return self._table(self.size**2, ([x * y for x, y in zip(a, b)] for a in self._marks for b in self._marks))
 
     def _table(self, cols: int, columns) -> QMatrix:
         """The integer matrix whose column c is the z with z T = the c-th of ``columns``, each z_i != 0 put in row i."""
@@ -218,7 +177,7 @@ class BurnsideRing:
 
     def marks_basis(self, cj: int) -> tuple[int, ...]:
         """Fixed-point counts |(H/B)^A| of the basis class cj at every class (A)."""
-        return self._marks_table().marks[cj]
+        return self._marks[cj]
 
     def marks(self, a: "BurnsideElement") -> tuple[Fraction, ...]:
         v, d = self._integer_marks(a)
@@ -227,24 +186,20 @@ class BurnsideRing:
     # -- idempotents ----------------------------------------------------------------
 
     def idempotent(self, k: int) -> "BurnsideElement":
-        """The primitive idempotent supported on the class of K, by the Mobius formula."""
+        """The primitive idempotent supported on the class of K, by Gluck's Mobius formula.
+
+        e_(K) = (1/|N_H(K)|) sum_(L <= K) |L| mu(L, K) [H/L], summed per class
+        in one sweep of ``mobius_to``.
+        """
         ci = self.class_index.get(k)
         if ci is None:
             raise BurnsideError("idempotent index must be a subgroup of the ring's group")
-        if ci not in self._tables.idempotents:
-            lat = self.lattice
-            k0 = self.reps[ci]
-            sums: dict[int, int] = {}  # per class, the integer sum of |L| mu(L, K)
-            for l, mu in lat.mobius_to(k0).items():
-                i = self.class_index[l]
-                sums[i] = sums.get(i, 0) + lat.order(l) * mu
-            denom = lat.order(lat.normalizer_in(k0, self.top))
-            coeffs = [_ZERO] * self.size
-            for i, c in sums.items():
-                if c:
-                    coeffs[i] = Fraction(c, denom)
-            self._tables.idempotents[ci] = tuple(coeffs)
-        return BurnsideElement(self, self._tables.idempotents[ci])
+        lat, k0 = self.lattice, self.reps[ci]
+        sums = [0] * self.size  # per class, the integer sum of |L| mu(L, K)
+        for l, mu in lat.mobius_to(k0).items():
+            sums[self.class_index[l]] += lat.order(l) * mu
+        denom = lat.order(lat.normalizer_in(k0, self.top))
+        return BurnsideElement(self, tuple(Fraction(c, denom) if c else _ZERO for c in sums))
 
     def idempotents(self) -> list["BurnsideElement"]:
         return [self.idempotent(rep) for rep in self.reps]
@@ -267,7 +222,7 @@ class BurnsideRing:
         over H or over K, so res(a) has a's marks read at K's class
         representatives.
         """
-        if a.ring is not self:
+        if a.ring != self:
             raise BurnsideError("element belongs to another ring")
         lat = self.lattice
         if not lat.leq(to, self.top):
@@ -288,12 +243,12 @@ class BurnsideElement:
     coeffs: tuple[Fraction, ...]
 
     def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
-        if other.ring is not self.ring:
+        if other.ring != self.ring:
             raise BurnsideError("cannot add across rings")
         return BurnsideElement(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
-        if other.ring is not self.ring:
+        if other.ring != self.ring:
             raise BurnsideError("cannot subtract across rings")
         return BurnsideElement(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 

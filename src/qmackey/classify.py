@@ -140,20 +140,19 @@ def _weyl_fixed_basis(lattice: SubgroupLattice, h: int, k: int, V: WModule) -> Q
     return span_basis(block_matrix(len(X) * d, cols, blocks))
 
 
-def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | None = None) -> FreeBlock:
-    """Construct the free functor on a Weyl-group module at the class of H.
+def build_free_block(lattice: SubgroupLattice, h: int, V: WModule) -> FreeBlock:
+    """Construct the free functor ``F[class]`` on a Weyl-group module at the class of H.
 
     The block on the very module object of the memoized local piece at H, on
-    its lattice and with the default name, is built once and kept in the memo.
+    its lattice, is built once and kept in the memo.
     """
     memo = _last_comparison[1]
-    kept = name is None and lattice is memo.lattice and h in memo.pieces and memo.pieces[h][0] is V
+    kept = lattice is memo.lattice and h in memo.pieces and memo.pieces[h][0] is V
     if kept and h in memo.blocks:
         return memo.blocks[h]
     _weyl_of(lattice, h, V)
     G = lattice.group
     n_levels = len(lattice)
-    name = name or f"F[{lattice.class_name_of(h)}]"
     cosets = [lattice.fixed_cosets(k, h) for k in range(n_levels)]
     bases = [_weyl_fixed_basis(lattice, h, k, V) if X and V.dim else QMatrix.zeros(0, 0) for k, X in enumerate(cosets)]
     dims = tuple(b.cols for b in bases)
@@ -189,13 +188,13 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule, name: str | N
                 restrict_map(coset_map(k, ks, lambda g: lattice.coset_of(G.mul(g, si), ks)), bases[k], bases[ks])
                 if dims[k] else zeros(0, 0)
             )
-    functor = MackeyFunctor(lattice, dims, res, ind, cgen, name=name)
+    functor = MackeyFunctor(lattice, dims, res, ind, cgen, name=f"F[{lattice.class_name_of(h)}]")
     block = FreeBlock(lattice, h, V, functor, tuple(cosets), tuple(bases))
     return memo.blocks.setdefault(h, block) if kept else block
 
 
-def free_functor(lattice: SubgroupLattice, h: int, V: WModule, name: str | None = None) -> MackeyFunctor:
-    return build_free_block(lattice, h, V, name=name).functor
+def free_functor(lattice: SubgroupLattice, h: int, V: WModule) -> MackeyFunctor:
+    return build_free_block(lattice, h, V).functor
 
 
 # ---------------------------------------------------------------------------

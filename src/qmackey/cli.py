@@ -335,8 +335,15 @@ def cmd_mackey_check(args) -> int:
     return _report(args, data, lines, 0 if report.ok else 1)
 
 
+def _require_mackey(spec: str, M) -> None:
+    """Refuse, naming its first violation, a functor that is not Mackey, before a command that assumes one."""
+    if not (report := check_axioms(M, fail_fast=True)).ok:
+        raise MackeyError(f"{spec} is not a Mackey functor: {report.violations[0]}")
+
+
 def cmd_mackey_split(args) -> int:
     M = resolve_functor(args.functor, args.cap)
+    _require_mackey(args.functor, M)
     lat = M.lattice
     pieces = {}
     lines = [f"splitting of {M.name} into Weyl-group modules:"]
@@ -360,6 +367,7 @@ def cmd_mackey_split(args) -> int:
 
 def cmd_mackey_classify(args) -> int:
     M = resolve_functor(args.functor, args.cap)
+    _require_mackey(args.functor, M)
     lat = M.lattice
     try:
         iso = classify_iso(M)
@@ -396,9 +404,8 @@ def cmd_mackey_box(args) -> int:
         N = rebase(N, M.lattice)
     except MackeyError:
         raise UsageError(f"cannot box functors over different groups ({M.group.name} and {N.group.name})") from None
-    for spec, X in ((args.a, M), (args.b, N)):
-        if not (report := check_axioms(X, fail_fast=True)).ok:
-            raise MackeyError(f"{spec} is not a Mackey functor: {report.violations[0]}")
+    _require_mackey(args.a, M)
+    _require_mackey(args.b, N)
     B = box(M, N)
     payload = dump(functor_to_json(B))
     if args.out:

@@ -4,7 +4,9 @@ Group elements are integers ``0..order-1``.  A :class:`FiniteGroup` is a full
 Cayley table; groups can be loaded from an explicit table or generated from
 permutations in cycle notation.  :class:`SubgroupLattice` enumerates every
 subgroup together with the inclusion poset, conjugacy classes, normalizers,
-Weyl quotients and the Mobius function of the lattice.
+Weyl quotients, the Mobius function of the lattice and the table of marks of
+every subgroup.  A lattice keeps what it derives in one memo and refers to
+nothing built on top of it, such as the rings that read its tables of marks.
 
 Both are built per generator, not per element.  A permutation group composes
 only its generator columns.  Associativity is checked on generators only
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import re
-import weakref
+from collections import Counter
 from dataclasses import dataclass
 
 DEFAULT_ORDER_CAP = 64
@@ -584,17 +586,12 @@ class SubgroupLattice:
         self.classes: list[tuple[int, ...]] = []
         self.class_of: list[int] = [0] * n
         self._build_classes()
-        self.normalizers: list[int] = [self._normalizer(h) for h in range(n)]
+        self._memo: dict[tuple[str, tuple], object] = {}  # see ``_memo``
+        self.normalizers: list[int] = [self.normalizer_in(h, self.top) for h in range(n)]
         self.class_names: list[str] = []
         self.subgroup_names: list[str] = []
         self._build_names()
-        self._memo: dict[tuple[str, tuple], object] = {}  # see ``_memo``
         self._coset_min: dict[int, tuple[int, ...]] = {}
-        # weak values: a ring refers to its lattice, so a strong cache would make a cycle
-        self.burnside_cache: weakref.WeakValueDictionary[int, object] = weakref.WeakValueDictionary()
-        # per subgroup, the marks and idempotent tables of its Burnside
-        # ring; they hold no ring, so rebuilt rings share them without a cycle
-        self.burnside_tables: dict[int, object] = {}
 
     # -- enumeration ---------------------------------------------------------
 
@@ -698,10 +695,6 @@ class SubgroupLattice:
             for member in orbit:
                 seen[member] = True
                 self.class_of[member] = ci
-
-    def _normalizer(self, h: int) -> int:
-        elems = tuple(sorted(g for g in range(self.group.order) if self.conj_table[g][h] == h))
-        return self._id_of[elems]
 
     def _build_names(self) -> None:
         counts: dict[str, int] = {}
@@ -872,6 +865,34 @@ class SubgroupLattice:
     def normalizer_in(self, k: int, h: int) -> int:
         """N_H(K) as a lattice id, for K <= H."""
         return self._id_of[tuple(sorted(g for g in self.elements(h) if self.conj_table[g][k] == k))]
+
+    @_memo
+    def marks(self, h: int) -> tuple[dict[int, int], tuple, tuple]:
+        """The table of marks of H as (index, T, below).
+
+        ``index`` sends each subgroup of H to its class in ``local_classes(h)``;
+        T[j][i] = |(H/B_j)^(A_i)| for the class representatives A_i and B_j;
+        below[j] holds the (i, T[j][i]) with i < j and T[j][i] != 0.
+
+        T[j][i] counts the cosets hB_j with h^-1 A_i h <= B_j.  That condition
+        holds on whole cosets hB_j, so the count is
+        #{h in H : h^-1 A_i h <= B_j} / |B_j|.  The map h -> h^-1 A_i h sends
+        H onto the H-class of A_i, and each fibre is a coset of N_H(A_i).  So
+        T[j][i] = |N_H(A_i)| * #{A' in (A_i)_H : A' <= B_j} / |B_j|.
+        Row j takes one pass over the subgroups of B_j, counted by class.
+        """
+        classes = self.local_classes(h)
+        index = {member: ci for ci, cls in enumerate(classes) for member in cls}
+        norms = [self.order(self.normalizer_in(cls[0], h)) for cls in classes]
+        marks, below = [], []
+        for j, cls in enumerate(classes):
+            count = Counter(map(index.__getitem__, self._down[cls[0]]))  # i: #{A' in (A_i)_H : A' <= B_j}
+            row, order = [0] * len(classes), self.order(cls[0])
+            for i, c in count.items():
+                row[i] = norms[i] * c // order
+            marks.append(tuple(row))
+            below.append(tuple(sorted((i, row[i]) for i in count if i < j)))
+        return index, tuple(marks), tuple(below)
 
     # -- Mobius ---------------------------------------------------------------
 

@@ -589,7 +589,7 @@ def idempotent_part(M: MackeyFunctor, e: BurnsideElement, name: str | None = Non
     """
     lat = M.lattice
     ring = burnside_ring(lat)
-    if e.ring is not ring:
+    if e.ring != ring:
         raise MackeyError("idempotent must live in the top-level Burnside ring")
     if not e.is_idempotent():
         raise MackeyError("element is not idempotent")

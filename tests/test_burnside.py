@@ -1,5 +1,6 @@
 import gc
 import itertools
+import types
 import weakref
 from fractions import Fraction
 
@@ -342,21 +343,41 @@ class TestRingCache:
             gc.enable()
 
     def test_same_ring_while_an_element_lives(self):
+        """Rings are values: every call over one lattice object and subgroup gives an equal ring."""
         lat = SubgroupLattice(symmetric(3))
         e = burnside_ring(lat).idempotent(lat.bottom)
         gc.collect()
-        assert burnside_ring(lat) is e.ring
-        assert e.ring.idempotent(lat.bottom) == e
-
-    def test_rebuilt_ring_reuses_the_idempotents(self):
-        """A ring rebuilt after the last one died starts from the lattice's tables."""
-        lat = SubgroupLattice(symmetric(3))
-        coeffs = burnside_ring(lat).idempotent(lat.bottom).coeffs
-        gc.collect()
-        assert len(lat.burnside_cache) == 0
         ring = burnside_ring(lat)
-        assert ring._tables.idempotents
-        assert ring.idempotent(lat.bottom).coeffs is coeffs
+        assert ring == e.ring and hash(ring) == hash(e.ring)
+        assert ring != burnside_ring(lat, lat.bottom)
+        assert e.ring.idempotent(lat.bottom) == e
+        a = ring.basis(lat.bottom)
+        assert (a + e) * e == a * e + e
+
+    def test_rings_over_another_lattice_object_differ(self):
+        lat, twin = SubgroupLattice(symmetric(3)), SubgroupLattice(symmetric(3))
+        ring, other = burnside_ring(lat), burnside_ring(twin)
+        assert ring != other
+        with pytest.raises(BurnsideError):
+            ring.mul(ring.unit(), other.unit())
+
+    def test_lattice_reaches_nothing_of_the_ring(self):
+        """The lattice keeps tables of marks, not rings: no object reachable from it is of a class of ``burnside``."""
+        lat = SubgroupLattice(symmetric(3))
+        for h in range(len(lat)):
+            ring = burnside_ring(lat, h)
+            ring.idempotents()
+            ring.idempotents_via_marks()
+        burnside_mackey(lat)
+        burnside_green(lat)
+        seen, todo = {id(lat)}, [lat]
+        while todo:
+            obj = todo.pop()
+            assert type(obj).__module__ != "qmackey.burnside"
+            for ref in gc.get_referents(obj):
+                if id(ref) not in seen and not isinstance(ref, (type, types.ModuleType)):
+                    seen.add(id(ref))
+                    todo.append(ref)
 
 
 def _lattice(corpus_lattices, past_corpus_lattices, name):

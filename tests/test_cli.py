@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import NON_ASSOCIATIVE_LOOP
 from corruptions import constant_with_identity_induction, scaled_restriction
+from qmackey import cli
 from qmackey.cli import build_parser, main, resolve_functor
 from qmackey.groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupLattice, cyclic, symmetric
 from qmackey.mackey import MackeyError, burnside_mackey, check_axioms, constant, rebase
@@ -408,32 +410,35 @@ class TestMackeyCommands:
         assert code == 1
         assert rule in {v["rule"] for v in json.loads(out)["violations"]}
 
-    def test_classify_failure_is_a_json_report(self, capsys, tmp_path):
-        """A functor whose comparison is not natural gets a JSON verdict, or the FAILED line with --pretty."""
-        M, _ = scaled_restriction(SubgroupLattice(symmetric(3)))
-        path = tmp_path / "F.json"
-        path.write_text(dump(functor_to_json(M)))
-        code, out, err = run(capsys, "mackey", "classify", str(path))
+    def test_classify_failure_is_a_json_report(self, capsys, tmp_path, monkeypatch):
+        """A Mackey functor whose comparison fails to certify gets a JSON verdict, or the FAILED line with --pretty."""
+        path = tmp_path / "A.json"
+        path.write_text(dump(functor_to_json(burnside_mackey(SubgroupLattice(symmetric(3))))))
         message = "does not commute with restriction G6 > C2.0"
-        assert (code, err, json.loads(out)) == (1, "", {"functor": M.name, "certified": False, "error": message})
+
+        def fail(M):
+            raise MackeyError(message)
+
+        monkeypatch.setattr(cli, "classify_iso", fail)
+        code, out, err = run(capsys, "mackey", "classify", str(path))
+        assert (code, err, json.loads(out)) == (1, "", {"functor": "A", "certified": False, "error": message})
         code, out, _ = run(capsys, "--pretty", "mackey", "classify", str(path))
         assert (code, out) == (1, f"classification FAILED: {message}\n")
 
     def test_split_and_classify_refuse_a_level_that_induction_misses(self, capsys, tmp_path):
-        """The constant functor over C2 with I^C2_C1 = 0 is no Mackey functor: M(C2) is neither
-        its local piece nor the image of induction.  Both commands exit 1, with one line of text."""
+        """The constant functor over C2 with I^C2_C1 = 0, and a functor over S3 with one restriction
+        scaled, are no Mackey functors.  Both commands exit 1 with one line naming the first violation."""
         data = json.loads(dump(functor_to_json(constant(SubgroupLattice(cyclic(2)), 1))))
         data["induction"]["C1<C2"] = [["0"]]
-        path = tmp_path / "zero-induction.json"
-        path.write_text(dump(data))
-        for pretty in ((), ("--pretty",)):
-            code, out, err = run(capsys, *pretty, "mackey", "split", str(path))
-            message = "level C2 is not its local piece plus the images of induction: not a Mackey functor"
-            assert (code, out, err) == (1, "", f"verification error: {message}\n")
-        code, out, err = run(capsys, "--pretty", "mackey", "classify", str(path))
-        assert (code, out, err) == (1, "classification FAILED: does not commute with induction C1 < C2\n", "")
-        code, out, _ = run(capsys, "mackey", "classify", str(path))
-        assert (code, json.loads(out)["certified"]) == (1, False)
+        zero = tmp_path / "zero-induction.json"
+        zero.write_text(dump(data))
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(dump(functor_to_json(scaled_restriction(SubgroupLattice(symmetric(3)))[0])))
+        violations = {zero: "[double-coset] R^C2_C1 I^C2_C1 mismatch", scaled: "[restriction-transitivity] G6 > C2.0 > C1"}
+        for path, violation in violations.items():
+            for pretty, command in itertools.product(((), ("--pretty",)), ("split", "classify")):
+                code, out, err = run(capsys, *pretty, "mackey", command, str(path))
+                assert (code, out, err) == (1, "", f"verification error: {path} is not a Mackey functor: {violation}\n")
 
     def test_green_check_failure(self, capsys, tmp_path):
         lat = SubgroupLattice(cyclic(2))

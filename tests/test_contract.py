@@ -8,12 +8,15 @@ name somewhere in the package outside its own body, or is listed in
 ``qmackey.__all__``, and every name listed there resolves.
 
 The classification computes its local pieces from restriction and induction
-alone, so ``classify`` reads nothing of the Burnside ring."""
+alone, so ``classify`` reads nothing of the Burnside ring.  Nor does the
+subgroup lattice, which keeps the tables of marks that the ring reads."""
 
 import ast
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import qmackey
 
@@ -118,12 +121,13 @@ def test_every_exported_name_resolves():
     assert [name for name in qmackey.__all__ if not hasattr(qmackey, name)] == []
 
 
-def test_classify_reads_nothing_of_the_burnside_ring():
+@pytest.mark.parametrize("module", ["classify.py", "groups.py"])
+def test_reads_nothing_of_the_burnside_ring(module):
     """No import from ``burnside``, no name that ``burnside`` defines, and no ``burnside_action``."""
-    classify = ast.parse((PACKAGE / "classify.py").read_text())
+    tree = ast.parse((PACKAGE / module).read_text())
     burnside = ast.parse((PACKAGE / "burnside.py").read_text())
-    imports = [node for node in ast.walk(classify) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     modules = [getattr(node, "module", None) or "" for node in imports] + [a.name for node in imports for a in node.names]
     assert [m for m in modules if m.rpartition(".")[2] == "burnside"] == []
     defined = {d.name for d in burnside.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
-    assert defined and set(_reads(classify)) & (defined | {"burnside_action"}) == set()
+    assert defined and set(_reads(tree)) & (defined | {"burnside_action"}) == set()

@@ -58,7 +58,7 @@ class BurnsideRing:
         self.lattice = lattice
         self.top = top
         self.classes = lattice.local_classes(top)
-        self.reps = [cls[0] for cls in self.classes]
+        self.reps = tuple(cls[0] for cls in self.classes)
         self.size = len(self.classes)
         self.class_index, self._marks, self._below = lattice.marks(top)
 
@@ -161,18 +161,26 @@ class BurnsideRing:
         """
         target = burnside_ring(self.lattice, k)
         at = [self.class_index[rep] for rep in target.reps]
-        return target._table(self.size, ([row[i] for i in at] for row in self._marks))
+        return target._table(self.size, (((j,), [row[i] for i in at]) for j, row in enumerate(self._marks)))
 
     def multiplication_table(self) -> QMatrix:
-        """The product as an integer matrix: column i n + j is [H/B_i] [H/B_j], whose marks are the entrywise product."""
-        return self._table(self.size**2, ([x * y for x, y in zip(a, b)] for a in self._marks for b in self._marks))
+        """The product as an integer matrix: column i n + j is [H/B_i] [H/B_j], whose marks are the entrywise product.
+
+        The ring is commutative, so each unordered pair i <= j is back-substituted once and fills both columns.
+        """
+        n, T = self.size, self._marks
+        columns = (
+            ((i * n + j, j * n + i), [x * y for x, y in zip(T[i], T[j])]) for i in range(n) for j in range(i, n)
+        )
+        return self._table(n * n, columns)
 
     def _table(self, cols: int, columns) -> QMatrix:
-        """The integer matrix whose column c is the z with z T = the c-th of ``columns``, each z_i != 0 put in row i."""
+        """The integer matrix with the z with z T = rest in each column of cs, for every (cs, rest) of ``columns``."""
         body = [{} for _ in range(self.size)]
-        for c, rest in enumerate(columns):
+        for cs, rest in columns:
             for i, x in self._back_substitute(rest).items():
-                body[i][c] = x
+                for c in cs:
+                    body[i][c] = x
         return _new(self.size, cols, body)
 
     def marks_basis(self, cj: int) -> tuple[int, ...]:

@@ -55,7 +55,7 @@ from .mackey import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class FreeBlock:
     """A free functor together with its chosen ambient data.
 

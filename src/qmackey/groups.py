@@ -7,6 +7,9 @@ subgroup together with the inclusion poset, conjugacy classes, normalizers,
 Weyl quotients, the Mobius function of the lattice and the table of marks of
 every subgroup.  A lattice keeps what it derives in one memo and refers to
 nothing built on top of it, such as the rings that read its tables of marks.
+A lattice is a read-only value: its tables and memoized answers are tuples,
+read-only mappings (``types.MappingProxyType``) and frozen dataclasses, so no
+caller can change what a later caller reads.
 
 Both are built per generator, not per element.  A permutation group composes
 only its generator columns.  Associativity is checked on generators only
@@ -27,6 +30,7 @@ import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 DEFAULT_ORDER_CAP = 64
 
@@ -132,7 +136,7 @@ class FiniteGroup:
             raise GroupError("table entry out of range")
         self.identity = self._find_identity()
         self._inv = self._find_inverses()
-        self.elem_names = list(elem_names) if elem_names else [str(i) for i in range(self.order)]
+        self.elem_names = tuple(elem_names) if elem_names else tuple(str(i) for i in range(self.order))
         self.gens = self._normalize_gens(gens)
         self.words = self._compute_words()
         self._check_associativity()
@@ -542,7 +546,8 @@ class Subgroup:
 
 
 def _memo(query):
-    """A ``SubgroupLattice`` query, kept in the lattice's ``_memo``: a lattice never changes, nor does an answer."""
+    """A ``SubgroupLattice`` query, kept in the lattice's ``_memo`` and handed to every caller: a lattice never
+    changes, nor does an answer, which is a tuple, a read-only mapping or a frozen value, never a list, dict or set."""
     name = query.__name__
 
     @functools.wraps(query)
@@ -576,20 +581,15 @@ class SubgroupLattice:
         if G.order > cap:
             raise CapExceeded(f"group order {G.order} exceeds cap {cap}")
         self.group = G
-        self.subgroups: list[Subgroup] = []
-        self._id_of: dict[tuple[int, ...], int] = {}
         self._enumerate_subgroups()
-        n = len(self.subgroups)
         self._build_poset()
         # conj_table[g][h_id] = id of g H g^-1
         self.conj_table = self._build_conj_table()
-        self.classes: list[tuple[int, ...]] = []
-        self.class_of: list[int] = [0] * n
-        self._build_classes()
         self._memo: dict[tuple[str, tuple], object] = {}  # see ``_memo``
-        self.normalizers: list[int] = [self.normalizer_in(h, self.top) for h in range(n)]
-        self.class_names: list[str] = []
-        self.subgroup_names: list[str] = []
+        self.classes = self.local_classes(self.top)
+        class_of = {member: ci for ci, cls in enumerate(self.classes) for member in cls}
+        self.class_of = tuple(class_of[h] for h in range(len(self.subgroups)))
+        self.normalizers = tuple(self.normalizer_in(h, self.top) for h in range(len(self.subgroups)))
         self._build_names()
         self._coset_min: dict[int, tuple[int, ...]] = {}
 
@@ -635,7 +635,7 @@ class SubgroupLattice:
                         new.append((j, found[j]))
             frontier = new
         ordered = sorted((len(j), tuple(sorted(j)), gens) for j, gens in found.items())
-        self.subgroups = [Subgroup(t, i, gens) for i, (_, t, gens) in enumerate(ordered)]
+        self.subgroups = tuple(Subgroup(t, i, gens) for i, (_, t, gens) in enumerate(ordered))
         self._id_of = {s.elements: s.index for s in self.subgroups}
 
     def _join(self, s: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
@@ -671,46 +671,31 @@ class SubgroupLattice:
                 up[k].append(h)
         self._above = [frozenset(u) for u in up]  # for ``leq``
 
-    def _build_conj_table(self) -> list[list[int]]:
+    def _build_conj_table(self) -> tuple[tuple[int, ...], ...]:
         """Row g: the ids of the conjugates gHg^-1, composed along ``words`` from the generator rows."""
         G = self.group
         by_gen = {s: [self._id_of[G.conjugate_elements(s, t.elements)] for t in self.subgroups] for s in G.gens}
-        table: list[list[int]] = [[]] * G.order
-        table[G.identity] = list(range(len(self.subgroups)))
+        table: list[tuple[int, ...]] = [()] * G.order
+        table[G.identity] = tuple(range(len(self.subgroups)))
         for y in sorted(range(G.order), key=lambda g: len(G.words[g])):
             if y != G.identity:
                 s = G.gens[G.words[y][-1]]
-                table[y] = list(map(table[G.mul(y, G.inv(s))].__getitem__, by_gen[s]))
-        return table
-
-    def _build_classes(self) -> None:
-        n = len(self.subgroups)
-        seen = [False] * n
-        for h in range(n):
-            if seen[h]:
-                continue
-            orbit = sorted({self.conj_table[g][h] for g in range(self.group.order)})
-            ci = len(self.classes)
-            self.classes.append(tuple(orbit))
-            for member in orbit:
-                seen[member] = True
-                self.class_of[member] = ci
+                table[y] = tuple(map(table[G.mul(y, G.inv(s))].__getitem__, by_gen[s]))
+        return tuple(table)
 
     def _build_names(self) -> None:
-        counts: dict[str, int] = {}
+        counts: Counter[str] = Counter()
+        class_names = []
         for cls in self.classes:
             rep = self.subgroups[cls[0]]
             base = f"C{rep.order}" if len(rep.gens) == 1 else f"G{rep.order}"  # the seeds are the cyclic subgroups
-            ticks = counts.get(base, 0)
-            counts[base] = ticks + 1
-            self.class_names.append(base + "'" * ticks)
-        self.subgroup_names = [""] * len(self.subgroups)
-        for ci, cls in enumerate(self.classes):
-            for pos, member in enumerate(cls):
-                if len(cls) == 1:
-                    self.subgroup_names[member] = self.class_names[ci]
-                else:
-                    self.subgroup_names[member] = f"{self.class_names[ci]}.{pos}"
+            class_names.append(base + "'" * counts[base])
+            counts[base] += 1
+        named = {
+            m: f"{name}.{pos}" if len(cls) > 1 else name
+            for name, cls in zip(class_names, self.classes) for pos, m in enumerate(cls)
+        }
+        self.class_names, self.subgroup_names = tuple(class_names), tuple(map(named.__getitem__, range(len(named))))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -788,9 +773,9 @@ class SubgroupLattice:
         return tuple(k for k in below if k != h and not any(l != k and l != h and self.leq(k, l) for l in below))
 
     @_memo
-    def cover_pairs(self) -> list[tuple[int, int]]:
+    def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """All pairs (H, K) with K maximal proper in H, by lattice id."""
-        return [(h, k) for h in range(len(self)) for k in self.maximal(h)]
+        return tuple((h, k) for h in range(len(self)) for k in self.maximal(h))
 
     def is_normal(self, h: int) -> bool:
         return self.normalizers[h] == self.top
@@ -847,19 +832,21 @@ class SubgroupLattice:
     # -- local (within-H) structure --------------------------------------------
 
     @_memo
-    def local_classes(self, h: int) -> list[tuple[int, ...]]:
-        """H-conjugacy classes of subgroups of H, ordered by (order, rep elements)."""
+    def local_classes(self, h: int) -> tuple[tuple[int, ...], ...]:
+        """H-conjugacy classes of subgroups of H as sorted id tuples, ordered by (order, rep elements).
+
+        Ids follow (order, elements), so the increasing ``_down[h]`` meets each orbit first at its least
+        id, the representative, in that order: no sort is needed.  ``classes`` is ``local_classes(top)``.
+        """
         helems = self.elements(h)
         seen: set[int] = set()
         classes = []
         for k in self._down[h]:
-            if k in seen:
-                continue
-            orbit = sorted({self.conj_table[g][k] for g in helems})
-            classes.append(tuple(orbit))
-            seen |= set(orbit)
-        classes.sort(key=lambda cls: (self.order(cls[0]), self.elements(cls[0])))
-        return classes
+            if k not in seen:
+                orbit = tuple(sorted({self.conj_table[g][k] for g in helems}))
+                classes.append(orbit)
+                seen.update(orbit)
+        return tuple(classes)
 
     @_memo
     def normalizer_in(self, k: int, h: int) -> int:
@@ -867,7 +854,7 @@ class SubgroupLattice:
         return self._id_of[tuple(sorted(g for g in self.elements(h) if self.conj_table[g][k] == k))]
 
     @_memo
-    def marks(self, h: int) -> tuple[dict[int, int], tuple, tuple]:
+    def marks(self, h: int) -> tuple[MappingProxyType, tuple, tuple]:
         """The table of marks of H as (index, T, below).
 
         ``index`` sends each subgroup of H to its class in ``local_classes(h)``;
@@ -882,7 +869,7 @@ class SubgroupLattice:
         Row j takes one pass over the subgroups of B_j, counted by class.
         """
         classes = self.local_classes(h)
-        index = {member: ci for ci, cls in enumerate(classes) for member in cls}
+        index = MappingProxyType({member: ci for ci, cls in enumerate(classes) for member in cls})
         norms = [self.order(self.normalizer_in(cls[0], h)) for cls in classes]
         marks, below = [], []
         for j, cls in enumerate(classes):
@@ -897,7 +884,7 @@ class SubgroupLattice:
     # -- Mobius ---------------------------------------------------------------
 
     @_memo
-    def mobius_to(self, h: int) -> dict[int, int]:
+    def mobius_to(self, h: int) -> MappingProxyType:
         """mu(L, H) for every L <= H, keyed by L's id, in one sweep down the interval [1, H].
 
         mu(H, H) = 1 and mu(L, H) = -sum_(L < M <= H) mu(M, H).  Ids follow
@@ -916,7 +903,7 @@ class SubgroupLattice:
             if v:
                 for l in self._down[m]:
                     acc[l] += v
-        return mu
+        return MappingProxyType(mu)
 
     # -- Weyl groups ------------------------------------------------------------
 
@@ -930,7 +917,7 @@ class SubgroupLattice:
         table = [[pos[self.coset_of(G.mul(a, b), h)] for b in reps] for a in reps]
         names = [G.elem_name(r) + "N" for r in reps]
         W = FiniteGroup(table, name=f"W({self.name(h)})", elem_names=names)
-        proj = {g: pos[self.coset_of(g, h)] for g in self.elements(nid)}
+        proj = MappingProxyType({g: pos[self.coset_of(g, h)] for g in self.elements(nid)})
         return WeylData(W, proj, reps)
 
     # -- derived lattices ---------------------------------------------------------
@@ -971,7 +958,7 @@ class WeylData:
     """
 
     group: FiniteGroup
-    proj: dict
+    proj: MappingProxyType
     reps: tuple[int, ...]
 
 

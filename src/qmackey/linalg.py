@@ -165,6 +165,8 @@ class QMatrix:
                 raise LinAlgError("ragged rows")
             if rows is not None and rows != len(table):
                 raise LinAlgError("row count does not match the data")
+            if cols is not None and cols != self.cols:
+                raise LinAlgError("column count does not match the data")
         else:
             self.cols = cols or 0
             table = [[]] * (rows or 0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import burnside_reference
 from qmackey.burnside import BurnsideElement, BurnsideError, burnside_ring
-from qmackey.groups import SubgroupLattice, symmetric
+from qmackey.groups import SubgroupLattice, corpus, symmetric
 from qmackey.linalg import QMatrix
 from qmackey.mackey import burnside_mackey
 from qmackey.monoidal import burnside_green
@@ -413,6 +413,20 @@ class TestProductReferee:
             for i, a in enumerate(basis):
                 for j, b in enumerate(basis):
                     assert (a * b).coeffs == burnside_reference.structure_constants(ring, i, j)
+
+
+    @pytest.mark.parametrize("name", [*corpus(), "C2^4"])
+    def test_multiplication_table_columns_are_basis_products(self, corpus_lattices, past_corpus_lattices, name):
+        """Column i n + j of ``multiplication_table`` holds [H/B_i] [H/B_j], though each unordered pair is solved once."""
+        lat = _lattice(corpus_lattices, past_corpus_lattices, name)
+        for h in range(len(lat)):
+            ring = burnside_ring(lat, h)
+            columns = ring.multiplication_table().transpose().data
+            basis = [ring.basis(r) for r in ring.reps]
+            assert len(columns) == ring.size**2
+            for i, a in enumerate(basis):
+                for j, b in enumerate(basis):
+                    assert columns[i * ring.size + j] == (a * b).coeffs, (lat.name(h), i, j)
 
 
 class TestRestrictReferee:

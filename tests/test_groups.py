@@ -260,7 +260,7 @@ class TestLattice:
     def test_c6_has_four_subgroups(self, c6_lattice):
         assert len(c6_lattice) == 4
         assert len(c6_lattice.classes) == 4
-        assert c6_lattice.class_names == ["C1", "C2", "C3", "C6"]
+        assert c6_lattice.class_names == ("C1", "C2", "C3", "C6")
 
     def test_trivial_group(self):
         lat = SubgroupLattice(trivial())

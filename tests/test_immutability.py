@@ -1,20 +1,24 @@
-"""Functors and modules are immutable values; variants come from ``dataclasses.replace``.
+"""Lattices, functors and modules are immutable values; variants come from ``dataclasses.replace``.
 
 The axiom checker and the classification cache conjugation, action and
-element matrices on the functor or module.  These tests pin that no data such
-a cache depends on can change after construction, and that a variant built
-with ``replace`` starts with empty caches.
+element matrices on the functor or module, and the lattice memoizes every
+answer it derives.  These tests pin that no data such a cache depends on can
+change after construction, and that a variant built with ``replace`` starts
+with empty caches.
 """
 
+import dataclasses
 import random
 from dataclasses import FrozenInstanceError, replace
+from types import MappingProxyType
 
 import pytest
 
-from qmackey.classify import random_invertible
-from qmackey.groups import SubgroupLattice, symmetric
+from qmackey.burnside import burnside_ring
+from qmackey.classify import build_free_block, classify_iso, random_invertible
+from qmackey.groups import FiniteGroup, SubgroupLattice, symmetric
 from qmackey.linalg import QMatrix, WModule
-from qmackey.mackey import MackeyFunctor, burnside_mackey, check_axioms, constant
+from qmackey.mackey import MackeyFunctor, burnside_mackey, check_axioms, constant, i_lower
 from qmackey import monoidal
 
 
@@ -50,6 +54,12 @@ class TestFrozen:
         V = WModule.regular(lat.group)
         with pytest.raises(FrozenInstanceError):
             setattr(V, field, getattr(V, field))
+
+    @pytest.mark.parametrize("field", ["lattice", "h", "module", "functor", "cosets", "bases"])
+    def test_assigning_a_free_block_field_raises(self, lat, field):
+        block = build_free_block(lat, lat.top, WModule.trivial(lat.weyl(lat.top).group))
+        with pytest.raises(FrozenInstanceError):
+            setattr(block, field, getattr(block, field))
 
     def test_box_keeps_its_levels_in_a_declared_field(self, lat):
         A = burnside_mackey(lat)
@@ -88,3 +98,75 @@ class TestReplace:
         assert N == M and M._conj_cache
         assert N._conj_cache == {}
         assert replace(M, name="B") != M
+
+
+LATTICE_TABLES = ("group", "subgroups", "conj_table", "classes", "class_of", "normalizers", "class_names", "subgroup_names")
+
+
+def writable(value, path: str, seen: set[int]):
+    """The paths to every list, dict or set reachable from ``value``.
+
+    The walk descends through tuples, frozensets, read-only mappings, frozen
+    dataclasses, groups (every attribute) and lattices (their tables and
+    every memoized answer); any other object fails the walk.
+    """
+    if isinstance(value, (int, str)) or id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, (list, dict, set)):
+        yield path
+    elif isinstance(value, (tuple, frozenset)):
+        for i, item in enumerate(value):
+            yield from writable(item, f"{path}[{i}]", seen)
+    elif isinstance(value, MappingProxyType):
+        for key, item in value.items():
+            yield from writable(key, f"{path} key {key!r}", seen)
+            yield from writable(item, f"{path}[{key!r}]", seen)
+    elif dataclasses.is_dataclass(value):
+        assert type(value).__dataclass_params__.frozen, path
+        for f in dataclasses.fields(value):
+            yield from writable(getattr(value, f.name), f"{path}.{f.name}", seen)
+    elif isinstance(value, FiniteGroup):
+        for name, item in vars(value).items():
+            yield from writable(item, f"{path}.{name}", seen)
+    elif isinstance(value, SubgroupLattice):
+        for name in LATTICE_TABLES:
+            yield from writable(getattr(value, name), f"{path}.{name}", seen)
+        for key, item in value._memo.items():
+            yield from writable(item, f"{path}.{key[0]}{key[1:]}", seen)
+    else:
+        raise AssertionError(f"{path}: the walk does not know a {type(value).__name__}")
+
+
+class TestReadOnlyLattice:
+    """A lattice hands out its tables and memoized answers read-only: no caller can change what a later one reads."""
+
+    WRITES = {
+        "mobius_to": lambda lat: lat.mobius_to(lat.top).__setitem__(0, 99),
+        "class_index": lambda lat: burnside_ring(lat).class_index.__setitem__(0, 3),
+        "ring classes": lambda lat: burnside_ring(lat).classes.append((0,)),
+        "local_classes": lambda lat: lat.local_classes(lat.top).append((0,)),
+        "cover_pairs": lambda lat: lat.cover_pairs().append((0, 0)),
+    }
+
+    @pytest.mark.parametrize("write", WRITES.values(), ids=list(WRITES))
+    def test_a_write_to_a_memo_answer_raises_and_changes_nothing(self, write):
+        lat = SubgroupLattice(symmetric(3))
+        with pytest.raises((TypeError, AttributeError)):
+            write(lat)
+        ring = burnside_ring(lat)
+        assert ring.idempotent(lat.top).is_idempotent()
+        assert ring.basis(lat.bottom).render() == "[G6/C1]"
+
+    def test_nothing_writable_is_reachable_from_a_used_lattice(self):
+        lat = SubgroupLattice(symmetric(3))
+        A = burnside_mackey(lat)
+        assert check_axioms(A).ok
+        assert monoidal.green_check(monoidal.burnside_green(lat)).ok
+        classify_iso(A)
+        monoidal.box(A, A)
+        ring = burnside_ring(lat)
+        assert ring.idempotents() == ring.idempotents_via_marks()
+        i_lower(A, lat.class_reps()[1])
+        assert len(lat._memo) > 20
+        assert list(writable(lat, "lat", set())) == []

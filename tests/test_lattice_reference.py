@@ -48,12 +48,12 @@ def assert_lattice_matches(G: FiniteGroup) -> None:
     lat, ref = SubgroupLattice(G), ReferenceLattice(G)
     assert [s.elements for s in lat.subgroups] == ref.elements
     assert [lat.gens(h) for h in range(len(lat))] == ref.gens
-    assert lat.conj_table == ref.conj_table
+    assert lat.conj_table == tuple(map(tuple, ref.conj_table))
     assert (lat._down, lat._above) == (ref.down, [frozenset(up) for up in ref.up])
     assert all(lat.leq(k, h) == ref.leq(k, h) for k in range(len(lat)) for h in range(len(lat)))
-    assert (lat.classes, lat.normalizers) == (ref.classes, ref.normalizers)
-    assert (lat.class_names, lat.subgroup_names) == (ref.class_names, ref.subgroup_names)
-    assert lat.cover_pairs() == ref.cover_pairs()
+    assert (lat.classes, lat.normalizers) == (tuple(ref.classes), tuple(ref.normalizers))
+    assert (lat.class_names, lat.subgroup_names) == (tuple(ref.class_names), tuple(ref.subgroup_names))
+    assert lat.cover_pairs() == tuple(ref.cover_pairs())
     mu = ref.mobius_to(lat.top)
     assert [lat.mobius_to(lat.top)[k] for k in lat.subgroups_of(lat.top)] == [mu[k] for k in lat.subgroups_of(lat.top)]
 
@@ -84,7 +84,7 @@ def test_permutation_group_and_lattice_match_referee(name, relabel):
     G = from_permutations(gens, name=name)
     table, names, gen_ids = permutation_table(gens)
     assert [list(row) for row in G._mul] == table
-    assert G.elem_names == names
+    assert G.elem_names == tuple(names)
     composed = FiniteGroup(table, elem_names=names, gens=gen_ids)
     assert (G.gens, G.words) == (composed.gens, composed.words)
     assert_lattice_matches(G)

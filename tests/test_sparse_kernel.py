@@ -200,6 +200,12 @@ def test_ragged_input_rejected():
         QMatrix([[1, 2], [3]])
 
 
+@pytest.mark.parametrize("shape", [{"rows": 2}, {"cols": 5}, {"rows": 1, "cols": 3}])
+def test_shape_that_disagrees_with_the_data_rejected(shape):
+    with pytest.raises(LinAlgError):
+        QMatrix([[1, 2]], **shape)
+
+
 @pytest.mark.parametrize("entry", [None, "", [], "x", object()])
 def test_non_number_entry_rejected(entry):
     with pytest.raises((TypeError, ValueError)):

@@ -36,6 +36,7 @@ from .linalg import (
     fixed_subspace,
     intertwiner,
     restrict_map,
+    selection_matrix,
     span_basis,
     vstack,
 )
@@ -158,12 +159,11 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule) -> FreeBlock:
     dims = tuple(b.cols for b in bases)
 
     pos_of = [{g: i for i, g in enumerate(X)} for X in cosets]
-    eye_v = QMatrix.identity(V.dim)
 
     def coset_map(src, dst, image):
-        # send the fixed coset g of src to the fixed coset image(g) of dst, tensored with V
-        blocks = [(pos_of[dst][image(g)] * V.dim, j * V.dim, eye_v) for j, g in enumerate(cosets[src])]
-        return block_matrix(len(cosets[dst]) * V.dim, len(cosets[src]) * V.dim, blocks)
+        # send the fixed coset g of src to the fixed coset image(g) of dst, tensored with V: a 0/1 matrix
+        targets = [pos_of[dst][image(g)] * V.dim + i for g in cosets[src] for i in range(V.dim)]
+        return selection_matrix(len(cosets[dst]) * V.dim, targets)
 
     zeros = functools.cache(QMatrix.zeros)  # a level is 0 unless H <=_G K; maps into or out of 0 are 0
     res, ind = {}, {}

@@ -228,6 +228,12 @@ class QMatrix:
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(_frac(row[j]) if j in row else _ZERO for row in self._rows)
 
+    def row_block(self, start: int, count: int) -> "QMatrix":
+        """The ``count`` rows from row ``start`` on, sharing their storage; raises past the last row."""
+        if min(start, count) < 0 or start + count > self.rows:
+            raise LinAlgError("rows out of range")
+        return _new(count, self.cols, self._rows[start : start + count])
+
     def nonzero_cols(self) -> set[int]:
         """The indices of the columns that hold a nonzero entry."""
         return {j for row in self._rows for j in row}
@@ -387,7 +393,9 @@ def vstack(*mats: QMatrix) -> QMatrix:
 
 
 def tensor(A: QMatrix, B: QMatrix) -> QMatrix:
-    """Kronecker product; index (i, j) of the result is i_A * rows_B + i_B etc."""
+    """Kronecker product; index (i, j) is i_A * rows_B + i_B etc.  Two kept identities give the kept identity."""
+    if A._is_eye() and B._is_eye():
+        return QMatrix.identity(A.rows * B.rows)
     bc = B.cols
     out = []
     for ra in A._rows:

@@ -6,12 +6,13 @@ restriction against induction in both variables, and a conjugation family
 balances C_x in one factor against its inverse in the other.  Only the
 relations on cover pairs L < K <= H and for x generating H are built, as they
 span the rest (``_box_level``); the quotient is exact, in one elimination.
+Each relation family is built once per product and placed by every level above it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from .burnside import burnside_ring
 from .groups import SubgroupLattice
@@ -37,7 +38,31 @@ class _BoxLevel:
     section: QMatrix
 
 
-def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int) -> _BoxLevel:
+def _relation_families(M: MackeyFunctor, N: MackeyFunctor):
+    """``(frobenius, conjugation)``: the families of a cover pair L < K and of (x, K), each built on first use.
+
+    A family is listed as ``(summand, block, summand, -block)``; none depends on the level, so every H >= K
+    places the same blocks.  Left out are the families with no columns and that of x at a K containing x:
+    there xKx^-1 = K and C_x is the identity on M(G/K) and on N(G/K) by axiom 1, so its columns are zero."""
+    lat = M.lattice
+    eye = QMatrix.identity
+
+    @cache
+    def frobenius(k, l):
+        pairs = [(M.res[(k, l)], eye(N.dims[l]), eye(M.dims[k]), N.ind[(k, l)]),
+                 (eye(M.dims[l]), N.res[(k, l)], M.ind[(k, l)], eye(N.dims[k]))]
+        return [(l, tensor(a, b), k, -tensor(c, d)) for a, b, c, d in pairs if a.cols * b.cols]
+
+    @cache
+    def conjugation(x, k):
+        kx, xi = lat.conjugate(x, k), lat.group.inv(x)
+        pairs = [] if x in lat.elements(k) else [(M.conj(x, k), eye(N.dims[kx]), eye(M.dims[k]), N.conj(xi, kx))]
+        return [(kx, tensor(a, b), k, -tensor(c, d)) for a, b, c, d in pairs if a.cols * b.cols]
+
+    return frobenius, conjugation
+
+
+def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families=None) -> _BoxLevel:
     """T(H), the sum over K <= H of M(G/K) (x) N(G/K), and its quotient by the relations.
 
     Each relation family is one block column: a tensor block at one summand
@@ -45,7 +70,7 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int) -> _BoxLevel:
     res (x) 1 at L against 1 (x) ind at K, and 1 (x) res at L against
     ind (x) 1 at K; for x in H the conjugation family is C_x (x) 1 at xKx^-1
     against 1 (x) C_x^-1 at K.  The last two blocks share a summand when x
-    normalizes K.
+    normalizes K.  The blocks come from ``families``, the product's, or are built anew.
 
     Only L maximal in K and x among the generators of H are emitted; for
     Mackey functors the rest lie in their span.  For L < K' < K, the first
@@ -56,40 +81,27 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int) -> _BoxLevel:
     by y then z, as C is multiplicative; generators give all of finite H.
     """
     lat = M.lattice
-    G = lat.group
+    frobenius, conjugation = families or _relation_families(M, N)
     summands = lat.subgroups_of(h)
     offsets, t_dim = {}, 0
     for k in summands:
         offsets[k] = t_dim
         t_dim += M.dims[k] * N.dims[k]
     blocks, n_rel = [], 0
-
-    def relate(k1, a, k2, b):
-        nonlocal n_rel
-        blocks.append((offsets[k1], n_rel, a))
-        blocks.append((offsets[k2], n_rel, -b))
+    relations = [f for k, l in lat.cover_pairs() if k in offsets for f in frobenius(k, l)]
+    for k1, a, k2, b in relations + [f for x in lat.gens(h) for k in summands for f in conjugation(x, k)]:
+        blocks += [(offsets[k1], n_rel, a), (offsets[k2], n_rel, b)]
         n_rel += a.cols
-
-    eye = QMatrix.identity
-    for k, l in lat.cover_pairs():
-        if k in offsets:
-            relate(l, tensor(M.res[(k, l)], eye(N.dims[l])), k, tensor(eye(M.dims[k]), N.ind[(k, l)]))
-            relate(l, tensor(eye(M.dims[l]), N.res[(k, l)]), k, tensor(M.ind[(k, l)], eye(N.dims[k])))
-    for x in lat.gens(h):
-        if x == G.identity:
-            continue
-        xi = G.inv(x)
-        for k in summands:
-            kx = lat.conjugate(x, k)
-            relate(kx, tensor(M.conj(x, k), eye(N.dims[kx])), k, tensor(eye(M.dims[k]), N.conj(xi, kx)))
     proj, section = quotient_space(t_dim, block_matrix(t_dim, n_rel, blocks))
     return _BoxLevel(summands, offsets, t_dim, proj, section)
 
 
 def _level_map(src: _BoxLevel, dst: _BoxLevel, blocks) -> QMatrix:
-    """The map of box levels induced by ``(dst summand, src summand, block)`` maps of summands."""
-    big = block_matrix(dst.t_dim, src.t_dim, [(dst.offsets[t], src.offsets[k], b) for t, k, b in blocks])
-    return dst.proj.matmul(big).matmul(src.section)
+    """The map of box levels induced by ``(dst summand, src summand, block)`` maps of summands: proj F section, F the
+    map placing the blocks.  F is never built: each block meets the rows of ``section`` at its source summand, and
+    ``proj`` comes once.  A block overrunning T(src) or T(dst) raises ``LinAlgError``, as placing it in F would."""
+    lifted = [(dst.offsets[t], 0, b.matmul(src.section.row_block(src.offsets[k], b.cols))) for t, k, b in blocks]
+    return dst.proj.matmul(block_matrix(dst.t_dim, src.section.cols, lifted))
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -117,7 +129,8 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
         raise MackeyError("box product needs a common lattice")
     lat = M.lattice
     G = lat.group
-    levels = tuple(_box_level(M, N, h) for h in range(len(lat)))
+    families = _relation_families(M, N)
+    levels = tuple(_box_level(M, N, h, families) for h in range(len(lat)))
     dims = tuple(level.proj.rows for level in levels)
     # summands whose tensor space is zero contribute no blocks
     live = [[k for k in level.summands if M.dims[k] * N.dims[k]] for level in levels]

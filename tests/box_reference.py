@@ -8,7 +8,9 @@ before it emitted relations only on cover pairs and generators and took the
 quotient in one elimination.  ``box_maps`` induces R and I on every
 comparable pair and C_s for every generator at every level through the
 quotient, where ``monoidal.box`` induces only the cover pairs and the
-generators outside each level and composes the rest.
+generators outside each level and composes the rest.  ``level_map`` induces
+a map as proj F section with the whole T(dst) x T(src) map F of summands
+built, the referee of ``monoidal._level_map``, which never builds F.
 
 ``box_idempotent_check`` (the idempotent part of a box product is the box
 of the idempotent parts) and ``u_monoidal_certificate`` (the local piece
@@ -74,8 +76,14 @@ def box_level(M, N, h):
     return monoidal._BoxLevel(summands, offsets, t_dim, proj, section)
 
 
+def level_map(src, dst, blocks):
+    """The map of box levels induced by ``(dst summand, src summand, block)`` maps of summands, through F."""
+    big = block_matrix(dst.t_dim, src.t_dim, [(dst.offsets[t], src.offsets[k], b) for t, k, b in blocks])
+    return dst.proj.matmul(big).matmul(src.section)
+
+
 def box_maps(M, N, levels):
-    """``(res, ind, cgen)`` on ``levels``, each map induced from its summand maps by ``monoidal._level_map``."""
+    """``(res, ind, cgen)`` on ``levels``, each map induced from its summand maps by ``level_map``."""
     lat = M.lattice
     G = lat.group
     # summands whose tensor space is zero contribute no blocks
@@ -85,7 +93,7 @@ def box_maps(M, N, levels):
         for k in lat.subgroups_of(h):
             # induction: include the smaller sum of summands, then project
             incl = [(s, s, QMatrix.identity(M.dims[s] * N.dims[s])) for s in live[k]]
-            ind[(h, k)] = monoidal._level_map(levels[k], levels[h], incl)
+            ind[(h, k)] = level_map(levels[k], levels[h], incl)
             down = []
             for s in live[h]:
                 for l in lat.double_cosets(k, s, h):
@@ -94,12 +102,12 @@ def box_maps(M, N, levels):
                     mm = M.res[(sl, meet)].matmul(M.conj(l, s))
                     nn = N.res[(sl, meet)].matmul(N.conj(l, s))
                     down.append((meet, s, tensor(mm, nn)))
-            res[(h, k)] = monoidal._level_map(levels[h], levels[k], down)
+            res[(h, k)] = level_map(levels[h], levels[k], down)
     cgen = {}
     for pos, s in enumerate(G.gens):
         for h in range(len(lat)):
             blocks = [(lat.conjugate(s, k), k, tensor(M.conj(s, k), N.conj(s, k))) for k in live[h]]
-            cgen[(pos, h)] = monoidal._level_map(levels[h], levels[lat.conjugate(s, h)], blocks)
+            cgen[(pos, h)] = level_map(levels[h], levels[lat.conjugate(s, h)], blocks)
     return res, ind, cgen
 
 

@@ -182,6 +182,22 @@ def test_block_matrix(args):
     assert all(p.unchanged() for _, _, p in blocks)
 
 
+@settings(deadline=None, max_examples=100)
+@given(DIM.flatmap(lambda r: DIM.flatmap(lambda c: st.tuples(pairs(r, c), st.integers(0, r), st.integers(0, r)))))
+def test_row_block(args):
+    A, start, count = args
+    if start + count <= A.q.rows:
+        block = A.q.row_block(start, count)
+        assert same(block, ref.DenseMatrix(A.d.data[start : start + count], rows=count, cols=A.q.cols))
+        assert all(row is A.q._rows[start + i] for i, row in enumerate(block._rows))
+    else:
+        with pytest.raises(LinAlgError):
+            A.q.row_block(start, count)
+    with pytest.raises(LinAlgError):
+        A.q.row_block(-1, 1)
+    assert A.unchanged()
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 5).flatmap(lambda n: st.permutations(range(n))))
 def test_constructors(perm):
@@ -331,6 +347,8 @@ def test_flagged_constructors_are_the_identity(n):
     for name, M in flagged_identities(n).items():
         assert M._unit_rows is not None, name
         assert same(M, ref.DenseMatrix.identity(n)) and M == QMatrix.identity(n), name
+        square = linalg.tensor(M, QMatrix.identity(2))
+        assert square._is_eye() and square == QMatrix.identity(2 * n), name
 
 
 def near_misses():

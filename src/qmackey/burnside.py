@@ -14,8 +14,8 @@ entrywise product of the factors' marks, a restriction has the marks read at
 the subgroup's classes, and one exact integer back substitution in the
 triangular table turns marks back into an element.
 The ring's table builders ``restriction_table`` and ``multiplication_table``
-run that step alone on integer marks, for ``mackey.burnside_mackey`` and
-``monoidal.burnside_green``.
+run that step alone on integer marks, for ``monoidal.burnside_green`` and
+``mackey.burnside_mackey``, which keeps its tables as long as the lattice lives.
 
 Two independent routes to the primitive idempotents are provided, both in
 integer arithmetic.  Gluck's Mobius formula sums |L| mu(L, K) over one sweep of
@@ -167,12 +167,17 @@ class BurnsideRing:
         """The product as an integer matrix: column i n + j is [H/B_i] [H/B_j], whose marks are the entrywise product.
 
         The ring is commutative, so each unordered pair i <= j is back-substituted once and fills both columns.
+        The marks of [H/B_i] vanish off the diagonal T[i][i] and ``_below[i]``, so only those classes are read.
         """
         n, T = self.size, self._marks
-        columns = (
-            ((i * n + j, j * n + i), [x * y for x, y in zip(T[i], T[j])]) for i in range(n) for j in range(i, n)
-        )
-        return self._table(n * n, columns)
+
+        def marks(i, j):
+            v = [0] * n
+            for k, m in ((i, T[i][i]), *self._below[i]):
+                v[k] = m * T[j][k]
+            return v
+
+        return self._table(n * n, (((i * n + j, j * n + i), marks(i, j)) for i in range(n) for j in range(i, n)))
 
     def _table(self, cols: int, columns) -> QMatrix:
         """The integer matrix with the z with z T = rest in each column of cs, for every (cs, rest) of ``columns``."""

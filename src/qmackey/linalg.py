@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .groups import FiniteGroup, GSet
 
@@ -114,19 +115,22 @@ def _rref_rows(body) -> tuple[list[dict], list[int]]:
     Forward elimination: the next pivot column c is the smallest leading
     column among the rows not yet used, and every such row leading at c is a
     candidate.  The candidate with the fewest entries becomes the pivot row,
-    which keeps fill-in down; the others are cleared at c.  Back substitution
-    then reduces the pivot rows last first: each later row is reduced already,
-    so it holds no pivot column but its own, and a row is cleared by exactly
-    the later rows whose pivot columns it holds, last first.  The reduced form
-    is unique, so the choice of pivot rows does not show in it.
+    which keeps fill-in down; the others are cleared at c.  The pending lead
+    columns sit in a heap, each pushed with its first row; it pops them in the
+    order a scan would, so every intermediate row and the output are the same.
+    Back substitution then reduces the pivot rows last first: each later row is
+    reduced already, so it holds no pivot column but its own, and a row is
+    cleared by exactly the later rows whose pivot columns it holds, last first.
+    The reduced form is unique, so the choice of pivot rows does not show in it.
     """
     by_lead: dict[int, list[dict]] = {}
     for row in body:
         if row:
             by_lead.setdefault(min(row), []).append(dict(row))
+    leads = sorted(by_lead)  # the keys of by_lead, as a heap
     pivot_rows, pivots = [], []
-    while by_lead:
-        c = min(by_lead)
+    while leads:
+        c = heappop(leads)
         cands = by_lead.pop(c)
         p = min(range(len(cands)), key=lambda i: len(cands[i]))
         prow = cands[p]
@@ -137,7 +141,9 @@ def _rref_rows(body) -> tuple[list[dict], list[int]]:
             if i != p:
                 _sub_into(row, row[c], prow)
                 if row:
-                    by_lead.setdefault(min(row), []).append(row)
+                    if (lead := min(row)) not in by_lead:
+                        heappush(leads, lead)
+                    by_lead.setdefault(lead, []).append(row)
         pivot_rows.append(prow)
         pivots.append(c)
     row_of = dict(zip(pivots, pivot_rows))

@@ -11,6 +11,7 @@ axiom checker verifies transitivity instead of defining maps by it.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -550,9 +551,20 @@ def fp_fq_iso(lattice: SubgroupLattice, V: WModule) -> MackeyMorphism:
 # -- the Burnside-ring Mackey functor -------------------------------------------
 
 
+_BURNSIDE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # lattice -> (dims, res, ind, cgen)
+
+
 def burnside_mackey(lattice: SubgroupLattice, name: str = "A") -> MackeyFunctor:
     """Level H is the rational Burnside ring of H; maps are restriction of sets,
-    induction [K/L] -> [H/L] and conjugation [H/L] -> [sHs^-1/sLs^-1]."""
+    induction [K/L] -> [H/L] and conjugation [H/L] -> [sHs^-1/sLs^-1].
+
+    The first call for a lattice keeps the dims and read-only map tables in ``_BURNSIDE_TABLES``; later calls
+    return a new functor over them, with its own name and empty conjugation cache.  The read-only lattice alone
+    fixes them and matrices are immutable, so they cannot go stale.  The lattice is a weak key and no ``QMatrix``
+    refers to it, so the entry dies with the lattice.
+    """
+    if (tables := _BURNSIDE_TABLES.get(lattice)) is not None:
+        return MackeyFunctor(lattice, *tables, name=name)
     rings = [burnside_ring(lattice, h) for h in range(len(lattice))]
 
     def resfn(h, k):
@@ -565,7 +577,9 @@ def burnside_mackey(lattice: SubgroupLattice, name: str = "A") -> MackeyFunctor:
         target = rings[lattice.conjugate(s, h)]
         return selection_matrix(target.size, [target.class_index[lattice.conjugate(s, rep)] for rep in rings[h].reps])
 
-    return build_functor(lattice, [r.size for r in rings], resfn, indfn, conjfn, name=name)
+    A = build_functor(lattice, [r.size for r in rings], resfn, indfn, conjfn, name=name)
+    _BURNSIDE_TABLES[lattice] = (A.dims, A.res, A.ind, A.cgen)
+    return A
 
 
 # -- the Burnside action ------------------------------------------------------------

@@ -415,7 +415,7 @@ class TestProductReferee:
                     assert (a * b).coeffs == burnside_reference.structure_constants(ring, i, j)
 
 
-    @pytest.mark.parametrize("name", [*corpus(), "C2^4"])
+    @pytest.mark.parametrize("name", [*corpus(), "C2^4", "S3xS3"])
     def test_multiplication_table_columns_are_basis_products(self, corpus_lattices, past_corpus_lattices, name):
         """Column i n + j of ``multiplication_table`` holds [H/B_i] [H/B_j], though each unordered pair is solved once."""
         lat = _lattice(corpus_lattices, past_corpus_lattices, name)

@@ -1,11 +1,15 @@
+import gc
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from corruptions import all_corruptions, axioms_violated, constant_with_identity_induction
 from lattice_reference import orbits, stabilizer
+from qmackey import mackey
 from qmackey.burnside import burnside_ring
-from qmackey.groups import GroupError, SubgroupLattice, coset_gset, cyclic, from_permutations, GMap, GSet, restrict_gset, trivial
+from qmackey.groups import GroupError, SubgroupLattice, coset_gset, cyclic, from_permutations, GMap, GSet, restrict_gset, symmetric, trivial
 from qmackey.linalg import QMatrix, WModule
 from qmackey.mackey import (
     MackeyError,
@@ -196,6 +200,36 @@ class TestBurnsideMackey:
     def test_passes_axioms_a4_d12(self, corpus_lattices):
         for name in ("A4", "D12"):
             assert check_axioms(burnside_mackey(corpus_lattices[name])).ok
+
+
+class TestBurnsideTables:
+    """``burnside_mackey`` builds the tables of a lattice once; each call returns a new functor over them.
+
+    Every test builds its own lattice: the session fixtures' lattices keep their tables for the whole run.
+    """
+
+    def test_calls_share_tables_not_functors(self):
+        lat = SubgroupLattice(symmetric(3))
+        A, B = burnside_mackey(lat), burnside_mackey(lat, name="B")
+        assert A is not B and (A.name, B.name) == ("A", "B")
+        assert (A.dims, A.res, A.ind, A.cgen) == (B.dims, B.res, B.ind, B.cgen)
+        assert B == replace(A, name="B")
+        fresh = burnside_mackey(SubgroupLattice(symmetric(3)))
+        assert (B.dims, B.res, B.ind, B.cgen) == (fresh.dims, fresh.res, fresh.ind, fresh.cgen)
+        assert check_axioms(A).ok
+        assert A._conj_cache and B._conj_cache == {}
+        assert check_axioms(B).ok and A._conj_cache is not B._conj_cache
+
+    def test_the_entry_dies_with_the_lattice(self):
+        lat = SubgroupLattice(symmetric(3))
+        A, B = burnside_mackey(lat), burnside_mackey(lat, name="B")
+        assert lat in mackey._BURNSIDE_TABLES
+        others = [key for key in mackey._BURNSIDE_TABLES.keys() if key is not lat]
+        ref = weakref.ref(lat)
+        del lat, A, B
+        gc.collect()
+        assert ref() is None
+        assert list(mackey._BURNSIDE_TABLES.keys()) == others
 
 
 class TestBurnsideAction:

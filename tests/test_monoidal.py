@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import box_reference
 import green_reference
 from qmackey import monoidal
-from qmackey.burnside import burnside_ring
+from qmackey.burnside import BurnsideRing, burnside_ring
 from qmackey.classify import free_functor
-from qmackey.groups import SubgroupLattice, corpus, from_permutations, trivial
+from qmackey.groups import SubgroupLattice, corpus, dihedral, from_permutations, trivial
 from qmackey.linalg import QMatrix, WModule, permutation_matrix, tensor
 from qmackey.mackey import (
     MackeyError,
@@ -129,6 +129,19 @@ class TestBoxUnitLaw:
         monkeypatch.setattr(monoidal, "burnside_action", lambda M, k, a: QMatrix.zeros(M.dims[k], M.dims[k]))
         with pytest.raises(MackeyError, match="box unit map failed to invert"):
             box_unit_iso(burnside_mackey(c2_lattice))
+
+    def test_burnside_tables_are_built_once_per_lattice(self, monkeypatch):
+        """A, then the unit isos of five free functors over one D8 lattice: one restriction table per comparable pair."""
+        calls = []
+        table = BurnsideRing.restriction_table
+        monkeypatch.setattr(BurnsideRing, "restriction_table", lambda ring, k: calls.append(k) or table(ring, k))
+        lat = SubgroupLattice(dihedral(8))
+        pairs = sum(len(lat.subgroups_of(h)) for h in range(len(lat)))
+        assert check_axioms(burnside_mackey(lat)).ok and len(calls) == pairs
+        functors = [free_functor(lat, h, WModule.trivial(lat.weyl(h).group)) for h in lat.class_reps()[:5]]
+        for F in functors:
+            assert box_unit_iso(F).is_levelwise_iso()
+        assert len(calls) == pairs
 
 
 class TestBoxSymmetry:

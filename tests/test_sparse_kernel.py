@@ -8,6 +8,7 @@ and an ``int`` exactly when it is integral), and that ``data`` is a tuple of
 row tuples of ``Fraction``s.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -130,6 +131,29 @@ def test_elimination_past_rank_100():
     R_ref, pivots_ref = A.d.rref()
     assert same(R, R_ref) and pivots == pivots_ref and len(pivots) == 110
     assert A.unchanged()
+
+
+# Row 0 pivots at column 0.  Cleared there, row 1 leads at column 1, where row 3
+# already waits, and row 2 at column 2, which no row led at before and which must
+# come out of the pending leads ahead of row 4's column 3.
+PENDING_AND_NEW_LEADS = [
+    [1, 0, 0, 0, 1],
+    [1, 1, 0, 1, 1],
+    [2, 0, 1, 0, Fraction(1, 2)],
+    [0, 1, 0, 0, 3],
+    [0, 0, 0, 1, -1],
+]
+
+
+def test_reduced_rows_join_pending_and_new_lead_columns():
+    """Every row order of ``PENDING_AND_NEW_LEADS`` reduces as in the dense reference."""
+    for perm in itertools.permutations(range(5)):
+        A = Pair([PENDING_AND_NEW_LEADS[i] for i in perm], 5, 5)
+        R, pivots = A.q.rref()
+        R_ref, pivots_ref = A.d.rref()
+        assert same(R, R_ref) and pivots == pivots_ref == (0, 1, 2, 3, 4)
+        assert same(A.q.kernel(), A.d.kernel()) and same(A.q.image(), A.d.image())
+        assert A.unchanged()
 
 
 @settings(deadline=None, max_examples=100)

@@ -35,7 +35,6 @@ from .linalg import QMatrix, WModule, averaging_projector, fixed_subspace, quoti
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
-    burnside_action,
     burnside_mackey,
     check_axioms,
     coconstant,
@@ -76,7 +75,6 @@ __all__ = [
     "box_morphism",
     "box_swap_iso",
     "box_unit_iso",
-    "burnside_action",
     "burnside_green",
     "burnside_mackey",
     "burnside_ring",

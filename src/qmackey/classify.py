@@ -41,6 +41,8 @@ from .linalg import (
     vstack,
 )
 from .mackey import (
+    _brauer_basis,
+    _common_kernel,
     MackeyError,
     MackeyFunctor,
     MackeyMorphism,
@@ -233,21 +235,6 @@ def u_module(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix]:
     """The local piece of M at H: the top-idempotent part of M(G/H) with its
     Weyl action.  Returns the module and its basis inside M(G/H)."""
     return _piece(M, h)[:2]
-
-
-def _common_kernel(mats, n: int) -> QMatrix:
-    """A basis of what every matrix of ``mats`` kills in Q^n, cut down one matrix at a time:
-    unlike the kernel of the stacked matrices, this eliminates no row that depends on others."""
-    B = QMatrix.identity(n)
-    for A in mats:
-        if A.rows and B.cols:  # else A kills all that is left
-            B = B.matmul(A.matmul(B).kernel())
-    return B
-
-
-def _brauer_basis(M: MackeyFunctor, h: int) -> QMatrix:
-    """The canonical basis of U_H M, the intersection of ker R^H_K over K maximal in H (``_local_piece``)."""
-    return _common_kernel([M.res[(h, k)] for k in M.lattice.maximal(h)], M.dims[h]).image()
 
 
 def _local_piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:

@@ -1,5 +1,5 @@
 """Rational Mackey functors: data model, axiom checker, standard constructions,
-the Burnside-ring action, and the change-of-group functors.
+the idempotent pieces, and the change-of-group functors.
 
 A Mackey functor here stores one exact-rational vector space per subgroup
 (every subgroup, not just class representatives), restriction and induction
@@ -15,6 +15,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache, partial
 from types import MappingProxyType
 
 from .burnside import BurnsideElement, burnside_ring
@@ -582,32 +583,43 @@ def burnside_mackey(lattice: SubgroupLattice, name: str = "A") -> MackeyFunctor:
     return A
 
 
-# -- the Burnside action ------------------------------------------------------------
+# -- the idempotent pieces ------------------------------------------------------------
 
 
-def burnside_action(M: MackeyFunctor, h: int, a: BurnsideElement) -> QMatrix:
-    """The action of an element of A_Q(H) on M(G/H), classwise I o R."""
-    ring = a.ring
-    if ring.lattice is not M.lattice or ring.top != h:
-        raise MackeyError("element must live in the Burnside ring of the level")
-    terms = [(0, 0, M.ind[(h, rep)].matmul(M.res[(h, rep)]).scale(c)) for rep, c in zip(ring.reps, a.coeffs) if c]
-    return block_matrix(M.dims[h], M.dims[h], terms)
+def _common_kernel(mats, n: int) -> QMatrix:
+    """A basis of what every matrix of ``mats`` kills in Q^n, cut down one matrix at a time:
+    unlike the kernel of the stacked matrices, this eliminates no row that depends on others."""
+    B = QMatrix.identity(n)
+    for A in mats:
+        if A.rows and B.cols:  # else A kills all that is left
+            B = B.matmul(A.matmul(B).kernel())
+    return B
+
+
+def _brauer_basis(M: MackeyFunctor, h: int) -> QMatrix:
+    """The canonical basis of U_H M, the intersection of ker R^H_K over K maximal in H (``classify._local_piece``)."""
+    return _common_kernel([M.res[(h, k)] for k in M.lattice.maximal(h)], M.dims[h]).image()
 
 
 def idempotent_part(M: MackeyFunctor, e: BurnsideElement, name: str | None = None) -> MackeyFunctor:
     """The summand eM cut out by an idempotent of the top-level Burnside ring.
 
-    Level H is the image of the action of the restricted idempotent; structure
-    maps are restricted to those images (restriction, induction and
-    conjugation all commute with the idempotent action).
+    The marks of e are 0 and 1, so e names the family D of subgroups whose class has mark 1.
+    Marks do not depend on the ambient group, so res_H e is the sum of the primitive
+    idempotents e_K^H over the H-classes of D, and e_K^H M(G/H) = I^H_K U_K M
+    (``classify.diagonal_check``).  The images of orthogonal idempotents add, so level H is
+    the span of I^H_K U_K M over one K in each H-class of D, in its canonical basis.  Structure
+    maps are restricted to those images (restriction, induction and conjugation all commute
+    with the idempotent action).
     """
     lat = M.lattice
-    ring = burnside_ring(lat)
-    if e.ring != ring:
+    if e.ring.lattice is not lat or e.ring.top != lat.top:
         raise MackeyError("idempotent must live in the top-level Burnside ring")
     if not e.is_idempotent():
         raise MackeyError("element is not idempotent")
-    bases = [burnside_action(M, h, ring.restrict(e, h)).image() for h in range(len(lat))]
+    marks, index, brauer = e.marks(), e.ring.class_index, cache(partial(_brauer_basis, M))
+    pieces = [[M.ind[(h, k)].matmul(brauer(k)) for k, *_ in lat.local_classes(h) if marks[index[k]]] for h in range(len(lat))]
+    bases = [hstack(QMatrix.zeros(M.dims[h], 0), *pieces[h]).image() for h in range(len(lat))]  # I^H_K U_K M, K in D
     return build_functor(
         lat,
         [b.cols for b in bases],

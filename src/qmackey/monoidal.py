@@ -22,7 +22,6 @@ from .mackey import (
     MackeyError,
     MackeyFunctor,
     MackeyMorphism,
-    burnside_action,
     comparable_pairs,
     burnside_mackey,
     check_axioms,
@@ -208,11 +207,8 @@ def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
     lat = M.lattice
     A = burnside_mackey(lat)
     B = box(A, M)
-    # a summand's tensor basis runs over the basis of A(G/K), then that of M(G/K)
-    acts = []
-    for k in range(len(lat)):
-        ring_k = burnside_ring(lat, k)
-        acts.append(hstack(*(burnside_action(M, k, ring_k.basis(r)) for r in ring_k.reps)))
+    # a summand's tensor basis runs over the basis [K/L] of A(G/K), then that of M(G/K); [K/L] acts as I^K_L R^K_L
+    acts = [hstack(*(M.ind[(k, cls[0])].matmul(M.res[(k, cls[0])]) for cls in lat.local_classes(k))) for k in range(len(lat))]
     maps = []
     for h, lvl in enumerate(B.levels):
         big = hstack(*(M.ind[(h, k)].matmul(acts[k]) for k in lvl.summands))

@@ -11,23 +11,28 @@ quotient, where ``monoidal.box`` induces only the cover pairs and the
 generators outside each level and composes the rest.  ``level_map`` induces
 a map as proj F section with the whole T(dst) x T(src) map F of summands
 built, the referee of ``monoidal._level_map``, which never builds F.
+``unit_map`` builds the map on summands that ``monoidal.box_unit_iso``
+descends, with each [K/L] acting through ``burnside_action``, where the
+package reads the action I^K_L R^K_L straight off the functor.
 
 ``box_idempotent_check`` (the idempotent part of a box product is the box
 of the idempotent parts) and ``u_monoidal_certificate`` (the local piece
 U_H of a box product is the tensor of the local pieces, Weyl-equivariantly)
 are criterion 9's checks of idempotent locality and strong monoidality, and
 ``test_monoidal``'s; the package has no copy of them.  Both rebuild every
-idempotent action from the Burnside ring and solve for its image in the
-local basis.
+idempotent action from the Burnside ring through ``burnside_reference``'s
+``burnside_action``, the referee of the action that the package reads off R
+and I, and solve for its image in the local basis.
 """
 
 from dataclasses import dataclass
 
+from burnside_reference import burnside_action
 from qmackey import monoidal
 from qmackey.burnside import burnside_ring
 from qmackey.classify import u_module
 from qmackey.linalg import QMatrix, _new, block_matrix, hstack, tensor
-from qmackey.mackey import MackeyMorphism, burnside_action, idempotent_part
+from qmackey.mackey import MackeyMorphism, idempotent_part
 
 
 def quotient_space(ambient_dim, relations):
@@ -116,6 +121,17 @@ def box(M, N, level=box_level):
     levels = tuple(level(M, N, h) for h in range(len(M.lattice)))
     dims = tuple(lvl.proj.rows for lvl in levels)
     return monoidal.BoxProduct(M.lattice, dims, *box_maps(M, N, levels), name=f"{M.name}[]{N.name}", levels=levels)
+
+
+def unit_map(M, B):
+    """Levelwise, the map on the summands of ``B = box(A, M)`` that ``monoidal.box_unit_iso`` descends:
+    a (x) m at K goes to I^H_K of a acting on m, each basis [K/L] acting through ``burnside_action``."""
+    lat = M.lattice
+    acts = []
+    for k in range(len(lat)):
+        ring = burnside_ring(lat, k)
+        acts.append(hstack(*(burnside_action(M, k, ring.basis(r)) for r in ring.reps)))
+    return [hstack(*(M.ind[(h, k)].matmul(acts[k]) for k in lvl.summands)) for h, lvl in enumerate(B.levels)]
 
 
 def _with_inclusion(M, e):

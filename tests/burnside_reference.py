@@ -10,7 +10,13 @@ These are the direct orbit decompositions, kept as referees for it:
 - ``restrict(a, to)``: [H/B] over K <= H splits into one K-orbit per double
   coset K x B, with stabilizer K meet xBx^-1;
 - ``induce(ring, a)``: [A/K] -> [H/K] from the ring of a subgroup A <= H,
-  the referee for the inductions of ``mackey.burnside_mackey``.
+  the referee for the inductions of ``mackey.burnside_mackey``;
+- ``burnside_action(M, h, a)``: the action of a on M(G/H), [H/L] acting as
+  I^H_L R^H_L, the referee for the actions that ``monoidal.box_unit_iso``
+  reads off R and I;
+- ``idempotent_part(M, e)``: eM with level H the image of the action of
+  res_H e, the referee for ``mackey.idempotent_part``, which cuts eM by the
+  family of e through the Brauer quotient.
 
 Nothing in the package imports this module.
 """
@@ -20,6 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qmackey.burnside import BurnsideElement, BurnsideError, burnside_ring
+from qmackey.linalg import QMatrix, block_matrix, restrict_map
+from qmackey.mackey import MackeyError, MackeyFunctor, build_functor
 
 
 def structure_constants(ring, i: int, j: int) -> tuple[Fraction, ...]:
@@ -74,3 +82,29 @@ def induce(ring, a: BurnsideElement) -> BurnsideElement:
             continue
         out[ring.class_index[src.reps[j]]] += c
     return BurnsideElement(ring, tuple(out))
+
+
+# -- the Burnside action ------------------------------------------------------------
+
+
+def burnside_action(M: MackeyFunctor, h: int, a: BurnsideElement) -> QMatrix:
+    """The action of an element of A_Q(H) on M(G/H), classwise I o R."""
+    ring = a.ring
+    if ring.lattice is not M.lattice or ring.top != h:
+        raise MackeyError("element must live in the Burnside ring of the level")
+    terms = [(0, 0, M.ind[(h, rep)].matmul(M.res[(h, rep)]).scale(c)) for rep, c in zip(ring.reps, a.coeffs) if c]
+    return block_matrix(M.dims[h], M.dims[h], terms)
+
+
+def idempotent_part(M: MackeyFunctor, e: BurnsideElement) -> MackeyFunctor:
+    """eM with level H the image of the action of res_H e, and every map restricted to the images."""
+    lat, ring = M.lattice, e.ring
+    bases = [burnside_action(M, h, ring.restrict(e, h)).image() for h in range(len(lat))]
+    return build_functor(
+        lat,
+        [b.cols for b in bases],
+        lambda h, k: restrict_map(M.res[(h, k)], bases[h], bases[k]),
+        lambda h, k: restrict_map(M.ind[(h, k)], bases[k], bases[h]),
+        lambda pos, s, h: restrict_map(M.cgen[(pos, h)], bases[h], bases[lat.conjugate(s, h)]),
+        name=f"e*{M.name}",
+    )

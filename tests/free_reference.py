@@ -11,6 +11,7 @@ the free blocks of both functors and lifts an intertwiner between them.
 where ``classify._compare`` applies the piece's coordinates Q of P once solved.
 """
 
+from burnside_reference import burnside_action
 from qmackey import classify
 from qmackey.burnside import burnside_ring
 from qmackey.linalg import (
@@ -24,7 +25,7 @@ from qmackey.linalg import (
     tensor,
     vstack,
 )
-from qmackey.mackey import MackeyError, MackeyMorphism, burnside_action
+from qmackey.mackey import MackeyError, MackeyMorphism
 
 
 def stacked_kernel_basis(lattice, h, k, V):

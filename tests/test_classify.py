@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import free_reference
+from burnside_reference import burnside_action
 from qmackey import classify
 from qmackey.burnside import burnside_ring
 from qmackey.classify import (
@@ -31,7 +32,6 @@ from qmackey.linalg import LinAlgError, QMatrix, WModule, intertwiner
 from qmackey.mackey import (
     MackeyError,
     basis_change,
-    burnside_action,
     burnside_mackey,
     check_axioms,
     coconstant,

@@ -9,7 +9,11 @@ name somewhere in the package outside its own body, or is listed in
 
 The classification computes its local pieces from restriction and induction
 alone, so ``classify`` reads nothing of the Burnside ring.  Nor does the
-subgroup lattice, which keeps the tables of marks that the ring reads."""
+subgroup lattice, which keeps the tables of marks that the ring reads.  Nor
+does any function of ``mackey`` but ``burnside_mackey``, nor
+``monoidal.box_unit_iso``, outside their annotations: ``idempotent_part``
+reads only the marks of its idempotent, and both read the ring's action as
+restriction followed by induction."""
 
 import ast
 import re
@@ -121,13 +125,41 @@ def test_every_exported_name_resolves():
     assert [name for name in qmackey.__all__ if not hasattr(qmackey, name)] == []
 
 
+def _burnside_names():
+    """The top-level functions and classes of ``burnside``, and ``burnside_action``."""
+    burnside = ast.parse((PACKAGE / "burnside.py").read_text())
+    return {d.name for d in burnside.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))} | {"burnside_action"}
+
+
+def _annotations(tree):
+    """Every node inside an annotation in ``tree``: of an argument, a return or an assignment."""
+    notes = [getattr(node, attr, None) for node in ast.walk(tree) for attr in ("annotation", "returns")]
+    return {sub for note in notes if note for sub in ast.walk(note)}
+
+
 @pytest.mark.parametrize("module", ["classify.py", "groups.py"])
 def test_reads_nothing_of_the_burnside_ring(module):
     """No import from ``burnside``, no name that ``burnside`` defines, and no ``burnside_action``."""
     tree = ast.parse((PACKAGE / module).read_text())
-    burnside = ast.parse((PACKAGE / "burnside.py").read_text())
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     modules = [getattr(node, "module", None) or "" for node in imports] + [a.name for node in imports for a in node.names]
     assert [m for m in modules if m.rpartition(".")[2] == "burnside"] == []
-    defined = {d.name for d in burnside.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
-    assert defined and set(_reads(tree)) & (defined | {"burnside_action"}) == set()
+    assert set(_reads(tree)) & _burnside_names() == set()
+
+
+def test_functor_operations_read_nothing_of_the_burnside_ring():
+    """``monoidal.box_unit_iso`` and every top-level function of ``mackey`` but ``burnside_mackey`` read,
+    outside their annotations, no name that ``burnside`` defines, and no ``burnside_action``."""
+    def top_level(module):
+        return {d.name: d for d in ast.parse((PACKAGE / module).read_text()).body if isinstance(d, ast.FunctionDef)}
+
+    mackey = top_level("mackey.py")
+    del mackey["burnside_mackey"]
+    functions = [*mackey.values(), top_level("monoidal.py")["box_unit_iso"]]
+    assert "idempotent_part" in [d.name for d in functions] and len(functions) > 30
+    assert [d.name for d in functions if set(_reads(d, _annotations(d))) & _burnside_names()] == []
+
+
+def test_annotation_reads_are_skipped_and_body_reads_are_not():
+    d = ast.parse("def f(e: BurnsideElement) -> BurnsideRing:\n    x: BurnsideError = burnside_ring(e)\n").body[0]
+    assert set(_reads(d, _annotations(d))) & _burnside_names() == {"burnside_ring"}

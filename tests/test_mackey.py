@@ -1,20 +1,22 @@
 import gc
+import random
 import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from burnside_reference import burnside_action, idempotent_part as action_idempotent_part
 from corruptions import all_corruptions, axioms_violated, constant_with_identity_induction
 from lattice_reference import orbits, stabilizer
 from qmackey import mackey
 from qmackey.burnside import burnside_ring
+from qmackey.classify import random_functor
 from qmackey.groups import GroupError, SubgroupLattice, coset_gset, cyclic, from_permutations, GMap, GSet, restrict_gset, symmetric, trivial
 from qmackey.linalg import QMatrix, WModule
 from qmackey.mackey import (
     MackeyError,
     MackeyMorphism,
-    burnside_action,
     burnside_mackey,
     check_axioms,
     coconstant,
@@ -297,6 +299,18 @@ class TestIdempotentParts:
         ring = burnside_ring(c6_lattice)
         with pytest.raises(MackeyError):
             idempotent_part(c6A, ring.basis(0))
+
+    @pytest.mark.parametrize("name", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4"])
+    def test_family_route_matches_the_action_referee(self, corpus_lattices, name):
+        """Each primitive idempotent, a sum of two, the unit and zero cut the Burnside functor and a random
+        functor into the functor whose level H is the image of the action of res_H e."""
+        lat = corpus_lattices[name]
+        ring = burnside_ring(lat)
+        es = ring.idempotents()
+        for M in (burnside_mackey(lat), random_functor(lat, random.Random(1))):
+            for e in [*es, es[0] + es[1], ring.unit(), ring.zero()]:
+                got, want = idempotent_part(M, e), action_idempotent_part(M, e)
+                assert (got.dims, got.res, got.ind, got.cgen) == (want.dims, want.res, want.ind, want.cgen)
 
     def test_inclusion_is_morphism(self, c6_lattice, c6A):
         ids = ids_of(c6_lattice)

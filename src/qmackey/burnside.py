@@ -7,7 +7,9 @@ elements over different subgroups can be restricted and induced without
 renumbering anything.
 
 All arithmetic goes through the integer table of marks, which the lattice
-keeps (``SubgroupLattice.marks``).  A ring holds nothing else, so it is a
+keeps as one sparse row per class: the nonzero marks of [H/B_j], diagonal last
+(``SubgroupLattice.marks``).  Every routine below walks those rows and reads
+no dense table.  A ring holds nothing else, so it is a
 plain value: rings over the same lattice object and subgroup are equal, and
 ``burnside_ring`` builds a new one on every call.  A product has the
 entrywise product of the factors' marks, a restriction has the marks read at
@@ -50,8 +52,8 @@ class BurnsideRing:
     """A_Q(H): rational linear combinations of the orbit classes [H/K].
 
     A ring is a value: two rings over the same lattice object and the same
-    subgroup are equal, and their elements mix.  Its tables are the lattice's
-    ``marks(top)``, read once here.
+    subgroup are equal, and their elements mix.  Its table of marks is the
+    lattice's sparse ``marks(top)``, read once here.
     """
 
     def __init__(self, lattice: SubgroupLattice, top: int):
@@ -60,7 +62,7 @@ class BurnsideRing:
         self.classes = lattice.local_classes(top)
         self.reps = tuple(cls[0] for cls in self.classes)
         self.size = len(self.classes)
-        self.class_index, self._marks, self._below = lattice.marks(top)
+        self.class_index, self._rows = lattice.marks(top)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BurnsideRing) and self.lattice is other.lattice and self.top == other.top
@@ -111,8 +113,7 @@ class BurnsideRing:
         v = [0] * self.size
         for j, c in terms:
             c = c.numerator * (d // c.denominator)
-            v[j] += c * self._marks[j][j]
-            for i, m in self._below[j]:
+            for i, m in self._rows[j].items():
                 v[i] += c * m
         return v, d
 
@@ -136,19 +137,25 @@ class BurnsideRing:
     def _back_substitute(self, rest: list[int]) -> dict[int, int]:
         """The z with z T = rest as {i: z_i != 0}, for the table of marks T and an integral z; ``rest`` is used up.
 
-        T[j][i] != 0 with i != j puts a conjugate of A_i properly inside B_j,
-        so i < j, as classes are sorted by order: T is triangular, with
-        T[i][i] = |N_H(A_i)| / |A_i| never 0, so z is unique.  Back
-        substitution from the top class down,
+        ``rest`` may stop short of the last class: its missing entries are 0.
+        The row of class i holds only classes k <= i, with T[i][i] =
+        |N_H(A_i)| / |A_i| never 0 and last, so T is triangular and z is
+        unique.  The largest j with z_j != 0 has (z T)_j = z_j T[j][j] != 0,
+        as T[l][j] != 0 needs l >= j; so rest_j != 0, z is 0 past the end of
+        ``rest``, and the scan starts at its last entry.  A caller keeps it
+        short by ending ``rest`` at the highest class its marks can reach.
+        Back substitution from there down,
         z_i = (rest_i - sum_(j > i) z_j T[j][i]) / T[i][i], meets only
-        integers, so each ``//`` is exact.  Each z_i, once found, is subtracted
-        from the rest at once, so only the sparse rows of the nonzero z_i are read.
+        integers, so each ``//`` is exact.  Each z_i, once found, subtracts its
+        whole row from the rest at once (clearing rest_i), so only the rows of
+        the nonzero z_i are read.
         """
-        z = {}
-        for i in range(self.size - 1, -1, -1):
+        z, rows = {}, self._rows
+        for i in range(len(rest) - 1, -1, -1):
             if rest[i]:
-                z[i] = q = rest[i] // self._marks[i][i]
-                for k, m in self._below[i]:
+                row = rows[i]
+                z[i] = q = rest[i] // row[i]
+                for k, m in row.items():
                     rest[k] -= q * m
         return z
 
@@ -161,20 +168,20 @@ class BurnsideRing:
         """
         target = burnside_ring(self.lattice, k)
         at = [self.class_index[rep] for rep in target.reps]
-        return target._table(self.size, (((j,), [row[i] for i in at]) for j, row in enumerate(self._marks)))
+        return target._table(self.size, (((j,), [row.get(i, 0) for i in at]) for j, row in enumerate(self._rows)))
 
     def multiplication_table(self) -> QMatrix:
         """The product as an integer matrix: column i n + j is [H/B_i] [H/B_j], whose marks are the entrywise product.
 
         The ring is commutative, so each unordered pair i <= j is back-substituted once and fills both columns.
-        The marks of [H/B_i] vanish off the diagonal T[i][i] and ``_below[i]``, so only those classes are read.
+        The marks of [H/B_i] vanish off its row, whose classes are at most i, so the product's marks end at class i.
         """
-        n, T = self.size, self._marks
+        n, T = self.size, self._rows
 
         def marks(i, j):
-            v = [0] * n
-            for k, m in ((i, T[i][i]), *self._below[i]):
-                v[k] = m * T[j][k]
+            v, row = [0] * (i + 1), T[j]
+            for k, m in T[i].items():
+                v[k] = m * row.get(k, 0)
             return v
 
         return self._table(n * n, (((i * n + j, j * n + i), marks(i, j)) for i in range(n) for j in range(i, n)))
@@ -189,8 +196,9 @@ class BurnsideRing:
         return _new(self.size, cols, body)
 
     def marks_basis(self, cj: int) -> tuple[int, ...]:
-        """Fixed-point counts |(H/B)^A| of the basis class cj at every class (A)."""
-        return self._marks[cj]
+        """Fixed-point counts |(H/B)^A| of the basis class cj at every class (A), zeros included."""
+        row = self._rows[cj]
+        return tuple(row.get(i, 0) for i in range(self.size))
 
     def marks(self, a: "BurnsideElement") -> tuple[Fraction, ...]:
         v, d = self._integer_marks(a)
@@ -221,10 +229,10 @@ class BurnsideRing:
         """Independent route: e_(A_i) is the element with the unit marks delta_i.
 
         ``_from_marks`` finds it by the triangular integer back substitution
-        in the table of marks, one per unit mark vector; the Mobius function
-        is never read.
+        in the table of marks, one per unit mark vector, which ends at class i;
+        the Mobius function is never read.
         """
-        return [self._from_marks([int(i == j) for j in range(self.size)], 1) for i in range(self.size)]
+        return [self._from_marks([0] * i + [1], 1) for i in range(self.size)]
 
     # -- restriction ------------------------------------------------------------------
 
@@ -265,9 +273,6 @@ class BurnsideElement:
             raise BurnsideError("cannot subtract across rings")
         return BurnsideElement(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "BurnsideElement":
-        return BurnsideElement(self.ring, tuple(-a for a in self.coeffs))
-
     def scale(self, c) -> "BurnsideElement":
         c = Fraction(c)
         return BurnsideElement(self.ring, tuple(c * a for a in self.coeffs))
@@ -275,9 +280,6 @@ class BurnsideElement:
     def __mul__(self, other):
         if isinstance(other, BurnsideElement):
             return self.ring.mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def is_zero(self) -> bool:

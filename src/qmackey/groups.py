@@ -854,32 +854,32 @@ class SubgroupLattice:
         return self._id_of[tuple(sorted(g for g in self.elements(h) if self.conj_table[g][k] == k))]
 
     @_memo
-    def marks(self, h: int) -> tuple[MappingProxyType, tuple, tuple]:
-        """The table of marks of H as (index, T, below).
+    def marks(self, h: int) -> tuple[MappingProxyType, tuple[MappingProxyType, ...]]:
+        """The table of marks T of H as (index, rows), keeping only its nonzero marks.
 
         ``index`` sends each subgroup of H to its class in ``local_classes(h)``;
-        T[j][i] = |(H/B_j)^(A_i)| for the class representatives A_i and B_j;
-        below[j] holds the (i, T[j][i]) with i < j and T[j][i] != 0.
+        T[j][i] = |(H/B_j)^(A_i)| for the class representatives A_i and B_j,
+        and rows[j] is {i: T[j][i]} over the i with T[j][i] != 0, in
+        increasing i.  Every such i is at most j, so the diagonal comes last.
 
         T[j][i] counts the cosets hB_j with h^-1 A_i h <= B_j.  That condition
         holds on whole cosets hB_j, so the count is
         #{h in H : h^-1 A_i h <= B_j} / |B_j|.  The map h -> h^-1 A_i h sends
         H onto the H-class of A_i, and each fibre is a coset of N_H(A_i).  So
-        T[j][i] = |N_H(A_i)| * #{A' in (A_i)_H : A' <= B_j} / |B_j|.
+        T[j][i] = |N_H(A_i)| * #{A' in (A_i)_H : A' <= B_j} / |B_j|, which is
+        nonzero exactly when that count is.  A conjugate A' <= B_j has id at
+        most B_j's, and classes are numbered by their least ids, so i <= j.
         Row j takes one pass over the subgroups of B_j, counted by class.
         """
         classes = self.local_classes(h)
         index = MappingProxyType({member: ci for ci, cls in enumerate(classes) for member in cls})
         norms = [self.order(self.normalizer_in(cls[0], h)) for cls in classes]
-        marks, below = [], []
-        for j, cls in enumerate(classes):
+        rows = []
+        for cls in classes:
             count = Counter(map(index.__getitem__, self._down[cls[0]]))  # i: #{A' in (A_i)_H : A' <= B_j}
-            row, order = [0] * len(classes), self.order(cls[0])
-            for i, c in count.items():
-                row[i] = norms[i] * c // order
-            marks.append(tuple(row))
-            below.append(tuple(sorted((i, row[i]) for i in count if i < j)))
-        return index, tuple(marks), tuple(below)
+            order = self.order(cls[0])
+            rows.append(MappingProxyType({i: norms[i] * count[i] // order for i in sorted(count)}))
+        return index, tuple(rows)
 
     # -- Mobius ---------------------------------------------------------------
 

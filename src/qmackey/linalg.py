@@ -273,14 +273,6 @@ class QMatrix:
             return QMatrix.zeros(self.rows, self.cols)
         return _new(self.rows, self.cols, [_scaled(row, c) for row in self._rows])
 
-    def __mul__(self, other):
-        if isinstance(other, QMatrix):
-            return self.matmul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise LinAlgError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")

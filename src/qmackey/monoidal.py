@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
+from types import MappingProxyType
 
 from .burnside import burnside_ring
 from .groups import SubgroupLattice
@@ -28,10 +29,10 @@ from .mackey import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _BoxLevel:
     summands: tuple  # subgroup ids K <= H in lattice order
-    offsets: dict  # id -> row offset of M(G/K) (x) N(G/K) in T(H)
+    offsets: MappingProxyType  # id -> row offset of M(G/K) (x) N(G/K) in T(H)
     t_dim: int
     proj: QMatrix
     section: QMatrix
@@ -61,7 +62,7 @@ def _relation_families(M: MackeyFunctor, N: MackeyFunctor):
     return frobenius, conjugation
 
 
-def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families=None) -> _BoxLevel:
+def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families) -> _BoxLevel:
     """T(H), the sum over K <= H of M(G/K) (x) N(G/K), and its quotient by the relations.
 
     Each relation family is one block column: a tensor block at one summand
@@ -69,7 +70,7 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families=None) -> _Bo
     res (x) 1 at L against 1 (x) ind at K, and 1 (x) res at L against
     ind (x) 1 at K; for x in H the conjugation family is C_x (x) 1 at xKx^-1
     against 1 (x) C_x^-1 at K.  The last two blocks share a summand when x
-    normalizes K.  The blocks come from ``families``, the product's, or are built anew.
+    normalizes K.  The blocks come from ``families``, the product's ``_relation_families``.
 
     Only L maximal in K and x among the generators of H are emitted; for
     Mackey functors the rest lie in their span.  For L < K' < K, the first
@@ -80,7 +81,7 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families=None) -> _Bo
     by y then z, as C is multiplicative; generators give all of finite H.
     """
     lat = M.lattice
-    frobenius, conjugation = families or _relation_families(M, N)
+    frobenius, conjugation = families
     summands = lat.subgroups_of(h)
     offsets, t_dim = {}, 0
     for k in summands:
@@ -92,7 +93,7 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families=None) -> _Bo
         blocks += [(offsets[k1], n_rel, a), (offsets[k2], n_rel, b)]
         n_rel += a.cols
     proj, section = quotient_space(t_dim, block_matrix(t_dim, n_rel, blocks))
-    return _BoxLevel(summands, offsets, t_dim, proj, section)
+    return _BoxLevel(summands, MappingProxyType(offsets), t_dim, proj, section)
 
 
 def _level_map(src: _BoxLevel, dst: _BoxLevel, blocks) -> QMatrix:

@@ -11,6 +11,7 @@ so each composite and identity is compared with a directly induced map.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -19,7 +20,7 @@ from qmackey.classify import random_functor
 from qmackey.groups import corpus
 from qmackey.linalg import WModule
 from qmackey.mackey import burnside_mackey, coconstant, constant, fp_functor, fq_functor
-from qmackey.monoidal import _box_level, box
+from qmackey.monoidal import _box_level, _relation_families, box
 
 PAIRS = [
     ("burnside", "burnside"),
@@ -71,7 +72,7 @@ def test_random_functors_match_the_referee(corpus_lattices, name, seed):
 def test_burnside_square_on_s3xs3_matches_directly_induced_maps(past_corpus_lattices):
     """A (x) A on S3xS3, with many non-cover pairs: production levels, every map induced by the referee."""
     A = burnside_mackey(past_corpus_lattices["S3xS3"])
-    assert_same_box(A, A, build=_box_level)
+    assert_same_box(A, A, build=partial(_box_level, families=_relation_families(A, A)))
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import burnside_reference
-from qmackey.burnside import BurnsideElement, BurnsideError, burnside_ring
+from qmackey.burnside import BurnsideElement, BurnsideError, BurnsideRing, burnside_ring
 from qmackey.groups import SubgroupLattice, corpus, symmetric
 from qmackey.linalg import QMatrix
 from qmackey.mackey import burnside_mackey
@@ -429,6 +429,27 @@ class TestProductReferee:
                     assert columns[i * ring.size + j] == (a * b).coeffs, (lat.name(h), i, j)
 
 
+class TestScanBound:
+    """``_back_substitute`` scans down from the end of ``rest``, and the marks routes end ``rest`` at the highest
+    class their marks reach: class i for the unit marks delta_i and for [H/B_i] [H/B_j] with i <= j."""
+
+    @pytest.mark.parametrize("name", ["S4", "C2^4"])
+    def test_rest_ends_at_class_i(self, corpus_lattices, past_corpus_lattices, monkeypatch, name):
+        ring = burnside_ring(_lattice(corpus_lattices, past_corpus_lattices, name))
+        n, seen, solve = ring.size, [], BurnsideRing._back_substitute
+
+        def spy(self, rest):
+            seen.append(len(rest))
+            return solve(self, rest)
+
+        monkeypatch.setattr(BurnsideRing, "_back_substitute", spy)
+        ring.idempotents_via_marks()
+        assert seen == [i + 1 for i in range(n)]
+        seen.clear()
+        ring.multiplication_table()
+        assert seen == [i + 1 for i in range(n) for j in range(i, n)]
+
+
 class TestRestrictReferee:
     """Restriction through the marks against the double-coset orbit decomposition it replaced."""
 
@@ -488,10 +509,12 @@ class TestMarksReferee:
 
     @staticmethod
     def check_every_ring(lat):
+        """Every mark, and the lattice's rows hold exactly the nonzero ones, in increasing class order."""
         for h in range(len(lat)):
-            ring = burnside_ring(lat, h)
+            ring, rows = burnside_ring(lat, h), lat.marks(h)[1]
             for j, b in enumerate(ring.reps):
                 assert ring.marks_basis(j) == tuple(len(lat.fixed_cosets(b, a, h)) for a in ring.reps)
+                assert list(rows[j]) == sorted(rows[j]) and list(rows[j])[-1] == j and all(rows[j].values())
 
     @pytest.mark.parametrize("name", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4"])
     def test_corpus(self, corpus_lattices, name):

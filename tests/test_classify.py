@@ -699,7 +699,9 @@ def test_compare_matches_the_per_coset_solve_referee(corpus_lattices, group):
             assert classify._compare(N, block, psi.matmul(Q2)).maps == want.maps
 
 
-@pytest.mark.parametrize("group", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", "S4"])
+@pytest.mark.parametrize(
+    "group", ["C2", "C3", "C6", "C8", "S3", "D8", "Q8", "A4", "D12", pytest.param("S4", marks=pytest.mark.slow)]
+)
 def test_certify_iso_matches_free_lift_referee(corpus_lattices, group):
     """Scrambled copies of the standard functors and random pairs, isomorphic or not, get the referee's verdict."""
     lat = corpus_lattices[group]
@@ -734,6 +736,7 @@ def test_certify_iso_raises_on_a_singular_intertwiner(corpus_lattices, monkeypat
             certify_iso(M, _scrambled(M, 5))
 
 
+@pytest.mark.slow
 def test_certify_iso_product_guard(past_corpus_lattices, monkeypatch):
     """A machine-independent guard: matrix products of ``certify_iso`` on the C2^4 Burnside functor, M1 memoized."""
     A = replace(burnside_mackey(past_corpus_lattices["C2^4"]))

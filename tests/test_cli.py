@@ -79,6 +79,37 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["mackey", "check", "nosuch:c6"], "unknown builtin functor kind 'nosuch'"),
+            (["mackey", "check", "missing.json"], "unknown functor 'missing.json'"),
+            (["mackey", "new", "burnside", "--group", "c6", "--save", "X"], "--save needs MACKEY_WORKSPACE to be set"),
+            (["mackey", "new", "free", "--group", "s3"], "free functors need --at CLASS"),
+            (["burnside", "restrict", "c6", "--to", "C3"], "need --element JSON or --idempotent CLASS"),
+            (["mackey", "green-check", "burnside:c2", "mult.json"], "multiplication data missing level C1"),
+            (["group", "info", "empty.json"], "empty multiplication table"),
+            (["group", "info", "row.json"], "multiplication table is not square"),
+            (["group", "info", "range.json"], "table entry out of range"),
+            (["group", "info", "list.json"], "group spec must be an object"),
+        ],
+        ids=lambda arg: " ".join(arg) if isinstance(arg, list) else None,
+    )
+    def test_refusal_is_one_line_and_exit_two(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.delenv("MACKEY_WORKSPACE", raising=False)
+        monkeypatch.chdir(tmp_path)
+        inputs = {
+            "mult.json": {"mult": {"C2": [["1", "0", "0", "0"], ["0", "2", "2", "2"]]}, "unit": {"C2": [["0"], ["1"]]}},
+            "empty.json": {"table": []},
+            "row.json": {"table": [[0, 1]]},
+            "range.json": {"table": [[0, 5], [5, 0]]},
+            "list.json": [1, 2],
+        }
+        for name, data in inputs.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_non_associative_table_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "loop.json"
         path.write_text(json.dumps({"name": "loop", "table": NON_ASSOCIATIVE_LOOP}))

@@ -68,6 +68,18 @@ class TestFrozen:
         assert len(B.levels) == len(lat)
         assert monoidal.box_unit_iso(A).is_levelwise_iso()
 
+    def test_a_write_to_a_box_level_raises(self, lat):
+        """``_level_map`` and the box isomorphisms read each level's offsets after ``box`` returns."""
+        A = burnside_mackey(lat)
+        B = monoidal.box(A, A)
+        level = B.levels[lat.top]
+        with pytest.raises(TypeError):
+            level.offsets[lat.bottom] = 1
+        with pytest.raises(FrozenInstanceError):
+            level.t_dim = 0
+        assert monoidal.box(A, A).levels[lat.top] == level
+        assert monoidal.box_unit_iso(A).is_levelwise_iso()
+
 
 class TestReplace:
     def test_replaced_conjugation_is_checked_afresh(self, lat):
@@ -147,6 +159,7 @@ class TestReadOnlyLattice:
         "ring classes": lambda lat: burnside_ring(lat).classes.append((0,)),
         "local_classes": lambda lat: lat.local_classes(lat.top).append((0,)),
         "cover_pairs": lambda lat: lat.cover_pairs().append((0, 0)),
+        "marks row": lambda lat: lat.marks(lat.top)[1][0].__setitem__(0, 1),
     }
 
     @pytest.mark.parametrize("write", WRITES.values(), ids=list(WRITES))

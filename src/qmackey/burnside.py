@@ -28,6 +28,7 @@ reads the Mobius function.  They are cross-checked in the test suite.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -87,10 +88,12 @@ class BurnsideRing:
         return BurnsideElement(self, tuple(coeffs))
 
     def element(self, coeffs) -> "BurnsideElement":
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        if any(isinstance(c, float) for c in coeffs):
+            raise BurnsideError("a coefficient is a float, not an exact rational; pass ints, Fractions or 'p/q' strings")
         if len(coeffs) != self.size:
             raise BurnsideError("coefficient vector has wrong length")
-        return BurnsideElement(self, coeffs)
+        return BurnsideElement(self, tuple(map(Fraction, coeffs)))
 
     def class_name(self, ci: int) -> str:
         return f"{self.lattice.name(self.top)}/{self.lattice.class_name_of(self.reps[ci])}"
@@ -101,16 +104,22 @@ class BurnsideRing:
         """The product: the element whose marks are the entrywise product of the factors' marks."""
         if a.ring != self or b.ring != self:
             raise BurnsideError("elements live in different Burnside rings")
-        (v, d), (w, e) = self._integer_marks(a), self._integer_marks(b)
-        return self._from_marks([x * y for x, y in zip(v, w)], d * e)
+        v, d = self._integer_marks(a)
+        w, e = (v, d) if b is a else self._integer_marks(b)
+        v = [x * y for x, y in zip(v, w)]
+        while v and not v[-1]:
+            v.pop()
+        return self._from_marks(v, d * e)
 
     # -- marks ------------------------------------------------------------------
 
     def _integer_marks(self, a: "BurnsideElement") -> tuple[list[int], int]:
-        """Integer marks v over a common denominator d > 0: marks(a) = v / d."""
+        """Integer marks v over a common denominator d > 0: marks(a) = v / d, with v ending at its last nonzero mark.
+
+        Row j of T ends at class j, so at the last j with a_j != 0 the mark is a_j T[j][j] != 0, and past it 0."""
         terms = [(j, c) for j, c in enumerate(a.coeffs) if c]
         d = lcm(*(c.denominator for _, c in terms))
-        v = [0] * self.size
+        v = [0] * (terms[-1][0] + 1 if terms else 0)
         for j, c in terms:
             c = c.numerator * (d // c.denominator)
             for i, m in self._rows[j].items():
@@ -202,7 +211,7 @@ class BurnsideRing:
 
     def marks(self, a: "BurnsideElement") -> tuple[Fraction, ...]:
         v, d = self._integer_marks(a)
-        return tuple(Fraction(x, d) for x in v)
+        return tuple(Fraction(x, d) for x in v) + (_ZERO,) * (self.size - len(v))
 
     # -- idempotents ----------------------------------------------------------------
 
@@ -210,17 +219,20 @@ class BurnsideRing:
         """The primitive idempotent supported on the class of K, by Gluck's Mobius formula.
 
         e_(K) = (1/|N_H(K)|) sum_(L <= K) |L| mu(L, K) [H/L], summed per class
-        in one sweep of ``mobius_to``.
+        in one sweep of ``mobius_to`` over the interval [1, K].
         """
         ci = self.class_index.get(k)
         if ci is None:
             raise BurnsideError("idempotent index must be a subgroup of the ring's group")
         lat, k0 = self.lattice, self.reps[ci]
-        sums = [0] * self.size  # per class, the integer sum of |L| mu(L, K)
+        sums = defaultdict(int)  # per class met, the integer sum of |L| mu(L, K)
         for l, mu in lat.mobius_to(k0).items():
             sums[self.class_index[l]] += lat.order(l) * mu
         denom = lat.order(lat.normalizer_in(k0, self.top))
-        return BurnsideElement(self, tuple(Fraction(c, denom) if c else _ZERO for c in sums))
+        coeffs = [_ZERO] * self.size
+        for i, c in sums.items():
+            coeffs[i] = Fraction(c, denom) if c else _ZERO
+        return BurnsideElement(self, tuple(coeffs))
 
     def idempotents(self) -> list["BurnsideElement"]:
         return [self.idempotent(rep) for rep in self.reps]
@@ -250,6 +262,7 @@ class BurnsideRing:
             raise BurnsideError("can only restrict to a subgroup")
         target = burnside_ring(lat, to)
         v, d = self._integer_marks(a)
+        v += [0] * (self.size - len(v))
         return target._from_marks([v[self.class_index[r]] for r in target.reps], d)
 
     def __repr__(self) -> str:

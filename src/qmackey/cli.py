@@ -649,7 +649,7 @@ def cmd_demo(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing does not change it."""
     p = argparse.ArgumentParser(prog="qmackey", description=__doc__)
-    p.add_argument("--cap", type=int, default=64, help="largest allowed group order")
+    p.add_argument("--cap", type=int, default=grp.DEFAULT_ORDER_CAP, help="largest allowed group order")
     p.add_argument("--pretty", action="store_true", help="prefer human-readable tables")
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.add_argument("--format", choices=["text", "json", "dot"], help="output form (default json)")

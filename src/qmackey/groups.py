@@ -570,11 +570,12 @@ class SubgroupLattice:
 
     - S is joined with one cyclic subgroup of each S-conjugacy orbit, the
       first in seed order: for s in S, S v <scs^-1> = s(S v <c>)s^-1 = S v <c>;
+    - a join of prime index over S already found answers every later seed in it;
     - a join is a union of left cosets of S, closed under the generators
       (Dimino);
     - conjugation by x*s is conjugation by s, then by x, so only the
       generators conjugate element sets;
-    - inclusion is one set lookup.
+    - inclusion is read off one bitmask per element.
     """
 
     def __init__(self, G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP):
@@ -606,6 +607,9 @@ class SubgroupLattice:
         joined: the others give the same join, already found, so skipping them
         changes neither the subgroups nor their generators.  The orbits are
         taken over gens(S), through the table x -> (position of x<c>x^-1).
+        Nor is c joined when it lies in a join U of S found earlier in S's loop with [U:S] = p
+        prime: S < S v <c> <= U, and [S v <c> : S] > 1 divides p (Lagrange), so S v <c> = U, already
+        found.  ``covered`` is S and every such U; p is tested by trial division, as only the cap bounds it.
         """
         G = self.group
         seeds: dict[frozenset[int], int] = {}
@@ -619,8 +623,9 @@ class SubgroupLattice:
             for s, gens in frontier:
                 perms = [moves[x] for x in gens]
                 seen = [False] * len(cyclic_gens)
+                covered = set(s)
                 for i, c in enumerate(cyclic_gens):
-                    if seen[i] or c in s:
+                    if seen[i] or c in covered:
                         continue
                     orbit = [i]
                     seen[i] = True
@@ -630,6 +635,9 @@ class SubgroupLattice:
                                 seen[perm[p]] = True
                                 orbit.append(perm[p])
                     j = self._join(s, gens + (c,))
+                    index = len(j) // len(s)
+                    if all(index % q for q in range(2, index)):
+                        covered |= j
                     if j not in found:
                         found[j] = gens + (c,)
                         new.append((j, found[j]))
@@ -658,18 +666,24 @@ class SubgroupLattice:
     def _build_poset(self) -> None:
         """``_down[h]``: the ids of the subgroups of H; ``_above[k]``: those of the subgroups containing K.
 
-        Ids follow (order, elements), so K <= H only if k <= h; one bitmask of
-        elements per subgroup decides the rest.
+        K <= H exactly when H holds gens(K), as H is a subgroup and gens(K)
+        generate K.  ``holding[x]`` has bit h set when H holds the element x,
+        so the AND of ``holding`` over gens(K) has bit h set exactly when
+        K <= H.  Its set bits are found by a scan in C, then each comparable
+        pair costs one step; walking k upwards keeps every ``_down[h]`` sorted.
         """
-        masks = [sum(1 << x for x in s.elements) for s in self.subgroups]
-        self._down: list[tuple[int, ...]] = [
-            tuple(k for k in range(h + 1) if masks[k] & mh == masks[k]) for h, mh in enumerate(masks)
-        ]
-        up: list[list[int]] = [[] for _ in masks]
-        for h, below in enumerate(self._down):
-            for k in below:
-                up[k].append(h)
-        self._above = [frozenset(u) for u in up]  # for ``leq``
+        holding = [0] * self.group.order
+        for s in self.subgroups:
+            for x in s.elements:
+                holding[x] |= 1 << s.index
+        down: list[list[int]] = [[] for _ in self.subgroups]
+        self._above = []  # for ``leq``
+        for s in self.subgroups:
+            bits = bin(functools.reduce(int.__and__, map(holding.__getitem__, s.gens)))[:1:-1]  # bits[h] is bit h
+            self._above.append(frozenset(m.start() for m in re.finditer("1", bits)))
+            for h in self._above[-1]:
+                down[h].append(s.index)
+        self._down = list(map(tuple, down))
 
     def _build_conj_table(self) -> tuple[tuple[int, ...], ...]:
         """Row g: the ids of the conjugates gHg^-1, composed along ``words`` from the generator rows."""

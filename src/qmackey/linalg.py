@@ -46,10 +46,12 @@ _ZERO = Fraction(0)
 
 
 def _nf(x):
-    """The normal form of a rational: an ``int`` when integral, else a ``Fraction``."""
+    """The normal form of a rational: an ``int`` when integral, else a ``Fraction``; a ``float`` is refused."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
+        if isinstance(x, float):
+            raise LinAlgError(f"{x!r} is a float, not an exact rational; pass an int, a Fraction or a 'p/q' string")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .burnside import BurnsideElement
-from .groups import FiniteGroup, GroupError, SubgroupLattice, load_group
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, SubgroupLattice, load_group
 from .linalg import QMatrix, _new, _nf
 from .mackey import MackeyFunctor
 
@@ -97,7 +97,7 @@ def group_to_json(G: FiniteGroup) -> dict:
     return out
 
 
-def group_from_json(data: dict, cap: int = 64) -> FiniteGroup:
+def group_from_json(data: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     try:
         return load_group(data, cap=cap)
     except GroupError:
@@ -161,7 +161,7 @@ def functor_to_json(M: MackeyFunctor) -> dict:
     return out
 
 
-def functor_from_json(data: dict, cap: int = 64) -> MackeyFunctor:
+def functor_from_json(data: dict, cap: int = DEFAULT_ORDER_CAP) -> MackeyFunctor:
     if not isinstance(data, dict) or "group" in data and not isinstance(data["group"], dict):
         raise FormatError("functor data must embed its group")
     for field in ("group", "levels", "restriction", "induction", "conjugation"):

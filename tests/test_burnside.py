@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import types
 import weakref
 from fractions import Fraction
@@ -109,6 +110,14 @@ class TestC2:
         e1 = ring.idempotent(0)
         assert e1 == ring.basis(0).scale(Fraction(1, 2))
         assert e1.is_idempotent()
+
+    def test_a_float_coefficient_is_refused(self, c2_lattice):
+        """0.1 would be stored as 3602879701896397/2^55; exact coefficients are kept as they are."""
+        ring = burnside_ring(c2_lattice)
+        for coeffs in ([0.1, 1], (c for c in [1, 0.5])):
+            with pytest.raises(BurnsideError, match=r"^a coefficient is a float, not an exact rational; [^\n]*$"):
+                ring.element(coeffs)
+        assert ring.element(c for c in [Fraction(1, 10), "1/2"]).coeffs == (Fraction(1, 10), Fraction(1, 2))
 
     def test_marks_of_free_orbit(self, c2_lattice):
         ring = burnside_ring(c2_lattice)
@@ -448,6 +457,40 @@ class TestScanBound:
         seen.clear()
         ring.multiplication_table()
         assert seen == [i + 1 for i in range(n) for j in range(i, n)]
+
+    @pytest.mark.parametrize("name", ["S4", "C2^4"])
+    def test_a_product_ends_rest_at_its_last_nonzero_mark(self, corpus_lattices, past_corpus_lattices, monkeypatch, name):
+        """The marks of a product stop at its last nonzero mark, and ``marks`` still gives one per class."""
+        ring = burnside_ring(_lattice(corpus_lattices, past_corpus_lattices, name))
+        rng, seen, solve = random.Random(name), [], BurnsideRing._back_substitute
+
+        def spy(self, rest):
+            seen.append(len(rest))
+            return solve(self, rest)
+
+        def sparse():
+            return ring.element([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.3 else 0 for _ in range(ring.size)])
+
+        idems, basis = ring.idempotents(), [ring.basis(rep) for rep in ring.reps]
+        pairs = [(e, e) for e in idems] + list(zip(idems, idems[1:])) + list(itertools.product(basis, repeat=2))
+        pairs += [(a, a) for a in (sparse() for _ in range(20))] + [(sparse(), sparse()) for _ in range(20)]
+        pairs += [(ring.zero(), basis[-1]), (basis[0], basis[-1] - basis[-1])]
+        monkeypatch.setattr(BurnsideRing, "_back_substitute", spy)
+        for a, b in pairs:
+            seen.clear()
+            marks = ring.marks(ring.mul(a, b))
+            assert len(marks) == ring.size
+            assert seen == [max((i + 1 for i, m in enumerate(marks) if m), default=0)]
+
+    def test_a_square_reads_its_marks_once(self, s4_lattice, monkeypatch):
+        """``mul(a, a)`` computes the marks of a once; a product of two elements computes both."""
+        ring = burnside_ring(s4_lattice)
+        calls, marks = [], BurnsideRing._integer_marks
+        monkeypatch.setattr(BurnsideRing, "_integer_marks", lambda self, a: calls.append(a) or marks(self, a))
+        e = ring.idempotents()[3]
+        assert e * e == e and calls == [e]
+        calls.clear()
+        assert ring.mul(e, ring.unit()) == e and calls == [e, ring.unit()]
 
 
 class TestRestrictReferee:

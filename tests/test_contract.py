@@ -13,16 +13,25 @@ subgroup lattice, which keeps the tables of marks that the ring reads.  Nor
 does any function of ``mackey`` but ``burnside_mackey``, nor
 ``monoidal.box_unit_iso``, outside their annotations: ``idempotent_part``
 reads only the marks of its idempotent, and both read the ring's action as
-restriction followed by induction."""
+restriction followed by induction.
+
+Every default order cap, of a function or of the CLI's ``--cap``, is the one
+constant ``groups.DEFAULT_ORDER_CAP``.  The pytest settings refuse an
+unregistered marker."""
 
 import ast
+import inspect
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import qmackey
+from qmackey.cli import build_parser
+from qmackey.groups import DEFAULT_ORDER_CAP
+from qmackey.serialize import functor_from_json, group_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qmackey"
@@ -163,3 +172,30 @@ def test_functor_operations_read_nothing_of_the_burnside_ring():
 def test_annotation_reads_are_skipped_and_body_reads_are_not():
     d = ast.parse("def f(e: BurnsideElement) -> BurnsideRing:\n    x: BurnsideError = burnside_ring(e)\n").body[0]
     assert set(_reads(d, _annotations(d))) & _burnside_names() == {"burnside_ring"}
+
+
+def _cap_defaults(tree):
+    """(where, default) for every ``cap`` parameter with a default and every ``add_argument("--cap", default=...)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.args + node.args.kwonlyargs
+            defaults = [None] * (len(node.args.args) - len(node.args.defaults)) + node.args.defaults + node.args.kw_defaults
+            yield from ((node.name, ast.unparse(d)) for a, d in zip(args, defaults) if a.arg == "cap" and d is not None)
+        elif isinstance(node, ast.Call) and [ast.unparse(a) for a in node.args[:1]] == ["'--cap'"]:
+            yield from (("--cap", ast.unparse(k.value)) for k in node.keywords if k.arg == "default")
+
+
+def test_every_default_cap_is_the_one_constant():
+    found = [(path.name, *d) for path in sorted(PACKAGE.glob("*.py")) for d in _cap_defaults(ast.parse(path.read_text()))]
+    assert {("serialize.py", "group_from_json"), ("serialize.py", "functor_from_json"), ("cli.py", "--cap")} <= {f[:2] for f in found}
+    assert [f for f in found if f[2].rpartition(".")[2] != "DEFAULT_ORDER_CAP"] == []
+    defaults = [inspect.signature(f).parameters["cap"].default for f in (group_from_json, functor_from_json)]
+    assert defaults + [build_parser().parse_args(["group", "info", "c6"]).cap] == [DEFAULT_ORDER_CAP] * 3
+
+
+def test_a_misspelt_marker_fails_collection(tmp_path):
+    """pyproject's pytest settings refuse an unregistered marker, so ``-m "not slow"`` cannot drop a misspelt one."""
+    (tmp_path / "test_marker.py").write_text("import pytest\n\n\n@pytest.mark.slwo\ndef test_x():\n    pass\n")
+    argv = ["-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "-p", "no:cacheprovider"]
+    run = subprocess.run([sys.executable, *argv, "-m", "not slow", str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2 and "'slwo' not found in `markers`" in run.stdout

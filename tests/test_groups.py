@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from conftest import NON_ASSOCIATIVE_LOOP, PAST_CORPUS
-from lattice_reference import orbits, quotient_group, stabilizer
+from lattice_reference import ReferenceLattice, orbits, quotient_group, stabilizer
 from qmackey.groups import (
     _NOTATION_RE,
     _cycles,
     _image,
     CapExceeded,
+    FiniteGroup,
     GroupError,
     GMap,
     GSet,
@@ -290,6 +291,25 @@ class TestLattice:
         for lat in [*corpus_lattices.values(), *past_corpus_lattices.values()]:
             for h in range(len(lat)):
                 assert lat.group.closure(lat.gens(h)) == lat.elements(h)
+
+    @pytest.mark.parametrize(
+        "G, cap, joins",
+        [
+            # one seed per S-conjugacy orbit alone makes 765 joins of C2^4
+            (from_permutations(PAST_CORPUS["C2^4"][0]), 64, 240),
+            # C2 v C67 has index 67 over C2, past the default cap, and answers the seed <1> as well (7 joins without the skip)
+            (FiniteGroup([[(i + j) % 134 for j in range(134)] for i in range(134)], cap=200), 200, 5),
+        ],
+        ids=["C2^4", "C134"],
+    )
+    def test_joins_of_prime_index_answer_later_seeds(self, monkeypatch, G, cap, joins):
+        """A seed inside a join of prime index over S is not joined again, and the subgroups keep their generators."""
+        calls, join = [], SubgroupLattice._join
+        monkeypatch.setattr(SubgroupLattice, "_join", lambda self, s, gens: calls.append(gens) or join(self, s, gens))
+        lat, ref = SubgroupLattice(G, cap=cap), ReferenceLattice(G)
+        assert len(calls) == joins
+        assert [(s.elements, s.gens) for s in lat.subgroups] == list(zip(ref.elements, ref.gens))
+        assert (lat._down, lat._above) == (ref.down, [frozenset(up) for up in ref.up])
 
     def test_subgroups_sorted_and_canonical(self, s4_lattice):
         orders = [s.order for s in s4_lattice.subgroups]

@@ -93,6 +93,14 @@ class TestBasics:
         assert direct_sum(B) == B
         assert direct_sum() == QMatrix.zeros(0, 0)
 
+    @pytest.mark.parametrize(
+        "build", [lambda: QMatrix([[0.1]]), lambda: QMatrix([[1, 0.0]]), lambda: QMatrix.scalar(2, 0.5)], ids=["0.1", "0.0", "scalar"]
+    )
+    def test_a_float_is_refused(self, build):
+        """A float holds a binary approximation, not the rational meant: 0.1 would be 3602879701896397/2^55."""
+        with pytest.raises(LinAlgError, match=r"^[^\n]* is a float, not an exact rational; [^\n]*$"):
+            build()
+
     def test_image_canonical(self):
         M = QMatrix([[2, 4], [1, 2]])
         assert M.image() == QMatrix([[1], [Fraction(1, 2)]])

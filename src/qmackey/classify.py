@@ -46,6 +46,7 @@ from .mackey import (
     MackeyError,
     MackeyFunctor,
     MackeyMorphism,
+    build_functor,
     constant,
     direct_sum,
     basis_change,
@@ -155,11 +156,9 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule) -> FreeBlock:
         return memo.blocks[h]
     _weyl_of(lattice, h, V)
     G = lattice.group
-    n_levels = len(lattice)
-    cosets = [lattice.fixed_cosets(k, h) for k in range(n_levels)]
+    cosets = [lattice.fixed_cosets(k, h) for k in range(len(lattice))]
     bases = [_weyl_fixed_basis(lattice, h, k, V) if X and V.dim else QMatrix.zeros(0, 0) for k, X in enumerate(cosets)]
     dims = tuple(b.cols for b in bases)
-
     pos_of = [{g: i for i, g in enumerate(X)} for X in cosets]
 
     def coset_map(src, dst, image):
@@ -167,30 +166,21 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule) -> FreeBlock:
         targets = [pos_of[dst][image(g)] * V.dim + i for g in cosets[src] for i in range(V.dim)]
         return selection_matrix(len(cosets[dst]) * V.dim, targets)
 
-    zeros = functools.cache(QMatrix.zeros)  # a level is 0 unless H <=_G K; maps into or out of 0 are 0
-    res, ind = {}, {}
-    for kb in range(n_levels):
-        for ks in lattice.subgroups_of(kb):
-            if ks == kb:
-                res[(kb, kb)] = ind[(kb, kb)] = QMatrix.identity(dims[kb])
-            elif not (dims[kb] and dims[ks]):
-                res[(kb, ks)], ind[(kb, ks)] = zeros(dims[ks], dims[kb]), zeros(dims[kb], dims[ks])
-            else:
-                # project fixed cosets of the smaller subgroup onto the bigger one
-                a = coset_map(ks, kb, lambda g: lattice.coset_of(g, kb))
-                ind[(kb, ks)] = restrict_map(a, bases[ks], bases[kb])
-                # restriction sends a coset to the sum of its fixed preimages
-                res[(kb, ks)] = restrict_map(a.transpose(), bases[kb], bases[ks])
-    cgen = {}
-    for pos, s in enumerate(G.gens):
-        si = G.inv(s)
-        for k in range(n_levels):
-            ks = lattice.conjugate(s, k)
-            cgen[(pos, k)] = (
-                restrict_map(coset_map(k, ks, lambda g: lattice.coset_of(G.mul(g, si), ks)), bases[k], bases[ks])
-                if dims[k] else zeros(0, 0)
-            )
-    functor = MackeyFunctor(lattice, dims, res, ind, cgen, name=f"F[{lattice.class_name_of(h)}]")
+    @functools.lru_cache(maxsize=1)  # ``build_functor`` asks for R, then I, at each pair
+    def res_ind(kb, ks):
+        if kb == ks:
+            return (QMatrix.identity(dims[kb]),) * 2
+        # I projects the fixed cosets of the smaller subgroup onto the bigger one's; R sends one to its fixed preimages
+        a = coset_map(ks, kb, lambda g: lattice.coset_of(g, kb))
+        return restrict_map(a.transpose(), bases[kb], bases[ks]), restrict_map(a, bases[ks], bases[kb])
+
+    def conjfn(pos, s, k):
+        ks, si = lattice.conjugate(s, k), G.inv(s)
+        return restrict_map(coset_map(k, ks, lambda g: lattice.coset_of(G.mul(g, si), ks)), bases[k], bases[ks])
+
+    # a level is 0 unless H <=_G K, so most maps are zero maps, which ``build_functor`` supplies
+    name = f"F[{lattice.class_name_of(h)}]"
+    functor = build_functor(lattice, dims, lambda *p: res_ind(*p)[0], lambda *p: res_ind(*p)[1], conjfn, name=name)
     block = FreeBlock(lattice, h, V, functor, tuple(cosets), tuple(bases))
     return memo.blocks.setdefault(h, block) if kept else block
 
@@ -493,9 +483,8 @@ def random_invertible(dim: int, rng: random.Random) -> QMatrix:
     return QMatrix(lower).matmul(QMatrix(upper))
 
 
-def random_functor(lattice: SubgroupLattice, rng: random.Random, max_level_dim: int = 4) -> MackeyFunctor:
-    """Assemble random split data, then scramble every level by a basis change."""
-    S = random_split_data(lattice, rng, max_level_dim)
-    M = assemble(S, name="random")
+def random_functor(lattice: SubgroupLattice, rng: random.Random) -> MackeyFunctor:
+    """Assemble random split data with levels of dimension at most 4, then scramble every level by a basis change."""
+    M = assemble(random_split_data(lattice, rng, 4), name="random")
     mats = [random_invertible(d, rng) for d in M.dims]
     return basis_change(M, mats, name="random")

@@ -293,17 +293,23 @@ def cmd_burnside_restrict(args) -> int:
 
 
 def cmd_mackey_new(args) -> int:
-    if args.dim < 0:
+    if args.dim is not None and args.dim < 0:
         raise UsageError(f"--dim must be at least 0, not {args.dim}")
+    free = args.kind == "free"
+    reads_dim = args.kind in ("constant", "coconstant") or free and args.module != "regular"
+    for flag, value, read in (("--dim", args.dim, reads_dim), ("--at", args.at, free), ("--module", args.module, free)):
+        if value is not None and not read:  # refuse a flag this kind would ignore
+            raise UsageError(f"mackey new {args.kind} ignores {flag}" + (" with --module regular" if free else ""))
+    dim = 1 if args.dim is None else args.dim
     lat = _lattice(args)
     if args.kind in _FUNCTOR_KINDS:
-        M = _FUNCTOR_KINDS[args.kind](lat, args.dim)
+        M = _FUNCTOR_KINDS[args.kind](lat, dim)
     elif not args.at:
         raise UsageError("free functors need --at CLASS")
     else:
         h = _class_rep_named(lat, args.at)
         W = lat.weyl(h).group
-        V = WModule.regular(W) if args.module == "regular" else WModule.trivial(W, args.dim)
+        V = WModule.regular(W) if args.module == "regular" else WModule.trivial(W, dim)
         M = free_functor(lat, h, V)
     payload = dump(functor_to_json(M))
     if args.save:
@@ -686,9 +692,9 @@ def build_parser() -> argparse.ArgumentParser:
     mn = leaf(msub, "new", cmd_mackey_new)
     mn.add_argument("kind", choices=[*_FUNCTOR_KINDS, "free"])
     mn.add_argument("--group", required=True)
-    mn.add_argument("--dim", type=int, default=1)
+    mn.add_argument("--dim", type=int, help="dimension of a constant, coconstant or trivial-module free functor (default 1)")
     mn.add_argument("--at", help="class of a free functor: a class name (C2) or a subgroup name (C2.0)")
-    mn.add_argument("--module", choices=["trivial", "regular"], default="trivial")
+    mn.add_argument("--module", choices=["trivial", "regular"], help="Weyl-group module of a free functor (default trivial)")
     mn.add_argument("--save", help="store under this name in the workspace")
     leaf(msub, "check", cmd_mackey_check).add_argument("functor")
     leaf(msub, "split", cmd_mackey_split).add_argument("functor")

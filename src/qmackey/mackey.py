@@ -6,7 +6,8 @@ A Mackey functor here stores one exact-rational vector space per subgroup
 matrices for every comparable pair, and conjugation matrices for the group's
 generators; conjugation by an arbitrary element is assembled from the word
 decomposition recorded in the group.  Redundant storage is deliberate: the
-axiom checker verifies transitivity instead of defining maps by it.
+axiom checker verifies transitivity instead of defining maps by it.  A map
+into or out of a zero level is the zero map, which ``build_functor`` supplies.
 """
 
 from __future__ import annotations
@@ -97,15 +98,19 @@ def comparable_pairs(lattice: SubgroupLattice):
 
 
 def build_functor(lattice, dims, resfn, indfn, conjfn, name="M") -> MackeyFunctor:
-    """Assemble a functor from per-pair map constructors."""
+    """Assemble a functor from per-pair map constructors, called at each pair as R then I, and only where both levels
+    are nonzero: a map into or out of a zero level is the zero map, one matrix per shape shared within the call."""
     dims = tuple(dims)
+    zeros = cache(QMatrix.zeros)
     res, ind, cgen = {}, {}, {}
     for h, k in comparable_pairs(lattice):
-        res[(h, k)] = resfn(h, k)
-        ind[(h, k)] = indfn(h, k)
+        live = dims[h] and dims[k]
+        res[(h, k)] = resfn(h, k) if live else zeros(dims[k], dims[h])
+        ind[(h, k)] = indfn(h, k) if live else zeros(dims[h], dims[k])
     for pos, s in enumerate(lattice.group.gens):
         for h in range(len(lattice)):
-            cgen[(pos, h)] = conjfn(pos, s, h)
+            t = dims[lattice.conjugate(s, h)]
+            cgen[(pos, h)] = conjfn(pos, s, h) if dims[h] and t else zeros(t, dims[h])
     return MackeyFunctor(lattice, dims, res, ind, cgen, name=name)
 
 
@@ -409,15 +414,23 @@ def dual(M: MackeyFunctor) -> MackeyFunctor:
 
 
 def direct_sum(*summands: MackeyFunctor, name: str | None = None) -> MackeyFunctor:
-    """The direct sum of one or more functors over one lattice, built in one pass."""
-    first = summands[0]
-    if any(M.lattice is not first.lattice for M in summands):
+    """The direct sum of one or more functors over one lattice: each map is the block diagonal
+    of the summands' maps, over the summands with a nonzero level at one of its ends."""
+    lat = summands[0].lattice
+    if any(M.lattice is not lat for M in summands):
         raise MackeyError("direct sum needs a common lattice")
-    dims = tuple(map(sum, zip(*(M.dims for M in summands))))
-    res = {p: mat_direct_sum(*(M.res[p] for M in summands)) for p in first.res}
-    ind = {p: mat_direct_sum(*(M.ind[p] for M in summands)) for p in first.ind}
-    cgen = {p: mat_direct_sum(*(M.cgen[p] for M in summands)) for p in first.cgen}
-    return MackeyFunctor(first.lattice, dims, res, ind, cgen, name=name or "+".join(M.name for M in summands))
+
+    def blocks(table, key, a, b):  # the maps from level a to level b in ``table`` at ``key``
+        return mat_direct_sum(*(getattr(M, table)[key] for M in summands if M.dims[a] or M.dims[b]))
+
+    return build_functor(
+        lat,
+        map(sum, zip(*(M.dims for M in summands))),
+        lambda h, k: blocks("res", (h, k), h, k),
+        lambda h, k: blocks("ind", (h, k), h, k),
+        lambda pos, s, h: blocks("cgen", (pos, h), h, lat.conjugate(s, h)),
+        name=name or "+".join(M.name for M in summands),
+    )
 
 
 def rebase(M: MackeyFunctor, lattice: SubgroupLattice) -> MackeyFunctor:
@@ -838,23 +851,14 @@ def eps_lower(Mq: MackeyFunctor, parent: SubgroupLattice, n: int, name: str | No
         raise MackeyError("functor must live over the quotient lattice view")
     local_of = {view.parent_sub(i): i for i in range(len(view.lattice))}
     dims = [Mq.dims[local_of[k]] if k in local_of else 0 for k in range(len(parent))]
-
-    def resfn(h, k):
-        if h in local_of and k in local_of:
-            return Mq.res[(local_of[h], local_of[k])]
-        return QMatrix.zeros(dims[k], dims[h])
-
-    def indfn(h, k):
-        if h in local_of and k in local_of:
-            return Mq.ind[(local_of[h], local_of[k])]
-        return QMatrix.zeros(dims[h], dims[k])
-
-    def conjfn(pos, s, h):
-        if h in local_of:
-            return Mq.conj(view.proj[s], local_of[h])
-        return QMatrix.zeros(dims[parent.conjugate(s, h)], dims[h])
-
-    return build_functor(parent, dims, resfn, indfn, conjfn, name=name or f"eps_({Mq.name})")
+    return build_functor(
+        parent,
+        dims,
+        lambda h, k: Mq.res[(local_of[h], local_of[k])],
+        lambda h, k: Mq.ind[(local_of[h], local_of[k])],
+        lambda pos, s, h: Mq.conj(view.proj[s], local_of[h]),
+        name=name or f"eps_({Mq.name})",
+    )
 
 
 def eps_upper(M: MackeyFunctor, n: int, name: str | None = None):

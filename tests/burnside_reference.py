@@ -15,8 +15,8 @@ These are the direct orbit decompositions, kept as referees for it:
   I^H_L R^H_L, the referee for the actions that ``monoidal.box_unit_iso``
   reads off R and I;
 - ``idempotent_part(M, e)``: eM with level H the image of the action of
-  res_H e, the referee for ``mackey.idempotent_part``, which cuts eM by the
-  family of e through the Brauer quotient.
+  res_H e, every map solved for, the referee for ``mackey.idempotent_part``,
+  which cuts eM by the family of e through the Brauer quotient.
 
 Nothing in the package imports this module.
 """
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from qmackey.burnside import BurnsideElement, BurnsideError, burnside_ring
 from qmackey.linalg import QMatrix, block_matrix, restrict_map
-from qmackey.mackey import MackeyError, MackeyFunctor, build_functor
+from qmackey.mackey import MackeyError, MackeyFunctor, comparable_pairs
 
 
 def structure_constants(ring, i: int, j: int) -> tuple[Fraction, ...]:
@@ -97,14 +97,18 @@ def burnside_action(M: MackeyFunctor, h: int, a: BurnsideElement) -> QMatrix:
 
 
 def idempotent_part(M: MackeyFunctor, e: BurnsideElement) -> MackeyFunctor:
-    """eM with level H the image of the action of res_H e, and every map restricted to the images."""
+    """eM with level H the image of the action of res_H e, and every map restricted to the images.
+
+    Every map is solved for with ``restrict_map``, on pairs and levels of
+    dimension 0 too, so every containment check runs.
+    """
     lat, ring = M.lattice, e.ring
     bases = [burnside_action(M, h, ring.restrict(e, h)).image() for h in range(len(lat))]
-    return build_functor(
-        lat,
-        [b.cols for b in bases],
-        lambda h, k: restrict_map(M.res[(h, k)], bases[h], bases[k]),
-        lambda h, k: restrict_map(M.ind[(h, k)], bases[k], bases[h]),
-        lambda pos, s, h: restrict_map(M.cgen[(pos, h)], bases[h], bases[lat.conjugate(s, h)]),
-        name=f"e*{M.name}",
-    )
+    res = {(h, k): restrict_map(M.res[(h, k)], bases[h], bases[k]) for h, k in comparable_pairs(lat)}
+    ind = {(h, k): restrict_map(M.ind[(h, k)], bases[k], bases[h]) for h, k in comparable_pairs(lat)}
+    cgen = {
+        (pos, h): restrict_map(M.cgen[(pos, h)], bases[h], bases[lat.conjugate(s, h)])
+        for pos, s in enumerate(lat.group.gens)
+        for h in range(len(lat))
+    }
+    return MackeyFunctor(lat, [b.cols for b in bases], res, ind, cgen, name=f"e*{M.name}")

@@ -86,6 +86,16 @@ class TestExitCodes:
             (["mackey", "check", "missing.json"], "unknown functor 'missing.json'"),
             (["mackey", "new", "burnside", "--group", "c6", "--save", "X"], "--save needs MACKEY_WORKSPACE to be set"),
             (["mackey", "new", "free", "--group", "s3"], "free functors need --at CLASS"),
+            (["mackey", "new", "burnside", "--group", "c2", "--dim", "5"], "mackey new burnside ignores --dim"),
+            (["mackey", "new", "zero", "--group", "c2", "--dim", "0"], "mackey new zero ignores --dim"),
+            (["mackey", "new", "fixed", "--group", "s3", "--dim", "1"], "mackey new fixed ignores --dim"),
+            (
+                ["mackey", "new", "free", "--group", "s3", "--at", "C2", "--module", "regular", "--dim", "2"],
+                "mackey new free ignores --dim with --module regular",
+            ),
+            (["mackey", "new", "constant", "--group", "c2", "--at", "C1"], "mackey new constant ignores --at"),
+            (["mackey", "new", "burnside", "--group", "c2", "--module", "trivial"], "mackey new burnside ignores --module"),
+            (["mackey", "new", "coconstant", "--group", "c2", "--module", "regular", "--dim", "2"], "mackey new coconstant ignores --module"),
             (["burnside", "restrict", "c6", "--to", "C3"], "need --element JSON or --idempotent CLASS"),
             (["mackey", "green-check", "burnside:c2", "mult.json"], "multiplication data missing level C1"),
             (["group", "info", "empty.json"], "empty multiplication table"),

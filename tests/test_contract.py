@@ -15,6 +15,12 @@ does any function of ``mackey`` but ``burnside_mackey``, nor
 reads only the marks of its idempotent, and both read the ring's action as
 restriction followed by induction.
 
+A map into or out of a zero level is the zero map, and ``mackey.build_functor``
+is the one place that says so: in the package, only it, the JSON reader
+``serialize.functor_from_json`` (which refuses a missing key, a zero map's
+too, as ``test_serialize`` checks), the cached path of ``burnside_mackey`` and
+``monoidal.box`` call ``MackeyFunctor(...)`` or ``BoxProduct(...)``.
+
 Every default order cap, of a function or of the CLI's ``--cap``, is the one
 constant ``groups.DEFAULT_ORDER_CAP``.  The pytest settings refuse an
 unregistered marker."""
@@ -172,6 +178,30 @@ def test_functor_operations_read_nothing_of_the_burnside_ring():
 def test_annotation_reads_are_skipped_and_body_reads_are_not():
     d = ast.parse("def f(e: BurnsideElement) -> BurnsideRing:\n    x: BurnsideError = burnside_ring(e)\n").body[0]
     assert set(_reads(d, _annotations(d))) & _burnside_names() == {"burnside_ring"}
+
+
+def _functor_builders(sources):
+    """``(module, top-level definition)`` for each call of ``MackeyFunctor`` or ``BoxProduct``, by name or attribute."""
+    for module, text in sources.items():
+        for d in ast.parse(text).body:
+            for node in ast.walk(d):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] in ("MackeyFunctor", "BoxProduct"):
+                    yield module, d.name
+
+
+def test_functor_builders_are_found():
+    sources = {"a": "def f(m):\n    return m.MackeyFunctor(1)\n\nclass K:\n    def g(self):\n        return BoxProduct()\n"}
+    assert list(_functor_builders(sources)) == [("a", "f"), ("a", "K")]
+
+
+def test_only_build_functor_the_reader_the_burnside_cache_and_box_make_functors():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(set(_functor_builders(sources))) == [
+        ("mackey.py", "build_functor"),
+        ("mackey.py", "burnside_mackey"),
+        ("monoidal.py", "box"),
+        ("serialize.py", "functor_from_json"),
+    ]
 
 
 def _cap_defaults(tree):

@@ -5,10 +5,11 @@ for input that parses, 2 with a one-line ``error:`` message for input that
 does not.  A drawn JSON value passed as ``burnside restrict --element`` must
 exit 0 or 2.  Mutations that make the input malformed (a removed key, a value
 of the wrong JSON type, a ragged or misshapen matrix, a non-integer table
-entry) must exit 2 on every command.  ``mackey new`` with a drawn kind,
-group and ``--dim`` in [-3, 3] must exit 0, or 2 when the dimension is
-negative or a free functor has no ``--at``.  The tests are derandomized and
-bounded to a few seconds.
+entry) must exit 2 on every command.  ``mackey new`` with a drawn kind and
+group, and perhaps ``--dim`` in [-3, 3], ``--at`` and ``--module``, must exit
+0, or 2 when the dimension is negative, a free functor has no ``--at``, or a
+flag is one the kind would ignore.  The tests are derandomized and bounded to
+a few seconds.
 """
 
 import contextlib
@@ -225,15 +226,19 @@ def test_burnside_element_exits_zero_or_two(element):
 @given(
     kind=st.sampled_from([*cli._FUNCTOR_KINDS, "free"]),
     group=st.sampled_from(["c2", "c6", "s3"]),
-    dim=st.integers(-3, 3),
+    dim=st.none() | st.integers(-3, 3),
     at=st.sampled_from([None, "C1", "C2"]),
-    module=st.sampled_from(["trivial", "regular"]),
+    module=st.sampled_from([None, "trivial", "regular"]),
 )
 def test_mackey_new_exits_zero_or_two(kind, group, dim, at, module):
-    argv = ["mackey", "new", kind, "--group", group, "--dim", str(dim), "--module", module]
-    argv += ["--at", at] if at else []
+    argv = ["mackey", "new", kind, "--group", group]
+    for flag, value in (("--dim", dim), ("--at", at), ("--module", module)):
+        argv += [flag, str(value)] if value is not None else []
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     _check_messages([(argv, code, err.getvalue())])
-    assert code == (2 if dim < 0 or (kind == "free" and not at) else 0), (argv, err.getvalue())
+    reads_dim = kind in ("constant", "coconstant") or kind == "free" and module != "regular"
+    ignored = kind != "free" and (at or module) or dim is not None and not reads_dim
+    refused = dim is not None and dim < 0 or ignored or kind == "free" and not at
+    assert code == (2 if refused else 0), (argv, err.getvalue())

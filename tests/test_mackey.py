@@ -9,14 +9,17 @@ import pytest
 from burnside_reference import burnside_action, idempotent_part as action_idempotent_part
 from corruptions import all_corruptions, axioms_violated, constant_with_identity_induction
 from lattice_reference import orbits, stabilizer
-from qmackey import mackey
+import free_reference
+from qmackey import classify, linalg, mackey
 from qmackey.burnside import burnside_ring
 from qmackey.classify import random_functor
 from qmackey.groups import GroupError, SubgroupLattice, coset_gset, cyclic, from_permutations, GMap, GSet, restrict_gset, symmetric, trivial
 from qmackey.linalg import QMatrix, WModule
 from qmackey.mackey import (
     MackeyError,
+    MackeyFunctor,
     MackeyMorphism,
+    build_functor,
     burnside_mackey,
     check_axioms,
     coconstant,
@@ -550,6 +553,61 @@ class TestBottomLevel:
         assert unit.is_levelwise_iso()
 
 
+def spied(calls, *constructors):
+    """The constructors R, I, C, each appending ``(table, its arguments)`` to ``calls`` before it runs."""
+
+    def spy(table, fn):
+        def logged(*args):
+            calls.append((table, args))
+            return fn(*args)
+
+        return logged
+
+    return [spy(table, fn) for table, fn in zip(("res", "ind", "cgen"), constructors)]
+
+
+def assert_built_on_support(M, calls):
+    """The constructors ran once at each pair and generator with both levels nonzero, and nowhere else,
+    where each map is the zero matrix of its shape, one object per shape."""
+    lat, dims = M.lattice, M.dims
+    ends = {("res", p): (p[1], p[0]) for p in M.res} | {("ind", p): p for p in M.ind}
+    ends |= {("cgen", (pos, h)): (lat.conjugate(lat.group.gens[pos], h), h) for pos, h in M.cgen}
+    built = [(table, args if table != "cgen" else (args[0], args[2])) for table, args in calls]
+    assert sorted(built) == sorted(key for key, (t, s) in ends.items() if dims[t] and dims[s])
+    shared = {}
+    for (table, key), (t, s) in ends.items():
+        if (table, key) not in built:
+            m = getattr(M, table)[key]
+            assert m == QMatrix.zeros(dims[t], dims[s])
+            assert shared.setdefault((m.rows, m.cols), m) is m
+
+
+class TestBuildFunctor:
+    def test_top_level_functor_builds_only_its_top_maps(self, s4_lattice):
+        """Q at G and 0 below: the constructors run at (G, G) and at G's generators alone."""
+        lat, calls = s4_lattice, []
+        dims = [int(h == lat.top) for h in range(len(lat))]
+        eye = QMatrix.identity(1)
+        M = build_functor(lat, dims, *spied(calls, lambda h, k: eye, lambda h, k: eye, lambda pos, s, h: eye))
+        top = (lat.top, lat.top)
+        assert calls == [("res", top), ("ind", top)] + [("cgen", (pos, s, lat.top)) for pos, s in enumerate(lat.group.gens)]
+        assert_built_on_support(M, calls)
+        assert check_axioms(M, exhaustive=True).ok
+
+    def test_free_functor_builds_only_its_support(self, s4_lattice, monkeypatch):
+        """F_H(V) vanishes at every level with no conjugate of H, and only maps between its other levels are built."""
+        lat, calls = s4_lattice, []
+        build = mackey.build_functor
+        monkeypatch.setattr(classify, "build_functor", lambda lat, dims, *fns, name: build(lat, dims, *spied(calls, *fns), name=name))
+        h = next(h for h in lat.class_reps() if lat.order(h) == 2)
+        V = WModule.regular(lat.weyl(h).group)
+        F = classify.free_functor(lat, h, V)
+        assert 0 in F.dims and any(F.dims)
+        assert_built_on_support(F, calls)
+        _, res, ind, cgen = free_reference.free_maps(lat, h, V)
+        assert (dict(F.res), dict(F.ind), dict(F.cgen)) == (res, ind, cgen)
+
+
 class TestDirectSumAndMorphisms:
     def test_direct_sum_dims_and_axioms(self, c6_lattice, c6A):
         M = direct_sum(c6A, constant(c6_lattice, 1))
@@ -561,6 +619,23 @@ class TestDirectSumAndMorphisms:
         assert direct_sum(c6A, C, D) == direct_sum(direct_sum(c6A, C), D)
         assert direct_sum(c6A) == c6A
         assert direct_sum(c6A, C, name="S").name == "S"
+
+    def test_direct_sum_skips_summands_zero_at_both_ends(self, s4_lattice, monkeypatch):
+        """On the free blocks of S4's Burnside functor, ``mat_direct_sum`` gets no summand that is 0 at both ends of
+        its map, and the sum is the block diagonal over every summand at every map."""
+        lat = s4_lattice
+        blocks = [classify.free_functor(lat, h, V) for h, V in classify.split(burnside_mackey(lat)).modules.items() if V.dim]
+        shapes = []
+
+        def logged(*mats):
+            shapes.append([(m.rows, m.cols) for m in mats])
+            return linalg.direct_sum(*mats)
+
+        monkeypatch.setattr(mackey, "mat_direct_sum", logged)
+        S = direct_sum(*blocks, name="S")
+        assert shapes and all((0, 0) not in call for call in shapes)
+        tables = [{key: linalg.direct_sum(*(getattr(F, t)[key] for F in blocks)) for key in getattr(S, t)} for t in ("res", "ind", "cgen")]
+        assert S == MackeyFunctor(lat, burnside_mackey(lat).dims, *tables, name="S")
 
     def test_direct_sum_needs_a_common_lattice(self, c6_lattice, c2_lattice):
         with pytest.raises(MackeyError):

@@ -9,7 +9,8 @@ from qmackey.classify import random_functor
 from qmackey.cli import main
 from qmackey.groups import GroupError, SubgroupLattice, corpus, dihedral, from_permutations, load_group, symmetric
 from qmackey.linalg import QMatrix
-from qmackey.mackey import basis_change, burnside_mackey, check_axioms
+from qmackey.burnside import burnside_ring
+from qmackey.mackey import basis_change, burnside_mackey, check_axioms, idempotent_part
 from qmackey.serialize import (
     FormatError,
     dump,
@@ -167,12 +168,15 @@ class TestFunctorRoundTrip:
             functor_from_json(data)
 
     def test_incomplete_maps_rejected(self):
+        """A missing key of any table is refused, also where the map is a zero map: e_G A(S3) is 0 below the top."""
         lat = SubgroupLattice(symmetric(3))
-        data = functor_to_json(burnside_mackey(lat))
-        key = next(iter(data["induction"]))
-        del data["induction"][key]
-        with pytest.raises(FormatError, match="comparable pair"):
-            functor_from_json(data)
+        A = burnside_mackey(lat)
+        for M in (A, idempotent_part(A, burnside_ring(lat).idempotent(lat.top))):
+            for field, every in (("restriction", "comparable pair"), ("induction", "comparable pair"), ("conjugation", "generator")):
+                data = functor_to_json(M)
+                del data[field][next(iter(data[field]))]
+                with pytest.raises(FormatError, match=f"every {every}"):
+                    functor_from_json(data)
 
 
 class TestGroupRoundTrip:

@@ -13,10 +13,12 @@ pieces, and the comparison morphism is validated and certified invertible
 level by level rather than assumed.  ``certify_iso`` compares a second
 functor straight into the first one's free pieces, one intertwiner per class.
 
-One memo holds the local pieces, the free block on each piece's module and
-the comparison of the last functor asked for, so these four build each once
-on one functor.  It is matched by identity through a weak reference, and
-functors and modules are immutable, so it cannot go stale.
+``split(M)`` returns one value, a ``SplitData``, that holds M's classification:
+its modules, and privately M, the basis and Q of each local piece, and the free
+blocks and stacked comparison, each built the first time it is asked for.
+``assemble``, ``classify_iso`` and ``certify_iso`` read it, and ``split(M)``
+hands back the value it last built for M for as long as some caller holds it.
+Functors and modules are immutable, so the value cannot go stale.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .groups import SubgroupLattice, coset_gset
 from .linalg import (
@@ -147,16 +150,11 @@ def _weyl_fixed_basis(lattice: SubgroupLattice, h: int, k: int, V: WModule) -> Q
 def build_free_block(lattice: SubgroupLattice, h: int, V: WModule) -> FreeBlock:
     """Construct the free functor ``F[class]`` on a Weyl-group module at the class of H.
 
-    The block on the very module object of the memoized local piece at H, on
-    its lattice, is built once and kept in the memo.
+    (G/K)^H is empty unless H <=_G K, so the fixed cosets are asked for only there.
     """
-    memo = _last_comparison[1]
-    kept = lattice is memo.lattice and h in memo.pieces and memo.pieces[h][0] is V
-    if kept and h in memo.blocks:
-        return memo.blocks[h]
     _weyl_of(lattice, h, V)
     G = lattice.group
-    cosets = [lattice.fixed_cosets(k, h) for k in range(len(lattice))]
+    cosets = [lattice.fixed_cosets(k, h) if lattice.is_subconjugate(h, k) else () for k in range(len(lattice))]
     bases = [_weyl_fixed_basis(lattice, h, k, V) if X and V.dim else QMatrix.zeros(0, 0) for k, X in enumerate(cosets)]
     dims = tuple(b.cols for b in bases)
     pos_of = [{g: i for i, g in enumerate(X)} for X in cosets]
@@ -181,8 +179,7 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule) -> FreeBlock:
     # a level is 0 unless H <=_G K, so most maps are zero maps, which ``build_functor`` supplies
     name = f"F[{lattice.class_name_of(h)}]"
     functor = build_functor(lattice, dims, lambda *p: res_ind(*p)[0], lambda *p: res_ind(*p)[1], conjfn, name=name)
-    block = FreeBlock(lattice, h, V, functor, tuple(cosets), tuple(bases))
-    return memo.blocks.setdefault(h, block) if kept else block
+    return FreeBlock(lattice, h, V, functor, tuple(cosets), tuple(bases))
 
 
 def free_functor(lattice: SubgroupLattice, h: int, V: WModule) -> MackeyFunctor:
@@ -194,37 +191,10 @@ def free_functor(lattice: SubgroupLattice, h: int, V: WModule) -> MackeyFunctor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Memo:
-    """What has been computed of one functor M, filled as it is asked for."""
-
-    lattice: SubgroupLattice | None
-    pieces: dict = field(default_factory=dict)  # h -> M's ``_local_piece`` triple (V, basis, Q) at H
-    blocks: dict = field(default_factory=dict)  # h -> the FreeBlock on the module object of pieces[h]
-    comparison: tuple | None = None  # M's ``_stacked_comparison``
-
-
-_last_comparison: list = [lambda: None, _Memo(None)]  # (weak reference to the last M, its memo)
-
-
-def _memo(M: MackeyFunctor) -> _Memo:
-    ref, memo = _last_comparison  # one read, so a concurrent store cannot pair M with another memo
-    if ref() is not M:
-        memo = _Memo(M.lattice)
-        _last_comparison[:] = weakref.ref(M), memo
-    return memo
-
-
-def _piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:
-    """``_local_piece(M, h)`` through the memo; the first piece stored is the one kept."""
-    pieces = _memo(M).pieces
-    return pieces[h] if h in pieces else pieces.setdefault(h, _local_piece(M, h))
-
-
 def u_module(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix]:
     """The local piece of M at H: the top-idempotent part of M(G/H) with its
     Weyl action.  Returns the module and its basis inside M(G/H)."""
-    return _piece(M, h)[:2]
+    return _local_piece(M, h)[:2]
 
 
 def _local_piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:
@@ -284,7 +254,7 @@ def _compare(M: MackeyFunctor, block: FreeBlock, Q: QMatrix) -> MackeyMorphism:
 
 def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphism]:
     """The natural map from M into the free functor rebuilt from its piece at H, validated."""
-    V, _, Q = _piece(M, h)
+    V, _, Q = _local_piece(M, h)
     block = build_free_block(M.lattice, h, V)
     return block, _compare(M, block, Q)
 
@@ -298,24 +268,55 @@ def comparison_map(M: MackeyFunctor, h: int) -> MackeyMorphism:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitData:
-    """One Weyl-group module per conjugacy class representative."""
+    """One Weyl-group module per conjugacy class representative: the classification of a functor.
+
+    ``modules`` is a read-only copy.  The value ``split(M)`` returns also holds M and, at
+    each class, the basis and Q of its local piece (``_local_piece``), and builds the free
+    blocks and M's stacked comparison the first time they are asked for.
+    """
 
     lattice: SubgroupLattice
-    modules: dict  # class rep id -> WModule
+    modules: MappingProxyType  # class rep id -> WModule
+    _functor: MackeyFunctor | None = field(default=None, repr=False, compare=False)
+    _pieces: dict | None = field(default=None, repr=False, compare=False)  # class rep id -> (basis, Q)
+
+    def __post_init__(self):
+        object.__setattr__(self, "modules", MappingProxyType(dict(self.modules)))
+
+    @functools.cached_property
+    def _blocks(self) -> tuple[FreeBlock, ...]:
+        """The free block on each nonzero module, in class order."""
+        lat = self.lattice
+        return tuple(build_free_block(lat, h, V) for h in lat.class_reps() if (V := self.modules.get(h)) is not None and V.dim)
+
+    @functools.cached_property
+    def _comparison(self) -> tuple[QMatrix, ...]:
+        """M's comparison maps into ``_blocks``, stacked level by level, certified invertible."""
+        M = self._functor
+        maps = _stacked([_compare(M, block, self._pieces[block.h][1]) for block in self._blocks], M)
+        for k, m in enumerate(maps):
+            if m.rows != m.cols or not m.is_invertible():
+                raise MackeyError(f"comparison morphism fails to be invertible at level {self.lattice.name(k)}")
+        return maps
 
 
 def split(M: MackeyFunctor) -> SplitData:
-    return SplitData(M.lattice, {h: u_module(M, h)[0] for h in M.lattice.class_reps()})
+    """M's classification: the value last built for M while a caller still holds it, else a new one."""
+    if (S := M._split_data and M._split_data()) is None:
+        pieces = {h: _local_piece(M, h) for h in M.lattice.class_reps()}
+        S = SplitData(M.lattice, {h: V for h, (V, _, _) in pieces.items()}, M, {h: p[1:] for h, p in pieces.items()})
+        object.__setattr__(M, "_split_data", weakref.ref(S))
+    return S
 
 
 def assemble(S: SplitData, name: str | None = None) -> MackeyFunctor:
-    lat, reps = S.lattice, S.lattice.class_reps()
+    lat = S.lattice
     name = name or "assembled"
-    if stray := [h for h in S.modules if h not in reps]:
+    if stray := [h for h in S.modules if h not in lat.class_reps()]:
         raise MackeyError(f"split data key {stray[0]!r} is not a class representative")
-    pieces = [free_functor(lat, h, V) for h in reps if (V := S.modules.get(h)) is not None and V.dim]
+    pieces = [block.functor for block in S._blocks]
     return direct_sum(*pieces, name=name) if pieces else constant(lat, 0, name=name)
 
 
@@ -324,39 +325,18 @@ def _stacked(mors: list[MackeyMorphism], M: MackeyFunctor) -> tuple[QMatrix, ...
     return tuple(vstack(QMatrix.zeros(0, d), *(mor.maps[k] for mor in mors)) for k, d in enumerate(M.dims))
 
 
-def _stacked_comparison(M: MackeyFunctor) -> tuple[tuple[FreeBlock, ...], tuple[QMatrix, ...]]:
-    """The nonzero free blocks of M in class order, and the comparison maps
-    stacked over them level by level, certified invertible.  Each local piece
-    is computed once, and a class with U_H M = 0 gets no block.  Pieces,
-    blocks and the result are kept in M's memo."""
-    memo = _memo(M)
-    if memo.comparison is None:
-        lat = M.lattice
-        blocks, mors = [], []
-        for h in lat.class_reps():
-            V, _, Q = _piece(M, h)
-            if V.dim:
-                blocks.append(build_free_block(lat, h, V))
-                mors.append(_compare(M, blocks[-1], Q))
-        maps = _stacked(mors, M)
-        for k, m in enumerate(maps):
-            if m.rows != m.cols or not m.is_invertible():
-                raise MackeyError(f"comparison morphism fails to be invertible at level {lat.name(k)}")
-        memo.comparison = tuple(blocks), maps
-    return memo.comparison
-
-
 def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
     """The certified isomorphism from M onto the direct sum of its free pieces.
 
     Stacks the comparison morphisms classwise, validates the result as a
     morphism, and certifies exact invertibility at every level.  Failure of
     any of these is a hard error: it would contradict the splitting theorem.
-    M's pieces, blocks and comparison stay in the one-entry memo, for
-    ``split``, ``assemble`` and ``certify_iso`` to reuse.
+    Runs on ``split(M)``, so a caller that holds that value builds M's
+    pieces, blocks and comparison once.
     """
-    blocks, maps = _stacked_comparison(M)
-    target = direct_sum(*(block.functor for block in blocks)) if blocks else zero_functor(M.lattice)
+    S = split(M)
+    maps = S._comparison
+    target = direct_sum(*(block.functor for block in S._blocks)) if S._blocks else zero_functor(M.lattice)
     return MackeyMorphism(M, target, maps)
 
 
@@ -382,17 +362,17 @@ def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
     """
     if M1.lattice is not M2.lattice:
         raise MackeyError("functors live over different lattices")
-    blocks, iso1 = _stacked_comparison(M1)
-    pieces = {h: _local_piece(M2, h) for h in M1.lattice.class_reps()}  # past the memo, which keeps M1
-    if [h for h, (V2, _, _) in pieces.items() if V2.dim] != [block.h for block in blocks]:
+    S1 = split(M1)
+    blocks, iso1 = S1._blocks, S1._comparison
+    S2 = split(M2)
+    if [h for h, V2 in S2.modules.items() if V2.dim] != [block.h for block in blocks]:
         return None
     mors = []
     try:
         for block in blocks:
-            V2, _, Q = pieces[block.h]
-            if (psi := intertwiner(V2, block.module)) is None:
+            if (psi := intertwiner(S2.modules[block.h], block.module)) is None:
                 return None
-            mors.append(_compare(M2, block, psi.matmul(Q)))
+            mors.append(_compare(M2, block, psi.matmul(S2._pieces[block.h][1])))
         maps = tuple(m.solve(a) if m.rows == m.cols else None for m, a in zip(_stacked(mors, M2), iso1))
         if None in maps:
             raise LinAlgError("matrix is singular")

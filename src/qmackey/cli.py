@@ -154,9 +154,11 @@ def _check_format(args) -> None:
         raise UsageError("--format dot is only supported by mackey lewis")
     if args.pretty and args.format not in (None, "text"):
         raise UsageError(f"--pretty conflicts with --format {args.format}")
-    only = _FORMATS.get(command, (args.format,))
-    if args.format not in (None, *only):
-        raise UsageError(f"{command} only writes {' or '.join(only)}, not --format {args.format}")
+    form = args.format or ("text" if args.pretty else None)
+    only = _FORMATS.get(command, (form,))
+    if form not in (None, *only):
+        flag = f"--format {form}" if args.format else "--pretty"
+        raise UsageError(f"{command} only writes {' or '.join(only)}, not {flag}")
 
 
 def _emit(args, text: str) -> None:
@@ -376,10 +378,11 @@ def cmd_mackey_classify(args) -> int:
     _require_mackey(args.functor, M)
     lat = M.lattice
     try:
+        S = split(M)
         iso = classify_iso(M)
     except MackeyError as exc:
         return _report(args, {"functor": M.name, "certified": False, "error": str(exc)}, [f"classification FAILED: {exc}"], 1)
-    modules = split(M).modules
+    modules = S.modules
     data = {
         "functor": M.name,
         "levels": {lat.name(h): M.dims[h] for h in range(len(lat))},

@@ -545,7 +545,7 @@ class Subgroup:
         return len(self.elements)
 
 
-def _memo(query):
+def _lattice_query(query):
     """A ``SubgroupLattice`` query, kept in the lattice's ``_memo`` and handed to every caller: a lattice never
     changes, nor does an answer, which is a tuple, a read-only mapping or a frozen value, never a list, dict or set."""
     name = query.__name__
@@ -586,7 +586,7 @@ class SubgroupLattice:
         self._build_poset()
         # conj_table[g][h_id] = id of g H g^-1
         self.conj_table = self._build_conj_table()
-        self._memo: dict[tuple[str, tuple], object] = {}  # see ``_memo``
+        self._memo: dict[tuple[str, tuple], object] = {}  # see ``_lattice_query``
         self.classes = self.local_classes(self.top)
         class_of = {member: ci for ci, cls in enumerate(self.classes) for member in cls}
         self.class_of = tuple(class_of[h] for h in range(len(self.subgroups)))
@@ -776,17 +776,17 @@ class SubgroupLattice:
         """True when some G-conjugate of K is contained in H."""
         return any(h in self._above[member] for member in self.classes[self.class_of[k]])
 
-    @_memo
+    @_lattice_query
     def meet(self, a: int, b: int) -> int:
         return self._id_of[tuple(sorted(set(self.elements(a)) & set(self.elements(b))))]
 
-    @_memo
+    @_lattice_query
     def maximal(self, h: int) -> tuple[int, ...]:
         """The maximal proper subgroups of H, in ``subgroups_of`` order."""
         below = self._down[h]
         return tuple(k for k in below if k != h and not any(l != k and l != h and self.leq(k, l) for l in below))
 
-    @_memo
+    @_lattice_query
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """All pairs (H, K) with K maximal proper in H, by lattice id."""
         return tuple((h, k) for h in range(len(self)) for k in self.maximal(h))
@@ -796,7 +796,7 @@ class SubgroupLattice:
 
     # -- cosets, cached -------------------------------------------------------
 
-    @_memo
+    @_lattice_query
     def cosets(self, k: int, ambient: int | None = None) -> tuple[int, ...]:
         """The cosets aK, a in ambient, as their least members in increasing order; needs K <= ambient."""
         amb = self.top if ambient is None else ambient
@@ -804,7 +804,7 @@ class SubgroupLattice:
             raise GroupError("cosets require K <= ambient")
         return tuple(sorted({self.coset_of(a, k) for a in self.elements(amb)}))
 
-    @_memo
+    @_lattice_query
     def double_cosets(self, k: int, l: int, ambient: int | None = None) -> tuple[int, ...]:
         """The double cosets KxL, x in ambient, as their least members in increasing order; needs K, L <= ambient.
 
@@ -824,7 +824,7 @@ class SubgroupLattice:
                 seen |= orbit
         return tuple(reps)
 
-    @_memo
+    @_lattice_query
     def fixed_cosets(self, k: int, h: int, ambient: int | None = None) -> tuple[int, ...]:
         """(ambient/K)^H: the r in ``cosets(k, ambient)`` with HrK = rK; needs K <= ambient.
 
@@ -845,7 +845,7 @@ class SubgroupLattice:
 
     # -- local (within-H) structure --------------------------------------------
 
-    @_memo
+    @_lattice_query
     def local_classes(self, h: int) -> tuple[tuple[int, ...], ...]:
         """H-conjugacy classes of subgroups of H as sorted id tuples, ordered by (order, rep elements).
 
@@ -862,12 +862,12 @@ class SubgroupLattice:
                 seen.update(orbit)
         return tuple(classes)
 
-    @_memo
+    @_lattice_query
     def normalizer_in(self, k: int, h: int) -> int:
         """N_H(K) as a lattice id, for K <= H."""
         return self._id_of[tuple(sorted(g for g in self.elements(h) if self.conj_table[g][k] == k))]
 
-    @_memo
+    @_lattice_query
     def marks(self, h: int) -> tuple[MappingProxyType, tuple[MappingProxyType, ...]]:
         """The table of marks T of H as (index, rows), keeping only its nonzero marks.
 
@@ -897,7 +897,7 @@ class SubgroupLattice:
 
     # -- Mobius ---------------------------------------------------------------
 
-    @_memo
+    @_lattice_query
     def mobius_to(self, h: int) -> MappingProxyType:
         """mu(L, H) for every L <= H, keyed by L's id, in one sweep down the interval [1, H].
 
@@ -921,7 +921,7 @@ class SubgroupLattice:
 
     # -- Weyl groups ------------------------------------------------------------
 
-    @_memo
+    @_lattice_query
     def weyl(self, h: int) -> "WeylData":
         """W_G(H) = N_G(H)/H on ``cosets(h, N_G(H))``, each coset named by its least member r as ``r + "N"``."""
         G = self.group
@@ -936,7 +936,7 @@ class SubgroupLattice:
 
     # -- derived lattices ---------------------------------------------------------
 
-    @_memo
+    @_lattice_query
     def sub_lattice(self, h: int) -> "SubLatticeView":
         H, to_parent = subgroup_group(self.group, self.elements(h), name=self.name(h))
         lat = SubgroupLattice(H)
@@ -945,7 +945,7 @@ class SubgroupLattice:
         )
         return SubLatticeView(lat, to_parent, to_parent_sub)
 
-    @_memo
+    @_lattice_query
     def quotient_lattice(self, n: int) -> "QuotientLatticeView":
         """G/N for a normal N: it is W_G(N), with the same representatives, names and product."""
         if not self.is_normal(n):

@@ -46,7 +46,8 @@ class MackeyFunctor:
 
     A functor is an immutable value: the three map tables are read-only views
     of private copies, so the cache below cannot go stale.  Variants come
-    from ``dataclasses.replace``, which starts them with an empty cache.
+    from ``dataclasses.replace``, which starts them with an empty cache and
+    no classification.
     """
 
     lattice: SubgroupLattice
@@ -56,6 +57,7 @@ class MackeyFunctor:
     cgen: MappingProxyType  # (gen position, h) -> QMatrix, M(G/H) -> M(G/sHs^-1)
     name: str = "M"
     _conj_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _split_data: weakref.ref | None = field(init=False, default=None, repr=False, compare=False)  # ``classify.split``'s latest value
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))

@@ -351,28 +351,28 @@ class TestCertifyIso:
         assert certify_iso(c6A, direct_sum(c6A, c6A)) is None
 
     def test_comparison_memo(self, s3_lattice):
-        """The one-entry memo of M's comparison changes no answer and keeps no functor alive."""
+        """Holding ``split(M)`` changes no answer, and the value keeps no functor alive once it is dropped."""
         rng = random.Random(31)
         M = random_functor(s3_lattice, rng)
         N = basis_change(M, [random_invertible(d, rng) for d in M.dims])
-        classify_iso(N)  # M is not the memoized functor
         cold = certify_iso(M, N)
         first = classify_iso(M)
-        assert classify._stacked_comparison(M) is classify._stacked_comparison(M)
+        S = split(M)
+        assert split(M) is S and S._comparison is S._comparison
         assert classify_iso(M).maps == first.maps
         warm = certify_iso(M, N)
         assert cold is not None and warm.maps == cold.maps
-        assert classify._last_comparison[0]() is M  # certify_iso builds no comparison of N
+        assert N._split_data() is None  # certify_iso keeps nothing of N
         same = certify_iso(M, M)
         assert same is not None and (same.source, same.target) == (M, M) and same.is_levelwise_iso()
         ref = weakref.ref(M)
-        del M, N, cold, first, warm, same
+        del M, N, S, cold, first, warm, same
         gc.collect()
         assert ref() is None
 
 
 class TestClassificationMemo:
-    """``split``, ``assemble``, ``classify_iso`` and ``certify_iso`` share the pieces and blocks of the last functor."""
+    """``split``, ``assemble``, ``classify_iso`` and ``certify_iso`` share the pieces and blocks of a held ``split(M)``."""
 
     @pytest.fixture
     def pair(self, corpus_lattices):
@@ -408,27 +408,52 @@ class TestClassificationMemo:
         M, N = pair
         warm = self.results(M, N)
         copy = replace(M)
-        classify_iso(N)  # the copy's answers start from an entry of another functor
+        classify_iso(N)  # another functor's classification in between changes no answer
         assert self.results(copy, N) == warm
 
     def test_other_arguments_build_a_new_block(self, pair, monkeypatch):
+        """A held value builds each block once; ``free_functor`` builds a new one on every call, with equal answers."""
         M, _ = pair
         lat = M.lattice
-        h, V = next((h, V) for h, V in split(M).modules.items() if V.dim)
+        S = split(M)
         built = self.counted_builds(monkeypatch)
-        assert free_functor(lat, h, V) is free_functor(lat, h, V)
-        assert len(built) == 1
+        assert assemble(S) == assemble(S)
+        block = S._blocks[0]
+        assert built == [b.h for b in S._blocks]
         other = SubgroupLattice(lat.group)
-        for F in (free_functor(other, h, V), free_functor(lat, h, replace(V))):
-            assert F.dims == free_functor(lat, h, V).dims
-        assert len(built) == 3
+        for F in (free_functor(lat, block.h, block.module), free_functor(other, block.h, block.module),
+                  free_functor(lat, block.h, replace(block.module))):
+            assert F.dims == block.functor.dims
+        assert len(built) == len(S._blocks) + 3
 
     def test_no_block_of_an_earlier_functor_stays(self, pair):
         M, N = pair
-        ref = weakref.ref(classify._stacked_comparison(M)[0][0])
+        S = split(M)
+        ref = weakref.ref(S._blocks[0])
         classify_iso(N)
+        assert ref() is S._blocks[0]
+        del S
         gc.collect()
         assert ref() is None
+
+    def test_alternating_functors_build_each_piece_and_block_once(self, pair, monkeypatch):
+        """Two held values do not evict each other, and a dropped one frees its blocks."""
+        M1, M2 = pair
+        local_piece, pieces = classify._local_piece, []
+        monkeypatch.setattr(classify, "_local_piece", lambda M, h: pieces.append((M is M1, h)) or local_piece(M, h))
+        built = self.counted_builds(monkeypatch)
+        S1, S2 = split(M1), split(M2)
+        certify_iso(M1, M2)
+        classify_iso(M2)
+        certify_iso(M1, M2)
+        classify_iso(M1)
+        reps = M1.lattice.class_reps()
+        assert pieces == [(True, h) for h in reps] + [(False, h) for h in reps]
+        assert sorted(built) == sorted(2 * [h for h, V in S1.modules.items() if V.dim])
+        ref = weakref.ref(S1._blocks[0])
+        del S1
+        gc.collect()
+        assert ref() is None and S2._blocks
 
 
 # A 4x4 integer matrix conjugating R + R over C2 (R the regular module) to a
@@ -601,6 +626,18 @@ def test_free_block_matches_every_pair_reference(free_groups, group, pick, kind,
     assert check_axioms(F).ok
 
 
+@pytest.mark.parametrize("group", ["S4", "C2^4"])
+def test_free_block_asks_for_fixed_cosets_only_above_a_conjugate_of_h(free_groups, group, monkeypatch):
+    """(G/K)^H is empty unless H <=_G K: the other levels get no coset lookup and no cosets."""
+    lat = free_groups[group]
+    asked, fixed_cosets = [], lat.fixed_cosets
+    monkeypatch.setattr(lat, "fixed_cosets", lambda k, h, *rest: asked.append((k, h)) or fixed_cosets(k, h, *rest))
+    for h in lat.class_reps():
+        block = classify.build_free_block(lat, h, WModule.trivial(lat.weyl(h).group))
+        assert [bool(X) for X in block.cosets] == [lat.is_subconjugate(h, k) for k in range(len(lat))]
+    assert asked and [(k, h) for k, h in asked if not lat.is_subconjugate(h, k)] == []
+
+
 def test_classify_iso_product_guard(past_corpus_lattices, monkeypatch):
     """A machine-independent guard: matrix products of ``classify_iso`` on the C2^4 Burnside functor."""
     A = replace(burnside_mackey(past_corpus_lattices["C2^4"]))
@@ -634,7 +671,8 @@ def test_certify_iso_rejects_a_non_equivariant_intertwiner(c2_lattice, monkeypat
 def test_certify_iso_validates_each_lift(c2_lattice, monkeypatch):
     """A lift that is not natural, psi_H Q_H doubled on the one-coset levels only, raises."""
     A = burnside_mackey(c2_lattice)
-    classify_iso(A)  # M1's own comparison is built before the fault, and kept in the memo
+    S = split(A)  # held across the call, so M1's own comparison is built before the fault and kept
+    classify_iso(A)
     vstack = classify.vstack
     monkeypatch.setattr(classify, "vstack", lambda *rows: vstack(*rows).scale(2 if len(rows) == 1 else 1))
     with pytest.raises(MackeyError, match="does not commute"):
@@ -738,9 +776,11 @@ def test_certify_iso_raises_on_a_singular_intertwiner(corpus_lattices, monkeypat
 
 @pytest.mark.slow
 def test_certify_iso_product_guard(past_corpus_lattices, monkeypatch):
-    """A machine-independent guard: matrix products of ``certify_iso`` on the C2^4 Burnside functor, M1 memoized."""
+    """A machine-independent guard: matrix products of ``certify_iso`` on the C2^4 Burnside functor, with M1's
+    comparison built beforehand on a held ``split(M1)``."""
     A = replace(burnside_mackey(past_corpus_lattices["C2^4"]))
     N = _scrambled(A, 5)
+    S = split(A)
     classify_iso(A)
     calls = 0
     matmul = QMatrix.matmul

@@ -96,6 +96,8 @@ class TestExitCodes:
             (["mackey", "new", "constant", "--group", "c2", "--at", "C1"], "mackey new constant ignores --at"),
             (["mackey", "new", "burnside", "--group", "c2", "--module", "trivial"], "mackey new burnside ignores --module"),
             (["mackey", "new", "coconstant", "--group", "c2", "--module", "regular", "--dim", "2"], "mackey new coconstant ignores --module"),
+            (["--pretty", "mackey", "new", "burnside", "--group", "c6"], "mackey new only writes json, not --pretty"),
+            (["--pretty", "mackey", "box", "burnside:c2", "burnside:c2"], "mackey box only writes json, not --pretty"),
             (["burnside", "restrict", "c6", "--to", "C3"], "need --element JSON or --idempotent CLASS"),
             (["mackey", "green-check", "burnside:c2", "mult.json"], "multiplication data missing level C1"),
             (["group", "info", "empty.json"], "empty multiplication table"),

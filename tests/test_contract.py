@@ -21,6 +21,12 @@ is the one place that says so: in the package, only it, the JSON reader
 too, as ``test_serialize`` checks), the cached path of ``burnside_mackey`` and
 ``monoidal.box`` call ``MackeyFunctor(...)`` or ``BoxProduct(...)``.
 
+No function writes to a module-level name, so no call leaves state behind
+for the next one, except the two module-level caches: ``mackey.burnside_mackey``'s
+``_BURNSIDE_TABLES``, keyed weakly by an immutable lattice, and the argument
+parser that ``cli.build_parser`` caches.  A functor's classification lives in
+the value ``classify.split`` returns.
+
 Every default order cap, of a function or of the CLI's ``--cap``, is the one
 constant ``groups.DEFAULT_ORDER_CAP``.  The pytest settings refuse an
 unregistered marker."""
@@ -202,6 +208,53 @@ def test_only_build_functor_the_reader_the_burnside_cache_and_box_make_functors(
         ("monoidal.py", "box"),
         ("serialize.py", "functor_from_json"),
     ]
+
+
+_MUTATORS = {"append", "update", "setdefault", "pop", "clear"}
+
+
+def _is_cache(node):
+    """True for ``cache`` or ``lru_cache``, by name or attribute, called or not."""
+    return ast.unparse(node.func if isinstance(node, ast.Call) else node).rpartition(".")[2] in ("cache", "lru_cache")
+
+
+def _module_state(source):
+    """Each module-level name that a function writes to, by item or slice assignment or deletion, a mutating
+    method call or a ``global`` statement; and each top-level function that is a ``cache`` or ``lru_cache``."""
+    tree = ast.parse(source)
+    names = {n.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and any(map(_is_cache, node.decorator_list)):
+            yield node.name
+        elif isinstance(node, ast.Assign) and _is_cache(node.value):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    for node in {sub for f in functions for sub in ast.walk(f)}:
+        if isinstance(node, ast.Global):
+            yield from node.names
+        written = getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+            written = [node.func]
+        yield from (t.value.id for t in written if isinstance(t, (ast.Subscript, ast.Attribute))
+                    and isinstance(t.value, ast.Name) and t.value.id in names)
+
+
+def test_module_state_is_detected():
+    source = (
+        "import functools\nT, L, D, C = {}, [], {}, {}\nK = (1,)\n"
+        "def f(x):\n    T[x] = 1\n    L[:] = [x]\n    del D[x]\n    return K[0]\n"
+        "g = lambda x: C.setdefault(x, [])\n"
+        "@functools.lru_cache(maxsize=1)\ndef h(x):\n    global N\n    N = x\n"
+        "memo = functools.cache(f)\n"
+    )
+    assert sorted(set(_module_state(source))) == ["C", "D", "L", "N", "T", "h", "memo"]
+    assert not list(_module_state("T = {}\ndef f(T):\n    return T.get(1)\n\ndef g():\n    return [].append(1)\n"))
+
+
+def test_only_the_burnside_tables_and_the_parser_are_module_state():
+    found = {(path.name, name) for path in sorted(PACKAGE.glob("*.py")) for name in _module_state(path.read_text())}
+    assert found == {("mackey.py", "_BURNSIDE_TABLES"), ("cli.py", "build_parser")}
 
 
 def _cap_defaults(tree):

@@ -15,7 +15,7 @@ from types import MappingProxyType
 import pytest
 
 from qmackey.burnside import burnside_ring
-from qmackey.classify import build_free_block, classify_iso, random_invertible
+from qmackey.classify import SplitData, build_free_block, classify_iso, random_invertible, split
 from qmackey.groups import FiniteGroup, SubgroupLattice, symmetric
 from qmackey.linalg import QMatrix, WModule
 from qmackey.mackey import MackeyFunctor, burnside_mackey, check_axioms, constant, i_lower
@@ -60,6 +60,18 @@ class TestFrozen:
         block = build_free_block(lat, lat.top, WModule.trivial(lat.weyl(lat.top).group))
         with pytest.raises(FrozenInstanceError):
             setattr(block, field, getattr(block, field))
+
+    def test_split_data_is_frozen_and_its_modules_read_only(self, lat):
+        S = split(burnside_mackey(lat))
+        h, V = next(iter(S.modules.items()))
+        with pytest.raises(TypeError):
+            S.modules[h] = V
+        with pytest.raises(FrozenInstanceError):
+            S.lattice = SubgroupLattice(lat.group)
+        modules = {h: V}
+        kept = SplitData(lat, modules)
+        modules.clear()
+        assert dict(kept.modules) == {h: V}
 
     def test_box_keeps_its_levels_in_a_declared_field(self, lat):
         A = burnside_mackey(lat)

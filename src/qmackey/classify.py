@@ -46,6 +46,7 @@ from .linalg import (
 from .mackey import (
     _brauer_basis,
     _common_kernel,
+    _require_composable,
     MackeyError,
     MackeyFunctor,
     MackeyMorphism,
@@ -53,7 +54,6 @@ from .mackey import (
     constant,
     direct_sum,
     basis_change,
-    zero_functor,
 )
 
 
@@ -150,7 +150,8 @@ def _weyl_fixed_basis(lattice: SubgroupLattice, h: int, k: int, V: WModule) -> Q
 def build_free_block(lattice: SubgroupLattice, h: int, V: WModule) -> FreeBlock:
     """Construct the free functor ``F[class]`` on a Weyl-group module at the class of H.
 
-    (G/K)^H is empty unless H <=_G K, so the fixed cosets are asked for only there.
+    (G/K)^H is empty unless H <=_G K, so the fixed cosets are asked for only there.  Its R and I
+    compose by construction, as the coset maps they restrict do.
     """
     _weyl_of(lattice, h, V)
     G = lattice.group
@@ -166,9 +167,7 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule) -> FreeBlock:
 
     @functools.lru_cache(maxsize=1)  # ``build_functor`` asks for R, then I, at each pair
     def res_ind(kb, ks):
-        if kb == ks:
-            return (QMatrix.identity(dims[kb]),) * 2
-        # I projects the fixed cosets of the smaller subgroup onto the bigger one's; R sends one to its fixed preimages
+        # I projects the smaller subgroup's fixed cosets onto the bigger one's, R each to its fixed preimages; both are 1 at (K, K)
         a = coset_map(ks, kb, lambda g: lattice.coset_of(g, kb))
         return restrict_map(a.transpose(), bases[kb], bases[ks]), restrict_map(a, bases[ks], bases[kb])
 
@@ -232,7 +231,7 @@ def _compare(M: MackeyFunctor, block: FreeBlock, Q: QMatrix) -> MackeyMorphism:
     restricts to the conjugate of H inside K, conjugates back to H and applies Q.  It
     lies in the local piece by construction, as Q x are the coordinates of P x in im P.
     Membership in the Weyl-fixed subspace and the morphism property are verified, not
-    assumed, except into zero levels and for a zero module: a map into 0 is unique.
+    assumed, except into zero levels: a map into 0 is unique.
     """
     lat, G = M.lattice, M.lattice.group
     maps = []
@@ -247,8 +246,7 @@ def _compare(M: MackeyFunctor, block: FreeBlock, Q: QMatrix) -> MackeyMorphism:
             raise MackeyError("comparison component is not Weyl-fixed")
         maps.append(component)
     mor = MackeyMorphism(M, block.functor, tuple(maps))
-    if block.module.dim:
-        mor.validate()
+    mor.validate()
     return mor
 
 
@@ -303,8 +301,9 @@ class SplitData:
 
 
 def split(M: MackeyFunctor) -> SplitData:
-    """M's classification: the value last built for M while a caller still holds it, else a new one."""
+    """M's classification: the value last built for M while a caller holds it, else a new one, after ``_require_composable(M)``."""
     if (S := M._split_data and M._split_data()) is None:
+        _require_composable(M)
         pieces = {h: _local_piece(M, h) for h in M.lattice.class_reps()}
         S = SplitData(M.lattice, {h: V for h, (V, _, _) in pieces.items()}, M, {h: p[1:] for h, p in pieces.items()})
         object.__setattr__(M, "_split_data", weakref.ref(S))
@@ -326,39 +325,33 @@ def _stacked(mors: list[MackeyMorphism], M: MackeyFunctor) -> tuple[QMatrix, ...
 
 
 def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
-    """The certified isomorphism from M onto the direct sum of its free pieces.
+    """The certified isomorphism from M onto ``assemble(split(M))``, the direct sum of its free pieces.
 
-    Stacks the comparison morphisms classwise, validates the result as a
-    morphism, and certifies exact invertibility at every level.  Failure of
-    any of these is a hard error: it would contradict the splitting theorem.
-    Runs on ``split(M)``, so a caller that holds that value builds M's
-    pieces, blocks and comparison once.
+    Stacks the validated comparison morphisms classwise and certifies exact invertibility at every
+    level.  A failure is a hard error, as it would contradict the splitting theorem, and so is an M
+    whose R and I do not compose, which ``split`` refuses.  Runs on ``split(M)``, so a caller that
+    holds that value builds M's pieces, blocks and comparison once.
     """
     S = split(M)
-    maps = S._comparison
-    target = direct_sum(*(block.functor for block in S._blocks)) if S._blocks else zero_functor(M.lattice)
-    return MackeyMorphism(M, target, maps)
+    return MackeyMorphism(M, assemble(S), S._comparison)
 
 
 def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:
     """A certified isomorphism M1 -> M2, or None exactly when none exists.
 
-    By the classification M = (+)_(H) F_H(U_H M), so M1 and M2 are
-    isomorphic exactly when U_H M1 and U_H M2 are at every class (H).  None
-    is returned only when the classes with nonzero Weyl modules differ or
-    ``intertwiner`` finds two modules with different dimensions or characters.
+    By the classification M = (+)_(H) F_H(U_H M), so M1 and M2 are isomorphic exactly when U_H M1
+    and U_H M2 are at every class (H).  None is returned only when the classes with nonzero Weyl
+    modules differ or ``intertwiner`` finds two modules with different dimensions or characters.
+    ``split`` refuses an M1 or M2 whose R and I do not compose, as the validations below assume.
 
-    Otherwise M2 is compared straight into M1's free blocks by ``_compare``
-    through psi_H Q_H, with Q_H from M2's ``_local_piece`` at H and psi_H =
-    ``intertwiner(U_H M2, U_H M1)``, each level K solved in the Weyl-fixed
-    basis of F_H(U_H M1).  Stacked over the classes this is iso2': M2 ->
-    (+)_(H) F_H(U_H M1), the target of M1's certified comparison iso1, and the
-    answer is X with iso2' X = iso1.  Proof: iso2' is square and iso1
-    invertible, so a solution forces iso2' to full rank and X = iso2'^-1 iso1
-    is unique, or ``MackeyError`` is raised.  Each block of iso2' is validated
-    natural, so iso2' is, and so is the inverse of a natural levelwise
-    isomorphism; iso1 is certified.  So X is a natural isomorphism, whatever
-    psi_H is.
+    Otherwise M2 is compared straight into M1's free blocks by ``_compare`` through psi_H Q_H, with
+    Q_H from M2's ``_local_piece`` at H and psi_H = ``intertwiner(U_H M2, U_H M1)``, each level K
+    solved in the Weyl-fixed basis of F_H(U_H M1).  Stacked over the classes this is iso2': M2 ->
+    (+)_(H) F_H(U_H M1), the target of M1's certified comparison iso1, and the answer is X with
+    iso2' X = iso1.  Proof: iso2' is square and iso1 invertible, so a solution forces iso2' to full
+    rank and X = iso2'^-1 iso1 is unique, or ``MackeyError`` is raised.  Each block of iso2' is
+    validated natural, so iso2' is, and so is the inverse of a natural levelwise isomorphism; iso1
+    is certified.  So X is a natural isomorphism, whatever psi_H is.
     """
     if M1.lattice is not M2.lattice:
         raise MackeyError("functors live over different lattices")

@@ -82,9 +82,8 @@ def _image(cycles: list[list[int]], n: int) -> tuple[int, ...]:
     return tuple(image)
 
 
-def cycle_string(image: tuple[int, ...], points=None) -> str:
-    """Render a 0-based image tuple in cycle notation, naming position i by ``points[i]``, else by i + 1."""
-    label = points or range(1, len(image) + 1)
+def cycle_string(image: tuple[int, ...], points) -> str:
+    """Render a 0-based image tuple in cycle notation, naming position i by ``points[i]``."""
     seen = [False] * len(image)
     parts = []
     for start in range(len(image)):
@@ -98,7 +97,7 @@ def cycle_string(image: tuple[int, ...], points=None) -> str:
             cyc.append(nxt)
             seen[nxt] = True
             nxt = image[nxt]
-        parts.append("(" + " ".join(str(label[p]) for p in cyc) + ")")
+        parts.append("(" + " ".join(str(points[p]) for p in cyc) + ")")
     return "".join(parts) if parts else "()"
 
 
@@ -182,10 +181,8 @@ class FiniteGroup:
     def _normalize_gens(self, gens: list[int] | None) -> tuple[int, ...]:
         if gens is not None:
             picked = [g for g in gens if g != self.identity]
-            if self.closure(picked) != tuple(range(self.order)) and self.order > 1:
+            if self.closure(picked) != tuple(range(self.order)):
                 raise GroupError("given generators do not generate the group")
-            if self.order == 1:
-                return ()
             return tuple(dict.fromkeys(picked))
         picked = []
         generated = {self.identity}

@@ -533,11 +533,11 @@ class WModule:
                 raise LinAlgError("generator matrix has wrong shape")
 
     def matrix(self, g: int) -> QMatrix:
+        """rho(g) = rho(p) rho(s), s the last letter of the word of g and p = gs^-1, one product from the cached rho(p)."""
         if g not in self._cache:
-            acc = QMatrix.identity(self.dim)
-            for pos in self.group.word(g):
-                acc = acc.matmul(self.gen_matrices[pos])
-            self._cache[g] = acc
+            G, word = self.group, self.group.word(g)
+            mat = self.gen_matrices[word[-1]] if word else QMatrix.identity(self.dim)
+            self._cache[g] = self.matrix(G.mul(g, G.inv(G.gens[word[-1]]))).matmul(mat) if len(word) > 1 else mat
         return self._cache[g]
 
     def validate(self) -> None:
@@ -631,9 +631,7 @@ def intertwiner(V1: WModule, V2: WModule) -> QMatrix | None:
     rng = random.Random(0)
     for _ in range(_REYNOLDS_TRIES):
         C = _new(n, n, [{j: rng.randint(1, 2 * n) for j in range(n)} for _ in range(n)])
-        T = QMatrix.zeros(n, n)
-        for g in range(G.order):
-            T = T + V2.matrix(g).matmul(C).matmul(V1.matrix(G.inv(g)))
+        T = block_matrix(n, n, [(0, 0, V2.matrix(g).matmul(C).matmul(V1.matrix(G.inv(g)))) for g in range(G.order)])
         if T.is_invertible():
             return T
     raise LinAlgError(f"no invertible Reynolds average in {_REYNOLDS_TRIES} tries on isomorphic modules")

@@ -256,9 +256,9 @@ def _check_identities(reduced, exhaustive, fail_fast: bool = False):
     return found, dict(checked)
 
 
-def _axiom_identities(M: MackeyFunctor, reduced: bool):
-    """``(rule, holds, detail)`` for the shape of every map, then, if all are
-    well-shaped, for axioms 1-4 on the reduced or the full scope."""
+def _axiom_identities(M: MackeyFunctor, reduced: bool, premise: bool = False):
+    """``(rule, holds, detail)`` for the shape of every map, then, if all are well-shaped, for axioms
+    1-4 on the reduced or the full scope, or with ``premise`` for axioms 1-2 alone."""
     lat = M.lattice
     G = M.group
     nm = lat.name
@@ -275,15 +275,22 @@ def _axiom_identities(M: MackeyFunctor, reduced: bool):
     # nothing downstream is well-posed with mismatched shapes
     if shaped:
         yield from _structure_identities(M, reduced)
-        yield from _formula_identities(M, _maximal_triples(lat) if reduced else _all_triples(lat))
+        if not premise:
+            yield from _conjugation_identities(M, reduced)
+            yield from _formula_identities(M, _maximal_triples(lat) if reduced else _all_triples(lat))
+
+
+def _require_composable(M: MackeyFunctor) -> None:
+    """Raise ``MackeyError`` unless M has the shapes and (a)-(b) of ``check_axioms``, which ``MackeyMorphism.validate`` assumes."""
+    for rule, holds, detail in _axiom_identities(M, True, premise=True):
+        if not holds:
+            raise MackeyError(f"{M.name} is not a Mackey functor: [{rule}] {detail()}")
 
 
 def _structure_identities(M: MackeyFunctor, reduced: bool = False):
-    """Axioms 1-3 as ``(rule, holds, detail)``: (a)-(d) of ``check_axioms``, or the full check's."""
-    lat = M.lattice
-    G = M.group
-    nm, en = lat.name, G.elem_name
-    R, I, C = M.res, M.ind, M.cgen
+    """Axioms 1-2 as ``(rule, holds, detail)``: (a)-(b) of ``check_axioms``, or the full check's."""
+    lat, R, I = M.lattice, M.res, M.ind
+    nm, en = lat.name, M.group.elem_name
 
     # axiom 1: R^H_H = I^H_H = id, C_x = id on M(G/H) for x in H (up to the first x that fails)
     for h in range(len(lat)):
@@ -304,7 +311,14 @@ def _structure_identities(M: MackeyFunctor, reduced: bool = False):
                 yield "restriction-transitivity", holds, lambda: f"{nm(h)} > {nm(k)} > {nm(l)}"
                 holds = I[(h, l)] == I[(h, k)].matmul(I[(k, l)])
                 yield "induction-transitivity", holds, lambda: f"{nm(l)} < {nm(k)} < {nm(h)}"
-    # and multiplicativity of C: C_{ab} = C_a C_b for (a, b) = (s, g), s a generator, on the full
+
+
+def _conjugation_identities(M: MackeyFunctor, reduced: bool = False):
+    """Multiplicativity of C and axiom 3 as ``(rule, holds, detail)``: (c)-(d) of ``check_axioms``, or the full check's."""
+    lat, G, R, I, C = M.lattice, M.group, M.res, M.ind, M.cgen
+    nm, en = lat.name, G.elem_name
+
+    # multiplicativity of C: C_{ab} = C_a C_b for (a, b) = (s, g), s a generator, on the full
     # scope; on the reduced one for the edges (g, s) off the word tree, as ``conj`` builds it on the tree
     edges = [(g, pos, s) for g in range(G.order) for pos, s in enumerate(G.gens)]
     if reduced:
@@ -416,8 +430,8 @@ def dual(M: MackeyFunctor) -> MackeyFunctor:
 
 
 def direct_sum(*summands: MackeyFunctor, name: str | None = None) -> MackeyFunctor:
-    """The direct sum of one or more functors over one lattice: each map is the block diagonal
-    of the summands' maps, over the summands with a nonzero level at one of its ends."""
+    """The direct sum of one or more functors over one lattice: each map is the block diagonal of the
+    summands' maps, over the summands with a nonzero level at one of its ends; R and I compose as theirs do."""
     lat = summands[0].lattice
     if any(M.lattice is not lat for M in summands):
         raise MackeyError("direct sum needs a common lattice")
@@ -443,8 +457,6 @@ def rebase(M: MackeyFunctor, lattice: SubgroupLattice) -> MackeyFunctor:
     are keyed by generator position, so the generators must agree as well;
     then every matrix carries over unchanged.
     """
-    if M.lattice is lattice:
-        return M
     if (M.group._mul, M.group.gens) != (lattice.group._mul, lattice.group.gens):
         raise MackeyError("cannot rebase onto a lattice of a different group")
     return replace(M, lattice=lattice)
@@ -671,11 +683,12 @@ class MackeyMorphism:
     def validate(self, full: bool = False) -> None:
         """Check commutation with R, I and C, raising ``MackeyError`` at a square that fails.
 
-        The reduced pass checks covering pairs and generators, which suffices
-        when both endpoints satisfy the axioms, and passes a square whose
-        composite has 0 rows or 0 columns, as both sides are then empty.  On a
-        failure, or with ``full``, every pair and every group element is
-        checked, and the message names the first square that fails there.
+        The reduced pass checks cover pairs and generators, and passes a square whose composite has 0 rows
+        or 0 columns, as both sides are then empty.  That suffices when each endpoint has R^H_H = I^H_H = id,
+        and R^H_L = R^K_L R^H_K and I^H_L = I^H_K I^K_L for L < H and some K maximal in H above L
+        (``_require_composable``): every pair then commutes by induction on |H|, and ``conj`` builds each
+        C_g from generator maps on both sides.  On a failure, or with ``full``, every pair and every group
+        element is checked, and the message names the first square that fails there.
         """
         M, N, f = self.source, self.target, self.maps
         lat = M.lattice
@@ -915,18 +928,15 @@ def i_transpose_down(f_maps, N: MackeyFunctor, parent: SubgroupLattice, h: int):
     component per subgroup of H.
     """
     view, evals = _restricted_cosets(N, parent, h)
-    sub = view.lattice
     out = []
-    for a in range(len(sub)):
+    for a in range(len(view.lattice)):
         pa = view.parent_sub(a)
         ev = evals[pa]
         # the identity coset of pa sits in some orbit; project onto that block
         ident_pt = _coset_position(parent, parent.group.identity, pa)
         j, t = ev.orbit_of[ident_pt], ev.transporter[ident_pt]
         b = ev.stabilizers[j]
-        # stabilizer of the identity coset is the subgroup itself: t b t^-1 = a
-        if sub.conjugate(t, b) != a:
-            raise MackeyError("stabilizer mismatch in transpose")
+        # the stabilizer of t.p is t Stab(p) t^-1, and the identity coset's is A itself, so t b t^-1 = a
         proj = block_matrix(N.dims[b], ev.dim, [(0, ev.offsets[j], QMatrix.identity(N.dims[b]))])
         out.append(N.conj(t, b).matmul(proj).matmul(f_maps[pa]))
     return out

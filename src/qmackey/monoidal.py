@@ -20,6 +20,7 @@ from .groups import SubgroupLattice
 from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_space, selection_matrix, tensor
 from .mackey import (
     _check_identities,
+    _require_composable,
     MackeyError,
     MackeyFunctor,
     MackeyMorphism,
@@ -117,13 +118,12 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
     M and N must be Mackey functors: ``_box_level`` relies on R and I being
     transitive and C multiplicative, and on other input the quotient is wrong.
 
-    Only R and I on cover pairs, and C_s for a generator s outside H, are
-    induced: each is the unique f with f proj = proj F for its summand map F.
-    B is a Mackey functor as M and N are, so the rest follow by uniqueness:
-    R^H_H = I^H_H = id, C_s = id on B(H) for s in H (C_s (x) C_s is the
-    identity modulo the conjugation relation of s), and for L < H not a cover,
-    K the first cover of H above L, R^H_L = R^K_L R^H_K and I^H_L = I^H_K
-    I^K_L, where K's maps exist as ids follow subgroup order.
+    Only R and I on cover pairs, and C_s for a generator s outside H, are induced: each is the unique
+    f with f proj = proj F for its summand map F.  B is a Mackey functor as M and N are, so the rest
+    follow by uniqueness: R^H_H = I^H_H = id, C_s = id on B(H) for s in H (C_s (x) C_s is the identity
+    modulo the conjugation relation of s), and for L < H not a cover, K the first cover of H above L,
+    R^H_L = R^K_L R^H_K and I^H_L = I^H_K I^K_L, where K's maps exist as ids follow subgroup order.
+    So B's R and I compose along cover pairs by construction, whatever M and N are.
     """
     if M.lattice is not N.lattice:
         raise MackeyError("box product needs a common lattice")
@@ -201,9 +201,9 @@ def box_morphism(f: MackeyMorphism, g: MackeyMorphism, src: BoxProduct, dst: Box
 def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
     """The certified isomorphism from box(A, M) onto M, A the Burnside functor.
 
-    The map sends a summand element a (x) m at K to the induction of a acting
-    on m; the relation generators are verified to die under it before the
-    quotient is inverted.
+    The map sends a summand element a (x) m at K to the induction of a acting on m; the relation
+    generators are verified to die under it before the quotient is inverted.  An M whose R and I do
+    not compose is refused (``_require_composable``) before the map is validated.
     """
     lat = M.lattice
     A = burnside_mackey(lat)
@@ -219,9 +219,10 @@ def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
             raise MackeyError("unit map does not descend to the box quotient")
         maps.append(down)
     iso = MackeyMorphism(B, M, tuple(maps))
-    iso.validate()
     if not iso.is_levelwise_iso():
         raise MackeyError("box unit map failed to invert")
+    _require_composable(M)
+    iso.validate()
     return iso
 
 

@@ -32,6 +32,7 @@ from qmackey.groups import SubgroupLattice, corpus
 from qmackey.linalg import LinAlgError, QMatrix, WModule
 from qmackey.mackey import (
     _all_triples,
+    _conjugation_identities,
     _formula_identities,
     _maximal_triples,
     _structure_identities,
@@ -180,7 +181,7 @@ def formula_holds(M, triples):
 
 def assert_reduction_agrees(M):
     lat = M.lattice
-    assert all(holds for _, holds, _ in _structure_identities(M))
+    assert all(holds for _, holds, _ in (*_structure_identities(M), *_conjugation_identities(M)))
     assert formula_holds(M, _maximal_triples(lat)) == formula_holds(M, _all_triples(lat))
     assert_same_reports(M)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import free_reference
 from burnside_reference import burnside_action
+from corruptions import all_corruptions
 from qmackey import classify
 from qmackey.burnside import burnside_ring
 from qmackey.classify import (
@@ -35,12 +36,14 @@ from qmackey.mackey import (
     burnside_mackey,
     check_axioms,
     coconstant,
+    comparable_pairs,
     constant,
     direct_sum,
     fp_functor,
     idempotent_part,
     zero_functor,
 )
+from qmackey.monoidal import box_unit_iso
 
 
 def ids_of(lat):
@@ -804,3 +807,53 @@ def test_diagonal_check_on_generators_matches_all_elements(corpus_lattices):
             for h in range(len(lat)):
                 for k in lat.subgroups_of(h):
                     assert diagonal_check(M, k, h) == free_reference.diagonal_check(M, k, h)
+
+
+# ---------------------------------------------------------------------------
+# the premise of the reduced ``validate``: R and I compose along cover pairs
+# ---------------------------------------------------------------------------
+
+
+def _doubled_off_the_covers(lat, table):
+    """The Burnside functor and a copy with R or I doubled at its last pair (H, L), L < H, that is not a cover pair."""
+    A = burnside_mackey(lat)
+    pair = [(h, l) for h, l in comparable_pairs(lat) if l != h and l not in lat.maximal(h)][-1]
+    return A, replace(A, name="bad", **{table: {**getattr(A, table), pair: getattr(A, table)[pair].scale(2)}})
+
+
+@pytest.mark.parametrize("certifier", ["classify_iso", "certify_iso", "box_unit_iso"])
+@pytest.mark.parametrize("table", ["res", "ind"])
+@pytest.mark.parametrize("group", ["C8", "S3", "D8"])
+def test_a_functor_whose_maps_do_not_compose_is_refused(corpus_lattices, group, table, certifier):
+    """A doubled R or I off the cover pairs can pass every square the reduced ``validate`` checks (it does in half of
+    these cases), so the certifiers must refuse the functor before they validate against it."""
+    A, bad = _doubled_off_the_covers(corpus_lattices[group], table)
+    run = {"classify_iso": lambda: classify_iso(bad), "certify_iso": lambda: certify_iso(A, bad), "box_unit_iso": lambda: box_unit_iso(bad)}
+    with pytest.raises(MackeyError):
+        run[certifier]()
+
+
+def test_no_certificate_for_a_corrupted_functor_fails_the_full_check(corpus_lattices):
+    """On every corruption fixture over every corpus group, ``classify_iso`` and ``certify_iso`` raise ``MackeyError``
+    or return a morphism that passes ``validate(full=True)``."""
+    for lat in corpus_lattices.values():
+        for bad, _ in all_corruptions(lat):
+            for run in (lambda: classify_iso(bad), lambda: certify_iso(constant(lat, 1), bad)):
+                try:
+                    mor = run()
+                except MackeyError:
+                    continue
+                assert mor is not None
+                mor.validate(full=True)
+
+
+def test_split_checks_the_premise_once_while_held(corpus_lattices, monkeypatch):
+    """A held ``split(M)`` of an unbroken functor is built once, so its premise is checked once."""
+    checked = []
+    require = classify._require_composable
+    monkeypatch.setattr(classify, "_require_composable", lambda M: checked.append(M) or require(M))
+    A = replace(burnside_mackey(corpus_lattices["D8"]))
+    S = split(A)
+    assert classify_iso(A).is_levelwise_iso() and certify_iso(A, A) is not None
+    assert split(A) is S and assemble(split(A)).dims == classify_iso(A).target.dims
+    assert len(checked) == 1 and checked[0] is A

@@ -257,6 +257,26 @@ class TestCycleNotation:
 # ---------------------------------------------------------------------------
 
 
+class TestNamedFamilies:
+    """Members of the named families that the corpus does not reach."""
+
+    def test_small_alternating_and_symmetric_groups(self):
+        assert alternating(3).order == 3
+        assert [(G.order, G.gens) for G in (alternating(2), symmetric(1))] == [(1, ())] * 2
+
+    def test_a5_has_59_subgroups(self):
+        G = alternating(5)
+        assert G.order == 60 and len(SubgroupLattice(G)) == 59
+
+    def test_odd_dihedral_order_raises(self):
+        with pytest.raises(GroupError, match="must be even"):
+            dihedral(7)
+
+    def test_identity_generators_of_the_trivial_group_are_dropped(self):
+        G = load_group({"name": "one", "degree": 1, "generators": ["()"]})
+        assert (G.order, G.gens, G.word(G.identity)) == (1, (), ())
+
+
 class TestLattice:
     def test_c6_has_four_subgroups(self, c6_lattice):
         assert len(c6_lattice) == 4

@@ -241,6 +241,36 @@ class TestWModule:
         V.validate()
         assert V.dim == 6
 
+    def test_generator_matrices_must_fit_the_group(self):
+        G, eye = symmetric(3), QMatrix.identity(2)
+        with pytest.raises(LinAlgError, match="one matrix per group generator"):
+            WModule(G, 2, (eye,))
+        with pytest.raises(LinAlgError, match="wrong shape"):
+            WModule(G, 2, (eye, QMatrix.identity(3)))
+
+    def test_element_matrices_take_one_product_each(self, monkeypatch):
+        """rho(g) = rho(p) rho(s) from the cached rho(p): one product for each element of S4 whose word has two
+        letters or more, where a product along the whole word takes one per letter."""
+        G = symmetric(4)
+        V = WModule.regular(G)
+        calls = 0
+        matmul = QMatrix.matmul
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(QMatrix, "matmul", counted)
+        mats = [V.matrix(g) for g in range(G.order)]
+        monkeypatch.undo()
+        assert calls == sum(len(G.word(g)) > 1 for g in range(G.order)) == 21
+        for g, m in enumerate(mats):
+            along = QMatrix.identity(V.dim)
+            for pos in G.word(g):
+                along = along.matmul(V.gen_matrices[pos])
+            assert m == along == permutation_matrix([G.mul(g, x) for x in range(G.order)])
+
     def test_fixed_subspace_of_c3_inside_regular_c6(self):
         # independent oracle: the fixed space of a permutation module is
         # spanned by orbit sums, so its dimension is the number of orbits
@@ -456,3 +486,10 @@ def test_stacking():
     assert hstack(A, A).cols == 4
     assert vstack(A, A).rows == 4
     assert permutation_matrix((1, 0)) == QMatrix([[0, 1], [1, 0]])
+
+
+def test_stacking_needs_matching_shapes():
+    with pytest.raises(LinAlgError, match="equal row counts"):
+        hstack(QMatrix.identity(2), QMatrix.identity(3))
+    with pytest.raises(LinAlgError, match="equal column counts"):
+        vstack(QMatrix.identity(2), QMatrix.zeros(2, 3))

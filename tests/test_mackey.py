@@ -41,6 +41,7 @@ from qmackey.mackey import (
     i_transpose_up,
     i_upper,
     idempotent_part,
+    rebase,
     zero_functor,
 )
 from qmackey.serialize import dump, functor_to_json
@@ -609,6 +610,9 @@ class TestBuildFunctor:
 
 
 class TestDirectSumAndMorphisms:
+    def test_rebase_onto_its_own_lattice_is_an_equal_functor(self, c6A):
+        assert rebase(c6A, c6A.lattice) == c6A
+
     def test_direct_sum_dims_and_axioms(self, c6_lattice, c6A):
         M = direct_sum(c6A, constant(c6_lattice, 1))
         assert M.dims == tuple(a + 1 for a in c6A.dims)

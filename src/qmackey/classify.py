@@ -15,7 +15,8 @@ functor straight into the first one's free pieces, one intertwiner per class.
 
 ``split(M)`` returns one value, a ``SplitData``, that holds M's classification:
 its modules, and privately M, the basis and Q of each local piece, and the free
-blocks and stacked comparison, each built the first time it is asked for.
+blocks, their direct sum and the stacked comparison, each built the first time
+it is asked for.
 ``assemble``, ``classify_iso`` and ``certify_iso`` read it, and ``split(M)``
 hands back the value it last built for M for as long as some caller holds it.
 Functors and modules are immutable, so the value cannot go stale.
@@ -26,12 +27,13 @@ from __future__ import annotations
 import functools
 import random
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
 
 from .groups import SubgroupLattice, coset_gset
 from .linalg import (
+    _new,
     LinAlgError,
     QMatrix,
     WModule,
@@ -39,8 +41,6 @@ from .linalg import (
     fixed_subspace,
     intertwiner,
     restrict_map,
-    selection_matrix,
-    span_basis,
     vstack,
 )
 from .mackey import (
@@ -66,8 +66,8 @@ from .mackey import (
 class FreeBlock:
     """A free functor together with its chosen ambient data.
 
-    ``cosets[k]`` lists the H-fixed cosets of G/K; ``bases[k]`` is the basis
-    of the Weyl-fixed subspace of Q[cosets] (x) V in coset-major coordinates.
+    ``cosets[k]`` lists the H-fixed cosets of G/K; ``bases[k]`` is the basis of the Weyl-fixed
+    subspace of Q[cosets] (x) V in coset-major coordinates, ``orbits[k]`` its orbits' (b, F_b).
     """
 
     lattice: SubgroupLattice
@@ -76,6 +76,7 @@ class FreeBlock:
     functor: MackeyFunctor
     cosets: tuple
     bases: tuple
+    orbits: tuple
 
 
 def _weyl_coset_perm(lattice: SubgroupLattice, h: int, k: int, n: int) -> list[int]:
@@ -113,26 +114,29 @@ def free_level_dims(lattice: SubgroupLattice, h: int, V: WModule) -> tuple[int, 
     return tuple(out)
 
 
-def _weyl_fixed_basis(lattice: SubgroupLattice, h: int, k: int, V: WModule) -> QMatrix:
-    """The canonical basis of (Q[X] (x) V)^W, X = (G/K)^H and W = W_G(H), orbit by orbit.
+def _weyl_fixed_level(lattice: SubgroupLattice, h: int, k: int, V: WModule, fixed_of: dict) -> tuple[QMatrix, tuple]:
+    """The canonical basis of (Q[X] (x) V)^W, X = (G/K)^H and W = W_G(H), and (b, F_b) for each orbit.
 
-    Proof.  Q[X] (x) V is the sum of the W-stable Q[O] (x) V over the orbits O = W.x.
+    Proof.  Q[X] (x) V is the sum of the W-stable Q[O] (x) V over the orbits O = W.b.
     sum_{y in O} e_y (x) v_y is W-fixed exactly when v_{w.y} = rho(w) v_y for all w, y,
-    that is when v_x is in V^{W_x} and v_{t.x} = rho(t) v_x; so v -> sum_{t in W/W_x}
-    e_{t.x} (x) rho(t) v is an isomorphism from V^{W_x} onto (Q[O] (x) V)^W.  A search
-    over the generators s of W reaches each y in O by some t_y, and the t_{s.y}^-1 s t_y
-    generate W_x (Schreier's lemma).  The fixed space is the null space of the stacked
-    P_s (x) rho(s) - I, so ``span_basis`` gives the basis its ``kernel`` gives.
+    that is when v_b is in V^{W_b} and v_{t.b} = rho(t) v_b; so v -> sum_{t in W/W_b}
+    e_{t.b} (x) rho(t) v is an isomorphism from V^{W_b} onto (Q[O] (x) V)^W.  Walking X from
+    its end, b is the last coset of O.  A search over the generators s of W reaches each y in
+    O by some t_y, and the t_{s.y}^-1 s t_y, or those the earlier ones do not generate, generate
+    W_b (Schreier's lemma).  F_b, their ``fixed_subspace``, is a kernel basis with unit rows q:
+    its column j ends at q_j and is 0 at the other q.  So the column of f_j ends at b d + q_j
+    and is 0 at every other b' d + q, as orbits have disjoint blocks.  Ordered by b d + q, the
+    columns are the reduced echelon basis with last entries leading, ``span_basis``'s and the
+    ``kernel``'s of the stacked P_s (x) rho(s) - I, with no elimination wider than dim V.
     """
     w = lattice.weyl(h)
     W, d, X = w.group, V.dim, lattice.fixed_cosets(k, h)
     perms = [_weyl_coset_perm(lattice, h, k, w.reps[s]) for s in W.gens]
-    via = [None] * len(X)  # via[y] = t_y, with t_y.x = y for x the first coset of the orbit of y
-    blocks, cols = [], 0
-    for x in range(len(X)):
-        if via[x] is not None:
+    via, found = [None] * len(X), []  # via[y] = t_y, with t_y.b = y for b the last coset of the orbit of y
+    for b in reversed(range(len(X))):
+        if via[b] is not None:
             continue
-        via[x], orbit, stabilizer = W.identity, [x], set()
+        via[b], orbit, stabilizer, gens = W.identity, [b], set(), []
         for y in orbit:
             for pos, s in enumerate(W.gens):
                 z, t = perms[pos][y], W.mul(s, via[y])
@@ -141,44 +145,70 @@ def _weyl_fixed_basis(lattice: SubgroupLattice, h: int, k: int, V: WModule) -> Q
                     orbit.append(z)
                 else:
                     stabilizer.add(W.mul(W.inv(via[z]), t))
-        fixed = fixed_subspace(V, stabilizer)
+        for s in sorted(stabilizer):
+            if s not in W.closure(gens):
+                gens.append(s)
+        if (key := W.closure(gens)) not in fixed_of:  # W_b, whose fixed space other orbits and levels share
+            fixed_of[key] = fixed_subspace(V, gens)
+        found.append((b, orbit, fixed_of[key]))
+    blocks, units, cols = [], [], 0
+    for b, orbit, fixed in reversed(found):
         blocks += [(y * d, cols, V.matrix(via[y]).matmul(fixed)) for y in orbit]
+        units += [b * d + q for q in fixed._unit_rows]
         cols += fixed.cols
-    return span_basis(block_matrix(len(X) * d, cols, blocks))
+    basis = _new(len(X) * d, cols, block_matrix(len(X) * d, cols, blocks)._rows, tuple(units))
+    return basis, tuple((b, fixed) for b, _, fixed in reversed(found))
+
+
+def _orbit_coords(orbits: tuple, values: list[QMatrix], what: str) -> QMatrix:
+    """The coordinates of a Weyl-fixed vector of a level, its rows at the unit rows b d + q, from its
+    base block at each orbit: ``F_b.solve`` reads rows q and checks that the block lies in V^{W_b}."""
+    coords = [value if fixed.is_identity() else fixed.solve(value) for (_, fixed), value in zip(orbits, values)]
+    if None in coords:
+        raise MackeyError(f"{what} is not Weyl-fixed")
+    return vstack(*coords)
 
 
 def build_free_block(lattice: SubgroupLattice, h: int, V: WModule) -> FreeBlock:
     """Construct the free functor ``F[class]`` on a Weyl-group module at the class of H.
 
-    (G/K)^H is empty unless H <=_G K, so the fixed cosets are asked for only there.  Its R and I
-    compose by construction, as the coset maps they restrict do.
+    (G/K)^H is empty unless H <=_G K, so the fixed cosets are asked for only there.  A map is
+    A (x) id, A a coset map, its transpose or a conjugation, and its matrix is the coordinates
+    of A B_src (``_orbit_coords``), so only the base blocks of dst's orbits are computed: R picks
+    B_src's block at the image coset, I sums its blocks at the preimages, C picks the preimage.
+    A commutes with the left W-action, so A B_src is W-fixed, the rho(t)-transport of those blocks.
+    R and I compose by construction, as the coset maps they restrict do.
     """
     _weyl_of(lattice, h, V)
-    G = lattice.group
+    G, d = lattice.group, V.dim
     cosets = [lattice.fixed_cosets(k, h) if lattice.is_subconjugate(h, k) else () for k in range(len(lattice))]
-    bases = [_weyl_fixed_basis(lattice, h, k, V) if X and V.dim else QMatrix.zeros(0, 0) for k, X in enumerate(cosets)]
-    dims = tuple(b.cols for b in bases)
+    fixed_of = {}
+    levels = [_weyl_fixed_level(lattice, h, k, V, fixed_of) if X and d else (QMatrix.zeros(0, 0), ()) for k, X in enumerate(cosets)]
+    bases, orbits = tuple(b for b, _ in levels), tuple(o for _, o in levels)
     pos_of = [{g: i for i, g in enumerate(X)} for X in cosets]
 
-    def coset_map(src, dst, image):
-        # send the fixed coset g of src to the fixed coset image(g) of dst, tensored with V: a 0/1 matrix
-        targets = [pos_of[dst][image(g)] * V.dim + i for g in cosets[src] for i in range(V.dim)]
-        return selection_matrix(len(cosets[dst]) * V.dim, targets)
+    def coords(src, dst, preimages):
+        # at each base b of dst, the sum of B_src's blocks at the src cosets preimages[b]
+        B = bases[src]
+        values = [block_matrix(d, B.cols, [(0, 0, B.row_block(y * d, d)) for y in ys]) for ys in preimages]
+        return _orbit_coords(orbits[dst], values, "free functor map")
 
-    @functools.lru_cache(maxsize=1)  # ``build_functor`` asks for R, then I, at each pair
-    def res_ind(kb, ks):
-        # I projects the smaller subgroup's fixed cosets onto the bigger one's, R each to its fixed preimages; both are 1 at (K, K)
-        a = coset_map(ks, kb, lambda g: lattice.coset_of(g, kb))
-        return restrict_map(a.transpose(), bases[kb], bases[ks]), restrict_map(a, bases[ks], bases[kb])
+    def resfn(kb, ks):
+        return coords(kb, ks, [[pos_of[kb][lattice.coset_of(cosets[ks][b], kb)]] for b, _ in orbits[ks]])
+
+    def indfn(kb, ks):
+        image = [pos_of[kb][lattice.coset_of(g, kb)] for g in cosets[ks]]
+        return coords(ks, kb, [[y for y, c in enumerate(image) if c == b] for b, _ in orbits[kb]])
 
     def conjfn(pos, s, k):
-        ks, si = lattice.conjugate(s, k), G.inv(s)
-        return restrict_map(coset_map(k, ks, lambda g: lattice.coset_of(G.mul(g, si), ks)), bases[k], bases[ks])
+        # C_s sends gK to g s^-1 (sKs^-1), so the coset z of ks comes from zsK
+        ks = lattice.conjugate(s, k)
+        return coords(k, ks, [[pos_of[k][lattice.coset_of(G.mul(cosets[ks][b], s), k)]] for b, _ in orbits[ks]])
 
     # a level is 0 unless H <=_G K, so most maps are zero maps, which ``build_functor`` supplies
     name = f"F[{lattice.class_name_of(h)}]"
-    functor = build_functor(lattice, dims, lambda *p: res_ind(*p)[0], lambda *p: res_ind(*p)[1], conjfn, name=name)
-    return FreeBlock(lattice, h, V, functor, tuple(cosets), tuple(bases))
+    functor = build_functor(lattice, tuple(b.cols for b in bases), resfn, indfn, conjfn, name=name)
+    return FreeBlock(lattice, h, V, functor, tuple(cosets), bases, orbits)
 
 
 def free_functor(lattice: SubgroupLattice, h: int, V: WModule) -> MackeyFunctor:
@@ -230,8 +260,9 @@ def _compare(M: MackeyFunctor, block: FreeBlock, Q: QMatrix) -> MackeyMorphism:
     followed by psi: U_H M -> ``block.module``.  The component at a fixed coset gK
     restricts to the conjugate of H inside K, conjugates back to H and applies Q.  It
     lies in the local piece by construction, as Q x are the coordinates of P x in im P.
-    Membership in the Weyl-fixed subspace and the morphism property are verified, not
-    assumed, except into zero levels: a map into 0 is unique.
+    It is computed at each orbit's base coset b alone and checked to lie in V^{W_b}
+    (``_orbit_coords``); the morphism property is verified, not assumed, except into
+    zero levels: a map into 0 is unique.
     """
     lat, G = M.lattice, M.lattice.group
     maps = []
@@ -239,12 +270,9 @@ def _compare(M: MackeyFunctor, block: FreeBlock, Q: QMatrix) -> MackeyMorphism:
         if not block.functor.dims[k]:
             maps.append(QMatrix.zeros(0, M.dims[k]))
             continue
-        conjugates = [lat.conjugate(G.inv(g), block.h) for g in X]  # g^-1 H g <= K
-        rows = [Q.matmul(M.conj(g, hg)).matmul(M.res[(k, hg)]) for g, hg in zip(X, conjugates)]
-        component = block.bases[k].solve(vstack(*rows))
-        if component is None:
-            raise MackeyError("comparison component is not Weyl-fixed")
-        maps.append(component)
+        conjugates = [(X[b], lat.conjugate(G.inv(X[b]), block.h)) for b, _ in block.orbits[k]]  # g^-1 H g <= K
+        values = [Q.matmul(M.conj(g, hg)).matmul(M.res[(k, hg)]) for g, hg in conjugates]
+        maps.append(_orbit_coords(block.orbits[k], values, "comparison component"))
     mor = MackeyMorphism(M, block.functor, tuple(maps))
     mor.validate()
     return mor
@@ -271,8 +299,9 @@ class SplitData:
     """One Weyl-group module per conjugacy class representative: the classification of a functor.
 
     ``modules`` is a read-only copy.  The value ``split(M)`` returns also holds M and, at
-    each class, the basis and Q of its local piece (``_local_piece``), and builds the free
-    blocks and M's stacked comparison the first time they are asked for.
+    each class, the basis and Q of its local piece (``_local_piece``).  Every value builds
+    its free blocks and their direct sum, and one from ``split(M)`` M's stacked comparison,
+    the first time they are asked for; ``assemble`` and ``classify_iso`` share the sum.
     """
 
     lattice: SubgroupLattice
@@ -288,6 +317,14 @@ class SplitData:
         """The free block on each nonzero module, in class order."""
         lat = self.lattice
         return tuple(build_free_block(lat, h, V) for h in lat.class_reps() if (V := self.modules.get(h)) is not None and V.dim)
+
+    @functools.cached_property
+    def _sum(self) -> MackeyFunctor:
+        """The direct sum of ``_blocks``, named "assembled"."""
+        if stray := [h for h in self.modules if h not in self.lattice.class_reps()]:
+            raise MackeyError(f"split data key {stray[0]!r} is not a class representative")
+        pieces = [block.functor for block in self._blocks]
+        return direct_sum(*pieces, name="assembled") if pieces else constant(self.lattice, 0, name="assembled")
 
     @functools.cached_property
     def _comparison(self) -> tuple[QMatrix, ...]:
@@ -311,12 +348,8 @@ def split(M: MackeyFunctor) -> SplitData:
 
 
 def assemble(S: SplitData, name: str | None = None) -> MackeyFunctor:
-    lat = S.lattice
-    name = name or "assembled"
-    if stray := [h for h in S.modules if h not in lat.class_reps()]:
-        raise MackeyError(f"split data key {stray[0]!r} is not a class representative")
-    pieces = [block.functor for block in S._blocks]
-    return direct_sum(*pieces, name=name) if pieces else constant(lat, 0, name=name)
+    """The direct sum of S's free blocks, built once per value: named "assembled", or a renamed copy."""
+    return replace(S._sum, name=name) if name else S._sum
 
 
 def _stacked(mors: list[MackeyMorphism], M: MackeyFunctor) -> tuple[QMatrix, ...]:
@@ -330,10 +363,11 @@ def classify_iso(M: MackeyFunctor) -> MackeyMorphism:
     Stacks the validated comparison morphisms classwise and certifies exact invertibility at every
     level.  A failure is a hard error, as it would contradict the splitting theorem, and so is an M
     whose R and I do not compose, which ``split`` refuses.  Runs on ``split(M)``, so a caller that
-    holds that value builds M's pieces, blocks and comparison once.
+    holds that value builds M's pieces, blocks, their sum and the comparison once, and its target
+    is ``assemble`` of that value.
     """
     S = split(M)
-    return MackeyMorphism(M, assemble(S), S._comparison)
+    return MackeyMorphism(M, S._sum, S._comparison)
 
 
 def certify_iso(M1: MackeyFunctor, M2: MackeyFunctor) -> MackeyMorphism | None:

@@ -22,6 +22,7 @@ from types import MappingProxyType
 from .burnside import BurnsideElement, burnside_ring
 from .groups import GMap, GSet, SubgroupLattice, coset_gset, restrict_gset
 from .linalg import (
+    LinAlgError,
     QMatrix,
     WModule,
     averaging_projector,
@@ -558,8 +559,12 @@ def fp_fq_iso(lattice: SubgroupLattice, V: WModule) -> MackeyMorphism:
     quotient is invertible with inverse the averaging composite; that is
     certified here.  Those raw maps pick up index factors against restriction
     and induction, so the returned morphism carries the 1/|H| normalization
-    that makes the collection commute with all structure maps.
+    that makes the collection commute with all structure maps.  V must be a representation.
     """
+    try:
+        V.validate()
+    except LinAlgError as exc:
+        raise MackeyError(f"module is not a representation: {exc}") from exc
     FP, bases = _fp_with_bases(lattice, V, None)
     FQ, projs, secs = _fq_with_quotients(lattice, V, None)
     maps = []
@@ -905,7 +910,7 @@ def evaluate_bottom(M: MackeyFunctor) -> WModule:
 
 
 def fp_unit(M: MackeyFunctor) -> MackeyMorphism:
-    """The unit morphism into the fixed-point functor on the bottom level."""
+    """The unit morphism into the fixed-point functor on the bottom level, refusing an M whose R and I do not compose."""
     lat = M.lattice
     V = evaluate_bottom(M)
     F, bases = _fp_with_bases(lat, V, f"FP({M.name}(G/e))")
@@ -913,6 +918,7 @@ def fp_unit(M: MackeyFunctor) -> MackeyMorphism:
     if None in maps:
         raise MackeyError("restriction to the bottom level does not land in fixed vectors")
     unit = MackeyMorphism(M, F, maps)
+    _require_composable(M)
     unit.validate()
     return unit
 

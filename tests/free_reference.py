@@ -8,7 +8,8 @@ containment check runs.  ``diagonal_check`` cuts the fixed part out with
 every element of N_H(K) rather than its generators.  ``certify_iso`` builds
 the free blocks of both functors and lifts an intertwiner between them.
 ``compare`` solves for the local-piece coordinates at every fixed coset,
-where ``classify._compare`` applies the piece's coordinates Q of P once solved.
+where ``classify._compare`` applies the piece's coordinates Q of P at the
+base coset of each Weyl orbit alone.
 """
 
 from burnside_reference import burnside_action

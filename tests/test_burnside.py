@@ -398,6 +398,7 @@ class TestProductReferee:
 
     RINGS = ("C6", "S3", "D8", "Q8", "A4", "S4", "C2^4")  # every subgroup's ring; C2^4 only its top ring
 
+    @pytest.mark.slow
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.sampled_from(RINGS), st.data())
     def test_product_matches_double_coset_expansion(self, corpus_lattices, past_corpus_lattices, name, data):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import free_reference
 from burnside_reference import burnside_action
 from corruptions import all_corruptions
-from qmackey import classify
+from qmackey import classify, linalg
 from qmackey.burnside import burnside_ring
 from qmackey.classify import (
     FreeBlock,
@@ -302,6 +302,17 @@ class TestSplitAssemble:
         S2 = split(twice)
         for h in c6_lattice.class_reps():
             assert S2.modules[h].dim == 2 * S1.modules[h].dim
+
+    def test_assemble_is_built_once_and_is_the_target_of_classify_iso(self, corpus_lattices):
+        """While S is held, ``assemble(S)`` is one functor, named "assembled", and ``classify_iso``'s target;
+        ``assemble(S, name="x")`` has the same maps and the name "x"."""
+        M = random_functor(corpus_lattices["D8"], random.Random(5))
+        S = split(M)
+        F = assemble(S)
+        assert F is assemble(S) is classify_iso(M).target and F.name == "assembled"
+        named = assemble(S, name="x")
+        assert named.name == "x" and named is not F
+        assert (named.dims, dict(named.res), dict(named.ind), dict(named.cgen)) == (F.dims, dict(F.res), dict(F.ind), dict(F.cgen))
 
     def test_assemble_empty_is_zero(self, c6_lattice):
         Z = assemble(SplitData(c6_lattice, {}))
@@ -676,10 +687,43 @@ def test_certify_iso_validates_each_lift(c2_lattice, monkeypatch):
     A = burnside_mackey(c2_lattice)
     S = split(A)  # held across the call, so M1's own comparison is built before the fault and kept
     classify_iso(A)
-    vstack = classify.vstack
-    monkeypatch.setattr(classify, "vstack", lambda *rows: vstack(*rows).scale(2 if len(rows) == 1 else 1))
+    coords = classify._orbit_coords
+    # a level has one coset exactly when its one orbit's base, the last coset of the orbit, is coset 0
+    double = lambda orbits, values, what: coords(orbits, values, what).scale(2 if [b for b, _ in orbits] == [0] else 1)
+    monkeypatch.setattr(classify, "_orbit_coords", double)
     with pytest.raises(MackeyError, match="does not commute"):
         certify_iso(A, replace(A))
+
+
+def test_compare_refuses_a_base_value_outside_the_stabilizer_fixed_space(c2_lattice):
+    """At the one coset of G/G, W_b = W = C2, and V^{W_b} is the line of (1, 1) in the regular module.  A Q that is
+    not equivariant puts the base value off that line, so ``_compare`` raises rather than read rows q of it."""
+    lat = c2_lattice
+    V = WModule.regular(lat.weyl(lat.bottom).group)
+    M = free_functor(lat, lat.bottom, V)
+    Q = classify._local_piece(M, lat.bottom)[2]
+    block = classify.build_free_block(lat, lat.bottom, V)
+    assert [len(orbits) for orbits in block.orbits] == [1, 1] and block.orbits[lat.top][0][1].cols == 1
+    assert classify._compare(M, block, Q).is_levelwise_iso()
+    with pytest.raises(MackeyError, match="comparison component is not Weyl-fixed"):
+        classify._compare(M, block, QMatrix([[1, 0], [0, 0]]).matmul(Q))
+
+
+def test_free_block_of_a_dense_module_matches_the_reference_in_eliminations_of_width_dim_v(corpus_lattices, monkeypatch):
+    """The Weyl module at e of a scrambled FP(Q[D12]) is dense, of dimension 12: its free block equals ``free_maps``'s,
+    and no elimination inside ``build_free_block`` is wider than dim V, where |X| dim V reaches 144."""
+    lat = corpus_lattices["D12"]
+    V = u_module(_scrambled(fp_functor(lat, WModule.regular(lat.group)), 3), lat.bottom)[0]
+    assert V.dim == 12 and sum(x != 0 for m in V.gen_matrices for row in m.data for x in row) > 12 * 12
+    widths, rref_rows = [], linalg._rref_rows
+    monkeypatch.setattr(linalg, "_rref_rows", lambda body: widths.append(max((max(r) + 1 for r in body if r), default=0)) or rref_rows(body))
+    block = classify.build_free_block(lat, lat.bottom, V)
+    monkeypatch.undo()
+    assert widths and max(widths) <= V.dim
+    bases, res, ind, cgen = free_reference.free_maps(lat, lat.bottom, V)
+    assert block.bases == tuple(bases)
+    F = block.functor
+    assert (dict(F.res), dict(F.ind), dict(F.cgen)) == (res, ind, cgen)
 
 
 def _scrambled(M, seed):

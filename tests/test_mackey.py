@@ -553,6 +553,29 @@ class TestBottomLevel:
         unit = fp_unit(FP)
         assert unit.is_levelwise_iso()
 
+    @pytest.mark.parametrize("group", ["C8", "S3", "D8"])
+    def test_fp_unit_refuses_maps_that_do_not_compose(self, corpus_lattices, group):
+        """The constant functor with any one non-identity R or I doubled: ``fp_unit`` raises ``MackeyError``
+        or returns a unit that passes the full check (on C8, 4 of the 12 such functors got one that fails it)."""
+        lat = corpus_lattices[group]
+        A = constant(lat, 1)
+        for table in ("res", "ind"):
+            for pair in (p for p in getattr(A, table) if p[0] != p[1]):
+                bad = replace(A, **{table: {**getattr(A, table), pair: getattr(A, table)[pair].scale(2)}})
+                try:
+                    unit = fp_unit(bad)
+                except MackeyError:
+                    continue
+                unit.validate(full=True)
+
+    @pytest.mark.parametrize("group", ["C8", "S3", "D8"])
+    def test_fp_fq_iso_refuses_a_non_representation(self, corpus_lattices, group):
+        """Every generator acting as one unipotent Jordan block is no representation: one ``MackeyError`` line."""
+        lat = corpus_lattices[group]
+        V = WModule(lat.group, 2, tuple(QMatrix([[1, 1], [0, 1]]) for _ in lat.group.gens))
+        with pytest.raises(MackeyError, match="^module is not a representation: [^\n]*$"):
+            fp_fq_iso(lat, V)
+
 
 def spied(calls, *constructors):
     """The constructors R, I, C, each appending ``(table, its arguments)`` to ``calls`` before it runs."""

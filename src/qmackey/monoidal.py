@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from .burnside import burnside_ring
 from .groups import SubgroupLattice
-from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_space, selection_matrix, tensor
+from .linalg import LinAlgError, QMatrix, _add_into, _new, block_matrix, hstack, permutation_matrix, quotient_space, selection_matrix, tensor
 from .mackey import (
     _check_identities,
     _require_composable,
@@ -63,7 +63,7 @@ def _relation_families(M: MackeyFunctor, N: MackeyFunctor):
     return frobenius, conjugation
 
 
-def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families) -> _BoxLevel:
+def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families, quotient=None) -> _BoxLevel:
     """T(H), the sum over K <= H of M(G/K) (x) N(G/K), and its quotient by the relations.
 
     Each relation family is one block column: a tensor block at one summand
@@ -71,7 +71,7 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families) -> _BoxLeve
     res (x) 1 at L against 1 (x) ind at K, and 1 (x) res at L against
     ind (x) 1 at K; for x in H the conjugation family is C_x (x) 1 at xKx^-1
     against 1 (x) C_x^-1 at K.  The last two blocks share a summand when x
-    normalizes K.  The blocks come from ``families``, the product's ``_relation_families``.
+    normalizes K.  Blocks come from ``families`` (``_relation_families``); ``quotient`` defaults to ``quotient_space``.
 
     Only L maximal in K and x among the generators of H are emitted; for
     Mackey functors the rest lie in their span.  For L < K' < K, the first
@@ -93,23 +93,30 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families) -> _BoxLeve
     for k1, a, k2, b in relations + [f for x in lat.gens(h) for k in summands for f in conjugation(x, k)]:
         blocks += [(offsets[k1], n_rel, a), (offsets[k2], n_rel, b)]
         n_rel += a.cols
-    proj, section = quotient_space(t_dim, block_matrix(t_dim, n_rel, blocks))
+    proj, section = (quotient or quotient_space)(t_dim, block_matrix(t_dim, n_rel, blocks))
     return _BoxLevel(summands, MappingProxyType(offsets), t_dim, proj, section)
 
 
 def _level_map(src: _BoxLevel, dst: _BoxLevel, blocks) -> QMatrix:
     """The map of box levels induced by ``(dst summand, src summand, block)`` maps of summands: proj F section, F the
-    map placing the blocks.  F is never built: each block meets the rows of ``section`` at its source summand, and
-    ``proj`` comes once.  A block overrunning T(src) or T(dst) raises ``LinAlgError``, as placing it in F would."""
-    lifted = [(dst.offsets[t], 0, b.matmul(src.section.row_block(src.offsets[k], b.cols))) for t, k, b in blocks]
-    return dst.proj.matmul(block_matrix(dst.t_dim, src.section.cols, lifted))
+    map placing the blocks.  F is never built: ``section`` picks unit vectors, so each block's entries go straight
+    to src's kept coordinates, and ``proj`` comes once.  A block overrunning T(src) or T(dst) raises ``LinAlgError``."""
+    kept, out = src.section._rows, [{} for _ in range(dst.t_dim)]
+    for t, k, b in blocks:
+        to, ko = dst.offsets[t], src.offsets[k]
+        if to + b.rows > dst.t_dim or ko + b.cols > src.t_dim:
+            raise LinAlgError("block does not fit")
+        for row, brow in zip(out[to:], b._rows):
+            _add_into(row, {c: x for j, x in brow.items() for c in kept[ko + j]})
+    return dst.proj.matmul(_new(dst.t_dim, src.section.cols, out))
 
 
 @dataclass(frozen=True, repr=False, eq=False)
 class BoxProduct(MackeyFunctor):
-    """A box product with the quotient data of each level, for maps between box products."""
+    """A box product with its factors (M, N) and the quotient data of each level, for maps between box products."""
 
     levels: tuple = field(kw_only=True)
+    factors: tuple | None = field(default=None, kw_only=True)
 
 
 def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProduct:
@@ -123,14 +130,17 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
     follow by uniqueness: R^H_H = I^H_H = id, C_s = id on B(H) for s in H (C_s (x) C_s is the identity
     modulo the conjugation relation of s), and for L < H not a cover, K the first cover of H above L,
     R^H_L = R^K_L R^H_K and I^H_L = I^H_K I^K_L, where K's maps exist as ids follow subgroup order.
-    So B's R and I compose along cover pairs by construction, whatever M and N are.
+    So B's R and I compose along cover pairs by construction, whatever M and N are; box(A, M) referees ``box_unit_iso``.
     """
     if M.lattice is not N.lattice:
         raise MackeyError("box product needs a common lattice")
-    lat = M.lattice
-    G = lat.group
     families = _relation_families(M, N)
-    levels = tuple(_box_level(M, N, h, families) for h in range(len(lat)))
+    return _box_product(M, N, tuple(_box_level(M, N, h, families) for h in range(len(M.lattice))), name)
+
+
+def _box_product(M: MackeyFunctor, N: MackeyFunctor, levels: tuple, name: str | None) -> BoxProduct:
+    """The box product on prebuilt ``levels``, its maps induced as ``box`` says; no block is built at a zero level."""
+    lat = M.lattice
     dims = tuple(level.proj.rows for level in levels)
     # summands whose tensor space is zero contribute no blocks
     live = [[k for k in level.summands if M.dims[k] * N.dims[k]] for level in levels]
@@ -139,6 +149,9 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
     for h in range(len(lat)):
         r, i = {}, {}  # the maps between level h and each lower level
         for k in lat.maximal(h):
+            if not dims[h] * dims[k]:
+                r[k], i[k] = QMatrix.zeros(dims[k], dims[h]), QMatrix.zeros(dims[h], dims[k])
+                continue
             # induction: include the smaller sum of summands, then project
             incl = [(s, s, QMatrix.identity(M.dims[s] * N.dims[s])) for s in live[k]]
             i[k] = _level_map(levels[k], levels[h], incl)
@@ -160,28 +173,22 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
             res[(h, l)], ind[(h, l)] = r[l], i[l]
 
     cgen = {}
-    for pos, s in enumerate(G.gens):
+    for pos, s in enumerate(lat.group.gens):
         for h in range(len(lat)):
-            if s in lat.elements(h):
+            if s in lat.elements(h) or not dims[h]:
                 cgen[(pos, h)] = QMatrix.identity(dims[h])
                 continue
             blocks = [(lat.conjugate(s, k), k, tensor(M.conj(s, k), N.conj(s, k))) for k in live[h]]
             cgen[(pos, h)] = _level_map(levels[h], levels[lat.conjugate(s, h)], blocks)
 
-    return BoxProduct(lat, dims, res, ind, cgen, name=name or f"{M.name}[]{N.name}", levels=levels)
+    return BoxProduct(lat, dims, res, ind, cgen, name=name or f"{M.name}[]{N.name}", levels=levels, factors=(M, N))
 
 
 def box_swap_iso(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:
     """The symmetry of the box product, certified."""
-    MN = box(M, N)
-    NM = box(N, M)
-    maps = []
-    for src, dst in zip(MN.levels, NM.levels):
-        flips = []
-        for k in src.summands:
-            dm, dn = M.dims[k], N.dims[k]
-            flips.append((k, k, permutation_matrix([j * dm + i for i in range(dm) for j in range(dn)])))
-        maps.append(_level_map(src, dst, flips))
+    MN, NM = box(M, N), box(N, M)
+    flip = [permutation_matrix([j * dm + i for i in range(dm) for j in range(dn)]) for dm, dn in zip(M.dims, N.dims)]
+    maps = [_level_map(src, dst, [(k, k, flip[k]) for k in src.summands]) for src, dst in zip(MN.levels, NM.levels)]
     iso = MackeyMorphism(MN, NM, tuple(maps))
     iso.validate()
     if not iso.is_levelwise_iso():
@@ -190,37 +197,44 @@ def box_swap_iso(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:
 
 
 def box_morphism(f: MackeyMorphism, g: MackeyMorphism, src: BoxProduct, dst: BoxProduct) -> MackeyMorphism:
-    """Functoriality: apply f (x) g summandwise between prebuilt box products."""
-    maps = []
-    for lvl_src, lvl_dst in zip(src.levels, dst.levels):
-        blocks = [(k, k, tensor(f.maps[k], g.maps[k])) for k in lvl_src.summands]
-        maps.append(_level_map(lvl_src, lvl_dst, blocks))
+    """Functoriality: apply f (x) g summandwise between prebuilt box products, f and g from src's factors to dst's."""
+    if (f.source, g.source) != src.factors or (f.target, g.target) != dst.factors:
+        raise MackeyError("box morphism needs f and g to map the factors of its source to those of its target")
+    fg = [tensor(a, b) for a, b in zip(f.maps, g.maps)]
+    maps = [_level_map(s, t, [(k, k, fg[k]) for k in s.summands]) for s, t in zip(src.levels, dst.levels)]
     return MackeyMorphism(src, dst, tuple(maps))
 
 
 def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
     """The certified isomorphism from box(A, M) onto M, A the Burnside functor.
 
-    The map sends a summand element a (x) m at K to the induction of a acting on m; the relation
-    generators are verified to die under it before the quotient is inverted.  An M whose R and I do
-    not compose is refused (``_require_composable``) before the map is validated.
+    The unit map q_H: T(H) -> M(H) sends a (x) m at K to I^H_K of a acting on m, [K/L] acting as I^K_L R^K_L.
+    Each level is read off q_H with no elimination over the relations R.  T(H) = R + iota(M(H)), iota putting m
+    at [H/H] (x) m: [K/J] (x) n steps down to J along cover pairs L < K above J by the second Frobenius family, as
+    ind^K_L [L/J] = [K/J] in A, then up to H by the first, as res^K'_K [K'/K'] = [K/K].  So once q_H is checked to
+    kill R and to have dim M(H) pivot columns (its map at H), ker q_H = R.  ``quotient_space``'s ``proj`` is reduced
+    echelon with kernel R, hence rref(q_H) without zero rows, and ``section`` is the unit vectors at its pivots: the
+    source is ``box(A, M)``.  No identity of M is assumed; one whose R and I do not compose is refused
+    (``_require_composable``) before the map is validated.
     """
     lat = M.lattice
     A = burnside_mackey(lat)
-    B = box(A, M)
+    families = _relation_families(A, M)
     # a summand's tensor basis runs over the basis [K/L] of A(G/K), then that of M(G/K); [K/L] acts as I^K_L R^K_L
     acts = [hstack(*(M.ind[(k, cls[0])].matmul(M.res[(k, cls[0])]) for cls in lat.local_classes(k))) for k in range(len(lat))]
-    maps = []
-    for h, lvl in enumerate(B.levels):
-        big = hstack(*(M.ind[(h, k)].matmul(acts[k]) for k in lvl.summands))
-        down = big.matmul(lvl.section)
-        # the map must kill every relation before it can descend
-        if down.matmul(lvl.proj) != big:
+
+    def unit_quotient(q, t_dim, relations):
+        if not q.matmul(relations).is_zero():
             raise MackeyError("unit map does not descend to the box quotient")
-        maps.append(down)
-    iso = MackeyMorphism(B, M, tuple(maps))
-    if not iso.is_levelwise_iso():
+        reduced, pivots = q.rref()
+        return reduced.row_block(0, len(pivots)), selection_matrix(t_dim, pivots)
+
+    qs = [hstack(*(M.ind[(h, k)].matmul(acts[k]) for k in lat.subgroups_of(h))) for h in range(len(lat))]
+    levels = tuple(_box_level(A, M, h, families, partial(unit_quotient, q)) for h, q in enumerate(qs))
+    maps = [q.matmul(level.section) for q, level in zip(qs, levels)]
+    if any(m.rows != m.cols for m in maps):
         raise MackeyError("box unit map failed to invert")
+    iso = MackeyMorphism(_box_product(A, M, levels, None), M, tuple(maps))
     _require_composable(M)
     iso.validate()
     return iso

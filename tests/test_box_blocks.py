@@ -3,9 +3,10 @@
 ``box`` builds each Frobenius family of a cover pair and each conjugation
 family of (x, K) once per product, leaving out the families with no columns
 and those of x at a K containing x; every level H places the ones below it.
-``_level_map`` carries each block through ``section`` at its source summand
-and applies ``proj`` once; ``box_reference.level_map`` builds the whole
-T(dst) x T(src) map F and is its referee.
+``_level_map`` reads each block straight into the kept coordinates that
+``section`` picks at its source summand and applies ``proj`` once;
+``box_reference.level_map`` builds the whole T(dst) x T(src) map F and is its
+referee.
 """
 
 import sys
@@ -17,8 +18,8 @@ from qmackey import monoidal
 from qmackey.classify import free_functor
 from qmackey.linalg import LinAlgError, QMatrix, WModule
 from qmackey.mackey import burnside_mackey
-from qmackey.monoidal import _box_level, _relation_families, box
-from test_box_reference import CASES, KINDS, assert_same_box
+from qmackey.monoidal import _box_level, _relation_families, box, box_unit_iso
+from test_box_reference import CASES, KINDS, assert_same_box, assert_same_product
 
 
 @pytest.fixture
@@ -64,15 +65,18 @@ def test_misfit_blocks_raise(s3_lattice):
 @pytest.mark.parametrize("name", ["D8", pytest.param("S4", marks=pytest.mark.slow)])
 def test_boxes_with_zero_summands_match_the_referee(corpus_lattices, name):
     """A (x) F_H(V) is zero at every summand K not above a conjugate of H, so families with no columns
-    are left out there; the levels built alone are the product's."""
+    are left out there; the levels built alone are the product's.  The source of ``box_unit_iso``, its
+    levels read off the unit map, is ``box(A, F)`` in levels and maps, and ``box(A, A)`` for A itself."""
     lat = corpus_lattices[name]
     A = burnside_mackey(lat)
+    assert_same_product(box_unit_iso(A).source, box(A, A))
     for h in lat.class_reps():
         W = lat.weyl(h).group
         for V in (WModule.trivial(W), WModule.regular(W)):
             F = free_functor(lat, h, V)
             assert_same_box(A, F)
             B = box(A, F)
+            assert_same_product(box_unit_iso(F).source, B)
             families = _relation_families(A, F)
             assert all(_box_level(A, F, k, families) == B.levels[k] for k in range(len(lat)))
             frobenius, _ = families

@@ -19,7 +19,8 @@ A map into or out of a zero level is the zero map, and ``mackey.build_functor``
 is the one place that says so: in the package, only it, the JSON reader
 ``serialize.functor_from_json`` (which refuses a missing key, a zero map's
 too, as ``test_serialize`` checks), the cached path of ``burnside_mackey`` and
-``monoidal.box`` call ``MackeyFunctor(...)`` or ``BoxProduct(...)``.
+``monoidal._box_product``, which induces the maps of ``box`` and of the source
+of ``box_unit_iso``, call ``MackeyFunctor(...)`` or ``BoxProduct(...)``.
 
 No function writes to a module-level name, so no call leaves state behind
 for the next one, except the two module-level caches: ``mackey.burnside_mackey``'s
@@ -205,7 +206,7 @@ def test_only_build_functor_the_reader_the_burnside_cache_and_box_make_functors(
     assert sorted(set(_functor_builders(sources))) == [
         ("mackey.py", "build_functor"),
         ("mackey.py", "burnside_mackey"),
-        ("monoidal.py", "box"),
+        ("monoidal.py", "_box_product"),
         ("serialize.py", "functor_from_json"),
     ]
 

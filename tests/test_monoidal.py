@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -8,26 +9,30 @@ from hypothesis import strategies as st
 
 import box_reference
 import green_reference
-from qmackey import monoidal
+from qmackey import linalg, mackey, monoidal
 from qmackey.burnside import BurnsideRing, burnside_ring
 from qmackey.classify import free_functor
 from qmackey.groups import SubgroupLattice, corpus, dihedral, from_permutations, trivial
 from qmackey.linalg import QMatrix, WModule, permutation_matrix, tensor
 from qmackey.mackey import (
     MackeyError,
+    MackeyMorphism,
     burnside_mackey,
     check_axioms,
+    coconstant,
     constant,
     zero_functor,
 )
 from qmackey.monoidal import (
     GreenStructure,
     box,
+    box_morphism,
     box_swap_iso,
     box_unit_iso,
     burnside_green,
     green_check,
 )
+from test_box_reference import assert_same_product
 
 
 def ids_of(lat):
@@ -141,6 +146,73 @@ class TestBoxUnitLaw:
         for F in functors:
             assert box_unit_iso(F).is_levelwise_iso()
         assert len(calls) == pairs
+
+    def test_the_unit_route_eliminates_no_relations(self, corpus_lattices, monkeypatch):
+        """Each level is read off the unit map: no ``quotient_space`` or ``span_basis`` runs, where ``box`` runs both."""
+        lat = corpus_lattices["D8"]
+        functors = [burnside_mackey(lat), constant(lat, 1), coconstant(lat, 1)]
+        functors += [free_functor(lat, h, WModule.regular(lat.weyl(h).group)) for h in lat.class_reps()]
+        calls = []
+        for module, name in [(monoidal, "quotient_space"), (mackey, "quotient_space"), (linalg, "quotient_space"), (linalg, "span_basis")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        for M in functors:
+            assert box_unit_iso(M).is_levelwise_iso()
+        assert calls == []
+        box(functors[0], functors[1])
+        assert {"quotient_space", "span_basis"} <= set(calls)
+
+    @pytest.mark.parametrize("name", [name for name, G in corpus().items() if G.order <= 12])
+    def test_scaled_maps_are_refused_or_match_the_referee(self, corpus_lattices, name):
+        """A, the constant, the co-constant functor and F_1(Q[G]) as they are, and with one R, I or C, picked by a
+        seeded generator, scaled by 0, -1, 2 or 3: the unit iso raises ``MackeyError``, or its source is
+        ``box(A, M)`` in levels and maps and it passes the full validation.  The unscaled four are certified."""
+        lat = corpus_lattices[name]
+        A = burnside_mackey(lat)
+        kinds = {"A": A, "constant": constant(lat, 1), "coconstant": coconstant(lat, 1)}
+        kinds["free"] = free_functor(lat, lat.bottom, WModule.regular(lat.weyl(lat.bottom).group))
+        certified = []
+        for kind, M in kinds.items():
+            for c in (1, 0, -1, 2, 3):
+                rng = random.Random(f"{name}-{kind}-{c}")
+                table = rng.choice(["res", "ind", "cgen"])
+                key = rng.choice(sorted(getattr(M, table)))
+                scaled = replace(M, **{table: {**getattr(M, table), key: getattr(M, table)[key].scale(c)}})
+                try:
+                    iso = box_unit_iso(scaled)
+                except MackeyError:
+                    continue
+                assert_same_product(iso.source, box(A, scaled))
+                iso.validate(full=True)
+                certified.append((kind, c))
+        assert [(kind, 1) for kind in kinds] == [pair for pair in certified if pair[1] == 1]
+
+    def test_the_two_facts_of_a_that_the_unit_route_reads(self, corpus_lattices, past_corpus_lattices):
+        """On every cover pair L < K, ind^K_L [L/J] = [K/J] for each J <= L, and res^K_L [K/K] = [L/L].
+        The basis of A(G/K) is [K/J] over ``local_classes(K)``, in that order."""
+        for lat in [*corpus_lattices.values(), *past_corpus_lattices.values()]:
+            A = burnside_mackey(lat)
+            where = [{j: t for t, cls in enumerate(lat.local_classes(k)) for j in cls} for k in range(len(lat))]
+
+            def unit(k, j):
+                return tuple(int(t == where[k][j]) for t in range(A.dims[k]))
+
+            for k, l in lat.cover_pairs():
+                assert all(A.ind[(k, l)].col(t) == unit(k, cls[0]) for t, cls in enumerate(lat.local_classes(l)))
+                assert A.res[(k, l)].col(where[k][k]) == unit(l, l)
+
+
+class TestBoxMorphism:
+    def test_maps_between_other_factors_are_refused(self, c2_lattice):
+        """f and g must go from src's factors to dst's: id_C (x) id_C on box(A, A) would not commute with R."""
+        A, C = burnside_mackey(c2_lattice), constant(c2_lattice, 1)
+        AA = box(A, A)
+        id_A, id_C = (MackeyMorphism(M, M, tuple(QMatrix.identity(d) for d in M.dims)) for M in (A, C))
+        with pytest.raises(MackeyError, match="factors"):
+            box_morphism(id_C, id_C, AA, AA)
+        with pytest.raises(MackeyError, match="factors"):
+            box_morphism(id_A, id_A, AA, box(A, C))
+        assert all(m.is_identity() for m in box_morphism(id_A, id_A, AA, AA).maps)
 
 
 class TestBoxSymmetry:

@@ -23,12 +23,11 @@ from .classify import (
     assemble,
     certify_iso,
     classify_iso,
-    comparison_map,
+    comparison_block,
     diagonal_check,
     free_functor,
     random_functor,
     split,
-    u_module,
 )
 from .groups import FiniteGroup, SubgroupLattice, corpus, load_group
 from .linalg import QMatrix, WModule, averaging_projector, fixed_subspace, quotient_space
@@ -82,7 +81,7 @@ __all__ = [
     "check_axioms",
     "classify_iso",
     "coconstant",
-    "comparison_map",
+    "comparison_block",
     "constant",
     "contravariant_map",
     "corpus",
@@ -107,5 +106,4 @@ __all__ = [
     "quotient_space",
     "random_functor",
     "split",
-    "u_module",
 ]

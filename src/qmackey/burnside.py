@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 
 from .groups import SubgroupLattice
-from .linalg import QMatrix, _new
+from .linalg import QMatrix
 
 
 class BurnsideError(ValueError):
@@ -63,7 +63,7 @@ class BurnsideRing:
         self.classes = lattice.local_classes(top)
         self.reps = tuple(cls[0] for cls in self.classes)
         self.size = len(self.classes)
-        self.class_index, self._rows = lattice.marks(top)
+        self.class_index, self._mark_table = lattice.marks(top)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BurnsideRing) and self.lattice is other.lattice and self.top == other.top
@@ -122,7 +122,7 @@ class BurnsideRing:
         v = [0] * (terms[-1][0] + 1 if terms else 0)
         for j, c in terms:
             c = c.numerator * (d // c.denominator)
-            for i, m in self._rows[j].items():
+            for i, m in self._mark_table[j].items():
                 v[i] += c * m
         return v, d
 
@@ -159,7 +159,7 @@ class BurnsideRing:
         whole row from the rest at once (clearing rest_i), so only the rows of
         the nonzero z_i are read.
         """
-        z, rows = {}, self._rows
+        z, rows = {}, self._mark_table
         for i in range(len(rest) - 1, -1, -1):
             if rest[i]:
                 row = rows[i]
@@ -177,7 +177,7 @@ class BurnsideRing:
         """
         target = burnside_ring(self.lattice, k)
         at = [self.class_index[rep] for rep in target.reps]
-        return target._table(self.size, (((j,), [row.get(i, 0) for i in at]) for j, row in enumerate(self._rows)))
+        return target._table(self.size, (((j,), [row.get(i, 0) for i in at]) for j, row in enumerate(self._mark_table)))
 
     def multiplication_table(self) -> QMatrix:
         """The product as an integer matrix: column i n + j is [H/B_i] [H/B_j], whose marks are the entrywise product.
@@ -185,7 +185,7 @@ class BurnsideRing:
         The ring is commutative, so each unordered pair i <= j is back-substituted once and fills both columns.
         The marks of [H/B_i] vanish off its row, whose classes are at most i, so the product's marks end at class i.
         """
-        n, T = self.size, self._rows
+        n, T = self.size, self._mark_table
 
         def marks(i, j):
             v, row = [0] * (i + 1), T[j]
@@ -202,11 +202,11 @@ class BurnsideRing:
             for i, x in self._back_substitute(rest).items():
                 for c in cs:
                     body[i][c] = x
-        return _new(self.size, cols, body)
+        return QMatrix.sparse(self.size, cols, body)
 
     def marks_basis(self, cj: int) -> tuple[int, ...]:
         """Fixed-point counts |(H/B)^A| of the basis class cj at every class (A), zeros included."""
-        row = self._rows[cj]
+        row = self._mark_table[cj]
         return tuple(row.get(i, 0) for i in range(self.size))
 
     def marks(self, a: "BurnsideElement") -> tuple[Fraction, ...]:

@@ -1,11 +1,11 @@
 """Classification of rational Mackey functors by Weyl-group modules.
 
 For each conjugacy class of subgroups (H) there is a pair of inverse
-constructions: ``u_module`` extracts the local piece of a functor at H (the
-image of the top idempotent of A_Q(H), carrying an action of the Weyl group),
-read off R and I alone as the Brauer quotient, and ``free_functor`` rebuilds a
-functor from such a module, with level K the Weyl-fixed part of the coset
-space Q[(G/K)^H] tensored with the module.
+constructions: the local piece of a functor at H (the image of the top
+idempotent of A_Q(H), carrying an action of the Weyl group), read off R and I
+alone as the Brauer quotient and kept in ``split(M).modules``, and
+``free_functor``, which rebuilds a functor from such a module, with level K the
+Weyl-fixed part of the coset space Q[(G/K)^H] tensored with the module.
 
 ``split``/``assemble``/``classify_iso`` package these into a certified
 equivalence: every functor is isomorphic to the direct sum of its rebuilt
@@ -33,7 +33,6 @@ from types import MappingProxyType
 
 from .groups import SubgroupLattice, coset_gset
 from .linalg import (
-    _new,
     LinAlgError,
     QMatrix,
     WModule,
@@ -154,9 +153,9 @@ def _weyl_fixed_level(lattice: SubgroupLattice, h: int, k: int, V: WModule, fixe
     blocks, units, cols = [], [], 0
     for b, orbit, fixed in reversed(found):
         blocks += [(y * d, cols, V.matrix(via[y]).matmul(fixed)) for y in orbit]
-        units += [b * d + q for q in fixed._unit_rows]
+        units += [b * d + q for q in fixed.units]
         cols += fixed.cols
-    basis = _new(len(X) * d, cols, block_matrix(len(X) * d, cols, blocks)._rows, tuple(units))
+    basis = block_matrix(len(X) * d, cols, blocks).with_units(units)
     return basis, tuple((b, fixed) for b, _, fixed in reversed(found))
 
 
@@ -220,14 +219,8 @@ def free_functor(lattice: SubgroupLattice, h: int, V: WModule) -> MackeyFunctor:
 # ---------------------------------------------------------------------------
 
 
-def u_module(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix]:
-    """The local piece of M at H: the top-idempotent part of M(G/H) with its
-    Weyl action.  Returns the module and its basis inside M(G/H)."""
-    return _local_piece(M, h)[:2]
-
-
 def _local_piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:
-    """``u_module`` and Q, with P = basis Q the action of the top idempotent e of A_Q(H) on M(G/H).
+    """The local piece of M at H as a ``WModule``, its basis and Q: P = basis Q is the top idempotent e of A_Q(H) on M(G/H).
 
     Proof (the Brauer quotient; Thevenaz and Webb, *Trans. AMS* 347, 1995).  For K < H,
     res_K e = 0, so e I^H_K = I^H_K res_K(e) = 0 by Frobenius and R^H_K e = res_K(e) R^H_K = 0,
@@ -283,10 +276,6 @@ def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphis
     V, _, Q = _local_piece(M, h)
     block = build_free_block(M.lattice, h, V)
     return block, _compare(M, block, Q)
-
-
-def comparison_map(M: MackeyFunctor, h: int) -> MackeyMorphism:
-    return comparison_block(M, h)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Everything is exact; no floating point anywhere.  A ``QMatrix`` stores one
 ``{column: value}`` dict per row, holding only the nonzero entries, and
 keeps every value in normal form: an ``int`` when it is integral, otherwise
 a ``Fraction``.  Integral work thus stays in ``int`` arithmetic, and ``==``
-and ``hash`` compare the stored rows directly.  The row dicts are private
-and never change once a matrix holds them, so matrices share rows freely.
-Every kernel touches only stored entries; ``data``, ``row``, ``col`` and
-``entry`` build ``Fraction``s on demand.
+and ``hash`` compare the stored rows directly.  The row dicts are private to
+this module and never change once a matrix holds them, so matrices share
+rows freely.  Every kernel touches only stored entries; ``data``, ``row``,
+``col`` and ``entry`` build ``Fraction``s on demand.
 
 Kernel and image bases come out in a canonical echelon form (the reduced row
 echelon form is unique) so that compositions of the isomorphisms built
@@ -19,9 +19,9 @@ eliminated together with the right-hand side.
 A square n x n matrix that keeps unit rows S is the identity, so ``matmul``
 returns the other factor: row S[t] is e_t, and every producer (``identity``,
 ``kernel``, ``image``, ``span_basis``, ``selection_matrix`` on increasing
-targets) lists S in increasing order, so n increasing entries of range(n)
-give S[t] = t.  ``serialize.matrix_from_json`` returns ``identity(n)`` for
-a square body whose row i is e_i.
+targets, ``with_units``) lists S in increasing order, so n increasing entries
+of range(n) give S[t] = t.  ``QMatrix.sparse`` returns ``identity(n)`` for a
+square body whose row i is e_i.
 """
 
 from __future__ import annotations
@@ -196,6 +196,15 @@ class QMatrix:
         v = _nf(value)
         return _new(n, n, [{i: v} if v else {} for i in range(n)])
 
+    @staticmethod
+    def sparse(rows: int, cols: int, body) -> "QMatrix":
+        """Row i from the ``{column: value}`` dict body[i], copied in normal form; ``identity(rows)`` for a square body
+        whose row i is e_i.  Refuses a ``body`` of another length than ``rows``, a column outside range(cols) and a float."""
+        if len(body) != rows or (used := set().union(*body)) and (min(used) < 0 or max(used) >= cols):
+            raise LinAlgError(f"the rows do not fit a {rows} x {cols} matrix")
+        out = [{j: v for j, x in row.items() if (v := x if type(x) is int else _nf(x))} for row in body]
+        return QMatrix.identity(rows) if rows == cols and all(row == {i: 1} for i, row in enumerate(out)) else _new(rows, cols, out)
+
     # -- plumbing ---------------------------------------------------------------
 
     @property
@@ -241,6 +250,23 @@ class QMatrix:
         if min(start, count) < 0 or start + count > self.rows:
             raise LinAlgError("rows out of range")
         return _new(count, self.cols, self._rows[start : start + count])
+
+    def entries(self):
+        """The stored nonzero entries as ``(i, j, value)``, row by row, each value an ``int`` or a ``Fraction``."""
+        return ((i, j, x) for i, row in enumerate(self._rows) for j, x in row.items())
+
+    @property
+    def units(self) -> tuple[int, ...] | None:
+        """The kept unit rows S, row S[t] being e_t (module docstring), or None."""
+        return self._unit_rows
+
+    def with_units(self, units) -> "QMatrix":
+        """This matrix, sharing its rows, with ``units`` kept as unit rows; refused unless they increase and row units[t] is e_t."""
+        units = tuple(units)
+        increasing = all(a < b for a, b in zip((-1, *units), (*units, self.rows)))
+        if not increasing or [self._rows[u] for u in units] != [{t: 1} for t in range(self.cols)]:
+            raise LinAlgError(f"rows {units} are not increasing unit rows e_0, ..., e_{self.cols - 1}")
+        return _new(self.rows, self.cols, self._rows, units)
 
     def nonzero_cols(self) -> set[int]:
         """The indices of the columns that hold a nonzero entry."""

@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from .burnside import burnside_ring
 from .groups import SubgroupLattice
-from .linalg import LinAlgError, QMatrix, _add_into, _new, block_matrix, hstack, permutation_matrix, quotient_space, selection_matrix, tensor
+from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_space, selection_matrix, tensor
 from .mackey import (
     _check_identities,
     _require_composable,
@@ -99,16 +99,10 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families, quotient=No
 
 def _level_map(src: _BoxLevel, dst: _BoxLevel, blocks) -> QMatrix:
     """The map of box levels induced by ``(dst summand, src summand, block)`` maps of summands: proj F section, F the
-    map placing the blocks.  F is never built: ``section`` picks unit vectors, so each block's entries go straight
-    to src's kept coordinates, and ``proj`` comes once.  A block overrunning T(src) or T(dst) raises ``LinAlgError``."""
-    kept, out = src.section._rows, [{} for _ in range(dst.t_dim)]
-    for t, k, b in blocks:
-        to, ko = dst.offsets[t], src.offsets[k]
-        if to + b.rows > dst.t_dim or ko + b.cols > src.t_dim:
-            raise LinAlgError("block does not fit")
-        for row, brow in zip(out[to:], b._rows):
-            _add_into(row, {c: x for j, x in brow.items() for c in kept[ko + j]})
-    return dst.proj.matmul(_new(dst.t_dim, src.section.cols, out))
+    map placing the blocks.  F is never built: F section places each block times the rows of ``section`` at its
+    source summand, and ``proj`` comes once.  A block overrunning T(src) or T(dst) raises ``LinAlgError``."""
+    placed = [(dst.offsets[t], 0, b.matmul(src.section.row_block(src.offsets[k], b.cols))) for t, k, b in blocks]
+    return dst.proj.matmul(block_matrix(dst.t_dim, src.section.cols, placed))
 
 
 @dataclass(frozen=True, repr=False, eq=False)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .burnside import BurnsideElement
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, SubgroupLattice, load_group
-from .linalg import QMatrix, _new, _nf
+from .linalg import QMatrix
 from .mackey import MackeyFunctor
 
 
@@ -25,9 +25,9 @@ class FormatError(ValueError):
 
 
 def frac_to_str(x) -> str:
-    """An ``int`` or ``Fraction`` as ``"p/q"``, or as ``"p"`` when integral."""
+    """An ``int`` or ``Fraction`` as ``"p/q"``, or as ``"p"`` when integral: ``str`` of either writes exactly that."""
     try:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(x)
     except ValueError:  # past sys.get_int_max_str_digits()
         raise FormatError("a rational in the result has too many digits to print") from None
 
@@ -46,7 +46,7 @@ def str_to_frac(s) -> Fraction:
 
 
 def _entry_from_json(x):
-    """A matrix entry in normal form: ``-?[0-9]+`` strings go straight to ``int``, the rest through ``str_to_frac``."""
+    """A matrix entry: ``-?[0-9]+`` strings go straight to ``int``, the rest through ``str_to_frac``."""
     if type(x) is str:
         digits = x[1:] if x[:1] == "-" else x
         if digits.isascii() and digits.isdigit():
@@ -54,17 +54,14 @@ def _entry_from_json(x):
                 return int(x)
             except ValueError:  # past int's digit limit; str_to_frac reports it
                 pass
-    return _nf(str_to_frac(x))
+    return str_to_frac(x)
 
 
 def matrix_to_json(M: QMatrix) -> list:
     """The rows of ``M`` as lists of strings; only the stored nonzero entries are formatted."""
-    out = []
-    for stored in M._rows:
-        row = ["0"] * M.cols
-        for j, x in stored.items():
-            row[j] = frac_to_str(x)
-        out.append(row)
+    out = [["0"] * M.cols for _ in range(M.rows)]
+    for i, j, x in M.entries():
+        out[i][j] = frac_to_str(x)
     return out
 
 
@@ -73,16 +70,12 @@ def matrix_from_json(rows, shape: tuple[int, int]) -> QMatrix:
     r, c = shape
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise FormatError("a matrix must be a list of rows, each a list of entries")
-    if not rows and r * c == 0:
-        return QMatrix.zeros(r, c) if r or c else QMatrix.identity(0)
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise FormatError("matrix has rows of different lengths")
-    if (len(rows), width) != (r, c):
+    if (len(rows), width) != (r, c) and (rows or r * c):
         raise FormatError(f"matrix has shape {len(rows)}x{width}, expected {r}x{c}")
-    body = [{j: v for j, x in enumerate(row) if x != "0" and (v := _entry_from_json(x))} for row in rows]
-    eye = r == c and all(row == {i: 1} for i, row in enumerate(body))
-    return QMatrix.identity(r) if eye else _new(r, c, body)
+    return QMatrix.sparse(r, c, [{j: _entry_from_json(x) for j, x in enumerate(row) if x != "0"} for row in rows] or [{}] * r)
 
 
 # -- groups ---------------------------------------------------------------------

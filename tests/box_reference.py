@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from burnside_reference import burnside_action
 from qmackey import monoidal
 from qmackey.burnside import burnside_ring
-from qmackey.classify import u_module
-from qmackey.linalg import QMatrix, _new, block_matrix, hstack, tensor
+from qmackey.classify import _local_piece
+from qmackey.linalg import QMatrix, block_matrix, hstack, tensor
 from qmackey.mackey import MackeyMorphism, idempotent_part
 
 
@@ -43,8 +43,11 @@ def quotient_space(ambient_dim, relations):
     section = [{} for _ in range(ambient_dim)]
     for t, p in enumerate(pivots[k:]):
         section[p - k][t] = 1
-    proj = [{j - k: x for j, x in row.items() if j >= k} for row in R._rows[k:]]
-    return _new(ambient_dim - k, ambient_dim, proj), _new(ambient_dim, ambient_dim - k, section)
+    proj = [{} for _ in range(ambient_dim - k)]
+    for i, j, x in R.entries():
+        if i >= k and j >= k:
+            proj[i - k][j - k] = x
+    return QMatrix.sparse(ambient_dim - k, ambient_dim, proj), QMatrix.sparse(ambient_dim, ambient_dim - k, section)
 
 
 def box_level(M, N, h):
@@ -187,9 +190,9 @@ def u_monoidal_certificate(M, N, h, B):
     """Strong monoidality at the class of H, for B the box of M and N: an explicit Weyl-equivariant
     isomorphism from U_H M (x) U_H N onto U_H B, with the top idempotent's action on B(G/H) rebuilt and solved."""
     lat = M.lattice
-    UM, BM = u_module(M, h)
-    UN, BN = u_module(N, h)
-    UB, BB = u_module(B, h)
+    UM, BM = _local_piece(M, h)[:2]
+    UN, BN = _local_piece(N, h)[:2]
+    UB, BB = _local_piece(B, h)[:2]
     if UB.dim != UM.dim * UN.dim:
         return False
     if UB.dim == 0:

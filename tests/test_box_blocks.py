@@ -3,8 +3,9 @@
 ``box`` builds each Frobenius family of a cover pair and each conjugation
 family of (x, K) once per product, leaving out the families with no columns
 and those of x at a K containing x; every level H places the ones below it.
-``_level_map`` reads each block straight into the kept coordinates that
-``section`` picks at its source summand and applies ``proj`` once;
+``_level_map`` multiplies each block by the rows of ``section`` at its source
+summand, places the products with ``block_matrix`` and applies ``proj`` once,
+so an overrunning block raises in ``row_block`` or ``block_matrix``;
 ``box_reference.level_map`` builds the whole T(dst) x T(src) map F and is its
 referee.
 """

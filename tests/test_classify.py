@@ -18,7 +18,7 @@ from qmackey.classify import (
     assemble,
     certify_iso,
     classify_iso,
-    comparison_map,
+    comparison_block,
     diagonal_check,
     free_functor,
     free_level_dims,
@@ -26,7 +26,6 @@ from qmackey.classify import (
     random_invertible,
     random_split_data,
     split,
-    u_module,
 )
 from qmackey.groups import SubgroupLattice, corpus, coset_gset
 from qmackey.linalg import LinAlgError, QMatrix, WModule, intertwiner
@@ -183,7 +182,7 @@ class TestFreeFunctorGeneral:
 class TestUModule:
     def test_u_c2_of_burnside_c6_is_trivial_line(self, c6_lattice, c6A):
         ids = ids_of(c6_lattice)
-        V, basis = u_module(c6A, ids["C2"])
+        V, basis = classify._local_piece(c6A, ids["C2"])[:2]
         assert V.dim == 1
         for g in range(V.group.order):
             assert V.matrix(g) == QMatrix.identity(1)
@@ -191,7 +190,7 @@ class TestUModule:
     def test_u_of_zero_functor(self, c6_lattice):
         Z = zero_functor(c6_lattice)
         for h in c6_lattice.class_reps():
-            V, _ = u_module(Z, h)
+            V, _ = classify._local_piece(Z, h)[:2]
             assert V.dim == 0
 
     def test_unit_u_of_free_is_module(self, s3_lattice):
@@ -199,7 +198,7 @@ class TestUModule:
             W = s3_lattice.weyl(h).group
             V = WModule.regular(W)
             F = free_functor(s3_lattice, h, V)
-            U, _ = u_module(F, h)
+            U, _ = classify._local_piece(F, h)[:2]
             assert U.dim == V.dim
             X = intertwiner(V, U)
             assert X is not None and X.is_invertible()
@@ -219,7 +218,7 @@ class TestUModuleQuotientCharacterization:
             functors = [burnside_mackey(lat), random_functor(lat, rng)]
             for M in functors:
                 for h in lat.class_reps():
-                    U, _ = u_module(M, h)
+                    U, _ = classify._local_piece(M, h)[:2]
                     proper = [M.ind[(h, k)] for k in lat.subgroups_of(h) if k != h]
                     if proper:
                         rank = hstack(*proper).rank()
@@ -254,19 +253,19 @@ class TestComparison:
         ids = ids_of(c6_lattice)
         W = c6_lattice.weyl(ids["C3"]).group
         F = free_functor(c6_lattice, ids["C3"], WModule.regular(W))
-        mor = comparison_map(F, ids["C3"])
+        mor = comparison_block(F, ids["C3"])[1]
         assert mor.is_levelwise_iso()
 
     def test_comparison_on_functor_vanishing_at_h(self, c6_lattice):
         ids = ids_of(c6_lattice)
         W2 = c6_lattice.weyl(ids["C2"]).group
         F = free_functor(c6_lattice, ids["C2"], WModule.trivial(W2, 1))
-        mor = comparison_map(F, ids["C3"])
+        mor = comparison_block(F, ids["C3"])[1]
         assert all(m.rows == 0 for m in mor.maps)
 
     def test_comparison_levelwise_ranks_burnside_c6(self, c6_lattice, c6A):
         ids = ids_of(c6_lattice)
-        mor = comparison_map(c6A, ids["C3"])
+        mor = comparison_block(c6A, ids["C3"])[1]
         assert [m.rank() for m in mor.maps] == [0, 0, 1, 1]
 
 
@@ -713,7 +712,7 @@ def test_free_block_of_a_dense_module_matches_the_reference_in_eliminations_of_w
     """The Weyl module at e of a scrambled FP(Q[D12]) is dense, of dimension 12: its free block equals ``free_maps``'s,
     and no elimination inside ``build_free_block`` is wider than dim V, where |X| dim V reaches 144."""
     lat = corpus_lattices["D12"]
-    V = u_module(_scrambled(fp_functor(lat, WModule.regular(lat.group)), 3), lat.bottom)[0]
+    V = classify._local_piece(_scrambled(fp_functor(lat, WModule.regular(lat.group)), 3), lat.bottom)[0]
     assert V.dim == 12 and sum(x != 0 for m in V.gen_matrices for row in m.data for x in row) > 12 * 12
     widths, rref_rows = [], linalg._rref_rows
     monkeypatch.setattr(linalg, "_rref_rows", lambda body: widths.append(max((max(r) + 1 for r in body if r), default=0)) or rref_rows(body))

@@ -28,6 +28,11 @@ for the next one, except the two module-level caches: ``mackey.burnside_mackey``
 parser that ``cli.build_parser`` caches.  A functor's classification lives in
 the value ``classify.split`` returns.
 
+The sparse row format of a ``QMatrix`` is private to ``linalg``: no other
+module imports an underscore name from it or reads a matrix's ``_rows`` or
+``_unit_rows``; they build through ``QMatrix.sparse`` and ``with_units`` and
+read through ``entries`` and ``units``.
+
 Every default order cap, of a function or of the CLI's ``--cap``, is the one
 constant ``groups.DEFAULT_ORDER_CAP``.  The pytest settings refuse an
 unregistered marker."""
@@ -256,6 +261,27 @@ def test_module_state_is_detected():
 def test_only_the_burnside_tables_and_the_parser_are_module_state():
     found = {(path.name, name) for path in sorted(PACKAGE.glob("*.py")) for name in _module_state(path.read_text())}
     assert found == {("mackey.py", "_BURNSIDE_TABLES"), ("cli.py", "build_parser")}
+
+
+def _linalg_internals(source):
+    """Each underscore name imported from ``.linalg`` or ``qmackey.linalg``, and each ``_rows`` or ``_unit_rows`` read."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "linalg":
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("_rows", "_unit_rows"):
+            yield node.attr
+
+
+def test_linalg_internals_are_detected():
+    source = "from .linalg import QMatrix, _new\nfrom qmackey.linalg import _nf\nx = M._rows[0], M._unit_rows, M.units\n"
+    assert sorted(_linalg_internals(source)) == ["_new", "_nf", "_rows", "_unit_rows"]
+    assert not list(_linalg_internals("from .groups import _x\nrows = M.entries()\n"))
+
+
+def test_only_linalg_knows_the_row_format():
+    found = {(path.name, name) for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"
+             for name in _linalg_internals(path.read_text())}
+    assert found == set()
 
 
 def _cap_defaults(tree):

@@ -94,7 +94,9 @@ class TestBasics:
         assert direct_sum() == QMatrix.zeros(0, 0)
 
     @pytest.mark.parametrize(
-        "build", [lambda: QMatrix([[0.1]]), lambda: QMatrix([[1, 0.0]]), lambda: QMatrix.scalar(2, 0.5)], ids=["0.1", "0.0", "scalar"]
+        "build",
+        [lambda: QMatrix([[0.1]]), lambda: QMatrix([[1, 0.0]]), lambda: QMatrix.scalar(2, 0.5), lambda: QMatrix.sparse(1, 2, [{1: 0.5}])],
+        ids=["0.1", "0.0", "scalar", "sparse"],
     )
     def test_a_float_is_refused(self, build):
         """A float holds a binary approximation, not the rational meant: 0.1 would be 3602879701896397/2^55."""

@@ -96,8 +96,8 @@ class TestSparseCodec:
 
     def test_reader_stores_nonzero_entries_in_normal_form(self):
         M = matrix_from_json([["6/3", "0/5", "-0", "-1/2", 0, 7, "0"]], (1, 7))
-        assert M._rows == ({0: 2, 3: Fraction(-1, 2), 5: 7},)
-        assert [type(x) for x in M._rows[0].values()] == [int, Fraction, int]
+        assert list(M.entries()) == [(0, 0, 2), (0, 3, Fraction(-1, 2)), (0, 5, 7)]
+        assert [type(x) for _, _, x in M.entries()] == [int, Fraction, int]
 
     @pytest.mark.parametrize("x", [10**4300, -(10**4300), Fraction(1, 10**4300)], ids=["big", "negative", "denominator"])
     def test_too_many_digits_is_a_format_error(self, x):

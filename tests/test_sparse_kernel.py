@@ -235,6 +235,29 @@ def test_constructors(perm):
     assert same(QMatrix([[x] for x in cols[0]]), ref.DenseMatrix.column(cols[0]))
 
 
+@settings(deadline=None, max_examples=100)
+@given(DIM.flatmap(lambda r: DIM.flatmap(lambda c: tables(r, c).map(lambda t: (t, r, c)))))
+def test_sparse_rows_match_the_table(args):
+    """``QMatrix.sparse`` on the nonzero entries of a table, zeros and integral ``Fraction``s among them
+    kept as given, stores them in normal form, and ``entries`` reads back exactly the nonzero ones."""
+    table, r, c = args
+    body = [{j: x for j, x in enumerate(row) if x or j % 2} for row in table]
+    M = QMatrix.sparse(r, c, body)
+    assert same(M, ref.DenseMatrix(table, rows=r, cols=c))
+    assert list(M.entries()) == [(i, j, x) for i, row in enumerate(table) for j, x in enumerate(row) if x]
+
+
+def test_sparse_copies_and_checks_its_rows():
+    body = [{0: 1, 2: Fraction(1, 2)}, {}]
+    M = QMatrix.sparse(2, 3, body)
+    body[0][1] = 5
+    body[1][0] = 7
+    assert M == QMatrix([[1, 0, Fraction(1, 2)], [0, 0, 0]])
+    for rows, cols, bad in ((2, 3, [{3: 1}, {}]), (2, 3, [{}, {-1: 1}]), (1, 3, body), (3, 3, body), (0, 0, [{0: 1}])):
+        with pytest.raises(LinAlgError):
+            QMatrix.sparse(rows, cols, bad)
+
+
 def test_ragged_input_rejected():
     with pytest.raises(LinAlgError):
         QMatrix([[1, 2], [3]])
@@ -359,6 +382,7 @@ def flagged_identities(n):
     return {
         "identity": QMatrix.identity(n),
         "json": matrix_from_json([["1" if i == j else "0" for j in range(n)] for i in range(n)], (n, n)),
+        "sparse": QMatrix.sparse(n, n, [{i: Fraction(2, 2)} for i in range(n)]),
         "kernel": QMatrix.zeros(2, n).kernel(),
         "image": QMatrix.scalar(n, 2).image(),
         "span_basis": linalg.span_basis(linalg.hstack(QMatrix.scalar(n, -1), QMatrix.zeros(n, 1))),
@@ -377,9 +401,10 @@ def test_flagged_constructors_are_the_identity(n):
 
 def near_misses():
     """Square matrices one entry away from the identity, a non-identity permutation, a selection
-    with a repeated target, and a non-square basis with unit rows."""
+    with a repeated target, and non-square bases with unit rows, found or declared."""
     off = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     return {
+        "declared": QMatrix([[1, 0], [3, -1], [0, 1]]).with_units((0, 2)),
         "json-2": matrix_from_json([["2" if i == j else "0" for j in range(3)] for i in range(3)], (3, 3)),
         "json-off-diagonal": matrix_from_json(off, (3, 3)),
         "kernel": QMatrix([[1, -1, 0]]).kernel(),
@@ -435,6 +460,21 @@ def test_increasing_selection_solves_as_elimination():
             assert S.solve(rhs) == plain.solve(rhs)
     assert linalg.selection_matrix(3, (1, 0))._unit_rows is None
     assert linalg.selection_matrix(3, (0, 0))._unit_rows is None
+
+
+def test_declared_unit_rows_are_checked():
+    """``with_units`` keeps unit rows that increase inside the matrix, one per column, row units[t] being e_t,
+    and shares the rows; it refuses any other list."""
+    B = QMatrix([[1, 0], [3, -1], [0, 1]])
+    kept = B.with_units([0, 2])
+    assert kept.units == (0, 2) and B.units is None and kept == B
+    assert all(a is b for a, b in zip(kept._rows, B._rows))
+    assert QMatrix.identity(3).with_units(range(3)).matmul(B) is B
+    for units in ((2, 0), (0, 1), (0, 0), (0,), (0, 2, 3), (-3, 2), (0, 3)):
+        with pytest.raises(LinAlgError):
+            B.with_units(units)
+    with pytest.raises(LinAlgError):
+        QMatrix([[1, 0], [0, 2]]).with_units((0, 1))
 
 
 def test_square_echelon_bases_are_the_identity():

@@ -23,7 +23,6 @@ from .classify import (
     assemble,
     certify_iso,
     classify_iso,
-    comparison_block,
     diagonal_check,
     free_functor,
     random_functor,
@@ -81,7 +80,6 @@ __all__ = [
     "check_axioms",
     "classify_iso",
     "coconstant",
-    "comparison_block",
     "constant",
     "contravariant_map",
     "corpus",

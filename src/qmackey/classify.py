@@ -65,8 +65,8 @@ from .mackey import (
 class FreeBlock:
     """A free functor together with its chosen ambient data.
 
-    ``cosets[k]`` lists the H-fixed cosets of G/K; ``bases[k]`` is the basis of the Weyl-fixed
-    subspace of Q[cosets] (x) V in coset-major coordinates, ``orbits[k]`` its orbits' (b, F_b).
+    ``cosets[k]`` lists the H-fixed cosets of G/K, and ``orbits[k]`` the (b, F_b) of their Weyl
+    orbits (``_weyl_fixed_level``), whose unit rows index the coordinates of level k.
     """
 
     lattice: SubgroupLattice
@@ -74,7 +74,6 @@ class FreeBlock:
     module: WModule
     functor: MackeyFunctor
     cosets: tuple
-    bases: tuple
     orbits: tuple
 
 
@@ -113,8 +112,9 @@ def free_level_dims(lattice: SubgroupLattice, h: int, V: WModule) -> tuple[int, 
     return tuple(out)
 
 
-def _weyl_fixed_level(lattice: SubgroupLattice, h: int, k: int, V: WModule, fixed_of: dict) -> tuple[QMatrix, tuple]:
-    """The canonical basis of (Q[X] (x) V)^W, X = (G/K)^H and W = W_G(H), and (b, F_b) for each orbit.
+def _weyl_fixed_level(lattice: SubgroupLattice, h: int, k: int, V: WModule, fixed_of: dict) -> tuple[tuple, tuple]:
+    """The canonical basis B of (Q[X] (x) V)^W, X = (G/K)^H and W = W_G(H), as its dim V-row block at
+    each coset of X, and (b, F_b) for each orbit.
 
     Proof.  Q[X] (x) V is the sum of the W-stable Q[O] (x) V over the orbits O = W.b.
     sum_{y in O} e_y (x) v_y is W-fixed exactly when v_{w.y} = rho(w) v_y for all w, y,
@@ -123,10 +123,11 @@ def _weyl_fixed_level(lattice: SubgroupLattice, h: int, k: int, V: WModule, fixe
     its end, b is the last coset of O.  A search over the generators s of W reaches each y in
     O by some t_y, and the t_{s.y}^-1 s t_y, or those the earlier ones do not generate, generate
     W_b (Schreier's lemma).  F_b, their ``fixed_subspace``, is a kernel basis with unit rows q:
-    its column j ends at q_j and is 0 at the other q.  So the column of f_j ends at b d + q_j
-    and is 0 at every other b' d + q, as orbits have disjoint blocks.  Ordered by b d + q, the
-    columns are the reduced echelon basis with last entries leading, ``span_basis``'s and the
-    ``kernel``'s of the stacked P_s (x) rho(s) - I, with no elimination wider than dim V.
+    its column j ends at q_j and is 0 at the other q.  The block of B at y is rho(t_y) F_b at its
+    orbit's columns, so in coset-major coordinates the column of f_j ends at b d + q_j and is 0
+    at every other b' d + q, as orbits have disjoint blocks.  Ordered by b d + q, the columns are
+    the reduced echelon basis with last entries leading, ``span_basis``'s and the ``kernel``'s of
+    the stacked P_s (x) rho(s) - I, with no elimination wider than dim V.
     """
     w = lattice.weyl(h)
     W, d, X = w.group, V.dim, lattice.fixed_cosets(k, h)
@@ -150,19 +151,18 @@ def _weyl_fixed_level(lattice: SubgroupLattice, h: int, k: int, V: WModule, fixe
         if (key := W.closure(gens)) not in fixed_of:  # W_b, whose fixed space other orbits and levels share
             fixed_of[key] = fixed_subspace(V, gens)
         found.append((b, orbit, fixed_of[key]))
-    blocks, units, cols = [], [], 0
-    for b, orbit, fixed in reversed(found):
-        blocks += [(y * d, cols, V.matrix(via[y]).matmul(fixed)) for y in orbit]
-        units += [b * d + q for q in fixed.units]
+    dim, blocks, cols = sum(fixed.cols for _, _, fixed in found), [None] * len(X), 0
+    for _, orbit, fixed in reversed(found):
+        for y in orbit:
+            blocks[y] = block_matrix(d, dim, [(0, cols, V.matrix(via[y]).matmul(fixed))])
         cols += fixed.cols
-    basis = block_matrix(len(X) * d, cols, blocks).with_units(units)
-    return basis, tuple((b, fixed) for b, _, fixed in reversed(found))
+    return tuple(blocks), tuple((b, fixed) for b, _, fixed in reversed(found))
 
 
 def _orbit_coords(orbits: tuple, values: list[QMatrix], what: str) -> QMatrix:
     """The coordinates of a Weyl-fixed vector of a level, its rows at the unit rows b d + q, from its
     base block at each orbit: ``F_b.solve`` reads rows q and checks that the block lies in V^{W_b}."""
-    coords = [value if fixed.is_identity() else fixed.solve(value) for (_, fixed), value in zip(orbits, values)]
+    coords = [fixed.solve(value) for (_, fixed), value in zip(orbits, values)]
     if None in coords:
         raise MackeyError(f"{what} is not Weyl-fixed")
     return vstack(*coords)
@@ -182,14 +182,14 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule) -> FreeBlock:
     G, d = lattice.group, V.dim
     cosets = [lattice.fixed_cosets(k, h) if lattice.is_subconjugate(h, k) else () for k in range(len(lattice))]
     fixed_of = {}
-    levels = [_weyl_fixed_level(lattice, h, k, V, fixed_of) if X and d else (QMatrix.zeros(0, 0), ()) for k, X in enumerate(cosets)]
-    bases, orbits = tuple(b for b, _ in levels), tuple(o for _, o in levels)
+    levels = [_weyl_fixed_level(lattice, h, k, V, fixed_of) if X and d else ((), ()) for k, X in enumerate(cosets)]
+    blocks, orbits = tuple(b for b, _ in levels), tuple(o for _, o in levels)
+    dims = tuple(sum(fixed.cols for _, fixed in o) for o in orbits)
     pos_of = [{g: i for i, g in enumerate(X)} for X in cosets]
 
     def coords(src, dst, preimages):
         # at each base b of dst, the sum of B_src's blocks at the src cosets preimages[b]
-        B = bases[src]
-        values = [block_matrix(d, B.cols, [(0, 0, B.row_block(y * d, d)) for y in ys]) for ys in preimages]
+        values = [block_matrix(d, dims[src], [(0, 0, blocks[src][y]) for y in ys]) for ys in preimages]
         return _orbit_coords(orbits[dst], values, "free functor map")
 
     def resfn(kb, ks):
@@ -206,8 +206,8 @@ def build_free_block(lattice: SubgroupLattice, h: int, V: WModule) -> FreeBlock:
 
     # a level is 0 unless H <=_G K, so most maps are zero maps, which ``build_functor`` supplies
     name = f"F[{lattice.class_name_of(h)}]"
-    functor = build_functor(lattice, tuple(b.cols for b in bases), resfn, indfn, conjfn, name=name)
-    return FreeBlock(lattice, h, V, functor, tuple(cosets), bases, orbits)
+    functor = build_functor(lattice, dims, resfn, indfn, conjfn, name=name)
+    return FreeBlock(lattice, h, V, functor, tuple(cosets), orbits)
 
 
 def free_functor(lattice: SubgroupLattice, h: int, V: WModule) -> MackeyFunctor:
@@ -269,13 +269,6 @@ def _compare(M: MackeyFunctor, block: FreeBlock, Q: QMatrix) -> MackeyMorphism:
     mor = MackeyMorphism(M, block.functor, tuple(maps))
     mor.validate()
     return mor
-
-
-def comparison_block(M: MackeyFunctor, h: int) -> tuple[FreeBlock, MackeyMorphism]:
-    """The natural map from M into the free functor rebuilt from its piece at H, validated."""
-    V, _, Q = _local_piece(M, h)
-    block = build_free_block(M.lattice, h, V)
-    return block, _compare(M, block, Q)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ eliminated together with the right-hand side.
 A square n x n matrix that keeps unit rows S is the identity, so ``matmul``
 returns the other factor: row S[t] is e_t, and every producer (``identity``,
 ``kernel``, ``image``, ``span_basis``, ``selection_matrix`` on increasing
-targets, ``with_units``) lists S in increasing order, so n increasing entries
-of range(n) give S[t] = t.  ``QMatrix.sparse`` returns ``identity(n)`` for a
-square body whose row i is e_i.
+targets) lists S in increasing order, so n increasing entries of range(n)
+give S[t] = t.  ``QMatrix.sparse`` returns ``identity(n)`` for a square
+body whose row i is e_i.
 """
 
 from __future__ import annotations
@@ -254,19 +254,6 @@ class QMatrix:
     def entries(self):
         """The stored nonzero entries as ``(i, j, value)``, row by row, each value an ``int`` or a ``Fraction``."""
         return ((i, j, x) for i, row in enumerate(self._rows) for j, x in row.items())
-
-    @property
-    def units(self) -> tuple[int, ...] | None:
-        """The kept unit rows S, row S[t] being e_t (module docstring), or None."""
-        return self._unit_rows
-
-    def with_units(self, units) -> "QMatrix":
-        """This matrix, sharing its rows, with ``units`` kept as unit rows; refused unless they increase and row units[t] is e_t."""
-        units = tuple(units)
-        increasing = all(a < b for a, b in zip((-1, *units), (*units, self.rows)))
-        if not increasing or [self._rows[u] for u in units] != [{t: 1} for t in range(self.cols)]:
-            raise LinAlgError(f"rows {units} are not increasing unit rows e_0, ..., e_{self.cols - 1}")
-        return _new(self.rows, self.cols, self._rows, units)
 
     def nonzero_cols(self) -> set[int]:
         """The indices of the columns that hold a nonzero entry."""

@@ -177,6 +177,12 @@ def functor_from_json(data: dict, cap: int = DEFAULT_ORDER_CAP) -> MackeyFunctor
         missing = [lat.name(h) for h in range(len(lat)) if h not in levels]
         raise FormatError(f"levels missing for subgroups: {', '.join(missing)}")
     dims = tuple(levels[h] for h in range(len(lat)))
+    for h, d in enumerate(dims):  # R^H_H lists d rows, so the file bounds every level before any map is read
+        key = f"{lat.name(h)}>{lat.name(h)}"
+        if key not in data["restriction"]:
+            raise FormatError("restriction maps must cover every comparable pair")
+        if not isinstance(rows := data["restriction"][key], list) or len(rows) != d:
+            raise FormatError(f"restriction {key!r} must be a list of {d} rows")
     tables = {}
     for field, keys in _map_keys(lat, dims).items():
         table = tables[field] = {}

@@ -6,10 +6,15 @@ space of P_s (x) rho(s) - I stacked over the generators s of W = W_G(H).
 with ``restrict_map``, on pairs and levels of dimension 0 too, so every
 containment check runs.  ``diagonal_check`` cuts the fixed part out with
 every element of N_H(K) rather than its generators.  ``certify_iso`` builds
-the free blocks of both functors and lifts an intertwiner between them.
+the free blocks of both functors and lifts an intertwiner between them;
+``comparison_block`` pairs a block rebuilt from a local piece with
+``classify._compare``'s map into it.
 ``compare`` solves for the local-piece coordinates at every fixed coset,
 where ``classify._compare`` applies the piece's coordinates Q of P at the
-base coset of each Weyl orbit alone.
+base coset of each Weyl orbit alone.  ``free_bases`` stacks the per-coset
+blocks of ``classify._weyl_fixed_level`` into each level's basis B, and
+``compare`` and ``free_lift`` solve in ``span_basis(B)``, the same basis
+with unit rows kept, so each solve selects rows and checks one product.
 """
 
 from burnside_reference import burnside_action
@@ -23,6 +28,7 @@ from qmackey.linalg import (
     intertwiner,
     permutation_matrix,
     restrict_map,
+    span_basis,
     tensor,
     vstack,
 )
@@ -87,10 +93,17 @@ def diagonal_check(M, k, h):
     return classify.DiagonalReport(upper.cols, fixed.cols, mat, ok)
 
 
+def free_bases(block):
+    """Each level's Weyl-fixed basis of ``block``, its per-coset blocks from ``classify._weyl_fixed_level`` stacked."""
+    lat, h, V, fixed_of = block.lattice, block.h, block.module, {}
+    levels = [classify._weyl_fixed_level(lat, h, k, V, fixed_of)[0] if X and V.dim else () for k, X in enumerate(block.cosets)]
+    return tuple(vstack(*blocks) if blocks else QMatrix.zeros(0, 0) for blocks in levels)
+
+
 def compare(M, block, basis, P, psi=None):
     """The natural map from M into a free block at H, each coset's component solved in ``basis``, then mapped by psi."""
     lat, G = M.lattice, M.lattice.group
-    maps = []
+    maps, bases = [], free_bases(block)
     for k, X in enumerate(block.cosets):
         if not block.functor.dims[k]:
             maps.append(QMatrix.zeros(0, M.dims[k]))
@@ -103,7 +116,7 @@ def compare(M, block, basis, P, psi=None):
                 raise MackeyError("comparison component escapes the local piece")
             rows.append(coords)
         ambient = vstack(*rows) if psi is None else tensor(QMatrix.identity(len(X)), psi).matmul(vstack(*rows))
-        coords = block.bases[k].solve(ambient)
+        coords = span_basis(bases[k]).solve(ambient)
         if coords is None:
             raise MackeyError("comparison component is not Weyl-fixed")
         maps.append(coords)
@@ -113,9 +126,16 @@ def compare(M, block, basis, P, psi=None):
     return mor
 
 
+def comparison_block(M, h):
+    """The free block rebuilt from M's local piece at H, and M's validated comparison map into it."""
+    V, _, Q = classify._local_piece(M, h)
+    block = classify.build_free_block(M.lattice, h, V)
+    return block, classify._compare(M, block, Q)
+
+
 def stacked_comparison(M):
     """The nonzero free blocks of M and the comparison maps stacked over them, certified invertible."""
-    pieces = [piece for piece in (classify.comparison_block(M, h) for h in M.lattice.class_reps()) if piece[0].module.dim]
+    pieces = [piece for piece in (comparison_block(M, h) for h in M.lattice.class_reps()) if piece[0].module.dim]
     maps = [vstack(QMatrix.zeros(0, d), *(mor.maps[k] for _, mor in pieces)) for k, d in enumerate(M.dims)]
     if not all(m.is_invertible() for m in maps):
         raise MackeyError("comparison morphism fails to be invertible")
@@ -125,8 +145,8 @@ def stacked_comparison(M):
 def free_lift(b1, b2, phi):
     """F_H(phi) between free blocks at one class, id (x) phi in the Weyl-fixed bases, validated."""
     maps = tuple(
-        restrict_map(tensor(QMatrix.identity(len(X)), phi), src, dst) if src.cols else QMatrix.zeros(dst.cols, 0)
-        for X, src, dst in zip(b1.cosets, b1.bases, b2.bases)
+        restrict_map(tensor(QMatrix.identity(len(X)), phi), src, span_basis(dst)) if src.cols else QMatrix.zeros(dst.cols, 0)
+        for X, src, dst in zip(b1.cosets, free_bases(b1), free_bases(b2))
     )
     lift = MackeyMorphism(b1.functor, b2.functor, maps)
     lift.validate()

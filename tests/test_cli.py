@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -121,6 +122,20 @@ class TestExitCodes:
             (tmp_path / name).write_text(json.dumps(data))
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_level_larger_than_its_file_is_refused_before_any_map_is_read(self, capsys, tmp_path):
+        """Level C1 claims dimension 10^12, and the empty 10^12 x 0 map C2>C1 comes before C1>C1: every command
+        exits 2 with one line in under a second, rather than allocate the rows of that map."""
+        data = functor_to_json(constant(SubgroupLattice(cyclic(2)), 0))
+        data["levels"]["C1"] = 10**12
+        data["restriction"] = {"C2>C1": [], "C1>C1": [], "C2>C2": []}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        for argv in (["check", str(path)], ["classify", str(path)], ["box", str(path), str(path)]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "mackey", *argv)
+            assert time.perf_counter() - start < 1, argv
+            assert (code, out, err) == (2, "", "error: restriction 'C1>C1' must be a list of 1000000000000 rows\n"), argv
 
     def test_non_associative_table_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "loop.json"

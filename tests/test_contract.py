@@ -30,8 +30,9 @@ the value ``classify.split`` returns.
 
 The sparse row format of a ``QMatrix`` is private to ``linalg``: no other
 module imports an underscore name from it or reads a matrix's ``_rows`` or
-``_unit_rows``; they build through ``QMatrix.sparse`` and ``with_units`` and
-read through ``entries`` and ``units``.
+``_unit_rows``; they build through ``QMatrix.sparse`` and read through
+``entries``.  Inside ``linalg``, only the producers its module docstring names
+pass unit rows to ``_new``: the premise of ``matmul``'s identity shortcut.
 
 Every default order cap, of a function or of the CLI's ``--cap``, is the one
 constant ``groups.DEFAULT_ORDER_CAP``.  The pytest settings refuse an
@@ -273,7 +274,7 @@ def _linalg_internals(source):
 
 
 def test_linalg_internals_are_detected():
-    source = "from .linalg import QMatrix, _new\nfrom qmackey.linalg import _nf\nx = M._rows[0], M._unit_rows, M.units\n"
+    source = "from .linalg import QMatrix, _new\nfrom qmackey.linalg import _nf\nx = M._rows[0], M._unit_rows, M.cols\n"
     assert sorted(_linalg_internals(source)) == ["_new", "_nf", "_rows", "_unit_rows"]
     assert not list(_linalg_internals("from .groups import _x\nrows = M.entries()\n"))
 
@@ -282,6 +283,35 @@ def test_only_linalg_knows_the_row_format():
     found = {(path.name, name) for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"
              for name in _linalg_internals(path.read_text())}
     assert found == set()
+
+
+def _unit_row_producers(source):
+    """Each function that passes unit rows to ``_new``: a fourth argument or a ``unit_rows`` keyword, other than None."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_new":
+                    units = call.args[3:] + [k.value for k in call.keywords if k.arg == "unit_rows"]
+                    if any(not (isinstance(u, ast.Constant) and u.value is None) for u in units):
+                        yield node.name
+
+
+def test_unit_row_producers_are_detected():
+    source = (
+        "def f(m):\n    return _new(1, 1, [{0: 1}], (0,))\n"
+        "def g(m):\n    return _new(1, 1, [], unit_rows=m)\n"
+        "def h(m):\n    return _new(1, 1, [], None), _new(1, 1, [])\n"
+    )
+    assert sorted(set(_unit_row_producers(source))) == ["f", "g"]
+
+
+def test_only_the_producers_the_linalg_docstring_names_keep_unit_rows():
+    """``matmul`` returns the other factor of a square matrix that keeps unit rows, by the ``linalg`` docstring's proof
+    that each producer it names lists them in increasing order; no other function may pass unit rows to ``_new``."""
+    named = re.search(r"every producer \(([^)]*)\)", qmackey.linalg.__doc__)
+    producers = set(_unit_row_producers((PACKAGE / "linalg.py").read_text()))
+    assert named and producers == set(re.findall(r"``(\w+)``", named[1]))
+    assert producers == {"identity", "kernel", "image", "span_basis", "selection_matrix"}
 
 
 def _cap_defaults(tree):

@@ -55,7 +55,7 @@ class TestFrozen:
         with pytest.raises(FrozenInstanceError):
             setattr(V, field, getattr(V, field))
 
-    @pytest.mark.parametrize("field", ["lattice", "h", "module", "functor", "cosets", "bases"])
+    @pytest.mark.parametrize("field", ["lattice", "h", "module", "functor", "cosets", "orbits"])
     def test_assigning_a_free_block_field_raises(self, lat, field):
         block = build_free_block(lat, lat.top, WModule.trivial(lat.weyl(lat.top).group))
         with pytest.raises(FrozenInstanceError):

@@ -401,10 +401,9 @@ def test_flagged_constructors_are_the_identity(n):
 
 def near_misses():
     """Square matrices one entry away from the identity, a non-identity permutation, a selection
-    with a repeated target, and non-square bases with unit rows, found or declared."""
+    with a repeated target, and a non-square basis with unit rows."""
     off = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     return {
-        "declared": QMatrix([[1, 0], [3, -1], [0, 1]]).with_units((0, 2)),
         "json-2": matrix_from_json([["2" if i == j else "0" for j in range(3)] for i in range(3)], (3, 3)),
         "json-off-diagonal": matrix_from_json(off, (3, 3)),
         "kernel": QMatrix([[1, -1, 0]]).kernel(),
@@ -460,21 +459,6 @@ def test_increasing_selection_solves_as_elimination():
             assert S.solve(rhs) == plain.solve(rhs)
     assert linalg.selection_matrix(3, (1, 0))._unit_rows is None
     assert linalg.selection_matrix(3, (0, 0))._unit_rows is None
-
-
-def test_declared_unit_rows_are_checked():
-    """``with_units`` keeps unit rows that increase inside the matrix, one per column, row units[t] being e_t,
-    and shares the rows; it refuses any other list."""
-    B = QMatrix([[1, 0], [3, -1], [0, 1]])
-    kept = B.with_units([0, 2])
-    assert kept.units == (0, 2) and B.units is None and kept == B
-    assert all(a is b for a, b in zip(kept._rows, B._rows))
-    assert QMatrix.identity(3).with_units(range(3)).matmul(B) is B
-    for units in ((2, 0), (0, 1), (0, 0), (0,), (0, 2, 3), (-3, 2), (0, 3)):
-        with pytest.raises(LinAlgError):
-            B.with_units(units)
-    with pytest.raises(LinAlgError):
-        QMatrix([[1, 0], [0, 2]]).with_units((0, 1))
 
 
 def test_square_echelon_bases_are_the_identity():

@@ -21,6 +21,7 @@ from .classify import SplitData, assemble, classify_iso, diagonal_check, free_fu
 from .groups import CapExceeded, GroupError, SubgroupLattice
 from .linalg import LinAlgError, WModule
 from .mackey import (
+    _require_mackey,
     MackeyError,
     burnside_mackey,
     check_axioms,
@@ -341,12 +342,6 @@ def cmd_mackey_check(args) -> int:
         lines = [f"{M.name}: {len(report.violations)} violation(s)"]
         lines += [f"  {v}" for v in report.violations]
     return _report(args, data, lines, 0 if report.ok else 1)
-
-
-def _require_mackey(spec: str, M) -> None:
-    """Refuse, naming its first violation, a functor that is not Mackey, before a command that assumes one."""
-    if not (report := check_axioms(M, fail_fast=True)).ok:
-        raise MackeyError(f"{spec} is not a Mackey functor: {report.violations[0]}")
 
 
 def cmd_mackey_split(args) -> int:

@@ -281,6 +281,12 @@ def _axiom_identities(M: MackeyFunctor, reduced: bool, premise: bool = False):
             yield from _formula_identities(M, _maximal_triples(lat) if reduced else _all_triples(lat))
 
 
+def _require_mackey(spec: str, M: MackeyFunctor) -> None:
+    """Refuse, naming its first violation, a functor that is not Mackey, before a command that assumes one."""
+    if not (report := check_axioms(M, fail_fast=True)).ok:
+        raise MackeyError(f"{spec} is not a Mackey functor: {report.violations[0]}")
+
+
 def _require_composable(M: MackeyFunctor) -> None:
     """Raise ``MackeyError`` unless M has the shapes and (a)-(b) of ``check_axioms``, which ``MackeyMorphism.validate`` assumes."""
     for rule, holds, detail in _axiom_identities(M, True, premise=True):
@@ -911,6 +917,7 @@ def evaluate_bottom(M: MackeyFunctor) -> WModule:
 
 def fp_unit(M: MackeyFunctor) -> MackeyMorphism:
     """The unit morphism into the fixed-point functor on the bottom level, refusing an M whose R and I do not compose."""
+    _require_composable(M)
     lat = M.lattice
     V = evaluate_bottom(M)
     F, bases = _fp_with_bases(lat, V, f"FP({M.name}(G/e))")
@@ -918,7 +925,6 @@ def fp_unit(M: MackeyFunctor) -> MackeyMorphism:
     if None in maps:
         raise MackeyError("restriction to the bottom level does not land in fixed vectors")
     unit = MackeyMorphism(M, F, maps)
-    _require_composable(M)
     unit.validate()
     return unit
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import accumulate
 from types import MappingProxyType
 
 from .burnside import burnside_ring
@@ -20,7 +21,7 @@ from .groups import SubgroupLattice
 from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_space, selection_matrix, tensor
 from .mackey import (
     _check_identities,
-    _require_composable,
+    _require_mackey,
     MackeyError,
     MackeyFunctor,
     MackeyMorphism,
@@ -63,7 +64,14 @@ def _relation_families(M: MackeyFunctor, N: MackeyFunctor):
     return frobenius, conjugation
 
 
-def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families, quotient=None) -> _BoxLevel:
+def _layout(M: MackeyFunctor, N: MackeyFunctor, h: int) -> tuple:
+    """T(H)'s ``summands``, ``offsets`` and ``t_dim``, as ``_BoxLevel`` holds them."""
+    summands = M.lattice.subgroups_of(h)
+    ends = list(accumulate(M.dims[k] * N.dims[k] for k in summands))
+    return summands, MappingProxyType(dict(zip(summands, [0, *ends]))), ends[-1]
+
+
+def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families) -> _BoxLevel:
     """T(H), the sum over K <= H of M(G/K) (x) N(G/K), and its quotient by the relations.
 
     Each relation family is one block column: a tensor block at one summand
@@ -71,7 +79,7 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families, quotient=No
     res (x) 1 at L against 1 (x) ind at K, and 1 (x) res at L against
     ind (x) 1 at K; for x in H the conjugation family is C_x (x) 1 at xKx^-1
     against 1 (x) C_x^-1 at K.  The last two blocks share a summand when x
-    normalizes K.  Blocks come from ``families`` (``_relation_families``); ``quotient`` defaults to ``quotient_space``.
+    normalizes K.  Blocks come from ``families`` (``_relation_families``).
 
     Only L maximal in K and x among the generators of H are emitted; for
     Mackey functors the rest lie in their span.  For L < K' < K, the first
@@ -83,18 +91,13 @@ def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families, quotient=No
     """
     lat = M.lattice
     frobenius, conjugation = families
-    summands = lat.subgroups_of(h)
-    offsets, t_dim = {}, 0
-    for k in summands:
-        offsets[k] = t_dim
-        t_dim += M.dims[k] * N.dims[k]
+    summands, offsets, t_dim = _layout(M, N, h)
     blocks, n_rel = [], 0
     relations = [f for k, l in lat.cover_pairs() if k in offsets for f in frobenius(k, l)]
     for k1, a, k2, b in relations + [f for x in lat.gens(h) for k in summands for f in conjugation(x, k)]:
         blocks += [(offsets[k1], n_rel, a), (offsets[k2], n_rel, b)]
         n_rel += a.cols
-    proj, section = (quotient or quotient_space)(t_dim, block_matrix(t_dim, n_rel, blocks))
-    return _BoxLevel(summands, MappingProxyType(offsets), t_dim, proj, section)
+    return _BoxLevel(summands, offsets, t_dim, *quotient_space(t_dim, block_matrix(t_dim, n_rel, blocks)))
 
 
 def _level_map(src: _BoxLevel, dst: _BoxLevel, blocks) -> QMatrix:
@@ -200,36 +203,32 @@ def box_morphism(f: MackeyMorphism, g: MackeyMorphism, src: BoxProduct, dst: Box
 
 
 def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
-    """The certified isomorphism from box(A, M) onto M, A the Burnside functor.
+    """The certified isomorphism from box(A, M) onto M, A the Burnside functor; M failing ``check_axioms`` is refused.
 
-    The unit map q_H: T(H) -> M(H) sends a (x) m at K to I^H_K of a acting on m, [K/L] acting as I^K_L R^K_L.
-    Each level is read off q_H with no elimination over the relations R.  T(H) = R + iota(M(H)), iota putting m
-    at [H/H] (x) m: [K/J] (x) n steps down to J along cover pairs L < K above J by the second Frobenius family, as
-    ind^K_L [L/J] = [K/J] in A, then up to H by the first, as res^K'_K [K'/K'] = [K/K].  So once q_H is checked to
-    kill R and to have dim M(H) pivot columns (its map at H), ker q_H = R.  ``quotient_space``'s ``proj`` is reduced
-    echelon with kernel R, hence rref(q_H) without zero rows, and ``section`` is the unit vectors at its pivots: the
-    source is ``box(A, M)``.  No identity of M is assumed; one whose R and I do not compose is refused
-    (``_require_composable``) before the map is validated.
+    The unit map q_H: T(H) -> M(H) sends a (x) m at K to I^H_K of a acting on m, [K/J] acting as I^K_J R^K_J.
+    T(H) = R + iota(M(H)), R the span of the box relations and iota putting m at [H/H] (x) m: [K/J] (x) n steps down
+    to J along cover pairs L < K above J by the second Frobenius family, as ind^K_L [L/J] = [K/J] in A, then up to H
+    by the first, as res^K'_K [K'/K'] = [K/K].  q_H kills the second family by transitivity, the conjugation family
+    by equivariance and C_x = id on M(H), and the first by the Frobenius lemma [K/J] I^K_L = I^K_L res^K_L [K/J]:
+    with xJ = xJx^-1, the Mackey formula makes its left side the sum over x in J\\K/L of I^K_(J n xL) C_x
+    R^L_(L n x^-1J) = I^K_(L n x^-1J) R^L_(L n x^-1J) (equivariance, C_x = id on M(K)), res^K_L [K/J] is the sum
+    over y in L\\K/J of [L/L n yJ], and x -> x^-1 matches the terms.  As q_H iota = id, ker q_H = R by dimension.
+    So ``proj`` is rref(q_H) without zero rows and ``section`` the unit vectors at its pivots, as in ``box(A, M)``.
     """
+    _require_mackey(M.name, M)
     lat = M.lattice
     A = burnside_mackey(lat)
-    families = _relation_families(A, M)
     # a summand's tensor basis runs over the basis [K/L] of A(G/K), then that of M(G/K); [K/L] acts as I^K_L R^K_L
     acts = [hstack(*(M.ind[(k, cls[0])].matmul(M.res[(k, cls[0])]) for cls in lat.local_classes(k))) for k in range(len(lat))]
-
-    def unit_quotient(q, t_dim, relations):
-        if not q.matmul(relations).is_zero():
-            raise MackeyError("unit map does not descend to the box quotient")
+    levels, maps = [], []
+    for h in range(len(lat)):
+        summands, offsets, t_dim = _layout(A, M, h)
+        q = hstack(*(M.ind[(h, k)].matmul(acts[k]) for k in summands))
         reduced, pivots = q.rref()
-        return reduced.row_block(0, len(pivots)), selection_matrix(t_dim, pivots)
-
-    qs = [hstack(*(M.ind[(h, k)].matmul(acts[k]) for k in lat.subgroups_of(h))) for h in range(len(lat))]
-    levels = tuple(_box_level(A, M, h, families, partial(unit_quotient, q)) for h, q in enumerate(qs))
-    maps = [q.matmul(level.section) for q, level in zip(qs, levels)]
-    if any(m.rows != m.cols for m in maps):
-        raise MackeyError("box unit map failed to invert")
-    iso = MackeyMorphism(_box_product(A, M, levels, None), M, tuple(maps))
-    _require_composable(M)
+        section = selection_matrix(t_dim, pivots)
+        levels.append(_BoxLevel(summands, offsets, t_dim, reduced.row_block(0, len(pivots)), section))
+        maps.append(q.matmul(section))
+    iso = MackeyMorphism(_box_product(A, M, tuple(levels), None), M, tuple(maps))
     iso.validate()
     return iso
 

@@ -8,9 +8,12 @@ every induced map must be equal, not merely isomorphic.  ``monoidal.box``
 induces R and I only on cover pairs and C_s only for s outside the level,
 and composes or takes the identity elsewhere; the referee induces every map,
 so each composite and identity is compared with a directly induced map.
+``box_reference.unit_map`` on the referee's levels checks the lemma that
+``monoidal.box_unit_iso`` proves: the unit map kills every relation.
 """
 
 import random
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -91,3 +94,33 @@ def test_idempotent_cut_checks_match_the_solving_referee(corpus_lattices, name):
         for h in lat.class_reps():
             assert box_reference.box_idempotent_check(M, N, h).ok, (M.name, N.name, lat.name(h))
             assert box_reference.u_monoidal_certificate(M, N, h, B) is True
+
+
+def unit_map_checks(M, B):
+    """Per level of B = ``box_reference.box(A, M)``: whether the unit map q_H of ``box_reference.unit_map`` kills
+    every relation, as q_H section proj = q_H, and whether its rank is dim M(H)."""
+    qs = box_reference.unit_map(M, B)
+    return [(q.matmul(lvl.section).matmul(lvl.proj) == q, q.rank() == d) for q, lvl, d in zip(qs, B.levels, M.dims)]
+
+
+@pytest.mark.parametrize("name", [name for name, G in corpus().items() if G.order <= 12])
+def test_the_unit_map_descends_on_mackey_functors(corpus_lattices, name):
+    """The lemma ``monoidal.box_unit_iso`` proves and no longer checks: on a Mackey functor M, each unit map of
+    box(A, M), with relations at every comparable pair and every x in H, kills them and is onto M(H)."""
+    lat = corpus_lattices[name]
+    A = burnside_mackey(lat)
+    functors = [kind(lat) for kind in KINDS.values()]
+    functors += [random_functor(lat, random.Random(f"{name}-{seed}")) for seed in (0, 1)]
+    for M in functors:
+        assert all(map(all, unit_map_checks(M, box_reference.box(A, M)))), M.name
+
+
+@pytest.mark.parametrize("name", ["C2", "D8"])
+def test_a_doubled_restriction_keeps_a_relation_at_the_top(corpus_lattices, name):
+    """The negative control: A with R^G_1 doubled is not Mackey, and its unit map at G does not kill every relation."""
+    lat = corpus_lattices[name]
+    A = burnside_mackey(lat)
+    pair = (lat.top, lat.bottom)
+    bad = replace(A, res={**A.res, pair: A.res[pair].scale(2)})
+    kills, _ = unit_map_checks(bad, box_reference.box(A, bad))[lat.top]
+    assert not kills

@@ -38,6 +38,7 @@ from qmackey.mackey import (
     constant,
     direct_sum,
     fp_functor,
+    fp_unit,
     idempotent_part,
     zero_functor,
 )
@@ -876,13 +877,13 @@ def test_a_functor_whose_maps_do_not_compose_is_refused(corpus_lattices, group, 
 
 
 def test_no_certificate_for_a_corrupted_functor_fails_the_full_check(corpus_lattices):
-    """On every corruption fixture over every corpus group, ``classify_iso`` and ``certify_iso`` raise ``MackeyError``
-    or return a morphism that passes ``validate(full=True)``."""
+    """On every corruption fixture over every corpus group, ``classify_iso``, ``certify_iso``, ``fp_unit`` and
+    ``box_unit_iso`` raise ``MackeyError`` or return a morphism that passes ``validate(full=True)``."""
     for lat in corpus_lattices.values():
         for bad, _ in all_corruptions(lat):
-            for run in (lambda: classify_iso(bad), lambda: certify_iso(constant(lat, 1), bad)):
+            for certify in (classify_iso, lambda M: certify_iso(constant(lat, 1), M), fp_unit, box_unit_iso):
                 try:
-                    mor = run()
+                    mor = certify(bad)
                 except MackeyError:
                     continue
                 assert mor is not None

@@ -122,16 +122,18 @@ class TestBoxUnitLaw:
         assert iso.is_levelwise_iso()
 
     def test_unit_map_that_keeps_a_relation_raises(self, c2_lattice):
-        """Restriction doubled at the bottom breaks Frobenius reciprocity, so the map does not descend."""
+        """Restriction doubled at the bottom breaks Frobenius reciprocity, so the unit map would not descend;
+        the Mackey formula fails with it, and the premise refuses the functor."""
         A = burnside_mackey(c2_lattice)
         pair = (c2_lattice.top, c2_lattice.bottom)
-        with pytest.raises(MackeyError, match="unit map does not descend to the box quotient"):
+        with pytest.raises(MackeyError, match=r"is not a Mackey functor: \[double-coset\]"):
             box_unit_iso(replace(A, res={**A.res, pair: A.res[pair].scale(2)}))
 
     def test_singular_unit_map_raises(self, c2_lattice):
-        """Zero inductions make the action zero, which kills every relation, so it descends, but it cannot invert."""
+        """Zero inductions make the action zero, which kills every relation, but the unit map could not invert;
+        I^H_H = 0 fails axiom 1, and the premise refuses the functor."""
         A = burnside_mackey(c2_lattice)
-        with pytest.raises(MackeyError, match="box unit map failed to invert"):
+        with pytest.raises(MackeyError, match=r"is not a Mackey functor: \[identity-induction\]"):
             box_unit_iso(replace(A, ind={pair: QMatrix.zeros(m.rows, m.cols) for pair, m in A.ind.items()}))
 
     def test_burnside_tables_are_built_once_per_lattice(self, monkeypatch):
@@ -148,19 +150,21 @@ class TestBoxUnitLaw:
         assert len(calls) == pairs
 
     def test_the_unit_route_eliminates_no_relations(self, corpus_lattices, monkeypatch):
-        """Each level is read off the unit map: no ``quotient_space`` or ``span_basis`` runs, where ``box`` runs both."""
+        """Each level is read off the unit map: no ``quotient_space`` or ``span_basis`` runs, and no relation family
+        is built or placed (``_relation_families``, ``_box_level``), where ``box`` runs all four."""
         lat = corpus_lattices["D8"]
         functors = [burnside_mackey(lat), constant(lat, 1), coconstant(lat, 1)]
         functors += [free_functor(lat, h, WModule.regular(lat.weyl(h).group)) for h in lat.class_reps()]
         calls = []
-        for module, name in [(monoidal, "quotient_space"), (mackey, "quotient_space"), (linalg, "quotient_space"), (linalg, "span_basis")]:
+        spied = [(monoidal, "quotient_space"), (mackey, "quotient_space"), (linalg, "quotient_space"), (linalg, "span_basis")]
+        for module, name in spied + [(monoidal, "_relation_families"), (monoidal, "_box_level")]:
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
         for M in functors:
             assert box_unit_iso(M).is_levelwise_iso()
         assert calls == []
         box(functors[0], functors[1])
-        assert {"quotient_space", "span_basis"} <= set(calls)
+        assert {"quotient_space", "span_basis", "_relation_families", "_box_level"} <= set(calls)
 
     @pytest.mark.parametrize("name", [name for name, G in corpus().items() if G.order <= 12])
     def test_scaled_maps_are_refused_or_match_the_referee(self, corpus_lattices, name):

@@ -465,8 +465,6 @@ def random_split_data(lattice: SubgroupLattice, rng: random.Random, max_level_di
 
 
 def random_invertible(dim: int, rng: random.Random) -> QMatrix:
-    if dim == 0:
-        return QMatrix.identity(0)
     lower = [[Fraction(1 if i == j else (rng.randint(-2, 2) if i > j else 0)) for j in range(dim)] for i in range(dim)]
     upper = [[Fraction(1 if i == j else (rng.randint(-2, 2) if i < j else 0)) for j in range(dim)] for i in range(dim)]
     return QMatrix(lower).matmul(QMatrix(upper))

@@ -370,10 +370,12 @@ def alternating(n: int, name: str | None = None) -> FiniteGroup:
 
 
 def dihedral(order: int, name: str | None = None) -> FiniteGroup:
-    """Dihedral group of the given (even) order, acting on a regular polygon."""
+    """Dihedral group of the given (even) order on a regular polygon; D2 = C2 and D4 = C2 x C2 on pairs of points."""
     if order % 2 != 0 or order < 2:
         raise GroupError("dihedral order must be even and >= 2")
     m = order // 2
+    if m <= 2:
+        return from_permutations(["(1 2)", "(3 4)"][:m], degree=2 * m, name=name or f"D{order}")
     rot = "(" + " ".join(str(i) for i in range(1, m + 1)) + ")"
     refl_pairs = [(i, m + 2 - i) for i in range(2, m // 2 + 2) if i < m + 2 - i]
     refl = "".join(f"({a} {b})" for a, b in refl_pairs) or "()"

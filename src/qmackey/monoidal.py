@@ -25,6 +25,7 @@ from .mackey import (
     MackeyError,
     MackeyFunctor,
     MackeyMorphism,
+    build_functor,
     comparable_pairs,
     burnside_mackey,
     check_axioms,
@@ -113,7 +114,7 @@ class BoxProduct(MackeyFunctor):
     """A box product with its factors (M, N) and the quotient data of each level, for maps between box products."""
 
     levels: tuple = field(kw_only=True)
-    factors: tuple | None = field(default=None, kw_only=True)
+    factors: tuple = field(kw_only=True)
 
 
 def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProduct:
@@ -122,11 +123,10 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
     M and N must be Mackey functors: ``_box_level`` relies on R and I being
     transitive and C multiplicative, and on other input the quotient is wrong.
 
-    Only R and I on cover pairs, and C_s for a generator s outside H, are induced: each is the unique
-    f with f proj = proj F for its summand map F.  B is a Mackey functor as M and N are, so the rest
-    follow by uniqueness: R^H_H = I^H_H = id, C_s = id on B(H) for s in H (C_s (x) C_s is the identity
-    modulo the conjugation relation of s), and for L < H not a cover, K the first cover of H above L,
-    R^H_L = R^K_L R^H_K and I^H_L = I^H_K I^K_L, where K's maps exist as ids follow subgroup order.
+    Only R and I on cover pairs, and C_s for a generator s outside H, are induced: each is the unique f with
+    f proj = proj F for its summand map F.  B is a Mackey functor as M and N are, so the rest follow by uniqueness:
+    R^H_H = I^H_H = id, C_s = id on B(H) for s in H (C_s (x) C_s is the identity modulo the conjugation relation
+    of s), and for L < H not a cover, K the first cover of H above L, R^H_L = R^K_L R^H_K and I^H_L = I^H_K I^K_L.
     So B's R and I compose along cover pairs by construction, whatever M and N are; box(A, M) referees ``box_unit_iso``.
     """
     if M.lattice is not N.lattice:
@@ -136,49 +136,39 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
 
 
 def _box_product(M: MackeyFunctor, N: MackeyFunctor, levels: tuple, name: str | None) -> BoxProduct:
-    """The box product on prebuilt ``levels``, its maps induced as ``box`` says; no block is built at a zero level."""
-    lat = M.lattice
-    dims = tuple(level.proj.rows for level in levels)
-    # summands whose tensor space is zero contribute no blocks
-    live = [[k for k in level.summands if M.dims[k] * N.dims[k]] for level in levels]
+    """The box product on prebuilt ``levels``, its maps induced as ``box`` says and assembled by ``build_functor``,
+    which asks only where both levels are nonzero.  For Mackey input no composite passes a zero level, as the support
+    of a rational Mackey functor is upward closed: M(G/K) != 0 exactly when some U_J M != 0 with J <=_G K."""
+    lat, dims = M.lattice, tuple(level.proj.rows for level in levels)
+    live = [[k for k in level.summands if M.dims[k] * N.dims[k]] for level in levels]  # the summands with blocks
 
-    res, ind = {}, {}
-    for h in range(len(lat)):
-        r, i = {}, {}  # the maps between level h and each lower level
-        for k in lat.maximal(h):
-            if not dims[h] * dims[k]:
-                r[k], i[k] = QMatrix.zeros(dims[k], dims[h]), QMatrix.zeros(dims[h], dims[k])
-                continue
-            # induction: include the smaller sum of summands, then project
-            incl = [(s, s, QMatrix.identity(M.dims[s] * N.dims[s])) for s in live[k]]
-            i[k] = _level_map(levels[k], levels[h], incl)
-            down = []
-            for s in live[h]:
-                for l in lat.double_cosets(k, s, h):
-                    sl = lat.conjugate(l, s)
-                    meet = lat.meet(k, sl)
-                    mm = M.res[(sl, meet)].matmul(M.conj(l, s))
-                    nn = N.res[(sl, meet)].matmul(N.conj(l, s))
-                    down.append((meet, s, tensor(mm, nn)))
-            r[k] = _level_map(levels[h], levels[k], down)
-        for l in lat.subgroups_of(h):
-            if l == h:
-                r[l] = i[l] = QMatrix.identity(dims[h])
-            elif l not in r:
-                k = next(k for k in lat.maximal(h) if lat.leq(l, k))
-                r[l], i[l] = res[(k, l)].matmul(r[k]), i[k].matmul(ind[(k, l)])
-            res[(h, l)], ind[(h, l)] = r[l], i[l]
+    @cache
+    def maps(h, k):  # (R^H_K, I^H_K)
+        if k == h:
+            return (QMatrix.identity(dims[h]),) * 2
+        if k not in lat.maximal(h):  # composed through the first K' maximal in H above K
+            kp = next(kp for kp in lat.maximal(h) if lat.leq(k, kp))
+            (r1, i1), (r2, i2) = maps(h, kp), maps(kp, k)
+            return r2.matmul(r1), i1.matmul(i2)
+        down = []
+        for s in live[h]:
+            for l in lat.double_cosets(k, s, h):
+                sl = lat.conjugate(l, s)
+                meet = lat.meet(k, sl)
+                mm, nn = M.res[(sl, meet)].matmul(M.conj(l, s)), N.res[(sl, meet)].matmul(N.conj(l, s))
+                down.append((meet, s, tensor(mm, nn)))
+        incl = [(s, s, QMatrix.identity(M.dims[s] * N.dims[s])) for s in live[k]]
+        return _level_map(levels[h], levels[k], down), _level_map(levels[k], levels[h], incl)
 
-    cgen = {}
-    for pos, s in enumerate(lat.group.gens):
-        for h in range(len(lat)):
-            if s in lat.elements(h) or not dims[h]:
-                cgen[(pos, h)] = QMatrix.identity(dims[h])
-                continue
-            blocks = [(lat.conjugate(s, k), k, tensor(M.conj(s, k), N.conj(s, k))) for k in live[h]]
-            cgen[(pos, h)] = _level_map(levels[h], levels[lat.conjugate(s, h)], blocks)
+    def conjfn(pos, s, h):
+        if s in lat.elements(h):
+            return QMatrix.identity(dims[h])
+        blocks = [(lat.conjugate(s, k), k, tensor(M.conj(s, k), N.conj(s, k))) for k in live[h]]
+        return _level_map(levels[h], levels[lat.conjugate(s, h)], blocks)
 
-    return BoxProduct(lat, dims, res, ind, cgen, name=name or f"{M.name}[]{N.name}", levels=levels, factors=(M, N))
+    B = build_functor(lat, dims, lambda h, k: maps(h, k)[0], lambda h, k: maps(h, k)[1], conjfn)
+    del maps  # it recurses through its own name: unbinding it frees the memo now, not at the next cycle collection
+    return BoxProduct(lat, dims, B.res, B.ind, B.cgen, name=name or f"{M.name}[]{N.name}", levels=levels, factors=(M, N))
 
 
 def box_swap_iso(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:

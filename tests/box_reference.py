@@ -123,7 +123,8 @@ def box(M, N, level=box_level):
     """The box product on the quotients ``level`` builds, with every map from ``box_maps``."""
     levels = tuple(level(M, N, h) for h in range(len(M.lattice)))
     dims = tuple(lvl.proj.rows for lvl in levels)
-    return monoidal.BoxProduct(M.lattice, dims, *box_maps(M, N, levels), name=f"{M.name}[]{N.name}", levels=levels)
+    return monoidal.BoxProduct(M.lattice, dims, *box_maps(M, N, levels), name=f"{M.name}[]{N.name}", levels=levels,
+                               factors=(M, N))
 
 
 def unit_map(M, B):

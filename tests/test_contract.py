@@ -19,8 +19,9 @@ A map into or out of a zero level is the zero map, and ``mackey.build_functor``
 is the one place that says so: in the package, only it, the JSON reader
 ``serialize.functor_from_json`` (which refuses a missing key, a zero map's
 too, as ``test_serialize`` checks), the cached path of ``burnside_mackey`` and
-``monoidal._box_product``, which induces the maps of ``box`` and of the source
-of ``box_unit_iso``, call ``MackeyFunctor(...)`` or ``BoxProduct(...)``.
+``monoidal._box_product``, which wraps the tables ``build_functor`` assembles
+for ``box`` and for the source of ``box_unit_iso`` in a ``BoxProduct``, call
+``MackeyFunctor(...)`` or ``BoxProduct(...)``.
 
 No function writes to a module-level name, so no call leaves state behind
 for the next one, except the two module-level caches: ``mackey.burnside_mackey``'s

@@ -272,6 +272,12 @@ class TestNamedFamilies:
         with pytest.raises(GroupError, match="must be even"):
             dihedral(7)
 
+    def test_every_even_dihedral_order_is_reached(self):
+        """The polygon on m <= 2 vertices is acted on unfaithfully, so D2 and D4 act on pairs of points instead."""
+        for n in range(2, 65, 2):
+            G = dihedral(n)
+            assert G.order == n and G.is_abelian == (n <= 4)
+
     def test_identity_generators_of_the_trivial_group_are_dropped(self):
         G = load_group({"name": "one", "degree": 1, "generators": ["()"]})
         assert (G.order, G.gens, G.word(G.identity)) == (1, (), ())

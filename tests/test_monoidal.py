@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -100,6 +101,47 @@ class TestBoxBasics:
     def test_box_requires_same_lattice(self, c2_lattice, c6_lattice):
         with pytest.raises(MackeyError):
             box(burnside_mackey(c2_lattice), burnside_mackey(c6_lattice))
+
+    def test_box_products_build_through_build_functor(self, corpus_lattices, monkeypatch):
+        """box(A, A) and the source of box_unit_iso(F) each assemble their maps in one ``build_functor`` call."""
+        lat = corpus_lattices["D8"]
+        A = burnside_mackey(lat)
+        F = free_functor(lat, lat.bottom, WModule.regular(lat.weyl(lat.bottom).group))
+        build, calls = monoidal.build_functor, []
+        monkeypatch.setattr(monoidal, "build_functor", lambda *args, **kw: calls.append(args[1]) or build(*args, **kw))
+        products = [box(A, A), box_unit_iso(F).source]
+        assert calls == [B.dims for B in products]
+
+    def test_no_level_map_is_built_at_a_zero_level(self, corpus_lattices, monkeypatch):
+        """The support of a Mackey functor is upward closed, so no map of a box product composes through a zero
+        level: ``_level_map`` is never asked for a map out of or into one, though F_H(Q[W]) has zero levels."""
+        level_map, dims, sources = monoidal._level_map, [], []
+
+        def spied(src, dst, blocks):
+            dims.append((src.proj.rows, dst.proj.rows))
+            return level_map(src, dst, blocks)
+
+        monkeypatch.setattr(monoidal, "_level_map", spied)
+        for lat in corpus_lattices.values():
+            A = burnside_mackey(lat)
+            if lat.group.order <= 12:
+                box(A, A)
+            for h in lat.class_reps():
+                sources.append(box_unit_iso(free_functor(lat, h, WModule.regular(lat.weyl(h).group))).source)
+        assert dims and all(d and e for d, e in dims)
+        assert any(0 in B.dims for B in sources)
+
+    def test_box_product_leaves_no_reference_cycle(self, corpus_lattices):
+        """The maps memo of ``_box_product`` is freed by reference counting when the product is built."""
+        A = burnside_mackey(corpus_lattices["D8"])
+        box(A, A)
+        gc.collect()
+        gc.disable()
+        try:
+            box(A, A)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBoxUnitLaw:

@@ -44,7 +44,7 @@ from .linalg import (
 )
 from .mackey import (
     _brauer_basis,
-    _common_kernel,
+    _brauer_functionals,
     _require_composable,
     MackeyError,
     MackeyFunctor,
@@ -232,7 +232,7 @@ def _local_piece(M: MackeyFunctor, h: int) -> tuple[WModule, QMatrix, QMatrix]:
     """
     lat = M.lattice
     basis = _brauer_basis(M, h)
-    Y = _common_kernel([M.ind[(h, k)].transpose() for k in lat.maximal(h)], M.dims[h]).transpose()
+    Y = _brauer_functionals(M, h)
     Q = Y.matmul(basis).solve(Y) if Y.rows == basis.cols else None
     if Q is None:
         raise MackeyError(f"level {lat.name(h)} is not its local piece plus the images of induction: not a Mackey functor")

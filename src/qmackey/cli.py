@@ -431,6 +431,10 @@ def cmd_mackey_green_check(args) -> int:
         tables = [doc.get(key, {}) if isinstance(doc, dict) else None for key in ("mult", "unit")]
         if not all(isinstance(table, dict) for table in tables):
             raise UsageError("multiplication data must hold 'mult' and 'unit' objects keyed by level")
+        names = {lat.name(h) for h in range(len(lat))}
+        for field, table in zip(("mult", "unit"), tables):
+            if unknown := set(table) - names:
+                raise UsageError(f"unknown {field} level {min(unknown)!r}")
         mult, unit = {}, {}
         for h in range(len(lat)):
             name = lat.name(h)

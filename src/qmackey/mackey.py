@@ -639,6 +639,12 @@ def _brauer_basis(M: MackeyFunctor, h: int) -> QMatrix:
     return _common_kernel([M.res[(h, k)] for k in M.lattice.maximal(h)], M.dims[h]).image()
 
 
+def _brauer_functionals(M: MackeyFunctor, h: int) -> QMatrix:
+    """Y, whose rows span the functionals on M(G/H) that kill the sum of im I^H_K over K < H: Y maps the Brauer
+    quotient of M at H isomorphically onto Q^r.  K maximal in H suffice, as I is transitive."""
+    return _common_kernel([M.ind[(h, k)].transpose() for k in M.lattice.maximal(h)], M.dims[h]).transpose()
+
+
 def idempotent_part(M: MackeyFunctor, e: BurnsideElement, name: str | None = None) -> MackeyFunctor:
     """The summand eM cut out by an idempotent of the top-level Burnside ring.
 

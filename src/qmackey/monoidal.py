@@ -1,12 +1,10 @@
 """The box product of Mackey functors and Green-functor verification.
 
-The level at H of a box product is a quotient of the direct sum over K <= H
-of the levelwise tensor products: Frobenius-style relations identify
-restriction against induction in both variables, and a conjugation family
-balances C_x in one factor against its inverse in the other.  Only the
-relations on cover pairs L < K <= H and for x generating H are built, as they
-span the rest (``_box_level``); the quotient is exact, in one elimination.
-Each relation family is built once per product and placed by every level above it.
+The level at H of a box product is the quotient of T(H), the direct sum over K <= H of the levelwise tensor products,
+by R, the span of the Frobenius relations, which identify restriction against induction in both variables, and of
+the conjugation relations, which balance C_x in one factor against its inverse in the other.  No relation is built:
+each level is read off a map on T(H) whose kernel is R (``_read_off``).  ``box`` reads it off the Brauer marks, one
+block per H-class of subgroups of H; ``box_unit_iso`` reads it off the unit map onto M.
 """
 
 from __future__ import annotations
@@ -18,8 +16,9 @@ from types import MappingProxyType
 
 from .burnside import burnside_ring
 from .groups import SubgroupLattice
-from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_space, selection_matrix, tensor
+from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, selection_matrix, tensor
 from .mackey import (
+    _brauer_functionals,
     _check_identities,
     _require_mackey,
     MackeyError,
@@ -41,64 +40,17 @@ class _BoxLevel:
     section: QMatrix
 
 
-def _relation_families(M: MackeyFunctor, N: MackeyFunctor):
-    """``(frobenius, conjugation)``: the families of a cover pair L < K and of (x, K), each built on first use.
+def _read_off(M: MackeyFunctor, N: MackeyFunctor, h: int, q: QMatrix) -> _BoxLevel:
+    """Level H of the box product of M and N from a map q on T(H) with ker q = R, T(H)'s summands in lattice order.
 
-    A family is listed as ``(summand, block, summand, -block)``; none depends on the level, so every H >= K
-    places the same blocks.  Left out are the families with no columns and that of x at a K containing x:
-    there xKx^-1 = K and C_x is the identity on M(G/K) and on N(G/K) by axiom 1, so its columns are zero."""
-    lat = M.lattice
-    eye = QMatrix.identity
-
-    @cache
-    def frobenius(k, l):
-        pairs = [(M.res[(k, l)], eye(N.dims[l]), eye(M.dims[k]), N.ind[(k, l)]),
-                 (eye(M.dims[l]), N.res[(k, l)], M.ind[(k, l)], eye(N.dims[k]))]
-        return [(l, tensor(a, b), k, -tensor(c, d)) for a, b, c, d in pairs if a.cols * b.cols]
-
-    @cache
-    def conjugation(x, k):
-        kx, xi = lat.conjugate(x, k), lat.group.inv(x)
-        pairs = [] if x in lat.elements(k) else [(M.conj(x, k), eye(N.dims[kx]), eye(M.dims[k]), N.conj(xi, kx))]
-        return [(kx, tensor(a, b), k, -tensor(c, d)) for a, b, c, d in pairs if a.cols * b.cols]
-
-    return frobenius, conjugation
-
-
-def _layout(M: MackeyFunctor, N: MackeyFunctor, h: int) -> tuple:
-    """T(H)'s ``summands``, ``offsets`` and ``t_dim``, as ``_BoxLevel`` holds them."""
+    ``proj`` is rref(q) without its zero rows and ``section`` the unit vectors at its pivots.  These are what
+    ``linalg.quotient_space`` gives for R, as both depend on ker q = R alone: e_i is a pivot exactly when it lies
+    outside R + <e_0, ..., e_{i-1}>, and rref(q) kills R and is the identity on the pivots."""
     summands = M.lattice.subgroups_of(h)
     ends = list(accumulate(M.dims[k] * N.dims[k] for k in summands))
-    return summands, MappingProxyType(dict(zip(summands, [0, *ends]))), ends[-1]
-
-
-def _box_level(M: MackeyFunctor, N: MackeyFunctor, h: int, families) -> _BoxLevel:
-    """T(H), the sum over K <= H of M(G/K) (x) N(G/K), and its quotient by the relations.
-
-    Each relation family is one block column: a tensor block at one summand
-    minus a tensor block at another.  For L < K the Frobenius families are
-    res (x) 1 at L against 1 (x) ind at K, and 1 (x) res at L against
-    ind (x) 1 at K; for x in H the conjugation family is C_x (x) 1 at xKx^-1
-    against 1 (x) C_x^-1 at K.  The last two blocks share a summand when x
-    normalizes K.  Blocks come from ``families`` (``_relation_families``).
-
-    Only L maximal in K and x among the generators of H are emitted; for
-    Mackey functors the rest lie in their span.  For L < K' < K, the first
-    family has a (x) ind^K_L b = a (x) ind^K_K' ind^K'_L b ~ res^K_K' a (x)
-    ind^K'_L b ~ res^K_L a (x) b as R and I compose, the second likewise, and
-    covers chain any L < K.
-    C_yz a (x) b = C_y C_z a (x) b ~ C_z a (x) C_y^-1 b ~ a (x) C_(yz)^-1 b,
-    by y then z, as C is multiplicative; generators give all of finite H.
-    """
-    lat = M.lattice
-    frobenius, conjugation = families
-    summands, offsets, t_dim = _layout(M, N, h)
-    blocks, n_rel = [], 0
-    relations = [f for k, l in lat.cover_pairs() if k in offsets for f in frobenius(k, l)]
-    for k1, a, k2, b in relations + [f for x in lat.gens(h) for k in summands for f in conjugation(x, k)]:
-        blocks += [(offsets[k1], n_rel, a), (offsets[k2], n_rel, b)]
-        n_rel += a.cols
-    return _BoxLevel(summands, offsets, t_dim, *quotient_space(t_dim, block_matrix(t_dim, n_rel, blocks)))
+    reduced, pivots = q.rref()
+    offsets = MappingProxyType(dict(zip(summands, [0, *ends])))
+    return _BoxLevel(summands, offsets, ends[-1], reduced.row_block(0, len(pivots)), selection_matrix(ends[-1], pivots))
 
 
 def _level_map(src: _BoxLevel, dst: _BoxLevel, blocks) -> QMatrix:
@@ -120,8 +72,28 @@ class BoxProduct(MackeyFunctor):
 def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProduct:
     """The box product, with its induced restriction, induction and conjugation.
 
-    M and N must be Mackey functors: ``_box_level`` relies on R and I being
-    transitive and C multiplicative, and on other input the quotient is wrong.
+    M and N must be Mackey functors: the level rule below needs L = M[]N to be one, and on other input it is wrong.
+
+    Level H is read off (``_read_off``) the Brauer-mark map q_H: T(H) -> sum of Mb(K) (x) Nb(K), one block per
+    K in ``local_classes(H)``, Mb(K) the Brauer quotient M(G/K) / sum of im I^K_J, J < K, in the coordinates of
+    Y^M_K (``mackey._brauer_functionals``).  At summand J, q_H sends a (x) b to the sum over xJ in (H/J)^K of
+    Y^M_K R^{xJx^-1}_K C_x a (x) Y^N_K R^{xJx^-1}_K C_x b.  A term does not depend on H, so each is built once
+    per product, keyed by (K, J, x).  ker q_H = R:
+
+    - The terms of R^H_K on T(H) that land in summand K of T(K) are those of the double cosets KxJ = xJ.  So the
+      block of K is q^K_H = s_K R^H_K, where s_K keeps summand K as Y (x) Y and sends the other summands to 0.
+    - s_K kills the relations of T(K): those placed at K are a (x) ind b and ind a (x) b, and C_x a (x) b against
+      a (x) C_x^-1 b with C_x = id for x in K.  It kills every im I^K_J, which lies in the summands below K.  So
+      it descends to Lb(K), where it inverts t_K: Mb(K) (x) Nb(K) -> Lb(K), a (x) b -> a (x) b at K, which is
+      onto as the other summands lie in im I^K_J.  As R^H_K maps R into the relations of T(K), q_H kills R, and
+      on L(H) it is the Brauer marks x -> (p_K R^H_K x)_K, p_K: L(K) -> Lb(K) the quotient map, followed by the
+      inverses of the t_K.
+    - The Brauer marks are injective on a rational Mackey functor (Thevenaz and Webb, *Trans. AMS* 347, 1995).
+      Let x != 0, e^H_K the primitive idempotents of A_Q(H) and K one with e^H_K x != 0.  Then e^H_K x = I^H_K u
+      with u != 0 in U_K L, fixed by N_H(K).  p_K R^H_K kills e^H_K' x for K' not H-conjugate to K, as res_K e^H_K'
+      sums the e^K_J with J H-conjugate to K', and p_K kills e^K_J L(K) = I^K_J U_J L when J < K.  By the Mackey
+      formula the mark at K is p_K R^H_K I^H_K u = |W_H(K)| p_K u, nonzero as L(K) = U_K L (+) sum of im I^K_J.
+    - So ker q_H = R, and ``_read_off`` gives the canonical quotient.
 
     Only R and I on cover pairs, and C_s for a generator s outside H, are induced: each is the unique f with
     f proj = proj F for its summand map F.  B is a Mackey functor as M and N are, so the rest follow by uniqueness:
@@ -131,8 +103,24 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
     """
     if M.lattice is not N.lattice:
         raise MackeyError("box product needs a common lattice")
-    families = _relation_families(M, N)
-    return _box_product(M, N, tuple(_box_level(M, N, h, families) for h in range(len(M.lattice))), name)
+    lat = M.lattice
+    functionals = cache(lambda k: (_brauer_functionals(M, k), _brauer_functionals(N, k)))
+
+    @cache
+    def mark(k, j, x):  # the term of q at K, J and xJ, for K <= xJx^-1
+        xj = lat.conjugate(x, j)
+        return tensor(*(y.matmul(F.res[(xj, k)]).matmul(F.conj(x, j)) for y, F in zip(functionals(k), (M, N))))
+
+    def marks(h):  # q_H, with a row block per representative K and a column block per summand J
+        reps = [k for k, *_ in lat.local_classes(h)]
+        tops = [0, *accumulate(ym.rows * yn.rows for ym, yn in map(functionals, reps))]
+        # (H/J)^K is empty unless K <=_G J, and asking for it would still fill the lattice's memo
+        return hstack(*(block_matrix(tops[-1], M.dims[j] * N.dims[j], [
+            (top, 0, mark(k, j, x)) for k, top in zip(reps, tops) if lat.is_subconjugate(k, j)
+            for x in lat.fixed_cosets(j, k, h)
+        ]) for j in lat.subgroups_of(h)))
+
+    return _box_product(M, N, tuple(_read_off(M, N, h, marks(h)) for h in range(len(lat))), name)
 
 
 def _box_product(M: MackeyFunctor, N: MackeyFunctor, levels: tuple, name: str | None) -> BoxProduct:
@@ -203,7 +191,7 @@ def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
     with xJ = xJx^-1, the Mackey formula makes its left side the sum over x in J\\K/L of I^K_(J n xL) C_x
     R^L_(L n x^-1J) = I^K_(L n x^-1J) R^L_(L n x^-1J) (equivariance, C_x = id on M(K)), res^K_L [K/J] is the sum
     over y in L\\K/J of [L/L n yJ], and x -> x^-1 matches the terms.  As q_H iota = id, ker q_H = R by dimension.
-    So ``proj`` is rref(q_H) without zero rows and ``section`` the unit vectors at its pivots, as in ``box(A, M)``.
+    So the levels are read off q_H (``_read_off``), as ``box`` reads them off the Brauer marks.
     """
     _require_mackey(M.name, M)
     lat = M.lattice
@@ -212,12 +200,9 @@ def box_unit_iso(M: MackeyFunctor) -> MackeyMorphism:
     acts = [hstack(*(M.ind[(k, cls[0])].matmul(M.res[(k, cls[0])]) for cls in lat.local_classes(k))) for k in range(len(lat))]
     levels, maps = [], []
     for h in range(len(lat)):
-        summands, offsets, t_dim = _layout(A, M, h)
-        q = hstack(*(M.ind[(h, k)].matmul(acts[k]) for k in summands))
-        reduced, pivots = q.rref()
-        section = selection_matrix(t_dim, pivots)
-        levels.append(_BoxLevel(summands, offsets, t_dim, reduced.row_block(0, len(pivots)), section))
-        maps.append(q.matmul(section))
+        q = hstack(*(M.ind[(h, k)].matmul(acts[k]) for k in lat.subgroups_of(h)))
+        levels.append(_read_off(A, M, h, q))
+        maps.append(q.matmul(levels[-1].section))
     iso = MackeyMorphism(_box_product(A, M, tuple(levels), None), M, tuple(maps))
     iso.validate()
     return iso

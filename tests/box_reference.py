@@ -4,16 +4,20 @@
 and the conjugation family at every x in H, and takes the quotient in two
 eliminations: the canonical basis of the relation span, then the reduced
 form of ``[span | I]``.  That is the construction ``qmackey.monoidal`` made
-before it emitted relations only on cover pairs and generators and took the
-quotient in one elimination.  ``box_maps`` induces R and I on every
-comparable pair and C_s for every generator at every level through the
-quotient, where ``monoidal.box`` induces only the cover pairs and the
-generators outside each level and composes the rest.  ``level_map`` induces
-a map as proj F section with the whole T(dst) x T(src) map F of summands
-built, the referee of ``monoidal._level_map``, which never builds F.
+before it emitted relations only on cover pairs and generators; it now
+builds no relation and reads each level off the Brauer marks.  ``box_maps``
+induces R and I on every comparable pair and C_s for every generator at
+every level through the quotient, where ``monoidal.box`` induces only the
+cover pairs and the generators outside each level and composes the rest.
+``level_map`` induces a map as proj F section with the whole T(dst) x T(src)
+map F of summands built, the referee of ``monoidal._level_map``, which never
+builds F.
 ``unit_map`` builds the map on summands that ``monoidal.box_unit_iso``
 descends, with each [K/L] acting through ``burnside_action``, where the
-package reads the action I^K_L R^K_L straight off the functor.
+package reads the action I^K_L R^K_L straight off the functor.  ``mark_map``
+builds the Brauer-mark map that ``monoidal.box`` reads its levels off, from
+its definition: the cosets are enumerated from the elements, and each
+annihilator of the inductions is the kernel of their transposed ``hstack``.
 
 ``box_idempotent_check`` (the idempotent part of a box product is the box
 of the idempotent parts) and ``u_monoidal_certificate`` (the local piece
@@ -31,7 +35,7 @@ from burnside_reference import burnside_action
 from qmackey import monoidal
 from qmackey.burnside import burnside_ring
 from qmackey.classify import _local_piece
-from qmackey.linalg import QMatrix, block_matrix, hstack, tensor
+from qmackey.linalg import QMatrix, block_matrix, hstack, tensor, vstack
 from qmackey.mackey import MackeyMorphism, idempotent_part
 
 
@@ -136,6 +140,37 @@ def unit_map(M, B):
         ring = burnside_ring(lat, k)
         acts.append(hstack(*(burnside_action(M, k, ring.basis(r)) for r in ring.reps)))
     return [hstack(*(M.ind[(h, k)].matmul(acts[k]) for k in lvl.summands)) for h, lvl in enumerate(B.levels)]
+
+
+def mark_map(M, N, B):
+    """Levelwise, the Brauer-mark map on the summands of ``B = box(M, N)`` that ``monoidal.box`` reads its levels off.
+
+    One row block per H-class representative K <= H, Y_K the functionals that kill every im I^K_L, L < K: a (x) b at
+    summand J goes to the sum over the cosets xJ in H with K <= xJx^-1 of Y_K R^{xJx^-1}_K C_x a (x) Y_K R^{xJx^-1}_K C_x b."""
+    lat = M.lattice
+    G = lat.group
+
+    def annihilator(F, k):
+        images = hstack(QMatrix.zeros(F.dims[k], 0), *(F.ind[(k, l)] for l in lat.subgroups_of(k) if l != k))
+        return images.transpose().kernel().transpose()
+
+    qs = []
+    for h, lvl in enumerate(B.levels):
+        rows = []
+        for k, *_ in lat.local_classes(h):
+            ym, yn = annihilator(M, k), annihilator(N, k)
+            cols = []
+            for j in lvl.summands:
+                block = QMatrix.zeros(ym.rows * yn.rows, M.dims[j] * N.dims[j])
+                for x in {min(G.mul(y, z) for z in lat.elements(j)) for y in lat.elements(h)}:  # one per coset xJ
+                    xj = lat.conjugate(x, j)
+                    if set(lat.elements(k)) <= set(lat.elements(xj)):
+                        mm = ym.matmul(M.res[(xj, k)]).matmul(M.conj(x, j))
+                        block = block + tensor(mm, yn.matmul(N.res[(xj, k)]).matmul(N.conj(x, j)))
+                cols.append(block)
+            rows.append(hstack(*cols))
+        qs.append(vstack(*rows))
+    return qs
 
 
 def _with_inclusion(M, e):

@@ -1,8 +1,10 @@
-"""The relation blocks ``monoidal.box`` shares between levels, and the maps ``_level_map`` induces without F.
+"""The Brauer-mark blocks ``monoidal.box`` shares between levels, and the maps ``_level_map`` induces without F.
 
-``box`` builds each Frobenius family of a cover pair and each conjugation
-family of (x, K) once per product, leaving out the families with no columns
-and those of x at a K containing x; every level H places the ones below it.
+``box`` reads each level off the Brauer-mark map q_H, built from one block
+per (K, J, x): K an H-class representative, J a summand and xJ a coset fixed
+by K.  A block does not depend on H, so it is built once per product and
+every level H above it places it.  ``box_unit_iso`` reads each level of
+box(A, M) off the unit map, so the two routes must give the same product.
 ``_level_map`` multiplies each block by the rows of ``section`` at its source
 summand, places the products with ``block_matrix`` and applies ``proj`` once,
 so an overrunning block raises in ``row_block`` or ``block_matrix``;
@@ -19,7 +21,7 @@ from qmackey import monoidal
 from qmackey.classify import free_functor
 from qmackey.linalg import LinAlgError, QMatrix, WModule
 from qmackey.mackey import burnside_mackey
-from qmackey.monoidal import _box_level, _relation_families, box, box_unit_iso
+from qmackey.monoidal import box, box_unit_iso
 from test_box_reference import CASES, KINDS, assert_same_box, assert_same_product
 
 
@@ -65,9 +67,9 @@ def test_misfit_blocks_raise(s3_lattice):
 
 @pytest.mark.parametrize("name", ["D8", pytest.param("S4", marks=pytest.mark.slow)])
 def test_boxes_with_zero_summands_match_the_referee(corpus_lattices, name):
-    """A (x) F_H(V) is zero at every summand K not above a conjugate of H, so families with no columns
-    are left out there; the levels built alone are the product's.  The source of ``box_unit_iso``, its
-    levels read off the unit map, is ``box(A, F)`` in levels and maps, and ``box(A, A)`` for A itself."""
+    """A (x) F_H(V) is zero at every summand K not above a conjugate of H, so its blocks there have no columns.
+    The source of ``box_unit_iso``, its levels read off the unit map, is ``box(A, F)`` in levels and maps, and
+    ``box(A, A)`` for A itself."""
     lat = corpus_lattices[name]
     A = burnside_mackey(lat)
     assert_same_product(box_unit_iso(A).source, box(A, A))
@@ -76,27 +78,30 @@ def test_boxes_with_zero_summands_match_the_referee(corpus_lattices, name):
         for V in (WModule.trivial(W), WModule.regular(W)):
             F = free_functor(lat, h, V)
             assert_same_box(A, F)
-            B = box(A, F)
-            assert_same_product(box_unit_iso(F).source, B)
-            families = _relation_families(A, F)
-            assert all(_box_level(A, F, k, families) == B.levels[k] for k in range(len(lat)))
-            frobenius, _ = families
-            assert any(len(frobenius(k, l)) < 2 for k, l in lat.cover_pairs()) == (0 in F.dims)
+            assert_same_product(box_unit_iso(F).source, box(A, F))
+
+
+@pytest.mark.parametrize("name", ["C2^4", "S3xS3", "C2xS4"])
+def test_the_mark_and_unit_routes_agree_past_the_corpus(past_corpus_lattices, name):
+    """box(A, A), its levels read off the Brauer marks, is the source of ``box_unit_iso(A)``, its levels read off
+    the unit map, in levels and maps: two routes of one level rule, on groups the referee is too slow for."""
+    A = burnside_mackey(past_corpus_lattices[name])
+    assert_same_product(box_unit_iso(A).source, box(A, A))
 
 
 @pytest.mark.parametrize("name,fixture", [("D8", "corpus_lattices"), ("S3xS3", "past_corpus_lattices")])
-def test_relation_blocks_are_built_once_per_product(request, monkeypatch, name, fixture):
-    """Count ``tensor`` calls in box(A, A) by the function that makes them.  A is nonzero at every
-    summand, so each cover pair has two Frobenius families of two blocks, and each (x, K) with x a
-    generator of some H >= K and x not in K has one conjugation family of two blocks."""
+def test_mark_blocks_are_built_once_per_product(request, monkeypatch, name, fixture):
+    """Count ``tensor`` calls in box(A, A) by the function that makes them.  The mark memo makes one block per
+    distinct (K, J, x) over the levels H: K in ``local_classes(H)``, J <= H and xJ in (H/J)^K.  ``_box_product``
+    makes the blocks of the induced maps."""
     lat = request.getfixturevalue(fixture)[name]
     G = lat.group
-    conj_pairs = {(x, k) for h in range(len(lat)) for x in lat.gens(h) for k in lat.subgroups_of(h)}
+    marks = {(k, j, x) for h in range(len(lat)) for k, *_ in lat.local_classes(h)
+             for j in lat.subgroups_of(h) for x in lat.fixed_cosets(j, k, h)}
     expected = {
-        "frobenius": 4 * len(lat.cover_pairs()),
-        "conjugation": 2 * sum(x not in lat.elements(k) for x, k in conj_pairs),
+        "mark": len(marks),
         # R on each cover pair K < H: one block per summand S <= H and double coset in K\H/S
-        "box": sum(len(lat.double_cosets(k, s, h)) for h, k in lat.cover_pairs() for s in lat.subgroups_of(h))
+        "_box_product": sum(len(lat.double_cosets(k, s, h)) for h, k in lat.cover_pairs() for s in lat.subgroups_of(h))
         # C_s for each generator s outside H: one block per summand of H
         + sum(len(lat.subgroups_of(h)) for s in G.gens for h in range(len(lat)) if s not in lat.elements(h)),
     }

@@ -101,6 +101,7 @@ class TestExitCodes:
             (["--pretty", "mackey", "box", "burnside:c2", "burnside:c2"], "mackey box only writes json, not --pretty"),
             (["burnside", "restrict", "c6", "--to", "C3"], "need --element JSON or --idempotent CLASS"),
             (["mackey", "green-check", "burnside:c2", "mult.json"], "multiplication data missing level C1"),
+            (["mackey", "green-check", "burnside:c2", "nope.json"], "unknown mult level 'NOPE'"),
             (["group", "info", "empty.json"], "empty multiplication table"),
             (["group", "info", "row.json"], "multiplication table is not square"),
             (["group", "info", "range.json"], "table entry out of range"),
@@ -113,6 +114,10 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         inputs = {
             "mult.json": {"mult": {"C2": [["1", "0", "0", "0"], ["0", "2", "2", "2"]]}, "unit": {"C2": [["0"], ["1"]]}},
+            "nope.json": {  # A's own tables, which verify, and a level the lattice of C2 lacks
+                "mult": {"C1": [["1"]], "C2": [["2", "1", "1", "0"], ["0", "0", "0", "1"]], "NOPE": [["1"]]},
+                "unit": {"C1": [["1"]], "C2": [["0"], ["1"]]},
+            },
             "empty.json": {"table": []},
             "row.json": {"table": [[0, 1]]},
             "range.json": {"table": [[0, 5], [5, 0]]},

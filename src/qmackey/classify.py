@@ -126,8 +126,8 @@ def _weyl_fixed_level(lattice: SubgroupLattice, h: int, k: int, V: WModule, fixe
     its column j ends at q_j and is 0 at the other q.  The block of B at y is rho(t_y) F_b at its
     orbit's columns, so in coset-major coordinates the column of f_j ends at b d + q_j and is 0
     at every other b' d + q, as orbits have disjoint blocks.  Ordered by b d + q, the columns are
-    the reduced echelon basis with last entries leading, ``span_basis``'s and the ``kernel``'s of
-    the stacked P_s (x) rho(s) - I, with no elimination wider than dim V.
+    the reduced echelon basis with last entries leading, the ``kernel``'s of the stacked
+    P_s (x) rho(s) - I, with no elimination wider than dim V.
     """
     w = lattice.weyl(h)
     W, d, X = w.group, V.dim, lattice.fixed_cosets(k, h)

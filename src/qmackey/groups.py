@@ -321,6 +321,8 @@ def load_group(spec: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if not isinstance(spec, dict):
         raise GroupError("group spec must be an object")
     name = spec.get("name", "G")
+    if not isinstance(name, str):
+        raise GroupError(f"group name must be a string, not {name!r}")
     if "table" in spec:
         table = spec["table"]
         if not (isinstance(table, list) and all(isinstance(row, list) and all(type(x) is int for x in row) for row in table)):

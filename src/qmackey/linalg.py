@@ -18,10 +18,10 @@ eliminated together with the right-hand side.
 
 A square n x n matrix that keeps unit rows S is the identity, so ``matmul``
 returns the other factor: row S[t] is e_t, and every producer (``identity``,
-``kernel``, ``image``, ``span_basis``, ``selection_matrix`` on increasing
-targets) lists S in increasing order, so n increasing entries of range(n)
-give S[t] = t.  ``QMatrix.sparse`` returns ``identity(n)`` for a square
-body whose row i is e_i.
+``kernel``, ``image``, ``selection_matrix`` on increasing targets) lists S in
+increasing order, so n increasing entries of range(n) give S[t] = t.
+``QMatrix.sparse`` returns ``identity(n)`` for a square body whose row i is
+e_i, and ``transpose`` returns such an identity itself.
 """
 
 from __future__ import annotations
@@ -311,6 +311,8 @@ class QMatrix:
         return _new(self.rows, other.cols, out)
 
     def transpose(self) -> "QMatrix":
+        if self._is_eye():
+            return self
         return _new(self.cols, self.rows, _transposed(self._rows, self.cols))
 
     # -- elimination -----------------------------------------------------------------
@@ -347,10 +349,10 @@ class QMatrix:
         With several solutions, free variables are set to zero, which keeps
         the output canonical.
 
-        A ``kernel``, ``image``, ``span_basis``, ``identity`` or increasing
-        ``selection_matrix`` basis B has B[S] = I on its unit rows S.  A
-        solution Y has Y = B[S] Y = rhs[S] =: X, so B @ X == rhs exactly when
-        rhs is in B's span, and X is then unique.
+        A ``kernel``, ``image``, ``identity`` or increasing ``selection_matrix``
+        basis B has B[S] = I on its unit rows S.  A solution Y has
+        Y = B[S] Y = rhs[S] =: X, so B @ X == rhs exactly when rhs is in B's
+        span, and X is then unique.
 
         Any other A = self is eliminated once together with rhs.  A row of the
         reduced form of ``[A | rhs]`` that pivots past A's columns reads
@@ -484,37 +486,20 @@ def restrict_map(ambient: QMatrix, src_basis: QMatrix, dst_basis: QMatrix) -> QM
     return coeff
 
 
-def quotient_space(ambient_dim: int, relations: QMatrix) -> tuple[QMatrix, QMatrix]:
-    """Quotient of Q^n by the column span W of ``relations``.
+def quotient_by(q: QMatrix) -> tuple[QMatrix, QMatrix]:
+    """The canonical quotient of Q^n by ker q, n = q.cols: ``(projection, section)``, the nonzero rows of rref(q) and
+    the unit vectors at its pivots.  Both depend on ker q alone: e_i is a pivot exactly when it lies outside
+    ker q + <e_0, ..., e_{i-1}>, and rref(q) kills ker q and is the identity on the pivots."""
+    reduced, pivots = q.rref()
+    return reduced.row_block(0, len(pivots)), selection_matrix(q.cols, pivots)
 
-    Returns ``(projection, section)``: the projection kills W and inverts the
-    section, which is the greedy complement.  e_i is kept when it lies outside
-    W plus the kept vectors before it, which span W + <e_0, ..., e_{i-1}>, so
-    exactly when no vector of W ends at i: when i is not a free position of
-    ``span_basis(W)``.  Both maps depend on W alone.  Its vector b_p, 1 at free
-    p and 0 at the other free positions, sends e_p to -sum_q b_p[q] e_q, q kept.
-    """
+
+def quotient_space(ambient_dim: int, relations: QMatrix) -> tuple[QMatrix, QMatrix]:
+    """Quotient of Q^n by the column span W of ``relations``: ``quotient_by`` of the annihilator of W, whose kernel
+    is W.  The projection kills W and inverts the section, which is the greedy complement."""
     if relations.cols and relations.rows != ambient_dim:
         raise LinAlgError("relations live in the wrong ambient space")
-    W = span_basis(relations if relations.cols else QMatrix.zeros(ambient_dim, 0))
-    free = W._unit_rows
-    slot = {q: t for t, q in enumerate(sorted(set(range(ambient_dim)).difference(free)))}
-    proj = [{q: 1, **{free[t]: -x for t, x in W._rows[q].items()}} for q in slot]
-    section = [{slot[i]: 1} if i in slot else {} for i in range(ambient_dim)]
-    return _new(len(slot), ambient_dim, proj), _new(ambient_dim, len(slot), section)
-
-
-def span_basis(spanning: QMatrix) -> QMatrix:
-    """The basis ``kernel`` gives for a null space equal to the column span.
-
-    It is the span's reduced echelon form with last entries leading (column t
-    ends at the t-th free position, with 0 at the others), so it is unique, and
-    one ``_rref_rows`` with the coordinates reversed finds it."""
-    last = spanning.rows - 1
-    cols = _transposed(spanning._rows, spanning.cols)
-    reduced, pivots = _rref_rows([{last - i: x for i, x in col.items()} for col in cols])
-    out = _transposed([{last - j: x for j, x in row.items()} for row in reversed(reduced)], spanning.rows)
-    return _new(spanning.rows, len(pivots), out, tuple(last - c for c in reversed(pivots)))
+    return quotient_by(relations.transpose().kernel().transpose() if relations.cols else QMatrix.identity(ambient_dim))
 
 
 # ---------------------------------------------------------------------------

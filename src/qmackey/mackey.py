@@ -411,16 +411,8 @@ def constant(lattice: SubgroupLattice, dim: int = 1, name: str | None = None) ->
 
 
 def coconstant(lattice: SubgroupLattice, dim: int = 1, name: str | None = None) -> MackeyFunctor:
-    """Identity inductions; restriction multiplies by the subgroup index."""
-    eye = QMatrix.identity(dim)
-    return build_functor(
-        lattice,
-        [dim] * len(lattice),
-        lambda h, k: QMatrix.scalar(dim, lattice.index(k, h)),
-        lambda h, k: eye,
-        lambda pos, s, h: eye,
-        name=name or f"coconst({dim})",
-    )
+    """Identity inductions; restriction multiplies by the subgroup index: the dual of ``constant``."""
+    return replace(dual(constant(lattice, dim)), name=name or f"coconst({dim})")
 
 
 def dual(M: MackeyFunctor) -> MackeyFunctor:

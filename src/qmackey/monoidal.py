@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 from .burnside import burnside_ring
 from .groups import SubgroupLattice
-from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, selection_matrix, tensor
+from .linalg import QMatrix, block_matrix, hstack, permutation_matrix, quotient_by, selection_matrix, tensor
 from .mackey import (
     _brauer_functionals,
     _check_identities,
@@ -41,16 +41,12 @@ class _BoxLevel:
 
 
 def _read_off(M: MackeyFunctor, N: MackeyFunctor, h: int, q: QMatrix) -> _BoxLevel:
-    """Level H of the box product of M and N from a map q on T(H) with ker q = R, T(H)'s summands in lattice order.
-
-    ``proj`` is rref(q) without its zero rows and ``section`` the unit vectors at its pivots.  These are what
-    ``linalg.quotient_space`` gives for R, as both depend on ker q = R alone: e_i is a pivot exactly when it lies
-    outside R + <e_0, ..., e_{i-1}>, and rref(q) kills R and is the identity on the pivots."""
+    """Level H of the box product of M and N from a map q on T(H) with ker q = R, T(H)'s summands in lattice order:
+    ``linalg.quotient_by(q)``, the canonical quotient of T(H) by R, which depends on R alone."""
     summands = M.lattice.subgroups_of(h)
     ends = list(accumulate(M.dims[k] * N.dims[k] for k in summands))
-    reduced, pivots = q.rref()
     offsets = MappingProxyType(dict(zip(summands, [0, *ends])))
-    return _BoxLevel(summands, offsets, ends[-1], reduced.row_block(0, len(pivots)), selection_matrix(ends[-1], pivots))
+    return _BoxLevel(summands, offsets, ends[-1], *quotient_by(q))
 
 
 def _level_map(src: _BoxLevel, dst: _BoxLevel, blocks) -> QMatrix:
@@ -104,7 +100,11 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
     if M.lattice is not N.lattice:
         raise MackeyError("box product needs a common lattice")
     lat = M.lattice
-    functionals = cache(lambda k: (_brauer_functionals(M, k), _brauer_functionals(N, k)))
+
+    @cache
+    def functionals(k):  # (Y^M_K, Y^N_K), computed once when N is M
+        ym = _brauer_functionals(M, k)
+        return ym, ym if N is M else _brauer_functionals(N, k)
 
     @cache
     def mark(k, j, x):  # the term of q at K, J and xJ, for K <= xJx^-1

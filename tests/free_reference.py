@@ -15,6 +15,8 @@ base coset of each Weyl orbit alone.  ``free_bases`` stacks the per-coset
 blocks of ``classify._weyl_fixed_level`` into each level's basis B, and
 ``compare`` and ``free_lift`` solve in ``span_basis(B)``, the same basis
 with unit rows kept, so each solve selects rows and checks one product.
+``span_basis(B)`` is the ``kernel`` basis of the annihilator of B's columns,
+whose null space is their span.
 """
 
 from burnside_reference import burnside_action
@@ -28,11 +30,16 @@ from qmackey.linalg import (
     intertwiner,
     permutation_matrix,
     restrict_map,
-    span_basis,
     tensor,
     vstack,
 )
 from qmackey.mackey import MackeyError, MackeyMorphism
+
+
+def span_basis(B):
+    """The kernel basis of a matrix whose null space is the column span of B; for B already in that echelon form,
+    as the free bases are, it is B with its unit rows kept."""
+    return B.transpose().kernel().transpose().kernel()
 
 
 def stacked_kernel_basis(lattice, h, k, V):

@@ -312,7 +312,7 @@ def test_only_the_producers_the_linalg_docstring_names_keep_unit_rows():
     named = re.search(r"every producer \(([^)]*)\)", qmackey.linalg.__doc__)
     producers = set(_unit_row_producers((PACKAGE / "linalg.py").read_text()))
     assert named and producers == set(re.findall(r"``(\w+)``", named[1]))
-    assert producers == {"identity", "kernel", "image", "span_basis", "selection_matrix"}
+    assert producers == {"identity", "kernel", "image", "selection_matrix"}
 
 
 def _cap_defaults(tree):

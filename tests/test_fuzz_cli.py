@@ -211,6 +211,24 @@ def test_malformed_json_exits_two(workdir, case):
     assert all(code == 2 for _, code, _ in results), (kind, [(argv[1], code, err) for argv, code, err in results])
 
 
+@pytest.mark.parametrize("name", [["x"], 3, None])
+def test_a_group_name_that_is_not_a_string_exits_two(workdir, name):
+    """On a group file, a functor file embedding the group, and ``mackey new --group``, each with one line."""
+    group = {"name": name, "table": [[0, 1], [1, 0]]}
+    functor = {**BASES["burnside-s3"], "group": {**BASES["burnside-s3"]["group"], "name": name}}
+    results = []
+    for stem, doc in (("group", group), ("functor", functor)):
+        path = workdir / f"named-{stem}.json"
+        path.write_text(json.dumps(doc))
+        results += _run_all(path)
+    argv = ["mackey", "new", "burnside", "--group", str(workdir / "named-group.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append((argv, cli.main(argv), err.getvalue()))
+    expected = f"error: group name must be a string, not {name!r}\n"
+    assert [(code, msg) for _, code, msg in results] == [(2, expected)] * len(results)
+
+
 @FUZZ
 @given(element=JSON)
 def test_burnside_element_exits_zero_or_two(element):

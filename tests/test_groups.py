@@ -32,6 +32,7 @@ from qmackey.groups import (
     symmetric,
     trivial,
 )
+from qmackey.serialize import group_from_json
 
 # ---------------------------------------------------------------------------
 # oracles: slow but independent routes used to pin expected values
@@ -164,6 +165,14 @@ class TestLoadGroup:
     def test_cycles_sharing_a_point_rejected(self, gen):
         with pytest.raises(GroupError, match=re.escape(f"bad cycle notation: {gen!r}")):
             load_group({"name": "bad", "generators": [gen]})
+
+    @pytest.mark.parametrize("name", [["x"], 3, None, {"n": "C2"}])
+    def test_a_group_name_must_be_a_string(self, name):
+        for spec in ({"table": [[0, 1], [1, 0]]}, {"generators": ["(1 2)"]}):
+            with pytest.raises(GroupError, match=f"^{re.escape(f'group name must be a string, not {name!r}')}$"):
+                load_group({"name": name, **spec})
+        with pytest.raises(GroupError, match="group name must be a string"):
+            group_from_json({"name": name, "table": [[0, 1], [1, 0]]})
 
     def test_declared_order_must_match_table(self):
         table = [[(i + j) % 3 for j in range(3)] for i in range(3)]

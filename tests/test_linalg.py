@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from qmackey.linalg import (
     hstack,
     intertwiner,
     permutation_matrix,
+    quotient_by,
     quotient_space,
     restrict_map,
     tensor,
@@ -207,6 +209,18 @@ class TestQuotient:
         k = M.rows - len(chosen)
         inv = hstack(M.image(), sec).inverse()
         assert proj == QMatrix(inv.data[k:], rows=len(chosen), cols=M.rows)
+
+    def test_quotient_by_is_the_quotient_by_the_kernel(self):
+        """On seeded matrices of every shape up to 6 x 6, empty ones included, ``quotient_by(q)`` is
+        ``quotient_space`` of ker q: ``proj`` kills ker q and ``proj section`` is the identity."""
+        rng = random.Random(3)
+        for r, c, density in itertools.product(range(7), range(7), (0.0, 0.2, 0.5, 0.9)):
+            table = [[rng.choice([1, -1, 2, Fraction(1, 2)]) if rng.random() < density else 0 for _ in range(c)] for _ in range(r)]
+            q = QMatrix(table, rows=r, cols=c)
+            proj, sec = quotient_by(q)
+            assert (proj, sec) == quotient_space(c, q.kernel())
+            assert proj.matmul(sec) == QMatrix.identity(proj.rows)
+            assert proj.matmul(q.kernel()).is_zero()
 
 
 class TestBlockMatrix:

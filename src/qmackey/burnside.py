@@ -29,7 +29,7 @@ reads the Mobius function.  They are cross-checked in the test suite.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -85,7 +85,7 @@ class BurnsideRing:
             raise BurnsideError(f"{self.lattice.name(k)} is not a subgroup of {self.lattice.name(self.top)}")
         coeffs = [Fraction(0)] * self.size
         coeffs[self.class_index[k]] = Fraction(1)
-        return BurnsideElement(self, tuple(coeffs))
+        return BurnsideElement(self, tuple(coeffs), (((self.class_index[k], 1),), 1))
 
     def element(self, coeffs) -> "BurnsideElement":
         coeffs = tuple(coeffs)
@@ -116,12 +116,16 @@ class BurnsideRing:
     def _integer_marks(self, a: "BurnsideElement") -> tuple[list[int], int]:
         """Integer marks v over a common denominator d > 0: marks(a) = v / d, with v ending at its last nonzero mark.
 
-        Row j of T ends at class j, so at the last j with a_j != 0 the mark is a_j T[j][j] != 0, and past it 0."""
-        terms = [(j, c) for j, c in enumerate(a.coeffs) if c]
-        d = lcm(*(c.denominator for _, c in terms))
-        v = [0] * (terms[-1][0] + 1 if terms else 0)
-        for j, c in terms:
-            c = c.numerator * (d // c.denominator)
+        Row j of T ends at class j, so at the last j with a_j != 0 the mark is a_j T[j][j] != 0, and past it 0.
+        Only the nonzero coefficients are read: those ``a`` keeps over a common denominator, if it was built so."""
+        if (num := a._num) is None:
+            terms = [(j, c) for j, c in enumerate(a.coeffs) if c]
+            d = lcm(*(c.denominator for _, c in terms))
+            num = [(j, c.numerator * (d // c.denominator)) for j, c in terms]
+        else:
+            num, d = num
+        v = [0] * (max(j for j, _ in num) + 1 if num else 0)
+        for j, c in num:
             for i, m in self._mark_table[j].items():
                 v[i] += c * m
         return v, d
@@ -138,10 +142,10 @@ class BurnsideRing:
         ``_back_substitute`` finds; x = z / (d |H|) is the one division.
         """
         n = self.lattice.order(self.top)
-        coeffs = [_ZERO] * self.size
-        for i, x in self._back_substitute([n * x for x in v]).items():
+        coeffs, z = [_ZERO] * self.size, self._back_substitute([n * x for x in v])
+        for i, x in z.items():
             coeffs[i] = Fraction(x, d * n)
-        return BurnsideElement(self, tuple(coeffs))
+        return BurnsideElement(self, tuple(coeffs), (tuple(z.items()), d * n))
 
     def _back_substitute(self, rest: list[int]) -> dict[int, int]:
         """The z with z T = rest as {i: z_i != 0}, for the table of marks T and an integral z; ``rest`` is used up.
@@ -229,10 +233,10 @@ class BurnsideRing:
         for l, mu in lat.mobius_to(k0).items():
             sums[self.class_index[l]] += lat.order(l) * mu
         denom = lat.order(lat.normalizer_in(k0, self.top))
-        coeffs = [_ZERO] * self.size
-        for i, c in sums.items():
-            coeffs[i] = Fraction(c, denom) if c else _ZERO
-        return BurnsideElement(self, tuple(coeffs))
+        coeffs, num = [_ZERO] * self.size, tuple((i, c) for i, c in sums.items() if c)
+        for i, c in num:
+            coeffs[i] = Fraction(c, denom)
+        return BurnsideElement(self, tuple(coeffs), (num, denom))
 
     def idempotents(self) -> list["BurnsideElement"]:
         return [self.idempotent(rep) for rep in self.reps]
@@ -271,10 +275,12 @@ class BurnsideRing:
 
 @dataclass(frozen=True)
 class BurnsideElement:
-    """A rational combination of orbit classes, one coefficient per class."""
+    """A rational combination of orbit classes, one coefficient per class.  An element the ring builds also keeps
+    its nonzero coefficients as ``((class, numerator), ...)`` over one denominator, which products read."""
 
     ring: BurnsideRing
     coeffs: tuple[Fraction, ...]
+    _num: tuple | None = field(default=None, repr=False, compare=False)
 
     def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
         if other.ring != self.ring:

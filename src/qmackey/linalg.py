@@ -1,13 +1,16 @@
 """Exact rational matrices and finite-dimensional rational group representations.
 
-Everything is exact; no floating point anywhere.  A ``QMatrix`` stores one
-``{column: value}`` dict per row, holding only the nonzero entries, and
-keeps every value in normal form: an ``int`` when it is integral, otherwise
-a ``Fraction``.  Integral work thus stays in ``int`` arithmetic, and ``==``
-and ``hash`` compare the stored rows directly.  The row dicts are private to
-this module and never change once a matrix holds them, so matrices share
-rows freely.  Every kernel touches only stored entries; ``data``, ``row``,
-``col`` and ``entry`` build ``Fraction``s on demand.
+Everything is exact; no floating point anywhere.  A ``QMatrix`` stores each
+row as one ``{column: int}`` dict of its nonzero numerators and one
+denominator d > 0, with gcd(d, numerators) = 1; the denominators sit in one
+tuple, which is None when every row is integral.  That is a unique normal
+form of a rational row, so ``==`` and ``hash`` compare the stored rows and
+denominators directly, and every kernel works in ``int`` arithmetic: an
+integral matrix runs the plain integer loops, and any other scales the rows
+it reads to a common denominator and divides each output row by its gcd with
+its own.  The rows are private to this module and never change once a matrix
+holds them, so matrices share rows freely.  ``data``, ``row``, ``col``,
+``entry`` and ``entries`` build ``Fraction``s on demand.
 
 Kernel and image bases come out in a canonical echelon form (the reduced row
 echelon form is unique) so that compositions of the isomorphisms built
@@ -30,6 +33,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import accumulate, chain
+from math import gcd, lcm
 
 from .groups import FiniteGroup, GSet
 
@@ -43,6 +48,7 @@ class SingularMatrixError(LinAlgError):
 
 
 _ZERO = Fraction(0)
+_INT = frozenset((int,))
 
 
 def _nf(x):
@@ -56,130 +62,150 @@ def _nf(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _frac(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+_SMALL = {x: Fraction(x) for x in range(-64, 65)}  # one shared instance of each small integral value
 
 
-def _new(rows: int, cols: int, body, unit_rows=None) -> "QMatrix":
-    """A matrix from normal-form sparse rows, bypassing ``__init__``."""
+def _value(x: int, d: int):
+    """x / d in normal form."""
+    return x if d == 1 else x // d if x % d == 0 else Fraction(x, d)
+
+
+def _new(rows: int, cols: int, body, unit_rows=None, dens=None) -> "QMatrix":
+    """A matrix from normal-form integer rows over ``dens`` (None when all are 1), bypassing ``__init__``."""
     m = object.__new__(QMatrix)
-    m.rows, m.cols, m._rows, m._unit_rows = rows, cols, tuple(body), unit_rows
+    if dens is not None and (dens := tuple(dens)).count(1) == len(dens):
+        dens = None
+    m.rows, m.cols, m._rows, m._dens, m._unit_rows = rows, cols, tuple(body), dens, unit_rows
     return m
 
 
-def _add_into(acc: dict, src: dict) -> None:
-    """``acc += src`` in place; ``acc`` stays sparse and in normal form."""
-    for j, x in src.items():
-        v = acc.get(j)
-        if v is None:
-            acc[j] = x
-        else:
-            v += x
-            if v:
-                acc[j] = v if type(v) is int or v.denominator != 1 else v.numerator
-            else:
-                del acc[j]
+def _over(rows: int, cols: int, body, dens) -> "QMatrix":
+    """The matrix with row i ``body[i] / dens[i]``, for integer rows and d > 0: each divided by its gcd with d."""
+    if not dens:
+        return _new(rows, cols, body)
+    body, dens = list(body), list(dens)
+    for i, (row, d) in enumerate(zip(body, dens)):
+        if d != 1 and (g := gcd(d, *row.values())) != 1:
+            body[i], dens[i] = {j: x // g for j, x in row.items()}, d // g
+    return _new(rows, cols, body, dens=dens)
 
 
-def _sub_into(acc: dict, f, src: dict) -> None:
-    """``acc -= f * src`` in place for a nonzero ``f``; ``acc`` stays sparse and in normal form."""
+def _rational(rows: int, cols: int, body) -> "QMatrix":
+    """The matrix with the ``{column: value}`` rows of ``body``, whose values are nonzero and in normal form.  Over
+    the lcm L of a row's denominators the row is already in normal form: a prime power p^k exactly dividing L
+    exactly divides some entry's reduced denominator, and that entry's numerator times L / denominator is prime to p."""
+    if _INT.issuperset(map(type, chain.from_iterable(map(dict.values, body)))):
+        return _new(rows, cols, body)
+    dens = [lcm(*(x.denominator for x in row.values())) for row in body]
+    return _new(rows, cols, [row if L == 1 else {j: x.numerator * (L // x.denominator) for j, x in row.items()}
+                             for row, L in zip(body, dens)], dens=dens)
+
+
+def _stacked_dens(mats):
+    """The denominators of the rows of ``mats`` one above the other, None when all are 1."""
+    for m in mats:
+        if m._dens:
+            return [d for n in mats for d in n._dens or (1,) * n.rows]
+
+
+def _transposed(body, dens, cols: int) -> tuple[list[dict], list[int] | None]:
+    """The rows of the transpose of the integer rows ``body`` over ``dens``, and their denominators before ``_over``
+    divides out their gcds: over the lcm L of ``dens``, entry (i, j) of ``body`` over d_i is its times L / d_i over L."""
+    out, L = [{} for _ in range(cols)], lcm(*dens) if dens else 1
+    for i, row in enumerate(body):
+        f = L // dens[i] if dens else 1
+        for j, x in row.items():
+            out[j][i] = x * f
+    return out, dens and [L] * cols
+
+
+def _add_into(acc: dict, src: dict, co: int, f: int) -> None:
+    """``acc += f * src`` in place, ``src`` shifted by ``co`` columns; ``acc`` stays sparse."""
     for j, x in src.items():
-        v = acc.get(j)
-        v = -f * x if v is None else v - f * x
-        if v:
-            acc[j] = v if type(v) is int or v.denominator != 1 else v.numerator
+        j += co
+        if j not in acc:
+            acc[j] = f * x
+        elif v := acc[j] + f * x:
+            acc[j] = v
         else:
             del acc[j]
 
 
-def _scaled(row: dict, c) -> dict:
-    """``c * row`` for a nonzero normal-form ``c``."""
-    if c == 1:
-        return row
-    out = {}
-    for j, x in row.items():
-        v = c * x
-        out[j] = v if type(v) is int or v.denominator != 1 else v.numerator
-    return out
+def _primitive(row: dict, c: int) -> dict:
+    """``row`` divided by the gcd of its entries, signed so that the entry at column c is positive."""
+    g = 1 if row[c] == 1 else gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def _transposed(body, cols: int) -> list[dict]:
-    out = [{} for _ in range(cols)]
-    for i, row in enumerate(body):
-        for j, x in row.items():
-            out[j][i] = x
-    return out
+def _cleared(row: dict, prow: dict, c: int) -> dict:
+    """The primitive multiple of a row - b prow, a = prow[c] / g > 0 and b = row[c] / g with g their gcd: it is 0
+    at column c, and its sign at any other column is that of a row - b prow."""
+    a, b = prow[c] // (g := gcd(row[c], prow[c])), row[c] // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    _add_into(out, prow, 0, -b)
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
 def _rref_rows(body) -> tuple[list[dict], list[int]]:
-    """The nonzero rows of the reduced row echelon form of ``body``, and their pivot columns.
+    """The nonzero rows of the reduced row echelon form of the integer rows ``body``, and their pivot columns.
 
-    Forward elimination: the next pivot column c is the smallest leading
-    column among the rows not yet used, and every such row leading at c is a
-    candidate.  The candidate with the fewest entries becomes the pivot row,
-    which keeps fill-in down; the others are cleared at c.  The pending lead
-    columns sit in a heap, each pushed with its first row; it pops them in the
-    order a scan would, so every intermediate row and the output are the same.
-    Back substitution then reduces the pivot rows last first: each later row is
-    reduced already, so it holds no pivot column but its own, and a row is
-    cleared by exactly the later rows whose pivot columns it holds, last first.
-    The reduced form is unique, so the choice of pivot rows does not show in it.
+    Each comes out primitive with a positive pivot, so the reduced row at pivot c is ``row / row[c]`` in normal
+    form.  Scaling a row keeps the row space, so a rational matrix is eliminated on its numerators alone, fraction
+    free: each combination a row - b prow is divided by its content (Bareiss, *Math. Comp.* 22, 1968, without the
+    exact division), and each pivot row is made primitive with a positive pivot when it is chosen.
+
+    Forward elimination: the next pivot column c is the smallest leading column among the rows not yet used, and
+    every such row leading at c is a candidate.  The candidate with the fewest entries becomes the pivot row, which
+    keeps fill-in down; the others are cleared at c.  The pending lead columns sit in a heap, each pushed with its
+    first row.  Back substitution then reduces the pivot rows last first: each later row is reduced already, so it
+    holds no pivot column but its own, and a row is cleared by the later rows whose pivot columns it holds, last
+    first; a > 0 keeps its pivot positive.  The reduced form is unique, and so is its primitive row with a positive
+    pivot, so neither the choice of pivot rows nor the order of the combinations shows in the output.
     """
     by_lead: dict[int, list[dict]] = {}
     for row in body:
         if row:
-            by_lead.setdefault(min(row), []).append(dict(row))
+            by_lead.setdefault(min(row), []).append(row)
     leads = sorted(by_lead)  # the keys of by_lead, as a heap
     pivot_rows, pivots = [], []
     while leads:
         c = heappop(leads)
         cands = by_lead.pop(c)
-        p = min(range(len(cands)), key=lambda i: len(cands[i]))
-        prow = cands[p]
-        pv = prow[c]
-        if pv != 1:
-            prow = _scaled(prow, _nf(1 / Fraction(pv)))
-        for i, row in enumerate(cands):
-            if i != p:
-                _sub_into(row, row[c], prow)
-                if row:
-                    if (lead := min(row)) not in by_lead:
-                        heappush(leads, lead)
-                    by_lead.setdefault(lead, []).append(row)
+        prow = _primitive(cands.pop(min(range(len(cands)), key=lambda i: len(cands[i]))), c)
+        for row in cands:
+            if row := _cleared(row, prow, c):
+                if (lead := min(row)) not in by_lead:
+                    heappush(leads, lead)
+                by_lead.setdefault(lead, []).append(row)
         pivot_rows.append(prow)
         pivots.append(c)
     row_of = dict(zip(pivots, pivot_rows))
-    for c, row in zip(reversed(pivots), reversed(pivot_rows)):
+    for t in range(len(pivots) - 1, -1, -1):
+        c, row = pivots[t], pivot_rows[t]
         for d in sorted(row.keys() & row_of.keys(), reverse=True):
             if d != c:
-                _sub_into(row, row[d], row_of[d])
+                row = _cleared(row, row_of[d], d)
+        pivot_rows[t] = row_of[c] = row
     return pivot_rows, pivots
 
 
 class QMatrix:
-    """An immutable matrix of exact rationals, stored as sparse rows."""
+    """An immutable matrix of exact rationals, stored as sparse integer rows with one denominator each."""
 
-    __slots__ = ("rows", "cols", "_rows", "_unit_rows")
+    __slots__ = ("rows", "cols", "_rows", "_dens", "_unit_rows")
 
     def __init__(self, data, rows: int | None = None, cols: int | None = None):
-        if isinstance(data, QMatrix):
-            self.rows, self.cols, self._rows, self._unit_rows = data.rows, data.cols, data._rows, data._unit_rows
-            return
-        self._unit_rows = None
-        table = [list(row) for row in data]
-        if table:
-            self.cols = len(table[0])
-            if any(len(r) != self.cols for r in table):
+        if not isinstance(data, QMatrix):
+            table = [list(row) for row in data]
+            width = len(table[0]) if table else cols or 0
+            if any(len(r) != width for r in table):
                 raise LinAlgError("ragged rows")
-            if rows is not None and rows != len(table):
-                raise LinAlgError("row count does not match the data")
-            if cols is not None and cols != self.cols:
-                raise LinAlgError("column count does not match the data")
-        else:
-            self.cols = cols or 0
-            table = [[]] * (rows or 0)
-        self.rows = len(table)
-        self._rows = tuple({j: v for j, x in enumerate(row) if (v := x if type(x) is int else _nf(x))} for row in table)
+            if table and (rows not in (None, len(table)) or cols not in (None, width)):
+                raise LinAlgError("the row or column count does not match the data")
+            body = [{j: v for j, x in enumerate(row) if (v := x if type(x) is int else _nf(x))} for row in table]
+            data = _rational(len(body), width, body) if body else QMatrix.zeros(rows or 0, width)
+        self.rows, self.cols, self._rows, self._dens, self._unit_rows = data.rows, data.cols, data._rows, data._dens, data._unit_rows
 
     # -- constructors ---------------------------------------------------------
 
@@ -194,7 +220,7 @@ class QMatrix:
     @staticmethod
     def scalar(n: int, value) -> "QMatrix":
         v = _nf(value)
-        return _new(n, n, [{i: v} if v else {} for i in range(n)])
+        return _rational(n, n, [{i: v} if v else {} for i in range(n)])
 
     @staticmethod
     def sparse(rows: int, cols: int, body) -> "QMatrix":
@@ -203,31 +229,21 @@ class QMatrix:
         if len(body) != rows or (used := set().union(*body)) and (min(used) < 0 or max(used) >= cols):
             raise LinAlgError(f"the rows do not fit a {rows} x {cols} matrix")
         out = [{j: v for j, x in row.items() if (v := x if type(x) is int else _nf(x))} for row in body]
-        return QMatrix.identity(rows) if rows == cols and all(row == {i: 1} for i, row in enumerate(out)) else _new(rows, cols, out)
+        return QMatrix.identity(rows) if rows == cols and all(row == {i: 1} for i, row in enumerate(out)) else _rational(rows, cols, out)
 
     # -- plumbing ---------------------------------------------------------------
 
     @property
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as a tuple of row tuples of ``Fraction``s."""
-        out = []
-        for row in self._rows:
-            line = [_ZERO] * self.cols
-            for j, x in row.items():
-                line[j] = _frac(x)
-            out.append(tuple(line))
-        return tuple(out)
+        return tuple(map(self.row, range(self.rows)))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._rows == other._rows
-        )
+        return (isinstance(other, QMatrix) and self.rows == other.rows and self.cols == other.cols
+                and self._rows == other._rows and self._dens == other._dens)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._rows)))
+        return hash((self.rows, self.cols, self._dens, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
         if self.rows * self.cols == 0:
@@ -236,24 +252,28 @@ class QMatrix:
         return f"QMatrix[{body}]"
 
     def entry(self, i: int, j: int) -> Fraction:
-        return _frac(self._rows[i].get(j, 0))
+        return Fraction(self._rows[i].get(j, 0), self._dens[i] if self._dens else 1)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        row = self._rows[i]
-        return tuple(_frac(row[j]) if j in row else _ZERO for j in range(self.cols))
+        line, d = [_ZERO] * self.cols, self._dens[i] if self._dens else 1
+        for j, x in self._rows[i].items():
+            line[j] = (_SMALL.get(x) or Fraction(x)) if d == 1 else Fraction(x, d)
+        return tuple(line)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(_frac(row[j]) if j in row else _ZERO for row in self._rows)
+        return tuple(row[j] for row in self.data)
 
     def row_block(self, start: int, count: int) -> "QMatrix":
         """The ``count`` rows from row ``start`` on, sharing their storage; raises past the last row."""
         if min(start, count) < 0 or start + count > self.rows:
             raise LinAlgError("rows out of range")
-        return _new(count, self.cols, self._rows[start : start + count])
+        return _new(count, self.cols, self._rows[start : start + count], dens=self._dens and self._dens[start : start + count])
 
     def entries(self):
         """The stored nonzero entries as ``(i, j, value)``, row by row, each value an ``int`` or a ``Fraction``."""
-        return ((i, j, x) for i, row in enumerate(self._rows) for j, x in row.items())
+        if self._dens is None:
+            return ((i, j, x) for i, row in enumerate(self._rows) for j, x in row.items())
+        return ((i, j, _value(x, d)) for i, (row, d) in enumerate(zip(self._rows, self._dens)) for j, x in row.items())
 
     def nonzero_cols(self) -> set[int]:
         """The indices of the columns that hold a nonzero entry."""
@@ -267,7 +287,7 @@ class QMatrix:
         return self._unit_rows is not None and self.rows == self.cols
 
     def is_identity(self) -> bool:
-        return self._is_eye() or self.rows == self.cols and all(row == {i: 1} for i, row in enumerate(self._rows))
+        return self._is_eye() or self._dens is None and self.rows == self.cols and all(row == {i: 1} for i, row in enumerate(self._rows))
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -280,25 +300,35 @@ class QMatrix:
         return self + (-other)
 
     def __neg__(self) -> "QMatrix":
-        return _new(self.rows, self.cols, [{j: -x for j, x in row.items()} for row in self._rows])
+        return _new(self.rows, self.cols, [{j: -x for j, x in row.items()} for row in self._rows], dens=self._dens)
 
     def scale(self, c) -> "QMatrix":
         c = _nf(c)
         if not c:
             return QMatrix.zeros(self.rows, self.cols)
-        return _new(self.rows, self.cols, [_scaled(row, c) for row in self._rows])
+        p, q = c.numerator, c.denominator
+        body = [{j: p * x for j, x in row.items()} for row in self._rows] if p != 1 else self._rows
+        return _over(self.rows, self.cols, body, [q * d for d in self._dens or (1,) * self.rows])
 
     def matmul(self, other: "QMatrix") -> "QMatrix":
+        """Row i of A B is (1 / (d_i L_i)) sum_k a_ik (L_i / d_k) B_k, d_k the denominator of row k of B and L_i
+        their lcm over the k row i reads; when B is integral, the rows of A are multiplied as they are."""
         if self.cols != other.rows:
             raise LinAlgError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self._is_eye() or other._is_eye():
-            return other if self._is_eye() else self
-        B = other._rows
-        out = []
-        for row in self._rows:
+        if self._is_eye():
+            return other
+        if other._is_eye():
+            return self
+        A, D = self._rows, self._dens
+        if (Bd := other._dens) is not None:
+            lcms = [lcm(*map(Bd.__getitem__, row)) for row in A]
+            A = [{k: a * (L // Bd[k]) for k, a in row.items()} for row, L in zip(A, lcms)]
+            D = [L * d for L, d in zip(lcms, D or (1,) * self.rows)]
+        B, out = other._rows, []
+        for row in A:
             if len(row) == 1:
                 ((k, a),) = row.items()
-                out.append(_scaled(B[k], a))
+                out.append(B[k] if a == 1 else {j: a * b for j, b in B[k].items()})
                 continue
             acc = {}
             for k, a in row.items():
@@ -307,41 +337,39 @@ class QMatrix:
                         acc[j] += a * b
                     else:
                         acc[j] = a * b
-            out.append({j: v if type(v) is int or v.denominator != 1 else v.numerator for j, v in acc.items() if v})
-        return _new(self.rows, other.cols, out)
+            out.append({j: v for j, v in acc.items() if v})
+        return _new(self.rows, other.cols, out) if D is None else _over(self.rows, other.cols, out, D)
 
     def transpose(self) -> "QMatrix":
-        if self._is_eye():
-            return self
-        return _new(self.cols, self.rows, _transposed(self._rows, self.cols))
+        return self if self._is_eye() else _over(self.cols, self.rows, *_transposed(self._rows, self._dens, self.cols))
 
     # -- elimination -----------------------------------------------------------------
 
     def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
         body, pivots = _rref_rows(self._rows)
-        body += [{} for _ in range(self.rows - len(body))]
-        return _new(self.rows, self.cols, body), tuple(pivots)
+        pad = self.rows - len(body)
+        return _new(self.rows, self.cols, body + [{}] * pad, dens=[row[c] for row, c in zip(body, pivots)] + [1] * pad), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel(self) -> "QMatrix":
-        """Columns form the canonical basis of the null space; ``solve`` selects its unit free rows."""
+        """Columns form the canonical basis of the null space; ``solve`` selects its unit free rows.  A reduced row
+        at pivot c is row / row[c] for a primitive integer row, so -row off c over row[c] is in normal form."""
         R, pivots = self.rref()
         pivot_set = set(pivots)
         free = {c: t for t, c in enumerate(c for c in range(self.cols) if c not in pivot_set)}
-        out = [{} for _ in range(self.cols)]
-        for c, t in free.items():
-            out[c][t] = 1
+        out, dens = [{free[c]: 1} if c in free else {} for c in range(self.cols)], [1] * self.cols
         for pc, row in zip(pivots, R._rows):
-            out[pc] = {free[j]: -x for j, x in row.items() if j != pc}
-        return _new(self.cols, len(free), out, tuple(free))
+            out[pc], dens[pc] = {free[j]: -x for j, x in row.items() if j != pc}, row[pc]
+        return _new(self.cols, len(free), out, tuple(free), dens=dens)
 
     def image(self) -> "QMatrix":
         """The canonical column-space basis (row-echelon of transpose); ``solve`` selects its unit pivot rows."""
         R, pivots = self.transpose().rref()
-        return _new(self.rows, len(pivots), _transposed(R._rows[: len(pivots)], self.rows), pivots)
+        T = _over(self.rows, len(pivots), *_transposed(R._rows[: len(pivots)], R._dens, self.rows))
+        return _new(self.rows, len(pivots), T._rows, pivots, dens=T._dens)
 
     def solve(self, rhs: "QMatrix") -> "QMatrix | None":
         """Solve self @ X = rhs; None when inconsistent.
@@ -362,17 +390,17 @@ class QMatrix:
         """
         if rhs.rows != self.rows:
             raise LinAlgError("shape mismatch in solve")
-        if self._unit_rows is not None:
-            X = _new(self.cols, rhs.cols, [rhs._rows[i] for i in self._unit_rows])
+        if (S := self._unit_rows) is not None:
+            X = _new(self.cols, rhs.cols, [rhs._rows[i] for i in S], dens=rhs._dens and [rhs._dens[i] for i in S])
             return X if self.matmul(X) == rhs else None
         n = self.cols
         R, pivots = hstack(self, rhs).rref()
         if pivots and pivots[-1] >= n:
             return None
-        out = [{} for _ in range(n)]
+        out, dens = [{} for _ in range(n)], [1] * n
         for pc, row in zip(pivots, R._rows):
-            out[pc] = {j - n: x for j, x in row.items() if j >= n}
-        return _new(n, rhs.cols, out)
+            out[pc], dens[pc] = {j - n: x for j, x in row.items() if j >= n}, row[pc]
+        return _over(n, rhs.cols, out, dens)
 
     def inverse(self) -> "QMatrix":
         """The inverse.  ``self @ X = I`` is solvable only at full rank, and then X is unique."""
@@ -388,23 +416,19 @@ class QMatrix:
 
 
 def hstack(*mats: QMatrix) -> QMatrix:
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
+    if any(m.rows != mats[0].rows for m in mats):
         raise LinAlgError("hstack needs equal row counts")
-    out, co = [{} for _ in range(rows)], 0
-    for m in mats:
-        for row, src in zip(out, m._rows):
-            if src:
-                row.update((j + co, x) for j, x in src.items())
-        co += m.cols
-    return _new(rows, co, out)
+    offsets = [0, *accumulate(m.cols for m in mats)]
+    return block_matrix(mats[0].rows, offsets[-1], zip([0] * len(mats), offsets, mats))
 
 
 def vstack(*mats: QMatrix) -> QMatrix:
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise LinAlgError("vstack needs equal column counts")
-    return _new(sum(m.rows for m in mats), cols, [row for m in mats for row in m._rows])
+    cols, body = mats[0].cols, []
+    for m in mats:
+        if m.cols != cols:
+            raise LinAlgError("vstack needs equal column counts")
+        body += m._rows
+    return _new(len(body), cols, body, dens=_stacked_dens(mats))
 
 
 def tensor(A: QMatrix, B: QMatrix) -> QMatrix:
@@ -419,30 +443,31 @@ def tensor(A: QMatrix, B: QMatrix) -> QMatrix:
             if rb:
                 for ja, a in ra.items():
                     base = ja * bc
-                    if a == 1:
-                        for jb, b in rb.items():
-                            row[base + jb] = b
-                    else:
-                        for jb, b in rb.items():
-                            v = a * b
-                            row[base + jb] = v if type(v) is int or v.denominator != 1 else v.numerator
+                    for jb, b in rb.items():
+                        row[base + jb] = a * b
             out.append(row)
-    return _new(A.rows * B.rows, A.cols * bc, out)
+    dens = (A._dens or B._dens) and [p * q for p in A._dens or (1,) * A.rows for q in B._dens or (1,) * B.rows]
+    return _over(A.rows * B.rows, A.cols * bc, out, dens)
 
 
 def block_matrix(rows: int, cols: int, blocks) -> QMatrix:
     """The rows x cols matrix that is the sum of ``(row offset, col offset, block)`` placements.
 
-    Blocks may overlap; overlapping entries add.
+    Blocks may overlap; overlapping entries add, over the lcm of their rows' denominators.
     """
-    out = [{} for _ in range(rows)]
+    blocks, dens = list(blocks), None
     for ro, co, B in blocks:
         if ro < 0 or co < 0 or ro + B.rows > rows or co + B.cols > cols:
             raise LinAlgError("block does not fit")
+        for i, d in enumerate(B._dens or (), ro):
+            dens = dens or [1] * rows
+            dens[i] = lcm(dens[i], d)
+    out = [{} for _ in range(rows)]
+    for ro, co, B in blocks:
         for i, brow in enumerate(B._rows, ro):
             if brow:
-                _add_into(out[i], {j + co: x for j, x in brow.items()} if co else brow)
-    return _new(rows, cols, out)
+                _add_into(out[i], brow, co, 1 if dens is None else dens[i] // B._dens[i - ro] if B._dens else dens[i])
+    return _new(rows, cols, out) if dens is None else _over(rows, cols, out, dens)
 
 
 def direct_sum(*mats: QMatrix) -> QMatrix:
@@ -451,7 +476,7 @@ def direct_sum(*mats: QMatrix) -> QMatrix:
     for A in mats:
         out.extend({j + cols: x for j, x in row.items()} if cols else row for row in A._rows)
         cols += A.cols
-    return _new(len(out), cols, out)
+    return _new(len(out), cols, out, dens=_stacked_dens(mats))
 
 
 def selection_matrix(rows: int, targets) -> QMatrix:

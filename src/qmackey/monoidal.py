@@ -107,9 +107,11 @@ def box(M: MackeyFunctor, N: MackeyFunctor, name: str | None = None) -> BoxProdu
         return ym, ym if N is M else _brauer_functionals(N, k)
 
     @cache
-    def mark(k, j, x):  # the term of q at K, J and xJ, for K <= xJx^-1
+    def mark(k, j, x):  # the term of q at K, J and xJ, for K <= xJx^-1; its factor Y R C is built once when N is M
         xj = lat.conjugate(x, j)
-        return tensor(*(y.matmul(F.res[(xj, k)]).matmul(F.conj(x, j)) for y, F in zip(functionals(k), (M, N))))
+        ym, yn = functionals(k)
+        fm = ym.matmul(M.res[(xj, k)]).matmul(M.conj(x, j))
+        return tensor(fm, fm if N is M else yn.matmul(N.res[(xj, k)]).matmul(N.conj(x, j)))
 
     def marks(h):  # q_H, with a row block per representative K and a column block per summand J
         reps = [k for k, *_ in lat.local_classes(h)]

@@ -66,7 +66,8 @@ def matrix_to_json(M: QMatrix) -> list:
 
 
 def matrix_from_json(rows, shape: tuple[int, int]) -> QMatrix:
-    """A matrix of the given shape from a list of rows; ``[]`` stands for any empty shape."""
+    """A matrix of the given shape from a list of rows; ``[]`` stands for any empty shape.  A square body of the
+    exact strings ``"1"`` on the diagonal and ``"0"`` off it is the identity, read with no entry parsed."""
     r, c = shape
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise FormatError("a matrix must be a list of rows, each a list of entries")
@@ -75,6 +76,8 @@ def matrix_from_json(rows, shape: tuple[int, int]) -> QMatrix:
         raise FormatError("matrix has rows of different lengths")
     if (len(rows), width) != (r, c) and (rows or r * c):
         raise FormatError(f"matrix has shape {len(rows)}x{width}, expected {r}x{c}")
+    if r == c and all(row[i] == "1" and row.count("0") == c - 1 for i, row in enumerate(rows)):
+        return QMatrix.identity(r)
     return QMatrix.sparse(r, c, [{j: _entry_from_json(x) for j, x in enumerate(row) if x != "0"} for row in rows] or [{}] * r)
 
 

@@ -30,9 +30,9 @@ parser that ``cli.build_parser`` caches.  A functor's classification lives in
 the value ``classify.split`` returns.
 
 The sparse row format of a ``QMatrix`` is private to ``linalg``: no other
-module imports an underscore name from it or reads a matrix's ``_rows`` or
-``_unit_rows``; they build through ``QMatrix.sparse`` and read through
-``entries``.  Inside ``linalg``, only the producers its module docstring names
+module imports an underscore name from it or reads a matrix's ``_rows``,
+``_dens`` or ``_unit_rows``; they build through ``QMatrix.sparse`` and read
+through ``entries``.  Inside ``linalg``, only the producers its module docstring names
 pass unit rows to ``_new``: the premise of ``matmul``'s identity shortcut.
 
 Every default order cap, of a function or of the CLI's ``--cap``, is the one
@@ -266,17 +266,17 @@ def test_only_the_burnside_tables_and_the_parser_are_module_state():
 
 
 def _linalg_internals(source):
-    """Each underscore name imported from ``.linalg`` or ``qmackey.linalg``, and each ``_rows`` or ``_unit_rows`` read."""
+    """Each underscore name imported from ``.linalg`` or ``qmackey.linalg``, and each ``_rows``, ``_dens`` or ``_unit_rows`` read."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "linalg":
             yield from (alias.name for alias in node.names if alias.name.startswith("_"))
-        elif isinstance(node, ast.Attribute) and node.attr in ("_rows", "_unit_rows"):
+        elif isinstance(node, ast.Attribute) and node.attr in ("_rows", "_dens", "_unit_rows"):
             yield node.attr
 
 
 def test_linalg_internals_are_detected():
-    source = "from .linalg import QMatrix, _new\nfrom qmackey.linalg import _nf\nx = M._rows[0], M._unit_rows, M.cols\n"
-    assert sorted(_linalg_internals(source)) == ["_new", "_nf", "_rows", "_unit_rows"]
+    source = "from .linalg import QMatrix, _new\nfrom qmackey.linalg import _nf\nx = M._rows[0], M._dens, M._unit_rows, M.cols\n"
+    assert sorted(_linalg_internals(source)) == ["_dens", "_new", "_nf", "_rows", "_unit_rows"]
     assert not list(_linalg_internals("from .groups import _x\nrows = M.entries()\n"))
 
 

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -17,6 +18,7 @@ from qmackey.groups import SubgroupLattice, corpus, dihedral, from_permutations,
 from qmackey.linalg import QMatrix, WModule, permutation_matrix, tensor
 from qmackey.mackey import (
     MackeyError,
+    MackeyFunctor,
     MackeyMorphism,
     burnside_mackey,
     check_axioms,
@@ -431,6 +433,26 @@ def reversed_bases(S):
     mult = {h: P[h].matmul(m).matmul(tensor(P[h], P[h])) for h, m in S.mult.items()}
     unit = {h: P[h].matmul(u) for h, u in S.unit.items()}
     return GreenStructure(replace(M, res=res, ind=ind, cgen=cgen), mult, unit)
+
+@pytest.mark.parametrize("group", ["D8", "S4"])
+def test_box_of_a_functor_with_itself_builds_each_mark_factor_once(corpus_lattices, monkeypatch, group):
+    """box(A, A) builds the factor Y R C of each distinct (K, J, x) once, reading C = C_x once in ``box``'s ``mark``,
+    and tensors it with itself; box(A, A') for a second copy A' builds two, and has the same levels and maps."""
+    lat = corpus_lattices[group]
+    A = burnside_mackey(lat)
+    terms = {(k, j, x) for h in range(len(lat)) for k, *_ in lat.local_classes(h) for j in lat.subgroups_of(h)
+             if lat.is_subconjugate(k, j) for x in lat.fixed_cosets(j, k, h)}
+    factors, conj = [], MackeyFunctor.conj
+    monkeypatch.setattr(MackeyFunctor, "conj", lambda F, g, h: (
+        sys._getframe(1).f_code.co_name == "mark" and factors.append((F.name, g, h))) or conj(F, g, h))
+    same = box(A, A)
+    once, factors[:] = len(factors), []
+    other = box(A, replace(A, name="A'"))
+    monkeypatch.undo()
+    assert once == len(terms) and [name for name, *_ in factors].count("A'") == len(factors) - len(terms) == len(terms)
+    assert [(lv.proj, lv.section) for lv in same.levels] == [(lv.proj, lv.section) for lv in other.levels]
+    assert (same.res, same.ind, same.cgen) == (other.res, other.ind, other.cgen)
+
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

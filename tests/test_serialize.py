@@ -6,6 +6,7 @@ import pytest
 
 from dense_reference import dense_matrix_to_json
 from qmackey.classify import random_functor
+from qmackey import serialize
 from qmackey.cli import main
 from qmackey.groups import GroupError, SubgroupLattice, corpus, dihedral, from_permutations, load_group, symmetric
 from qmackey.linalg import QMatrix
@@ -98,6 +99,21 @@ class TestSparseCodec:
         M = matrix_from_json([["6/3", "0/5", "-0", "-1/2", 0, 7, "0"]], (1, 7))
         assert list(M.entries()) == [(0, 0, 2), (0, 3, Fraction(-1, 2)), (0, 5, 7)]
         assert [type(x) for _, _, x in M.entries()] == [int, Fraction, int]
+
+    def test_identity_bodies_are_read_with_no_entry_parsed(self, monkeypatch):
+        """Only a square body of the exact strings "1" and "0" skips the entry parser; "2/2" still reads as 1, and a
+        float, "1.0" or a non-square body still goes through it and is refused or read as before."""
+        parsed, parse = [], serialize._entry_from_json
+        monkeypatch.setattr(serialize, "_entry_from_json", lambda x: parsed.append(x) or parse(x))
+        for n in range(4):
+            eye = matrix_from_json([["1" if i == j else "0" for j in range(n)] for i in range(n)], (n, n))
+            assert eye == QMatrix.identity(n) and eye.matmul(QMatrix.scalar(n, 3)) == QMatrix.scalar(n, 3)
+        assert parsed == []
+        assert matrix_from_json([["2/2", "0"], ["0", "1"]], (2, 2)).is_identity() and parsed == ["2/2", "1"]
+        assert matrix_from_json([["1", "0"]], (1, 2)) == QMatrix([[1, 0]])
+        for bad in ("1.0", 1.0):
+            with pytest.raises(FormatError):
+                matrix_from_json([[bad, "0"], ["0", "1"]], (2, 2))
 
     @pytest.mark.parametrize("x", [10**4300, -(10**4300), Fraction(1, 10**4300)], ids=["big", "negative", "denominator"])
     def test_too_many_digits_is_a_format_error(self, x):
